@@ -21,8 +21,7 @@ from .errors import (
 from .identities import bh_uvst
 from .linalg import SpanTracker, dense_kernel
 from .presentations import build_family
-from .rewrite import (NCPoly, multiply, multiply_assoc, normal_form,
-                      overlap_check)
+from .rewrite import NCPoly, multiply, normal_form, product_memo
 
 
 def _lcm(a, b):
@@ -34,17 +33,18 @@ def is_central(p, a):
     """(True, None) if a commutes with every generator, else (False,
     (generator name, nonzero residual)).
 
-    Requires a confluent presentation (checked), which also licenses the
-    letter-at-a-time product evaluation used for the two sides.
+    Requires a confluent presentation (checked), so that the residual
+    does not depend on the rewriting strategy.
     """
-    if not overlap_check(p).confluent:
+    if not p.is_confluent():
         raise NonConfluentPresentation(p.family or "custom")
     one = p.ctx.one()
-    for i, name in enumerate(p.names):
-        g = NCPoly.monomial(one, (i,))
-        r = multiply_assoc(p, a, g) - multiply_assoc(p, g, a)
-        if not r.is_zero():
-            return False, (name, r)
+    with product_memo():
+        for i, name in enumerate(p.names):
+            g = NCPoly.monomial(one, (i,))
+            r = multiply(p, a, g) - multiply(p, g, a)
+            if not r.is_zero():
+                return False, (name, r)
     return True, None
 
 
@@ -704,8 +704,13 @@ def spanning_check(p, centrals, caps, degree=None):
     """
     if degree is None:
         degree = 2 * max(caps.values()) + 2
-    if not overlap_check(p).confluent:
+    if not p.is_confluent():
         raise NonConfluentPresentation(p.family or "custom")
+    with product_memo():
+        return _spanning_check(p, centrals, caps, degree)
+
+
+def _spanning_check(p, centrals, caps, degree):
     for name, el in centrals:
         ok, witness = is_central(p, el)
         if not ok:
@@ -745,7 +750,7 @@ def spanning_check(p, centrals, caps, degree=None):
             new_expo = tuple(padded)
             if new_expo in seen:
                 continue
-            new_poly = multiply_assoc(p, poly, centrals.elements[k][1])
+            new_poly = multiply(p, poly, centrals.elements[k][1])
             if new_poly.is_zero() or min_deg(new_poly) > degree:
                 continue
             seen.add(new_expo)
@@ -760,7 +765,7 @@ def spanning_check(p, centrals, caps, degree=None):
         for m in residuals:
             if base + len(m) > degree:
                 continue
-            row = multiply_assoc(p, cpoly, NCPoly.monomial(one, m))
+            row = multiply(p, cpoly, NCPoly.monomial(one, m))
             if not row.is_zero():
                 tracker.insert(row.terms)
     missing = [w for w in words if len(w) <= degree

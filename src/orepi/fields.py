@@ -833,10 +833,6 @@ def root_of_unity_order(a):
     return a.multiplicative_order()
 
 
-def specialize(a, assignment, target_ctx):
-    return a.specialize(assignment, target_ctx)
-
-
 # ---------------------------------------------------------------------------
 # the coefficient expression grammar
 # ---------------------------------------------------------------------------

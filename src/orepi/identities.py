@@ -16,7 +16,7 @@ engine against it for every index up to a bound.
 from math import comb
 
 from .errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes, ZeroInput
-from .rewrite import NCPoly, multiply, normal_form
+from .rewrite import NCPoly, multiply, normal_form, product_memo
 
 # ---------------------------------------------------------------------------
 # scalar combinatorics
@@ -540,7 +540,7 @@ def _oracle_bqf_wku(p, k):
         for cj, fword in _bqf_f_terms(p, "v", []):
             formal_rhs.append((cj * q ** i, p.word(*pre) + fword +
                                p.word(*["w"] * i)))
-    rhs = nf_eval(p, formal_rhs)
+    rhs = normal_form(p, formal_rhs)
     return [(f"w^{k}*u", lhs, rhs)]
 
 
@@ -632,21 +632,8 @@ class IdentityReport:
 
 
 def nf_eval(p, formal):
-    """Engine evaluation of a formal polynomial by right-to-left products.
-
-    Equal to normal_form on confluent presentations (every family the
-    oracle corpus runs on; their confluence is itself checked), but long
-    words are straightened one generator at a time, which keeps the
-    intermediate term population at PBW size.
-    """
-    one = p.ctx.one()
-    total = NCPoly.zero()
-    for c, w in formal:
-        poly = NCPoly.monomial(one, ())
-        for g in reversed(tuple(w)):
-            poly = multiply(p, NCPoly.monomial(one, (g,)), poly)
-        total = total + poly.scale(c)
-    return total
+    # kept as a name: the benchmark's workloads and tracer use identities.nf_eval
+    return normal_form(p, formal)
 
 
 def check_paper_identity(lemma_id, p, n_max):
@@ -658,11 +645,12 @@ def check_paper_identity(lemma_id, p, n_max):
         raise LemmaRangeError(f"{lemma_id} needs n_max >= {info.min_n}")
     indices = [1] if info.relation_only else range(info.min_n, n_max + 1)
     checks = []
-    for n in indices:
-        for label, lhs, rhs in oracle_rhs(lemma_id, p, n):
-            residual = nf_eval(p, lhs) - rhs
-            checks.append(IdentityCheck(lemma_id, n, label,
-                                        residual.is_zero(), residual))
+    with product_memo():
+        for n in indices:
+            for label, lhs, rhs in oracle_rhs(lemma_id, p, n):
+                residual = normal_form(p, lhs) - rhs
+                checks.append(IdentityCheck(lemma_id, n, label,
+                                            residual.is_zero(), residual))
     return IdentityReport(lemma_id, checks)
 
 

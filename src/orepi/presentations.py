@@ -14,6 +14,7 @@ from .errors import (
     OrientationFailure,
     ZeroParameter,
 )
+from .rewrite import overlap_check, rule_table
 
 FAMILIES = (
     "Bh", "Hpq", "M2", "UqB2", "WeylMalt", "WeylAJ",
@@ -47,7 +48,8 @@ class Presentation:
     """Immutable presentation over one coefficient field."""
 
     __slots__ = ("ctx", "names", "weights", "precedence", "rules",
-                 "family", "params", "_rank", "_index")
+                 "family", "params", "one", "by_first", "_rank", "_index",
+                 "_confluent")
 
     def __init__(self, ctx, names, weights, precedence, rules,
                  family=None, params=None):
@@ -67,6 +69,9 @@ class Presentation:
         self._index = {n: i for i, n in enumerate(self.names)}
         rank_of_name = {n: r for r, n in enumerate(self.precedence)}
         self._rank = tuple(rank_of_name[n] for n in self.names)
+        self.one = ctx.one()
+        self.by_first = rule_table(self.rules, self.one)
+        self._confluent = None
 
     def gen(self, name):
         return self._index[name]
@@ -81,6 +86,12 @@ class Presentation:
         """Sort key for the term order; bigger key = bigger word."""
         return (self.word_weight(word), len(word),
                 tuple(self._rank[g] for g in word))
+
+    def is_confluent(self):
+        """overlap_check(self).confluent, computed once."""
+        if self._confluent is None:
+            self._confluent = overlap_check(self).confluent
+        return self._confluent
 
     def word_str(self, word):
         return "*".join(self.names[g] for g in word) if word else "1"
@@ -481,17 +492,6 @@ _BUILDERS = {
     "Bqf": _build_bqf,
     "QuantumPlane": _build_quantum_plane,
 }
-
-
-def specialize_presentation(p, assignment, target_ctx):
-    """New presentation with every rule coefficient specialized."""
-    rules = []
-    for rule in p.rules:
-        rules.append(RewriteRule(
-            rule.lhs,
-            [(c.specialize(assignment, target_ctx), w) for c, w in rule.rhs]))
-    return Presentation(target_ctx, p.names, p.weights, p.precedence, rules,
-                        family=p.family, params=dict(p.params))
 
 
 def biquad3_conditions(spec):

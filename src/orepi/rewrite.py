@@ -1,14 +1,20 @@
 """PBW normal forms and diamond-lemma confluence checking.
 
-normal_form repeatedly rewrites the term-order-largest reducible word at
-its leftmost reducible position, so outputs are deterministic and the
-strictly decreasing term order guarantees termination.  overlap_check
-enumerates every word with two distinct one-step reductions (proper
-overlaps and containments) and reports the residual of each critical
-pair.
+normal_form straightens a word one letter at a time from the right: each
+generator is inserted into an irreducible word, where the only possible
+redex is at the front, and the products that rewrite are memoized.  The
+strategy is fixed, so outputs are deterministic, and the strictly
+decreasing term order guarantees termination.  On a confluent
+presentation every strategy gives the same normal form; on a
+non-confluent one the result is one irreducible representative.
+overlap_check enumerates every word with two distinct one-step
+reductions (proper overlaps and containments) and reports the residual
+of each critical pair; by the diamond lemma all residuals vanish
+exactly when the presentation is confluent, whatever the strategy.
 """
 
-from heapq import heappush, heappop
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import CtxMismatch
 
@@ -98,83 +104,173 @@ def _formal_terms(input_poly):
     return list(input_poly)
 
 
-def _rules_by_first(p):
+# ---------------------------------------------------------------------------
+# the straightener
+# ---------------------------------------------------------------------------
+# A word enters its normal form one letter at a time, from the right.  When
+# a generator g meets an irreducible word u, every redex of g*u starts at
+# position 0, so g*u is either irreducible or rewritten there by the first
+# matching rule (in rule order).  The products g*u that do rewrite are
+# memoized as normal forms; a memo lives for one call, or for a whole
+# product_memo() scope.  Missing products are computed on an explicit stack
+# of generators, so long words never deepen the Python stack.
+
+_SCOPE = ContextVar("orepi_product_memo", default=None)
+
+
+def rule_table(rules, one):
+    """The straightener's rules-by-first-letter table, built once for
+    each presentation.
+
+    Maps a generator to ((len(lhs) - 1, lhs[1:], rhs), ...) in rule order.
+    rhs[n] holds the (word, coefficient) pairs of the right side whose
+    words have length n, with like words merged.  A coefficient with the
+    representation of 1 becomes the object one, which the straightener
+    never multiplies by.
+    """
     table = {}
-    for rule in p.rules:
-        table.setdefault(rule.lhs[0], []).append(rule)
-    return table
+    for rule in rules:
+        merged = {}
+        for c, w in rule.rhs:
+            merged[w] = merged[w] + c if w in merged else c
+        rhs = [[] for _ in range(max(map(len, merged), default=0) + 1)]
+        for w, c in merged.items():
+            if not c.is_zero():
+                rhs[len(w)].append((w, one if c.val == one.val else c))
+        table.setdefault(rule.lhs[0], []).append(
+            (len(rule.lhs) - 1, rule.lhs[1:], tuple(map(tuple, rhs))))
+    return {g: tuple(entries) for g, entries in table.items()}
 
 
-def _neg_key(p, word):
-    wt, ln, ranks = p.order_key(word)
-    return (-wt, -ln, tuple(-r for r in ranks))
+@contextmanager
+def product_memo():
+    """Share memoized products among every rewrite call made inside.
+
+    The memo is dropped when the outermost scope exits; nested scopes
+    reuse it.  Nothing is stored on the presentations involved.
+    """
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _memo(p):
+    """The product memo of p in the current scope, or a fresh one."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return {}
+    # keyed by id; the entry holds p, so the id stays unique in the scope
+    entry = scope.get(id(p))
+    if entry is None:
+        entry = scope[id(p)] = (p, {})
+    return entry[1]
+
+
+def _add(acc, word, c):
+    if word in acc:
+        s = acc[word] + c
+        if s.is_zero():
+            del acc[word]
+        else:
+            acc[word] = s
+    else:
+        acc[word] = c
+
+
+def _straighten(p, levels, memo):
+    """Generator returning the normal form of a sum of prefix * poly.
+
+    levels[n] maps each prefix of length n to its poly, a dict from
+    irreducible words to coefficients.  Prefixes give up their last
+    letter longest first, so like terms merge before the next letter goes
+    in.  A product g*u missing from the memo is requested by yielding
+    (g*u, the rest of u after the redex, the rule's rhs levels); the
+    driver (_run) sends back its normal form.
+    """
+    one, by_first = p.one, p.by_first
+    for n in range(len(levels) - 1, 0, -1):
+        shorter = levels[n - 1]
+        for prefix, poly in levels[n].items():
+            g, key = prefix[-1], prefix[:-1]
+            rules = by_first.get(g, ())
+            out = shorter.get(key)
+            if out is None:
+                if not rules:
+                    shorter[key] = {(g,) + u: c for u, c in poly.items()}
+                    continue
+                out = shorter[key] = {}
+            for u, c in poly.items():
+                gu = (g,) + u
+                for k, tail, rhs in rules:
+                    if u[:k] == tail:
+                        prod = memo.get(gu)
+                        if prod is None:
+                            prod = yield gu, u[k:], rhs
+                        for w, pc in prod.items():
+                            _add(out, w, pc if c is one else
+                                 c if pc is one else c * pc)
+                        break
+                else:
+                    _add(out, gu, c)
+        levels[n] = None
+    return levels[0].get((), {})
+
+
+def _run(p, levels, memo):
+    """Normal form (a dict) of the straightener input levels.  Missing
+    products are computed, and memoized, on an explicit stack."""
+    if len(levels) == 1:
+        return levels[0].get((), {})
+    stack = [(None, _straighten(p, levels, memo))]
+    value = None
+    while True:
+        try:
+            word, rest, rhs = stack[-1][1].send(value)
+        except StopIteration as done:
+            word = stack.pop()[0]
+            if not stack:
+                return done.value
+            value = memo[word] = done.value
+        else:
+            levels = [{rw: {rest: rc} for rw, rc in bucket} for bucket in rhs]
+            stack.append((word, _straighten(p, levels, memo)))
+            value = None
+
+
+def _split(p, word):
+    """(prefix, irreducible suffix) of word, cut after its rightmost redex start."""
+    for i in range(len(word) - 2, -1, -1):
+        for k, tail, _ in p.by_first.get(word[i], ()):
+            if word[i + 1:i + 1 + k] == tail:
+                return word[:i + 1], word[i + 1:]
+    return (), word
+
+
+def _levels(p, terms):
+    """Straightener input for the formal sum of (coefficient, word) terms."""
+    ctx = p.ctx
+    levels = [{}]
+    for c, w in terms:
+        cctx = getattr(c, "ctx", ctx)
+        if cctx is not ctx and cctx != ctx:
+            raise CtxMismatch("coefficient from a different field")
+        if not c.is_zero():
+            prefix, suffix = _split(p, tuple(w))
+            while len(levels) <= len(prefix):
+                levels.append({})
+            _add(levels[len(prefix)].setdefault(prefix, {}), suffix, c)
+    return levels
 
 
 def normal_form(p, input_poly):
     """Rewrite a formal polynomial (or NCPoly) to its normal form."""
-    table = _rules_by_first(p)
-    acc = {}
-    for c, w in _formal_terms(input_poly):
-        if hasattr(c, "ctx") and c.ctx != p.ctx:
-            raise CtxMismatch("coefficient from a different field")
-        w = tuple(w)
-        if w in acc:
-            s = acc[w] + c
-            if s.is_zero():
-                del acc[w]
-            else:
-                acc[w] = s
-        elif not c.is_zero():
-            acc[w] = c
-
-    redex_cache = {}
-
-    def first_redex(word):
-        if word in redex_cache:
-            return redex_cache[word]
-        hit = None
-        for i in range(len(word)):
-            for rule in table.get(word[i], ()):
-                L = len(rule.lhs)
-                if word[i:i + L] == rule.lhs:
-                    hit = (i, rule)
-                    break
-            if hit:
-                break
-        redex_cache[word] = hit
-        return hit
-
-    heap = []
-    for w in acc:
-        if first_redex(w) is not None:
-            heappush(heap, (_neg_key(p, w), w))
-
-    while heap:
-        _, w = heappop(heap)
-        if w not in acc:
-            continue
-        hit = first_redex(w)
-        if hit is None:
-            continue
-        c = acc.pop(w)
-        i, rule = hit
-        pre, suf = w[:i], w[i + len(rule.lhs):]
-        for rc, rw in rule.rhs:
-            nw = pre + rw + suf
-            nc = c * rc
-            if nw in acc:
-                s = acc[nw] + nc
-                if s.is_zero():
-                    del acc[nw]
-                    continue
-                acc[nw] = s
-            else:
-                if nc.is_zero():
-                    continue
-                acc[nw] = nc
-            if first_redex(nw) is not None:
-                heappush(heap, (_neg_key(p, nw), nw))
-    return NCPoly(acc)
+    levels = _levels(p, _formal_terms(input_poly))
+    return NCPoly(_run(p, levels, _memo(p)))
 
 
 def multiply(p, a, b):
@@ -187,23 +283,8 @@ def multiply(p, a, b):
 
 
 def multiply_assoc(p, a, b):
-    """Product evaluated one left-factor letter at a time.
-
-    Equals multiply() whenever the presentation is confluent (callers
-    that need this speed path, like the spanning and centrality checks,
-    already require confluence).  Prepending single generators keeps the
-    rewriting local: with left-normalizing rules the debris of each
-    crossing lands left of the moving letter, where the leftmost-first
-    scheduling sorts it before the next branching step.
-    """
-    one = p.ctx.one()
-    total = NCPoly.zero()
-    for wa, ca in sorted(a.terms.items()):
-        cur = b
-        for g in reversed(wa):
-            cur = multiply(p, NCPoly.monomial(one, (g,)), cur)
-        total = total + cur.scale(ca)
-    return total
+    # kept as a name: the benchmark tracer resolves rewrite.multiply_assoc
+    return multiply(p, a, b)
 
 
 def q_commutator(p, a, b, lam):

@@ -276,3 +276,161 @@ def test_ctx_mismatch_rejected(H, rat_q):
     from orepi.errors import CtxMismatch
     with pytest.raises(CtxMismatch):
         normal_form(H, [(rat_q.one(), H.word("x"))])
+
+
+# -- the straightener against the former heap strategy -------------------------
+
+
+def heap_normal_form(p, formal):
+    """Reference reducer: rewrite the term-order-largest reducible word at
+    its leftmost redex, with the first matching rule, until none is left."""
+    acc = {}
+
+    def add(w, c):
+        s = acc[w] + c if w in acc else c
+        if s.is_zero():
+            acc.pop(w, None)
+        else:
+            acc[w] = s
+
+    def redex(w):
+        for i in range(len(w)):
+            for rule in p.rules:
+                if w[i:i + len(rule.lhs)] == rule.lhs:
+                    return i, rule
+        return None
+
+    for c, w in formal:
+        add(tuple(w), c)
+    while True:
+        reducible = [w for w in acc if redex(w) is not None]
+        if not reducible:
+            return NCPoly(acc)
+        w = max(reducible, key=p.order_key)
+        i, rule = redex(w)
+        c = acc.pop(w)
+        for rc, rw in rule.rhs:
+            add(w[:i] + rw + w[i + len(rule.lhs):], c * rc)
+
+
+def confluent_zoo(ctx):
+    """One instance of each of the 11 families, with small integer
+    parameters that every test field accepts."""
+    from orepi import spec_bqf, spec_m2, spec_three_cyclic, spec_weyl
+    i = ctx.from_int
+    m1 = -ctx.one()
+    lam = ((i(1), i(2)), (i(2).inv(), i(1)))
+    # q1 = q2 = q3 = -1 with mu = alpha, nu = a, gamma = b meets all ten
+    # consistency conditions and leaves every tail nonzero
+    biquad = spec_biquad3(ctx, (m1, m1, m1),
+                          ((i(2), i(3), i(1)), (i(5), i(1), i(3)),
+                           (i(4), i(5), i(2))), (i(1), i(2), i(3)))
+    specs = [
+        spec_bh(ctx, i(2)),
+        spec_hpq(ctx, i(2), i(3)),
+        spec_m2(ctx, i(2), i(3)),
+        spec_uqb2(ctx, i(2)),
+        spec_weyl(ctx, (i(2), i(3)), lam),
+        spec_weyl(ctx, (i(2), i(3)), lam, variant="aj"),
+        biquad,
+        spec_three_cyclic(ctx, i(2), i(1), i(2), i(3)),
+        spec_downup(ctx, i(2), i(-1), i(1)),
+        spec_bqf(ctx, i(2), (i(0), i(1), i(1))),
+        spec_quantum_plane(ctx, i(3)),
+    ]
+    return [build_family(s) for s in specs]
+
+
+ZOO_FIELDS = {
+    "Q": FieldCtx.rational(),
+    "Q(z12)": FieldCtx.cyclotomic(12),
+    "GF(13)": FieldCtx.galois_prime(13),
+}
+ZOO = [pytest.param(p, id=f"{p.family}-{name}")
+       for name, ctx in ZOO_FIELDS.items() for p in confluent_zoo(ctx)]
+
+
+@pytest.mark.parametrize("p", ZOO)
+def test_straightener_matches_heap_strategy(p, rng):
+    assert overlap_check(p).confluent
+    for _ in range(8):
+        fa = random_formal(p, rng, terms=3, max_len=5)
+        assert normal_form(p, fa) == heap_normal_form(p, fa)
+        a = NCPoly({tuple(w): c for c, w in random_formal(p, rng, terms=2)
+                    if not c.is_zero()})
+        b = NCPoly({tuple(w): c for c, w in random_formal(p, rng, terms=2)
+                    if not c.is_zero()})
+        concat = [(ca * cb, wa + wb) for wa, ca in a.terms.items()
+                  for wb, cb in b.terms.items()]
+        assert multiply(p, a, b) == heap_normal_form(p, concat)
+
+
+def test_multiply_accepts_non_normal_operands(rng, QQ):
+    # the product is the normal form of the concatenation, also when the
+    # right factor holds reducible words and the presentation is not
+    # confluent (then the representative is the straightener's own)
+    z = QQ.zero()
+    bad = build_family(spec_biquad3(
+        QQ, (QQ.from_int(2), QQ.from_int(3), QQ.from_int(5)),
+        ((z, z, z), (z, z, z), (QQ.one(), z, z)), (z, z, z)))
+    assert not overlap_check(bad).confluent
+    for p in confluent_zoo(QQ) + [bad]:
+        for _ in range(10):
+            a = NCPoly({tuple(w): c for c, w in random_formal(p, rng, terms=2)
+                        if not c.is_zero()})
+            b = NCPoly({tuple(w): c for c, w in random_formal(p, rng, terms=3)
+                        if not c.is_zero()})
+            concat = [(ca * cb, wa + wb) for wa, ca in a.terms.items()
+                      for wb, cb in b.terms.items()]
+            assert multiply(p, a, b) == normal_form(p, concat)
+
+
+def test_long_word_needs_no_deep_recursion(QQ):
+    p = build_family(spec_quantum_plane(QQ, QQ.from_int(2)))
+    n = 1200
+    nf = normal_form(p, [(QQ.one(), p.word("y", *["x"] * n))])
+    assert nf == NCPoly({p.word(*["x"] * n, "y"): QQ.from_int(2 ** n)})
+
+
+def _reachable(root):
+    """Every container and presentation reachable from root."""
+    import gc
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        todo.extend(r for r in gc.get_referents(obj)
+                    if isinstance(r, (dict, list, tuple, Presentation,
+                                      RewriteRule)))
+    return seen
+
+
+def test_no_product_memo_outlives_a_verdict(rat_q):
+    from orepi import check_paper_identity, is_central
+    from orepi.rewrite import _SCOPE, product_memo
+    H = build_family(spec_hpq(rat_q, rat_q.param("q"), rat_q.param("q")))
+    H.is_confluent()
+    before = len(_reachable(H))
+    assert check_paper_identity("H.yxn", H, 4).all_pass
+    assert not is_central(H, gen_poly(H, "x"))[0]
+    normal_form(H, [(rat_q.one(), H.word("y", "y", "x"))])
+    assert _SCOPE.get() is None
+    assert len(_reachable(H)) == before
+    with product_memo():
+        normal_form(H, [(rat_q.one(), H.word("y", "x", "x"))])
+        assert _SCOPE.get()[id(H)][1]
+    assert _SCOPE.get() is None
+
+
+def test_confluence_verdict_computed_once(monkeypatch, QQ):
+    from orepi import is_central, presentations
+    calls = []
+    real = presentations.overlap_check
+    monkeypatch.setattr(presentations, "overlap_check",
+                        lambda p: calls.append(p) or real(p))
+    p = build_family(spec_quantum_plane(QQ, QQ.from_int(3)))
+    for _ in range(3):
+        assert not is_central(p, gen_poly(p, "x"))[0]
+    assert len(calls) == 1
