@@ -9,7 +9,7 @@ k[x,y], whose eigenvalues are the roots of t^2 - alpha t - beta.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import (
     BetaZero,
@@ -18,15 +18,11 @@ from .errors import (
     RootsRequired,
     TrivialCenter,
 )
+from .fields import _factorize
 from .identities import bh_uvst
 from .linalg import SpanTracker, dense_kernel
 from .presentations import build_family
 from .rewrite import NCPoly, multiply, normal_form, product_memo
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 def is_central(p, a):
@@ -125,7 +121,7 @@ def _cand_m2(spec):
     p = build_family(spec)
     la = _ord_or_fail(spec.scalars["alpha"], "alpha")
     lb = _ord_or_fail(spec.scalars["beta"], "beta")
-    ell = _lcm(la, lb)
+    ell = lcm(la, lb)
     one = p.ctx.one()
     els = [(f"{nm}^{ell}", NCPoly.monomial(one, (p.gen(nm),) * ell))
            for nm in ("X11", "X12", "X21", "X22")]
@@ -154,7 +150,7 @@ def _cand_weyl(spec):
             orders.append(_ord_or_fail(spec.lam[i][j], f"lambda_{i + 1}{j + 1}"))
     ell = 1
     for m in orders:
-        ell = _lcm(ell, m)
+        ell = lcm(ell, m)
     one = p.ctx.one()
     els = []
     for i in range(1, n + 1):
@@ -483,30 +479,16 @@ def gwa_auto_order(ctx, alpha, beta, gamma, roots=None):
                 result = OrderResult(False, None, "DistinctRootsNotUnity",
                                      (lam, mu))
             else:
-                result = OrderResult(True, _lcm(ml, mm), None, (lam, mu))
+                result = OrderResult(True, lcm(ml, mm), None, (lam, mu))
     if result.finite:
         phi = downup_phi(ctx, alpha, beta, gamma)
         m = result.order
         if not phi.iterate(m).is_identity():
             raise AssertionError("case table gave a wrong finite order")
-        for p in _prime_divisors(m):
+        for p in _factorize(m):
             if phi.iterate(m // p).is_identity():
                 raise AssertionError("finite order is not minimal")
     return result
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def fixed_polynomials(phi, d):
@@ -580,7 +562,7 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
         mm = mu.multiplicative_order()
         els = []
         if ml is not None and mm is not None:
-            m = _lcm(ml, mm)
+            m = lcm(ml, mm)
             els += [(f"u^{m}", upow(m)), (f"d^{m}", dpow(m))]
             bound = m
         else:

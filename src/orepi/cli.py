@@ -4,16 +4,29 @@ The report on standard output is the only machine-readable channel:
 {"command": [...], "checks": [{"name", "status", "detail", "witness"?}],
 "elapsed_ms": int}.  Exit code 0 iff no check has status fail or error;
 2 on usage errors.
+
+`--params`, `--q`, `--f` and `--poly` are read by one grammar, the
+coefficient grammar of `fields`.  For `--f` and `--poly` its values are
+sums of words in the generators (the single generator t for `--f`),
+with two extra rules: division only by a coefficient, and generators
+only to non-negative powers.
 """
 
 import argparse
 import json
 import sys
 import time
+from math import lcm
 
 from .center import CentralSet, central_candidates, is_central, spanning_check
 from .errors import OrepiError, ParseError, ZeroInput
-from .fields import FieldCtx, coeff_to_str, parse_coeff
+from .fields import (
+    FieldCtx,
+    _CoeffParser,
+    _tokenize,
+    coeff_to_str,
+    parse_coeff,
+)
 from .identities import LEMMA_IDS, check_paper_identity
 from .matrep import multilinear_identity_search, quantum_plane_rep
 from .pidecide import QPlaneWitness, pi_decide, verify_witness
@@ -81,72 +94,90 @@ def parse_params(text, ctx):
     return out
 
 
-class _FPoly:
-    """Dense polynomial in t over a coefficient field (for parsing f)."""
+class _Words:
+    """Finite sum of words with coefficients; words are tuples of indices
+    into the parser's generator names."""
 
-    def __init__(self, ctx, coeffs):
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx, terms):
         self.ctx = ctx
-        self.coeffs = list(coeffs)
-        while self.coeffs and self.coeffs[-1].is_zero():
-            self.coeffs.pop()
+        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+
+    def constant(self):
+        """The value as a coefficient, or None if some word has a letter."""
+        if self.terms.keys() - {()}:
+            return None
+        return self.terms.get((), self.ctx.zero())
 
     def __add__(self, o):
-        n = max(len(self.coeffs), len(o.coeffs))
-        z = self.ctx.zero()
-        out = [(self.coeffs[i] if i < len(self.coeffs) else z) +
-               (o.coeffs[i] if i < len(o.coeffs) else z) for i in range(n)]
-        return _FPoly(self.ctx, out)
+        out = dict(self.terms)
+        for w, c in o.terms.items():
+            out[w] = out[w] + c if w in out else c
+        return _Words(self.ctx, out)
 
     def __neg__(self):
-        return _FPoly(self.ctx, [-c for c in self.coeffs])
+        return _Words(self.ctx, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, o):
         return self + (-o)
 
     def __mul__(self, o):
-        if not self.coeffs or not o.coeffs:
-            return _FPoly(self.ctx, [])
-        z = self.ctx.zero()
-        out = [z] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return _FPoly(self.ctx, out)
+        out = {}
+        for wa, ca in self.terms.items():
+            for wb, cb in o.terms.items():
+                w, c = wa + wb, ca * cb
+                out[w] = out[w] + c if w in out else c
+        return _Words(self.ctx, out)
 
     def __truediv__(self, o):
-        if len(o.coeffs) > 1:
-            raise ParseError("can only divide f by a constant")
-        if not o.coeffs:
-            raise ParseError("division by zero in f")
-        inv = o.coeffs[0].inv()
-        return _FPoly(self.ctx, [c * inv for c in self.coeffs])
+        c = o.constant()
+        if c is None:
+            raise ParseError("can only divide by a coefficient")
+        return self * _Words(self.ctx, {(): c.inv()})
 
     def __pow__(self, e):
-        out = _FPoly(self.ctx, [self.ctx.one()])
+        c = self.constant()
+        if c is not None:
+            return _Words(self.ctx, {(): c ** e})
+        if e < 0:
+            raise ParseError("generators take only non-negative powers")
+        out = _Words(self.ctx, {(): self.ctx.one()})
         for _ in range(e):
             out = out * self
         return out
 
 
+class _WordParser(_CoeffParser):
+    """The coefficient grammar, with the given generator names as letters."""
+
+    def __init__(self, text, ctx, names):
+        super().__init__(text, ctx)
+        self.names = names
+
+    def atom(self):
+        v = super().atom()
+        return v if isinstance(v, _Words) else _Words(self.ctx, {(): v})
+
+    def ident_value(self, name):
+        if name not in self.names:
+            return super().ident_value(name)
+        letter = (self.names.index(name),)
+        return _Words(self.ctx, {letter: self.ctx.one()})
+
+
 def parse_f(text, ctx):
-    """Parse a polynomial in t (coefficient grammar plus the identifier t)."""
-    from .fields import _CoeffParser
+    """Coefficients, by degree, of a polynomial in t, e.g. 't + 2*t^5'."""
+    terms = _WordParser(text, ctx, ("t",)).parse().terms
+    degree = max(map(len, terms), default=-1)
+    return tuple(terms.get((0,) * k, ctx.zero()) for k in range(degree + 1))
 
-    class _FParser(_CoeffParser):
-        def atom(self):
-            t = self.peek()
-            if t.kind == "ident" and t.text == "t":
-                self.eat()
-                return _FPoly(ctx, [ctx.zero(), ctx.one()])
-            v = super().atom()
-            if not isinstance(v, _FPoly):
-                v = _FPoly(ctx, [v])
-            return v
 
-    poly = _FParser(text, ctx).parse()
-    if not isinstance(poly, _FPoly):
-        poly = _FPoly(ctx, [poly])
-    return tuple(poly.coeffs)
+def parse_ncpoly(text, p):
+    """(coefficient, word) terms of an expression in p's generators, e.g.
+    'y*x^2 - 2*t'."""
+    terms = _WordParser(text, p.ctx, p.names).parse().terms
+    return [(c, w) for w, c in terms.items()]
 
 
 def build_spec(family, ctx, params, f_text=None):
@@ -243,121 +274,6 @@ def presentation_from_json(doc):
 
 
 # ---------------------------------------------------------------------------
-# noncommutative polynomial expressions (for `normalize`)
-# ---------------------------------------------------------------------------
-
-
-def parse_ncpoly(text, p):
-    """Terms of coefficient factors and generator powers, e.g. 'y*x^2 - 2*t'."""
-    from .fields import _tokenize
-
-    toks = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return toks[pos[0]]
-
-    def eat(kind=None):
-        t = toks[pos[0]]
-        if kind and t.kind != kind:
-            raise ParseError(f"expected {kind}, got {t.text!r}")
-        pos[0] += 1
-        return t
-
-    gen_names = set(p.names)
-
-    def parse_term():
-        coeff = p.ctx.one()
-        word = []
-        expect_factor = True
-        while expect_factor:
-            t = peek()
-            if t.kind == "int":
-                eat()
-                c = p.ctx.from_int(int(t.text))
-                exp = maybe_power()
-                coeff = coeff * c ** exp
-            elif t.kind == "(":
-                depth, j = 0, pos[0]
-                # find matching paren, parse inside as coefficient expr
-                expr_toks = []
-                eat("(")
-                depth = 1
-                while depth:
-                    tt = eat()
-                    if tt.kind == "(":
-                        depth += 1
-                    elif tt.kind == ")":
-                        depth -= 1
-                    if depth:
-                        expr_toks.append(tt.text)
-                c = parse_coeff("".join(expr_toks), p.ctx)
-                exp = maybe_power()
-                coeff = coeff * c ** exp
-            elif t.kind == "ident":
-                eat()
-                if t.text in gen_names:
-                    exp = maybe_power()
-                    if exp < 0:
-                        raise ParseError("generators cannot carry negative "
-                                         "exponents")
-                    word.extend([p.gen(t.text)] * exp)
-                else:
-                    c = parse_coeff(t.text, p.ctx)
-                    exp = maybe_power()
-                    coeff = coeff * c ** exp
-            else:
-                raise ParseError(f"unexpected token {t.text!r}")
-            if peek().kind == "*":
-                eat()
-            elif peek().kind == "/":
-                eat()
-                nxt = eat()
-                if nxt.kind == "int":
-                    c = p.ctx.from_int(int(nxt.text))
-                elif nxt.kind == "ident" and nxt.text not in gen_names:
-                    c = parse_coeff(nxt.text, p.ctx)
-                else:
-                    raise ParseError("can only divide by a coefficient")
-                exp = maybe_power()
-                coeff = coeff * (c ** exp).inv()
-            else:
-                expect_factor = False
-        return coeff, tuple(word)
-
-    def maybe_power():
-        if peek().kind == "^":
-            eat()
-            sign = 1
-            if peek().kind == "-":
-                eat()
-                sign = -1
-            return sign * int(eat("int").text)
-        return 1
-
-    terms = []
-    sign = 1
-    if peek().kind == "-":
-        eat()
-        sign = -1
-    while True:
-        c, w = parse_term()
-        terms.append((c if sign > 0 else -c, w))
-        t = peek()
-        if t.kind == "end":
-            break
-        if t.kind == "+":
-            eat()
-            sign = 1
-        elif t.kind == "-":
-            eat()
-            sign = -1
-        else:
-            raise ParseError(f"unexpected token {t.text!r}")
-    return terms
-
-
-# ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
 
@@ -422,19 +338,15 @@ def _witness_json(w):
 
 def _free_identifiers(*texts):
     # "t" stays reserved for the f-polynomial variable
-    import re
     names, levels = [], []
     for text in texts:
-        if not text:
-            continue
-        for name in re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text):
-            m = re.fullmatch(r"z(\d+)", name)
-            if m:
-                levels.append(int(m.group(1)))
+        for tok in _tokenize(text):
+            name = tok.text
+            if tok.kind != "ident" or name == "t":
                 continue
-            if name == "t":
-                continue
-            if name not in names:
+            if name[0] == "z" and name[1:].isdigit():
+                levels.append(int(name[1:]))
+            elif name not in names:
                 names.append(name)
     return names, levels
 
@@ -467,7 +379,6 @@ def _get_presentation(args, report):
         if names:
             ctx = FieldCtx.rational_functions(names)
         elif levels:
-            from math import lcm
             ctx = FieldCtx.cyclotomic(lcm(*levels))
         else:
             raise

@@ -124,30 +124,9 @@ def cyclotomic_polynomial(n):
     return poly
 
 
-def euler_phi(n):
-    out, m, p = 1, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out *= p - 1
-            m //= p
-            while m % p == 0:
-                out *= p
-                m //= p
-        p += 1
-    if m > 1:
-        out *= m - 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # GF(p) polynomial helpers (dense lists, ascending degree)
 # ---------------------------------------------------------------------------
-
-
-def _gf_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
 
 
 def _gf_mul(a, b, p):
@@ -158,7 +137,7 @@ def _gf_mul(a, b, p):
         if x:
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out)
+    return _trim(out)
 
 
 def _gf_mod(a, mod, p):
@@ -172,7 +151,7 @@ def _gf_mod(a, mod, p):
             for j, d in enumerate(mod):
                 a[shift + j] = (a[shift + j] - q * d) % p
         a.pop()
-        _gf_trim(a)
+        _trim(a)
     return a
 
 
@@ -223,7 +202,7 @@ def _gf_irreducible(mod, p):
         n = max(len(t), len(xm))
         diff = [((t[i] if i < len(t) else 0) - (xm[i] if i < len(xm) else 0)) % p
                 for i in range(n)]
-        g = _gf_gcd(list(mod), _gf_trim(diff), p)
+        g = _gf_gcd(list(mod), _trim(diff), p)
         if len(g) > 1:
             return False
     return True
@@ -803,34 +782,6 @@ def _mp_eval(poly, names, assignment, ctx):
                 term = term * (assignment[name] ** e)
         total = total + term
     return total
-
-
-# ---------------------------------------------------------------------------
-# named operation wrappers
-# ---------------------------------------------------------------------------
-
-
-def field_arith(op, a, b=None):
-    """Dispatch-by-name arithmetic, mirroring the operator methods."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    if op == "eq":
-        return a == b
-    if op == "is_zero":
-        return a.is_zero()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def root_of_unity_order(a):
-    return a.multiplicative_order()
 
 
 # ---------------------------------------------------------------------------

@@ -249,20 +249,6 @@ def _echo(spec):
     return out
 
 
-def family_spec_of(p):
-    """Recover the FamilySpec a family presentation was built from."""
-    if p.family is None:
-        raise ValueError("not a family presentation")
-    pr = p.params
-    return FamilySpec(p.family, p.ctx,
-                      scalars={k: v for k, v in pr.items()
-                               if k not in ("q_list", "lam", "f", "tails",
-                                            "consts", "n")},
-                      lam=pr.get("lam"), q_list=pr.get("q_list"),
-                      f_coeffs=pr.get("f"), tails=pr.get("tails"),
-                      consts=pr.get("consts"), n=pr.get("n"))
-
-
 def _build_bh(spec):
     ctx = spec.ctx
     h = spec.scalars["h"]

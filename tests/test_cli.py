@@ -1,6 +1,7 @@
 """CLI contract: subcommands, JSON report schema, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,9 @@ from orepi.cli import (
     validate_report,
 )
 from orepi import FieldCtx, build_family, normal_form, spec_hpq
+from orepi.errors import ParseError
+
+from test_rewrite import ZOO, random_formal
 
 
 def run(args):
@@ -102,6 +106,35 @@ def test_normalize_matches_engine(rat_pq):
         (rat_pq.one(), H.word("x", "y")),
     ])
     assert nf == direct
+    # division by a coefficient, signed factors, a sum in brackets
+    one, half = rat_pq.one(), rat_pq.from_fraction(Fraction(1, 2))
+    x, y, xx, xy = H.word("x"), H.word("y"), H.word("x", "x"), H.word("x", "y")
+    cases = {
+        "x/2": [(half, x)],
+        "2/3*x": [(rat_pq.from_fraction(Fraction(2, 3)), x)],
+        "x/2*y": [(half, xy)],
+        "x*-2": [(rat_pq.from_int(-2), x)],
+        "-x - -y": [(-one, x), (one, y)],
+        "x*(x+y)": [(one, xx), (one, xy)],
+    }
+    for text, terms in cases.items():
+        assert normal_form(H, parse_ncpoly(text, H)) == \
+            normal_form(H, terms), text
+    with pytest.raises(ParseError):
+        parse_ncpoly("x^-1", H)
+
+
+HPQ_SYMBOLIC = FieldCtx.rational_functions(("p", "q"))
+PRETTY_CASES = ZOO + [pytest.param(
+    build_family(spec_hpq(HPQ_SYMBOLIC, HPQ_SYMBOLIC.param("p"),
+                          HPQ_SYMBOLIC.param("q"))), id="Hpq-Q(p,q)")]
+
+
+@pytest.mark.parametrize("p", PRETTY_CASES)
+def test_normalize_parses_its_own_output(p, rng):
+    for _ in range(8):
+        nf = normal_form(p, random_formal(p, rng, terms=3, max_len=5))
+        assert normal_form(p, parse_ncpoly(nf.pretty(p), p)) == nf
 
 
 def test_central_check():
@@ -169,6 +202,12 @@ def test_parse_f_polynomials():
     f2 = parse_f("(z3+1)*t^2 - 2", ctx)
     assert f2[2] == ctx.generator() + 1
     assert f2[0] == ctx.from_int(-2)
+    # a coefficient takes any integer power, t only non-negative ones
+    assert parse_f("2^-1*t", ctx) == (ctx.zero(),
+                                      ctx.from_fraction(Fraction(1, 2)))
+    for text in ("t^-1", "1/t"):
+        with pytest.raises(ParseError):
+            parse_f(text, ctx)
 
 
 def test_parse_field_variants():

@@ -166,11 +166,3 @@ def test_biquad3_condition_violation_example(QQ):
     assert conds["C4"] == QQ.from_int(-5)
     assert any(not v.is_zero() for v in conds.values())
 
-
-def test_family_spec_echo_roundtrip(rat_q):
-    from orepi.presentations import family_spec_of
-    s = spec_bqf(rat_q, rat_q.param("q"), (rat_q.zero(), rat_q.one()))
-    p = build_family(s)
-    s2 = family_spec_of(p)
-    assert s2.family == "Bqf"
-    assert build_family(s2) == p
