@@ -94,9 +94,13 @@ def parse_params(text, ctx):
     return out
 
 
+MAX_EXPANDED_TERMS = 4096
+
+
 class _Words:
     """Finite sum of words with coefficients; words are tuples of indices
-    into the parser's generator names."""
+    into the parser's generator names.  A product that could have more
+    than MAX_EXPANDED_TERMS terms is refused before it is expanded."""
 
     __slots__ = ("ctx", "terms")
 
@@ -123,6 +127,9 @@ class _Words:
         return self + (-o)
 
     def __mul__(self, o):
+        if len(self.terms) * len(o.terms) > MAX_EXPANDED_TERMS:
+            raise ParseError(f"expression expands to more than "
+                             f"{MAX_EXPANDED_TERMS} terms")
         out = {}
         for wa, ca in self.terms.items():
             for wb, cb in o.terms.items():

@@ -95,3 +95,7 @@ class SizeMismatch(OrepiError):
 
 class DegreeTooLarge(OrepiError):
     """Multilinear search degree exceeds the factorial-growth guard."""
+
+
+class DegreeTooSmall(OrepiError):
+    """Multilinear search degree below 1."""

@@ -5,11 +5,28 @@ y x = q x y at a primitive root of unity; standard_poly_eval computes
 the alternating sum s_k over all permutations; the identity search
 solves, exactly, for all multilinear identities of a given degree on a
 finite-dimensional matrix algebra.
+
+The search evaluates every permuted product of every basis tuple, and
+each of those is the product of one word of length d over the basis
+indices.  So it multiplies each of the dim^d words once, as its prefix
+times its last letter, into a dict that lives for one call.  The rows
+(one per tuple and matrix cell) then only look their entries up; they
+stream through a SpanTracker, which keeps the independent ones and
+stops as soon as they span every column (the kernel is then {0}).  The
+reduced row echelon form of a row space is unique, so the kernel basis
+that dense_kernel computes from those few rows is the one the full
+system gives.
 """
 
-from itertools import permutations
+from collections import deque
+from itertools import permutations, product
 
-from .errors import DegreeTooLarge, NotPrimitiveRoot, SizeMismatch
+from .errors import (
+    DegreeTooLarge,
+    DegreeTooSmall,
+    NotPrimitiveRoot,
+    SizeMismatch,
+)
 from .linalg import SpanTracker, dense_kernel
 
 
@@ -19,18 +36,18 @@ def mat_identity(n, ctx):
 
 
 def mat_mul(a, b):
+    """a b, accumulating only over the nonzero entries of a."""
     n = len(a)
     if len(b) != n:
         raise SizeMismatch("matrix sizes differ")
+    zero = a[0][0].ctx.zero()
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
+    for row in a:
+        acc = [zero] * n
+        for x, b_row in zip(row, b):
+            if not x.is_zero():
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -79,9 +96,9 @@ class MatAlgebra:
     def _close_basis(self):
         tracker = SpanTracker(col_key=lambda k: k)
         basis = []
-        queue = [mat_identity(self.n, self.ctx)]
+        queue = deque([mat_identity(self.n, self.ctx)])
         while queue:
-            m = queue.pop(0)
+            m = queue.popleft()
             if mat_is_zero(m) or not tracker.insert(self._flat(m)):
                 continue
             basis.append(m)
@@ -122,21 +139,31 @@ def _parity(perm):
     return -1 if inv % 2 else 1
 
 
+def _perm_sum(coeffs, perms, mats, ctx):
+    """sum_s c_s A_{s(1)} ... A_{s(d)} over the permutations s, skipping
+    zero coefficients."""
+    n = len(mats[0])
+    acc = mat_scale(mat_identity(n, ctx), ctx.zero())
+    for c, perm in zip(coeffs, perms):
+        if c.is_zero():
+            continue
+        prod = mats[perm[0]]
+        for idx in perm[1:]:
+            prod = mat_mul(prod, mats[idx])
+        acc = mat_add(acc, mat_scale(prod, c))
+    return acc
+
+
 def standard_poly_eval(mats):
     """s_k(A_1..A_k) = sum over permutations of sgn * A_{s(1)} ... A_{s(k)}."""
-    k = len(mats)
     n = len(mats[0])
     ctx = mats[0][0][0].ctx
     for m in mats:
         if len(m) != n:
             raise SizeMismatch("matrices of different sizes")
-    acc = mat_scale(mat_identity(n, ctx), ctx.zero())
-    for perm in permutations(range(k)):
-        prod = mats[perm[0]]
-        for idx in perm[1:]:
-            prod = mat_mul(prod, mats[idx])
-        acc = mat_add(acc, mat_scale(prod, ctx.from_int(_parity(perm))))
-    return acc
+    perms = list(permutations(range(len(mats))))
+    signs = [ctx.from_int(_parity(p)) for p in perms]
+    return _perm_sum(signs, perms, mats, ctx)
 
 
 class IdentitySpace:
@@ -169,16 +196,7 @@ class IdentitySpace:
 
     def evaluate(self, vec, mats):
         """Evaluate sum_s c_s A_{s(1)} ... A_{s(d)} for one coefficient vector."""
-        n = len(mats[0])
-        acc = mat_scale(mat_identity(n, self.ctx), self.ctx.zero())
-        for c, perm in zip(vec, self.perms):
-            if c.is_zero():
-                continue
-            prod = mats[perm[0]]
-            for idx in perm[1:]:
-                prod = mat_mul(prod, mats[idx])
-            acc = mat_add(acc, mat_scale(prod, c))
-        return acc
+        return _perm_sum(vec, self.perms, mats, self.ctx)
 
     def __repr__(self):
         return f"<IdentitySpace degree {self.degree}, dim {self.dim}>"
@@ -188,32 +206,37 @@ def multilinear_identity_search(alg, d):
     """Solve for all multilinear identities of degree d on the algebra.
 
     Multilinearity means vanishing on all basis tuples is equivalent to
-    vanishing everywhere, so the system ranges over basis^d.
+    vanishing everywhere, so the system has one row per basis tuple t
+    and matrix cell, with the entries (t[s(1)] ... t[s(d)])[cell] over
+    the permutations s.  Each such product is the product of one word
+    of length d over the basis indices; the dim^d words are multiplied
+    once each, prefix times last letter, into a dict that lives for
+    this call.  Nonzero rows stream through a SpanTracker, which stops
+    early once they span all d! columns; only its independent rows go
+    to dense_kernel, whose result depends on the row space alone.
     """
+    if d < 1:
+        raise DegreeTooSmall("degree must be at least 1")
     if d > 5:
         raise DegreeTooLarge("degree capped at 5 (factorial growth)")
     perms = list(permutations(range(d)))
-    rows = []
-    basis = alg.basis
     ncols = len(perms)
-
-    def tuples(depth):
-        if depth == 0:
-            yield ()
-            return
-        for rest in tuples(depth - 1):
-            for b in basis:
-                yield rest + (b,)
-
-    for t in tuples(d):
-        prods = []
-        for perm in perms:
-            prod = t[perm[0]]
-            for idx in perm[1:]:
-                prod = mat_mul(prod, t[idx])
-            prods.append(prod)
-        for r in range(alg.n):
-            for c in range(alg.n):
-                rows.append([prods[k][r][c] for k in range(ncols)])
+    letters = range(alg.dim)
+    words = {(i,): m for i, m in enumerate(alg.basis)}
+    for length in range(2, d + 1):
+        for w in product(letters, repeat=length):
+            words[w] = mat_mul(words[w[:-1]], alg.basis[w[-1]])
+    tracker = SpanTracker(col_key=lambda k: k)
+    cells = [(r, c) for r in range(alg.n) for c in range(alg.n)]
+    for t in product(letters, repeat=d):
+        prods = [words[tuple(t[i] for i in perm)] for perm in perms]
+        for r, c in cells:
+            row = {k: m[r][c] for k, m in enumerate(prods)
+                   if not m[r][c].is_zero()}
+            if row and tracker.insert(row) and tracker.rank == ncols:
+                return IdentitySpace(d, perms, [], alg.ctx)
+    zero = alg.ctx.zero()
+    rows = [[row.get(k, zero) for k in range(ncols)]
+            for row in tracker.rows.values()]
     kernel = dense_kernel(rows, ncols, alg.ctx)
     return IdentitySpace(d, perms, kernel, alg.ctx)

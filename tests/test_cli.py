@@ -228,3 +228,21 @@ def test_presentation_json_schema_fields():
     assert set(rule) == {"lhs", "rhs"}
     assert all(set(t) == {"coeff", "word"} for t in rule["rhs"])
     assert presentation_from_json(json.loads(json.dumps(doc))) == p
+
+
+def test_ncpoly_expansion_ceiling():
+    from orepi import spec_m2
+    from orepi.cli import MAX_EXPANDED_TERMS
+    QQ = FieldCtx.rational()
+    p = build_family(spec_hpq(QQ, QQ.from_int(2), QQ.from_int(3)))
+    with pytest.raises(ParseError, match=str(MAX_EXPANDED_TERMS)):
+        parse_ncpoly("(x+y)^20", p)
+    ix, iy = p.names.index("x"), p.names.index("y")
+    cube = parse_ncpoly("(x+y)^3", p)
+    assert len(cube) == 8
+    assert {w for _, w in cube} == {(a, b, c) for a in (ix, iy)
+                                    for b in (ix, iy) for c in (ix, iy)}
+    assert all(c == QQ.one() for c, _ in cube)
+    m2 = build_family(spec_m2(QQ, QQ.from_int(2), QQ.from_int(3)))
+    i22, i11 = m2.names.index("X22"), m2.names.index("X11")
+    assert parse_ncpoly("X22*X11^3", m2) == [(QQ.one(), (i22, i11, i11, i11))]

@@ -3,6 +3,7 @@
 import pytest
 
 from orepi import (
+    FieldCtx,
     MatAlgebra,
     multilinear_identity_search,
     quantum_plane_rep,
@@ -112,3 +113,122 @@ def test_identity_space_annihilates_random_tuples(QQ, m2, rng):
 def test_degree_guard(m2):
     with pytest.raises(DegreeTooLarge):
         multilinear_identity_search(m2, 6)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the per-tuple search and a dense product
+
+def _mat_mul_dense(a, b):
+    n = len(a)
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(1, n)),
+                           a[i][0] * b[0][j])
+                       for j in range(n)) for i in range(n))
+
+
+def _search_reference(alg, d):
+    """The per-tuple search: every permuted product of every basis tuple
+    multiplied out, all rows eliminated at once."""
+    from itertools import permutations, product
+
+    from orepi.linalg import dense_kernel
+    perms = list(permutations(range(d)))
+    rows = []
+    for t in product(alg.basis, repeat=d):
+        prods = []
+        for perm in perms:
+            prod = t[perm[0]]
+            for idx in perm[1:]:
+                prod = _mat_mul_dense(prod, t[idx])
+            prods.append(prod)
+        for r in range(alg.n):
+            for c in range(alg.n):
+                rows.append([m[r][c] for m in prods])
+    return dense_kernel(rows, len(perms), alg.ctx)
+
+
+def _conjugated_m2(ctx, a):
+    """Matrix units conjugated by diag(a, 1)."""
+    z, o = ctx.zero(), ctx.one()
+    return MatAlgebra(2, ctx, {"e11": ((o, z), (z, z)),
+                               "e12": ((z, a), (z, z)),
+                               "e21": ((z, z), (a.inv(), z)),
+                               "e22": ((z, z), (z, o))})
+
+
+def _conjugated_b2(ctx, a):
+    """span{e11, a e12}: a subalgebra without the identity whose
+    identities are not closed under reversing words ([x1,x2] x3 = 0
+    holds on it, x3 [x1,x2] = 0 does not)."""
+    alg = _conjugated_m2(ctx, a)
+    alg.basis = [alg.gens["e11"], alg.gens["e12"]]
+    return alg
+
+
+def _search_cases():
+    from fractions import Fraction
+    QQ = FieldCtx.rational()
+    gf49 = FieldCtx.galois(7, (3, 1, 1))  # x^2 + x + 3 over GF(7)
+    z3 = FieldCtx.cyclotomic(3)
+    algebras = [
+        ("M2[a=3/7]@Q",
+         lambda: _conjugated_m2(QQ, QQ.from_fraction(Fraction(3, 7))), 4),
+        ("M2[a=g+2]@GF(49)",
+         lambda: _conjugated_m2(gf49, gf49.generator() + 2), 4),
+        ("B2[a=-2]@Q",
+         lambda: _conjugated_b2(QQ, QQ.from_int(-2)), 5),
+        ("B2[a=g]@GF(49)",
+         lambda: _conjugated_b2(gf49, gf49.generator()), 4),
+        ("qplane1@Q", lambda: quantum_plane_rep(QQ, 1, QQ.one()), 4),
+        ("qplane2@Q", lambda: quantum_plane_rep(QQ, 2, QQ.from_int(-1)), 4),
+        ("qplane3@Q(z3)", lambda: quantum_plane_rep(z3, 3, z3.generator()), 2),
+    ]
+    return [pytest.param(build, d, id=f"{name}-d{d}")
+            for name, build, d_max in algebras
+            for d in range(1, d_max + 1)]
+
+
+@pytest.mark.parametrize("build,d", _search_cases())
+def test_identity_search_matches_per_tuple_reference(build, d):
+    alg = build()
+    space = multilinear_identity_search(alg, d)
+    ref = _search_reference(alg, d)
+    assert space.dim == len(ref)
+    assert space.basis == ref
+
+
+@pytest.mark.parametrize("ctx", [
+    FieldCtx.rational(), FieldCtx.cyclotomic(12), FieldCtx.galois_prime(13),
+    FieldCtx.rational_functions(("q",)),
+], ids=["Q", "Q(z12)", "GF(13)", "Q(q)"])
+def test_mat_mul_matches_dense_product(ctx, rng):
+    from conftest import random_coeff
+    from orepi.matrep import mat_mul
+
+    def sparse_matrix(n):
+        return tuple(tuple(random_coeff(ctx, rng) if rng.random() < 0.5
+                           else ctx.zero() for _ in range(n))
+                     for _ in range(n))
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            a, b = sparse_matrix(n), sparse_matrix(n)
+            assert mat_mul(a, b) == _mat_mul_dense(a, b)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_degree_below_one_is_typed(m2, d):
+    from orepi.errors import DegreeTooSmall, OrepiError
+    with pytest.raises(DegreeTooSmall) as exc:
+        multilinear_identity_search(m2, d)
+    assert isinstance(exc.value, OrepiError)
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_cli_degree_below_one_reports_error(d):
+    from orepi.cli import run_command
+    code, doc = run_command(["identity-search", "--algebra", "m2",
+                             "--degree", d])
+    assert code == 1
+    [check] = doc["checks"]
+    assert check["status"] == "error"
+    assert check["detail"].startswith("DegreeTooSmall")
+
