@@ -19,10 +19,10 @@ from .errors import (
     TrivialCenter,
 )
 from .fields import _factorize
-from .identities import bh_uvst
+from .identities import bh_uvst, bqf_f
 from .linalg import SpanTracker, dense_kernel
 from .presentations import build_family
-from .rewrite import NCPoly, multiply, normal_form, product_memo
+from .rewrite import NCPoly, multiply, normal_form, power, product_memo
 
 
 def is_central(p, a):
@@ -44,27 +44,21 @@ def is_central(p, a):
     return True, None
 
 
-def poly_pow(p, a, k):
-    out = NCPoly.monomial(p.ctx.one(), ())
-    for _ in range(k):
-        out = multiply(p, out, a)
-    return out
-
-
 class CentralSet:
-    """Named central-element candidates plus the condition they rely on."""
+    """Named central-element candidates, the condition they rely on, and
+    the caps (generator name -> exponent bound) of the residual monomials
+    over which the algebra is spanned as a module, or None when no
+    module-finiteness witness comes with them."""
 
-    __slots__ = ("elements", "condition")
+    __slots__ = ("elements", "condition", "caps")
 
-    def __init__(self, elements, condition=""):
+    def __init__(self, elements, condition="", caps=None):
         self.elements = list(elements)  # [(name, NCPoly)]
         self.condition = condition
+        self.caps = caps
 
     def names(self):
         return [n for n, _ in self.elements]
-
-    def polys(self):
-        return [e for _, e in self.elements]
 
     def __iter__(self):
         return iter(self.elements)
@@ -91,30 +85,43 @@ def _ord_or_fail(value, what):
     return m
 
 
+def _powers(p, names, ell):
+    """[(name^ell, the word name^ell)] for each generator name."""
+    return [(f"{nm}^{ell}", NCPoly.monomial(p.one, (p.gen(nm),) * ell))
+            for nm in names]
+
+
+def bqf_routes(n, f):
+    """The B_q(f) centrality routes at ord(q) = n, over j in supp f:
+    (route 1: n divides no j+1, route 2: n >= 2 divides every j, the bad
+    exponents j with n | j+1)."""
+    supp = [j for j, cj in enumerate(f) if not cj.is_zero()]
+    bad = [j for j in supp if (j + 1) % n == 0]
+    return not bad, n >= 2 and all(j % n == 0 for j in supp), bad
+
+
 def _cand_bh(spec):
     p = build_family(spec)
     ell = _ord_or_fail(spec.scalars["h"], "h")
     u, s, v, t = bh_uvst(p)
     els = [
-        (f"u^{2 * ell}", poly_pow(p, u, 2 * ell)),
-        (f"s^{ell}", poly_pow(p, s, ell)),
-        (f"v^{2 * ell}", poly_pow(p, v, 2 * ell)),
-        (f"t^{ell}", poly_pow(p, t, ell)),
+        (f"u^{2 * ell}", power(p, u, 2 * ell)),
+        (f"s^{ell}", power(p, s, ell)),
+        (f"v^{2 * ell}", power(p, v, 2 * ell)),
+        (f"t^{ell}", power(p, t, ell)),
     ]
-    return CentralSet(els, condition=f"h root of unity of order {ell}")
+    caps = {"x1": 4 * ell, "x2": 2 * ell, "y1": 4 * ell, "y2": 2 * ell}
+    return CentralSet(els, condition=f"h root of unity of order {ell}",
+                      caps=caps)
 
 
 def _cand_hpq(spec):
     p = build_family(spec)
     n = _ord_or_fail(spec.scalars["p"], "p")
     m = _ord_or_fail(spec.scalars["q"], "q")
-    one = p.ctx.one()
-    els = [
-        (f"x^{m * n}", NCPoly.monomial(one, (p.gen("x"),) * (m * n))),
-        (f"y^{m * n}", NCPoly.monomial(one, (p.gen("y"),) * (m * n))),
-        (f"t^{n}", NCPoly.monomial(one, (p.gen("t"),) * n)),
-    ]
-    return CentralSet(els, condition=f"ord(p)={n}, ord(q)={m}")
+    els = _powers(p, ("x", "y"), m * n) + _powers(p, ("t",), n)
+    return CentralSet(els, condition=f"ord(p)={n}, ord(q)={m}",
+                      caps={"x": m * n, "y": m * n, "t": n})
 
 
 def _cand_m2(spec):
@@ -122,10 +129,10 @@ def _cand_m2(spec):
     la = _ord_or_fail(spec.scalars["alpha"], "alpha")
     lb = _ord_or_fail(spec.scalars["beta"], "beta")
     ell = lcm(la, lb)
-    one = p.ctx.one()
-    els = [(f"{nm}^{ell}", NCPoly.monomial(one, (p.gen(nm),) * ell))
-           for nm in ("X11", "X12", "X21", "X22")]
-    return CentralSet(els, condition=f"alpha, beta are {ell}-th roots of unity")
+    names = ("X11", "X12", "X21", "X22")
+    return CentralSet(_powers(p, names, ell),
+                      condition=f"alpha, beta are {ell}-th roots of unity",
+                      caps=dict.fromkeys(names, ell))
 
 
 def _cand_uqb2(spec):
@@ -134,11 +141,10 @@ def _cand_uqb2(spec):
     if ell < 5:
         raise HypothesisNotMet(
             f"central powers need a primitive root of order >= 5, got {ell}")
-    one = p.ctx.one()
-    els = [("z", NCPoly.monomial(one, (p.gen("z"),)))]
-    els += [(f"{nm}^{ell}", NCPoly.monomial(one, (p.gen(nm),) * ell))
-            for nm in ("e1", "e2", "e3")]
-    return CentralSet(els, condition=f"q primitive root of order {ell} >= 5")
+    els = [("z", NCPoly.monomial(p.one, (p.gen("z"),)))]
+    els += _powers(p, ("e1", "e2", "e3"), ell)
+    return CentralSet(els, condition=f"q primitive root of order {ell} >= 5",
+                      caps={"z": 1, "e1": ell, "e2": ell, "e3": ell})
 
 
 def _cand_weyl(spec):
@@ -148,15 +154,11 @@ def _cand_weyl(spec):
     for i in range(n):
         for j in range(i + 1, n):
             orders.append(_ord_or_fail(spec.lam[i][j], f"lambda_{i + 1}{j + 1}"))
-    ell = 1
-    for m in orders:
-        ell = lcm(ell, m)
-    one = p.ctx.one()
-    els = []
-    for i in range(1, n + 1):
-        els.append((f"x{i}^{ell}", NCPoly.monomial(one, (p.gen(f"x{i}"),) * ell)))
-        els.append((f"y{i}^{ell}", NCPoly.monomial(one, (p.gen(f"y{i}"),) * ell)))
-    return CentralSet(els, condition=f"all q_i, lambda_ij roots of unity; lcm {ell}")
+    ell = lcm(*orders)
+    names = [g for i in range(1, n + 1) for g in (f"x{i}", f"y{i}")]
+    return CentralSet(_powers(p, names, ell),
+                      condition=f"all q_i, lambda_ij roots of unity; lcm {ell}",
+                      caps=dict.fromkeys(names, ell))
 
 
 def _cand_three_cyclic(spec):
@@ -165,10 +167,10 @@ def _cand_three_cyclic(spec):
     if q2.is_one():
         raise HypothesisNotMet("q^2 = 1 is excluded")
     ell = _ord_or_fail(q2, "q^2")
-    one = p.ctx.one()
-    els = [(f"{nm}^{ell}", NCPoly.monomial(one, (p.gen(nm),) * ell))
-           for nm in ("x", "y", "z")]
-    return CentralSet(els, condition=f"q^2 primitive root of order {ell}")
+    names = ("x", "y", "z")
+    return CentralSet(_powers(p, names, ell),
+                      condition=f"q^2 primitive root of order {ell}",
+                      caps=dict.fromkeys(names, ell))
 
 
 def _cand_bqf(spec):
@@ -181,46 +183,34 @@ def _cand_bqf(spec):
     divide p^k - 1 and are coprime to p.
     """
     p = build_family(spec)
-    q = spec.scalars["q"]
-    n = _ord_or_fail(q, "q")
-    f = spec.f_coeffs
-    supp = [j for j, cj in enumerate(f) if not cj.is_zero()]
-    one = p.ctx.one()
-    route1 = all((j + 1) % n != 0 for j in supp)
-    route2 = n >= 2 and all(j % n == 0 for j in supp)
+    n = _ord_or_fail(spec.scalars["q"], "q")
+    route1, route2, bad = bqf_routes(n, spec.f_coeffs)
     if not route1 and not route2:
-        bad = [j for j in supp if (j + 1) % n == 0]
         msg = f"n={n} divides j+1 for j in {bad}; no centrality route applies"
         if p.ctx.kind == "galois":
             # the characteristic-p alternative "p divides n" can never
             # trigger: unit orders in GF(p^k) divide p^k - 1
             msg += " (VacuousCharPCase: p | n is impossible in GF(p^k))"
         raise HypothesisNotMet(msg)
-    els = []
-    if route1:
-        els.append((f"u^{n}", NCPoly.monomial(one, (p.gen("u"),) * n)))
-        els.append((f"v^{n}", NCPoly.monomial(one, (p.gen("v"),) * n)))
+    els = _powers(p, ("u", "v"), n) if route1 else []
     if route2:
-        fu = NCPoly({(p.gen("u"),) * j: cj for j, cj in enumerate(f)
-                     if not cj.is_zero()})
-        fv = NCPoly({(p.gen("v"),) * j: cj for j, cj in enumerate(f)
-                     if not cj.is_zero()})
+        fu = bqf_f(p, "u")
         if not fu.is_zero():
             els.append(("f(u)", fu))
-            els.append(("f(v)", fv))
-        els.append((f"w^{n}", NCPoly.monomial(one, (p.gen("w"),) * n)))
+            els.append(("f(v)", bqf_f(p, "v")))
+        els += _powers(p, ("w",), n)
     cond = f"ord(q)={n}; routes: " + \
         ", ".join(r for r, on in (("n∤(j+1)", route1), ("n|j", route2)) if on)
-    return CentralSet(els, condition=cond)
+    # only route 2 gives a module-finiteness witness
+    caps = {"u": n, "v": n, "w": n} if route2 else None
+    return CentralSet(els, condition=cond, caps=caps)
 
 
 def _cand_quantum_plane(spec):
     p = build_family(spec)
     n = _ord_or_fail(spec.scalars["q"], "q")
-    one = p.ctx.one()
-    els = [(f"x^{n}", NCPoly.monomial(one, (p.gen("x"),) * n)),
-           (f"y^{n}", NCPoly.monomial(one, (p.gen("y"),) * n))]
-    return CentralSet(els, condition=f"ord(q)={n}")
+    return CentralSet(_powers(p, ("x", "y"), n), condition=f"ord(q)={n}",
+                      caps={"x": n, "y": n})
 
 
 def _cand_downup(spec):
@@ -542,13 +532,6 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
     p = build_family(spec)
     lam, mu = _quadratic_roots(ctx, al, be, roots)
     one = ctx.one()
-    u, d = p.gen("u"), p.gen("d")
-
-    def upow(m):
-        return NCPoly.monomial(one, (u,) * m)
-
-    def dpow(m):
-        return NCPoly.monomial(one, (d,) * m)
 
     if lam != mu and not lam.is_one() and not mu.is_one():
         # omega_1 pairs with mu, omega_2 with lam
@@ -561,9 +544,11 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
         ml = lam.multiplicative_order()
         mm = mu.multiplicative_order()
         els = []
+        caps = None
         if ml is not None and mm is not None:
             m = lcm(ml, mm)
-            els += [(f"u^{m}", upow(m)), (f"d^{m}", dpow(m))]
+            els += _powers(p, ("u", "d"), m)
+            caps = {"u": m, "d": m}
             bound = m
         else:
             bound = exponent_bound
@@ -577,7 +562,7 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
                     els.append((f"w1^{i}*w2^{j}", downup_from_xy(p, cp)))
         if not els:
             raise TrivialCenter("no power of the roots multiplies to 1")
-        return CentralSet(els, condition=f"roots {lam!r}, {mu!r}")
+        return CentralSet(els, condition=f"roots {lam!r}, {mu!r}", caps=caps)
 
     if lam != mu:  # exactly one root equals 1; normalize lam = 1
         if mu.is_one():
@@ -597,12 +582,14 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
         # gamma = 0: omega_1 = beta x + y is fixed
         w1 = {(1, 0): be, (0, 1): one}
         els = [("omega1", downup_from_xy(p, w1))]
+        caps = None
         if m is not None:
             w2 = {(1, 0): -one, (0, 1): one}
             els.append((f"omega2^{m}", downup_from_xy(p, cp_pow(w2, m))))
-            els.append((f"u^{m}", upow(m)))
-            els.append((f"d^{m}", dpow(m)))
-        return CentralSet(els, condition=f"lambda=1, gamma=0, mu order {m}")
+            els += _powers(p, ("u", "d"), m)
+            caps = {"u": m, "d": m}
+        return CentralSet(els, condition=f"lambda=1, gamma=0, mu order {m}",
+                          caps=caps)
 
     # repeated root
     if not lam.is_one():
@@ -698,6 +685,13 @@ def _spanning_check(p, centrals, caps, degree):
         if not ok:
             raise HypothesisNotMet(f"{name} is not central (fails at "
                                    f"generator {witness[0]})")
+    # 1 is in the product pool already, so dropping the constant terms of
+    # the centrals keeps the generated subalgebra; without them each
+    # central has positive minimal degree and the degree caps below end the
+    # walk (a constant term would stall them forever)
+    elements = [NCPoly({w: c for w, c in el.terms.items() if w})
+                for _, el in centrals]
+    elements = [el for el in elements if not el.is_zero()]
     cap_by_index = [caps[name] for name in p.names]
     words = irreducible_words(p, degree)
     residuals = [w for w in words
@@ -708,8 +702,8 @@ def _spanning_check(p, centrals, caps, degree):
 
     one = p.ctx.one()
     unit = NCPoly.monomial(one, ())
-    n_cent = len(centrals.elements)
-    cent_min = [min_deg(el) for _, el in centrals.elements]
+    n_cent = len(elements)
+    cent_min = [min_deg(el) for el in elements]
     products = [("1", unit)]
     seen = {(0,) * n_cent}
     stack = [((0,) * n_cent, unit)]
@@ -732,7 +726,7 @@ def _spanning_check(p, centrals, caps, degree):
             new_expo = tuple(padded)
             if new_expo in seen:
                 continue
-            new_poly = multiply(p, poly, centrals.elements[k][1])
+            new_poly = multiply(p, poly, elements[k])
             if new_poly.is_zero() or min_deg(new_poly) > degree:
                 continue
             seen.add(new_expo)

@@ -19,7 +19,7 @@ import time
 from math import lcm
 
 from .center import CentralSet, central_candidates, is_central, spanning_check
-from .errors import OrepiError, ParseError, ZeroInput
+from .errors import OrepiError, ParametersRequired, ParseError, ZeroInput
 from .fields import (
     FieldCtx,
     _CoeffParser,
@@ -396,6 +396,16 @@ def _get_presentation(args, report):
     return build_family(spec), spec
 
 
+def _get_family(args, report):
+    """(presentation, spec) of a --family algebra; a --file presentation
+    has no parameter values, which these commands need."""
+    p, spec = _get_presentation(args, report)
+    if spec is None:
+        raise ParametersRequired(f"{args.cmd} needs --family and its "
+                                 "parameters; a presentation file has none")
+    return p, spec
+
+
 def cmd_families(args, report):
     for fam in FAMILIES:
         report.add(f"family:{fam}", "pass",
@@ -423,7 +433,7 @@ def cmd_normalize(args, report):
 
 
 def cmd_identity_check(args, report):
-    p, _ = _get_presentation(args, report)
+    p, _ = _get_family(args, report)
     if args.lemma not in LEMMA_IDS:
         report.add("lemma", "error",
                    f"unknown lemma {args.lemma!r}; known: {', '.join(LEMMA_IDS)}")
@@ -438,7 +448,7 @@ def cmd_identity_check(args, report):
 
 
 def cmd_central_check(args, report):
-    p, spec = _get_presentation(args, report)
+    p, spec = _get_family(args, report)
     try:
         cs = central_candidates(spec)
     except OrepiError as e:
@@ -454,7 +464,7 @@ def cmd_central_check(args, report):
 
 
 def cmd_pi_decide(args, report):
-    _, spec = _get_presentation(args, report)
+    _, spec = _get_family(args, report)
     v = pi_decide(spec)
     report.add("pi-decide", "pass", f"{v.verdict}: {v.reason}",
                witness=_witness_json(v.witness))
@@ -478,7 +488,7 @@ def cmd_confluence(args, report):
 
 
 def cmd_spanning(args, report):
-    p, spec = _get_presentation(args, report)
+    p, spec = _get_family(args, report)
     caps = {}
     for pair in args.caps.split(","):
         name, val = pair.split("=")

@@ -99,3 +99,8 @@ class DegreeTooLarge(OrepiError):
 
 class DegreeTooSmall(OrepiError):
     """Multilinear search degree below 1."""
+
+
+class ParametersRequired(OrepiError):
+    """The command needs family parameter values, which a presentation
+    file does not carry."""

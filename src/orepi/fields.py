@@ -35,17 +35,6 @@ def _trim(p):
     return p
 
 
-def _polymul_int(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
 def _polydiv_int_exact(num, den):
     """Exact division of integer polynomials; raises if not exact."""
     num = list(num)
@@ -191,8 +180,7 @@ def _gf_irreducible(mod, p):
                 acc = (acc * r + c) % p
             if acc == 0:
                 return False
-        if d <= 3:
-            return True
+        return True
     x = [0, 1]
     xm = _gf_mod(x, mod, p)
     if _gf_powmod(x, p ** d, mod, p) != xm:

@@ -16,7 +16,7 @@ engine against it for every index up to a bound.
 from math import comb
 
 from .errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes, ZeroInput
-from .rewrite import NCPoly, multiply, normal_form, product_memo
+from .rewrite import NCPoly, multiply, normal_form, power, product_memo
 
 # ---------------------------------------------------------------------------
 # scalar combinatorics
@@ -139,6 +139,13 @@ def bh_uvst(p):
     return u, s, v, t
 
 
+def bqf_f(p, name):
+    """f evaluated at the generator name of a B_q(f) presentation."""
+    g = p.gen(name)
+    return NCPoly({(g,) * j: cj for j, cj in enumerate(p.params["f"])
+                   if not cj.is_zero()})
+
+
 def bqf_delta(p, word):
     """The skew derivation of the B_q(f) Ore form, by its defining recursion.
 
@@ -150,15 +157,9 @@ def bqf_delta(p, word):
     if p.family != "Bqf":
         raise FamilyMismatch("delta is the B_q(f) skew derivation")
     q = p.params["q"]
-    f = p.params["f"]
     v, u = p.gen("v"), p.gen("u")
-    one = p.ctx.one()
-
-    def f_poly(g):
-        return NCPoly({(g,) * j: cj for j, cj in enumerate(f) if not cj.is_zero()})
-
     sigma_scalar = {u: q, v: q.inv()}
-    delta_gen = {u: f_poly(v), v: f_poly(u)}
+    delta_gen = {u: bqf_f(p, "v"), v: bqf_f(p, "u")}
 
     word = tuple(word)
     if any(g not in (u, v) for g in word):
@@ -170,7 +171,7 @@ def bqf_delta(p, word):
         return delta_gen[g]
     tail = bqf_delta(p, rest)
     part1 = multiply(p, NCPoly.monomial(sigma_scalar[g], (g,)), tail)
-    part2 = multiply(p, delta_gen[g], NCPoly.monomial(one, rest))
+    part2 = multiply(p, delta_gen[g], NCPoly.monomial(p.one, rest))
     return part1 + part2
 
 
@@ -186,19 +187,24 @@ def bqf_delta(p, word):
 # non-normal monomial.  The one exception is Bqf.wku, whose displayed
 # sum has no closed normal form; its right side is normalized once by
 # the engine, making that check a two-route engine consistency test.
-
-
-def _one(p):
-    return p.ctx.one()
+# Each closed form is stated once: a display and its mirror image (x^k y
+# and x y^k, delta(u^k) and delta(v^k)) share one builder, and a normality
+# relation e g = s g e is checked as the formal e g - s g e (_twisted).
 
 
 def _mono(p, coeff, *names):
     return NCPoly.monomial(coeff, p.word(*names))
 
 
+def _twisted(e, g, scal):
+    """The formal e*g - scal*g*e of an element e and a word g."""
+    return [(c, w + g) for w, c in e.terms.items()] + \
+        [(-(scal * c), g + w) for w, c in e.terms.items()]
+
+
 def _oracle_h_yxn(p, n):
     pp, qq = p.params["p"], p.params["q"]
-    lhs = [(_one(p), p.word("y", *["x"] * n))]
+    lhs = [(p.one, p.word("y", *["x"] * n))]
     rhs = _mono(p, qq ** n, *(["x"] * n + ["y"])) + \
         _mono(p, pq_number(n, pp, qq) * pp ** (n - 1), *(["t"] + ["x"] * (n - 1)))
     return [(f"y*x^{n}", lhs, rhs)]
@@ -206,7 +212,7 @@ def _oracle_h_yxn(p, n):
 
 def _oracle_h_ynx(p, n):
     pp, qq = p.params["p"], p.params["q"]
-    lhs = [(_one(p), p.word(*(["y"] * n + ["x"])))]
+    lhs = [(p.one, p.word(*(["y"] * n + ["x"])))]
     rhs = _mono(p, qq ** n, *(["x"] + ["y"] * n)) + \
         _mono(p, pq_number(n, pp, qq), *(["t"] + ["y"] * (n - 1)))
     return [(f"y^{n}*x", lhs, rhs)]
@@ -215,20 +221,28 @@ def _oracle_h_ynx(p, n):
 def _oracle_h_theta(p, n):
     qq = p.params["q"]
     th = theta_element(p)
-    out = []
-    for gname, scal in (("x", qq), ("y", qq.inv()), ("t", _one(p))):
-        g = p.word(gname)
-        lhs = [(c, w + g) for w, c in th.terms.items()]
-        lhs += [(-(scal * c), g + w) for w, c in th.terms.items()]
-        out.append((f"theta*{gname} - ({scal!r})*{gname}*theta", lhs, NCPoly.zero()))
-    return out
+    return [(f"theta*{gname} - ({scal!r})*{gname}*theta",
+             _twisted(th, p.word(gname), scal), NCPoly.zero())
+            for gname, scal in (("x", qq), ("y", qq.inv()), ("t", p.one))]
+
+
+def _bh_binomial(p, n, a, b, pre=(), post=()):
+    """h^(2n) sum_k C(n, k) pre a^(2k) b^(2(n-k)) post: s^n y_i with a, b =
+    x1, x2 and x_j t^n with a, b = y1, y2 (the squares commute exactly)."""
+    h = p.params["h"]
+    rhs = NCPoly.zero()
+    for k in range(n + 1):
+        rhs = rhs + _mono(p, (h ** (2 * n)) * comb(n, k),
+                          *pre, *[a] * (2 * k), *[b] * (2 * (n - k)), *post)
+    return rhs
 
 
 def _oracle_bh_commute(p, n):
     h = p.params["h"]
-    one = _one(p)
+    one = p.one
     sign = one if (n * (n - 1) // 2) % 2 == 0 else -one
     mh2 = -(h * h)
+    _, s, _, t = bh_uvst(p)
     out = []
     for yi in ("y1", "y2"):
         lhs = [(one, p.word(yi, *["x1", "x2"] * n))]
@@ -236,59 +250,46 @@ def _oracle_bh_commute(p, n):
         out.append((f"{yi}*u^{n}", lhs, rhs))
     # s^n and t^n: the left side multiplies the engine power of the
     # two-term quadratic; the right side is the independent binomial
-    # closed form (the even squares commute exactly)
-    s_pow = NCPoly({p.word("x1", "x1"): one, p.word("x2", "x2"): one})
-    spn = NCPoly.monomial(one, ())
-    for _ in range(n):
-        spn = multiply(p, spn, s_pow)
+    # closed form
+    spn = power(p, s, n)
     for yi in ("y1", "y2"):
         lhs = [(c, p.word(yi) + w) for w, c in spn.terms.items()]
-        rhs = NCPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + _mono(p, (h ** (2 * n)) * comb(n, k),
-                              *(["x1"] * (2 * k) + ["x2"] * (2 * (n - k)) + [yi]))
-        out.append((f"{yi}*s^{n}", lhs, rhs))
+        out.append((f"{yi}*s^{n}", lhs,
+                    _bh_binomial(p, n, "x1", "x2", post=(yi,))))
     for xj in ("x1", "x2"):
         # x_j v = (-h^-2) v x_j, so v^n x_j = (-h^2)^n x_j v^n
         lhs = [(one, p.word(*(["y1", "y2"] * n + [xj])))]
         rhs = _mono(p, (mh2 ** n) * sign, *([xj] + ["y1"] * n + ["y2"] * n))
         out.append((f"v^{n}*{xj}", lhs, rhs))
-    t_pow = NCPoly({p.word("y1", "y1"): one, p.word("y2", "y2"): one})
-    tpn = NCPoly.monomial(one, ())
-    for _ in range(n):
-        tpn = multiply(p, tpn, t_pow)
+    tpn = power(p, t, n)
     for xj in ("x1", "x2"):
         lhs = [(c, w + p.word(xj)) for w, c in tpn.terms.items()]
-        rhs = NCPoly.zero()
-        for k in range(n + 1):
-            rhs = rhs + _mono(p, (h ** (2 * n)) * comb(n, k),
-                              *([xj] + ["y1"] * (2 * k) + ["y2"] * (2 * (n - k))))
-        out.append((f"t^{n}*{xj}", lhs, rhs))
+        out.append((f"t^{n}*{xj}", lhs,
+                    _bh_binomial(p, n, "y1", "y2", pre=(xj,))))
     return out
 
 
 def _oracle_m2_k1(p, k):
     a, b = p.params["alpha"], p.params["beta"]
-    lhs = [(_one(p), p.word(*(["X22"] * k + ["X11"])))]
+    lhs = [(p.one, p.word(*(["X22"] * k + ["X11"])))]
     coeff = a.inv() * ((a * b) ** k - 1)
-    rhs = _mono(p, _one(p), *(["X11"] + ["X22"] * k)) + \
+    rhs = _mono(p, p.one, *(["X11"] + ["X22"] * k)) + \
         _mono(p, coeff, *(["X12", "X21"] + ["X22"] * (k - 1)))
     return [(f"X22^{k}*X11", lhs, rhs)]
 
 
 def _oracle_m2_k2(p, k):
     a, b = p.params["alpha"], p.params["beta"]
-    lhs = [(_one(p), p.word(*(["X22"] + ["X11"] * k)))]
+    lhs = [(p.one, p.word(*(["X22"] + ["X11"] * k)))]
     coeff = b * (1 - (a * b) ** (-k)) * (a * b) ** (k - 1)
-    rhs = _mono(p, _one(p), *(["X11"] * k + ["X22"])) + \
+    rhs = _mono(p, p.one, *(["X11"] * k + ["X22"])) + \
         _mono(p, coeff, *(["X11"] * (k - 1) + ["X12", "X21"]))
     return [(f"X22*X11^{k}", lhs, rhs)]
 
 
 def _oracle_m2_power_table(p, m):
     a, b = p.params["alpha"], p.params["beta"]
-    one = _one(p)
-    ai, bi = a.inv(), b.inv()
+    ai = a.inv()
     # (label, lhs word, straightening scalar, rhs word)
     rows = [
         ("X12^m*X11", ["X12"] * m + ["X11"], a ** m, ["X11"] + ["X12"] * m),
@@ -302,16 +303,14 @@ def _oracle_m2_power_table(p, m):
         ("X22^m*X12", ["X22"] * m + ["X12"], b ** m, ["X12"] + ["X22"] * m),
         ("X22^m*X21", ["X22"] * m + ["X21"], a ** m, ["X21"] + ["X22"] * m),
     ]
-    out = []
-    for label, lw, scal, rw in rows:
-        out.append((label, [(one, p.word(*lw))], _mono(p, scal, *rw)))
-    return out
+    return [(label, [(p.one, p.word(*lw))], _mono(p, scal, *rw))
+            for label, lw, scal, rw in rows]
 
 
 def _oracle_uqb2(which):
     def build(p, k):
         q = p.params["q"]
-        one = _one(p)
+        one = p.one
         q2 = q * q
         if which == "i":
             lhs = [(one, p.word("e2", *["e3"] * k))]
@@ -340,68 +339,52 @@ def _oracle_uqb2(which):
 
 def _weyl_z_closed(p, i):
     """z_i as its closed form 1 + sum_{j<=i} (q_j - 1) y_j x_j."""
-    one = _one(p)
     qs = p.params["q_list"]
-    out = NCPoly.monomial(one, ())
+    out = NCPoly.monomial(p.one, ())
     for j in range(1, i + 1):
-        out = out + _mono(p, qs[j - 1] - one, f"y{j}", f"x{j}")
+        out = out + _mono(p, qs[j - 1] - p.one, f"y{j}", f"x{j}")
     return out
 
 
-def _oracle_weyl_xky(p, k):
-    qs = p.params["q_list"]
-    n = p.params["n"]
-    one = _one(p)
-    out = []
-    for i in range(1, n + 1):
-        qi = qs[i - 1]
-        sk = q_number(k, qi)
-        lhs = [(one, p.word(*(["x" + str(i)] * k + ["y" + str(i)])))]
-        rhs = _mono(p, qi ** k, *([f"y{i}"] + [f"x{i}"] * k))
-        tail = _weyl_z_closed(p, i - 1)
-        for w, c in tail.terms.items():
-            rhs = rhs + NCPoly.monomial(sk * c, w + p.word(*[f"x{i}"] * (k - 1)))
-        out.append((f"x{i}^{k}*y{i}", lhs, rhs))
-    return out
-
-
-def _oracle_weyl_xyk(p, k):
-    qs = p.params["q_list"]
-    n = p.params["n"]
-    one = _one(p)
-    out = []
-    for i in range(1, n + 1):
-        qi = qs[i - 1]
-        sk = q_number(k, qi)
-        lhs = [(one, p.word(*(["x" + str(i)] + ["y" + str(i)] * k)))]
-        rhs = _mono(p, qi ** k, *([f"y{i}"] * k + [f"x{i}"]))
-        tail = _weyl_z_closed(p, i - 1)
-        for w, c in tail.terms.items():
-            rhs = rhs + NCPoly.monomial(sk * c, w + p.word(*[f"y{i}"] * (k - 1)))
-        out.append((f"x{i}*y{i}^{k}", lhs, rhs))
-    return out
+def _oracle_weyl(raised):
+    """x_i^k y_i = q_i^k y_i x_i^k + [k]_{q_i} z_{i-1} x_i^(k-1) when the
+    raised letter is "x"; x_i y_i^k, the same with y_i raised, when "y"."""
+    def build(p, k):
+        qs = p.params["q_list"]
+        out = []
+        for i in range(1, p.params["n"] + 1):
+            qi = qs[i - 1]
+            x, y, g = f"x{i}", f"y{i}", f"{raised}{i}"
+            xs = [x] * (k if raised == "x" else 1)
+            ys = [y] * (k if raised == "y" else 1)
+            lhs = [(p.one, p.word(*xs, *ys))]
+            rhs = _mono(p, qi ** k, *ys, *xs)
+            sk = q_number(k, qi)
+            for w, c in _weyl_z_closed(p, i - 1).terms.items():
+                rhs = rhs + NCPoly.monomial(sk * c, w + p.word(*[g] * (k - 1)))
+            label = "*".join(f"{h}^{k}" if h == g else h for h in (x, y))
+            out.append((label, lhs, rhs))
+        return out
+    return build
 
 
 def _oracle_weyl_zi(p, n_unused):
     qs = p.params["q_list"]
     n = p.params["n"]
-    one = _one(p)
     out = []
     zs = {i: weyl_z(p, i) for i in range(1, n + 1)}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for kind in ("x", "y"):
-                g = p.word(f"{kind}{j}")
                 if j > i:
-                    scal = one
+                    scal = p.one
                 elif kind == "x":
                     scal = qs[j - 1].inv()
                 else:
                     scal = qs[j - 1]
-                lhs = [(c, w + g) for w, c in zs[i].terms.items()]
-                lhs += [(-(scal * c), g + w) for w, c in zs[i].terms.items()]
                 out.append((f"z{i}*{kind}{j} - ({scal!r})*{kind}{j}*z{i}",
-                            lhs, NCPoly.zero()))
+                            _twisted(zs[i], p.word(f"{kind}{j}"), scal),
+                            NCPoly.zero()))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             lhs = []
@@ -418,7 +401,7 @@ def _oracle_cyc3(which):
     def build(p, a_idx):
         q = p.params["q"]
         al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
-        one = _one(p)
+        one = p.one
         q2 = q * q
         q2i = q2.inv()
         a = a_idx
@@ -456,90 +439,61 @@ def _oracle_cyc3(which):
 
 
 def _oracle_cyc3_e(p, n_unused):
+    scal = (p.params["q"] * p.params["q"]).inv()
+    return [("e*z - q^-2*z*e", _twisted(cyc3_e(p), p.word("z"), scal),
+             NCPoly.zero())]
+
+
+def _bqf_delta_closed(p, g, k):
+    """delta(g^k) for the generator g = "u" or "v", summed over the terms
+    c_j t^j of f: delta(u^k) = sum_j [k]_{q^(j+1)} c_j v^j u^(k-1), and
+    delta(v^k) = sum_j [k]_{q^-(j+1)} c_j q^(j(k-1)) v^(k-1) u^j, using
+    u^j v^(k-1) = q^(j(k-1)) v^(k-1) u^j."""
     q = p.params["q"]
-    e = cyc3_e(p)
-    z = p.word("z")
-    scal = (q * q).inv()
-    lhs = [(c, w + z) for w, c in e.terms.items()]
-    lhs += [(-(scal * c), z + w) for w, c in e.terms.items()]
-    return [("e*z - q^-2*z*e", lhs, NCPoly.zero())]
-
-
-def _bqf_f_terms(p, gname, extra):
-    """[(c_j, word(g^j + extra))] for the defining polynomial f."""
-    f = p.params["f"]
-    out = []
-    for j, cj in enumerate(f):
-        if not cj.is_zero():
-            out.append((cj, p.word(*([gname] * j + list(extra)))))
+    out = NCPoly.zero()
+    for j, cj in enumerate(p.params["f"]):
+        if cj.is_zero():
+            continue
+        if g == "u":
+            out = out + _mono(p, q_number(k, q ** (j + 1)) * cj,
+                              *(["v"] * j + ["u"] * (k - 1)))
+        else:
+            out = out + _mono(p, q_number(k, (q ** (j + 1)).inv()) * cj *
+                              q ** (j * (k - 1)),
+                              *(["v"] * (k - 1) + ["u"] * j))
     return out
 
 
-def _oracle_bqf_delta_uk(p, k):
-    q = p.params["q"]
-    f = p.params["f"]
-    lhs = bqf_delta(p, p.word(*["u"] * k)).as_formal()
-    rhs = NCPoly.zero()
-    for j, cj in enumerate(f):
-        if cj.is_zero():
-            continue
-        rhs = rhs + _mono(p, q_number(k, q ** (j + 1)) * cj,
-                          *(["v"] * j + ["u"] * (k - 1)))
-    return [(f"delta(u^{k})", lhs, rhs)]
+def _oracle_bqf_delta(g):
+    """delta(g^k) by the skew-derivation recursion against its closed form."""
+    def build(p, k):
+        lhs = bqf_delta(p, p.word(*[g] * k)).as_formal()
+        return [(f"delta({g}^{k})", lhs, _bqf_delta_closed(p, g, k))]
+    return build
 
 
-def _oracle_bqf_delta_vk(p, k):
-    q = p.params["q"]
-    f = p.params["f"]
-    lhs = bqf_delta(p, p.word(*["v"] * k)).as_formal()
-    rhs = NCPoly.zero()
-    for j, cj in enumerate(f):
-        if cj.is_zero():
-            continue
-        # u^j v^{k-1} = q^{j(k-1)} v^{k-1} u^j
-        rhs = rhs + _mono(p, q_number(k, (q ** (j + 1)).inv()) * cj *
-                          q ** (j * (k - 1)),
-                          *(["v"] * (k - 1) + ["u"] * j))
-    return [(f"delta(v^{k})", lhs, rhs)]
-
-
-def _oracle_bqf_wuk(p, k):
-    q = p.params["q"]
-    f = p.params["f"]
-    one = _one(p)
-    lhs = [(one, p.word("w", *["u"] * k))]
-    rhs = _mono(p, q ** k, *(["u"] * k + ["w"]))
-    for j, cj in enumerate(f):
-        if not cj.is_zero():
-            rhs = rhs + _mono(p, q_number(k, q ** (j + 1)) * cj,
-                              *(["v"] * j + ["u"] * (k - 1)))
-    return [(f"w*u^{k}", lhs, rhs)]
-
-
-def _oracle_bqf_wvk(p, k):
-    q = p.params["q"]
-    f = p.params["f"]
-    one = _one(p)
-    lhs = [(one, p.word("w", *["v"] * k))]
-    rhs = _mono(p, q.inv() ** k, *(["v"] * k + ["w"]))
-    for j, cj in enumerate(f):
-        if not cj.is_zero():
-            rhs = rhs + _mono(p, q_number(k, (q ** (j + 1)).inv()) * cj *
-                              q ** (j * (k - 1)),
-                              *(["v"] * (k - 1) + ["u"] * j))
-    return [(f"w*v^{k}", lhs, rhs)]
+def _oracle_bqf_w(g):
+    """w g^k = sigma(g)^k g^k w + delta(g^k), sigma(u) = q u, sigma(v) = q^-1 v."""
+    def build(p, k):
+        q = p.params["q"]
+        sigma = q if g == "u" else q.inv()
+        lhs = [(p.one, p.word("w", *[g] * k))]
+        rhs = _mono(p, sigma ** k, *([g] * k + ["w"])) + \
+            _bqf_delta_closed(p, g, k)
+        return [(f"w*{g}^{k}", lhs, rhs)]
+    return build
 
 
 def _oracle_bqf_wku(p, k):
     q = p.params["q"]
-    one = _one(p)
-    lhs = [(one, p.word(*(["w"] * k + ["u"])))]
+    lhs = [(p.one, p.word(*(["w"] * k + ["u"])))]
     formal_rhs = [(q ** k, p.word(*(["u"] + ["w"] * k)))]
     for i in range(k):
         pre = ["w"] * (k - 1 - i)
-        for cj, fword in _bqf_f_terms(p, "v", []):
-            formal_rhs.append((cj * q ** i, p.word(*pre) + fword +
-                               p.word(*["w"] * i)))
+        for j, cj in enumerate(p.params["f"]):
+            if not cj.is_zero():
+                formal_rhs.append((cj * q ** i,
+                                   p.word(*pre, *["v"] * j, *["w"] * i)))
     rhs = normal_form(p, formal_rhs)
     return [(f"w^{k}*u", lhs, rhs)]
 
@@ -566,8 +520,8 @@ ORACLES = {
     "UqB2.ii": _Oracle("UqB2", 1, _oracle_uqb2("ii")),
     "UqB2.iii": _Oracle("UqB2", 1, _oracle_uqb2("iii")),
     "UqB2.iv": _Oracle("UqB2", 2, _oracle_uqb2("iv")),
-    "Weyl.xky": _Oracle("WeylMalt", 1, _oracle_weyl_xky),
-    "Weyl.xyk": _Oracle("WeylMalt", 1, _oracle_weyl_xyk),
+    "Weyl.xky": _Oracle("WeylMalt", 1, _oracle_weyl("x")),
+    "Weyl.xyk": _Oracle("WeylMalt", 1, _oracle_weyl("y")),
     "Weyl.zi_normal": _Oracle("WeylMalt", 1, _oracle_weyl_zi, relation_only=True),
     "Cyc3.i": _Oracle("ThreeCyclic", 1, _oracle_cyc3("i")),
     "Cyc3.ii": _Oracle("ThreeCyclic", 1, _oracle_cyc3("ii")),
@@ -576,10 +530,10 @@ ORACLES = {
     "Cyc3.v": _Oracle("ThreeCyclic", 1, _oracle_cyc3("v")),
     "Cyc3.vi": _Oracle("ThreeCyclic", 1, _oracle_cyc3("vi")),
     "Cyc3.e_rel": _Oracle("ThreeCyclic", 1, _oracle_cyc3_e, relation_only=True),
-    "Bqf.delta_uk": _Oracle("Bqf", 1, _oracle_bqf_delta_uk),
-    "Bqf.delta_vk": _Oracle("Bqf", 1, _oracle_bqf_delta_vk),
-    "Bqf.wuk": _Oracle("Bqf", 1, _oracle_bqf_wuk),
-    "Bqf.wvk": _Oracle("Bqf", 1, _oracle_bqf_wvk),
+    "Bqf.delta_uk": _Oracle("Bqf", 1, _oracle_bqf_delta("u")),
+    "Bqf.delta_vk": _Oracle("Bqf", 1, _oracle_bqf_delta("v")),
+    "Bqf.wuk": _Oracle("Bqf", 1, _oracle_bqf_w("u")),
+    "Bqf.wvk": _Oracle("Bqf", 1, _oracle_bqf_w("v")),
     "Bqf.wku": _Oracle("Bqf", 1, _oracle_bqf_wku),
 }
 

@@ -9,8 +9,8 @@ with the witness parameter not a root of unity.  Unknown is reserved for
 the genuinely open B_q(f) gap.
 """
 
-from .center import central_candidates, downup_center_generators, gwa_auto_order
-from .errors import FamilyMismatch, PreconditionViolation, TrivialCenter
+from .center import bqf_routes, central_candidates, gwa_auto_order
+from .errors import FamilyMismatch, PreconditionViolation
 from .identities import cyc3_e
 from .presentations import build_family
 from .rewrite import NCPoly, normal_form, q_commutator
@@ -77,6 +77,13 @@ def pi_decide(spec):
     return handler(spec)
 
 
+def _pi(spec, reason, **details):
+    """A PI verdict witnessed by the family's central candidates, with the
+    caps of their module-finiteness witness (None when there is none)."""
+    cs = central_candidates(spec)
+    return PiVerdict(PI, reason, witness=cs, caps=cs.caps, details=details)
+
+
 def _subalgebra_witness(p, yname_or_poly, xname_or_poly, param, label):
     def as_poly(v):
         if isinstance(v, NCPoly):
@@ -93,10 +100,7 @@ def _decide_bh(spec):
         raise PreconditionViolation("h must be nonzero")
     ell = h.multiplicative_order()
     if ell is not None:
-        cs = central_candidates(spec)
-        caps = {"x1": 4 * ell, "x2": 2 * ell, "y1": 4 * ell, "y2": 2 * ell}
-        return PiVerdict(PI, f"h is a root of unity of order {ell}",
-                         witness=cs, caps=caps)
+        return _pi(spec, f"h is a root of unity of order {ell}")
     p = build_family(spec)
     u = normal_form(p, [(p.ctx.one(), p.word("x1", "x2"))])
     w = QPlaneWitness("subalgebra", -(h * h), "y1 * u = (-h^2) u * y1",
@@ -114,10 +118,7 @@ def _decide_hpq(spec):
     n = pp.multiplicative_order()
     m = qq.multiplicative_order()
     if n is not None and m is not None:
-        cs = central_candidates(spec)
-        caps = {"x": m * n, "y": m * n, "t": n}
-        return PiVerdict(PI, f"p, q roots of unity (orders {n}, {m})",
-                         witness=cs, caps=caps)
+        return _pi(spec, f"p, q roots of unity (orders {n}, {m})")
     p = build_family(spec)
     one = p.ctx.one()
     if m is None:
@@ -142,11 +143,7 @@ def _decide_m2(spec):
     a, b = spec.scalars["alpha"], spec.scalars["beta"]
     na, nb = a.multiplicative_order(), b.multiplicative_order()
     if na is not None and nb is not None:
-        cs = central_candidates(spec)
-        ell = int(cs.names()[0].split("^")[1])
-        caps = {n: ell for n in ("X11", "X12", "X21", "X22")}
-        return PiVerdict(PI, f"alpha, beta roots of unity (orders {na}, {nb})",
-                         witness=cs, caps=caps)
+        return _pi(spec, f"alpha, beta roots of unity (orders {na}, {nb})")
     p = build_family(spec)
     if na is None:
         w = _subalgebra_witness(p, "X12", "X11", a,
@@ -165,10 +162,7 @@ def _decide_uqb2(spec):
                                 "e1 * e3 = q^-2 e3 * e1")
         return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
     if ell >= 5:
-        cs = central_candidates(spec)
-        caps = {"z": 1, "e1": ell, "e2": ell, "e3": ell}
-        return PiVerdict(PI, f"q root of unity of order {ell} >= 5",
-                         witness=cs, caps=caps)
+        return _pi(spec, f"q root of unity of order {ell} >= 5")
     return PiVerdict(PI, f"q root of unity of order {ell} < 5: the "
                      "central-powers proposition does not apply, no "
                      "module-finiteness witness is attached",
@@ -186,14 +180,7 @@ def _decide_weyl(spec):
             orders[f"lambda_{i + 1}{j + 1}"] = \
                 lam[i][j].multiplicative_order()
     if all(v is not None for v in orders.values()):
-        cs = central_candidates(spec)
-        ell = int(cs.names()[0].split("^")[1])
-        caps = {}
-        for i in range(1, n + 1):
-            caps[f"x{i}"] = ell
-            caps[f"y{i}"] = ell
-        return PiVerdict(PI, "all q_i and lambda_ij are roots of unity",
-                         witness=cs, caps=caps)
+        return _pi(spec, "all q_i and lambda_ij are roots of unity")
     p = build_family(spec)
     for i in range(n):
         for j in range(i + 1, n):
@@ -234,10 +221,7 @@ def _decide_three_cyclic(spec):
         raise PreconditionViolation("q^2 = 1 is excluded")
     ell = q2.multiplicative_order()
     if ell is not None:
-        cs = central_candidates(spec)
-        caps = {"x": ell, "y": ell, "z": ell}
-        return PiVerdict(PI, f"q^2 is a root of unity of order {ell}",
-                         witness=cs, caps=caps)
+        return _pi(spec, f"q^2 is a root of unity of order {ell}")
     p = build_family(spec)
     e = cyc3_e(p)
     w = QPlaneWitness("subalgebra", q2.inv(), "e z = q^-2 z e with "
@@ -265,14 +249,10 @@ def _decide_downup(spec):
         "automorphism_order": order,
     }
     if cond5:
-        try:
-            cs = downup_center_generators(spec)
-        except TrivialCenter:
-            cs = None
-        m = order.order
-        return PiVerdict(PI, "condition (5): roots are distinct roots of "
-                         f"unity (orders {ol}, {om})", witness=cs,
-                         caps={"u": m, "d": m}, details=details)
+        # the candidates' caps u^m, d^m carry m = lcm(ord lam, ord mu),
+        # the automorphism order
+        return _pi(spec, "condition (5): roots are distinct roots of "
+                   f"unity (orders {ol}, {om})", **details)
     why = order.case or "DistinctRootsNotUnity"
     return PiVerdict(NOT_PI, f"condition (5) fails: {why}", details=details)
 
@@ -289,23 +269,16 @@ def _decide_bqf(spec):
         w = _subalgebra_witness(p, "u", "v", q, "u v = q v u")
         return PiVerdict(NOT_PI, "q is not a root of unity; the quantum "
                          "plane on u, v is not PI", witness=w)
-    supp = [j for j, cj in enumerate(spec.f_coeffs) if not cj.is_zero()]
-    route_nj = n >= 2 and all(j % n == 0 for j in supp)
-    route_nj1 = all((j + 1) % n != 0 for j in supp)
+    route_nj1, route_nj, bad = bqf_routes(n, spec.f_coeffs)
     if route_nj:
-        cs = central_candidates(spec)
-        caps = {"u": n, "v": n, "w": n}
-        return PiVerdict(PI, f"ord(q) = {n} divides every exponent in "
-                         "supp(f): module-finite over f(u), f(v), w^n and "
-                         "u^n, v^n", witness=cs, caps=caps)
+        return _pi(spec, f"ord(q) = {n} divides every exponent in "
+                   "supp(f): module-finite over f(u), f(v), w^n and "
+                   "u^n, v^n")
     if route_nj1:
-        cs = central_candidates(spec)
-        return PiVerdict(PI, f"ord(q) = {n} divides no j+1 for j in "
-                         "supp(f): PI by the dimension-counting route "
-                         "(u^n, v^n central; no finite spanning witness)",
-                         witness=cs,
-                         details={"route": "gk-dimension-route"})
-    bad = [j for j in supp if (j + 1) % n == 0]
+        return _pi(spec, f"ord(q) = {n} divides no j+1 for j in "
+                   "supp(f): PI by the dimension-counting route "
+                   "(u^n, v^n central; no finite spanning witness)",
+                   route="gk-dimension-route")
     return PiVerdict(UNKNOWN, f"ord(q) = {n} divides j+1 for j in {bad}: "
                      "outside both sufficient routes and no necessity "
                      "argument applies", details={"gap_exponents": bad})
@@ -314,12 +287,9 @@ def _decide_bqf(spec):
 def _decide_quantum_plane(spec):
     q = spec.scalars["q"]
     n = q.multiplicative_order()
-    p = build_family(spec)
     if n is not None:
-        cs = central_candidates(spec)
-        return PiVerdict(PI, f"q root of unity of order {n}", witness=cs,
-                         caps={"x": n, "y": n})
-    w = _subalgebra_witness(p, "y", "x", q, "y x = q x y")
+        return _pi(spec, f"q root of unity of order {n}")
+    w = _subalgebra_witness(build_family(spec), "y", "x", q, "y x = q x y")
     return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
 
 

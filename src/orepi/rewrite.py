@@ -83,9 +83,6 @@ class NCPoly:
     def as_formal(self):
         return [(c, w) for w, c in self.terms.items()]
 
-    def degree(self):
-        return max((len(w) for w in self.terms), default=0)
-
     def pretty(self, p):
         if not self.terms:
             return "0"
@@ -280,6 +277,14 @@ def multiply(p, a, b):
         for wb, cb in b.terms.items():
             formal.append((ca * cb, wa + wb))
     return normal_form(p, formal)
+
+
+def power(p, a, k):
+    """Normal form of a^k for k >= 0; a^0 = 1."""
+    out = NCPoly.monomial(p.one, ())
+    for _ in range(k):
+        out = multiply(p, out, a)
+    return out
 
 
 def multiply_assoc(p, a, b):

@@ -287,3 +287,26 @@ def test_default_degree_is_twice_cap_plus_two(rat_q):
     p = build_family(spec_quantum_plane(rat_q, rat_q.param("q")))
     r = spanning_check(p, CentralSet([]), {"x": 2, "y": 2})
     assert r.degree == 6
+
+
+def test_spanning_with_constant_terms_in_centrals(QQ, cyclo3):
+    # B_q(f) with f = 1 at q = -1: the candidates include f(u) = f(v) = 1,
+    # whose constant terms used to stall the product walk forever
+    spec = spec_bqf(QQ, QQ.from_int(-1), (QQ.one(),))
+    cs = central_candidates(spec)
+    assert ("f(u)", NCPoly.monomial(QQ.one(), ())) in cs.elements
+    r = spanning_check(build_family(spec), cs, {"u": 2, "v": 2, "w": 2},
+                       degree=4)
+    assert r.ok and r.rank == 35
+    # a central with a constant term spans what it spans without it
+    p = build_family(spec_quantum_plane(cyclo3, cyclo3.generator()))
+    one = cyclo3.one()
+    x3 = NCPoly.monomial(one, p.word("x", "x", "x"))
+    y3 = NCPoly.monomial(one, p.word("y", "y", "y"))
+    unit = NCPoly.monomial(one, ())
+    caps = {"x": 3, "y": 3}
+    plain = spanning_check(p, CentralSet([("x^3", x3), ("y^3", y3)]), caps)
+    shifted = spanning_check(p, CentralSet([("1+x^3", unit + x3),
+                                            ("y^3", y3), ("1", unit)]), caps)
+    assert plain.ok and shifted.ok
+    assert shifted.rank == plain.rank

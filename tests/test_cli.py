@@ -246,3 +246,21 @@ def test_ncpoly_expansion_ceiling():
     m2 = build_family(spec_m2(QQ, QQ.from_int(2), QQ.from_int(3)))
     i22, i11 = m2.names.index("X22"), m2.names.index("X11")
     assert parse_ncpoly("X22*X11^3", m2) == [(QQ.one(), (i22, i11, i11, i11))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pi-decide"],
+    ["central-check"],
+    ["spanning", "--caps", "X11=2,X12=2,X21=2,X22=2"],
+    ["identity-check", "--lemma", "M2.k1"],
+])
+def test_family_commands_reject_presentation_files(tmp_path, argv):
+    # a presentation file carries no parameter values
+    path = tmp_path / "m2.json"
+    code, _ = run(["build", "--family", "M2", "--params", "alpha=a,beta=b",
+                   "--out", str(path)])
+    assert code == 0
+    code, doc = run(argv + ["--file", str(path)])
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    assert doc["checks"][0]["detail"].startswith("ParametersRequired: ")

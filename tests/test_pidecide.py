@@ -11,12 +11,14 @@ from orepi import (
     build_family,
     is_central,
     pi_decide,
+    spanning_check,
     spec_bh,
     spec_bqf,
     spec_downup,
     spec_hpq,
     spec_hq,
     spec_m2,
+    spec_quantum_plane,
     spec_three_cyclic,
     spec_uqb2,
     spec_weyl,
@@ -240,3 +242,22 @@ def test_pi_witness_central_sets_verify(cyclo3):
         p = build_family(spec)
         for _, el in v.witness:
             assert is_central(p, el)[0]
+
+
+def test_pi_caps_are_a_spanning_witness(QQ):
+    # the caps of a PI verdict are those of its central set, and the
+    # central set with those caps spans the algebra as a module
+    c3, c4, c5 = (FieldCtx.cyclotomic(n) for n in (3, 4, 5))
+    m1, one = QQ.from_int(-1), QQ.one()
+    for spec in (spec_quantum_plane(c3, c3.generator()),
+                 spec_m2(QQ, m1, m1),
+                 spec_three_cyclic(c4, c4.generator(), c4.one(),
+                                   c4.from_int(2), c4.one()),
+                 spec_weyl(QQ, (m1, m1), ((one, one), (one, one))),
+                 spec_uqb2(c5, c5.generator()),
+                 # f = 1: the candidate f(u) = 1 is a constant
+                 spec_bqf(QQ, m1, (one,))):
+        v = pi_decide(spec)
+        assert v.verdict == "PI", spec
+        assert v.caps is not None and v.caps == v.witness.caps, spec
+        assert spanning_check(build_family(spec), v.witness, v.caps).ok, spec
