@@ -15,6 +15,7 @@ from .errors import (
     BetaZero,
     HypothesisNotMet,
     NonConfluentPresentation,
+    PreconditionViolation,
     RootsRequired,
     TrivialCenter,
 )
@@ -380,7 +381,7 @@ def exact_sqrt(c):
             if cand * cand == c:
                 return cand
         return None
-    rat = _as_rational(c)
+    rat = c.as_fraction()
     if rat is None:
         return None
     neg = rat < 0
@@ -393,24 +394,6 @@ def exact_sqrt(c):
         return root
     if ctx.kind == "cyclotomic" and ctx.unit_group_exponent() % 4 == 0:
         return root * ctx.root_of_unity(4)
-    return None
-
-
-def _as_rational(c):
-    """The Fraction a coefficient equals, or None if it is not rational."""
-    ctx = c.ctx
-    if ctx.kind == "rational":
-        return c.val
-    if ctx.kind == "cyclotomic":
-        if any(x for x in c.val[1:]):
-            return None
-        return c.val[0]
-    if ctx.kind == "ratfunc":
-        if not c.is_constant():
-            return None
-        num, den = c.val
-        zero_key = (0,) * len(next(iter(den)))
-        return Fraction(num.get(zero_key, 0), den[zero_key])
     return None
 
 
@@ -669,8 +652,13 @@ def spanning_check(p, centrals, caps, degree=None):
     degree: total-degree bound (default 2 * max cap + 2).  Exact linear
     algebra over the coefficient field decides membership; the result is
     the executable form of "finitely generated as a module over the
-    central subalgebra generated by ...".
+    central subalgebra generated by ...".  A generator without a cap
+    raises PreconditionViolation naming every such generator.
     """
+    missing = [name for name in p.names if name not in caps]
+    if missing:
+        raise PreconditionViolation("no cap given for generator(s) "
+                                    + ", ".join(missing))
     if degree is None:
         degree = 2 * max(caps.values()) + 2
     if not p.is_confluent():

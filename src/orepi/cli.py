@@ -191,8 +191,13 @@ def build_spec(family, ctx, params, f_text=None):
     if family not in FAMILIES:
         raise ParseError(f"unknown family {family!r}; see `orepi families`")
     if family in ("WeylMalt", "WeylAJ"):
-        n = int(params.pop("n").val) if "n" in params else \
-            max(int(k[1:]) for k in params if k.startswith("q"))
+        if "n" in params:
+            n = params.pop("n").as_fraction()
+            if n is None or n.denominator != 1 or n < 1:
+                raise ParseError("n must be a positive integer")
+            n = int(n)
+        else:
+            n = max(int(k[1:]) for k in params if k.startswith("q"))
         qs = [params[f"q{i + 1}"] for i in range(n)]
         one = ctx.one()
         lam = [[one for _ in range(n)] for _ in range(n)]

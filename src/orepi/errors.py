@@ -78,7 +78,9 @@ class TrivialCenter(OrepiError):
 
 
 class PreconditionViolation(OrepiError):
-    """Family-specific validity condition for a decider fails."""
+    """A validity condition on an operation's input fails: a family-specific
+    condition of a decider, or a spanning check without a cap for some
+    generator."""
 
 
 class QFactorialVanishes(OrepiError):

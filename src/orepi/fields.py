@@ -9,11 +9,33 @@ Rational-function values are stored as uncanonicalized fractions of
 multivariate integer polynomials.  Equality is decided by
 cross-multiplication and zero testing by the numerator, so no
 multivariate GCD is ever needed; only cheap integer/monomial content is
-stripped to keep growth in check.
+stripped to keep growth in check (``_ratfunc_normalize``).
+
+The arithmetic takes exact shortcuts that return the payload the general
+formula returns.  They rest on one invariant: a fraction whose
+denominator is 1 or a single monomial has exactly one normalized form,
+so a result of that shape is canonical however it was computed.
+
+- Rational functions: when both denominators are the constant 1 (the
+  dict ``FieldCtx._one_den``), a product or sum is already normalized
+  (its content gcd is 1 and its monomial minimum is 0), so
+  ``_ratfunc_normalize`` is skipped.  When both denominators are the same
+  monomial m, ``a/m + c/m`` is ``normalize(a + c, m)``, with no
+  cross-multiplication.  Equal denominators make equality a comparison
+  of numerators.  ``_mp_mul`` with a one-term operand shifts and scales
+  the other, since a monomial product has no like terms to merge.
+- Cyclotomics: ``_cyclo_mul`` scales each operand to integers over its
+  common denominator, convolves and reduces over the integers, and
+  builds one ``Fraction`` per coordinate at the end; a ``Fraction`` is
+  always in lowest terms, so the payload is the one the ``Fraction``
+  convolution gives.
+- Every kind: operands whose context is the same object skip the
+  field-descriptor comparison.
 """
 
 from fractions import Fraction
 from math import gcd
+from operator import add, sub
 
 from .errors import (
     CtxMismatch,
@@ -231,10 +253,16 @@ def _mp_neg(a):
 
 
 def _mp_mul(a, b):
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial times a polynomial: distinct keys stay distinct
+        (ka, va), = a.items()
+        return {tuple(map(add, ka, kb)): va * vb for kb, vb in b.items()}
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
+            k = tuple(map(add, ka, kb))
             s = out.get(k, 0) + va * vb
             if s:
                 out[k] = s
@@ -253,20 +281,47 @@ def _ratfunc_normalize(num, den):
         raise DivisionByZero("zero denominator")
     if not num:
         return {}, _mp_const(1, len(next(iter(den))))
-    g = 0
-    for v in num.values():
-        g = gcd(g, v)
-    for v in den.values():
-        g = gcd(g, v)
-    mins = None
-    for k in list(num) + list(den):
-        mins = k if mins is None else tuple(min(a, b) for a, b in zip(mins, k))
+    g = gcd(*num.values(), *den.values())
+    mins = tuple(map(min, *num, *den))
     if any(mins) or g > 1:
-        num = {tuple(e - m for e, m in zip(k, mins)): v // g for k, v in num.items()}
-        den = {tuple(e - m for e, m in zip(k, mins)): v // g for k, v in den.items()}
+        num = {tuple(map(sub, k, mins)): v // g for k, v in num.items()}
+        den = {tuple(map(sub, k, mins)): v // g for k, v in den.items()}
     if den[max(den)] < 0:
         num, den = _mp_neg(num), _mp_neg(den)
     return num, den
+
+
+def _ratfunc_add(x, y, one):
+    """Sum of two normalized (numerator, denominator) pairs; one is the
+    context's constant-1 denominator."""
+    (a, b), (c, d) = x, y
+    if b == d:
+        if b == one:
+            return _mp_add(a, c), one
+        if len(b) == 1:
+            return _ratfunc_normalize(_mp_add(a, c), b)
+    return _ratfunc_normalize(_mp_add(_mp_mul(a, d), _mp_mul(c, b)),
+                              _mp_mul(b, d))
+
+
+def _ratfunc_mul(x, y, one):
+    """Product of two normalized (numerator, denominator) pairs."""
+    (a, b), (c, d) = x, y
+    if b == one and d == one:
+        return _mp_mul(a, c), one
+    return _ratfunc_normalize(_mp_mul(a, c), _mp_mul(b, d))
+
+
+def _cyclo_scaled(vec):
+    """(integer vector, common denominator) with vec = integers / den."""
+    den = 1
+    for x in vec:
+        d = x.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +342,7 @@ class FieldCtx:
     """
 
     __slots__ = ("kind", "level", "params", "char", "modulus", "_phi",
-                 "_dim", "_reduce_table", "_unit_order")
+                 "_dim", "_reduce_table", "_unit_order", "_one_den")
 
     def __init__(self, kind, level=None, params=None, char=None, modulus=None):
         self.kind = kind
@@ -299,6 +354,7 @@ class FieldCtx:
         self._dim = None
         self._reduce_table = None
         self._unit_order = None
+        self._one_den = None
         if kind == CYCLOTOMIC:
             if level < 1:
                 raise ValueError("cyclotomic level must be >= 1")
@@ -308,6 +364,7 @@ class FieldCtx:
         elif kind == RATFUNC:
             if len(set(params)) != len(params):
                 raise ValueError("duplicate parameter names")
+            self._one_den = _mp_const(1, len(params))
         elif kind == GALOIS:
             if not (2 <= char <= 101) or not _is_prime(char):
                 raise ValueError("Galois characteristic must be a prime <= 101")
@@ -519,7 +576,7 @@ class Coeff:
 
     def _coerce(self, other):
         if isinstance(other, Coeff):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise CtxMismatch(f"{self.ctx!r} vs {other.ctx!r}")
             return other
         if isinstance(other, int):
@@ -554,9 +611,8 @@ class Coeff:
         if k == CYCLOTOMIC:
             return Coeff(self.ctx, tuple(a + b for a, b in zip(self.val, other.val)))
         if k == RATFUNC:
-            (a, b), (c, d) = self.val, other.val
-            return Coeff(self.ctx, _ratfunc_normalize(
-                _mp_add(_mp_mul(a, d), _mp_mul(c, b)), _mp_mul(b, d)))
+            return Coeff(self.ctx, _ratfunc_add(self.val, other.val,
+                                                self.ctx._one_den))
         p = self.ctx.char
         return Coeff(self.ctx, tuple((a + b) % p for a, b in zip(self.val, other.val)))
 
@@ -595,18 +651,20 @@ class Coeff:
         if k == CYCLOTOMIC:
             return Coeff(self.ctx, self._cyclo_mul(other))
         if k == RATFUNC:
-            (a, b), (c, d) = self.val, other.val
-            return Coeff(self.ctx, _ratfunc_normalize(_mp_mul(a, c), _mp_mul(b, d)))
+            return Coeff(self.ctx, _ratfunc_mul(self.val, other.val,
+                                                self.ctx._one_den))
         return Coeff(self.ctx, self._gf_mul_reduced(other))
 
     __rmul__ = __mul__
 
     def _cyclo_mul(self, other):
         d = self.ctx._dim
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.val):
+        xs, dx = _cyclo_scaled(self.val)
+        ys, dy = _cyclo_scaled(other.val)
+        conv = [0] * (2 * d - 1)
+        for i, a in enumerate(xs):
             if a:
-                for j, b in enumerate(other.val):
+                for j, b in enumerate(ys):
                     if b:
                         conv[i + j] += a * b
         out = conv[:d]
@@ -618,7 +676,10 @@ class Coeff:
                 for i, r in enumerate(red):
                     if r:
                         out[i] += c * r
-        return tuple(out)
+        den = dx * dy
+        if den == 1:
+            return tuple(map(Fraction, out))
+        return tuple(Fraction(c, den) for c in out)
 
     def _gf_mul_reduced(self, other):
         p = self.ctx.char
@@ -691,6 +752,8 @@ class Coeff:
             return NotImplemented
         if self.ctx.kind == RATFUNC:
             (a, b), (c, d) = self.val, other.val
+            if b == d:
+                return a == c
             return _mp_mul(a, d) == _mp_mul(c, b)
         return self.val == other.val
 
@@ -738,9 +801,24 @@ class Coeff:
         if self.ctx.kind != RATFUNC:
             return True
         num, den = self.val
-        nz = len(next(iter(den)))
-        zero_key = (0,) * nz
-        return (not num or set(num) == {zero_key}) and set(den) == {zero_key}
+        one = self.ctx._one_den
+        return (not num or num.keys() == one.keys()) and den.keys() == one.keys()
+
+    def as_fraction(self):
+        """The Fraction this value equals, or None if it is not a rational
+        number (or lives in a Galois field, where no Fraction names it)."""
+        k = self.ctx.kind
+        if k == RATIONAL:
+            return self.val
+        if k == CYCLOTOMIC:
+            return None if any(self.val[1:]) else self.val[0]
+        if k == RATFUNC:
+            if not self.is_constant():
+                return None
+            num, den = self.val
+            (key,) = den
+            return Fraction(num.get(key, 0), den[key])
+        return None
 
     def specialize(self, assignment, target_ctx):
         """Evaluate a rational-function value by substituting parameters.
@@ -947,8 +1025,7 @@ def coeff_to_str(c):
     if k == RATFUNC:
         num, den = c.val
         ns = _mp_to_str(num, c.ctx.params)
-        one = _mp_const(1, len(c.ctx.params))
-        if den == one:
+        if den == c.ctx._one_den:
             return ns
         return f"({ns})/({_mp_to_str(den, c.ctx.params)})"
     parts = []

@@ -121,9 +121,8 @@ def rule_table(rules, one):
 
     Maps a generator to ((len(lhs) - 1, lhs[1:], rhs), ...) in rule order.
     rhs[n] holds the (word, coefficient) pairs of the right side whose
-    words have length n, with like words merged.  A coefficient with the
-    representation of 1 becomes the object one, which the straightener
-    never multiplies by.
+    words have length n, with like words merged.  A coefficient equal to
+    1 becomes the object one, which the straightener never multiplies by.
     """
     table = {}
     for rule in rules:
@@ -133,7 +132,7 @@ def rule_table(rules, one):
         rhs = [[] for _ in range(max(map(len, merged), default=0) + 1)]
         for w, c in merged.items():
             if not c.is_zero():
-                rhs[len(w)].append((w, one if c.val == one.val else c))
+                rhs[len(w)].append((w, one if c == one else c))
         table.setdefault(rule.lhs[0], []).append(
             (len(rule.lhs) - 1, rule.lhs[1:], tuple(map(tuple, rhs))))
     return {g: tuple(entries) for g, entries in table.items()}

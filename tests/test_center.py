@@ -27,6 +27,7 @@ from orepi.errors import (
     BetaZero,
     HypothesisNotMet,
     NonConfluentPresentation,
+    PreconditionViolation,
     RootsRequired,
     TrivialCenter,
 )
@@ -281,6 +282,17 @@ def test_spanning_negative_for_infinite_order_downup(QQ):
     for cap in (2, 3, 4):
         r = spanning_check(p, cs, {"u": cap, "d": cap}, degree=6)
         assert not r.ok
+
+
+def test_spanning_names_every_missing_cap(cyclo3):
+    spec = spec_hpq(cyclo3, cyclo3.from_int(-1), cyclo3.generator())
+    p = build_family(spec)
+    cs = central_candidates(spec)
+    with pytest.raises(PreconditionViolation) as exc:
+        spanning_check(p, cs, {"y": 6}, degree=8)
+    assert all(name in str(exc.value) for name in ("x", "t"))
+    with pytest.raises(PreconditionViolation):
+        spanning_check(p, cs, {})
 
 
 def test_default_degree_is_twice_cap_plus_two(rat_q):

@@ -264,3 +264,33 @@ def test_family_commands_reject_presentation_files(tmp_path, argv):
     assert code == 1
     assert [c["status"] for c in doc["checks"]] == ["error"]
     assert doc["checks"][0]["detail"].startswith("ParametersRequired: ")
+
+
+@pytest.mark.parametrize("field,qs", [("cyclo:3", "q1=z3,q2=z3"),
+                                      ("Q", "q1=p,q2=q")])
+def test_weyl_n_parameter_outside_q(field, qs):
+    # n is read as a number in every coefficient field, not only over Q
+    base = ["pi-decide", "--family", "WeylMalt", "--field", field]
+    code, doc = run(base + ["--params", f"n=2,{qs},l12=1"])
+    assert code == 0
+    code, inferred = run(base + ["--params", f"{qs},l12=1"])
+    assert code == 0
+    assert doc["checks"] == inferred["checks"]
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "1/2", "z3"])
+def test_weyl_n_parameter_must_be_positive_integer(n):
+    code, doc = run(["pi-decide", "--family", "WeylMalt", "--field",
+                     "cyclo:3", "--params", f"n={n},q1=z3,l12=1"])
+    assert code == 1
+    assert doc["checks"][0]["status"] == "error"
+    assert doc["checks"][0]["detail"].startswith("ParseError: ")
+
+
+def test_spanning_missing_cap_is_typed():
+    code, doc = run(["spanning", "--family", "QuantumPlane", "--q", "z3",
+                     "--caps", "x=3"])
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    detail = doc["checks"][0]["detail"]
+    assert detail.startswith("PreconditionViolation: ") and "y" in detail

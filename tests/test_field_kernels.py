@@ -1,0 +1,278 @@
+"""The coefficient kernels' shortcuts against the general formulas.
+
+Rational-function sums and products skip cross-multiplication and
+normalization when the denominators allow it, and cyclotomic products
+convolve integers.  Each must return exactly the payload the general
+formula returns.  The general formulas are kept here as reference
+functions, written without any shortcut: cross-multiplication followed
+by content stripping for rational functions, and a ``Fraction``
+convolution reduced by long division modulo Phi_N for cyclotomics.
+sympy, when installed, gives a third opinion on the values.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from orepi import FieldCtx
+from orepi.fields import Coeff, cyclotomic_polynomial
+
+N_RATFUNC_PAIRS = 150
+N_CYCLO_PAIRS = 120
+N_SYMPY_PAIRS = 12
+
+
+# ---------------------------------------------------------------------------
+# reference formulas
+# ---------------------------------------------------------------------------
+
+
+def ref_mp_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_mp_mul(a, b):
+    out = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            out[k] = out.get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_normalize(num, den):
+    nvars = len(next(iter(den)))
+    if not num:
+        return {}, {(0,) * nvars: 1}
+    g = 0
+    for v in list(num.values()) + list(den.values()):
+        g = gcd(g, v)
+    mins = tuple(min(k[i] for k in list(num) + list(den))
+                 for i in range(nvars))
+    num = {tuple(e - m for e, m in zip(k, mins)): v // g
+           for k, v in num.items()}
+    den = {tuple(e - m for e, m in zip(k, mins)): v // g
+           for k, v in den.items()}
+    if den[max(den)] < 0:
+        num = {k: -v for k, v in num.items()}
+        den = {k: -v for k, v in den.items()}
+    return num, den
+
+
+def ref_ratfunc_add(x, y):
+    (a, b), (c, d) = x, y
+    return ref_normalize(ref_mp_add(ref_mp_mul(a, d), ref_mp_mul(c, b)),
+                         ref_mp_mul(b, d))
+
+
+def ref_ratfunc_neg(x):
+    return {k: -v for k, v in x[0].items()}, x[1]
+
+
+def ref_ratfunc_mul(x, y):
+    (a, b), (c, d) = x, y
+    return ref_normalize(ref_mp_mul(a, c), ref_mp_mul(b, d))
+
+
+def ref_ratfunc_eq(x, y):
+    (a, b), (c, d) = x, y
+    return ref_mp_mul(a, d) == ref_mp_mul(c, b)
+
+
+def ref_cyclo_mul(x, y, n):
+    phi = cyclotomic_polynomial(n)
+    dim = len(phi) - 1
+    conv = [Fraction(0)] * (2 * dim - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            conv[i + j] += a * b
+    # long division by the monic Phi_N, from the top coefficient down
+    for k in range(len(conv) - 1, dim - 1, -1):
+        c = conv[k]
+        for j, p in enumerate(phi):
+            conv[k - dim + j] -= c * p
+    return tuple(conv[:dim])
+
+
+# ---------------------------------------------------------------------------
+# random operands
+# ---------------------------------------------------------------------------
+
+
+def random_mp(rng, nvars, terms):
+    out = {}
+    for _ in range(terms):
+        key = tuple(rng.randint(0, 3) for _ in range(nvars))
+        out[key] = out.get(key, 0) + rng.choice((-1, 1)) * rng.randint(1, 6)
+    return {k: v for k, v in out.items() if v} or {(0,) * nvars: 1}
+
+
+def random_den(rng, nvars, shape):
+    if shape == "one":
+        return {(0,) * nvars: 1}
+    if shape == "monomial":
+        return random_mp(rng, nvars, 1)
+    return random_mp(rng, nvars, rng.randint(2, 3))
+
+
+def random_ratfunc(rng, ctx, shape):
+    nvars = len(ctx.params)
+    num = random_mp(rng, nvars, rng.randint(1, 4))
+    return Coeff(ctx, ref_normalize(num, random_den(rng, nvars, shape)))
+
+
+SHAPES = ("one", "monomial", "general")
+
+
+def ratfunc_pairs(seed):
+    """Random operand pairs in 1-4 parameters over every pair of
+    denominator shapes, with equal denominators and cancelling sums
+    mixed in."""
+    rng = random.Random(seed)
+    ctxs = [FieldCtx.rational_functions(tuple(f"p{i}" for i in range(n)))
+            for n in range(1, 5)]
+    pairs = []
+    for k in range(N_RATFUNC_PAIRS):
+        ctx = ctxs[k % 4]
+        x = random_ratfunc(rng, ctx, SHAPES[k % 3])
+        y = random_ratfunc(rng, ctx, SHAPES[(k // 3) % 3])
+        if k % 5 == 0:
+            # the same denominator (one, a monomial or a polynomial)
+            num = random_mp(rng, len(ctx.params), rng.randint(1, 3))
+            y = Coeff(ctx, ref_normalize(num, x.val[1]))
+        if k % 7 == 0:
+            y = -x
+        pairs.append((x, y))
+    return pairs
+
+
+def random_cyclo(rng, ctx, fractional):
+    dim = len(ctx._phi) - 1
+    vec = []
+    for _ in range(dim):
+        num = rng.choice((0, 0, rng.randint(-9, 9)))
+        vec.append(Fraction(num, rng.randint(1, 12) if fractional else 1))
+    return Coeff(ctx, tuple(vec))
+
+
+CYCLO_LEVELS = (3, 4, 5, 7, 12)
+
+
+def cyclo_pairs(seed):
+    rng = random.Random(seed)
+    pairs = []
+    for k in range(N_CYCLO_PAIRS):
+        n = CYCLO_LEVELS[k % len(CYCLO_LEVELS)]
+        ctx = FieldCtx.cyclotomic(n)
+        pairs.append((n, random_cyclo(rng, ctx, k % 3 == 1),
+                      random_cyclo(rng, ctx, k % 3 == 2)))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# exact payload equality
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_ratfunc_payloads_match_general_formula(seed):
+    for x, y in ratfunc_pairs(seed):
+        assert (x + y).val == ref_ratfunc_add(x.val, y.val)
+        assert (x - y).val == ref_ratfunc_add(x.val, ref_ratfunc_neg(y.val))
+        assert (x * y).val == ref_ratfunc_mul(x.val, y.val)
+        assert (x == y) == ref_ratfunc_eq(x.val, y.val)
+        assert (x == x) and ref_ratfunc_eq(x.val, x.val)
+
+
+def test_ratfunc_cancelling_sums_are_canonical_zero():
+    rng = random.Random(11)
+    for nvars in range(1, 5):
+        ctx = FieldCtx.rational_functions(tuple(f"p{i}" for i in range(nvars)))
+        zero = ({}, {(0,) * nvars: 1})
+        for shape in SHAPES:
+            x = random_ratfunc(rng, ctx, shape)
+            assert (x - x).val == zero
+            assert (x + (-x)).val == zero
+            y = random_ratfunc(rng, ctx, shape)
+            assert (x * y - y * x).val == zero
+
+
+def test_ratfunc_equality_across_representations():
+    # equal values need not share a payload: (f, f) is 1 but not (1, 1)
+    ctx = FieldCtx.rational_functions(("p", "q"))
+    f = {(1, 0): 1, (0, 1): 1}
+    one = ctx.one()
+    same = Coeff(ctx, (f, f))
+    assert same == one and one == same
+    assert same.val != one.val
+    half = Coeff(ctx, ({(0, 0): 1}, {(0, 0): 2}))
+    assert not half == one and ref_ratfunc_eq(half.val, one.val) is False
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_cyclotomic_products_match_fraction_convolution(seed):
+    for n, x, y in cyclo_pairs(seed):
+        assert (x * y).val == ref_cyclo_mul(x.val, y.val, n)
+        assert (y * x).val == (x * y).val
+        assert ((x + y) * x).val == ref_cyclo_mul(
+            tuple(a + b for a, b in zip(x.val, y.val)), x.val, n)
+        # every coordinate stays a Fraction in lowest terms
+        assert all(type(c) is Fraction for c in (x * y).val)
+
+
+def test_cyclotomic_unit_times_inverse_is_one():
+    rng = random.Random(6)
+    for n in CYCLO_LEVELS:
+        ctx = FieldCtx.cyclotomic(n)
+        for _ in range(6):
+            x = random_cyclo(rng, ctx, True)
+            if x.is_zero():
+                continue
+            assert (x * x.inv()).val == ctx.one().val
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent check of the values
+# ---------------------------------------------------------------------------
+
+
+def _sym_poly(mp, names, sympy):
+    syms = sympy.symbols(names)
+    return sum((c * sympy.Mul(*(s ** e for s, e in zip(syms, k)))
+                for k, c in mp.items()), sympy.Integer(0))
+
+
+def _sym_ratfunc(c, sympy):
+    names = c.ctx.params
+    return _sym_poly(c.val[0], names, sympy) / _sym_poly(c.val[1], names,
+                                                          sympy)
+
+
+def test_ratfunc_values_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for x, y in ratfunc_pairs(7)[:N_SYMPY_PAIRS]:
+        sx, sy = _sym_ratfunc(x, sympy), _sym_ratfunc(y, sympy)
+        for got, want in ((x + y, sx + sy), (x - y, sx - sy),
+                          (x * y, sx * sy)):
+            assert sympy.cancel(_sym_ratfunc(got, sympy) - want) == 0
+        assert (x == y) == (sympy.cancel(sx - sy) == 0)
+
+
+def test_cyclotomic_products_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for n, x, y in cyclo_pairs(8)[:N_SYMPY_PAIRS * 2]:
+        A = sum(sympy.Rational(c.numerator, c.denominator) * t ** e
+                for e, c in enumerate(x.val))
+        B = sum(sympy.Rational(c.numerator, c.denominator) * t ** e
+                for e, c in enumerate(y.val))
+        r = sympy.Poly(sympy.rem(sympy.expand(A * B),
+                                 sympy.cyclotomic_poly(n, t), t), t)
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())]
+        want += [Fraction(0)] * (len(x.val) - len(want))
+        assert (x * y).val == tuple(want)
