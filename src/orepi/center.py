@@ -406,6 +406,16 @@ def _quadratic_roots(ctx, alpha, beta, roots):
         return lam, mu
     disc = alpha * alpha + 4 * beta
     s = exact_sqrt(disc)
+    if s is None and ctx.kind == "cyclotomic":
+        # over Q(zeta_N) the roots may still be roots of unity; the second
+        # root of t^2 - alpha t - beta is alpha minus the first
+        e = ctx.unit_group_exponent()
+        w = ctx.root_of_unity(e)
+        r = ctx.one()
+        for _ in range(e):
+            if (r * r - alpha * r - beta).is_zero():
+                return r, alpha - r
+            r = r * w
     if s is None:
         raise RootsRequired("discriminant has no square root here; "
                             "pass roots=(lambda, mu)")
@@ -652,13 +662,18 @@ def spanning_check(p, centrals, caps, degree=None):
     degree: total-degree bound (default 2 * max cap + 2).  Exact linear
     algebra over the coefficient field decides membership; the result is
     the executable form of "finitely generated as a module over the
-    central subalgebra generated by ...".  A generator without a cap
-    raises PreconditionViolation naming every such generator.
+    central subalgebra generated by ...".  A generator without a cap, or a
+    cap for a name that is no generator, raises PreconditionViolation
+    naming every such name.
     """
     missing = [name for name in p.names if name not in caps]
     if missing:
         raise PreconditionViolation("no cap given for generator(s) "
                                     + ", ".join(missing))
+    unknown = [name for name in caps if name not in p.names]
+    if unknown:
+        raise PreconditionViolation("cap given for non-generator(s) "
+                                    + ", ".join(unknown))
     if degree is None:
         degree = 2 * max(caps.values()) + 2
     if not p.is_confluent():

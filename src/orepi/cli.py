@@ -94,6 +94,20 @@ def parse_params(text, ctx):
     return out
 
 
+def parse_caps(text):
+    """`name=bound` pairs with non-negative integer bounds, as a dict."""
+    caps = {}
+    for pair in text.split(","):
+        name, sep, val = (part.strip() for part in pair.partition("="))
+        if not (sep and name and val.isascii() and val.isdigit()):
+            raise ParseError("expected name=bound with a non-negative integer "
+                             f"bound, got {pair!r}")
+        if name in caps:
+            raise ParseError(f"cap for {name!r} given twice")
+        caps[name] = int(val)
+    return caps
+
+
 MAX_EXPANDED_TERMS = 4096
 
 
@@ -494,10 +508,7 @@ def cmd_confluence(args, report):
 
 def cmd_spanning(args, report):
     p, spec = _get_family(args, report)
-    caps = {}
-    for pair in args.caps.split(","):
-        name, val = pair.split("=")
-        caps[name.strip()] = int(val)
+    caps = parse_caps(args.caps)
     cs = central_candidates(spec)
     result = spanning_check(p, cs, caps, degree=args.degree)
     if result.ok:

@@ -80,7 +80,7 @@ class TrivialCenter(OrepiError):
 class PreconditionViolation(OrepiError):
     """A validity condition on an operation's input fails: a family-specific
     condition of a decider, or a spanning check without a cap for some
-    generator."""
+    generator or with a cap for a name that is no generator."""
 
 
 class QFactorialVanishes(OrepiError):

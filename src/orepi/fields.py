@@ -11,10 +11,17 @@ cross-multiplication and zero testing by the numerator, so no
 multivariate GCD is ever needed; only cheap integer/monomial content is
 stripped to keep growth in check (``_ratfunc_normalize``).
 
+Rational numbers, and the coordinates of cyclotomic values in the power
+basis, are canonical: an ``int`` when integral, else a ``Fraction``
+(lowest terms, denominator > 1).  Operands may hold any Rationals, such
+as integral ``Fraction`` objects; every result is canonical, so most
+arithmetic at roots of unity never builds a ``Fraction``.
+
 The arithmetic takes exact shortcuts that return the payload the general
-formula returns.  They rest on one invariant: a fraction whose
-denominator is 1 or a single monomial has exactly one normalized form,
-so a result of that shape is canonical however it was computed.
+formula returns.  For rational functions they rest on one invariant: a
+fraction whose denominator is 1 or a single monomial has exactly one
+normalized form, so a result of that shape is canonical however it was
+computed.
 
 - Rational functions: when both denominators are the constant 1 (the
   dict ``FieldCtx._one_den``), a product or sum is already normalized
@@ -24,18 +31,24 @@ so a result of that shape is canonical however it was computed.
   cross-multiplication.  Equal denominators make equality a comparison
   of numerators.  ``_mp_mul`` with a one-term operand shifts and scales
   the other, since a monomial product has no like terms to merge.
-- Cyclotomics: ``_cyclo_mul`` scales each operand to integers over its
-  common denominator, convolves and reduces over the integers, and
-  builds one ``Fraction`` per coordinate at the end; a ``Fraction`` is
-  always in lowest terms, so the payload is the one the ``Fraction``
-  convolution gives.
+- Rationals: sums, products and inverses turn an integral result into
+  an ``int`` (``_canon``).  An inverse is a ``Fraction`` built from the
+  operand's denominator and numerator, never ``1 / v``, which is a float
+  when v is an int.
+- Cyclotomics: sums and differences add coordinates and canonicalize
+  only when some coordinate is not an ``int``.  ``_cyclo_mul`` scales
+  each operand to integers over its common denominator, convolves and
+  reduces over the integers, and divides by the denominator once at the
+  end.  ``inv`` solves M v = den e_0 over the integers, M being the
+  matrix of multiplication by the scaled operand, by fraction-free
+  (Bareiss) elimination, and divides by the determinant once.
 - Every kind: operands whose context is the same object skip the
   field-descriptor comparison.
 """
 
 from fractions import Fraction
-from math import gcd
-from operator import add, sub
+from math import gcd, lcm
+from operator import add, attrgetter, neg, sub
 
 from .errors import (
     CtxMismatch,
@@ -74,42 +87,6 @@ def _polydiv_int_exact(num, den):
     if any(num[: len(den) - 1]):
         raise ArithmeticError("inexact polynomial division")
     return _trim(out)
-
-
-def _qpoly_divmod(num, den):
-    num = list(num)
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        quot[k] = c
-        if c:
-            for j, x in enumerate(den):
-                num[k + j] -= c * x
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _qpoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _qpoly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else Fraction(0)) -
-           (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
 
 
 def divisors(n):
@@ -312,16 +289,84 @@ def _ratfunc_mul(x, y, one):
     return _ratfunc_normalize(_mp_mul(a, c), _mp_mul(b, d))
 
 
+_INT_ONLY = frozenset((int,))
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _canon(q):
+    """q as an int when it is integral, else q (a Fraction)."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 def _cyclo_scaled(vec):
-    """(integer vector, common denominator) with vec = integers / den."""
-    den = 1
-    for x in vec:
-        d = x.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
+    """(integer vector, common denominator) with vec = integers / den.
+
+    vec may hold any Rationals; a vector of ints comes back as it is."""
+    if {*map(type, vec)} <= _INT_ONLY:
+        return vec, 1
+    den = lcm(*map(_denominator, vec))
     if den == 1:
-        return [x.numerator for x in vec], 1
+        return list(map(_numerator, vec)), 1
     return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def _cyclo_unscaled(ints, den):
+    """The canonical payload of the integer vector ints over den != 0."""
+    if den == 1:
+        return tuple(ints)
+    return tuple(Fraction(c, den) if c % den else c // den for c in ints)
+
+
+def _cyclo_map(op, *vecs):
+    """op applied coordinatewise, with every integral result as an int."""
+    out = tuple(map(op, *vecs))
+    if {*map(type, out)} <= _INT_ONLY:
+        return out
+    return tuple(map(_canon, out))
+
+
+def _cyclo_inverse(xs, den, phi):
+    """The payload v with (xs / den) * v = 1 modulo phi (monic, degree d).
+
+    M, the integer matrix of multiplication by xs in the power basis, is
+    solved against den * e_0 by fraction-free elimination (Bareiss 1968):
+    every division in the elimination is exact, the last pivot is
+    +-det(M), and back substitution yields det(M) * v as integers, so
+    det(M) is the one denominator the result is divided by."""
+    d = len(phi) - 1
+    col = list(xs)
+    cols = [col]
+    for _ in range(d - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [a - top * c for a, c in zip(col, phi)]
+        cols.append(col)
+    rows = [list(r) for r in zip(*cols)]
+    for i, r in enumerate(rows):
+        r.append(den if i == 0 else 0)
+    prev = 1
+    for k in range(d):
+        piv = next((i for i in range(k, d) if rows[i][k]), None)
+        if piv is None:
+            raise DivisionByZero("element not invertible modulo Phi_N")
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        p = top[k]
+        for i in range(k + 1, d):
+            r = rows[i]
+            f = r[k]
+            r[k + 1:] = [(a * p - f * b) // prev
+                         for a, b in zip(r[k + 1:], top[k + 1:])]
+        prev = p
+    det = prev
+    sol = [0] * d
+    for i in range(d - 1, -1, -1):
+        r = rows[i]
+        s = det * r[d] - sum(r[j] * sol[j] for j in range(i + 1, d))
+        sol[i] = s // r[i]
+    return _cyclo_unscaled(sol, det)
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +486,23 @@ class FieldCtx:
     # -- element constructors -------------------------------------------------
 
     def zero(self):
-        return self.from_fraction(Fraction(0))
+        return self.from_fraction(0)
 
     def one(self):
-        return self.from_fraction(Fraction(1))
+        return self.from_fraction(1)
 
     def from_int(self, n):
-        return self.from_fraction(Fraction(n))
+        return self.from_fraction(n)
 
     def from_fraction(self, q):
-        q = Fraction(q)
+        """The value of q, an int or any Rational."""
+        if type(q) is not int:
+            q = _canon(Fraction(q))
         if self.kind == RATIONAL:
             return Coeff(self, q)
         if self.kind == CYCLOTOMIC:
-            vec = [Fraction(0)] * self._dim
-            if q:
-                vec[0] = q
+            vec = [0] * self._dim
+            vec[0] = q
             return Coeff(self, tuple(vec))
         if self.kind == RATFUNC:
             n = len(self.params)
@@ -485,8 +531,8 @@ class FieldCtx:
             if self._dim == 1:
                 # Phi_1 = x - 1, Phi_2 = x + 1: zeta is rational
                 return self.from_int(1 if self.level == 1 else -1)
-            vec = [Fraction(0)] * self._dim
-            vec[1] = Fraction(1)
+            vec = [0] * self._dim
+            vec[1] = 1
             return Coeff(self, tuple(vec))
         if self.kind == GALOIS:
             if self._dim == 1:
@@ -561,9 +607,12 @@ def _is_prime(n):
 class Coeff:
     """One exact field element, tagged with its context.
 
-    Payloads by kind: Fraction | tuple[Fraction] (power basis mod Phi_N) |
-    (numerator dict, denominator dict) | tuple[int] (power basis mod the
-    Galois modulus).
+    Payloads by kind: a rational number | a tuple of rational numbers
+    (power basis mod Phi_N) | (numerator dict, denominator dict) |
+    tuple[int] (power basis mod the Galois modulus).  A rational number
+    in a result is an int when integral and otherwise a Fraction with
+    denominator > 1; ``Coeff(ctx, val)`` accepts any Rationals, and
+    ``as_fraction`` always answers with a Fraction.
     """
 
     __slots__ = ("ctx", "val")
@@ -588,10 +637,10 @@ class Coeff:
     def is_zero(self):
         k = self.ctx.kind
         if k == RATIONAL:
-            return self.val == 0
+            return not self.val
         if k == RATFUNC:
             return not self.val[0]
-        return all(c == 0 for c in self.val)
+        return not any(self.val)
 
     def is_one(self):
         return (self - 1).is_zero()
@@ -607,9 +656,9 @@ class Coeff:
             return NotImplemented
         k = self.ctx.kind
         if k == RATIONAL:
-            return Coeff(self.ctx, self.val + other.val)
+            return Coeff(self.ctx, _canon(self.val + other.val))
         if k == CYCLOTOMIC:
-            return Coeff(self.ctx, tuple(a + b for a, b in zip(self.val, other.val)))
+            return Coeff(self.ctx, _cyclo_map(add, self.val, other.val))
         if k == RATFUNC:
             return Coeff(self.ctx, _ratfunc_add(self.val, other.val,
                                                 self.ctx._one_den))
@@ -621,9 +670,9 @@ class Coeff:
     def __neg__(self):
         k = self.ctx.kind
         if k == RATIONAL:
-            return Coeff(self.ctx, -self.val)
+            return Coeff(self.ctx, _canon(-self.val))
         if k == CYCLOTOMIC:
-            return Coeff(self.ctx, tuple(-a for a in self.val))
+            return Coeff(self.ctx, _cyclo_map(neg, self.val))
         if k == RATFUNC:
             return Coeff(self.ctx, (_mp_neg(self.val[0]), self.val[1]))
         p = self.ctx.char
@@ -633,12 +682,16 @@ class Coeff:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.ctx.kind == CYCLOTOMIC:
+            return Coeff(self.ctx, _cyclo_map(sub, self.val, other.val))
         return self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.ctx.kind == CYCLOTOMIC:
+            return Coeff(self.ctx, _cyclo_map(sub, other.val, self.val))
         return other + (-self)
 
     def __mul__(self, other):
@@ -647,7 +700,7 @@ class Coeff:
             return NotImplemented
         k = self.ctx.kind
         if k == RATIONAL:
-            return Coeff(self.ctx, self.val * other.val)
+            return Coeff(self.ctx, _canon(self.val * other.val))
         if k == CYCLOTOMIC:
             return Coeff(self.ctx, self._cyclo_mul(other))
         if k == RATFUNC:
@@ -676,10 +729,7 @@ class Coeff:
                 for i, r in enumerate(red):
                     if r:
                         out[i] += c * r
-        den = dx * dy
-        if den == 1:
-            return tuple(map(Fraction, out))
-        return tuple(Fraction(c, den) for c in out)
+        return _cyclo_unscaled(out, dx * dy)
 
     def _gf_mul_reduced(self, other):
         p = self.ctx.char
@@ -693,32 +743,16 @@ class Coeff:
             raise DivisionByZero("inverse of zero")
         k = self.ctx.kind
         if k == RATIONAL:
-            return Coeff(self.ctx, 1 / self.val)
+            v = self.val
+            return Coeff(self.ctx, _canon(Fraction(v.denominator, v.numerator)))
         if k == CYCLOTOMIC:
-            return Coeff(self.ctx, self._cyclo_inv())
+            xs, den = _cyclo_scaled(self.val)
+            return Coeff(self.ctx, _cyclo_inverse(xs, den, self.ctx._phi))
         if k == RATFUNC:
             num, den = self.val
             return Coeff(self.ctx, _ratfunc_normalize(den, num))
         e = self.ctx._unit_order - 1
         return self ** e if e else Coeff(self.ctx, self.val)
-
-    def _cyclo_inv(self):
-        # extended Euclid in Q[x] against Phi_N: find t with t*self = 1 (mod Phi)
-        d = self.ctx._dim
-        r0 = [Fraction(c) for c in self.ctx._phi]
-        r1 = [Fraction(x) for x in self.val]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            q, rem = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _qpoly_sub(t0, _qpoly_mul(q, t1))
-        if not r1:
-            raise DivisionByZero("element not invertible modulo Phi_N")
-        c = r1[0]
-        out = [x / c for x in t1] + [Fraction(0)] * d
-        return tuple(out[:d])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -809,9 +843,9 @@ class Coeff:
         number (or lives in a Galois field, where no Fraction names it)."""
         k = self.ctx.kind
         if k == RATIONAL:
-            return self.val
+            return Fraction(self.val)
         if k == CYCLOTOMIC:
-            return None if any(self.val[1:]) else self.val[0]
+            return None if any(self.val[1:]) else Fraction(self.val[0])
         if k == RATFUNC:
             if not self.is_constant():
                 return None

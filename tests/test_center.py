@@ -1,5 +1,7 @@
 """Centrality, candidate sets, automorphism order, fixed rings, spanning."""
 
+import random
+
 import pytest
 
 from orepi import (
@@ -151,6 +153,52 @@ def test_gwa_order_errors(QQ):
         gwa_auto_order(QQ, i(1), i(1), i(0))  # discriminant 5
 
 
+def _same_roots(a, b):
+    return (a[0] == b[0] and a[1] == b[1]) or (a[0] == b[1] and a[1] == b[0])
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_roots_of_unity_found_without_hand_roots(n):
+    # the roots lambda, mu of t^2 - alpha t - beta are found in Q(zeta_N)
+    # when both are roots of unity, even where the discriminant has no
+    # rational square root; the verdict matches the hand-supplied roots
+    import random
+    ctx = FieldCtx.cyclotomic(n)
+    e = ctx.unit_group_exponent()
+    w = ctx.root_of_unity(e)
+    rng = random.Random(n)
+    pairs = [(1, e - 1)] + [(rng.randrange(e), rng.randrange(e))
+                            for _ in range(5)]
+    for i, j in pairs:
+        lam, mu = w ** i, w ** j
+        alpha, beta = lam + mu, -(lam * mu)
+        for gamma in (ctx.zero(), ctx.one()):
+            got = gwa_auto_order(ctx, alpha, beta, gamma)
+            want = gwa_auto_order(ctx, alpha, beta, gamma, roots=(lam, mu))
+            assert (got.finite, got.order, got.case) == \
+                (want.finite, want.order, want.case)
+            assert _same_roots(got.roots, want.roots)
+    # a root that is no root of unity and a discriminant with no rational
+    # square root still need hand roots
+    with pytest.raises(RootsRequired):
+        gwa_auto_order(ctx, ctx.from_int(1), ctx.from_int(1), ctx.zero())
+
+
+def test_downup_cyclo3_roots_are_cube_roots(cyclo3):
+    # alpha = beta = -1: t^2 + t + 1 has the roots z3, z3^2 and a
+    # discriminant of -3, which has no rational square root
+    m1 = cyclo3.from_int(-1)
+    z = cyclo3.generator()
+    got = gwa_auto_order(cyclo3, m1, m1, cyclo3.zero())
+    assert got.finite and got.order == 3
+    assert _same_roots(got.roots, (z, z * z))
+    spec = spec_downup(cyclo3, m1, m1, cyclo3.zero())
+    auto = downup_center_generators(spec)
+    hand = downup_center_generators(spec, roots=(z, z * z))
+    assert auto.caps == hand.caps
+    assert len(auto.elements) == len(hand.elements)
+
+
 def test_exact_sqrt(QQ, cyclo12):
     assert exact_sqrt(QQ.from_int(4)) == QQ.from_int(2)
     assert exact_sqrt(QQ.from_int(5)) is None
@@ -293,6 +341,16 @@ def test_spanning_names_every_missing_cap(cyclo3):
     assert all(name in str(exc.value) for name in ("x", "t"))
     with pytest.raises(PreconditionViolation):
         spanning_check(p, cs, {})
+
+
+def test_spanning_names_every_cap_for_no_generator(cyclo3):
+    spec = spec_hpq(cyclo3, cyclo3.from_int(-1), cyclo3.generator())
+    p = build_family(spec)
+    cs = central_candidates(spec)
+    with pytest.raises(PreconditionViolation) as exc:
+        spanning_check(p, cs, {"x": 6, "y": 6, "t": 2, "u": 9, "v": 1},
+                       degree=8)
+    assert "u" in str(exc.value) and "v" in str(exc.value)
 
 
 def test_default_degree_is_twice_cap_plus_two(rat_q):

@@ -294,3 +294,27 @@ def test_spanning_missing_cap_is_typed():
     assert [c["status"] for c in doc["checks"]] == ["error"]
     detail = doc["checks"][0]["detail"]
     assert detail.startswith("PreconditionViolation: ") and "y" in detail
+
+
+@pytest.mark.parametrize("caps", ["x", "x=a,y=3", "x=-1,y=3", "x=3,,y=3",
+                                  "=3,y=3", "x=3,x=4,y=3"])
+def test_spanning_malformed_caps_are_parse_errors(caps):
+    code, doc = run(["spanning", "--family", "QuantumPlane", "--q", "z3",
+                     "--caps", caps])
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    assert doc["checks"][0]["detail"].startswith("ParseError: ")
+
+
+def test_spanning_cap_for_no_generator_is_typed():
+    # the unused cap z=9 used to set the default degree to 20 and pass
+    code, doc = run(["spanning", "--family", "QuantumPlane", "--q", "z3",
+                     "--caps", "x=3,y=3,z=9"])
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    detail = doc["checks"][0]["detail"]
+    assert detail.startswith("PreconditionViolation: ") and "z" in detail
+    code, doc = run(["spanning", "--family", "QuantumPlane", "--q", "z3",
+                     "--caps", " x = 3 , y=3"])
+    assert code == 0
+    assert doc["checks"][0]["detail"].endswith("degree <= 8")

@@ -1,13 +1,18 @@
 """The coefficient kernels' shortcuts against the general formulas.
 
 Rational-function sums and products skip cross-multiplication and
-normalization when the denominators allow it, and cyclotomic products
-convolve integers.  Each must return exactly the payload the general
-formula returns.  The general formulas are kept here as reference
-functions, written without any shortcut: cross-multiplication followed
-by content stripping for rational functions, and a ``Fraction``
-convolution reduced by long division modulo Phi_N for cyclotomics.
-sympy, when installed, gives a third opinion on the values.
+normalization when the denominators allow it, and cyclotomic sums,
+products and inverses work over the integers.  Each must return exactly
+the value the general formula returns.  The general formulas are kept
+here as reference functions, written without any shortcut:
+cross-multiplication followed by content stripping for rational
+functions, and a ``Fraction`` convolution reduced by long division
+modulo Phi_N for cyclotomics.  sympy, when installed, gives a third
+opinion on the values.
+
+Rational and cyclotomic payloads are canonical: each number is an
+``int`` when it is integral and a ``Fraction`` with denominator > 1
+otherwise, whatever Rationals the operands were built from.
 """
 
 import random
@@ -17,6 +22,7 @@ from math import gcd
 import pytest
 
 from orepi import FieldCtx
+from orepi.errors import DivisionByZero
 from orepi.fields import Coeff, cyclotomic_polynomial
 
 N_RATFUNC_PAIRS = 150
@@ -161,6 +167,18 @@ def random_cyclo(rng, ctx, fractional):
 
 
 CYCLO_LEVELS = (3, 4, 5, 7, 12)
+INV_LEVELS = (3, 4, 5, 7, 9, 12)
+
+
+def is_canonical(q):
+    """An int when integral, else a Fraction (lowest terms by
+    construction) with denominator > 1; in particular never a float."""
+    return type(q) is int or (type(q) is Fraction and q.denominator > 1)
+
+
+def assert_canonical(c):
+    coords = (c.val,) if c.ctx.kind == "rational" else c.val
+    assert all(is_canonical(q) for q in coords), c.val
 
 
 def cyclo_pairs(seed):
@@ -221,19 +239,97 @@ def test_cyclotomic_products_match_fraction_convolution(seed):
         assert (y * x).val == (x * y).val
         assert ((x + y) * x).val == ref_cyclo_mul(
             tuple(a + b for a, b in zip(x.val, y.val)), x.val, n)
-        # every coordinate stays a Fraction in lowest terms
-        assert all(type(c) is Fraction for c in (x * y).val)
+        # every coordinate is an int when integral, else a Fraction
+        assert_canonical(x * y)
 
 
 def test_cyclotomic_unit_times_inverse_is_one():
     rng = random.Random(6)
-    for n in CYCLO_LEVELS:
+    for n in INV_LEVELS:
         ctx = FieldCtx.cyclotomic(n)
-        for _ in range(6):
-            x = random_cyclo(rng, ctx, True)
+        for k in range(12):
+            x = random_cyclo(rng, ctx, k % 2 == 1)
             if x.is_zero():
                 continue
             assert (x * x.inv()).val == ctx.one().val
+            assert (x.inv() * x) == 1 and x.inv().inv().val == x.val
+
+
+def test_zero_has_no_cyclotomic_inverse():
+    for n in INV_LEVELS:
+        with pytest.raises(DivisionByZero):
+            FieldCtx.cyclotomic(n).zero().inv()
+
+
+def integral_twin(rng, ctx):
+    """(ints, integral Fractions): two payloads of one value, the second
+    built the way the benchmark's generators build them."""
+    ints = tuple(rng.choice((0, rng.randint(-4, 4)))
+                 for _ in range(len(ctx._phi) - 1))
+    return Coeff(ctx, ints), Coeff(ctx, tuple(Fraction(c) for c in ints))
+
+
+def test_integral_fraction_operands_give_equal_values():
+    rng = random.Random(13)
+    for k in range(36):
+        ctx = FieldCtx.cyclotomic(INV_LEVELS[k % len(INV_LEVELS)])
+        (a, fa), (b, fb) = integral_twin(rng, ctx), integral_twin(rng, ctx)
+        for op in (lambda u, v: u + v, lambda u, v: u - v,
+                   lambda u, v: u * v, lambda u, v: -u):
+            want = op(a, b)
+            got = op(fa, fb)
+            assert got.val == want.val and got == want
+            assert_canonical(got)
+            assert_canonical(want)
+            assert op(fa, b).val == op(a, fb).val == want.val
+        if not a.is_zero():
+            assert fa.inv().val == a.inv().val
+            assert_canonical(fa.inv())
+
+
+@pytest.mark.parametrize("seed", [14, 15])
+def test_results_are_canonical(seed):
+    rng = random.Random(seed)
+    QQ = FieldCtx.rational()
+    for n, x, y in cyclo_pairs(seed):
+        for z in (x + y, x - y, y - x, -x, x * y, x * x):
+            assert_canonical(z)
+        if not x.is_zero():
+            assert_canonical(x.inv())
+        assert_canonical(x - x)
+        assert (x - x).val == (0,) * len(x.val)
+    for _ in range(200):
+        a = QQ.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        b = QQ.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        for z in (a, b, a + b, a - b, 2 - a, -a, a * b, a * 2):
+            assert_canonical(z)
+        if not a.is_zero():
+            assert_canonical(a.inv())
+            assert_canonical(b / a)
+            assert a * a.inv() == 1 and (a * a.inv()).val == 1
+    half = Fraction(1, 2)
+    assert QQ.from_fraction(half) + QQ.from_fraction(half) == 1
+    assert type((QQ.from_fraction(half) * 2).val) is int
+    assert type(QQ.from_int(-1).inv().val) is int
+
+
+def test_no_payload_holds_a_float():
+    # a float input is converted exactly, and no operation makes a float
+    QQ, c7 = FieldCtx.rational(), FieldCtx.cyclotomic(7)
+    base = [QQ.from_fraction(0.5), QQ.from_int(3), c7.from_fraction(0.25),
+            c7.generator(), c7.from_int(2)]
+    values = list(base)
+    for a in base:
+        for b in base:
+            if a.ctx is b.ctx:
+                values += [a + b, a - b, a * b, a / b, a ** -2, -a]
+    for v in values:
+        coords = (v.val,) if v.ctx is QQ else v.val
+        assert not any(isinstance(q, float) for q in coords)
+        assert_canonical(v)
+    assert QQ.from_fraction(0.5).as_fraction() == Fraction(1, 2)
+    assert type(QQ.from_int(2).as_fraction()) is Fraction
+    assert type(c7.from_int(2).as_fraction()) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +359,36 @@ def test_ratfunc_values_against_sympy():
         assert (x == y) == (sympy.cancel(sx - sy) == 0)
 
 
+def _sym_cyclo(c, t, sympy):
+    return sum(sympy.Rational(q.numerator, q.denominator) * t ** e
+               for e, q in enumerate(c.val))
+
+
 def test_cyclotomic_products_against_sympy():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     for n, x, y in cyclo_pairs(8)[:N_SYMPY_PAIRS * 2]:
-        A = sum(sympy.Rational(c.numerator, c.denominator) * t ** e
-                for e, c in enumerate(x.val))
-        B = sum(sympy.Rational(c.numerator, c.denominator) * t ** e
-                for e, c in enumerate(y.val))
+        A, B = _sym_cyclo(x, t, sympy), _sym_cyclo(y, t, sympy)
         r = sympy.Poly(sympy.rem(sympy.expand(A * B),
                                  sympy.cyclotomic_poly(n, t), t), t)
         want = [Fraction(int(c.p), int(c.q)) for c in reversed(r.all_coeffs())]
         want += [Fraction(0)] * (len(x.val) - len(want))
         assert (x * y).val == tuple(want)
+
+
+def test_cyclotomic_inverses_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(16)
+    for n in INV_LEVELS:
+        ctx = FieldCtx.cyclotomic(n)
+        for k in range(4):
+            x = random_cyclo(rng, ctx, k % 2 == 1)
+            if x.is_zero():
+                continue
+            inv = sympy.invert(_sym_cyclo(x, t, sympy),
+                               sympy.cyclotomic_poly(n, t), t)
+            want = [Fraction(int(c.p), int(c.q))
+                    for c in reversed(sympy.Poly(inv, t).all_coeffs())]
+            want += [Fraction(0)] * (len(x.val) - len(want))
+            assert x.inv().val == tuple(want)
