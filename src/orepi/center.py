@@ -375,12 +375,7 @@ def exact_sqrt(c):
     if ctx.kind == "galois":
         if ctx.char ** (len(ctx.modulus) - 1) > 20000:
             return None
-        from .fields import Coeff, _gf_iterate
-        for vec in _gf_iterate(len(ctx.modulus) - 1, ctx.char):
-            cand = Coeff(ctx, vec)
-            if cand * cand == c:
-                return cand
-        return None
+        return next((r for r in ctx.units() if r * r == c), None)
     rat = c.as_fraction()
     if rat is None:
         return None

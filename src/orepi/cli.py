@@ -109,12 +109,14 @@ def parse_caps(text):
 
 
 MAX_EXPANDED_TERMS = 4096
+MAX_WORD_LENGTH = 4096
 
 
 class _Words:
     """Finite sum of words with coefficients; words are tuples of indices
     into the parser's generator names.  A product that could have more
-    than MAX_EXPANDED_TERMS terms is refused before it is expanded."""
+    than MAX_EXPANDED_TERMS terms, or a word longer than MAX_WORD_LENGTH
+    letters, is refused before it is built."""
 
     __slots__ = ("ctx", "terms")
 
@@ -147,6 +149,9 @@ class _Words:
         out = {}
         for wa, ca in self.terms.items():
             for wb, cb in o.terms.items():
+                if len(wa) + len(wb) > MAX_WORD_LENGTH:
+                    raise ParseError(f"a word has more than "
+                                     f"{MAX_WORD_LENGTH} letters")
                 w, c = wa + wb, ca * cb
                 out[w] = out[w] + c if w in out else c
         return _Words(self.ctx, out)

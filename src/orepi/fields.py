@@ -1,8 +1,22 @@
 """Exact coefficient fields.
 
-Four kinds of context are supported: the rationals, cyclotomic fields
-Q(zeta_N), fields of rational functions in named parameters over Q, and
-Galois fields GF(p^k) with p <= 101 and k <= 6.  Every value is exact;
+Four kinds of field are supported, one ``FieldCtx`` subclass each, and
+each subclass owns the payload format of its values:
+
+- ``_Rationals``, Q: a rational number;
+- ``_Cyclotomics``, Q(zeta_N): a tuple of phi(N) rational numbers, the
+  coordinates in the power basis modulo Phi_N;
+- ``_RatFuncs``, rational functions in named parameters over Q: a
+  (numerator, denominator) pair of sparse integer polynomials, dicts
+  from exponent tuples to nonzero ints;
+- ``_GaloisField``, GF(p^k) with p <= 101 and k <= 6: a tuple of k ints
+  in [0, p), the coordinates in the power basis modulo the monic
+  irreducible modulus.
+
+A context validates its descriptor, embeds rationals, finds roots of
+unity and computes on bare payloads (``add``, ``mul``, ``inv``, ...).
+``Coeff`` is the one element class: it pairs a context with a payload
+and makes one call on its context per operation.  Every value is exact;
 there is no floating point anywhere.
 
 Rational-function values are stored as uncanonicalized fractions of
@@ -24,7 +38,7 @@ normalized form, so a result of that shape is canonical however it was
 computed.
 
 - Rational functions: when both denominators are the constant 1 (the
-  dict ``FieldCtx._one_den``), a product or sum is already normalized
+  dict ``_RatFuncs._one_den``), a product or sum is already normalized
   (its content gcd is 1 and its monomial minimum is 0), so
   ``_ratfunc_normalize`` is skipped.  When both denominators are the same
   monomial m, ``a/m + c/m`` is ``normalize(a + c, m)``, with no
@@ -36,12 +50,14 @@ computed.
   operand's denominator and numerator, never ``1 / v``, which is a float
   when v is an int.
 - Cyclotomics: sums and differences add coordinates and canonicalize
-  only when some coordinate is not an ``int``.  ``_cyclo_mul`` scales
-  each operand to integers over its common denominator, convolves and
+  only when some coordinate is not an ``int``.  A product scales each
+  operand to integers over its common denominator, convolves and
   reduces over the integers, and divides by the denominator once at the
-  end.  ``inv`` solves M v = den e_0 over the integers, M being the
+  end.  An inverse solves M v = den e_0 over the integers, M being the
   matrix of multiplication by the scaled operand, by fraction-free
   (Bareiss) elimination, and divides by the determinant once.
+- Galois fields: an inverse is the power a^(p^k - 2), computed by the
+  same ``_gf_powmod`` that decides irreducibility.
 - Every kind: operands whose context is the same object skip the
   field-descriptor comparison.
 """
@@ -60,7 +76,7 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (dense lists, ascending degree) for cyclotomics
+# integer polynomial helpers (dense lists, ascending degree)
 # ---------------------------------------------------------------------------
 
 
@@ -68,25 +84,6 @@ def _trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _polydiv_int_exact(num, den):
-    """Exact division of integer polynomials; raises if not exact."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("inexact polynomial division")
-        q = c // lead
-        out[k] = q
-        if q:
-            for j, d in enumerate(den):
-                num[k + j] -= q * d
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact polynomial division")
-    return _trim(out)
 
 
 def divisors(n):
@@ -102,13 +99,29 @@ def divisors(n):
 
 
 def cyclotomic_polynomial(n):
-    """Coefficients (ascending, monic) of Phi_n, by exact recursive division."""
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in divisors(n)[:-1]:
-        poly = _polydiv_int_exact(poly, cyclotomic_polynomial(d)) if d > 1 else \
-            _polydiv_int_exact(poly, [-1, 1])
-    if n == 1:
-        return [-1, 1]
+    """Coefficients (ascending, monic) of Phi_n.
+
+    Phi_n is the product of (x^d - 1)^mu(n/d) over the divisors d of n.
+    The factors with mu = 1 are multiplied in first, then those with
+    mu = -1 divided out, each in one O(n) pass.  Every division is exact:
+    the first product is Phi_n times the factors still to be divided out.
+    """
+    # mu(n/d) is nonzero when n/d is a product of distinct primes of n
+    ups, downs = [n], []
+    for p in _factorize(n):
+        ups, downs = ups + [d // p for d in downs], downs + [d // p for d in ups]
+    poly = [1]
+    for d in ups:
+        out = [0] * d + poly
+        for i, c in enumerate(poly):
+            out[i] -= c
+        poly = out
+    for d in downs:
+        # poly = quo * (x^d - 1), so poly[i] = quo[i - d] - quo[i]
+        quo = []
+        for i in range(len(poly) - d):
+            quo.append((quo[i - d] if i >= d else 0) - poly[i])
+        poly = quo
     return poly
 
 
@@ -208,6 +221,17 @@ def _factorize(n):
     return out
 
 
+def _is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 # ---------------------------------------------------------------------------
 # sparse multivariate integer polynomials for rational functions
 # ---------------------------------------------------------------------------
@@ -268,26 +292,9 @@ def _ratfunc_normalize(num, den):
     return num, den
 
 
-def _ratfunc_add(x, y, one):
-    """Sum of two normalized (numerator, denominator) pairs; one is the
-    context's constant-1 denominator."""
-    (a, b), (c, d) = x, y
-    if b == d:
-        if b == one:
-            return _mp_add(a, c), one
-        if len(b) == 1:
-            return _ratfunc_normalize(_mp_add(a, c), b)
-    return _ratfunc_normalize(_mp_add(_mp_mul(a, d), _mp_mul(c, b)),
-                              _mp_mul(b, d))
-
-
-def _ratfunc_mul(x, y, one):
-    """Product of two normalized (numerator, denominator) pairs."""
-    (a, b), (c, d) = x, y
-    if b == one and d == one:
-        return _mp_mul(a, c), one
-    return _ratfunc_normalize(_mp_mul(a, c), _mp_mul(b, d))
-
+# ---------------------------------------------------------------------------
+# rational numbers and cyclotomic coordinates
+# ---------------------------------------------------------------------------
 
 _INT_ONLY = frozenset((int,))
 _numerator = attrgetter("numerator")
@@ -326,51 +333,8 @@ def _cyclo_map(op, *vecs):
     return tuple(map(_canon, out))
 
 
-def _cyclo_inverse(xs, den, phi):
-    """The payload v with (xs / den) * v = 1 modulo phi (monic, degree d).
-
-    M, the integer matrix of multiplication by xs in the power basis, is
-    solved against den * e_0 by fraction-free elimination (Bareiss 1968):
-    every division in the elimination is exact, the last pivot is
-    +-det(M), and back substitution yields det(M) * v as integers, so
-    det(M) is the one denominator the result is divided by."""
-    d = len(phi) - 1
-    col = list(xs)
-    cols = [col]
-    for _ in range(d - 1):
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            col = [a - top * c for a, c in zip(col, phi)]
-        cols.append(col)
-    rows = [list(r) for r in zip(*cols)]
-    for i, r in enumerate(rows):
-        r.append(den if i == 0 else 0)
-    prev = 1
-    for k in range(d):
-        piv = next((i for i in range(k, d) if rows[i][k]), None)
-        if piv is None:
-            raise DivisionByZero("element not invertible modulo Phi_N")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        top = rows[k]
-        p = top[k]
-        for i in range(k + 1, d):
-            r = rows[i]
-            f = r[k]
-            r[k + 1:] = [(a * p - f * b) // prev
-                         for a, b in zip(r[k + 1:], top[k + 1:])]
-        prev = p
-    det = prev
-    sol = [0] * d
-    for i in range(d - 1, -1, -1):
-        r = rows[i]
-        s = det * r[d] - sum(r[j] * sol[j] for j in range(i + 1, d))
-        sol[i] = s // r[i]
-    return _cyclo_unscaled(sol, det)
-
-
 # ---------------------------------------------------------------------------
-# contexts
+# contexts: one class per field kind
 # ---------------------------------------------------------------------------
 
 RATIONAL = "rational"
@@ -380,90 +344,50 @@ GALOIS = "galois"
 
 
 class FieldCtx:
-    """Descriptor of one exact coefficient field.
+    """One exact coefficient field and the arithmetic of its payloads.
 
-    Construct through the factory classmethods; instances are immutable
-    and safe to share.
+    Construct through the factory staticmethods; each returns the
+    subclass for its kind, which owns the payload format of its values:
+    ``_Rationals`` a rational number, ``_Cyclotomics`` a tuple of
+    rational coordinates modulo Phi_N, ``_RatFuncs`` a (numerator,
+    denominator) pair of integer polynomial dicts, and ``_GaloisField``
+    a tuple of ints mod p, coordinates modulo the modulus.  Instances are
+    immutable and safe to share, and two contexts are equal when they
+    describe the same field.
+
+    Each subclass validates its descriptor in ``__init__``, embeds a
+    rational (``from_fraction``) and supplies the payload operations
+    ``is_zero``, ``add``, ``neg``, ``sub``, ``mul``, ``inv``, ``eq``,
+    ``to_str``, ``as_fraction`` and ``is_constant``, which take and return
+    bare payloads.  The defaults here serve the kinds that need nothing
+    special: ``sub`` adds the negation, ``eq`` compares payloads with
+    ``==``, every value is constant, and only +-1 are roots of unity.
     """
 
-    __slots__ = ("kind", "level", "params", "char", "modulus", "_phi",
-                 "_dim", "_reduce_table", "_unit_order", "_one_den")
-
-    def __init__(self, kind, level=None, params=None, char=None, modulus=None):
-        self.kind = kind
-        self.level = level
-        self.params = params
-        self.char = char
-        self.modulus = modulus
-        self._phi = None
-        self._dim = None
-        self._reduce_table = None
-        self._unit_order = None
-        self._one_den = None
-        if kind == CYCLOTOMIC:
-            if level < 1:
-                raise ValueError("cyclotomic level must be >= 1")
-            self._phi = cyclotomic_polynomial(level)
-            self._dim = len(self._phi) - 1
-            self._reduce_table = self._build_reduce_table()
-        elif kind == RATFUNC:
-            if len(set(params)) != len(params):
-                raise ValueError("duplicate parameter names")
-            self._one_den = _mp_const(1, len(params))
-        elif kind == GALOIS:
-            if not (2 <= char <= 101) or not _is_prime(char):
-                raise ValueError("Galois characteristic must be a prime <= 101")
-            mod = [c % char for c in modulus]
-            while mod and mod[-1] == 0:
-                mod.pop()
-            if len(mod) - 1 < 1 or len(mod) - 1 > 6:
-                raise ValueError("modulus degree must be between 1 and 6")
-            inv_lead = pow(mod[-1], char - 2, char)
-            mod = [c * inv_lead % char for c in mod]
-            if not _gf_irreducible(mod, char):
-                raise ValueError("modulus is reducible over GF(p)")
-            self.modulus = tuple(mod)
-            self._dim = len(mod) - 1
-            self._unit_order = char ** self._dim - 1
+    __slots__ = ()
+    level = params = char = modulus = None
 
     # -- factories ----------------------------------------------------------
 
-    @classmethod
-    def rational(cls):
-        return cls(RATIONAL)
+    @staticmethod
+    def rational():
+        return _Rationals()
 
-    @classmethod
-    def cyclotomic(cls, n):
-        return cls(CYCLOTOMIC, level=n)
+    @staticmethod
+    def cyclotomic(n):
+        return _Cyclotomics(n)
 
-    @classmethod
-    def rational_functions(cls, names):
-        return cls(RATFUNC, params=tuple(names))
+    @staticmethod
+    def rational_functions(names):
+        return _RatFuncs(tuple(names))
 
-    @classmethod
-    def galois(cls, p, modulus):
-        return cls(GALOIS, char=p, modulus=tuple(modulus))
+    @staticmethod
+    def galois(p, modulus):
+        return _GaloisField(p, modulus)
 
-    @classmethod
-    def galois_prime(cls, p):
-        return cls(GALOIS, char=p, modulus=(0, 1))
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _build_reduce_table(self):
-        # x^k mod Phi_N for phi(N) <= k <= 2 phi(N) - 2, integer vectors
-        d = self._dim
-        table = []
-        prev = [-c for c in self._phi[:-1]]  # x^d
-        table.append(prev)
-        for _ in range(d - 2):
-            nxt = [0] + prev[:-1]  # multiply by x
-            top = prev[-1]
-            if top:  # reduce the overflow into x^d again
-                nxt = [a - top * c for a, c in zip(nxt, self._phi[:-1])]
-            table.append(nxt)
-            prev = nxt
-        return table
+    @staticmethod
+    def galois_prime(p):
+        return _GaloisField(p, (0, 1))
 
     def __eq__(self, other):
         if not isinstance(other, FieldCtx):
@@ -473,15 +397,6 @@ class FieldCtx:
 
     def __hash__(self):
         return hash((self.kind, self.level, self.params, self.char, self.modulus))
-
-    def __repr__(self):
-        if self.kind == RATIONAL:
-            return "Q"
-        if self.kind == CYCLOTOMIC:
-            return f"Q(z{self.level})"
-        if self.kind == RATFUNC:
-            return "Q(" + ",".join(self.params) + ")"
-        return f"GF({self.char}^{self._dim})"
 
     # -- element constructors -------------------------------------------------
 
@@ -494,60 +409,17 @@ class FieldCtx:
     def from_int(self, n):
         return self.from_fraction(n)
 
-    def from_fraction(self, q):
-        """The value of q, an int or any Rational."""
-        if type(q) is not int:
-            q = _canon(Fraction(q))
-        if self.kind == RATIONAL:
-            return Coeff(self, q)
-        if self.kind == CYCLOTOMIC:
-            vec = [0] * self._dim
-            vec[0] = q
-            return Coeff(self, tuple(vec))
-        if self.kind == RATFUNC:
-            n = len(self.params)
-            return Coeff(self, (_mp_const(q.numerator, n),
-                                _mp_const(q.denominator, n)))
-        if q.denominator % self.char == 0:
-            raise DivisionByZero("denominator divisible by the characteristic")
-        val = q.numerator * pow(q.denominator, self.char - 2, self.char) % self.char
-        vec = [0] * self._dim
-        vec[0] = val
-        return Coeff(self, tuple(vec))
-
     def param(self, name):
-        if self.kind != RATFUNC:
-            raise CtxMismatch("parameters only exist in rational-function fields")
-        if name not in self.params:
-            raise UnassignedParameter(f"unknown parameter {name!r}")
-        i = self.params.index(name)
-        n = len(self.params)
-        key = tuple(1 if j == i else 0 for j in range(n))
-        return Coeff(self, ({key: 1}, _mp_const(1, n)))
+        raise CtxMismatch("parameters only exist in rational-function fields")
 
     def generator(self):
         """zeta_N for cyclotomic contexts, the modulus root for Galois ones."""
-        if self.kind == CYCLOTOMIC:
-            if self._dim == 1:
-                # Phi_1 = x - 1, Phi_2 = x + 1: zeta is rational
-                return self.from_int(1 if self.level == 1 else -1)
-            vec = [0] * self._dim
-            vec[1] = 1
-            return Coeff(self, tuple(vec))
-        if self.kind == GALOIS:
-            if self._dim == 1:
-                raise CtxMismatch("prime field has no extension generator")
-            vec = [0] * self._dim
-            vec[1] = 1
-            return Coeff(self, tuple(vec))
         raise CtxMismatch("generator() needs a cyclotomic or Galois context")
+
+    # -- roots of unity ---------------------------------------------------------
 
     def unit_group_exponent(self):
         """Order bound for roots of unity living in this field."""
-        if self.kind == CYCLOTOMIC:
-            return self.level if self.level % 2 == 0 else 2 * self.level
-        if self.kind == GALOIS:
-            return self._unit_order
         return 2
 
     def root_of_unity(self, n):
@@ -556,47 +428,424 @@ class FieldCtx:
             return self.one()
         if n == 2:
             return self.from_int(-1)
-        if self.kind == CYCLOTOMIC:
-            big = self.unit_group_exponent()
-            if big % n != 0:
-                raise ZeroInput(f"no primitive {n}-th root in {self!r}")
-            zeta = self.generator()
-            if self.level % 2 == 1:
-                zeta = -(zeta ** ((self.level + 1) // 2))  # order 2N element
-            return zeta ** (big // n)
-        if self.kind == GALOIS:
-            if self._unit_order % n != 0:
-                raise ZeroInput(f"no {n}-th root in {self!r}")
-            if self.char ** self._dim > 100000:
-                raise ZeroInput("field too large for exhaustive root search")
-            for vec in _gf_iterate(self._dim, self.char):
-                c = Coeff(self, vec)
-                if not c.is_zero() and c.multiplicative_order() == n:
-                    return c
-            raise ZeroInput(f"no {n}-th root in {self!r}")
         raise ZeroInput(f"no primitive {n}-th root in {self!r}")
 
+    def multiplicative_order(self, c):
+        """Least m >= 1 with c^m = 1 for a nonzero Coeff c, or None."""
+        one = self.one()
+        if c == one:
+            return 1
+        if c == -one:
+            return 2
+        return None
 
-def _gf_iterate(dim, p):
-    total = p ** dim
-    for code in range(1, total):
-        vec = []
-        c = code
-        for _ in range(dim):
-            vec.append(c % p)
-            c //= p
-        yield tuple(vec)
+    # -- payload defaults -----------------------------------------------------
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def eq(self, a, b):
+        return a == b
+
+    def is_constant(self, a):
+        return True
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+class _Rationals(FieldCtx):
+    """Q.  Payload: an int, or a Fraction with denominator > 1."""
+
+    __slots__ = ()
+    kind = RATIONAL
+
+    def __repr__(self):
+        return "Q"
+
+    def from_fraction(self, q):
+        """The value of q, an int or any Rational."""
+        return Coeff(self, q if type(q) is int else _canon(Fraction(q)))
+
+    def is_zero(self, a):
+        return not a
+
+    def add(self, a, b):
+        return _canon(a + b)
+
+    def neg(self, a):
+        return _canon(-a)
+
+    def mul(self, a, b):
+        return _canon(a * b)
+
+    def inv(self, a):
+        return _canon(Fraction(a.denominator, a.numerator))
+
+    def to_str(self, a):
+        return str(a)
+
+    def as_fraction(self, a):
+        return Fraction(a)
+
+
+class _Cyclotomics(FieldCtx):
+    """Q(zeta_N).  Payload: a tuple of phi(N) rational numbers, each an
+    int or a Fraction with denominator > 1, the coordinates in the power
+    basis modulo Phi_N."""
+
+    __slots__ = ("level", "_phi", "_dim", "_reduce_table")
+    kind = CYCLOTOMIC
+
+    def __init__(self, level):
+        if level < 1:
+            raise ValueError("cyclotomic level must be >= 1")
+        self.level = level
+        self._phi = phi = cyclotomic_polynomial(level)
+        self._dim = d = len(phi) - 1
+        # x^k mod Phi_N for d <= k <= 2d - 2, integer vectors
+        row = [-c for c in phi[:-1]]
+        table = [row]
+        for _ in range(d - 2):
+            top = row[-1]
+            row = [0] + row[:-1]  # multiply by x
+            if top:  # reduce the overflow into x^d again
+                row = [a - top * c for a, c in zip(row, phi)]
+            table.append(row)
+        self._reduce_table = table
+
+    def __repr__(self):
+        return f"Q(z{self.level})"
+
+    def from_fraction(self, q):
+        q = q if type(q) is int else _canon(Fraction(q))
+        return Coeff(self, (q,) + (0,) * (self._dim - 1))
+
+    def generator(self):
+        if self._dim == 1:
+            # Phi_1 = x - 1, Phi_2 = x + 1: zeta is rational
+            return self.from_int(1 if self.level == 1 else -1)
+        return Coeff(self, (0, 1) + (0,) * (self._dim - 2))
+
+    def unit_group_exponent(self):
+        return self.level if self.level % 2 == 0 else 2 * self.level
+
+    def root_of_unity(self, n):
+        if n in (1, 2):
+            return super().root_of_unity(n)
+        big = self.unit_group_exponent()
+        if big % n != 0:
+            raise ZeroInput(f"no primitive {n}-th root in {self!r}")
+        zeta = self.generator()
+        if self.level % 2 == 1:
+            zeta = -(zeta ** ((self.level + 1) // 2))  # order 2N element
+        return zeta ** (big // n)
+
+    def multiplicative_order(self, c):
+        one = self.one()
+        for m in divisors(self.unit_group_exponent()):
+            if c ** m == one:
+                return m
+        return None
+
+    def is_zero(self, a):
+        return not any(a)
+
+    def add(self, a, b):
+        return _cyclo_map(add, a, b)
+
+    def neg(self, a):
+        return _cyclo_map(neg, a)
+
+    def sub(self, a, b):
+        return _cyclo_map(sub, a, b)
+
+    def mul(self, a, b):
+        d = self._dim
+        xs, dx = _cyclo_scaled(a)
+        ys, dy = _cyclo_scaled(b)
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(xs):
+            if x:
+                for j, y in enumerate(ys):
+                    if y:
+                        conv[i + j] += x * y
+        out = conv[:d]
+        table = self._reduce_table
+        for k in range(d, 2 * d - 1):
+            c = conv[k]
+            if c:
+                red = table[k - d]
+                for i, r in enumerate(red):
+                    if r:
+                        out[i] += c * r
+        return _cyclo_unscaled(out, dx * dy)
+
+    def inv(self, a):
+        """The payload v with a * v = 1 modulo Phi_N (monic, degree d).
+
+        With a = xs / den, M, the integer matrix of multiplication by xs
+        in the power basis, is solved against den * e_0 by fraction-free
+        elimination (Bareiss 1968): every division in the elimination is
+        exact, the last pivot is +-det(M), and back substitution yields
+        det(M) * v as integers, so det(M) is the one denominator the
+        result is divided by."""
+        xs, den = _cyclo_scaled(a)
+        phi = self._phi
+        d = self._dim
+        col = list(xs)
+        cols = [col]
+        for _ in range(d - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [x - top * c for x, c in zip(col, phi)]
+            cols.append(col)
+        rows = [list(r) for r in zip(*cols)]
+        for i, r in enumerate(rows):
+            r.append(den if i == 0 else 0)
+        prev = 1
+        for k in range(d):
+            piv = next((i for i in range(k, d) if rows[i][k]), None)
+            if piv is None:
+                raise DivisionByZero("element not invertible modulo Phi_N")
+            rows[k], rows[piv] = rows[piv], rows[k]
+            top = rows[k]
+            p = top[k]
+            for i in range(k + 1, d):
+                r = rows[i]
+                f = r[k]
+                r[k + 1:] = [(x * p - f * y) // prev
+                             for x, y in zip(r[k + 1:], top[k + 1:])]
+            prev = p
+        det = prev
+        sol = [0] * d
+        for i in range(d - 1, -1, -1):
+            r = rows[i]
+            s = det * r[d] - sum(r[j] * sol[j] for j in range(i + 1, d))
+            sol[i] = s // r[i]
+        return _cyclo_unscaled(sol, det)
+
+    def to_str(self, a):
+        name = f"z{self.level}"
+        parts = []
+        for e, q in enumerate(a):
+            if not q:
+                continue
+            if e == 0:
+                body = str(abs(q))
+            else:
+                mag = "" if abs(q) == 1 else f"{abs(q)}*"
+                body = f"{mag}{name}" + (f"^{e}" if e > 1 else "")
+            parts.append(("-" if q < 0 else "+") + body)
+        if not parts:
+            return "0"
+        out = "".join(parts)
+        return out[1:] if out.startswith("+") else out
+
+    def as_fraction(self, a):
+        return None if any(a[1:]) else Fraction(a[0])
+
+
+class _RatFuncs(FieldCtx):
+    """Q(params).  Payload: (numerator, denominator), two sparse integer
+    polynomials in the parameters, normalized by ``_ratfunc_normalize``
+    but not reduced by a gcd, so one value can have several payloads."""
+
+    __slots__ = ("params", "_one_den")
+    kind = RATFUNC
+
+    def __init__(self, params):
+        if len(set(params)) != len(params):
+            raise ValueError("duplicate parameter names")
+        self.params = params
+        self._one_den = _mp_const(1, len(params))
+
+    def __repr__(self):
+        return "Q(" + ",".join(self.params) + ")"
+
+    def from_fraction(self, q):
+        if type(q) is not int:
+            q = Fraction(q)
+        n = len(self.params)
+        return Coeff(self, (_mp_const(q.numerator, n),
+                            _mp_const(q.denominator, n)))
+
+    def param(self, name):
+        if name not in self.params:
+            raise UnassignedParameter(f"unknown parameter {name!r}")
+        i = self.params.index(name)
+        n = len(self.params)
+        key = tuple(1 if j == i else 0 for j in range(n))
+        return Coeff(self, ({key: 1}, _mp_const(1, n)))
+
+    def is_zero(self, a):
+        return not a[0]
+
+    def add(self, x, y):
+        (a, b), (c, d) = x, y
+        one = self._one_den
+        if b == d:
+            if b == one:
+                return _mp_add(a, c), one
+            if len(b) == 1:
+                return _ratfunc_normalize(_mp_add(a, c), b)
+        return _ratfunc_normalize(_mp_add(_mp_mul(a, d), _mp_mul(c, b)),
+                                  _mp_mul(b, d))
+
+    def neg(self, x):
+        return _mp_neg(x[0]), x[1]
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        one = self._one_den
+        if b == one and d == one:
+            return _mp_mul(a, c), one
+        return _ratfunc_normalize(_mp_mul(a, c), _mp_mul(b, d))
+
+    def inv(self, x):
+        return _ratfunc_normalize(x[1], x[0])
+
+    def eq(self, x, y):
+        (a, b), (c, d) = x, y
+        if b == d:
+            return a == c
+        return _mp_mul(a, d) == _mp_mul(c, b)
+
+    def to_str(self, x):
+        num, den = x
+        ns = _mp_to_str(num, self.params)
+        if den == self._one_den:
+            return ns
+        return f"({ns})/({_mp_to_str(den, self.params)})"
+
+    def is_constant(self, x):
+        """Equal to a rational constant?"""
+        num, den = x
+        one = self._one_den
+        return (not num or num.keys() == one.keys()) and den.keys() == one.keys()
+
+    def as_fraction(self, x):
+        if not self.is_constant(x):
+            return None
+        num, den = x
+        (key,) = den
+        return Fraction(num.get(key, 0), den[key])
+
+
+class _GaloisField(FieldCtx):
+    """GF(p^k).  Payload: a tuple of k ints in [0, p), the coordinates in
+    the power basis modulo the monic irreducible modulus."""
+
+    __slots__ = ("char", "modulus", "_dim", "_unit_order")
+    kind = GALOIS
+
+    def __init__(self, char, modulus):
+        if not (2 <= char <= 101) or not _is_prime(char):
+            raise ValueError("Galois characteristic must be a prime <= 101")
+        mod = _trim([c % char for c in modulus])
+        if len(mod) - 1 < 1 or len(mod) - 1 > 6:
+            raise ValueError("modulus degree must be between 1 and 6")
+        inv_lead = pow(mod[-1], char - 2, char)
+        mod = [c * inv_lead % char for c in mod]
+        if not _gf_irreducible(mod, char):
+            raise ValueError("modulus is reducible over GF(p)")
+        self.char = char
+        self.modulus = tuple(mod)
+        self._dim = len(mod) - 1
+        self._unit_order = char ** self._dim - 1
+
+    def __repr__(self):
+        return f"GF({self.char}^{self._dim})"
+
+    def from_fraction(self, q):
+        if type(q) is not int:
+            q = Fraction(q)
+        p = self.char
+        if q.denominator % p == 0:
+            raise DivisionByZero("denominator divisible by the characteristic")
+        val = q.numerator * pow(q.denominator, p - 2, p) % p
+        return Coeff(self, (val,) + (0,) * (self._dim - 1))
+
+    def generator(self):
+        if self._dim == 1:
+            raise CtxMismatch("prime field has no extension generator")
+        return Coeff(self, (0, 1) + (0,) * (self._dim - 2))
+
+    def units(self):
+        """Every nonzero element, in a fixed order."""
+        p, dim = self.char, self._dim
+        for code in range(1, p ** dim):
+            vec = []
+            c = code
+            for _ in range(dim):
+                vec.append(c % p)
+                c //= p
+            yield Coeff(self, tuple(vec))
+
+    def unit_group_exponent(self):
+        return self._unit_order
+
+    def root_of_unity(self, n):
+        if n in (1, 2):
+            return super().root_of_unity(n)
+        if self._unit_order % n != 0:
+            raise ZeroInput(f"no {n}-th root in {self!r}")
+        if self.char ** self._dim > 100000:
+            raise ZeroInput("field too large for exhaustive root search")
+        for c in self.units():
+            if c.multiplicative_order() == n:
+                return c
+        raise ZeroInput(f"no {n}-th root in {self!r}")
+
+    def multiplicative_order(self, c):
+        # the order divides p^k - 1
+        one = self.one()
+        n = self._unit_order
+        if c ** n != one:
+            return None
+        for p in _factorize(n):
+            while n % p == 0 and c ** (n // p) == one:
+                n //= p
+        return n
+
+    def is_zero(self, a):
+        return not any(a)
+
+    def add(self, a, b):
+        p = self.char
+        return tuple((x + y) % p for x, y in zip(a, b))
+
+    def neg(self, a):
+        p = self.char
+        return tuple((-x) % p for x in a)
+
+    def mul(self, a, b):
+        p = self.char
+        prod = _gf_mod(_gf_mul(a, b, p), self.modulus, p)
+        return tuple(prod + [0] * (self._dim - len(prod)))
+
+    def inv(self, a):
+        """a^(p^k - 2), the inverse of a nonzero a."""
+        p = self.char
+        out = _gf_powmod(a, self._unit_order - 1, self.modulus, p)
+        return tuple(out + [0] * (self._dim - len(out)))
+
+    def to_str(self, a):
+        parts = []
+        for e, v in enumerate(a):
+            if not v:
+                continue
+            if e == 0:
+                body = str(v)
+            else:
+                mag = "" if v == 1 else f"{v}*"
+                body = f"{mag}a" + (f"^{e}" if e > 1 else "")
+            parts.append("+" + body)
+        if not parts:
+            return "0"
+        return "".join(parts)[1:]
+
+    def as_fraction(self, a):
+        """None: no Fraction names an element of a Galois field."""
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +854,16 @@ def _is_prime(n):
 
 
 class Coeff:
-    """One exact field element, tagged with its context.
+    """One exact field element: a context and a payload.
 
-    Payloads by kind: a rational number | a tuple of rational numbers
-    (power basis mod Phi_N) | (numerator dict, denominator dict) |
-    tuple[int] (power basis mod the Galois modulus).  A rational number
-    in a result is an int when integral and otherwise a Fraction with
-    denominator > 1; ``Coeff(ctx, val)`` accepts any Rationals, and
-    ``as_fraction`` always answers with a Fraction.
+    ``ctx`` is the ``FieldCtx`` of the value, and its class owns the
+    payload format of ``val``: a rational number (``_Rationals``), a
+    coordinate tuple (``_Cyclotomics``, ``_GaloisField``) or a
+    (numerator, denominator) pair (``_RatFuncs``).  Each method coerces
+    its operand and makes one call on ``ctx``; every result is a ``Coeff``
+    in the same context.  ``Coeff(ctx, val)`` accepts any Rationals where
+    the payload holds rational numbers, and ``as_fraction`` always
+    answers with a Fraction or None.
     """
 
     __slots__ = ("ctx", "val")
@@ -635,12 +886,7 @@ class Coeff:
         return None
 
     def is_zero(self):
-        k = self.ctx.kind
-        if k == RATIONAL:
-            return not self.val
-        if k == RATFUNC:
-            return not self.val[0]
-        return not any(self.val)
+        return self.ctx.is_zero(self.val)
 
     def is_one(self):
         return (self - 1).is_zero()
@@ -654,105 +900,37 @@ class Coeff:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        k = self.ctx.kind
-        if k == RATIONAL:
-            return Coeff(self.ctx, _canon(self.val + other.val))
-        if k == CYCLOTOMIC:
-            return Coeff(self.ctx, _cyclo_map(add, self.val, other.val))
-        if k == RATFUNC:
-            return Coeff(self.ctx, _ratfunc_add(self.val, other.val,
-                                                self.ctx._one_den))
-        p = self.ctx.char
-        return Coeff(self.ctx, tuple((a + b) % p for a, b in zip(self.val, other.val)))
+        return Coeff(self.ctx, self.ctx.add(self.val, other.val))
 
     __radd__ = __add__
 
     def __neg__(self):
-        k = self.ctx.kind
-        if k == RATIONAL:
-            return Coeff(self.ctx, _canon(-self.val))
-        if k == CYCLOTOMIC:
-            return Coeff(self.ctx, _cyclo_map(neg, self.val))
-        if k == RATFUNC:
-            return Coeff(self.ctx, (_mp_neg(self.val[0]), self.val[1]))
-        p = self.ctx.char
-        return Coeff(self.ctx, tuple((-a) % p for a in self.val))
+        return Coeff(self.ctx, self.ctx.neg(self.val))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.ctx.kind == CYCLOTOMIC:
-            return Coeff(self.ctx, _cyclo_map(sub, self.val, other.val))
-        return self + (-other)
+        return Coeff(self.ctx, self.ctx.sub(self.val, other.val))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.ctx.kind == CYCLOTOMIC:
-            return Coeff(self.ctx, _cyclo_map(sub, other.val, self.val))
-        return other + (-self)
+        return Coeff(self.ctx, self.ctx.sub(other.val, self.val))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        k = self.ctx.kind
-        if k == RATIONAL:
-            return Coeff(self.ctx, _canon(self.val * other.val))
-        if k == CYCLOTOMIC:
-            return Coeff(self.ctx, self._cyclo_mul(other))
-        if k == RATFUNC:
-            return Coeff(self.ctx, _ratfunc_mul(self.val, other.val,
-                                                self.ctx._one_den))
-        return Coeff(self.ctx, self._gf_mul_reduced(other))
+        return Coeff(self.ctx, self.ctx.mul(self.val, other.val))
 
     __rmul__ = __mul__
 
-    def _cyclo_mul(self, other):
-        d = self.ctx._dim
-        xs, dx = _cyclo_scaled(self.val)
-        ys, dy = _cyclo_scaled(other.val)
-        conv = [0] * (2 * d - 1)
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    if b:
-                        conv[i + j] += a * b
-        out = conv[:d]
-        table = self.ctx._reduce_table
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                red = table[k - d]
-                for i, r in enumerate(red):
-                    if r:
-                        out[i] += c * r
-        return _cyclo_unscaled(out, dx * dy)
-
-    def _gf_mul_reduced(self, other):
-        p = self.ctx.char
-        prod = _gf_mul(list(self.val), list(other.val), p)
-        prod = _gf_mod(prod, list(self.ctx.modulus), p)
-        prod = prod + [0] * (self.ctx._dim - len(prod))
-        return tuple(prod)
-
     def inv(self):
-        if self.is_zero():
+        if self.ctx.is_zero(self.val):
             raise DivisionByZero("inverse of zero")
-        k = self.ctx.kind
-        if k == RATIONAL:
-            v = self.val
-            return Coeff(self.ctx, _canon(Fraction(v.denominator, v.numerator)))
-        if k == CYCLOTOMIC:
-            xs, den = _cyclo_scaled(self.val)
-            return Coeff(self.ctx, _cyclo_inverse(xs, den, self.ctx._phi))
-        if k == RATFUNC:
-            num, den = self.val
-            return Coeff(self.ctx, _ratfunc_normalize(den, num))
-        e = self.ctx._unit_order - 1
-        return self ** e if e else Coeff(self.ctx, self.val)
+        return Coeff(self.ctx, self.ctx.inv(self.val))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -784,12 +962,7 @@ class Coeff:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.ctx.kind == RATFUNC:
-            (a, b), (c, d) = self.val, other.val
-            if b == d:
-                return a == c
-            return _mp_mul(a, d) == _mp_mul(c, b)
-        return self.val == other.val
+        return self.ctx.eq(self.val, other.val)
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -800,7 +973,7 @@ class Coeff:
     __hash__ = None
 
     def __repr__(self):
-        return coeff_to_str(self)
+        return self.ctx.to_str(self.val)
 
     # -- field-specific queries -------------------------------------------------
 
@@ -808,51 +981,16 @@ class Coeff:
         """Least m >= 1 with self^m = 1, or None if not a root of unity."""
         if self.is_zero():
             raise ZeroInput("zero has no multiplicative order")
-        k = self.ctx.kind
-        one = self.ctx.one()
-        if k in (RATIONAL, RATFUNC):
-            if self == one:
-                return 1
-            if self == -one:
-                return 2
-            return None
-        if k == CYCLOTOMIC:
-            for m in divisors(self.ctx.unit_group_exponent()):
-                if self ** m == one:
-                    return m
-            return None
-        # Galois: order divides p^k - 1
-        n = self.ctx._unit_order
-        if self ** n != one:
-            return None
-        for p, e in _factorize(n).items():
-            while n % p == 0 and self ** (n // p) == one:
-                n //= p
-        return n
+        return self.ctx.multiplicative_order(self)
 
     def is_constant(self):
         """For rational-function values: equal to a rational constant?"""
-        if self.ctx.kind != RATFUNC:
-            return True
-        num, den = self.val
-        one = self.ctx._one_den
-        return (not num or num.keys() == one.keys()) and den.keys() == one.keys()
+        return self.ctx.is_constant(self.val)
 
     def as_fraction(self):
         """The Fraction this value equals, or None if it is not a rational
         number (or lives in a Galois field, where no Fraction names it)."""
-        k = self.ctx.kind
-        if k == RATIONAL:
-            return Fraction(self.val)
-        if k == CYCLOTOMIC:
-            return None if any(self.val[1:]) else Fraction(self.val[0])
-        if k == RATFUNC:
-            if not self.is_constant():
-                return None
-            num, den = self.val
-            (key,) = den
-            return Fraction(num.get(key, 0), den[key])
-        return None
+        return self.ctx.as_fraction(self.val)
 
     def specialize(self, assignment, target_ctx):
         """Evaluate a rational-function value by substituting parameters.
@@ -882,6 +1020,7 @@ def _mp_eval(poly, names, assignment, ctx):
                 term = term * (assignment[name] ** e)
         total = total + term
     return total
+
 
 
 # ---------------------------------------------------------------------------
@@ -1037,41 +1176,4 @@ def _mp_to_str(poly, names):
 
 def coeff_to_str(c):
     """Render a coefficient in the expression grammar (round-trippable)."""
-    k = c.ctx.kind
-    if k == RATIONAL:
-        return str(c.val)
-    if k == CYCLOTOMIC:
-        name = f"z{c.ctx.level}"
-        parts = []
-        for e, q in enumerate(c.val):
-            if not q:
-                continue
-            if e == 0:
-                body = str(abs(q))
-            else:
-                mag = "" if abs(q) == 1 else f"{abs(q)}*"
-                body = f"{mag}{name}" + (f"^{e}" if e > 1 else "")
-            parts.append(("-" if q < 0 else "+") + body)
-        if not parts:
-            return "0"
-        out = "".join(parts)
-        return out[1:] if out.startswith("+") else out
-    if k == RATFUNC:
-        num, den = c.val
-        ns = _mp_to_str(num, c.ctx.params)
-        if den == c.ctx._one_den:
-            return ns
-        return f"({ns})/({_mp_to_str(den, c.ctx.params)})"
-    parts = []
-    for e, v in enumerate(c.val):
-        if not v:
-            continue
-        if e == 0:
-            body = str(v)
-        else:
-            mag = "" if v == 1 else f"{v}*"
-            body = f"{mag}a" + (f"^{e}" if e > 1 else "")
-        parts.append("+" + body)
-    if not parts:
-        return "0"
-    return "".join(parts)[1:]
+    return c.ctx.to_str(c.val)

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, JSON report schema, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,27 @@ def test_ncpoly_expansion_ceiling():
     m2 = build_family(spec_m2(QQ, QQ.from_int(2), QQ.from_int(3)))
     i22, i11 = m2.names.index("X22"), m2.names.index("X11")
     assert parse_ncpoly("X22*X11^3", m2) == [(QQ.one(), (i22, i11, i11, i11))]
+
+
+def test_ncpoly_word_length_ceiling():
+    # parsing x^k builds k words of growing length, so a long power used to
+    # run for minutes before any check saw it
+    from orepi.cli import MAX_WORD_LENGTH
+    base = ["normalize", "--family", "QuantumPlane", "--q", "2", "--poly"]
+    t0 = time.perf_counter()
+    code, doc = run(base + ["y*x^200000"])
+    assert time.perf_counter() - t0 < 2
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    assert doc["checks"][0]["detail"].startswith("ParseError: ")
+    assert str(MAX_WORD_LENGTH) in doc["checks"][0]["detail"]
+    code, doc = run(base + [f"x^{MAX_WORD_LENGTH}"])
+    assert code == 0 and doc["checks"][0]["status"] == "pass"
+    code, doc = run(base + [f"x^{MAX_WORD_LENGTH + 1}"])
+    assert code == 1
+    assert doc["checks"][0]["detail"].startswith("ParseError: ")
+    with pytest.raises(ParseError, match=str(MAX_WORD_LENGTH)):
+        parse_f(f"t^{MAX_WORD_LENGTH + 1}", FieldCtx.rational())
 
 
 @pytest.mark.parametrize("argv", [

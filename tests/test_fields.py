@@ -13,7 +13,7 @@ from orepi.errors import (
     UnassignedParameter,
     ZeroInput,
 )
-from orepi.fields import cyclotomic_polynomial
+from orepi.fields import Coeff, cyclotomic_polynomial
 
 from conftest import random_coeff
 
@@ -29,6 +29,14 @@ def test_cyclotomic_polynomials_known_values():
     assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
     # prime p: all-ones of degree p-1
     assert cyclotomic_polynomial(7) == [1] * 7
+
+
+def test_cyclotomic_polynomials_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for n in range(1, 301):
+        ref = sympy.cyclotomic_poly(n, t, polys=True).all_coeffs()[::-1]
+        assert cyclotomic_polynomial(n) == [int(c) for c in ref], n
 
 
 def test_zeta4_squares_to_minus_one():
@@ -58,12 +66,21 @@ def test_ctx_mismatch(QQ, cyclo3):
         QQ.one() + cyclo3.one()
 
 
-@pytest.mark.parametrize("make_ctx", [
+# one context of every kind, then the edge cases: GF(2), whose unit group
+# has order 1, and Q(zeta_2), of dimension 1
+FIELDS = [
     lambda: FieldCtx.rational(),
     lambda: FieldCtx.cyclotomic(5),
     lambda: FieldCtx.rational_functions(("p", "q")),
     lambda: FieldCtx.galois(7, (3, 1, 1)),  # x^2 + x + 3 over GF(7)
-])
+    lambda: FieldCtx.galois_prime(2),
+    lambda: FieldCtx.galois(2, (1, 1, 0, 1)),  # x^3 + x + 1 over GF(2)
+    lambda: FieldCtx.galois_prime(13),
+    lambda: FieldCtx.cyclotomic(2),
+]
+
+
+@pytest.mark.parametrize("make_ctx", FIELDS)
 def test_field_axioms_randomized(make_ctx, rng):
     ctx = make_ctx()
     one = ctx.one()
@@ -77,8 +94,42 @@ def test_field_axioms_randomized(make_ctx, rng):
         assert a * (b + c) == a * b + a * c
         assert a + zero == a and a * one == a
         assert a - a == zero
+        assert (a - b).val == (a + (-b)).val
+        assert 1 - a == -(a - 1)
         if not a.is_zero():
             assert a * a.inv() == one
+        if not b.is_zero():
+            assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("make_ctx", FIELDS)
+def test_ring_results_stay_coeffs_of_the_operand_context(make_ctx, rng):
+    # the benchmark tracer counts operations on the Coeff class and reads
+    # the field kind from each operand's context
+    ctx = make_ctx()
+    for _ in range(20):
+        a = random_coeff(ctx, rng)
+        b = random_coeff(ctx, rng)
+        if b.is_zero():
+            b = ctx.one()
+        for x in (a + b, 1 + a, a - b, 1 - a, -a, a * b, 2 * a, b.inv(),
+                  a / b, 1 / b, a ** 3, b ** -2):
+            assert type(x) is Coeff and x.ctx is a.ctx
+
+
+@pytest.mark.parametrize("p,modulus", [(2, (0, 1)), (2, (1, 1, 1)),
+                                       (2, (1, 1, 0, 1)), (3, (1, 0, 1)),
+                                       (7, (3, 1, 1))],
+                         ids=["GF(2)", "GF(4)", "GF(8)", "GF(9)", "GF(49)"])
+def test_galois_inverse_is_a_power(p, modulus):
+    # the inverse is a^(p^k - 2); square-and-multiply in Coeff is the reference
+    ctx = FieldCtx.galois(p, modulus)
+    order = p ** (len(modulus) - 1)
+    units = list(ctx.units())
+    assert len(units) == order - 1
+    for a in units:
+        assert a.inv().val == (a ** (order - 2)).val
+        assert a * a.inv() == 1
 
 
 def test_root_of_unity_orders():
