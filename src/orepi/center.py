@@ -316,14 +316,14 @@ class AffineAuto:
         return out
 
     def compose(self, other):
-        """self after other: (self.compose(other))(f) = self(other(f))."""
-        imgs = [self.apply_poly(other.image(g)) for g in (0, 1)]
-        zero = self.ctx.zero()
-        lin = []
-        tr = []
-        for img in imgs:
-            lin.append((img.get((1, 0), zero), img.get((0, 1), zero)))
-            tr.append(img.get((0, 0), zero))
+        """self after other: (self.compose(other))(f) = self(other(f)), so
+        other's x -> b0 x + b1 y + u becomes b0 self(x) + b1 self(y) + u."""
+        (a00, a01), (a10, a11) = self.linear
+        t0, t1 = self.translation
+        lin = [(b0 * a00 + b1 * a10, b0 * a01 + b1 * a11)
+               for b0, b1 in other.linear]
+        tr = [b0 * t0 + b1 * t1 + u
+              for (b0, b1), u in zip(other.linear, other.translation)]
         return AffineAuto(self.ctx, lin, tr)
 
     def is_identity(self):

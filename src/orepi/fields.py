@@ -784,10 +784,11 @@ class _GaloisField(FieldCtx):
         return self._unit_order
 
     def root_of_unity(self, n):
-        if n in (1, 2):
-            return super().root_of_unity(n)
+        # checked before the shortcut: -1 = 1 in characteristic 2
         if self._unit_order % n != 0:
             raise ZeroInput(f"no {n}-th root in {self!r}")
+        if n in (1, 2):
+            return super().root_of_unity(n)
         if self.char ** self._dim > 100000:
             raise ZeroInput("field too large for exhaustive root search")
         for c in self.units():

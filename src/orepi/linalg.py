@@ -1,10 +1,11 @@
 """Exact linear algebra over the coefficient fields.
 
-Two small kernels: a sparse row-echelon span tracker (membership tests
-for the spanning checks and basis closure in the matrix laboratory) and
-a dense nullspace routine (fixed subspaces, multilinear identity
-search).  All arithmetic is exact; there is no pivoting heuristic beyond
-"first nonzero entry in a deterministic column order".
+One elimination routine, a sparse row-echelon span tracker.  It serves
+membership tests (the spanning checks and basis closure in the matrix
+laboratory) and, once its rows are back-reduced to the reduced row
+echelon form, kernels (fixed subspaces, multilinear identity search).
+All arithmetic is exact; there is no pivoting heuristic beyond "first
+nonzero entry in a deterministic column order".
 """
 
 
@@ -23,6 +24,17 @@ class SpanTracker:
     def _lead(self, row):
         return min(row, key=self.col_key)
 
+    @staticmethod
+    def _subtract(row, factor, pivot):
+        """row -= factor * pivot in place, dropping entries that vanish."""
+        for col, val in pivot.items():
+            cur = row.get(col)
+            upd = (cur - factor * val) if cur is not None else -(factor * val)
+            if upd.is_zero():
+                row.pop(col, None)
+            else:
+                row[col] = upd
+
     def reduce(self, row):
         """Residual of row against the current span (row unchanged)."""
         row = dict(row)
@@ -31,14 +43,7 @@ class SpanTracker:
             pivot = self.rows.get(lead)
             if pivot is None:
                 return row
-            factor = row[lead]
-            for col, val in pivot.items():
-                cur = row.get(col)
-                upd = (cur - factor * val) if cur is not None else -(factor * val)
-                if upd.is_zero():
-                    row.pop(col, None)
-                else:
-                    row[col] = upd
+            self._subtract(row, row[lead], pivot)
         return row
 
     def insert(self, row):
@@ -58,44 +63,39 @@ class SpanTracker:
     def rank(self):
         return len(self.rows)
 
+    def kernel(self, ncols, ctx):
+        """Kernel basis of the inserted rows over columns 0 .. ncols-1.
+
+        The stored rows are copied and back-reduced, last pivot first,
+        into the reduced row echelon form, unique for the row space
+        (col_key must order the columns as integers).  Each free column
+        f, ascending, gives one vector: 1 at f and, at each pivot column,
+        minus that reduced row's entry at f.
+        """
+        reduced = {}
+        for lead in sorted(self.rows, key=self.col_key, reverse=True):
+            row = dict(self.rows[lead])
+            # a reduced row has no entry at any other pivot column, so
+            # clearing one column of row leaves the others untouched
+            for col in [c for c in row if c != lead and c in reduced]:
+                self._subtract(row, row[col], reduced[col])
+            reduced[lead] = row
+        zero, one = ctx.zero(), ctx.one()
+        basis = []
+        for free in range(ncols):
+            if free not in reduced:
+                vec = [zero] * ncols
+                vec[free] = one
+                for lead, row in reduced.items():
+                    if free in row:
+                        vec[lead] = -row[free]
+                basis.append(vec)
+        return basis
+
 
 def dense_kernel(rows, ncols, ctx):
-    """Basis of the right kernel of the matrix given by ``rows``.
-
-    rows: list of length-ncols lists of Coeff.  Returns a list of
-    length-ncols Coeff vectors spanning {v : A v = 0}.
-    """
-    mat = [list(r) for r in rows]
-    pivots = []  # (row index, col index)
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if not mat[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c].inv()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == len(mat):
-            break
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    zero, one = ctx.zero(), ctx.one()
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [zero] * ncols
-        vec[free] = one
-        for ri, ci in pivots:
-            vec[ci] = -mat[ri][free]
-        basis.append(vec)
-    return basis
+    """SpanTracker.kernel of the row space of ``rows`` (ncols Coeffs each)."""
+    tracker = SpanTracker(col_key=lambda k: k)
+    for r in rows:
+        tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
+    return tracker.kernel(ncols, ctx)

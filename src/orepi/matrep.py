@@ -12,10 +12,10 @@ indices.  So it multiplies each of the dim^d words once, as its prefix
 times its last letter, into a dict that lives for one call.  The rows
 (one per tuple and matrix cell) then only look their entries up; they
 stream through a SpanTracker, which keeps the independent ones and
-stops as soon as they span every column (the kernel is then {0}).  The
-reduced row echelon form of a row space is unique, so the kernel basis
-that dense_kernel computes from those few rows is the one the full
-system gives.
+stops as soon as they span every column (the kernel is then {0}).
+Otherwise the kernel is read from that tracker's rows.  The reduced row
+echelon form of a row space is unique, so the kernel basis those few
+rows give is the one the full system gives.
 """
 
 from collections import deque
@@ -27,7 +27,7 @@ from .errors import (
     NotPrimitiveRoot,
     SizeMismatch,
 )
-from .linalg import SpanTracker, dense_kernel
+from .linalg import SpanTracker
 
 
 def mat_identity(n, ctx):
@@ -212,8 +212,8 @@ def multilinear_identity_search(alg, d):
     of length d over the basis indices; the dim^d words are multiplied
     once each, prefix times last letter, into a dict that lives for
     this call.  Nonzero rows stream through a SpanTracker, which stops
-    early once they span all d! columns; only its independent rows go
-    to dense_kernel, whose result depends on the row space alone.
+    early once they span all d! columns; otherwise the kernel basis is
+    SpanTracker.kernel of its rows, which depends on the row space alone.
     """
     if d < 1:
         raise DegreeTooSmall("degree must be at least 1")
@@ -235,8 +235,4 @@ def multilinear_identity_search(alg, d):
                    if not m[r][c].is_zero()}
             if row and tracker.insert(row) and tracker.rank == ncols:
                 return IdentitySpace(d, perms, [], alg.ctx)
-    zero = alg.ctx.zero()
-    rows = [[row.get(k, zero) for k in range(ncols)]
-            for row in tracker.rows.values()]
-    kernel = dense_kernel(rows, ncols, alg.ctx)
-    return IdentitySpace(d, perms, kernel, alg.ctx)
+    return IdentitySpace(d, perms, tracker.kernel(ncols, alg.ctx), alg.ctx)

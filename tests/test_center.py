@@ -35,6 +35,8 @@ from orepi.errors import (
 )
 from orepi.rewrite import gen_poly
 
+from conftest import random_coeff
+
 
 def test_z_central_in_uqb2_symbolic(rat_q):
     U = build_family(spec_uqb2(rat_q, rat_q.param("q")))
@@ -151,6 +153,31 @@ def test_gwa_order_errors(QQ):
         gwa_auto_order(QQ, i(1), i(0), i(0))
     with pytest.raises(RootsRequired):
         gwa_auto_order(QQ, i(1), i(1), i(0))  # discriminant 5
+
+
+@pytest.mark.parametrize("make_ctx", [
+    FieldCtx.rational,
+    lambda: FieldCtx.cyclotomic(12),
+    lambda: FieldCtx.galois_prime(13),
+    lambda: FieldCtx.rational_functions(("q",)),
+], ids=["Q", "Q(z12)", "GF(13)", "Q(q)"])
+def test_affine_compose_is_substitution(make_ctx, rng):
+    ctx = make_ctx()
+
+    def rand_auto():
+        while True:
+            lin = [[random_coeff(ctx, rng) for _ in range(2)]
+                   for _ in range(2)]
+            (a, b), (c, d) = lin
+            if not (a * d - b * c).is_zero():
+                return AffineAuto(ctx, lin, [random_coeff(ctx, rng)
+                                             for _ in range(2)])
+
+    for _ in range(15):
+        a, b = rand_auto(), rand_auto()
+        f = {(i, j): random_coeff(ctx, rng)
+             for i in range(3) for j in range(3 - i)}
+        assert a.compose(b).apply_poly(f) == a.apply_poly(b.apply_poly(f))
 
 
 def _same_roots(a, b):

@@ -181,6 +181,22 @@ def test_galois_every_nonzero_is_root_of_unity(rng):
         assert m is not None and 24 % m == 0
 
 
+def test_galois_square_root_of_unity_needs_odd_characteristic():
+    # -1 = 1 in characteristic 2, and 2 does not divide 2^k - 1
+    for ctx in (FieldCtx.galois_prime(2),
+                FieldCtx.galois(2, (1, 1, 0, 1)),      # x^3 + x + 1
+                FieldCtx.galois(2, (1, 1, 0, 0, 1))):  # x^4 + x + 1
+        assert ctx.root_of_unity(1) == ctx.one()
+        with pytest.raises(ZeroInput):
+            ctx.root_of_unity(2)
+        with pytest.raises(ZeroInput):
+            parse_coeff("z2", ctx)
+    for ctx in (FieldCtx.galois_prime(3), FieldCtx.galois(7, (3, 1, 1))):
+        z2 = ctx.root_of_unity(2)
+        assert z2 == ctx.from_int(-1) and z2.multiplicative_order() == 2
+        assert parse_coeff("z2", ctx) == z2
+
+
 def test_galois_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         FieldCtx.galois(3, (-1, 0, 1))  # x^2 - 1 = (x-1)(x+1)

@@ -1,0 +1,155 @@
+"""Exact kernels: SpanTracker.kernel and dense_kernel against a dense
+Gauss-Jordan reference."""
+
+import pytest
+
+from orepi import FieldCtx, coeff_to_str
+from orepi.linalg import SpanTracker, dense_kernel
+
+from conftest import random_coeff
+
+FIELDS = [
+    pytest.param(FieldCtx.rational, id="Q"),
+    pytest.param(lambda: FieldCtx.cyclotomic(12), id="Q(z12)"),
+    pytest.param(lambda: FieldCtx.galois_prime(13), id="GF(13)"),
+    pytest.param(lambda: FieldCtx.rational_functions(("q",)), id="Q(q)"),
+]
+
+
+def gauss_jordan_kernel(rows, ncols, ctx):
+    """Reference: dense Gauss-Jordan elimination over the columns in
+    order, then one kernel vector per free column, ascending."""
+    mat = [list(r) for r in rows]
+    pivots = []  # (row index, col index)
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(mat)):
+            if not mat[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c].inv()
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and not mat[i][c].is_zero():
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == len(mat):
+            break
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    zero, one = ctx.zero(), ctx.one()
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [zero] * ncols
+        vec[free] = one
+        for ri, ci in pivots:
+            vec[ci] = -mat[ri][free]
+        basis.append(vec)
+    return basis
+
+
+def tracker_kernel(rows, ncols, ctx):
+    """The kernel from a tracker fed the rows last first: the reduced
+    echelon form, and so the basis, depends on the row space alone."""
+    tracker = SpanTracker(col_key=lambda k: k)
+    for r in reversed(rows):
+        tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
+    return tracker.kernel(ncols, ctx)
+
+
+def assert_same_basis(got, want):
+    """Equal entry for entry, payloads included.  A Q(params) payload
+    keeps polynomial common factors (only integer and monomial content
+    is stripped), so there equal values may be stored differently and
+    only the values are compared."""
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert len(u) == len(v)
+        for a, b in zip(u, v):
+            assert a == b
+            if a.ctx.kind != "ratfunc":
+                assert a.val == b.val
+                assert coeff_to_str(a) == coeff_to_str(b)
+
+
+def assert_annihilates(basis, rows, ctx):
+    for vec in basis:
+        for r in rows:
+            acc = ctx.zero()
+            for a, b in zip(r, vec):
+                acc = acc + a * b
+            assert acc.is_zero()
+
+
+def random_system(ctx, rng, ncols, rank, nrows):
+    """nrows random combinations of rank random rows, with zero rows and
+    zero combination coefficients mixed in."""
+    base = [[random_coeff(ctx, rng) for _ in range(ncols)]
+            for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        row = [ctx.zero()] * ncols
+        for b in base:
+            c = ctx.from_int(rng.randint(-2, 2))
+            row = [x + c * y for x, y in zip(row, b)]
+        rows.append(row)
+    return rows
+
+
+def check(rows, ncols, ctx):
+    want = gauss_jordan_kernel(rows, ncols, ctx)
+    assert_same_basis(tracker_kernel(rows, ncols, ctx), want)
+    assert_same_basis(dense_kernel(rows, ncols, ctx), want)
+    assert_annihilates(want, rows, ctx)
+    return want
+
+
+@pytest.mark.parametrize("make_ctx", FIELDS)
+def test_empty_and_zero_rows(make_ctx):
+    ctx = make_ctx()
+    for ncols in range(4):
+        for nrows in (0, 1, 3):
+            basis = check([[ctx.zero()] * ncols] * nrows, ncols, ctx)
+            assert len(basis) == ncols
+
+
+@pytest.mark.parametrize("make_ctx", FIELDS)
+def test_full_rank_has_trivial_kernel(make_ctx):
+    ctx = make_ctx()
+    i = ctx.from_int
+    # upper unitriangular, so independent in every characteristic
+    rows = [[i(1), i(2), i(3)], [i(0), i(1), i(5)], [i(0), i(0), i(1)]]
+    assert check(rows, 3, ctx) == []
+    assert check(rows[::-1] + rows, 3, ctx) == []
+
+
+@pytest.mark.parametrize("make_ctx", FIELDS)
+def test_random_rank_deficient_systems(make_ctx, rng):
+    ctx = make_ctx()
+    for _ in range(25):
+        ncols = rng.randint(1, 5)
+        rank = rng.randint(0, ncols)
+        nrows = rng.randint(0, ncols + 2)
+        rows = random_system(ctx, rng, ncols, rank, nrows)
+        basis = check(rows, ncols, ctx)
+        assert len(basis) >= ncols - rank
+
+
+@pytest.mark.parametrize("make_ctx", FIELDS)
+def test_kernel_leaves_the_tracker_unchanged(make_ctx, rng):
+    ctx = make_ctx()
+    rows = random_system(ctx, rng, 5, 3, 4)
+    tracker = SpanTracker(col_key=lambda k: k)
+    for r in rows:
+        tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
+    before = {lead: dict(row) for lead, row in tracker.rows.items()}
+    first = tracker.kernel(5, ctx)
+    assert tracker.rows == before
+    assert_same_basis(tracker.kernel(5, ctx), first)
