@@ -13,6 +13,7 @@ from math import isqrt, lcm
 
 from .errors import (
     BetaZero,
+    DegreeTooSmall,
     HypothesisNotMet,
     NonConfluentPresentation,
     PreconditionViolation,
@@ -615,13 +616,16 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
 
 def irreducible_words(p, max_len):
     """All rule-irreducible words of length <= max_len, shortest first."""
-    lhss = [r.lhs for r in p.rules]
+    # a frontier word is irreducible, so a redex of w + (g,) ends at g
+    ending_at = [[] for _ in p.names]
+    for r in p.rules:
+        ending_at[r.lhs[-1]].append(r.lhs)
     out = [()]
     frontier = [()]
     for _ in range(max_len):
         new = []
         for w in frontier:
-            for g in range(len(p.names)):
+            for g, lhss in enumerate(ending_at):
                 cand = w + (g,)
                 if any(cand[-len(l):] == l for l in lhss if len(l) <= len(cand)):
                     continue
@@ -654,12 +658,18 @@ def spanning_check(p, centrals, caps, degree=None):
 
     centrals: CentralSet (each element must actually be central); caps:
     dict generator name -> exponent bound for the residual monomials;
-    degree: total-degree bound (default 2 * max cap + 2).  Exact linear
-    algebra over the coefficient field decides membership; the result is
-    the executable form of "finitely generated as a module over the
-    central subalgebra generated by ...".  A generator without a cap, or a
-    cap for a name that is no generator, raises PreconditionViolation
-    naming every such name.
+    degree: total-degree bound, at least 0 (default 2 * max cap + 2).
+    Exact linear algebra over the coefficient field decides membership;
+    the result is the executable form of "finitely generated as a module
+    over the central subalgebra generated by ...".  A generator without a
+    cap, or a cap for a name that is no generator, raises
+    PreconditionViolation naming every such name; a negative degree
+    raises DegreeTooSmall.
+
+    Every central is verified with is_central first, and the rows rely on
+    it: the row of a central product c at a residual word g*m is g times
+    its row at m, since c*g*m = g*c*m, so each row costs one left
+    multiplication by a generator.
     """
     missing = [name for name in p.names if name not in caps]
     if missing:
@@ -671,47 +681,42 @@ def spanning_check(p, centrals, caps, degree=None):
                                     + ", ".join(unknown))
     if degree is None:
         degree = 2 * max(caps.values()) + 2
+    if degree < 0:
+        raise DegreeTooSmall(f"spanning degree must be at least 0, got {degree}")
     if not p.is_confluent():
         raise NonConfluentPresentation(p.family or "custom")
     with product_memo():
         return _spanning_check(p, centrals, caps, degree)
 
 
-def _spanning_check(p, centrals, caps, degree):
-    for name, el in centrals:
-        ok, witness = is_central(p, el)
-        if not ok:
-            raise HypothesisNotMet(f"{name} is not central (fails at "
-                                   f"generator {witness[0]})")
-    # 1 is in the product pool already, so dropping the constant terms of
-    # the centrals keeps the generated subalgebra; without them each
-    # central has positive minimal degree and the degree caps below end the
-    # walk (a constant term would stall them forever)
+def _min_deg(poly):
+    return min((len(w) for w in poly.terms), default=0)
+
+
+def central_products(p, centrals, degree):
+    """The products of the centrals that the spanning check multiplies
+    the residual monomials by, 1 excluded, in the order it uses them.
+
+    1 is in the module's span already, so dropping the constant terms of
+    the centrals keeps the generated subalgebra; without them each
+    central has positive minimal degree, and the walk's degree caps end
+    it (a constant term would stall them forever).
+    """
     elements = [NCPoly({w: c for w, c in el.terms.items() if w})
                 for _, el in centrals]
     elements = [el for el in elements if not el.is_zero()]
-    cap_by_index = [caps[name] for name in p.names]
-    words = irreducible_words(p, degree)
-    residuals = [w for w in words
-                 if all(w.count(g) < cap_by_index[g] for g in range(len(p.names)))]
-
-    def min_deg(poly):
-        return min((len(w) for w in poly.terms), default=0)
-
-    one = p.ctx.one()
-    unit = NCPoly.monomial(one, ())
     n_cent = len(elements)
-    cent_min = [min_deg(el) for el in elements]
-    products = [("1", unit)]
+    cent_min = [_min_deg(el) for el in elements]
+    products = []
     seen = {(0,) * n_cent}
-    stack = [((0,) * n_cent, unit)]
-    # product pool: grow an exponent vector only while the accumulated
-    # minimal degrees fit the bound; for homogeneous centrals this is
-    # exactly "product degree <= degree", and it keeps the powers of
-    # non-homogeneous centrals (whose minimal degree can stall) finite
+    stack = [((0,) * n_cent, NCPoly.monomial(p.ctx.one(), ()))]
+    # grow an exponent vector only while the accumulated minimal degrees
+    # fit the bound; for homogeneous centrals this is exactly "product
+    # degree <= degree", and it keeps the powers of non-homogeneous
+    # centrals (whose minimal degree can stall) finite
     while stack:
         expo, poly = stack.pop()
-        base = min_deg(poly)
+        base = _min_deg(poly)
         for k in range(n_cent):
             # the formal-degree cap terminates the walk even when the
             # actual minimal degree of powers stalls below the bound
@@ -725,23 +730,45 @@ def _spanning_check(p, centrals, caps, degree):
             if new_expo in seen:
                 continue
             new_poly = multiply(p, poly, elements[k])
-            if new_poly.is_zero() or min_deg(new_poly) > degree:
+            if new_poly.is_zero() or _min_deg(new_poly) > degree:
                 continue
             seen.add(new_expo)
-            products.append((str(new_expo), new_poly))
+            products.append(new_poly)
             stack.append((new_expo, new_poly))
+    return products
 
+
+def _spanning_check(p, centrals, caps, degree):
+    for name, el in centrals:
+        ok, witness = is_central(p, el)
+        if not ok:
+            raise HypothesisNotMet(f"{name} is not central (fails at "
+                                   f"generator {witness[0]})")
+    cap_by_index = [caps[name] for name in p.names]
+    words = irreducible_words(p, degree)
+    residuals = [w for w in words
+                 if all(w.count(g) < cap_by_index[g] for g in range(len(p.names)))]
+    one = p.ctx.one()
     tracker = SpanTracker(col_key=p.order_key)
+    by_length = [[] for _ in range(degree + 1)]
     for m in residuals:
         tracker.insert({m: one})
-    for _, cpoly in products[1:]:
-        base = min_deg(cpoly)
-        for m in residuals:
-            if base + len(m) > degree:
-                continue
-            row = multiply(p, cpoly, NCPoly.monomial(one, m))
-            if not row.is_zero():
-                tracker.insert(row.terms)
-    missing = [w for w in words if len(w) <= degree
-               and not tracker.contains({w: one})]
+        by_length[len(m)].append(m)
+    gens = [NCPoly.monomial(one, (g,)) for g in range(len(p.names))]
+    for cpoly in central_products(p, centrals, degree):
+        # cpoly is central, so its row at g*m is g times its row at m: the
+        # residuals are closed under suffixes, and each length needs only
+        # the rows one letter shorter
+        rows = {(): cpoly}
+        for n in range(degree - _min_deg(cpoly) + 1):
+            if n:
+                rows = {m: multiply(p, gens[m[0]], rows[m[1:]])
+                        for m in by_length[n]}
+            for m in by_length[n]:
+                if not rows[m].is_zero():
+                    tracker.insert(rows[m].terms)
+    # every residual went in as a unit row
+    spanned = set(residuals)
+    missing = [w for w in words
+               if w not in spanned and not tracker.contains({w: one})]
     return SpanningReport(not missing, missing, degree, dict(caps), tracker.rank)

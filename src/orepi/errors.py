@@ -100,7 +100,7 @@ class DegreeTooLarge(OrepiError):
 
 
 class DegreeTooSmall(OrepiError):
-    """Multilinear search degree below 1."""
+    """Multilinear search degree below 1, or spanning degree below 0."""
 
 
 class ParametersRequired(OrepiError):

@@ -50,12 +50,16 @@ computed.
   operand's denominator and numerator, never ``1 / v``, which is a float
   when v is an int.
 - Cyclotomics: sums and differences add coordinates and canonicalize
-  only when some coordinate is not an ``int``.  A product scales each
-  operand to integers over its common denominator, convolves and
-  reduces over the integers, and divides by the denominator once at the
-  end.  An inverse solves M v = den e_0 over the integers, M being the
-  matrix of multiplication by the scaled operand, by fraction-free
-  (Bareiss) elimination, and divides by the determinant once.
+  only when some coordinate is not an ``int``.  An operand with no
+  coordinate past the first is a rational scalar: a product with one
+  scales the other operand coordinatewise (0 gives the zero tuple, +-1
+  a canonical copy or negation), and its inverse is a rational inverse.
+  Any other product scales each operand to integers over its common
+  denominator, convolves and reduces over the integers, and divides by
+  the denominator once at the end.  Any other inverse solves
+  M v = den e_0 over the integers, M being the matrix of multiplication
+  by the scaled operand, by fraction-free (Bareiss) elimination, and
+  divides by the determinant once.
 - Galois fields: an inverse is the power a^(p^k - 2), computed by the
   same ``_gf_powmod`` that decides irreducibility.
 - Every kind: operands whose context is the same object skip the
@@ -63,8 +67,9 @@ computed.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
-from operator import add, attrgetter, neg, sub
+from operator import add, attrgetter, mul, neg, pos, sub
 
 from .errors import (
     CtxMismatch,
@@ -558,6 +563,11 @@ class _Cyclotomics(FieldCtx):
         return _cyclo_map(sub, a, b)
 
     def mul(self, a, b):
+        if any(a[1:]):
+            if not any(b[1:]):
+                return self._scalar_mul(b[0], a)
+        else:
+            return self._scalar_mul(a[0], b)
         d = self._dim
         xs, dx = _cyclo_scaled(a)
         ys, dy = _cyclo_scaled(b)
@@ -578,6 +588,16 @@ class _Cyclotomics(FieldCtx):
                         out[i] += c * r
         return _cyclo_unscaled(out, dx * dy)
 
+    def _scalar_mul(self, s, vec):
+        """The payload of the rational s times vec, coordinatewise."""
+        if not s:
+            return (0,) * self._dim
+        if s == 1:
+            return _cyclo_map(pos, vec)
+        if s == -1:
+            return _cyclo_map(neg, vec)
+        return _cyclo_map(partial(mul, s), vec)
+
     def inv(self, a):
         """The payload v with a * v = 1 modulo Phi_N (monic, degree d).
 
@@ -586,7 +606,11 @@ class _Cyclotomics(FieldCtx):
         elimination (Bareiss 1968): every division in the elimination is
         exact, the last pivot is +-det(M), and back substitution yields
         det(M) * v as integers, so det(M) is the one denominator the
-        result is divided by."""
+        result is divided by.  A rational a is inverted as a rational."""
+        if not any(a[1:]):
+            q = a[0]
+            return (_canon(Fraction(q.denominator, q.numerator)),) \
+                + (0,) * (self._dim - 1)
         xs, den = _cyclo_scaled(a)
         phi = self._phi
         d = self._dim

@@ -8,17 +8,20 @@ All arithmetic is exact; there is no pivoting heuristic beyond "first
 nonzero entry in a deterministic column order".
 """
 
+from functools import lru_cache
+
 
 class SpanTracker:
     """Incremental row space over an exact field.
 
     Rows are sparse dicts column -> Coeff.  Columns are ordered by a
-    caller-supplied sort key; each stored row is normalized with leading
-    coefficient 1 at its leading (smallest-key) column.
+    caller-supplied sort key, computed once per column and tracker; each
+    stored row is normalized with leading coefficient 1 at its leading
+    (smallest-key) column.
     """
 
     def __init__(self, col_key):
-        self.col_key = col_key
+        self.col_key = lru_cache(maxsize=None)(col_key)
         self.rows = {}  # leading column -> row dict
 
     def _lead(self, row):

@@ -1,6 +1,7 @@
 """Centrality, candidate sets, automorphism order, fixed rings, spanning."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -17,25 +18,37 @@ from orepi import (
     is_central,
     multiply,
     spanning_check,
+    spec_bh,
     spec_bqf,
     spec_downup,
     spec_hpq,
     spec_m2,
     spec_quantum_plane,
+    spec_three_cyclic,
     spec_uqb2,
+    spec_weyl,
 )
-from orepi.center import downup_phi, exact_sqrt, irreducible_words
+from orepi.center import (
+    central_products,
+    downup_phi,
+    exact_sqrt,
+    irreducible_words,
+)
+from orepi.cli import run_command
 from orepi.errors import (
     BetaZero,
+    DegreeTooSmall,
     HypothesisNotMet,
     NonConfluentPresentation,
     PreconditionViolation,
     RootsRequired,
     TrivialCenter,
 )
+from orepi.linalg import SpanTracker
 from orepi.rewrite import gen_poly
 
 from conftest import random_coeff
+from test_rewrite import confluent_zoo
 
 
 def test_z_central_in_uqb2_symbolic(rat_q):
@@ -315,6 +328,48 @@ def test_downup_trivial_center(QQ):
 # -- spanning ----------------------------------------------------------------
 
 
+def _brute_force_words(p, max_len):
+    """Every word of length <= max_len in which no left-hand side occurs,
+    shortest first and lexicographic within a length."""
+    lhss = [r.lhs for r in p.rules]
+    return [w for n in range(max_len + 1)
+            for w in product(range(len(p.names)), repeat=n)
+            if not any(w[s:s + len(l)] == l
+                       for l in lhss for s in range(len(w)))]
+
+
+def _reference_spanning(p, centrals, caps, degree):
+    """(ok, rank, missing, degree) with each row straightened from
+    scratch: multiply(p, c, m) for every central product c and every
+    residual monomial m, and every word swept for membership."""
+    one = p.ctx.one()
+    cap = [caps[name] for name in p.names]
+    words = _brute_force_words(p, degree)
+    residuals = [w for w in words
+                 if all(w.count(g) < cap[g] for g in range(len(p.names)))]
+    tracker = SpanTracker(col_key=p.order_key)
+    for m in residuals:
+        tracker.insert({m: one})
+    for cpoly in central_products(p, centrals, degree):
+        base = min(map(len, cpoly.terms))
+        for m in residuals:
+            if base + len(m) > degree:
+                continue
+            row = multiply(p, cpoly, NCPoly.monomial(one, m))
+            if not row.is_zero():
+                tracker.insert(row.terms)
+    missing = [w for w in words if not tracker.contains({w: one})]
+    return not missing, tracker.rank, missing, degree
+
+
+def _same_report(p, cs, caps, degree):
+    r = spanning_check(p, cs, caps, degree)
+    assert (r.ok, r.rank, r.missing, r.degree) == \
+        _reference_spanning(p, cs, caps, degree)
+    assert r.caps == caps
+    return r
+
+
 def test_irreducible_words_downup(QQ):
     p = build_family(spec_downup(QQ, QQ.from_int(2), QQ.from_int(-1),
                                  QQ.one()))
@@ -328,11 +383,58 @@ def test_irreducible_words_downup(QQ):
                        for l in lhss for s in range(len(w)))
 
 
+@pytest.mark.parametrize("p", confluent_zoo(FieldCtx.rational()),
+                         ids=lambda p: p.family)
+def test_irreducible_words_brute_force(p):
+    assert irreducible_words(p, 6) == _brute_force_words(p, 6)
+
+
 def test_spanning_h_at_roots(cyclo3):
     spec = spec_hpq(cyclo3, cyclo3.from_int(-1), cyclo3.generator())
     p = build_family(spec)
     cs = central_candidates(spec)
-    assert spanning_check(p, cs, {"x": 6, "y": 6, "t": 2}, degree=8).ok
+    assert _same_report(p, cs, {"x": 6, "y": 6, "t": 2}, 8).ok
+
+
+def _root_specs(ctx, q):
+    """Each family with a candidate table, at the root of unity q."""
+    i = ctx.from_int
+    one = ctx.one()
+    lam = ((one, one), (one, one))
+    specs = [spec_quantum_plane(ctx, q), spec_m2(ctx, q, q), spec_bh(ctx, q),
+             spec_bqf(ctx, q, (one,)), spec_weyl(ctx, (q, q), lam),
+             spec_weyl(ctx, (q, q), lam, variant="aj"),
+             spec_downup(ctx, i(0), one, i(0))]
+    if q ** 2 != one:
+        specs += [spec_hpq(ctx, i(-1), q),
+                  spec_three_cyclic(ctx, q, one, i(2), i(3))]
+    if q ** 3 == one:
+        # roots of t^2 + t + 1, the cube roots of unity other than 1
+        specs.append(spec_downup(ctx, i(-1), i(-1), i(0)))
+    if q ** 5 == one:
+        specs.append(spec_uqb2(ctx, q))
+    return specs
+
+
+def _root_cases():
+    c3, c5 = FieldCtx.cyclotomic(3), FieldCtx.cyclotomic(5)
+    QQ, g7 = FieldCtx.rational(), FieldCtx.galois_prime(7)
+    g11 = FieldCtx.galois_prime(11)
+    cases = []
+    for ctx, q in ((c3, c3.generator()), (c5, c5.generator()),
+                   (QQ, QQ.from_int(-1)), (g7, g7.from_int(2)),
+                   (g11, g11.from_int(3))):
+        for k, spec in enumerate(_root_specs(ctx, q)):
+            cases.append(pytest.param(spec, id=f"{spec.family}{k}-{ctx!r}"))
+    return cases
+
+
+@pytest.mark.parametrize("spec", _root_cases())
+def test_spanning_rows_match_rows_from_scratch(spec):
+    cs = central_candidates(spec)
+    caps = cs.caps
+    degree = min(2 * max(caps.values()), 6)
+    _same_report(build_family(spec), cs, caps, degree)
 
 
 def test_spanning_fails_without_centrals(rat_q):
@@ -355,7 +457,7 @@ def test_spanning_negative_for_infinite_order_downup(QQ):
     p = build_family(spec)
     cs = downup_center_generators(spec)
     for cap in (2, 3, 4):
-        r = spanning_check(p, cs, {"u": cap, "d": cap}, degree=6)
+        r = _same_report(p, cs, {"u": cap, "d": cap}, 6)
         assert not r.ok
 
 
@@ -386,14 +488,30 @@ def test_default_degree_is_twice_cap_plus_two(rat_q):
     assert r.degree == 6
 
 
+def test_spanning_negative_degree_is_typed(cyclo3):
+    spec = spec_hpq(cyclo3, cyclo3.from_int(-1), cyclo3.generator())
+    p = build_family(spec)
+    cs = central_candidates(spec)
+    caps = {"x": 6, "y": 6, "t": 2}
+    with pytest.raises(DegreeTooSmall):
+        spanning_check(p, cs, caps, degree=-1)
+    r = spanning_check(p, cs, caps, degree=0)
+    assert r.ok and r.rank == 1 and r.degree == 0
+    code, doc = run_command(["spanning", "--family", "Hpq", "--field",
+                             "cyclo:3", "--params", "p=-1,q=z3", "--caps",
+                             "x=6,y=6,t=2", "--degree", "-1"])
+    assert code == 1
+    assert doc["checks"][0]["status"] == "error"
+    assert doc["checks"][0]["detail"].startswith("DegreeTooSmall")
+
+
 def test_spanning_with_constant_terms_in_centrals(QQ, cyclo3):
     # B_q(f) with f = 1 at q = -1: the candidates include f(u) = f(v) = 1,
     # whose constant terms used to stall the product walk forever
     spec = spec_bqf(QQ, QQ.from_int(-1), (QQ.one(),))
     cs = central_candidates(spec)
     assert ("f(u)", NCPoly.monomial(QQ.one(), ())) in cs.elements
-    r = spanning_check(build_family(spec), cs, {"u": 2, "v": 2, "w": 2},
-                       degree=4)
+    r = _same_report(build_family(spec), cs, {"u": 2, "v": 2, "w": 2}, 4)
     assert r.ok and r.rank == 35
     # a central with a constant term spans what it spans without it
     p = build_family(spec_quantum_plane(cyclo3, cyclo3.generator()))
@@ -402,8 +520,8 @@ def test_spanning_with_constant_terms_in_centrals(QQ, cyclo3):
     y3 = NCPoly.monomial(one, p.word("y", "y", "y"))
     unit = NCPoly.monomial(one, ())
     caps = {"x": 3, "y": 3}
-    plain = spanning_check(p, CentralSet([("x^3", x3), ("y^3", y3)]), caps)
-    shifted = spanning_check(p, CentralSet([("1+x^3", unit + x3),
-                                            ("y^3", y3), ("1", unit)]), caps)
+    plain = _same_report(p, CentralSet([("x^3", x3), ("y^3", y3)]), caps, 8)
+    shifted = _same_report(p, CentralSet([("1+x^3", unit + x3),
+                                          ("y^3", y3), ("1", unit)]), caps, 8)
     assert plain.ok and shifted.ok
     assert shifted.rank == plain.rank

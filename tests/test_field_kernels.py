@@ -261,6 +261,31 @@ def test_zero_has_no_cyclotomic_inverse():
             FieldCtx.cyclotomic(n).zero().inv()
 
 
+def test_cyclotomic_scalar_operands():
+    # an operand with no coordinate past the first scales the other one
+    # coordinatewise and inverts as a rational; the results are the
+    # convolution's and Bareiss's, canonical even for integral Fractions
+    rng = random.Random(17)
+    scalars = (0, 1, -1, 3, Fraction(-2, 3), Fraction(0, 1), Fraction(1, 1),
+               Fraction(-1, 1), Fraction(6, 2))
+    for n in (1, 2) + INV_LEVELS:
+        ctx = FieldCtx.cyclotomic(n)
+        pad = (0,) * (len(ctx._phi) - 2)
+        for q in scalars:
+            s = Coeff(ctx, (q,) + pad)
+            for k in range(4):
+                x = random_cyclo(rng, ctx, k % 2 == 1)
+                want = ref_cyclo_mul(s.val, x.val, n)
+                assert (s * x).val == (x * s).val == want
+                assert_canonical(s * x)
+                assert_canonical(x * s)
+            if q:
+                inv = Fraction(1) / q
+                assert s.inv().val == (inv,) + pad
+                assert (s * s.inv()).val == ctx.one().val
+                assert_canonical(s.inv())
+
+
 def integral_twin(rng, ctx):
     """(ints, integral Fractions): two payloads of one value, the second
     built the way the benchmark's generators build them."""
