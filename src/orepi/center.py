@@ -24,7 +24,14 @@ from .fields import _factorize
 from .identities import bh_uvst, bqf_f
 from .linalg import SpanTracker, dense_kernel
 from .presentations import build_family
-from .rewrite import NCPoly, multiply, normal_form, power, product_memo
+from .rewrite import (
+    NCPoly,
+    left_multiply,
+    multiply,
+    normal_form,
+    power,
+    product_memo,
+)
 
 
 def is_central(p, a):
@@ -36,10 +43,9 @@ def is_central(p, a):
     """
     if not p.is_confluent():
         raise NonConfluentPresentation(p.family or "custom")
-    one = p.ctx.one()
     with product_memo():
         for i, name in enumerate(p.names):
-            g = NCPoly.monomial(one, (i,))
+            g = NCPoly.monomial(p.one, (i,))
             r = multiply(p, a, g) - multiply(p, g, a)
             if not r.is_zero():
                 return False, (name, r)
@@ -709,7 +715,7 @@ def central_products(p, centrals, degree):
     cent_min = [_min_deg(el) for el in elements]
     products = []
     seen = {(0,) * n_cent}
-    stack = [((0,) * n_cent, NCPoly.monomial(p.ctx.one(), ()))]
+    stack = [((0,) * n_cent, NCPoly.monomial(p.one, ()))]
     # grow an exponent vector only while the accumulated minimal degrees
     # fit the bound; for homogeneous centrals this is exactly "product
     # degree <= degree", and it keeps the powers of non-homogeneous
@@ -749,12 +755,11 @@ def _spanning_check(p, centrals, caps, degree):
     residuals = [w for w in words
                  if all(w.count(g) < cap_by_index[g] for g in range(len(p.names)))]
     one = p.ctx.one()
-    tracker = SpanTracker(col_key=p.order_key)
+    tracker = SpanTracker(p.order_key, p.ctx)
     by_length = [[] for _ in range(degree + 1)]
     for m in residuals:
         tracker.insert({m: one})
         by_length[len(m)].append(m)
-    gens = [NCPoly.monomial(one, (g,)) for g in range(len(p.names))]
     for cpoly in central_products(p, centrals, degree):
         # cpoly is central, so its row at g*m is g times its row at m: the
         # residuals are closed under suffixes, and each length needs only
@@ -762,7 +767,7 @@ def _spanning_check(p, centrals, caps, degree):
         rows = {(): cpoly}
         for n in range(degree - _min_deg(cpoly) + 1):
             if n:
-                rows = {m: multiply(p, gens[m[0]], rows[m[1:]])
+                rows = {m: left_multiply(p, m[0], rows[m[1:]])
                         for m in by_length[n]}
             for m in by_length[n]:
                 if not rows[m].is_zero():

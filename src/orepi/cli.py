@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from math import lcm
 
 from .center import CentralSet, central_candidates, is_central, spanning_check
@@ -556,7 +557,10 @@ def cmd_identity_search(args, report):
     report.add("identity-search", "pass", detail)
 
 
+@lru_cache(maxsize=None)
 def make_parser():
+    """The argument parser, built once per process (parse_args keeps no
+    state between calls)."""
     ap = argparse.ArgumentParser(
         prog="orepi",
         description="Exact checks for PBW presentations, straightening "

@@ -4,46 +4,69 @@ One elimination routine, a sparse row-echelon span tracker.  It serves
 membership tests (the spanning checks and basis closure in the matrix
 laboratory) and, once its rows are back-reduced to the reduced row
 echelon form, kernels (fixed subspaces, multilinear identity search).
+A tracker is bound to one field: it stores bare payloads of that field
+and calls the field's payload operations directly, so Coeffs are
+unwrapped once on the way in and wrapped again only in kernel vectors.
 All arithmetic is exact; there is no pivoting heuristic beyond "first
 nonzero entry in a deterministic column order".
 """
 
 from functools import lru_cache
 
+from .errors import CtxMismatch
+from .fields import Coeff
+
 
 class SpanTracker:
-    """Incremental row space over an exact field.
+    """Incremental row space over one exact field, ``ctx``.
 
-    Rows are sparse dicts column -> Coeff.  Columns are ordered by a
-    caller-supplied sort key, computed once per column and tracker; each
-    stored row is normalized with leading coefficient 1 at its leading
-    (smallest-key) column.
+    Rows come in as sparse dicts column -> Coeff of ``ctx`` (a Coeff of
+    another field raises CtxMismatch) and are stored as dicts column ->
+    payload of ``ctx``.  Columns are ordered by a caller-supplied sort
+    key, computed once per column and tracker; each stored row is
+    normalized with leading coefficient 1 at its leading (smallest-key)
+    column.
     """
 
-    def __init__(self, col_key):
+    def __init__(self, col_key, ctx):
         self.col_key = lru_cache(maxsize=None)(col_key)
-        self.rows = {}  # leading column -> row dict
+        self.ctx = ctx
+        self._ops = (ctx.sub, ctx.mul, ctx.neg, ctx.is_zero)
+        self.rows = {}  # leading column -> row dict of payloads
+
+    def _payloads(self, row):
+        """row's nonzero entries as payloads of the tracker's field."""
+        ctx = self.ctx
+        is_zero = ctx.is_zero
+        out = {}
+        for col, c in row.items():
+            if c.ctx is not ctx and c.ctx != ctx:
+                raise CtxMismatch(f"{ctx!r} vs {c.ctx!r}")
+            if not is_zero(c.val):
+                out[col] = c.val
+        return out
 
     def _lead(self, row):
         return min(row, key=self.col_key)
 
-    @staticmethod
-    def _subtract(row, factor, pivot):
+    def _subtract(self, row, factor, pivot):
         """row -= factor * pivot in place, dropping entries that vanish."""
+        sub, mul, neg, is_zero = self._ops
         for col, val in pivot.items():
             cur = row.get(col)
-            upd = (cur - factor * val) if cur is not None else -(factor * val)
-            if upd.is_zero():
+            upd = sub(cur, mul(factor, val)) if cur is not None \
+                else neg(mul(factor, val))
+            if is_zero(upd):
                 row.pop(col, None)
             else:
                 row[col] = upd
 
-    def reduce(self, row):
-        """Residual of row against the current span (row unchanged)."""
-        row = dict(row)
+    def _reduce(self, row):
+        """Residual of a payload row against the current span, in place."""
+        rows, lead_of = self.rows, self._lead
         while row:
-            lead = self._lead(row)
-            pivot = self.rows.get(lead)
+            lead = lead_of(row)
+            pivot = rows.get(lead)
             if pivot is None:
                 return row
             self._subtract(row, row[lead], pivot)
@@ -51,23 +74,25 @@ class SpanTracker:
 
     def insert(self, row):
         """Add a row; returns True if it enlarged the span."""
-        residual = self.reduce(row)
+        residual = self._reduce(self._payloads(row))
         if not residual:
             return False
         lead = self._lead(residual)
-        inv = residual[lead].inv()
-        self.rows[lead] = {c: v * inv for c, v in residual.items()}
+        mul = self.ctx.mul
+        inv = self.ctx.inv(residual[lead])
+        self.rows[lead] = {c: mul(v, inv) for c, v in residual.items()}
         return True
 
     def contains(self, row):
-        return not self.reduce(row)
+        return not self._reduce(self._payloads(row))
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def kernel(self, ncols, ctx):
-        """Kernel basis of the inserted rows over columns 0 .. ncols-1.
+    def kernel(self, ncols):
+        """Kernel basis of the inserted rows over columns 0 .. ncols-1,
+        as lists of Coeffs.
 
         The stored rows are copied and back-reduced, last pivot first,
         into the reduced row echelon form, unique for the row space
@@ -83,7 +108,8 @@ class SpanTracker:
             for col in [c for c in row if c != lead and c in reduced]:
                 self._subtract(row, row[col], reduced[col])
             reduced[lead] = row
-        zero, one = ctx.zero(), ctx.one()
+        ctx = self.ctx
+        zero, one, neg = ctx.zero(), ctx.one(), ctx.neg
         basis = []
         for free in range(ncols):
             if free not in reduced:
@@ -91,14 +117,14 @@ class SpanTracker:
                 vec[free] = one
                 for lead, row in reduced.items():
                     if free in row:
-                        vec[lead] = -row[free]
+                        vec[lead] = Coeff(ctx, neg(row[free]))
                 basis.append(vec)
         return basis
 
 
 def dense_kernel(rows, ncols, ctx):
     """SpanTracker.kernel of the row space of ``rows`` (ncols Coeffs each)."""
-    tracker = SpanTracker(col_key=lambda k: k)
+    tracker = SpanTracker(lambda k: k, ctx)
     for r in rows:
-        tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
-    return tracker.kernel(ncols, ctx)
+        tracker.insert(dict(enumerate(r)))
+    return tracker.kernel(ncols)

@@ -88,18 +88,14 @@ class MatAlgebra:
                     raise NotPrimitiveRoot(f"relation {label} fails")
         self.basis = self._close_basis()
 
-    def _flat(self, m):
-        return {k: m[k // self.n][k % self.n]
-                for k in range(self.n * self.n)
-                if not m[k // self.n][k % self.n].is_zero()}
-
     def _close_basis(self):
-        tracker = SpanTracker(col_key=lambda k: k)
+        tracker = SpanTracker(lambda k: k, self.ctx)
         basis = []
         queue = deque([mat_identity(self.n, self.ctx)])
         while queue:
             m = queue.popleft()
-            if mat_is_zero(m) or not tracker.insert(self._flat(m)):
+            if mat_is_zero(m) or not tracker.insert(
+                    dict(enumerate(x for r in m for x in r))):
                 continue
             basis.append(m)
             for g in self.gens.values():
@@ -186,10 +182,9 @@ class IdentitySpace:
         """Is the alternating (standard polynomial) vector in the space?"""
         if not self.basis:
             return False
-        tracker = SpanTracker(col_key=lambda k: k)
+        tracker = SpanTracker(lambda k: k, self.ctx)
         for vec in self.basis:
-            tracker.insert({i: c for i, c in enumerate(vec)
-                            if not c.is_zero()})
+            tracker.insert(dict(enumerate(vec)))
         sgn = {i: self.ctx.from_int(_parity(p))
                for i, p in enumerate(self.perms)}
         return tracker.contains(sgn)
@@ -226,7 +221,7 @@ def multilinear_identity_search(alg, d):
     for length in range(2, d + 1):
         for w in product(letters, repeat=length):
             words[w] = mat_mul(words[w[:-1]], alg.basis[w[-1]])
-    tracker = SpanTracker(col_key=lambda k: k)
+    tracker = SpanTracker(lambda k: k, alg.ctx)
     cells = [(r, c) for r in range(alg.n) for c in range(alg.n)]
     for t in product(letters, repeat=d):
         prods = [words[tuple(t[i] for i in perm)] for perm in perms]
@@ -235,4 +230,4 @@ def multilinear_identity_search(alg, d):
                    if not m[r][c].is_zero()}
             if row and tracker.insert(row) and tracker.rank == ncols:
                 return IdentitySpace(d, perms, [], alg.ctx)
-    return IdentitySpace(d, perms, tracker.kernel(ncols, alg.ctx), alg.ctx)
+    return IdentitySpace(d, perms, tracker.kernel(ncols), alg.ctx)

@@ -7,6 +7,10 @@ strategy is fixed, so outputs are deterministic, and the strictly
 decreasing term order guarantees termination.  On a confluent
 presentation every strategy gives the same normal form; on a
 non-confluent one the result is one irreducible representative.
+left_multiply(p, g, poly) needs poly in normal form: then every redex
+of g times a word of poly starts at g, so poly's terms go to the
+straightener as they are, with no coefficient multiplied and no word
+scanned for a redex (multiply accepts any operands).
 overlap_check enumerates every word with two distinct one-step
 reductions (proper overlaps and containments) and reports the residual
 of each critical pair; by the diamond lemma all residuals vanish
@@ -222,6 +226,8 @@ def _run(p, levels, memo):
     products are computed, and memoized, on an explicit stack."""
     if len(levels) == 1:
         return levels[0].get((), {})
+    one = p.one
+    one_val = one.val
     stack = [(None, _straighten(p, levels, memo))]
     value = None
     while True:
@@ -232,6 +238,12 @@ def _run(p, levels, memo):
             if not stack:
                 return done.value
             value = memo[word] = done.value
+            # a product is reused at every hit: store its coefficients
+            # equal to 1 as the object one, which is never multiplied by
+            # (equal payloads are equal values, and much cheaper to test)
+            for w, c in value.items():
+                if c.val == one_val and c is not one:
+                    value[w] = one
         else:
             levels = [{rw: {rest: rc} for rw, rc in bucket} for bucket in rhs]
             stack.append((word, _straighten(p, levels, memo)))
@@ -271,11 +283,23 @@ def normal_form(p, input_poly):
 
 def multiply(p, a, b):
     """Normal form of the concatenation product of two polynomials."""
+    one = p.one
     formal = []
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            formal.append((ca * cb, wa + wb))
+            formal.append((cb if ca is one else ca if cb is one else ca * cb,
+                           wa + wb))
     return normal_form(p, formal)
+
+
+def left_multiply(p, g, poly):
+    """Normal form of the generator g times poly, for poly in normal form.
+
+    Every word of poly is irreducible, so every redex of g*u starts at
+    g: the terms of poly go to the straightener as they are, with no
+    coefficient multiplied and no word scanned for a redex.
+    """
+    return NCPoly(_run(p, [{}, {(g,): poly.terms}], _memo(p)))
 
 
 def power(p, a, k):
@@ -302,11 +326,11 @@ def q_commutator(p, a, b, lam):
 
 
 def gen_poly(p, name):
-    return NCPoly.monomial(p.ctx.one(), (p.gen(name),))
+    return NCPoly.monomial(p.one, (p.gen(name),))
 
 
 def word_poly(p, *names):
-    return NCPoly.monomial(p.ctx.one(), p.word(*names))
+    return NCPoly.monomial(p.one, p.word(*names))
 
 
 class CriticalPair:

@@ -347,7 +347,7 @@ def _reference_spanning(p, centrals, caps, degree):
     words = _brute_force_words(p, degree)
     residuals = [w for w in words
                  if all(w.count(g) < cap[g] for g in range(len(p.names)))]
-    tracker = SpanTracker(col_key=p.order_key)
+    tracker = SpanTracker(p.order_key, p.ctx)
     for m in residuals:
         tracker.insert({m: one})
     for cpoly in central_products(p, centrals, degree):
@@ -525,3 +525,43 @@ def test_spanning_with_constant_terms_in_centrals(QQ, cyclo3):
                                           ("y^3", y3), ("1", unit)]), caps, 8)
     assert plain.ok and shifted.ok
     assert shifted.rank == plain.rank
+
+
+def test_spanning_rows_split_no_word_and_multiply_by_no_one(monkeypatch,
+                                                             cyclo3):
+    # each row is a generator times a row in normal form, so the
+    # straightener takes it as it is: no redex search, and no product
+    # with a coefficient equal to 1 (only rule coefficients multiply)
+    from orepi import center, rewrite
+    from orepi.fields import Coeff
+    inside, seen, built = [False], [], []
+    real_left, real_split, real_mul = (center.left_multiply, rewrite._split,
+                                       Coeff.__mul__)
+
+    def left_multiply(*args):
+        inside[0] = True
+        built.append(args[1])
+        try:
+            return real_left(*args)
+        finally:
+            inside[0] = False
+
+    def split(p, word):
+        if inside[0]:
+            seen.append(("split", word))
+        return real_split(p, word)
+
+    def mul(a, b):
+        if inside[0] and (a.is_one() or b.is_one()):
+            seen.append(("mul", a, b))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(center, "left_multiply", left_multiply)
+    monkeypatch.setattr(rewrite, "_split", split)
+    monkeypatch.setattr(Coeff, "__mul__", mul)
+    z3 = cyclo3.generator()
+    spec = spec_m2(cyclo3, z3, z3)
+    caps = {"X11": 3, "X12": 3, "X21": 3, "X22": 3}
+    r = spanning_check(build_family(spec), central_candidates(spec), caps, 9)
+    assert r.ok and r.rank == 715
+    assert len(built) == 600 and seen == []

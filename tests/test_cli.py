@@ -1,12 +1,16 @@
 """CLI contract: subcommands, JSON report schema, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 from orepi.cli import (
+    make_parser,
     parse_f,
     parse_field,
     parse_ncpoly,
@@ -179,6 +183,36 @@ def test_reports_deterministic():
     a.pop("elapsed_ms")
     b.pop("elapsed_ms")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_reused_parser_reports_as_a_fresh_process():
+    # make_parser builds the parser once per process; a run that ends in
+    # an error, or any earlier run, must leave nothing behind in it
+    import orepi
+    src = os.path.dirname(os.path.dirname(orepi.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = [
+        ["normalize", "--family", "Hpq", "--params", "p=2,q=3",
+         "--poly", "x/2*y"],
+        ["spanning", "--family", "QuantumPlane", "--q", "z3", "--caps", "x"],
+        ["spanning", "--family", "QuantumPlane", "--q", "z3",
+         "--caps", "x=3,y=3", "--degree", "4"],
+        ["identity-search", "--algebra", "qplane", "--degree", "3"],
+        ["pi-decide", "--family", "Bqf", "--f", "t^8", "--q", "z3"],
+        ["normalize", "--family", "Hpq", "--params", "p=2,q=3",
+         "--poly", "x/2*y"],
+    ]
+    for argv in commands:
+        code, doc = run(argv)
+        fresh = subprocess.run([sys.executable, "-m", "orepi.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        want = json.loads(fresh.stdout)
+        assert code == fresh.returncode
+        doc.pop("elapsed_ms")
+        want.pop("elapsed_ms")
+        assert doc == want
+    assert "ParseError" in json.dumps(run(commands[1])[1])
+    assert make_parser() is make_parser()
 
 
 def test_usage_error_exit_two():

@@ -4,6 +4,7 @@ Gauss-Jordan reference."""
 import pytest
 
 from orepi import FieldCtx, coeff_to_str
+from orepi.errors import CtxMismatch
 from orepi.linalg import SpanTracker, dense_kernel
 
 from conftest import random_coeff
@@ -12,6 +13,7 @@ FIELDS = [
     pytest.param(FieldCtx.rational, id="Q"),
     pytest.param(lambda: FieldCtx.cyclotomic(12), id="Q(z12)"),
     pytest.param(lambda: FieldCtx.galois_prime(13), id="GF(13)"),
+    pytest.param(lambda: FieldCtx.galois(3, (1, 0, 1)), id="GF(3^2)"),
     pytest.param(lambda: FieldCtx.rational_functions(("q",)), id="Q(q)"),
 ]
 
@@ -58,10 +60,10 @@ def gauss_jordan_kernel(rows, ncols, ctx):
 def tracker_kernel(rows, ncols, ctx):
     """The kernel from a tracker fed the rows last first: the reduced
     echelon form, and so the basis, depends on the row space alone."""
-    tracker = SpanTracker(col_key=lambda k: k)
+    tracker = SpanTracker(lambda k: k, ctx)
     for r in reversed(rows):
         tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
-    return tracker.kernel(ncols, ctx)
+    return tracker.kernel(ncols)
 
 
 def assert_same_basis(got, want):
@@ -146,10 +148,37 @@ def test_random_rank_deficient_systems(make_ctx, rng):
 def test_kernel_leaves_the_tracker_unchanged(make_ctx, rng):
     ctx = make_ctx()
     rows = random_system(ctx, rng, 5, 3, 4)
-    tracker = SpanTracker(col_key=lambda k: k)
+    tracker = SpanTracker(lambda k: k, ctx)
     for r in rows:
         tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
     before = {lead: dict(row) for lead, row in tracker.rows.items()}
-    first = tracker.kernel(5, ctx)
+    first = tracker.kernel(5)
     assert tracker.rows == before
-    assert_same_basis(tracker.kernel(5, ctx), first)
+    assert_same_basis(tracker.kernel(5), first)
+
+
+def test_tracker_holds_one_field():
+    QQ = FieldCtx.rational()
+    tracker = SpanTracker(lambda k: k, QQ)
+    assert tracker.insert({0: QQ.one()})
+    # no column is shared with the stored row, so only the tracker's own
+    # field can tell that this coefficient does not belong
+    z3 = FieldCtx.cyclotomic(3).generator()
+    with pytest.raises(CtxMismatch):
+        tracker.insert({1: z3})
+    with pytest.raises(CtxMismatch):
+        tracker.contains({1: z3})
+    assert tracker.rank == 1
+    assert [[c.ctx for c in vec] for vec in tracker.kernel(2)] == [[QQ, QQ]]
+
+
+def test_tracker_accepts_an_equal_field_and_drops_zero_entries():
+    ctx = FieldCtx.cyclotomic(3)
+    tracker = SpanTracker(lambda k: k, ctx)
+    other = FieldCtx.cyclotomic(3)
+    assert other is not ctx
+    assert not tracker.insert({0: other.zero()})
+    assert tracker.insert({0: other.zero(), 1: other.generator()})
+    assert tracker.contains({1: ctx.one()})
+    assert not tracker.contains({0: ctx.one()})
+    assert list(tracker.rows) == [1]

@@ -1,6 +1,9 @@
 """Normal forms, products, commutators, and confluence analysis."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orepi import (
     FieldCtx,
@@ -21,7 +24,7 @@ from orepi import (
 )
 from orepi.identities import biquad3_consistent_instance, pq_number
 from orepi.presentations import biquad3_conditions
-from orepi.rewrite import gen_poly, specialize_poly, word_poly
+from orepi.rewrite import gen_poly, left_multiply, specialize_poly, word_poly
 
 from conftest import random_coeff
 
@@ -383,6 +386,41 @@ def test_multiply_accepts_non_normal_operands(rng, QQ):
             concat = [(ca * cb, wa + wb) for wa, ca in a.terms.items()
                       for wb, cb in b.terms.items()]
             assert multiply(p, a, b) == normal_form(p, concat)
+
+
+# every field kind: Q, a cyclotomic field, Q(params), a prime field and
+# a proper extension of one
+LEFT_FIELDS = dict(ZOO_FIELDS, **{
+    "Q(q)": FieldCtx.rational_functions(("q",)),
+    "GF(7^2)": FieldCtx.galois(7, (3, 1, 1)),
+})
+LEFT_ZOO = [pytest.param(p, id=f"{p.family}-{name}")
+            for name, ctx in LEFT_FIELDS.items() for p in confluent_zoo(ctx)]
+
+
+@pytest.mark.parametrize("p", LEFT_ZOO)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_left_multiply_matches_multiply(p, data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    g = data.draw(st.integers(0, len(p.names) - 1), label="generator")
+    nf = normal_form(p, random_formal(p, rng, terms=4, max_len=5))
+    before = dict(nf.terms)
+    assert left_multiply(p, g, nf) == multiply(p, gen_poly(p, p.names[g]), nf)
+    assert nf.terms == before
+
+
+def test_left_multiply_scans_no_word(monkeypatch, QQ):
+    # every redex of g*u starts at g, so no word is searched for one
+    from orepi import rewrite
+    p = build_family(spec_hpq(QQ, QQ.from_int(2), QQ.from_int(3)))
+    rows = [normal_form(p, [(QQ.from_int(5), p.word(*w))])
+            for w in (("y", "x", "t"), ("y", "x"), ())] + [NCPoly.zero()]
+    want = [[multiply(p, gen_poly(p, name), row) for name in p.names]
+            for row in rows]
+    monkeypatch.setattr(rewrite, "_split", None)
+    assert [[left_multiply(p, g, row) for g in range(len(p.names))]
+            for row in rows] == want
 
 
 def test_long_word_needs_no_deep_recursion(QQ):
