@@ -79,11 +79,13 @@ class CentralSet:
 
 
 def central_candidates(spec):
-    """The named central elements each root-of-unity proposition yields."""
+    """The named central elements each root-of-unity proposition yields.
+    Their products share one product memo."""
     handler = _CANDIDATES.get(spec.family)
     if handler is None:
         raise HypothesisNotMet(f"no candidate table for family {spec.family}")
-    return handler(spec)
+    with product_memo():
+        return handler(spec)
 
 
 def _ord_or_fail(value, what):

@@ -455,6 +455,19 @@ class FieldCtx:
     def is_constant(self, a):
         return True
 
+    def pivot_multiple(self, row, lead, p):
+        """How exact elimination (``linalg.SpanTracker``) scales a row.
+
+        row is a dict column -> payload, nonzero at column lead, and may
+        be scaled in place.  Given p, the entry at lead of a pivot row,
+        returns the multiple of that pivot row whose subtraction clears
+        row's entry at lead; given p = None, returns the payload a row
+        about to be stored is divided by.  Here rows keep leading
+        coefficient 1: p is 1, nothing is scaled, and both answers are
+        row[lead].
+        """
+        return row[lead]
+
 
 class _Rationals(FieldCtx):
     """Q.  Payload: an int, or a Fraction with denominator > 1."""
@@ -478,11 +491,40 @@ class _Rationals(FieldCtx):
     def neg(self, a):
         return _canon(-a)
 
+    def sub(self, a, b):
+        return _canon(a - b)
+
     def mul(self, a, b):
         return _canon(a * b)
 
     def inv(self, a):
         return _canon(Fraction(a.denominator, a.numerator))
+
+    def pivot_multiple(self, row, lead, p):
+        """Rows over Q are primitive integer vectors, so elimination
+        builds no Fraction.  row is cleared of denominators and divided
+        by its content; then, with a its entry at lead and g = gcd(a, p),
+        it is multiplied by p / g and the multiple returned is a / g.  A
+        primitive row is stored as it is (p = None returns 1)."""
+        try:
+            content = gcd(*row.values())
+        except TypeError:  # a Fraction entry
+            den = lcm(*map(_denominator, row.values()))
+            for col, v in row.items():
+                row[col] = v.numerator * (den // v.denominator)
+            content = gcd(*row.values())
+        if content != 1:
+            for col, v in row.items():
+                row[col] = v // content
+        if p is None:
+            return 1
+        a = row[lead]
+        g = gcd(a, p)
+        if p != g:
+            scale = p // g
+            for col, v in row.items():
+                row[col] = v * scale
+        return a // g
 
     def to_str(self, a):
         return str(a)

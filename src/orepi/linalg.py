@@ -7,8 +7,13 @@ echelon form, kernels (fixed subspaces, multilinear identity search).
 A tracker is bound to one field: it stores bare payloads of that field
 and calls the field's payload operations directly, so Coeffs are
 unwrapped once on the way in and wrapped again only in kernel vectors.
-All arithmetic is exact; there is no pivoting heuristic beyond "first
-nonzero entry in a deterministic column order".
+How a row is scaled during elimination is the field's choice
+(``FieldCtx.pivot_multiple``): over Q rows are primitive integer vectors
+and a step cross-multiplies (fraction-free, as in Bareiss's integer
+elimination), so no Fraction is built before the kernel; every other
+field keeps rows with leading coefficient 1.  All arithmetic is exact;
+there is no pivoting heuristic beyond "first nonzero entry in a
+deterministic column order".
 """
 
 from functools import lru_cache
@@ -23,15 +28,18 @@ class SpanTracker:
     Rows come in as sparse dicts column -> Coeff of ``ctx`` (a Coeff of
     another field raises CtxMismatch) and are stored as dicts column ->
     payload of ``ctx``.  Columns are ordered by a caller-supplied sort
-    key, computed once per column and tracker; each stored row is
-    normalized with leading coefficient 1 at its leading (smallest-key)
-    column.
+    key, computed once per column and tracker.  A stored row's leading
+    (smallest-key) column is its pivot.  A row with one entry is stored
+    as 1 there; any other row as ``ctx.pivot_multiple`` leaves it: over Q
+    a primitive integer vector, over every other field divided by its
+    leading coefficient unless that is 1 already.
     """
 
     def __init__(self, col_key, ctx):
         self.col_key = lru_cache(maxsize=None)(col_key)
         self.ctx = ctx
         self._ops = (ctx.sub, ctx.mul, ctx.neg, ctx.is_zero)
+        self._one = ctx.one().val
         self.rows = {}  # leading column -> row dict of payloads
 
     def _payloads(self, row):
@@ -47,6 +55,8 @@ class SpanTracker:
         return out
 
     def _lead(self, row):
+        if len(row) == 1:
+            return next(iter(row))
         return min(row, key=self.col_key)
 
     def _subtract(self, row, factor, pivot):
@@ -64,12 +74,13 @@ class SpanTracker:
     def _reduce(self, row):
         """Residual of a payload row against the current span, in place."""
         rows, lead_of = self.rows, self._lead
+        multiple = self.ctx.pivot_multiple
         while row:
             lead = lead_of(row)
             pivot = rows.get(lead)
             if pivot is None:
                 return row
-            self._subtract(row, row[lead], pivot)
+            self._subtract(row, multiple(row, lead, pivot[lead]), pivot)
         return row
 
     def insert(self, row):
@@ -78,9 +89,16 @@ class SpanTracker:
         if not residual:
             return False
         lead = self._lead(residual)
-        mul = self.ctx.mul
-        inv = self.ctx.inv(residual[lead])
-        self.rows[lead] = {c: mul(v, inv) for c, v in residual.items()}
+        one = self._one
+        if len(residual) == 1:
+            residual = {lead: one}
+        else:
+            ctx = self.ctx
+            div = ctx.pivot_multiple(residual, lead, None)
+            if not ctx.eq(div, one):
+                mul, inv = ctx.mul, ctx.inv(div)
+                residual = {c: mul(v, inv) for c, v in residual.items()}
+        self.rows[lead] = residual
         return True
 
     def contains(self, row):
@@ -94,21 +112,28 @@ class SpanTracker:
         """Kernel basis of the inserted rows over columns 0 .. ncols-1,
         as lists of Coeffs.
 
-        The stored rows are copied and back-reduced, last pivot first,
-        into the reduced row echelon form, unique for the row space
-        (col_key must order the columns as integers).  Each free column
-        f, ascending, gives one vector: 1 at f and, at each pivot column,
-        minus that reduced row's entry at f.
+        The stored rows are copied, divided by their leading coefficients
+        where those are not 1 (the rows over Q), and back-reduced, last
+        pivot first, into the reduced row echelon form, unique for the
+        row space (col_key must order the columns as integers).  Each
+        free column f, ascending, gives one vector: 1 at f and, at each
+        pivot column, minus that reduced row's entry at f.
         """
+        ctx = self.ctx
+        eq, mul = ctx.eq, ctx.mul
         reduced = {}
         for lead in sorted(self.rows, key=self.col_key, reverse=True):
-            row = dict(self.rows[lead])
+            row = self.rows[lead]
+            if eq(row[lead], self._one):
+                row = dict(row)
+            else:
+                inv = ctx.inv(row[lead])
+                row = {c: mul(v, inv) for c, v in row.items()}
             # a reduced row has no entry at any other pivot column, so
             # clearing one column of row leaves the others untouched
             for col in [c for c in row if c != lead and c in reduced]:
                 self._subtract(row, row[col], reduced[col])
             reduced[lead] = row
-        ctx = self.ctx
         zero, one, neg = ctx.zero(), ctx.one(), ctx.neg
         basis = []
         for free in range(ncols):

@@ -9,8 +9,9 @@ finite-dimensional matrix algebra.
 The search evaluates every permuted product of every basis tuple, and
 each of those is the product of one word of length d over the basis
 indices.  So it multiplies each of the dim^d words once, as its prefix
-times its last letter, into a dict that lives for one call.  The rows
-(one per tuple and matrix cell) then only look their entries up; they
+times its last letter, into a dict that lives for one call, and lists
+the nonzero cells of each word of length d once.  The rows (one per
+tuple and nonzero matrix cell) are gathered from those lists; they
 stream through a SpanTracker, which keeps the independent ones and
 stops as soon as they span every column (the kernel is then {0}).
 Otherwise the kernel is read from that tracker's rows.  The reduced row
@@ -206,7 +207,9 @@ def multilinear_identity_search(alg, d):
     the permutations s.  Each such product is the product of one word
     of length d over the basis indices; the dim^d words are multiplied
     once each, prefix times last letter, into a dict that lives for
-    this call.  Nonzero rows stream through a SpanTracker, which stops
+    this call, and the nonzero cells of each length-d word are listed
+    once.  Nonzero rows, tuple by tuple and cell by cell in row-major
+    order, stream through a SpanTracker, which stops
     early once they span all d! columns; otherwise the kernel basis is
     SpanTracker.kernel of its rows, which depends on the row space alone.
     """
@@ -221,13 +224,18 @@ def multilinear_identity_search(alg, d):
     for length in range(2, d + 1):
         for w in product(letters, repeat=length):
             words[w] = mat_mul(words[w[:-1]], alg.basis[w[-1]])
+    # the nonzero cells of each length-d word, found once: (cell, entry)
+    # pairs, cells numbered row-major
+    nonzero = {w: [(i, x) for i, x in enumerate(x for r in m for x in r)
+                   if not x.is_zero()]
+               for w, m in words.items() if len(w) == d}
     tracker = SpanTracker(lambda k: k, alg.ctx)
-    cells = [(r, c) for r in range(alg.n) for c in range(alg.n)]
     for t in product(letters, repeat=d):
-        prods = [words[tuple(t[i] for i in perm)] for perm in perms]
-        for r, c in cells:
-            row = {k: m[r][c] for k, m in enumerate(prods)
-                   if not m[r][c].is_zero()}
-            if row and tracker.insert(row) and tracker.rank == ncols:
+        rows = {}
+        for k, perm in enumerate(perms):
+            for cell, x in nonzero[tuple(map(t.__getitem__, perm))]:
+                rows.setdefault(cell, {})[k] = x
+        for cell in sorted(rows):
+            if tracker.insert(rows[cell]) and tracker.rank == ncols:
                 return IdentitySpace(d, perms, [], alg.ctx)
     return IdentitySpace(d, perms, tracker.kernel(ncols), alg.ctx)

@@ -303,10 +303,12 @@ def left_multiply(p, g, poly):
 
 
 def power(p, a, k):
-    """Normal form of a^k for k >= 0; a^0 = 1."""
+    """Normal form of a^k for k >= 0; a^0 = 1.  The k products share one
+    product memo."""
     out = NCPoly.monomial(p.one, ())
-    for _ in range(k):
-        out = multiply(p, out, a)
+    with product_memo():
+        for _ in range(k):
+            out = multiply(p, out, a)
     return out
 
 

@@ -1,7 +1,11 @@
 """Exact kernels: SpanTracker.kernel and dense_kernel against a dense
 Gauss-Jordan reference."""
 
+from fractions import Fraction
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orepi import FieldCtx, coeff_to_str
 from orepi.errors import CtxMismatch
@@ -182,3 +186,82 @@ def test_tracker_accepts_an_equal_field_and_drops_zero_entries():
     assert tracker.contains({1: ctx.one()})
     assert not tracker.contains({0: ctx.one()})
     assert list(tracker.rows) == [1]
+
+
+@pytest.mark.parametrize("make_ctx", FIELDS)
+def test_no_inverse_for_one_entry_or_lead_one_rows(make_ctx, monkeypatch):
+    ctx = make_ctx()
+    calls = []
+    real = type(ctx).inv
+    monkeypatch.setattr(type(ctx), "inv",
+                        lambda self, a: calls.append(a) or real(self, a))
+    tracker = SpanTracker(lambda k: k, ctx)
+    c, one = ctx.from_int(2), ctx.one()
+    assert tracker.insert({4: c})                             # one entry
+    assert tracker.insert({0: one, 2: c, 4: c})               # lead 1
+    # c times the lead-1 row plus c at column 5: one entry is left
+    assert tracker.insert({0: c, 2: c * c, 4: c * c, 5: c})
+    assert tracker.contains({0: c, 2: c * c, 4: one, 5: one})
+    assert calls == []
+    assert tracker.rows[4] == {4: one.val}
+    assert tracker.rows[5] == {5: one.val}
+    # leading entry 2 and two entries: only Q stores such a row undivided
+    assert tracker.insert({3: c, 6: one})
+    assert len(calls) == (0 if ctx.kind == "rational" else 1)
+
+
+def _content_one_integer_rows(tracker):
+    for row in tracker.rows.values():
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rational_rows_match_gauss_jordan(data):
+    """Large denominators, rank-deficient systems and one-entry rows over
+    Q: rank, membership and kernel payloads agree with the reference, and
+    the tracker stores primitive integer rows."""
+    QQ = FieldCtx.rational()
+    ncols = data.draw(st.integers(1, 6))
+    rank = data.draw(st.integers(0, ncols))
+    big = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                       max_denominator=10 ** 6)
+    sparse = st.one_of(st.just(Fraction(0)), big)
+
+    def vec(entries):
+        return [QQ.from_fraction(x) for x in entries]
+
+    base = [vec(data.draw(st.lists(sparse, min_size=ncols, max_size=ncols)))
+            for _ in range(rank)]
+    rows = []
+    for _ in range(data.draw(st.integers(0, ncols + 2))):
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                    max_size=rank))
+        row = vec([0] * ncols)
+        for k, b in zip(coeffs, base):
+            row = [x + QQ.from_int(k) * y for x, y in zip(row, b)]
+        rows.append(row)
+    for _ in range(data.draw(st.integers(0, 3))):
+        row = vec([0] * ncols)
+        row[data.draw(st.integers(0, ncols - 1))] = QQ.from_fraction(
+            data.draw(big.filter(bool)))
+        rows.insert(data.draw(st.integers(0, len(rows))), row)
+
+    want = gauss_jordan_kernel(rows, ncols, QQ)
+    tracker = SpanTracker(lambda k: k, QQ)
+    for r in rows:
+        tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
+    _content_one_integer_rows(tracker)
+    assert tracker.rank == ncols - len(want)
+    assert_same_basis(tracker.kernel(ncols), want)
+    assert_same_basis(dense_kernel(rows, ncols, QQ), want)
+
+    probe = vec(data.draw(st.lists(sparse, min_size=ncols, max_size=ncols)))
+    if rows and data.draw(st.booleans()):
+        probe = [x + y for x, y in zip(probe, rows[0])]
+    spanned = len(gauss_jordan_kernel(rows + [probe], ncols, QQ)) == len(want)
+    assert tracker.contains(dict(enumerate(probe))) == spanned
+    for r in rows:
+        assert tracker.contains(dict(enumerate(r)))
+    _content_one_integer_rows(tracker)

@@ -445,15 +445,28 @@ def _reachable(root):
     return seen
 
 
-def test_no_product_memo_outlives_a_verdict(rat_q):
-    from orepi import check_paper_identity, is_central
-    from orepi.rewrite import _SCOPE, product_memo
+def test_no_product_memo_outlives_a_verdict(rat_q, monkeypatch):
+    from orepi import check_paper_identity, central_candidates, is_central
+    from orepi import rewrite
+    from orepi.rewrite import _SCOPE, power, product_memo
     H = build_family(spec_hpq(rat_q, rat_q.param("q"), rat_q.param("q")))
     H.is_confluent()
     before = len(_reachable(H))
     assert check_paper_identity("H.yxn", H, 4).all_pass
     assert not is_central(H, gen_poly(H, "x"))[0]
     normal_form(H, [(rat_q.one(), H.word("y", "y", "x"))])
+    # power and central_candidates each share one memo among their products
+    scopes = []
+    real = rewrite.multiply
+    monkeypatch.setattr(rewrite, "multiply",
+                        lambda *a: scopes.append(_SCOPE.get()) or real(*a))
+    power(H, gen_poly(H, "x") + gen_poly(H, "y"), 3)
+    z3 = FieldCtx.cyclotomic(3)
+    assert central_candidates(spec_bh(z3, z3.generator())).elements
+    assert len(scopes) > 3 and scopes[0] is not None
+    assert all(s is scopes[0] for s in scopes[:3])
+    assert scopes[3] is not None and scopes[3] is not scopes[0]
+    assert all(s is scopes[3] for s in scopes[3:])
     assert _SCOPE.get() is None
     assert len(_reachable(H)) == before
     with product_memo():
