@@ -20,7 +20,7 @@ from .errors import (
     RootsRequired,
     TrivialCenter,
 )
-from .fields import _factorize
+from .fields import _factorize, _mp_add, _mp_mul
 from .identities import bh_uvst, bqf_f
 from .linalg import SpanTracker, dense_kernel
 from .presentations import build_family
@@ -31,6 +31,8 @@ from .rewrite import (
     normal_form,
     power,
     product_memo,
+    q_commutator,
+    word_poly,
 )
 
 
@@ -44,9 +46,8 @@ def is_central(p, a):
     if not p.is_confluent():
         raise NonConfluentPresentation(p.family or "custom")
     with product_memo():
-        for i, name in enumerate(p.names):
-            g = NCPoly.monomial(p.one, (i,))
-            r = multiply(p, a, g) - multiply(p, g, a)
+        for name in p.names:
+            r = q_commutator(p, a, word_poly(p, name), p.one)
             if not r.is_zero():
                 return False, (name, r)
     return True, None
@@ -97,8 +98,7 @@ def _ord_or_fail(value, what):
 
 def _powers(p, names, ell):
     """[(name^ell, the word name^ell)] for each generator name."""
-    return [(f"{nm}^{ell}", NCPoly.monomial(p.one, (p.gen(nm),) * ell))
-            for nm in names]
+    return [(f"{nm}^{ell}", word_poly(p, *[nm] * ell)) for nm in names]
 
 
 def bqf_routes(n, f):
@@ -151,7 +151,7 @@ def _cand_uqb2(spec):
     if ell < 5:
         raise HypothesisNotMet(
             f"central powers need a primitive root of order >= 5, got {ell}")
-    els = [("z", NCPoly.monomial(p.one, (p.gen("z"),)))]
+    els = [("z", word_poly(p, "z"))]
     els += _powers(p, ("e1", "e2", "e3"), ell)
     return CentralSet(els, condition=f"q primitive root of order {ell} >= 5",
                       caps={"z": 1, "e1": ell, "e2": ell, "e3": ell})
@@ -242,47 +242,17 @@ _CANDIDATES = {
 
 
 # ---------------------------------------------------------------------------
-# commutative polynomials in x, y (dicts (i, j) -> Coeff)
+# commutative polynomials in x, y: dicts (i, j) -> Coeff, added and
+# multiplied by the sparse polynomial helpers of fields
 # ---------------------------------------------------------------------------
 
 
-def cp_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        s = v if s is None else s + v
-        if s.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def cp_mul(a, b):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            k = (i1 + i2, j1 + j2)
-            s = out.get(k)
-            s = c1 * c2 if s is None else s + c1 * c2
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
-
-
-def cp_pow(a, e):
-    out = None
+def cp_pow(a, e, c):
+    """c * a^e for e >= 0 and a coefficient c."""
+    out = {(0, 0): c}
     for _ in range(e):
-        out = dict(a) if out is None else cp_mul(out, a)
-    return out if out is not None else {}
-
-
-def cp_scale(a, c):
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in a.items()}
+        out = _mp_mul(out, a)
+    return out
 
 
 class AffineAuto:
@@ -316,12 +286,7 @@ class AffineAuto:
         out = {}
         one = self.ctx.one()
         for (i, j), c in poly.items():
-            term = {(0, 0): one}
-            if i:
-                term = cp_mul(term, cp_pow(ix, i))
-            if j:
-                term = cp_mul(term, cp_pow(iy, j))
-            out = cp_add(out, cp_scale(term, c))
+            out = _mp_add(out, _mp_mul(cp_pow(ix, i, c), cp_pow(iy, j, one)))
         return out
 
     def compose(self, other):
@@ -434,7 +399,9 @@ def gwa_auto_order(ctx, alpha, beta, gamma, roots=None):
 
     Implements the four-way case split on the roots lambda, mu of
     t^2 - alpha t - beta; finite verdicts are re-verified by iterating
-    phi directly (and checking that no proper divisor works).
+    phi directly (and checking that no proper divisor works).  The
+    infinite cases assume characteristic zero: over GF(p^k) they raise
+    PreconditionViolation.
     """
     if beta.is_zero():
         raise BetaZero("beta must be nonzero")
@@ -467,6 +434,12 @@ def gwa_auto_order(ctx, alpha, beta, gamma, roots=None):
                                      (lam, mu))
             else:
                 result = OrderResult(True, lcm(ml, mm), None, (lam, mu))
+    if ctx.char and not result.finite:
+        # the affine maps of a finite field's plane form a finite group,
+        # so phi has finite order here too, one this table does not compute
+        raise PreconditionViolation(
+            f"{result.case} over {ctx!r}: the case table assumes "
+            "characteristic zero; phi has finite order over a finite field")
     if result.finite:
         phi = downup_phi(ctx, alpha, beta, gamma)
         m = result.order
@@ -513,14 +486,19 @@ def downup_from_xy(p, cpoly):
     return normal_form(p, formal)
 
 
-def downup_center_generators(spec, roots=None, exponent_bound=12):
+# the largest exponent of each omega in the omega-monomial search when the
+# roots are not both roots of unity
+OMEGA_EXPONENT_BOUND = 12
+
+
+def downup_center_generators(spec, roots=None):
     """Center generators of a Noetherian down-up algebra, by case analysis.
 
     Generic case (distinct roots, both not 1): generators u^m, d^m and the
     fixed omega-monomials; when the roots are not both roots of unity the
-    omega-monomial search is truncated at exponent_bound (any generator
-    returned is still genuinely central).  Jordan cases return a single
-    omega power or the fixed polynomials of degree <= 2.
+    omega-monomial search is truncated at OMEGA_EXPONENT_BOUND (any
+    generator returned is still genuinely central).  Jordan cases return
+    a single omega power or the fixed polynomials of degree <= 2.
     """
     ctx = spec.ctx
     al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
@@ -548,14 +526,13 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
             caps = {"u": m, "d": m}
             bound = m
         else:
-            bound = exponent_bound
+            bound = OMEGA_EXPONENT_BOUND
         for i in range(bound + 1):
             for j in range(bound + 1):
                 if i == j == 0:
                     continue
                 if ((mu ** i) * (lam ** j)).is_one():
-                    cp = cp_mul(cp_pow(w1, i) if i else {(0, 0): one},
-                                cp_pow(w2, j) if j else {(0, 0): one})
+                    cp = _mp_mul(cp_pow(w1, i, one), cp_pow(w2, j, one))
                     els.append((f"w1^{i}*w2^{j}", downup_from_xy(p, cp)))
         if not els:
             raise TrivialCenter("no power of the roots multiplies to 1")
@@ -573,7 +550,7 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
             # phi(omega) = mu omega (alpha - 2 = mu - 1 != 0 here)
             w = {(1, 0): ctx.from_int(-2), (0, 1): ctx.from_int(2),
                  (0, 0): (ga + ga) / (al - 2)}
-            wp = downup_from_xy(p, cp_pow(w, m))
+            wp = downup_from_xy(p, cp_pow(w, m, one))
             return CentralSet([(f"omega^{m}", wp)],
                               condition=f"lambda=1, gamma!=0, ord(mu)={m}")
         # gamma = 0: omega_1 = beta x + y is fixed
@@ -582,7 +559,7 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
         caps = None
         if m is not None:
             w2 = {(1, 0): -one, (0, 1): one}
-            els.append((f"omega2^{m}", downup_from_xy(p, cp_pow(w2, m))))
+            els.append((f"omega2^{m}", downup_from_xy(p, cp_pow(w2, m, one))))
             els += _powers(p, ("u", "d"), m)
             caps = {"u": m, "d": m}
         return CentralSet(els, condition=f"lambda=1, gamma=0, mu order {m}",
@@ -599,7 +576,7 @@ def downup_center_generators(spec, roots=None, exponent_bound=12):
         c0 = ga + ga
         if not c0.is_zero():
             w[(0, 0)] = c0
-        return CentralSet([(f"omega^{m}", downup_from_xy(p, cp_pow(w, m)))],
+        return CentralSet([(f"omega^{m}", downup_from_xy(p, cp_pow(w, m, one)))],
                           condition=f"repeated root of order {m}")
     # lam = mu = 1 (alpha = 2, beta = -1)
     if ga.is_zero():

@@ -91,18 +91,6 @@ def _trim(p):
     return p
 
 
-def divisors(n):
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def cyclotomic_polynomial(n):
     """Coefficients (ascending, monic) of Phi_n.
 
@@ -181,28 +169,20 @@ def _gf_gcd(a, b, p):
 
 
 def _gf_irreducible(mod, p):
-    """Deciding irreducibility of a monic polynomial over GF(p).
+    """Is the monic polynomial mod irreducible over GF(p)?
 
-    Degrees 2 and 3 are settled by exhaustive root search; degrees 4-6 use
-    the deterministic x^(p^d) = x criterion with gcd checks at maximal
-    proper divisors.
+    Rabin's test: a monic f of degree d >= 1 is irreducible exactly when
+    f divides x^(p^d) - x and is coprime to x^(p^(d/r)) - x for each
+    prime r dividing d.
     """
     d = len(mod) - 1
     if d <= 1:
         return d == 1
-    if d <= 3:
-        for r in range(p):
-            acc = 0
-            for c in reversed(mod):
-                acc = (acc * r + c) % p
-            if acc == 0:
-                return False
-        return True
     x = [0, 1]
     xm = _gf_mod(x, mod, p)
     if _gf_powmod(x, p ** d, mod, p) != xm:
         return False
-    for r in {q for q in (2, 3, 5) if d % q == 0}:
+    for r in _factorize(d):
         t = _gf_powmod(x, p ** (d // r), mod, p)
         n = max(len(t), len(xm))
         diff = [((t[i] if i < len(t) else 0) - (xm[i] if i < len(xm) else 0)) % p
@@ -424,7 +404,7 @@ class FieldCtx:
     # -- roots of unity ---------------------------------------------------------
 
     def unit_group_exponent(self):
-        """Order bound for roots of unity living in this field."""
+        """A multiple of the order of every root of unity in this field."""
         return 2
 
     def root_of_unity(self, n):
@@ -436,13 +416,21 @@ class FieldCtx:
         raise ZeroInput(f"no primitive {n}-th root in {self!r}")
 
     def multiplicative_order(self, c):
-        """Least m >= 1 with c^m = 1 for a nonzero Coeff c, or None."""
+        """Least m >= 1 with c^m = 1 for a nonzero Coeff c, or None.
+
+        The order of every root of unity in the field divides
+        E = unit_group_exponent(): c is a root of unity exactly when
+        c^E = 1, and then each prime is stripped from E while the power
+        stays 1.
+        """
         one = self.one()
-        if c == one:
-            return 1
-        if c == -one:
-            return 2
-        return None
+        n = self.unit_group_exponent()
+        if c ** n != one:
+            return None
+        for p in _factorize(n):
+            while n % p == 0 and c ** (n // p) == one:
+                n //= p
+        return n
 
     # -- payload defaults -----------------------------------------------------
 
@@ -584,13 +572,6 @@ class _Cyclotomics(FieldCtx):
         if self.level % 2 == 1:
             zeta = -(zeta ** ((self.level + 1) // 2))  # order 2N element
         return zeta ** (big // n)
-
-    def multiplicative_order(self, c):
-        one = self.one()
-        for m in divisors(self.unit_group_exponent()):
-            if c ** m == one:
-                return m
-        return None
 
     def is_zero(self, a):
         return not any(a)
@@ -861,17 +842,6 @@ class _GaloisField(FieldCtx):
             if c.multiplicative_order() == n:
                 return c
         raise ZeroInput(f"no {n}-th root in {self!r}")
-
-    def multiplicative_order(self, c):
-        # the order divides p^k - 1
-        one = self.one()
-        n = self._unit_order
-        if c ** n != one:
-            return None
-        for p in _factorize(n):
-            while n % p == 0 and c ** (n // p) == one:
-                n //= p
-        return n
 
     def is_zero(self, a):
         return not any(a)

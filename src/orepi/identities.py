@@ -16,7 +16,15 @@ engine against it for every index up to a bound.
 from math import comb
 
 from .errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes, ZeroInput
-from .rewrite import NCPoly, multiply, normal_form, power, product_memo
+from .rewrite import (
+    NCPoly,
+    multiply,
+    normal_form,
+    power,
+    product_memo,
+    product_terms,
+    word_poly,
+)
 
 # ---------------------------------------------------------------------------
 # scalar combinatorics
@@ -189,17 +197,16 @@ def bqf_delta(p, word):
 # the engine, making that check a two-route engine consistency test.
 # Each closed form is stated once: a display and its mirror image (x^k y
 # and x y^k, delta(u^k) and delta(v^k)) share one builder, and a normality
-# relation e g = s g e is checked as the formal e g - s g e (_twisted).
+# relation e f = s f e is checked as the formal e f - s f e (_twisted).
 
 
 def _mono(p, coeff, *names):
     return NCPoly.monomial(coeff, p.word(*names))
 
 
-def _twisted(e, g, scal):
-    """The formal e*g - scal*g*e of an element e and a word g."""
-    return [(c, w + g) for w, c in e.terms.items()] + \
-        [(-(scal * c), g + w) for w, c in e.terms.items()]
+def _twisted(p, e, f, s):
+    """The formal e*f - s*f*e of two elements e, f."""
+    return product_terms(p, e, f) + product_terms(p, f, e, -s)
 
 
 def _oracle_h_yxn(p, n):
@@ -222,7 +229,7 @@ def _oracle_h_theta(p, n):
     qq = p.params["q"]
     th = theta_element(p)
     return [(f"theta*{gname} - ({scal!r})*{gname}*theta",
-             _twisted(th, p.word(gname), scal), NCPoly.zero())
+             _twisted(p, th, word_poly(p, gname), scal), NCPoly.zero())
             for gname, scal in (("x", qq), ("y", qq.inv()), ("t", p.one))]
 
 
@@ -383,16 +390,13 @@ def _oracle_weyl_zi(p, n_unused):
                 else:
                     scal = qs[j - 1]
                 out.append((f"z{i}*{kind}{j} - ({scal!r})*{kind}{j}*z{i}",
-                            _twisted(zs[i], p.word(f"{kind}{j}"), scal),
+                            _twisted(p, zs[i], word_poly(p, f"{kind}{j}"),
+                                     scal),
                             NCPoly.zero()))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            lhs = []
-            for wa, ca in zs[i].terms.items():
-                for wb, cb in zs[j].terms.items():
-                    lhs.append((ca * cb, wa + wb))
-                    lhs.append((-(cb * ca), wb + wa))
-            out.append((f"[z{i},z{j}]", lhs, NCPoly.zero()))
+            out.append((f"[z{i},z{j}]", _twisted(p, zs[i], zs[j], p.one),
+                        NCPoly.zero()))
     return out
 
 
@@ -440,7 +444,7 @@ def _oracle_cyc3(which):
 
 def _oracle_cyc3_e(p, n_unused):
     scal = (p.params["q"] * p.params["q"]).inv()
-    return [("e*z - q^-2*z*e", _twisted(cyc3_e(p), p.word("z"), scal),
+    return [("e*z - q^-2*z*e", _twisted(p, cyc3_e(p), word_poly(p, "z"), scal),
              NCPoly.zero())]
 
 

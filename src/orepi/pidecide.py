@@ -13,7 +13,7 @@ from .center import bqf_routes, central_candidates, gwa_auto_order
 from .errors import FamilyMismatch, PreconditionViolation
 from .identities import cyc3_e
 from .presentations import build_family
-from .rewrite import NCPoly, normal_form, q_commutator
+from .rewrite import NCPoly, normal_form, q_commutator, word_poly
 
 PI, NOT_PI, UNKNOWN = "PI", "NotPI", "Unknown"
 
@@ -88,7 +88,7 @@ def _subalgebra_witness(p, yname_or_poly, xname_or_poly, param, label):
     def as_poly(v):
         if isinstance(v, NCPoly):
             return v
-        return NCPoly.monomial(p.ctx.one(), (p.gen(v),))
+        return word_poly(p, v)
     return QPlaneWitness("subalgebra", param, label,
                          x_elem=as_poly(xname_or_poly),
                          y_elem=as_poly(yname_or_poly))
@@ -105,7 +105,7 @@ def _decide_bh(spec):
     u = normal_form(p, [(p.ctx.one(), p.word("x1", "x2"))])
     w = QPlaneWitness("subalgebra", -(h * h), "y1 * u = (-h^2) u * y1",
                       x_elem=u,
-                      y_elem=NCPoly.monomial(p.ctx.one(), p.word("y1")))
+                      y_elem=word_poly(p, "y1"))
     return PiVerdict(NOT_PI, "h is not a root of unity; the subalgebra on "
                      "y1 and u = x1 x2 is a quantum plane with parameter "
                      "-h^2", witness=w)
@@ -124,7 +124,7 @@ def _decide_hpq(spec):
     if m is None:
         w = QPlaneWitness(
             "quotient", qq, "H/tH is the quantum plane with parameter q",
-            factored=NCPoly.monomial(one, p.word("t")), factored_name="t",
+            factored=word_poly(p, "t"), factored_name="t",
             normality=[("x", pp.inv()), ("y", pp), ("t", one)],
             plane_gens=("x", "y"))
         return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
@@ -207,7 +207,7 @@ def _decide_weyl(spec):
                 w = QPlaneWitness("subalgebra", qs[i].inv(),
                                   f"z{i + 1} x{i + 1} = q{i + 1}^-1 "
                                   f"x{i + 1} z{i + 1}",
-                                  x_elem=NCPoly.monomial(one, p.word(xi)),
+                                  x_elem=word_poly(p, xi),
                                   y_elem=z)
             return PiVerdict(NOT_PI, f"q{i + 1} is not a root of unity",
                              witness=w)
@@ -226,7 +226,7 @@ def _decide_three_cyclic(spec):
     e = cyc3_e(p)
     w = QPlaneWitness("subalgebra", q2.inv(), "e z = q^-2 z e with "
                       "e = xz - q^2 beta/(q^2-1)",
-                      x_elem=NCPoly.monomial(p.ctx.one(), p.word("z")),
+                      x_elem=word_poly(p, "z"),
                       y_elem=e)
     return PiVerdict(NOT_PI, "q^2 is not a root of unity", witness=w)
 
@@ -316,8 +316,7 @@ def verify_witness(spec, w):
     if w.kind == "quotient":
         ok = True
         for gname, scal in w.normality:
-            g = NCPoly.monomial(p.ctx.one(), (p.gen(gname),))
-            r = q_commutator(p, w.factored, g, scal)
+            r = q_commutator(p, w.factored, word_poly(p, gname), scal)
             ok = ok and r.is_zero()
         return ok
     raise FamilyMismatch(f"unknown witness kind {w.kind!r}")

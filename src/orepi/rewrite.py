@@ -11,6 +11,8 @@ left_multiply(p, g, poly) needs poly in normal form: then every redex
 of g times a word of poly starts at g, so poly's terms go to the
 straightener as they are, with no coefficient multiplied and no word
 scanned for a redex (multiply accepts any operands).
+product_terms writes out the formal terms of c*a*b; multiply and
+q_commutator straighten them.
 overlap_check enumerates every word with two distinct one-step
 reductions (proper overlaps and containments) and reports the residual
 of each critical pair; by the diamond lemma all residuals vanish
@@ -281,15 +283,24 @@ def normal_form(p, input_poly):
     return NCPoly(_run(p, levels, _memo(p)))
 
 
-def multiply(p, a, b):
-    """Normal form of the concatenation product of two polynomials."""
+def product_terms(p, a, b, c=None):
+    """The formal (coefficient, word) terms of c*a*b, for polynomials a, b
+    and a coefficient c (None for 1).  No product with the object p.one
+    is formed."""
     one = p.one
     formal = []
     for wa, ca in a.terms.items():
+        if c is not None and c is not one:
+            ca = c if ca is one else c * ca
         for wb, cb in b.terms.items():
             formal.append((cb if ca is one else ca if cb is one else ca * cb,
                            wa + wb))
-    return normal_form(p, formal)
+    return formal
+
+
+def multiply(p, a, b):
+    """Normal form of the concatenation product of two polynomials."""
+    return normal_form(p, product_terms(p, a, b))
 
 
 def left_multiply(p, g, poly):
@@ -319,12 +330,7 @@ def multiply_assoc(p, a, b):
 
 def q_commutator(p, a, b, lam):
     """normal_form(a*b - lam * b*a); lam = 1 gives the plain commutator."""
-    formal = []
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            formal.append((ca * cb, wa + wb))
-            formal.append((-(lam * cb * ca), wb + wa))
-    return normal_form(p, formal)
+    return normal_form(p, product_terms(p, a, b) + product_terms(p, b, a, -lam))
 
 
 def gen_poly(p, name):

@@ -17,6 +17,7 @@ from orepi import (
     gwa_auto_order,
     is_central,
     multiply,
+    pi_decide,
     spanning_check,
     spec_bh,
     spec_bqf,
@@ -166,6 +167,38 @@ def test_gwa_order_errors(QQ):
         gwa_auto_order(QQ, i(1), i(0), i(0))
     with pytest.raises(RootsRequired):
         gwa_auto_order(QQ, i(1), i(1), i(0))  # discriminant 5
+
+
+@pytest.mark.parametrize("p,abg,order,case", [
+    (7, (2, -1, 0), 7, "RepeatedRoot1"),
+    (7, (2, -1, 1), 7, "RepeatedRoot1"),
+    (5, (4, -4, 0), 20, "RepeatedRootJordanBlock"),
+    (7, (0, 1, 1), 14, "Lambda1GammaNonzero"),
+])
+def test_gwa_infinite_cases_need_characteristic_zero(p, abg, order, case):
+    # over GF(p) these maps have finite order (a multiple of p), so the
+    # characteristic-zero verdict "infinite" would be wrong: it is refused
+    ctx = FieldCtx.galois_prime(p)
+    a, b, g = (ctx.from_int(v) for v in abg)
+    phi = downup_phi(ctx, a, b, g)
+    assert phi.iterate(order).is_identity()
+    assert not any(phi.iterate(m).is_identity() for m in range(1, order))
+    with pytest.raises(PreconditionViolation, match=case):
+        gwa_auto_order(ctx, a, b, g)
+    with pytest.raises(PreconditionViolation, match=case):
+        pi_decide(spec_downup(ctx, a, b, g))
+    # the same scalars over Q keep the characteristic-zero case
+    QQ = FieldCtx.rational()
+    assert gwa_auto_order(QQ, *(QQ.from_int(v) for v in abg)).case == case
+
+
+def test_gwa_finite_cases_over_galois_fields():
+    # finite verdicts stay; they are checked by iterating phi
+    ctx = FieldCtx.galois_prime(7)
+    a, b, g = ctx.zero(), ctx.one(), ctx.zero()
+    r = gwa_auto_order(ctx, a, b, g)
+    assert r.finite and r.order == 2
+    assert pi_decide(spec_downup(ctx, a, b, g)).verdict == "PI"
 
 
 @pytest.mark.parametrize("make_ctx", [

@@ -215,6 +215,22 @@ def test_reused_parser_reports_as_a_fresh_process():
     assert make_parser() is make_parser()
 
 
+@pytest.mark.parametrize("field,params,case", [
+    ("gf:7", "alpha=2,beta=-1,gamma=0", "RepeatedRoot1"),
+    ("gf:5", "alpha=4,beta=-4,gamma=0", "RepeatedRootJordanBlock"),
+    ("gf:7", "alpha=0,beta=1,gamma=1", "Lambda1GammaNonzero"),
+])
+def test_pi_decide_downup_over_galois_is_typed(field, params, case):
+    # A(2, -1, 0) over GF(7) is the enveloping algebra of the Heisenberg
+    # Lie algebra, PI in characteristic p: no NotPI verdict may come out
+    code, doc = run(["pi-decide", "--family", "DownUp", "--field", field,
+                     "--params", params])
+    assert code == 1
+    (check,) = doc["checks"]
+    assert check["status"] == "error"
+    assert check["detail"].startswith(f"PreconditionViolation: {case} ")
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         run_command(["no-such-command"])

@@ -417,3 +417,24 @@ def test_cyclotomic_inverses_against_sympy():
                     for c in reversed(sympy.Poly(inv, t).all_coeffs())]
             want += [Fraction(0)] * (len(x.val) - len(want))
             assert x.inv().val == tuple(want)
+
+
+def _has_root(mod, p):
+    for r in range(p):
+        acc = 0
+        for c in reversed(mod):
+            acc = (acc * r + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_rabin_test_matches_root_search(p):
+    # a quadratic or cubic is irreducible exactly when it has no root
+    from itertools import product
+    from orepi.fields import _gf_irreducible
+    for d in (2, 3):
+        for tail in product(range(p), repeat=d):
+            mod = list(tail) + [1]
+            assert _gf_irreducible(mod, p) == (not _has_root(mod, p)), mod

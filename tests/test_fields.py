@@ -277,3 +277,47 @@ def test_power_negative_exponent(rat_q):
     q = rat_q.param("q")
     assert q ** -2 == (q * q).inv()
     assert q ** 0 == rat_q.one()
+
+
+def _brute_order(c, exponent):
+    """The least m <= exponent with c^m = 1, or None."""
+    power = c
+    for m in range(1, exponent + 1):
+        if power.is_one():
+            return m
+        power = power * c
+    return None
+
+
+def _order_cases():
+    QQ = FieldCtx.rational()
+    yield QQ, [QQ.from_int(k) for k in (1, -1, 2, -2, 3)] + \
+        [QQ.from_fraction(Fraction(-1, 2))]
+    for n in range(1, 16):
+        ctx = FieldCtx.cyclotomic(n)
+        e = ctx.unit_group_exponent()
+        w = ctx.root_of_unity(e)
+        roots = [w ** k for k in range(e)]
+        yield ctx, roots + [r + ctx.one() for r in roots if not
+                            (r + ctx.one()).is_zero()] + \
+            [r * 2 for r in roots[:3]]
+    for p, modulus in ((2, (0, 1)), (2, (1, 1, 1)), (2, (1, 1, 0, 1)),
+                       (3, (1, 0, 1)), (3, (2, 1, 0, 0, 1)), (5, (2, 0, 1)),
+                       (7, (3, 1, 1)), (13, (0, 1))):
+        ctx = FieldCtx.galois(p, modulus)
+        yield ctx, list(ctx.units())
+    rq = FieldCtx.rational_functions(("q",))
+    q = rq.param("q")
+    yield rq, [rq.one(), -rq.one(), q / q, -q / q, q, -q, q + 1,
+               rq.from_int(2)]
+
+
+@pytest.mark.parametrize("ctx,elements", [
+    pytest.param(ctx, elements, id=repr(ctx))
+    for ctx, elements in _order_cases()])
+def test_multiplicative_order_matches_brute_force(ctx, elements):
+    # every root of unity's order divides the unit-group exponent, so a
+    # search up to it finds the order or shows there is none
+    e = ctx.unit_group_exponent()
+    for c in elements:
+        assert c.multiplicative_order() == _brute_order(c, e), repr(c)

@@ -410,6 +410,21 @@ def test_left_multiply_matches_multiply(p, data):
     assert nf.terms == before
 
 
+@pytest.mark.parametrize("p", LEFT_ZOO)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_q_commutator_matches_two_products(p, data):
+    # one straightening of a*b - lam*b*a against two products and a
+    # difference; lam = 1 half the time, the object the builder skips
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    a = normal_form(p, random_formal(p, rng, terms=3, max_len=4))
+    b = normal_form(p, random_formal(p, rng, terms=3, max_len=4))
+    lam = p.one if data.draw(st.booleans(), label="lam=1") \
+        else random_coeff(p.ctx, rng)
+    assert q_commutator(p, a, b, lam) == \
+        multiply(p, a, b) - multiply(p, b, a).scale(lam)
+
+
 def test_left_multiply_scans_no_word(monkeypatch, QQ):
     # every redex of g*u starts at g, so no word is searched for one
     from orepi import rewrite
