@@ -671,21 +671,7 @@ class _Cyclotomics(FieldCtx):
         return _cyclo_unscaled(sol, det)
 
     def to_str(self, a):
-        name = f"z{self.level}"
-        parts = []
-        for e, q in enumerate(a):
-            if not q:
-                continue
-            if e == 0:
-                body = str(abs(q))
-            else:
-                mag = "" if abs(q) == 1 else f"{abs(q)}*"
-                body = f"{mag}{name}" + (f"^{e}" if e > 1 else "")
-            parts.append(("-" if q < 0 else "+") + body)
-        if not parts:
-            return "0"
-        out = "".join(parts)
-        return out[1:] if out.startswith("+") else out
+        return _power_basis_str(a, f"z{self.level}")
 
     def as_fraction(self, a):
         return None if any(a[1:]) else Fraction(a[0])
@@ -866,19 +852,7 @@ class _GaloisField(FieldCtx):
         return tuple(out + [0] * (self._dim - len(out)))
 
     def to_str(self, a):
-        parts = []
-        for e, v in enumerate(a):
-            if not v:
-                continue
-            if e == 0:
-                body = str(v)
-            else:
-                mag = "" if v == 1 else f"{v}*"
-                body = f"{mag}a" + (f"^{e}" if e > 1 else "")
-            parts.append("+" + body)
-        if not parts:
-            return "0"
-        return "".join(parts)[1:]
+        return _power_basis_str(a, "a")
 
     def as_fraction(self, a):
         """None: no Fraction names an element of a Galois field."""
@@ -1189,6 +1163,24 @@ class _CoeffParser:
 
 def parse_coeff(text, ctx):
     return _CoeffParser(text, ctx).parse()
+
+
+def _power_basis_str(coords, name):
+    """sum_e coords[e] name^e, lowest power first, e.g. '1-z3+2*z3^2'."""
+    parts = []
+    for e, c in enumerate(coords):
+        if not c:
+            continue
+        if e == 0:
+            body = str(abs(c))
+        else:
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            body = f"{mag}{name}" + (f"^{e}" if e > 1 else "")
+        parts.append(("-" if c < 0 else "+") + body)
+    if not parts:
+        return "0"
+    out = "".join(parts)
+    return out[1:] if out.startswith("+") else out
 
 
 def _mp_to_str(poly, names):

@@ -117,9 +117,9 @@ def theta_element(p):
 
 
 def weyl_z(p, i):
-    """z_i = x_i y_i - y_i x_i (normal form); z_0 = 1."""
-    if p.family != "WeylMalt":
-        raise FamilyMismatch("z_i is defined for the Maltsiniotis family")
+    """z_i = x_i y_i - y_i x_i (normal form) in either Weyl family; z_0 = 1."""
+    if p.family not in ("WeylMalt", "WeylAJ"):
+        raise FamilyMismatch("z_i is defined for the Weyl families")
     if i == 0:
         return NCPoly.monomial(p.ctx.one(), ())
     xi, yi = f"x{i}", f"y{i}"
@@ -195,8 +195,12 @@ def bqf_delta(p, word):
 # non-normal monomial.  The one exception is Bqf.wku, whose displayed
 # sum has no closed normal form; its right side is normalized once by
 # the engine, making that check a two-route engine consistency test.
-# Each closed form is stated once: a display and its mirror image (x^k y
-# and x y^k, delta(u^k) and delta(v^k)) share one builder, and a normality
+# The twisted-power displays b a^k = s^k a^k b + c_k t a^(k-1) and their
+# mirrors b^k a = s^k a b^k + c_k t b^(k-1) are rows of ORACLES, each with
+# its own closed forms s, c_k, built by _oracle_commute.  Outside the
+# table: UqB2.iv (three terms), M2.power_table (labels print m), and the
+# polynomial-tail displays, where a display and its mirror (x^k y and
+# x y^k, delta(u^k) and delta(v^k)) share one builder.  A normality
 # relation e f = s f e is checked as the formal e f - s f e (_twisted).
 
 
@@ -209,20 +213,32 @@ def _twisted(p, e, f, s):
     return product_terms(p, e, f) + product_terms(p, f, e, -s)
 
 
-def _oracle_h_yxn(p, n):
-    pp, qq = p.params["p"], p.params["q"]
-    lhs = [(p.one, p.word("y", *["x"] * n))]
-    rhs = _mono(p, qq ** n, *(["x"] * n + ["y"])) + \
-        _mono(p, pq_number(n, pp, qq) * pp ** (n - 1), *(["t"] + ["x"] * (n - 1)))
-    return [(f"y*x^{n}", lhs, rhs)]
+def _oracle_commute(b, a, raised, s, c, tail=()):
+    """b a^k = s^k a^k b + c_k t a^(k-1) when the raised letter is a; the
+    mirror b^k a = s^k a b^k + c_k t b^(k-1) when it is b.  s(p) and
+    c(p, k) are the row's closed forms; the tail word t a^(k-1) lists
+    ``tail`` and the k - 1 raised letters in precedence order."""
+    def build(p, k):
+        bs = [b] * (k if raised == b else 1)
+        as_ = [a] * (k if raised == a else 1)
+        lhs = [(p.one, p.word(*bs, *as_))]
+        rest = sorted([*tail, *[raised] * (k - 1)], key=p.precedence.index)
+        rhs = _mono(p, s(p) ** k, *as_, *bs) + _mono(p, c(p, k), *rest)
+        label = "*".join(f"{h}^{k}" if h == raised else h for h in (b, a))
+        return [(label, lhs, rhs)]
+    return build
 
 
-def _oracle_h_ynx(p, n):
-    pp, qq = p.params["p"], p.params["q"]
-    lhs = [(p.one, p.word(*(["y"] * n + ["x"])))]
-    rhs = _mono(p, qq ** n, *(["x"] + ["y"] * n)) + \
-        _mono(p, pq_number(n, pp, qq), *(["t"] + ["y"] * (n - 1)))
-    return [(f"y^{n}*x", lhs, rhs)]
+def _q(p):
+    return p.params["q"]
+
+
+def _q2(p):
+    return p.params["q"] * p.params["q"]
+
+
+def _q2i(p):
+    return _q2(p).inv()
 
 
 def _oracle_h_theta(p, n):
@@ -276,24 +292,6 @@ def _oracle_bh_commute(p, n):
     return out
 
 
-def _oracle_m2_k1(p, k):
-    a, b = p.params["alpha"], p.params["beta"]
-    lhs = [(p.one, p.word(*(["X22"] * k + ["X11"])))]
-    coeff = a.inv() * ((a * b) ** k - 1)
-    rhs = _mono(p, p.one, *(["X11"] + ["X22"] * k)) + \
-        _mono(p, coeff, *(["X12", "X21"] + ["X22"] * (k - 1)))
-    return [(f"X22^{k}*X11", lhs, rhs)]
-
-
-def _oracle_m2_k2(p, k):
-    a, b = p.params["alpha"], p.params["beta"]
-    lhs = [(p.one, p.word(*(["X22"] + ["X11"] * k)))]
-    coeff = b * (1 - (a * b) ** (-k)) * (a * b) ** (k - 1)
-    rhs = _mono(p, p.one, *(["X11"] * k + ["X22"])) + \
-        _mono(p, coeff, *(["X11"] * (k - 1) + ["X12", "X21"]))
-    return [(f"X22*X11^{k}", lhs, rhs)]
-
-
 def _oracle_m2_power_table(p, m):
     a, b = p.params["alpha"], p.params["beta"]
     ai = a.inv()
@@ -314,34 +312,15 @@ def _oracle_m2_power_table(p, m):
             for label, lw, scal, rw in rows]
 
 
-def _oracle_uqb2(which):
-    def build(p, k):
-        q = p.params["q"]
-        one = p.one
-        q2 = q * q
-        if which == "i":
-            lhs = [(one, p.word("e2", *["e3"] * k))]
-            rhs = _mono(p, q2 ** k, *(["e3"] * k + ["e2"])) + \
-                _mono(p, q_number(k, q2), *(["z"] + ["e3"] * (k - 1)))
-            return [(f"e2*e3^{k}", lhs, rhs)]
-        if which == "ii":
-            lhs = [(one, p.word(*(["e2"] * k + ["e3"])))]
-            rhs = _mono(p, q2 ** k, *(["e3"] + ["e2"] * k)) + \
-                _mono(p, q_number(k, q2), *(["z"] + ["e2"] * (k - 1)))
-            return [(f"e2^{k}*e3", lhs, rhs)]
-        if which == "iii":
-            q4i = (q ** 4).inv()
-            lhs = [(one, p.word("e2", *["e1"] * k))]
-            rhs = _mono(p, q2.inv() ** k, *(["e1"] * k + ["e2"])) + \
-                _mono(p, -(q2.inv() * q_number(k, q4i)),
-                      *(["e3"] + ["e1"] * (k - 1)))
-            return [(f"e2*e1^{k}", lhs, rhs)]
-        lhs = [(one, p.word(*(["e2"] * k + ["e1"])))]
-        rhs = _mono(p, q2.inv() ** k, *(["e1"] + ["e2"] * k)) + \
-            _mono(p, -(q2.inv() * b_coeff(k, q)), *(["e3"] + ["e2"] * (k - 1))) + \
-            _mono(p, -c_coeff(k, q), *(["z"] + ["e2"] * (k - 2)))
-        return [(f"e2^{k}*e1", lhs, rhs)]
-    return build
+def _oracle_uqb2_iv(p, k):
+    """e2^k e1 = q^-2k e1 e2^k - q^-2 B_k e3 e2^(k-1) - C_k z e2^(k-2)."""
+    q = p.params["q"]
+    q2i = (q * q).inv()
+    lhs = [(p.one, p.word(*(["e2"] * k + ["e1"])))]
+    rhs = _mono(p, q2i ** k, *(["e1"] + ["e2"] * k)) + \
+        _mono(p, -(q2i * b_coeff(k, q)), *(["e3"] + ["e2"] * (k - 1))) + \
+        _mono(p, -c_coeff(k, q), *(["z"] + ["e2"] * (k - 2)))
+    return [(f"e2^{k}*e1", lhs, rhs)]
 
 
 def _weyl_z_closed(p, i):
@@ -398,48 +377,6 @@ def _oracle_weyl_zi(p, n_unused):
             out.append((f"[z{i},z{j}]", _twisted(p, zs[i], zs[j], p.one),
                         NCPoly.zero()))
     return out
-
-
-def _oracle_cyc3(which):
-    # displays solved for their non-normal monomial where needed
-    def build(p, a_idx):
-        q = p.params["q"]
-        al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
-        one = p.one
-        q2 = q * q
-        q2i = q2.inv()
-        a = a_idx
-        if which == "i":   # x^a y = q^{2a} y x^a + c_a alpha x^{a-1}
-            lhs = [(one, p.word("y", *["x"] * a))]
-            rhs = _mono(p, q2i ** a, *(["x"] * a + ["y"])) + \
-                _mono(p, -(q2i ** a) * c_a(a, q) * al, *(["x"] * (a - 1)))
-            return [(f"y*x^{a}", lhs, rhs)]
-        if which == "ii":  # y^a x = q^{-2a} x y^a - q^{-2} d_a alpha y^{a-1}
-            lhs = [(one, p.word(*(["y"] * a + ["x"])))]
-            rhs = _mono(p, q2i ** a, *(["x"] + ["y"] * a)) + \
-                _mono(p, -(q2i * d_a(a, q) * al), *(["y"] * (a - 1)))
-            return [(f"y^{a}*x", lhs, rhs)]
-        if which == "iii":  # x^a z = q^{-2a} z x^a + d_a beta x^{a-1}
-            lhs = [(one, p.word("z", *["x"] * a))]
-            rhs = _mono(p, q2 ** a, *(["x"] * a + ["z"])) + \
-                _mono(p, -(q2 ** a) * d_a(a, q) * be, *(["x"] * (a - 1)))
-            return [(f"z*x^{a}", lhs, rhs)]
-        if which == "iv":  # z^a x = q^{2a} x z^a - q^2 c_a beta z^{a-1}
-            lhs = [(one, p.word(*(["z"] * a + ["x"])))]
-            rhs = _mono(p, q2 ** a, *(["x"] + ["z"] * a)) + \
-                _mono(p, -(q2 * c_a(a, q) * be), *(["z"] * (a - 1)))
-            return [(f"z^{a}*x", lhs, rhs)]
-        if which == "v":   # y^a z = q^{2a} z y^a + c_a gamma y^{a-1}
-            lhs = [(one, p.word("z", *["y"] * a))]
-            rhs = _mono(p, q2i ** a, *(["y"] * a + ["z"])) + \
-                _mono(p, -(q2i ** a) * c_a(a, q) * ga, *(["y"] * (a - 1)))
-            return [(f"z*y^{a}", lhs, rhs)]
-        # vi: z^a y = q^{-2a} y z^a - q^{-2} d_a gamma z^{a-1}
-        lhs = [(one, p.word(*(["z"] * a + ["y"])))]
-        rhs = _mono(p, q2i ** a, *(["y"] + ["z"] * a)) + \
-            _mono(p, -(q2i * d_a(a, q) * ga), *(["z"] * (a - 1)))
-        return [(f"z^{a}*y", lhs, rhs)]
-    return build
 
 
 def _oracle_cyc3_e(p, n_unused):
@@ -514,25 +451,48 @@ class _Oracle:
 
 ORACLES = {
     "Bh.commute": _Oracle("Bh", 1, _oracle_bh_commute),
-    "H.yxn": _Oracle("Hpq", 1, _oracle_h_yxn),
-    "H.ynx": _Oracle("Hpq", 1, _oracle_h_ynx),
+    "H.yxn": _Oracle("Hpq", 1, _oracle_commute("y", "x", "x", _q,
+        lambda p, k: pq_number(k, p.params["p"], _q(p)) * p.params["p"] ** (k - 1),
+        ("t",))),
+    "H.ynx": _Oracle("Hpq", 1, _oracle_commute("y", "x", "y", _q,
+        lambda p, k: pq_number(k, p.params["p"], _q(p)), ("t",))),
     "H.theta_rel": _Oracle("Hpq", 1, _oracle_h_theta, relation_only=True),
-    "M2.k1": _Oracle("M2", 1, _oracle_m2_k1),
-    "M2.k2": _Oracle("M2", 1, _oracle_m2_k2),
+    "M2.k1": _Oracle("M2", 1, _oracle_commute("X22", "X11", "X22", lambda p: p.one,
+        lambda p, k: p.params["alpha"].inv()
+        * ((p.params["alpha"] * p.params["beta"]) ** k - 1), ("X12", "X21"))),
+    "M2.k2": _Oracle("M2", 1, _oracle_commute("X22", "X11", "X11", lambda p: p.one,
+        lambda p, k: p.params["beta"]
+        * (1 - (p.params["alpha"] * p.params["beta"]) ** (-k))
+        * (p.params["alpha"] * p.params["beta"]) ** (k - 1), ("X12", "X21"))),
     "M2.power_table": _Oracle("M2", 1, _oracle_m2_power_table),
-    "UqB2.i": _Oracle("UqB2", 1, _oracle_uqb2("i")),
-    "UqB2.ii": _Oracle("UqB2", 1, _oracle_uqb2("ii")),
-    "UqB2.iii": _Oracle("UqB2", 1, _oracle_uqb2("iii")),
-    "UqB2.iv": _Oracle("UqB2", 2, _oracle_uqb2("iv")),
+    "UqB2.i": _Oracle("UqB2", 1, _oracle_commute("e2", "e3", "e3", _q2,
+        lambda p, k: q_number(k, _q2(p)), ("z",))),
+    "UqB2.ii": _Oracle("UqB2", 1, _oracle_commute("e2", "e3", "e2", _q2,
+        lambda p, k: q_number(k, _q2(p)), ("z",))),
+    "UqB2.iii": _Oracle("UqB2", 1, _oracle_commute("e2", "e1", "e1", _q2i,
+        lambda p, k: -(_q2i(p) * q_number(k, (_q(p) ** 4).inv())), ("e3",))),
+    "UqB2.iv": _Oracle("UqB2", 2, _oracle_uqb2_iv),
     "Weyl.xky": _Oracle("WeylMalt", 1, _oracle_weyl("x")),
     "Weyl.xyk": _Oracle("WeylMalt", 1, _oracle_weyl("y")),
     "Weyl.zi_normal": _Oracle("WeylMalt", 1, _oracle_weyl_zi, relation_only=True),
-    "Cyc3.i": _Oracle("ThreeCyclic", 1, _oracle_cyc3("i")),
-    "Cyc3.ii": _Oracle("ThreeCyclic", 1, _oracle_cyc3("ii")),
-    "Cyc3.iii": _Oracle("ThreeCyclic", 1, _oracle_cyc3("iii")),
-    "Cyc3.iv": _Oracle("ThreeCyclic", 1, _oracle_cyc3("iv")),
-    "Cyc3.v": _Oracle("ThreeCyclic", 1, _oracle_cyc3("v")),
-    "Cyc3.vi": _Oracle("ThreeCyclic", 1, _oracle_cyc3("vi")),
+    # i: x^a y = q^{2a} y x^a + c_a alpha x^{a-1}
+    "Cyc3.i": _Oracle("ThreeCyclic", 1, _oracle_commute("y", "x", "x", _q2i,
+        lambda p, a: -(_q2i(p) ** a) * c_a(a, _q(p)) * p.params["alpha"])),
+    # ii: y^a x = q^{-2a} x y^a - q^{-2} d_a alpha y^{a-1}
+    "Cyc3.ii": _Oracle("ThreeCyclic", 1, _oracle_commute("y", "x", "y", _q2i,
+        lambda p, a: -(_q2i(p) * d_a(a, _q(p)) * p.params["alpha"]))),
+    # iii: x^a z = q^{-2a} z x^a + d_a beta x^{a-1}
+    "Cyc3.iii": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "x", "x", _q2,
+        lambda p, a: -(_q2(p) ** a) * d_a(a, _q(p)) * p.params["beta"])),
+    # iv: z^a x = q^{2a} x z^a - q^2 c_a beta z^{a-1}
+    "Cyc3.iv": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "x", "z", _q2,
+        lambda p, a: -(_q2(p) * c_a(a, _q(p)) * p.params["beta"]))),
+    # v: y^a z = q^{2a} z y^a + c_a gamma y^{a-1}
+    "Cyc3.v": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "y", "y", _q2i,
+        lambda p, a: -(_q2i(p) ** a) * c_a(a, _q(p)) * p.params["gamma"])),
+    # vi: z^a y = q^{-2a} y z^a - q^{-2} d_a gamma z^{a-1}
+    "Cyc3.vi": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "y", "z", _q2i,
+        lambda p, a: -(_q2i(p) * d_a(a, _q(p)) * p.params["gamma"]))),
     "Cyc3.e_rel": _Oracle("ThreeCyclic", 1, _oracle_cyc3_e, relation_only=True),
     "Bqf.delta_uk": _Oracle("Bqf", 1, _oracle_bqf_delta("u")),
     "Bqf.delta_vk": _Oracle("Bqf", 1, _oracle_bqf_delta("v")),

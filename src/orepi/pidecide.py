@@ -11,9 +11,9 @@ the genuinely open B_q(f) gap.
 
 from .center import bqf_routes, central_candidates, gwa_auto_order
 from .errors import FamilyMismatch, PreconditionViolation
-from .identities import cyc3_e
+from .identities import bh_uvst, cyc3_e, theta_element, weyl_z
 from .presentations import build_family
-from .rewrite import NCPoly, normal_form, q_commutator, word_poly
+from .rewrite import NCPoly, q_commutator, word_poly
 
 PI, NOT_PI, UNKNOWN = "PI", "NotPI", "Unknown"
 
@@ -102,7 +102,7 @@ def _decide_bh(spec):
     if ell is not None:
         return _pi(spec, f"h is a root of unity of order {ell}")
     p = build_family(spec)
-    u = normal_form(p, [(p.ctx.one(), p.word("x1", "x2"))])
+    u = bh_uvst(p)[0]
     w = QPlaneWitness("subalgebra", -(h * h), "y1 * u = (-h^2) u * y1",
                       x_elem=u,
                       y_elem=word_poly(p, "y1"))
@@ -128,7 +128,6 @@ def _decide_hpq(spec):
             normality=[("x", pp.inv()), ("y", pp), ("t", one)],
             plane_gens=("x", "y"))
         return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
-    from .identities import theta_element
     th = theta_element(p)
     w = QPlaneWitness(
         "quotient", pp.inv(),
@@ -194,21 +193,17 @@ def _decide_weyl(spec):
                                  "unity", witness=w)
     for i in range(n):
         if orders[f"q{i + 1}"] is None:
-            if i + 1 < n:
+            # x_i x_(i+1) = q_i lambda x_(i+1) x_i holds only in the
+            # Maltsiniotis family; z_i x_i = q_i^-1 x_i z_i holds in both
+            if i + 1 < n and spec.family == "WeylMalt":
                 param = qs[i] * lam[i][i + 1]
                 w = _subalgebra_witness(
                     p, f"x{i + 1}", f"x{i + 2}", param,
                     f"x{i + 1} x{i + 2} = q{i + 1} lambda x{i + 2} x{i + 1}")
             else:
-                one = p.ctx.one()
-                xi, yi = f"x{i + 1}", f"y{i + 1}"
-                z = normal_form(p, [(one, p.word(xi, yi)),
-                                    (-one, p.word(yi, xi))])
-                w = QPlaneWitness("subalgebra", qs[i].inv(),
-                                  f"z{i + 1} x{i + 1} = q{i + 1}^-1 "
-                                  f"x{i + 1} z{i + 1}",
-                                  x_elem=word_poly(p, xi),
-                                  y_elem=z)
+                w = _subalgebra_witness(
+                    p, weyl_z(p, i + 1), f"x{i + 1}", qs[i].inv(),
+                    f"z{i + 1} x{i + 1} = q{i + 1}^-1 x{i + 1} z{i + 1}")
             return PiVerdict(NOT_PI, f"q{i + 1} is not a root of unity",
                              witness=w)
     raise AssertionError("unreachable")

@@ -384,7 +384,7 @@ class ConfluenceReport:
         return f"<ConfluenceReport {len(self.pairs)} pairs, {state}>"
 
 
-def _apply_at(p, word, rule, pos):
+def _apply_at(word, rule, pos):
     pre, suf = word[:pos], word[pos + len(rule.lhs):]
     return [(c, pre + rw + suf) for c, rw in rule.rhs]
 
@@ -393,7 +393,6 @@ def overlap_check(p):
     """Enumerate critical pairs (overlaps and containments) and reduce both sides."""
     pairs = []
     rules = p.rules
-    seen = set()
     for ia, ra in enumerate(rules):
         la = ra.lhs
         for ib, rb in enumerate(rules):
@@ -403,28 +402,20 @@ def overlap_check(p):
                 if la[-k:] == lb[:k]:
                     word = la + lb[k:]
                     pos_b = len(la) - k
-                    sig = (word, ia, 0, ib, pos_b)
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
                     pairs.append(_make_pair(p, word, "overlap",
                                             ia, ra, ib, rb, pos_b))
             # containment: lb occurs strictly inside la
             if ia != ib and len(lb) < len(la):
                 for t in range(len(la) - len(lb) + 1):
                     if la[t:t + len(lb)] == lb:
-                        sig = (la, ia, 0, ib, t)
-                        if sig in seen:
-                            continue
-                        seen.add(sig)
                         pairs.append(_make_pair(p, la, "containment",
                                                 ia, ra, ib, rb, t))
     return ConfluenceReport(pairs)
 
 
 def _make_pair(p, word, kind, ia, ra, ib, rb, pos_b):
-    reduct_a = _apply_at(p, word, ra, 0)
-    reduct_b = _apply_at(p, word, rb, pos_b)
+    reduct_a = _apply_at(word, ra, 0)
+    reduct_b = _apply_at(word, rb, pos_b)
     nf_a = normal_form(p, reduct_a)
     nf_b = normal_form(p, reduct_b)
     return CriticalPair(word, kind, ia, ib, pos_b, reduct_a, reduct_b,

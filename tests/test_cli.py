@@ -390,3 +390,17 @@ def test_spanning_cap_for_no_generator_is_typed():
                      "--caps", " x = 3 , y=3"])
     assert code == 0
     assert doc["checks"][0]["detail"].endswith("degree <= 8")
+
+
+def test_examples_match_recorded_reports(tmp_path, monkeypatch):
+    # the CI command-line examples and the twisted-power identity checks,
+    # in CI order: build --out m2.json runs before normalize --file m2.json
+    path = os.path.join(os.path.dirname(__file__), "data", "cli_reports.json")
+    with open(path, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    monkeypatch.chdir(tmp_path)
+    for rec in recorded:
+        code, doc = run(rec["report"]["command"])
+        del doc["elapsed_ms"]
+        assert (code, json.loads(json.dumps(doc))) == \
+            (rec["exit"], rec["report"]), rec["report"]["command"]

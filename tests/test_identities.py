@@ -22,6 +22,7 @@ from orepi import (
     spec_uqb2,
     spec_weyl,
 )
+from orepi.cli import parse_ncpoly
 from orepi.errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes
 from orepi.identities import (
     b_coeff,
@@ -236,6 +237,41 @@ def test_identity_corpus_smoke(lemma, family):
     p = _presentation_for(family)
     rep = check_paper_identity(lemma, p, SMOKE_N)
     assert rep.all_pass, [c for c in rep.checks if not c.ok]
+
+
+# the displays b a^k = s^k a^k b + c_k t a^(k-1) and their mirrors, one
+# table row each, whose labels print their one-word left sides
+TWISTED_POWER_ROWS = [
+    ("H.yxn", "Hpq"), ("H.ynx", "Hpq"), ("M2.k1", "M2"), ("M2.k2", "M2"),
+    ("UqB2.i", "UqB2"), ("UqB2.ii", "UqB2"), ("UqB2.iii", "UqB2"),
+    ("Cyc3.i", "ThreeCyclic"), ("Cyc3.ii", "ThreeCyclic"),
+    ("Cyc3.iii", "ThreeCyclic"), ("Cyc3.iv", "ThreeCyclic"),
+    ("Cyc3.v", "ThreeCyclic"), ("Cyc3.vi", "ThreeCyclic"),
+]
+
+
+def _gf49_presentation_for(family):
+    ctx = FieldCtx.galois(7, [3, 1, 1])
+    a = ctx.generator()
+    return build_family({
+        "Hpq": lambda: spec_hpq(ctx, a, a + 1),
+        "M2": lambda: spec_m2(ctx, a, a + 2),
+        "UqB2": lambda: spec_uqb2(ctx, a),
+        "ThreeCyclic": lambda: spec_three_cyclic(ctx, a, ctx.one(), a, a + 3),
+    }[family]())
+
+
+@pytest.mark.parametrize("field", ["Q(params)", "GF(49)"])
+@pytest.mark.parametrize("lemma,family", TWISTED_POWER_ROWS)
+def test_twisted_power_labels_parse_to_their_left_sides(lemma, family, field):
+    if field == "GF(49)":
+        p = _gf49_presentation_for(family)
+    else:
+        p = _presentation_for(family)
+    for n in range(1, 7):
+        (label, lhs, _), = oracle_rhs(lemma, p, n)
+        assert len(lhs) == 1 and lhs[0][0].is_one()
+        assert parse_ncpoly(label, p) == lhs, (label, lhs)
 
 
 def test_cyc3_e_relation(rat_q):

@@ -115,6 +115,22 @@ def test_weyl_verdicts(QQ):
     assert "lambda" in v2.reason
 
 
+@pytest.mark.parametrize("variant", ["maltsiniotis", "aj"])
+@pytest.mark.parametrize("n,first", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_weyl_q_witnesses_verify(cyclo12, variant, n, first):
+    # q_first is the first q_i that is not a root of unity, and every
+    # lambda_ij is one, so the verdict rests on a q_i witness
+    z = cyclo12.generator()
+    qs = ([z ** (2 * i + 1) for i in range(first)] + [cyclo12.from_int(2)]
+          + [cyclo12.from_int(3)] * (n - first - 1))
+    lam = [[z ** (j - i) for j in range(n)] for i in range(n)]
+    spec = spec_weyl(cyclo12, qs, lam, variant=variant)
+    v = pi_decide(spec)
+    assert v.verdict == "NotPI" and v.reason.startswith(f"q{first + 1} ")
+    assert verify_witness(spec, v.witness), v.witness.label
+    assert v.witness.param.multiplicative_order() is None
+
+
 def test_three_cyclic_verdicts(QQ):
     c6 = FieldCtx.cyclotomic(6)
     s = spec_three_cyclic(c6, c6.generator(), c6.one(), c6.from_int(2),
