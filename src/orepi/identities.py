@@ -216,14 +216,17 @@ def _twisted(p, e, f, s):
 def _oracle_commute(b, a, raised, s, c, tail=()):
     """b a^k = s^k a^k b + c_k t a^(k-1) when the raised letter is a; the
     mirror b^k a = s^k a b^k + c_k t b^(k-1) when it is b.  s(p) and
-    c(p, k) are the row's closed forms; the tail word t a^(k-1) lists
-    ``tail`` and the k - 1 raised letters in precedence order."""
+    c(p, k, s) are the row's closed forms, c taking the value of s(p);
+    s = None means s = 1.  The tail word t a^(k-1) lists ``tail`` and
+    the k - 1 raised letters in precedence order."""
     def build(p, k):
         bs = [b] * (k if raised == b else 1)
         as_ = [a] * (k if raised == a else 1)
         lhs = [(p.one, p.word(*bs, *as_))]
         rest = sorted([*tail, *[raised] * (k - 1)], key=p.precedence.index)
-        rhs = _mono(p, s(p) ** k, *as_, *bs) + _mono(p, c(p, k), *rest)
+        sv = p.one if s is None else s(p)
+        sk = p.one if s is None else sv ** k
+        rhs = _mono(p, sk, *as_, *bs) + _mono(p, c(p, k, sv), *rest)
         label = "*".join(f"{h}^{k}" if h == raised else h for h in (b, a))
         return [(label, lhs, rhs)]
     return build
@@ -452,47 +455,47 @@ class _Oracle:
 ORACLES = {
     "Bh.commute": _Oracle("Bh", 1, _oracle_bh_commute),
     "H.yxn": _Oracle("Hpq", 1, _oracle_commute("y", "x", "x", _q,
-        lambda p, k: pq_number(k, p.params["p"], _q(p)) * p.params["p"] ** (k - 1),
+        lambda p, k, q: pq_number(k, p.params["p"], q) * p.params["p"] ** (k - 1),
         ("t",))),
     "H.ynx": _Oracle("Hpq", 1, _oracle_commute("y", "x", "y", _q,
-        lambda p, k: pq_number(k, p.params["p"], _q(p)), ("t",))),
+        lambda p, k, q: pq_number(k, p.params["p"], q), ("t",))),
     "H.theta_rel": _Oracle("Hpq", 1, _oracle_h_theta, relation_only=True),
-    "M2.k1": _Oracle("M2", 1, _oracle_commute("X22", "X11", "X22", lambda p: p.one,
-        lambda p, k: p.params["alpha"].inv()
+    "M2.k1": _Oracle("M2", 1, _oracle_commute("X22", "X11", "X22", None,
+        lambda p, k, _: p.params["alpha"].inv()
         * ((p.params["alpha"] * p.params["beta"]) ** k - 1), ("X12", "X21"))),
-    "M2.k2": _Oracle("M2", 1, _oracle_commute("X22", "X11", "X11", lambda p: p.one,
-        lambda p, k: p.params["beta"]
+    "M2.k2": _Oracle("M2", 1, _oracle_commute("X22", "X11", "X11", None,
+        lambda p, k, _: p.params["beta"]
         * (1 - (p.params["alpha"] * p.params["beta"]) ** (-k))
         * (p.params["alpha"] * p.params["beta"]) ** (k - 1), ("X12", "X21"))),
     "M2.power_table": _Oracle("M2", 1, _oracle_m2_power_table),
     "UqB2.i": _Oracle("UqB2", 1, _oracle_commute("e2", "e3", "e3", _q2,
-        lambda p, k: q_number(k, _q2(p)), ("z",))),
+        lambda p, k, q2: q_number(k, q2), ("z",))),
     "UqB2.ii": _Oracle("UqB2", 1, _oracle_commute("e2", "e3", "e2", _q2,
-        lambda p, k: q_number(k, _q2(p)), ("z",))),
+        lambda p, k, q2: q_number(k, q2), ("z",))),
     "UqB2.iii": _Oracle("UqB2", 1, _oracle_commute("e2", "e1", "e1", _q2i,
-        lambda p, k: -(_q2i(p) * q_number(k, (_q(p) ** 4).inv())), ("e3",))),
+        lambda p, k, q2i: -(q2i * q_number(k, q2i * q2i)), ("e3",))),
     "UqB2.iv": _Oracle("UqB2", 2, _oracle_uqb2_iv),
     "Weyl.xky": _Oracle("WeylMalt", 1, _oracle_weyl("x")),
     "Weyl.xyk": _Oracle("WeylMalt", 1, _oracle_weyl("y")),
     "Weyl.zi_normal": _Oracle("WeylMalt", 1, _oracle_weyl_zi, relation_only=True),
     # i: x^a y = q^{2a} y x^a + c_a alpha x^{a-1}
     "Cyc3.i": _Oracle("ThreeCyclic", 1, _oracle_commute("y", "x", "x", _q2i,
-        lambda p, a: -(_q2i(p) ** a) * c_a(a, _q(p)) * p.params["alpha"])),
+        lambda p, a, q2i: -(q2i ** a) * c_a(a, _q(p)) * p.params["alpha"])),
     # ii: y^a x = q^{-2a} x y^a - q^{-2} d_a alpha y^{a-1}
     "Cyc3.ii": _Oracle("ThreeCyclic", 1, _oracle_commute("y", "x", "y", _q2i,
-        lambda p, a: -(_q2i(p) * d_a(a, _q(p)) * p.params["alpha"]))),
+        lambda p, a, q2i: -(q2i * d_a(a, _q(p)) * p.params["alpha"]))),
     # iii: x^a z = q^{-2a} z x^a + d_a beta x^{a-1}
     "Cyc3.iii": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "x", "x", _q2,
-        lambda p, a: -(_q2(p) ** a) * d_a(a, _q(p)) * p.params["beta"])),
+        lambda p, a, q2: -(q2 ** a) * d_a(a, _q(p)) * p.params["beta"])),
     # iv: z^a x = q^{2a} x z^a - q^2 c_a beta z^{a-1}
     "Cyc3.iv": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "x", "z", _q2,
-        lambda p, a: -(_q2(p) * c_a(a, _q(p)) * p.params["beta"]))),
+        lambda p, a, q2: -(q2 * c_a(a, _q(p)) * p.params["beta"]))),
     # v: y^a z = q^{2a} z y^a + c_a gamma y^{a-1}
     "Cyc3.v": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "y", "y", _q2i,
-        lambda p, a: -(_q2i(p) ** a) * c_a(a, _q(p)) * p.params["gamma"])),
+        lambda p, a, q2i: -(q2i ** a) * c_a(a, _q(p)) * p.params["gamma"])),
     # vi: z^a y = q^{-2a} y z^a - q^{-2} d_a gamma z^{a-1}
     "Cyc3.vi": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "y", "z", _q2i,
-        lambda p, a: -(_q2i(p) * d_a(a, _q(p)) * p.params["gamma"]))),
+        lambda p, a, q2i: -(q2i * d_a(a, _q(p)) * p.params["gamma"]))),
     "Cyc3.e_rel": _Oracle("ThreeCyclic", 1, _oracle_cyc3_e, relation_only=True),
     "Bqf.delta_uk": _Oracle("Bqf", 1, _oracle_bqf_delta("u")),
     "Bqf.delta_vk": _Oracle("Bqf", 1, _oracle_bqf_delta("v")),

@@ -193,17 +193,9 @@ def _decide_weyl(spec):
                                  "unity", witness=w)
     for i in range(n):
         if orders[f"q{i + 1}"] is None:
-            # x_i x_(i+1) = q_i lambda x_(i+1) x_i holds only in the
-            # Maltsiniotis family; z_i x_i = q_i^-1 x_i z_i holds in both
-            if i + 1 < n and spec.family == "WeylMalt":
-                param = qs[i] * lam[i][i + 1]
-                w = _subalgebra_witness(
-                    p, f"x{i + 1}", f"x{i + 2}", param,
-                    f"x{i + 1} x{i + 2} = q{i + 1} lambda x{i + 2} x{i + 1}")
-            else:
-                w = _subalgebra_witness(
-                    p, weyl_z(p, i + 1), f"x{i + 1}", qs[i].inv(),
-                    f"z{i + 1} x{i + 1} = q{i + 1}^-1 x{i + 1} z{i + 1}")
+            w = _subalgebra_witness(
+                p, weyl_z(p, i + 1), f"x{i + 1}", qs[i].inv(),
+                f"z{i + 1} x{i + 1} = q{i + 1}^-1 x{i + 1} z{i + 1}")
             return PiVerdict(NOT_PI, f"q{i + 1} is not a root of unity",
                              witness=w)
     raise AssertionError("unreachable")
