@@ -310,6 +310,15 @@ def _cyclo_unscaled(ints, den):
     return tuple(Fraction(c, den) if c % den else c // den for c in ints)
 
 
+def _times_x(vec, phi):
+    """vec * x modulo the monic phi, both in the power basis (vec a list)."""
+    top = vec[-1]
+    vec = [0] + vec[:-1]
+    if top:
+        vec = [a - top * c for a, c in zip(vec, phi)]
+    return vec
+
+
 def _cyclo_map(op, *vecs):
     """op applied coordinatewise, with every integral result as an int."""
     out = tuple(map(op, *vecs))
@@ -539,10 +548,7 @@ class _Cyclotomics(FieldCtx):
         row = [-c for c in phi[:-1]]
         table = [row]
         for _ in range(d - 2):
-            top = row[-1]
-            row = [0] + row[:-1]  # multiply by x
-            if top:  # reduce the overflow into x^d again
-                row = [a - top * c for a, c in zip(row, phi)]
+            row = _times_x(row, phi)
             table.append(row)
         self._reduce_table = table
 
@@ -624,26 +630,38 @@ class _Cyclotomics(FieldCtx):
     def inv(self, a):
         """The payload v with a * v = 1 modulo Phi_N (monic, degree d).
 
+        A payload with one nonzero coordinate, c zeta^k (a rational for
+        k = 0), is inverted exactly as c^-1 zeta^(N-k), since zeta^N = 1:
+        zeta^(N-k) is reduced modulo Phi_N one power of zeta at a time
+        past zeta^(d-1).  Any other payload goes to _inv_dense."""
+        nonzero = [k for k, x in enumerate(a) if x]
+        if len(nonzero) != 1:
+            return self._inv_dense(a)
+        c = a[nonzero[0]]
+        d = self._dim
+        m = -nonzero[0] % self.level
+        vec = [0] * d
+        vec[min(m, d - 1)] = 1
+        for _ in range(m - d + 1):
+            vec = _times_x(vec, self._phi)
+        return _cyclo_unscaled([x * c.denominator for x in vec], c.numerator)
+
+    def _inv_dense(self, a):
+        """inv by linear algebra, for any nonzero payload a.
+
         With a = xs / den, M, the integer matrix of multiplication by xs
         in the power basis, is solved against den * e_0 by fraction-free
         elimination (Bareiss 1968): every division in the elimination is
         exact, the last pivot is +-det(M), and back substitution yields
         det(M) * v as integers, so det(M) is the one denominator the
-        result is divided by.  A rational a is inverted as a rational."""
-        if not any(a[1:]):
-            q = a[0]
-            return (_canon(Fraction(q.denominator, q.numerator)),) \
-                + (0,) * (self._dim - 1)
+        result is divided by."""
         xs, den = _cyclo_scaled(a)
         phi = self._phi
         d = self._dim
         col = list(xs)
         cols = [col]
         for _ in range(d - 1):
-            top = col[-1]
-            col = [0] + col[:-1]
-            if top:
-                col = [x - top * c for x, c in zip(col, phi)]
+            col = _times_x(col, phi)
             cols.append(col)
         rows = [list(r) for r in zip(*cols)]
         for i, r in enumerate(rows):

@@ -22,6 +22,10 @@ from .errors import CtxMismatch
 from .fields import Coeff
 
 
+def _same(val):
+    return val
+
+
 class SpanTracker:
     """Incremental row space over one exact field, ``ctx``.
 
@@ -38,8 +42,9 @@ class SpanTracker:
     def __init__(self, col_key, ctx):
         self.col_key = lru_cache(maxsize=None)(col_key)
         self.ctx = ctx
-        self._ops = (ctx.sub, ctx.mul, ctx.neg, ctx.is_zero)
+        self._ops = (ctx.add, ctx.sub, ctx.mul, ctx.neg, ctx.is_zero)
         self._one = ctx.one().val
+        self._minus_one = ctx.neg(self._one)
         self.rows = {}  # leading column -> row dict of payloads
 
     def _payloads(self, row):
@@ -60,12 +65,19 @@ class SpanTracker:
         return min(row, key=self.col_key)
 
     def _subtract(self, row, factor, pivot):
-        """row -= factor * pivot in place, dropping entries that vanish."""
-        sub, mul, neg, is_zero = self._ops
+        """row -= factor * pivot in place, dropping entries that vanish.
+        A factor of 1 or -1 subtracts or adds pivot's entries as they are."""
+        add, sub, mul, neg, is_zero = self._ops
+        if factor == self._one:
+            step, fresh = sub, neg
+        elif factor == self._minus_one:
+            step, fresh = add, _same
+        else:
+            step, fresh = sub, neg
+            pivot = {col: mul(factor, val) for col, val in pivot.items()}
         for col, val in pivot.items():
             cur = row.get(col)
-            upd = sub(cur, mul(factor, val)) if cur is not None \
-                else neg(mul(factor, val))
+            upd = step(cur, val) if cur is not None else fresh(val)
             if is_zero(upd):
                 row.pop(col, None)
             else:

@@ -48,8 +48,8 @@ class Presentation:
     """Immutable presentation over one coefficient field."""
 
     __slots__ = ("ctx", "names", "weights", "precedence", "rules",
-                 "family", "params", "one", "by_first", "_rank", "_index",
-                 "_confluent")
+                 "family", "params", "one", "by_first", "field_ops", "_rank",
+                 "_index", "_confluent")
 
     def __init__(self, ctx, names, weights, precedence, rules,
                  family=None, params=None):
@@ -71,6 +71,8 @@ class Presentation:
         self._rank = tuple(rank_of_name[n] for n in self.names)
         self.one = ctx.one()
         self.by_first = rule_table(self.rules, self.one)
+        # the straightener's payload operations, bound once
+        self.field_ops = (ctx.add, ctx.mul, ctx.is_zero)
         self._confluent = None
 
     def gen(self, name):

@@ -7,6 +7,13 @@ strategy is fixed, so outputs are deterministic, and the strictly
 decreasing term order guarantees termination.  On a confluent
 presentation every strategy gives the same normal form; on a
 non-confluent one the result is one irreducible representative.
+The straightener computes on bare payloads of the presentation's field
+with the field's own add, mul and is_zero, bound once per presentation
+(Presentation.field_ops); its rule table, input, product memo and
+result all hold payloads.  A Coeff is unwrapped once on the way in and
+wrapped once on the way out, when the NCPoly result is built.  1 is the
+payload p.one.val, which is never multiplied by and comes back out as
+the object p.one, so product_terms skips products by it in turn.
 left_multiply(p, g, poly) needs poly in normal form: then every redex
 of g times a word of poly starts at g, so poly's terms go to the
 straightener as they are, with no coefficient multiplied and no word
@@ -23,6 +30,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 from .errors import CtxMismatch
+from .fields import Coeff
 
 
 class NCPoly:
@@ -126,9 +134,11 @@ def rule_table(rules, one):
     each presentation.
 
     Maps a generator to ((len(lhs) - 1, lhs[1:], rhs), ...) in rule order.
-    rhs[n] holds the (word, coefficient) pairs of the right side whose
-    words have length n, with like words merged.  A coefficient equal to
-    1 becomes the object one, which the straightener never multiplies by.
+    rhs[n] holds the (word, payload) pairs of the right side whose words
+    have length n, with like words merged; a payload is the bare value
+    of a coefficient in the field of one (a coefficient of another field
+    raises CtxMismatch).  A coefficient equal to 1 becomes the payload
+    one.val itself, which the straightener never multiplies by.
     """
     table = {}
     for rule in rules:
@@ -138,7 +148,7 @@ def rule_table(rules, one):
         rhs = [[] for _ in range(max(map(len, merged), default=0) + 1)]
         for w, c in merged.items():
             if not c.is_zero():
-                rhs[len(w)].append((w, one if c == one else c))
+                rhs[len(w)].append((w, one.val if c == one else c.val))
         table.setdefault(rule.lhs[0], []).append(
             (len(rule.lhs) - 1, rule.lhs[1:], tuple(map(tuple, rhs))))
     return {g: tuple(entries) for g, entries in table.items()}
@@ -173,28 +183,21 @@ def _memo(p):
     return entry[1]
 
 
-def _add(acc, word, c):
-    if word in acc:
-        s = acc[word] + c
-        if s.is_zero():
-            del acc[word]
-        else:
-            acc[word] = s
-    else:
-        acc[word] = c
-
-
 def _straighten(p, levels, memo):
     """Generator returning the normal form of a sum of prefix * poly.
 
     levels[n] maps each prefix of length n to its poly, a dict from
-    irreducible words to coefficients.  Prefixes give up their last
-    letter longest first, so like terms merge before the next letter goes
-    in.  A product g*u missing from the memo is requested by yielding
-    (g*u, the rest of u after the redex, the rule's rhs levels); the
-    driver (_run) sends back its normal form.
+    irreducible words to coefficients.  Every coefficient here is a bare
+    payload of p.ctx, added and multiplied by the field's own operations
+    (p.field_ops), and 1 is the payload p.one.val itself, which is never
+    multiplied by.  Prefixes give up their last letter longest first, so
+    like terms merge before the next letter goes in.  A product g*u
+    missing from the memo is requested by yielding (g*u, the rest of u
+    after the redex, the rule's rhs levels); the driver (_run) sends back
+    its normal form.
     """
-    one, by_first = p.one, p.by_first
+    one, by_first = p.one.val, p.by_first
+    add, mul, is_zero = p.field_ops
     for n in range(len(levels) - 1, 0, -1):
         shorter = levels[n - 1]
         for prefix, poly in levels[n].items():
@@ -213,23 +216,38 @@ def _straighten(p, levels, memo):
                         prod = memo.get(gu)
                         if prod is None:
                             prod = yield gu, u[k:], rhs
+                        # the accumulation is inlined here, below and in
+                        # _levels: it runs once per term, and a helper
+                        # call would cost about as much as the field's add
                         for w, pc in prod.items():
-                            _add(out, w, pc if c is one else
-                                 c if pc is one else c * pc)
+                            if c is not one:
+                                pc = c if pc is one else mul(c, pc)
+                            s = out.get(w)
+                            if s is None:
+                                out[w] = pc
+                            elif is_zero(s := add(s, pc)):
+                                del out[w]
+                            else:
+                                out[w] = s
                         break
                 else:
-                    _add(out, gu, c)
+                    s = out.get(gu)
+                    if s is None:
+                        out[gu] = c
+                    elif is_zero(s := add(s, c)):
+                        del out[gu]
+                    else:
+                        out[gu] = s
         levels[n] = None
     return levels[0].get((), {})
 
 
 def _run(p, levels, memo):
-    """Normal form (a dict) of the straightener input levels.  Missing
-    products are computed, and memoized, on an explicit stack."""
+    """Normal form (a dict of payloads) of the straightener input levels.
+    Missing products are computed, and memoized, on an explicit stack."""
     if len(levels) == 1:
         return levels[0].get((), {})
-    one = p.one
-    one_val = one.val
+    one = p.one.val
     stack = [(None, _straighten(p, levels, memo))]
     value = None
     while True:
@@ -241,10 +259,10 @@ def _run(p, levels, memo):
                 return done.value
             value = memo[word] = done.value
             # a product is reused at every hit: store its coefficients
-            # equal to 1 as the object one, which is never multiplied by
+            # equal to 1 as the payload one, which is never multiplied by
             # (equal payloads are equal values, and much cheaper to test)
             for w, c in value.items():
-                if c.val == one_val and c is not one:
+                if c is not one and c == one:
                     value[w] = one
         else:
             levels = [{rw: {rest: rc} for rw, rc in bucket} for bucket in rhs]
@@ -262,25 +280,49 @@ def _split(p, word):
 
 
 def _levels(p, terms):
-    """Straightener input for the formal sum of (coefficient, word) terms."""
+    """Straightener input for the formal sum of (coefficient, word) terms:
+    each Coeff is checked against p's field and unwrapped to its payload."""
     ctx = p.ctx
+    add, _, is_zero = p.field_ops
     levels = [{}]
     for c, w in terms:
-        cctx = getattr(c, "ctx", ctx)
-        if cctx is not ctx and cctx != ctx:
+        if c.ctx is not ctx and c.ctx != ctx:
             raise CtxMismatch("coefficient from a different field")
-        if not c.is_zero():
-            prefix, suffix = _split(p, tuple(w))
-            while len(levels) <= len(prefix):
-                levels.append({})
-            _add(levels[len(prefix)].setdefault(prefix, {}), suffix, c)
+        c = c.val
+        if is_zero(c):
+            continue
+        prefix, suffix = _split(p, tuple(w))
+        while len(levels) <= len(prefix):
+            levels.append({})
+        acc = levels[len(prefix)].setdefault(prefix, {})
+        s = acc.get(suffix)
+        if s is None:
+            acc[suffix] = c
+        elif is_zero(s := add(s, c)):
+            del acc[suffix]
+        else:
+            acc[suffix] = s
     return levels
+
+
+def _result(p, terms):
+    """The NCPoly of a straightener result, a dict of payloads wrapped in
+    place and held, not copied: each payload becomes a Coeff, and the
+    payload p.one.val the object p.one, which product_terms never
+    multiplies by."""
+    one, ctx = p.one, p.ctx
+    one_val = one.val
+    for w, c in terms.items():
+        terms[w] = one if c is one_val else Coeff(ctx, c)
+    poly = NCPoly.__new__(NCPoly)
+    poly.terms = terms
+    return poly
 
 
 def normal_form(p, input_poly):
     """Rewrite a formal polynomial (or NCPoly) to its normal form."""
     levels = _levels(p, _formal_terms(input_poly))
-    return NCPoly(_run(p, levels, _memo(p)))
+    return _result(p, _run(p, levels, _memo(p)))
 
 
 def product_terms(p, a, b, c=None):
@@ -304,13 +346,15 @@ def multiply(p, a, b):
 
 
 def left_multiply(p, g, poly):
-    """Normal form of the generator g times poly, for poly in normal form.
+    """Normal form of the generator g times poly, for poly in normal form
+    over p (so its coefficients lie in p's field).
 
     Every word of poly is irreducible, so every redex of g*u starts at
-    g: the terms of poly go to the straightener as they are, with no
-    coefficient multiplied and no word scanned for a redex.
+    g: the payloads of poly's terms go to the straightener as they are,
+    with no coefficient multiplied and no word scanned for a redex.
     """
-    return NCPoly(_run(p, [{}, {(g,): poly.terms}], _memo(p)))
+    terms = {u: c.val for u, c in poly.terms.items()}
+    return _result(p, _run(p, [{}, {(g,): terms}], _memo(p)))
 
 
 def power(p, a, k):

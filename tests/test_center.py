@@ -564,12 +564,15 @@ def test_spanning_rows_split_no_word_and_multiply_by_no_one(monkeypatch,
                                                              cyclo3):
     # each row is a generator times a row in normal form, so the
     # straightener takes it as it is: no redex search, and no product
-    # with a coefficient equal to 1 (only rule coefficients multiply)
+    # with a coefficient equal to 1 (only rule coefficients multiply).
+    # The straightener multiplies bare payloads with the field's own mul,
+    # so the spy sits there; the presentation binds it when it is built.
     from orepi import center, rewrite
-    from orepi.fields import Coeff
-    inside, seen, built = [False], [], []
+    inside, seen, built, products = [False], [], [], [0]
+    field = type(cyclo3)
     real_left, real_split, real_mul = (center.left_multiply, rewrite._split,
-                                       Coeff.__mul__)
+                                       field.mul)
+    one = cyclo3.one().val
 
     def left_multiply(*args):
         inside[0] = True
@@ -584,17 +587,21 @@ def test_spanning_rows_split_no_word_and_multiply_by_no_one(monkeypatch,
             seen.append(("split", word))
         return real_split(p, word)
 
-    def mul(a, b):
-        if inside[0] and (a.is_one() or b.is_one()):
-            seen.append(("mul", a, b))
-        return real_mul(a, b)
+    def mul(self, a, b):
+        if inside[0]:
+            products[0] += 1
+            if self.eq(a, one) or self.eq(b, one):
+                seen.append(("mul", a, b))
+        return real_mul(self, a, b)
 
     monkeypatch.setattr(center, "left_multiply", left_multiply)
     monkeypatch.setattr(rewrite, "_split", split)
-    monkeypatch.setattr(Coeff, "__mul__", mul)
+    monkeypatch.setattr(field, "mul", mul)
     z3 = cyclo3.generator()
     spec = spec_m2(cyclo3, z3, z3)
     caps = {"X11": 3, "X12": 3, "X21": 3, "X22": 3}
     r = spanning_check(build_family(spec), central_candidates(spec), caps, 9)
     assert r.ok and r.rank == 715
     assert len(built) == 600 and seen == []
+    # the spy saw the straightener's products: the check is not vacuous
+    assert products[0] > 0

@@ -286,6 +286,21 @@ def test_cyclotomic_scalar_operands():
                 assert_canonical(s.inv())
 
 
+def test_cyclotomic_monomial_inverse_matches_bareiss():
+    # c zeta^k, one nonzero coordinate, is inverted as c^-1 zeta^(N-k)
+    # with no linear algebra: the payload must be the Bareiss solve's
+    for n in range(1, 31):
+        ctx = FieldCtx.cyclotomic(n)
+        d = len(ctx._phi) - 1
+        for k in range(d):
+            for c in (1, -1, Fraction(-2, 3), Fraction(5, 1)):
+                a = (0,) * k + (c,) + (0,) * (d - 1 - k)
+                got = ctx.inv(a)
+                assert got == ctx._inv_dense(a)
+                assert_canonical(Coeff(ctx, got))
+                assert ctx.mul(a, got) == ctx.one().val
+
+
 def integral_twin(rng, ctx):
     """(ints, integral Fractions): two payloads of one value, the second
     built the way the benchmark's generators build them."""

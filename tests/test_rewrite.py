@@ -351,10 +351,21 @@ ZOO_FIELDS = {
 }
 ZOO = [pytest.param(p, id=f"{p.family}-{name}")
        for name, ctx in ZOO_FIELDS.items() for p in confluent_zoo(ctx)]
+# every field kind: Q, a cyclotomic field, Q(params), a prime field and
+# a proper extension of one
+LEFT_FIELDS = dict(ZOO_FIELDS, **{
+    "Q(q)": FieldCtx.rational_functions(("q",)),
+    "GF(7^2)": FieldCtx.galois(7, (3, 1, 1)),
+})
+LEFT_ZOO = [pytest.param(p, id=f"{p.family}-{name}")
+            for name, ctx in LEFT_FIELDS.items() for p in confluent_zoo(ctx)]
 
 
-@pytest.mark.parametrize("p", ZOO)
+@pytest.mark.parametrize("p", LEFT_ZOO)
 def test_straightener_matches_heap_strategy(p, rng):
+    # the straightener computes on bare payloads: a number over Q, a
+    # coordinate tuple over Q(z12) and the Galois fields, and a pair of
+    # polynomial dicts over Q(q)
     assert overlap_check(p).confluent
     for _ in range(8):
         fa = random_formal(p, rng, terms=3, max_len=5)
@@ -388,14 +399,38 @@ def test_multiply_accepts_non_normal_operands(rng, QQ):
             assert multiply(p, a, b) == normal_form(p, concat)
 
 
-# every field kind: Q, a cyclotomic field, Q(params), a prime field and
-# a proper extension of one
-LEFT_FIELDS = dict(ZOO_FIELDS, **{
-    "Q(q)": FieldCtx.rational_functions(("q",)),
-    "GF(7^2)": FieldCtx.galois(7, (3, 1, 1)),
-})
-LEFT_ZOO = [pytest.param(p, id=f"{p.family}-{name}")
-            for name, ctx in LEFT_FIELDS.items() for p in confluent_zoo(ctx)]
+
+@pytest.mark.parametrize("p", LEFT_ZOO)
+def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(p, rng):
+    # a coefficient equal to 1 whose payload is not p.one.val (over Q every
+    # payload 1 is the one int): it is multiplied like any other, exactly,
+    # in the input, in the rows left_multiply takes and in a rule
+    ctx = p.ctx
+    a = random_coeff(ctx, rng)
+    while a.is_zero():
+        a = random_coeff(ctx, rng)
+    unit = a * a.inv()
+    assert unit == p.one
+    if ctx.kind != "rational":
+        assert unit.val is not p.one.val
+    for _ in range(6):
+        fa = [(unit if i % 2 else c, w) for i, (c, w)
+              in enumerate(random_formal(p, rng, terms=4, max_len=5))]
+        nf = normal_form(p, fa)
+        assert nf == heap_normal_form(p, fa)
+        row = NCPoly({w: unit for w in nf.terms})
+        g = rng.randrange(len(p.names))
+        assert left_multiply(p, g, row) == \
+            heap_normal_form(p, [(unit, (g,) + w) for w in row.terms])
+    # a rule whose coefficient 1 is not the object p.one
+    q = Presentation(ctx, p.names, p.weights, p.precedence,
+                     [RewriteRule(r.lhs, [(unit if c == p.one else c, w)
+                                          for c, w in r.rhs])
+                      for r in p.rules])
+    fa = random_formal(p, rng, terms=4, max_len=5)
+    assert normal_form(q, fa) == heap_normal_form(p, fa)
+    # a product by the shared 1 gives back p.one itself
+    assert normal_form(p, [(p.one, (g,))]).terms[(g,)] is p.one
 
 
 @pytest.mark.parametrize("p", LEFT_ZOO)
