@@ -341,15 +341,13 @@ def exact_sqrt(c):
 
     Handles rational values (also rationals embedded in a cyclotomic
     field, where sqrt(-r) uses a 4th root of unity when available) and
-    exhaustive search in small Galois fields.
+    every value of a Galois field (Tonelli-Shanks, _GaloisField.sqrt).
     """
     ctx = c.ctx
     if c.is_zero():
         return ctx.zero()
     if ctx.kind == "galois":
-        if ctx.char ** (len(ctx.modulus) - 1) > 20000:
-            return None
-        return next((r for r in ctx.units() if r * r == c), None)
+        return ctx.sqrt(c)
     rat = c.as_fraction()
     if rat is None:
         return None
@@ -733,7 +731,7 @@ def _spanning_check(p, centrals, caps, degree):
     words = irreducible_words(p, degree)
     residuals = [w for w in words
                  if all(w.count(g) < cap_by_index[g] for g in range(len(p.names)))]
-    one = p.ctx.one()
+    one = p.ctx.one().val
     tracker = SpanTracker(p.order_key, p.ctx)
     by_length = [[] for _ in range(degree + 1)]
     for m in residuals:
@@ -743,14 +741,14 @@ def _spanning_check(p, centrals, caps, degree):
         # cpoly is central, so its row at g*m is g times its row at m: the
         # residuals are closed under suffixes, and each length needs only
         # the rows one letter shorter
-        rows = {(): cpoly}
+        rows = {(): {w: c.val for w, c in cpoly.terms.items()}}
         for n in range(degree - _min_deg(cpoly) + 1):
             if n:
                 rows = {m: left_multiply(p, m[0], rows[m[1:]])
                         for m in by_length[n]}
             for m in by_length[n]:
-                if not rows[m].is_zero():
-                    tracker.insert(rows[m].terms)
+                if rows[m]:
+                    tracker.insert(rows[m])
     # every residual went in as a unit row
     spanned = set(residuals)
     missing = [w for w in words

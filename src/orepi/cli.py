@@ -547,7 +547,8 @@ def cmd_identity_search(args, report):
         from .matrep import MatAlgebra
         alg = MatAlgebra(2, ctx, gens)
     else:
-        q = parse_coeff(args.q, ctx)
+        q = ctx.root_of_unity(args.order) if args.q is None \
+            else parse_coeff(args.q, ctx)
         alg = quantum_plane_rep(ctx, args.order, q)
     space = multilinear_identity_search(alg, args.degree)
     detail = f"kernel dimension {space.dim}"
@@ -620,7 +621,8 @@ def make_parser():
     sp.add_argument("--field", default="Q")
     sp.add_argument("--algebra", choices=("m2", "qplane"), default="m2")
     sp.add_argument("--order", type=int, default=2)
-    sp.add_argument("--q", default="-1")
+    sp.add_argument("--q", default=None,
+                    help="default: a primitive root of order --order")
     sp.add_argument("--degree", type=int, required=True)
 
     return ap

@@ -847,6 +847,37 @@ class _GaloisField(FieldCtx):
                 return c
         raise ZeroInput(f"no {n}-th root in {self!r}")
 
+    def sqrt(self, c):
+        """A square root of the Coeff c, or None when c is no square.
+
+        With q = p^k, squaring is a bijection in characteristic 2, where
+        the root is c^(q/2).  Otherwise Tonelli-Shanks: c != 0 is a square
+        exactly when c^((q-1)/2) = 1 (Euler's criterion); with q - 1 =
+        2^s t, t odd, the guess c^((t+1)/2) is off by a factor whose
+        order divides 2^(s-1), cleared one bit at a time by powers of
+        z^t for the first unit z that is no square.
+        """
+        order = self._unit_order
+        if c.is_zero() or self.char == 2:
+            return c ** ((order + 1) // 2)
+        one, half = self.one(), order // 2
+        if c ** half != one:
+            return None
+        s, t = 0, order
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        z = next(u for u in self.units() if u ** half != one)
+        # invariant: root^2 = c * err, and err^(2^(s-1)) = 1 = gen^(2^s)
+        gen, root, err = z ** t, c ** ((t + 1) // 2), c ** t
+        while err != one:
+            i, sq = 0, err
+            while sq != one:
+                i, sq = i + 1, sq * sq
+            step = gen ** (1 << (s - i - 1))
+            s, gen = i, step * step
+            root, err = root * step, err * gen
+        return root
+
     def is_zero(self, a):
         return not any(a)
 

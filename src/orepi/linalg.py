@@ -4,9 +4,11 @@ One elimination routine, a sparse row-echelon span tracker.  It serves
 membership tests (the spanning checks and basis closure in the matrix
 laboratory) and, once its rows are back-reduced to the reduced row
 echelon form, kernels (fixed subspaces, multilinear identity search).
-A tracker is bound to one field: it stores bare payloads of that field
-and calls the field's payload operations directly, so Coeffs are
-unwrapped once on the way in and wrapped again only in kernel vectors.
+A tracker is bound to one field.  Its one row format is the payload
+dict, column -> bare payload of that field, the format of the
+straightener's normal forms; it checks no field, so callers holding
+Coeffs unwrap them (and dense_kernel checks their field) at their edge.
+Only kernel vectors come back as Coeffs.
 How a row is scaled during elimination is the field's choice
 (``FieldCtx.pivot_multiple``): over Q rows are primitive integer vectors
 and a step cross-multiplies (fraction-free, as in Bareiss's integer
@@ -29,11 +31,11 @@ def _same(val):
 class SpanTracker:
     """Incremental row space over one exact field, ``ctx``.
 
-    Rows come in as sparse dicts column -> Coeff of ``ctx`` (a Coeff of
-    another field raises CtxMismatch) and are stored as dicts column ->
-    payload of ``ctx``.  Columns are ordered by a caller-supplied sort
-    key, computed once per column and tracker.  A stored row's leading
-    (smallest-key) column is its pivot.  A row with one entry is stored
+    A row is a sparse dict column -> payload of ``ctx``, copied without
+    its zero entries by insert and contains (the argument is left as it
+    is).  Columns are ordered by a caller-supplied sort key, computed
+    once per column and tracker.  A stored row's leading (smallest-key)
+    column is its pivot.  A row with one entry is stored
     as 1 there; any other row as ``ctx.pivot_multiple`` leaves it: over Q
     a primitive integer vector, over every other field divided by its
     leading coefficient unless that is 1 already.
@@ -46,18 +48,6 @@ class SpanTracker:
         self._one = ctx.one().val
         self._minus_one = ctx.neg(self._one)
         self.rows = {}  # leading column -> row dict of payloads
-
-    def _payloads(self, row):
-        """row's nonzero entries as payloads of the tracker's field."""
-        ctx = self.ctx
-        is_zero = ctx.is_zero
-        out = {}
-        for col, c in row.items():
-            if c.ctx is not ctx and c.ctx != ctx:
-                raise CtxMismatch(f"{ctx!r} vs {c.ctx!r}")
-            if not is_zero(c.val):
-                out[col] = c.val
-        return out
 
     def _lead(self, row):
         if len(row) == 1:
@@ -84,9 +74,11 @@ class SpanTracker:
                 row[col] = upd
 
     def _reduce(self, row):
-        """Residual of a payload row against the current span, in place."""
+        """Residual of a payload row against the current span, reduced in
+        a copy of the row without its zero entries."""
         rows, lead_of = self.rows, self._lead
-        multiple = self.ctx.pivot_multiple
+        multiple, is_zero = self.ctx.pivot_multiple, self._ops[4]
+        row = {col: val for col, val in row.items() if not is_zero(val)}
         while row:
             lead = lead_of(row)
             pivot = rows.get(lead)
@@ -96,8 +88,8 @@ class SpanTracker:
         return row
 
     def insert(self, row):
-        """Add a row; returns True if it enlarged the span."""
-        residual = self._reduce(self._payloads(row))
+        """Add a payload row; returns True if it enlarged the span."""
+        residual = self._reduce(row)
         if not residual:
             return False
         lead = self._lead(residual)
@@ -114,7 +106,7 @@ class SpanTracker:
         return True
 
     def contains(self, row):
-        return not self._reduce(self._payloads(row))
+        return not self._reduce(row)
 
     @property
     def rank(self):
@@ -160,8 +152,11 @@ class SpanTracker:
 
 
 def dense_kernel(rows, ncols, ctx):
-    """SpanTracker.kernel of the row space of ``rows`` (ncols Coeffs each)."""
+    """SpanTracker.kernel of the row space of ``rows`` (ncols Coeffs each);
+    an entry of another field raises CtxMismatch."""
     tracker = SpanTracker(lambda k: k, ctx)
     for r in rows:
-        tracker.insert(dict(enumerate(r)))
+        if any(c.ctx is not ctx and c.ctx != ctx for c in r):
+            raise CtxMismatch(f"{ctx!r} vs a row of another field")
+        tracker.insert({k: c.val for k, c in enumerate(r)})
     return tracker.kernel(ncols)

@@ -96,7 +96,7 @@ class MatAlgebra:
         while queue:
             m = queue.popleft()
             if mat_is_zero(m) or not tracker.insert(
-                    dict(enumerate(x for r in m for x in r))):
+                    dict(enumerate(x.val for r in m for x in r))):
                 continue
             basis.append(m)
             for g in self.gens.values():
@@ -185,8 +185,8 @@ class IdentitySpace:
             return False
         tracker = SpanTracker(lambda k: k, self.ctx)
         for vec in self.basis:
-            tracker.insert(dict(enumerate(vec)))
-        sgn = {i: self.ctx.from_int(_parity(p))
+            tracker.insert({i: c.val for i, c in enumerate(vec)})
+        sgn = {i: self.ctx.from_int(_parity(p)).val
                for i, p in enumerate(self.perms)}
         return tracker.contains(sgn)
 
@@ -224,9 +224,9 @@ def multilinear_identity_search(alg, d):
     for length in range(2, d + 1):
         for w in product(letters, repeat=length):
             words[w] = mat_mul(words[w[:-1]], alg.basis[w[-1]])
-    # the nonzero cells of each length-d word, found once: (cell, entry)
+    # the nonzero cells of each length-d word, found once: (cell, payload)
     # pairs, cells numbered row-major
-    nonzero = {w: [(i, x) for i, x in enumerate(x for r in m for x in r)
+    nonzero = {w: [(i, x.val) for i, x in enumerate(x for r in m for x in r)
                    if not x.is_zero()]
                for w, m in words.items() if len(w) == d}
     tracker = SpanTracker(lambda k: k, alg.ctx)

@@ -10,14 +10,15 @@ non-confluent one the result is one irreducible representative.
 The straightener computes on bare payloads of the presentation's field
 with the field's own add, mul and is_zero, bound once per presentation
 (Presentation.field_ops); its rule table, input, product memo and
-result all hold payloads.  A Coeff is unwrapped once on the way in and
-wrapped once on the way out, when the NCPoly result is built.  1 is the
+result all hold payloads.  normal_form unwraps each Coeff once on the
+way in and wraps the NCPoly result once on the way out; 1 is the
 payload p.one.val, which is never multiplied by and comes back out as
 the object p.one, so product_terms skips products by it in turn.
-left_multiply(p, g, poly) needs poly in normal form: then every redex
-of g times a word of poly starts at g, so poly's terms go to the
-straightener as they are, with no coefficient multiplied and no word
-scanned for a redex (multiply accepts any operands).
+left_multiply(p, g, terms) stays on payload dicts, the row format of
+linalg.SpanTracker: terms is a normal form, so every redex of g times
+one of its words starts at g, and the terms go to the straightener as
+they are, with no coefficient multiplied and no word scanned for a
+redex (multiply accepts any operands).
 product_terms writes out the formal terms of c*a*b; multiply and
 q_commutator straighten them.
 overlap_check enumerates every word with two distinct one-step
@@ -345,16 +346,16 @@ def multiply(p, a, b):
     return normal_form(p, product_terms(p, a, b))
 
 
-def left_multiply(p, g, poly):
-    """Normal form of the generator g times poly, for poly in normal form
-    over p (so its coefficients lie in p's field).
+def left_multiply(p, g, terms):
+    """Normal form of the generator g times a normal form over p, both as
+    payload dicts (irreducible word -> nonzero payload of p.ctx, the
+    format the straightener returns); terms is left as it is.
 
-    Every word of poly is irreducible, so every redex of g*u starts at
-    g: the payloads of poly's terms go to the straightener as they are,
-    with no coefficient multiplied and no word scanned for a redex.
+    Every word of terms is irreducible, so every redex of g*u starts at
+    g: the terms go to the straightener as they are, with no coefficient
+    multiplied and no word scanned for a redex.
     """
-    terms = {u: c.val for u, c in poly.terms.items()}
-    return _result(p, _run(p, [{}, {(g,): terms}], _memo(p)))
+    return _run(p, [{}, {(g,): terms}], _memo(p))
 
 
 def power(p, a, k):

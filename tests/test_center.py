@@ -1,6 +1,7 @@
 """Centrality, candidate sets, automorphism order, fixed rings, spanning."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from orepi import (
     NCPoly,
     build_family,
     central_candidates,
+    coeff_to_str,
     downup_center_generators,
     fixed_polynomials,
     gwa_auto_order,
@@ -280,6 +282,65 @@ def test_exact_sqrt(QQ, cyclo12):
     assert v is not None and v * v == cyclo12.from_int(-4)
 
 
+def _small_galois_fields(max_size):
+    """One GF(p^k) for each p^k <= max_size the field class takes (p <=
+    101, k <= 6), with the first monic irreducible modulus in counting
+    order."""
+    fields = []
+    for p in (n for n in range(2, 102) if all(n % d for d in range(2, n))):
+        for k in range(1, 7):
+            if p ** k > max_size:
+                break
+            for code in range(p ** k):
+                try:
+                    low = [code // p ** i % p for i in range(k)]
+                    fields.append(FieldCtx.galois(p, low + [1]))
+                    break
+                except ValueError:  # a reducible modulus
+                    continue
+    return fields
+
+
+def test_galois_sqrt_matches_exhaustive_search():
+    # the reference is an exhaustive search over the units: squares
+    # and non-squares alike
+    fields = _small_galois_fields(343)
+    assert len(fields) == 26 + 16
+    for ctx in fields:
+        squares = {}
+        for r in ctx.units():
+            squares.setdefault((r * r).val, r)
+        q = ctx.unit_group_exponent() + 1
+        assert len(squares) == (q - 1 if ctx.char == 2 else (q - 1) // 2)
+        assert exact_sqrt(ctx.zero()) == ctx.zero()
+        for c in ctx.units():
+            root = exact_sqrt(c)
+            if c.val in squares:
+                assert root is not None and root * root == c, (ctx, c)
+            else:
+                assert root is None, (ctx, c)
+
+
+def test_galois_sqrt_beyond_the_old_search_bound():
+    F = FieldCtx.galois(101, (1, 1, 0, 1))
+    a = F.generator()
+    c = (a + 3) ** 2
+    root = exact_sqrt(c)
+    assert root in (a + 3, -(a + 3))
+    # 2 is no square mod 101 (101 = 5 mod 8), nor in the odd-degree
+    # extension GF(101^3)
+    assert exact_sqrt(2 * c) is None
+    # t^2 - 9t - 10 has discriminant 121 and roots -1 and 10 (orders 2
+    # and 4): they are found, and give the verdict the supplied roots give
+    al, be = F.from_int(9), F.from_int(10)
+    found = gwa_auto_order(F, al, be, F.zero())
+    given = gwa_auto_order(F, al, be, F.zero(),
+                           roots=(F.from_int(-1), F.from_int(10)))
+    assert (found.finite, found.order) == (given.finite, given.order) == \
+        (True, 4)
+    assert {coeff_to_str(r) for r in found.roots} == {"100", "10"}
+
+
 # -- fixed polynomials -------------------------------------------------------
 
 
@@ -374,8 +435,9 @@ def _brute_force_words(p, max_len):
 def _reference_spanning(p, centrals, caps, degree):
     """(ok, rank, missing, degree) with each row straightened from
     scratch: multiply(p, c, m) for every central product c and every
-    residual monomial m, and every word swept for membership."""
-    one = p.ctx.one()
+    residual monomial m, and every word swept for membership.  The
+    tracker takes payload rows, so each product is unwrapped here."""
+    one = p.ctx.one().val
     cap = [caps[name] for name in p.names]
     words = _brute_force_words(p, degree)
     residuals = [w for w in words
@@ -388,9 +450,9 @@ def _reference_spanning(p, centrals, caps, degree):
         for m in residuals:
             if base + len(m) > degree:
                 continue
-            row = multiply(p, cpoly, NCPoly.monomial(one, m))
+            row = multiply(p, cpoly, NCPoly.monomial(p.one, m))
             if not row.is_zero():
-                tracker.insert(row.terms)
+                tracker.insert({w: c.val for w, c in row.terms.items()})
     missing = [w for w in words if not tracker.contains({w: one})]
     return not missing, tracker.rank, missing, degree
 
@@ -605,3 +667,54 @@ def test_spanning_rows_split_no_word_and_multiply_by_no_one(monkeypatch,
     assert len(built) == 600 and seen == []
     # the spy saw the straightener's products: the check is not vacuous
     assert products[0] > 0
+
+
+def test_spanning_rows_build_and_unwrap_no_coeff(monkeypatch, cyclo3):
+    # a spanning row stays a payload dict from the straightener to the
+    # tracker: left_multiply, SpanTracker.insert and SpanTracker.contains
+    # build no Coeff and unwrap none, apart from the payload of p.one (the
+    # straightener's 1), which the straightener reads on each call
+    from orepi import center
+    from orepi.fields import Coeff
+    slot = Coeff.__dict__["val"]
+    inside, built, read, calls = [False], [], [], Counter()
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            was, inside[0] = inside[0], True
+            try:
+                return real(*args)
+            finally:
+                inside[0] = was
+        monkeypatch.setattr(owner, name, wrapped)
+
+    real_init = Coeff.__init__
+
+    def init(self, ctx, val):
+        if inside[0]:
+            built.append(val)
+        real_init(self, ctx, val)
+
+    def get_val(self):
+        if inside[0]:
+            read.append(self)
+        return slot.__get__(self, Coeff)
+
+    spy(center, "left_multiply")
+    spy(SpanTracker, "insert")
+    spy(SpanTracker, "contains")
+    monkeypatch.setattr(Coeff, "__init__", init)
+    monkeypatch.setattr(Coeff, "val", property(get_val, slot.__set__))
+    z3 = cyclo3.generator()
+    spec = spec_m2(cyclo3, z3, z3)
+    p = build_family(spec)
+    caps = {"X11": 3, "X12": 3, "X21": 3, "X22": 3}
+    r = spanning_check(p, central_candidates(spec), caps, 9)
+    assert (r.ok, r.rank, r.missing) == (True, 715, [])
+    assert calls["left_multiply"] == 600
+    assert calls["insert"] > 600 and calls["contains"] > 0
+    assert built == []
+    assert read and all(c is p.one for c in read)

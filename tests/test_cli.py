@@ -175,6 +175,29 @@ def test_matrep_and_identity_search():
     assert "contains standard s_4: True" in doc["checks"][0]["detail"]
 
 
+def test_identity_search_default_q_is_a_primitive_root():
+    # without --q the quantum plane model takes a primitive root of order
+    # --order from the field: -1 at order 2, z3 over Q(z3) at order 3
+    def search(*extra):
+        code, doc = run(["identity-search", "--algebra", "qplane",
+                         "--degree", "3", *extra])
+        doc.pop("elapsed_ms")
+        return code, doc["checks"]
+
+    assert search("--order", "2") == search("--order", "2", "--q", "-1")
+    assert search("--order", "3", "--field", "cyclo:3") == \
+        search("--order", "3", "--field", "cyclo:3", "--q", "z3") == \
+        (0, [{"name": "identity-search", "status": "pass",
+              "detail": "kernel dimension 0"}])
+    code, checks = search("--order", "3", "--field", "gf:2:1,1,1")
+    assert code == 0 and checks[0]["status"] == "pass"
+    # a field without such a root is a typed error, as --q z2 over GF(4) is
+    for field in ("Q", "gf:7"):
+        code, checks = search("--order", "5", "--field", field)
+        assert code == 1
+        assert checks[0]["detail"].startswith("ZeroInput: ")
+
+
 def test_reports_deterministic():
     args = ["identity-check", "--family", "Hpq", "--field", "ratfunc:p,q",
             "--params", "p=p,q=q", "--lemma", "H.ynx", "--n-max", "3"]

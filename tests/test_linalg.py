@@ -1,5 +1,6 @@
 """Exact kernels: SpanTracker.kernel and dense_kernel against a dense
-Gauss-Jordan reference."""
+Gauss-Jordan reference.  A tracker takes payload rows (column -> bare
+payload); dense_kernel and the helpers here take rows of Coeffs."""
 
 from fractions import Fraction
 from math import gcd
@@ -61,12 +62,17 @@ def gauss_jordan_kernel(rows, ncols, ctx):
     return basis
 
 
+def payloads(row):
+    """A row of Coeffs as the tracker's payload row, zero entries kept."""
+    return {k: c.val for k, c in enumerate(row)}
+
+
 def tracker_kernel(rows, ncols, ctx):
     """The kernel from a tracker fed the rows last first: the reduced
     echelon form, and so the basis, depends on the row space alone."""
     tracker = SpanTracker(lambda k: k, ctx)
     for r in reversed(rows):
-        tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
+        tracker.insert(payloads(r))
     return tracker.kernel(ncols)
 
 
@@ -154,38 +160,54 @@ def test_kernel_leaves_the_tracker_unchanged(make_ctx, rng):
     rows = random_system(ctx, rng, 5, 3, 4)
     tracker = SpanTracker(lambda k: k, ctx)
     for r in rows:
-        tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
+        tracker.insert(payloads(r))
     before = {lead: dict(row) for lead, row in tracker.rows.items()}
     first = tracker.kernel(5)
     assert tracker.rows == before
     assert_same_basis(tracker.kernel(5), first)
 
 
-def test_tracker_holds_one_field():
+def test_dense_kernel_holds_one_field():
+    # the tracker takes bare payloads, so the field of a Coeff row is
+    # checked where it is unwrapped: one entry of another field, even in
+    # a column no other row uses, raises
     QQ = FieldCtx.rational()
-    tracker = SpanTracker(lambda k: k, QQ)
-    assert tracker.insert({0: QQ.one()})
-    # no column is shared with the stored row, so only the tracker's own
-    # field can tell that this coefficient does not belong
     z3 = FieldCtx.cyclotomic(3).generator()
     with pytest.raises(CtxMismatch):
-        tracker.insert({1: z3})
+        dense_kernel([[QQ.one(), QQ.zero()], [QQ.zero(), z3]], 2, QQ)
     with pytest.raises(CtxMismatch):
-        tracker.contains({1: z3})
-    assert tracker.rank == 1
-    assert [[c.ctx for c in vec] for vec in tracker.kernel(2)] == [[QQ, QQ]]
+        dense_kernel([[QQ.zero(), FieldCtx.cyclotomic(3).zero()]], 2, QQ)
+    basis = dense_kernel([[QQ.one(), QQ.zero()]], 2, QQ)
+    assert [[c.ctx for c in vec] for vec in basis] == [[QQ, QQ]]
 
 
-def test_tracker_accepts_an_equal_field_and_drops_zero_entries():
-    ctx = FieldCtx.cyclotomic(3)
-    tracker = SpanTracker(lambda k: k, ctx)
-    other = FieldCtx.cyclotomic(3)
+def test_dense_kernel_accepts_an_equal_field():
+    ctx, other = FieldCtx.cyclotomic(3), FieldCtx.cyclotomic(3)
     assert other is not ctx
-    assert not tracker.insert({0: other.zero()})
-    assert tracker.insert({0: other.zero(), 1: other.generator()})
-    assert tracker.contains({1: ctx.one()})
-    assert not tracker.contains({0: ctx.one()})
-    assert list(tracker.rows) == [1]
+    rows = [[other.zero(), other.generator()], [ctx.zero(), ctx.one()]]
+    assert_same_basis(dense_kernel(rows, 2, ctx), [[ctx.one(), ctx.zero()]])
+
+
+@pytest.mark.parametrize("make_ctx", FIELDS)
+def test_tracker_copies_payload_rows_without_zero_entries(make_ctx):
+    # insert and contains leave their argument as it is (the spanning
+    # check reuses each row for the next length) and store no zero entry
+    ctx = make_ctx()
+    zero, one, two = ctx.zero().val, ctx.one().val, ctx.from_int(2).val
+    tracker = SpanTracker(lambda k: k, ctx)
+    rows = [{0: zero}, {0: zero, 1: two, 2: one}, {1: one, 2: zero},
+            {1: two, 2: one, 3: zero}]
+    kept = [dict(r) for r in rows]
+    assert [tracker.insert(r) for r in rows] == [False, True, True, False]
+    assert rows == kept
+    assert all(v is not r for v in tracker.rows.values() for r in rows)
+    assert sorted(tracker.rows) == [1, 2]
+    assert all(not ctx.is_zero(v)
+               for row in tracker.rows.values() for v in row.values())
+    probes = [{0: one}, {0: zero, 2: two}, {}, {3: zero}]
+    kept = [dict(r) for r in probes]
+    assert [tracker.contains(r) for r in probes] == [False, True, True, True]
+    assert probes == kept
 
 
 @pytest.mark.parametrize("make_ctx", FIELDS)
@@ -196,15 +218,16 @@ def test_no_inverse_for_one_entry_or_lead_one_rows(make_ctx, monkeypatch):
     monkeypatch.setattr(type(ctx), "inv",
                         lambda self, a: calls.append(a) or real(self, a))
     tracker = SpanTracker(lambda k: k, ctx)
-    c, one = ctx.from_int(2), ctx.one()
+    c, one = ctx.from_int(2).val, ctx.one().val
+    cc = ctx.mul(c, c)
     assert tracker.insert({4: c})                             # one entry
     assert tracker.insert({0: one, 2: c, 4: c})               # lead 1
     # c times the lead-1 row plus c at column 5: one entry is left
-    assert tracker.insert({0: c, 2: c * c, 4: c * c, 5: c})
-    assert tracker.contains({0: c, 2: c * c, 4: one, 5: one})
+    assert tracker.insert({0: c, 2: cc, 4: cc, 5: c})
+    assert tracker.contains({0: c, 2: cc, 4: one, 5: one})
     assert calls == []
-    assert tracker.rows[4] == {4: one.val}
-    assert tracker.rows[5] == {5: one.val}
+    assert tracker.rows[4] == {4: one}
+    assert tracker.rows[5] == {5: one}
     # leading entry 2 and two entries: only Q stores such a row undivided
     assert tracker.insert({3: c, 6: one})
     assert len(calls) == (0 if ctx.kind == "rational" else 1)
@@ -251,7 +274,7 @@ def test_rational_rows_match_gauss_jordan(data):
     want = gauss_jordan_kernel(rows, ncols, QQ)
     tracker = SpanTracker(lambda k: k, QQ)
     for r in rows:
-        tracker.insert({k: c for k, c in enumerate(r) if not c.is_zero()})
+        tracker.insert(payloads(r))
     _content_one_integer_rows(tracker)
     assert tracker.rank == ncols - len(want)
     assert_same_basis(tracker.kernel(ncols), want)
@@ -261,7 +284,7 @@ def test_rational_rows_match_gauss_jordan(data):
     if rows and data.draw(st.booleans()):
         probe = [x + y for x, y in zip(probe, rows[0])]
     spanned = len(gauss_jordan_kernel(rows + [probe], ncols, QQ)) == len(want)
-    assert tracker.contains(dict(enumerate(probe))) == spanned
+    assert tracker.contains(payloads(probe)) == spanned
     for r in rows:
-        assert tracker.contains(dict(enumerate(r)))
+        assert tracker.contains(payloads(r))
     _content_one_integer_rows(tracker)

@@ -9,7 +9,12 @@ from orepi import (
     quantum_plane_rep,
     standard_poly_eval,
 )
-from orepi.errors import DegreeTooLarge, NotPrimitiveRoot, SizeMismatch
+from orepi.errors import (
+    CtxMismatch,
+    DegreeTooLarge,
+    NotPrimitiveRoot,
+    SizeMismatch,
+)
 from orepi.matrep import mat_identity, mat_is_zero, mat_scale
 
 
@@ -90,6 +95,22 @@ def test_identity_search_m2(m2):
     sp4 = multilinear_identity_search(m2, 4)
     assert sp4.dim >= 1
     assert sp4.contains_standard()
+
+
+def test_mat_algebra_holds_one_field(QQ, cyclo3):
+    # the span tracker takes bare payloads, so a generator of another
+    # field is caught by the Coeff arithmetic of the basis closure
+    with pytest.raises(CtxMismatch):
+        MatAlgebra(2, QQ, m2_units(cyclo3))
+    with pytest.raises(CtxMismatch):
+        MatAlgebra(2, cyclo3, m2_units(QQ))
+    # an equal field that is a distinct object is accepted
+    other = FieldCtx.cyclotomic(3)
+    assert other is not cyclo3
+    alg = MatAlgebra(2, cyclo3, m2_units(other))
+    assert alg.dim == 4
+    assert multilinear_identity_search(alg, 3).dim == 0
+    assert multilinear_identity_search(alg, 4).contains_standard()
 
 
 def test_identity_search_qplane_rep(QQ):

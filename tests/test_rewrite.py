@@ -1,6 +1,7 @@
 """Normal forms, products, commutators, and confluence analysis."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,13 +18,19 @@ from orepi import (
     q_commutator,
     spec_bh,
     spec_biquad3,
+    spec_bqf,
     spec_downup,
     spec_hpq,
+    spec_m2,
     spec_quantum_plane,
+    spec_three_cyclic,
     spec_uqb2,
+    spec_weyl,
 )
+from orepi.errors import DownUpNotNoetherian, ZeroParameter
+from orepi.fields import Coeff
 from orepi.identities import biquad3_consistent_instance, pq_number
-from orepi.presentations import biquad3_conditions
+from orepi.presentations import FamilySpec, biquad3_conditions
 from orepi.rewrite import gen_poly, left_multiply, specialize_poly, word_poly
 
 from conftest import random_coeff
@@ -107,7 +114,6 @@ def family_zoo():
     rpq = FieldCtx.rational_functions(("p", "q"))
     c12 = FieldCtx.cyclotomic(12)
     rq = FieldCtx.rational_functions(("q",))
-    from orepi import spec_m2, spec_three_cyclic, spec_weyl, spec_bqf
     lam = ((rpq.one(), rpq.param("p")), (rpq.param("p").inv(), rpq.one()))
     return [
         build_family(spec_hpq(rpq, rpq.param("p"), rpq.param("q"))),
@@ -275,6 +281,115 @@ def test_specialization_commutes_with_normal_form(H, rng, cyclo3):
         done += 1
 
 
+def _biquad3_family(R, q, s, t):
+    # q1 = q2 = q3 = q with these tails and constants meets all ten
+    # consistency conditions for every q, s and t
+    i = R.from_int
+    return spec_biquad3(R, (q, q, q),
+                        ((s * (q - 1), t, i(0)), (i(5), i(1), t),
+                         (i(0), i(5), s * (q - 1))), (s * t, i(2), 5 * s))
+
+
+def _weyl_family(variant):
+    def make(R, q1, q2, lam):
+        one = R.one()
+        return spec_weyl(R, (q1, q2), ((one, lam), (lam.inv(), one)),
+                         variant=variant)
+    return make
+
+
+# family -> (its parameters over Q(params), the spec they give, the
+# parameter that build_family requires nonzero, or None)
+GENERIC_FAMILIES = {
+    "Bh": (("h",), spec_bh, "h"),
+    "Hpq": (("p", "q"), spec_hpq, "p"),
+    "M2": (("a", "b"), spec_m2, "a"),
+    "UqB2": (("q",), spec_uqb2, "q"),
+    "WeylMalt": (("q1", "q2", "l"), _weyl_family("maltsiniotis"), "q1"),
+    "WeylAJ": (("q1", "q2", "l"), _weyl_family("aj"), "q2"),
+    "BiQuad3": (("q", "s", "t"), _biquad3_family, "q"),
+    "ThreeCyclic": (("q", "a", "b"),
+                    lambda R, q, a, b: spec_three_cyclic(R, q, a, b, R.one()),
+                    "q"),
+    "DownUp": (("a", "b", "g"), spec_downup, None),
+    "Bqf": (("q", "c"),
+            lambda R, q, c: spec_bqf(R, q, (R.zero(), c, R.one())), "q"),
+    "QuantumPlane": (("q",), spec_quantum_plane, "q"),
+}
+SPECIALIZE_TARGETS = [FieldCtx.rational(), FieldCtx.cyclotomic(5),
+                      FieldCtx.cyclotomic(12), FieldCtx.galois_prime(7),
+                      FieldCtx.galois_prime(13)]
+
+
+def _generic_spec(family):
+    names, make, _ = GENERIC_FAMILIES[family]
+    R = FieldCtx.rational_functions(names)
+    return make(R, *map(R.param, names))
+
+
+def _specialize_spec(spec, assign, target):
+    """spec with every coefficient specialized at the point assign."""
+    def at(x):
+        if x is None:
+            return None
+        if isinstance(x, tuple):
+            return tuple(map(at, x))
+        return x.specialize(assign, target)
+    return FamilySpec(spec.family, target,
+                      {k: at(v) for k, v in spec.scalars.items()},
+                      lam=at(spec.lam), q_list=at(spec.q_list),
+                      f_coeffs=at(spec.f_coeffs), tails=at(spec.tails),
+                      consts=at(spec.consts), n=spec.n)
+
+
+def _nonzero_value(ctx):
+    """A strategy for nonzero values of ctx: small rationals, m zeta^k in
+    Q(zeta_N), nonzero residues in GF(p)."""
+    if ctx.kind == "galois":
+        return st.integers(1, ctx.char - 1).map(ctx.from_int)
+    m = st.integers(-3, 3).filter(bool)
+    if ctx.kind == "cyclotomic":
+        return st.tuples(m, st.integers(0, ctx.level - 1)).map(
+            lambda mk: mk[0] * ctx.generator() ** mk[1])
+    return st.tuples(m, st.integers(1, 4)).map(
+        lambda nd: ctx.from_fraction(Fraction(*nd)))
+
+
+@pytest.mark.parametrize("family", list(GENERIC_FAMILIES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_specialization_commutes_with_normal_form_on_every_family(family,
+                                                                  data):
+    # from Q(params) to Q, Q(zeta_N) and GF(p), at a point where no
+    # parameter vanishes (the inputs' denominators are monomials); every
+    # generic presentation is confluent, so both sides are normal forms
+    spec = _generic_spec(family)
+    p = build_family(spec)
+    assert p.is_confluent()
+    target = data.draw(st.sampled_from(SPECIALIZE_TARGETS), label="target")
+    assign = {name: data.draw(_nonzero_value(target), label=name)
+              for name in p.ctx.params}
+    ps = build_family(_specialize_spec(spec, assign, target))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    fa = random_formal(p, rng)
+    fa_spec = [(c.specialize(assign, target), w) for c, w in fa]
+    assert specialize_poly(normal_form(p, fa), assign, target) == \
+        normal_form(ps, fa_spec)
+
+
+@pytest.mark.parametrize("family", list(GENERIC_FAMILIES))
+def test_specialization_at_a_vanishing_unit_is_typed(family):
+    names, _, unit = GENERIC_FAMILIES[family]
+    spec = _generic_spec(family)
+    for target in SPECIALIZE_TARGETS:
+        # DownUp has no unit parameter; its beta = 0 has its own error
+        zero = unit or "b"
+        assign = {name: target.zero() if name == zero else target.from_int(2)
+                  for name in names}
+        with pytest.raises(ZeroParameter if unit else DownUpNotNoetherian):
+            build_family(_specialize_spec(spec, assign, target))
+
+
 def test_ctx_mismatch_rejected(H, rat_q):
     from orepi.errors import CtxMismatch
     with pytest.raises(CtxMismatch):
@@ -316,10 +431,20 @@ def heap_normal_form(p, formal):
             add(w[:i] + rw + w[i + len(rule.lhs):], c * rc)
 
 
+def payloads(poly):
+    """An NCPoly as the payload dict (word -> c.val) left_multiply takes."""
+    return {w: c.val for w, c in poly.terms.items()}
+
+
+def wrapped(p, terms):
+    """A payload dict that left_multiply returns, as an NCPoly over p."""
+    assert not any(isinstance(v, Coeff) for v in terms.values())
+    return NCPoly({w: Coeff(p.ctx, v) for w, v in terms.items()})
+
+
 def confluent_zoo(ctx):
     """One instance of each of the 11 families, with small integer
     parameters that every test field accepts."""
-    from orepi import spec_bqf, spec_m2, spec_three_cyclic, spec_weyl
     i = ctx.from_int
     m1 = -ctx.one()
     lam = ((i(1), i(2)), (i(2).inv(), i(1)))
@@ -418,10 +543,10 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(p, rng):
               in enumerate(random_formal(p, rng, terms=4, max_len=5))]
         nf = normal_form(p, fa)
         assert nf == heap_normal_form(p, fa)
-        row = NCPoly({w: unit for w in nf.terms})
+        row = {w: unit.val for w in nf.terms}
         g = rng.randrange(len(p.names))
-        assert left_multiply(p, g, row) == \
-            heap_normal_form(p, [(unit, (g,) + w) for w in row.terms])
+        assert wrapped(p, left_multiply(p, g, row)) == \
+            heap_normal_form(p, [(unit, (g,) + w) for w in row])
     # a rule whose coefficient 1 is not the object p.one
     q = Presentation(ctx, p.names, p.weights, p.precedence,
                      [RewriteRule(r.lhs, [(unit if c == p.one else c, w)
@@ -440,9 +565,11 @@ def test_left_multiply_matches_multiply(p, data):
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     g = data.draw(st.integers(0, len(p.names) - 1), label="generator")
     nf = normal_form(p, random_formal(p, rng, terms=4, max_len=5))
-    before = dict(nf.terms)
-    assert left_multiply(p, g, nf) == multiply(p, gen_poly(p, p.names[g]), nf)
-    assert nf.terms == before
+    terms = payloads(nf)
+    before = dict(terms)
+    assert wrapped(p, left_multiply(p, g, terms)) == \
+        multiply(p, gen_poly(p, p.names[g]), nf)
+    assert terms == before
 
 
 @pytest.mark.parametrize("p", LEFT_ZOO)
@@ -469,8 +596,8 @@ def test_left_multiply_scans_no_word(monkeypatch, QQ):
     want = [[multiply(p, gen_poly(p, name), row) for name in p.names]
             for row in rows]
     monkeypatch.setattr(rewrite, "_split", None)
-    assert [[left_multiply(p, g, row) for g in range(len(p.names))]
-            for row in rows] == want
+    assert [[wrapped(p, left_multiply(p, g, payloads(row)))
+             for g in range(len(p.names))] for row in rows] == want
 
 
 def test_long_word_needs_no_deep_recursion(QQ):
