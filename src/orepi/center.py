@@ -673,7 +673,7 @@ def spanning_check(p, centrals, caps, degree=None):
 
 
 def _min_deg(poly):
-    return min((len(w) for w in poly.terms), default=0)
+    return min((len(w) for w in poly.vals), default=0)
 
 
 def central_products(p, centrals, degree):
@@ -685,9 +685,8 @@ def central_products(p, centrals, degree):
     central has positive minimal degree, and the walk's degree caps end
     it (a constant term would stall them forever).
     """
-    elements = [NCPoly({w: c for w, c in el.terms.items() if w})
-                for _, el in centrals]
-    elements = [el for el in elements if not el.is_zero()]
+    elements = [NCPoly.from_payloads(el.ctx, vals) for _, el in centrals
+                if (vals := {w: c for w, c in el.vals.items() if w})]
     n_cent = len(elements)
     cent_min = [_min_deg(el) for el in elements]
     products = []
@@ -741,7 +740,7 @@ def _spanning_check(p, centrals, caps, degree):
         # cpoly is central, so its row at g*m is g times its row at m: the
         # residuals are closed under suffixes, and each length needs only
         # the rows one letter shorter
-        rows = {(): {w: c.val for w, c in cpoly.terms.items()}}
+        rows = {(): cpoly.vals}
         for n in range(degree - _min_deg(cpoly) + 1):
             if n:
                 rows = {m: left_multiply(p, m[0], rows[m[1:]])

@@ -39,7 +39,7 @@ from .presentations import (
     build_family,
     validate_orientation,
 )
-from .rewrite import normal_form, overlap_check
+from .rewrite import NCPoly, normal_form, overlap_check
 
 FAMILY_PARAMS = {
     "Bh": ("h",),
@@ -113,63 +113,48 @@ MAX_EXPANDED_TERMS = 4096
 MAX_WORD_LENGTH = 4096
 
 
-class _Words:
-    """Finite sum of words with coefficients; words are tuples of indices
-    into the parser's generator names.  A product that could have more
-    than MAX_EXPANDED_TERMS terms, or a word longer than MAX_WORD_LENGTH
-    letters, is refused before it is built."""
+class _Words(NCPoly):
+    """Formal sum of words, never straightened; words are tuples of
+    indices into the parser's generator names.  A product that could have
+    more than MAX_EXPANDED_TERMS terms, or a word longer than
+    MAX_WORD_LENGTH letters, is refused before it is built."""
 
-    __slots__ = ("ctx", "terms")
-
-    def __init__(self, ctx, terms):
-        self.ctx = ctx
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+    __slots__ = ()
 
     def constant(self):
         """The value as a coefficient, or None if some word has a letter."""
-        if self.terms.keys() - {()}:
+        if self.vals.keys() - {()}:
             return None
-        return self.terms.get((), self.ctx.zero())
-
-    def __add__(self, o):
-        out = dict(self.terms)
-        for w, c in o.terms.items():
-            out[w] = out[w] + c if w in out else c
-        return _Words(self.ctx, out)
-
-    def __neg__(self):
-        return _Words(self.ctx, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, o):
-        return self + (-o)
+        return self.coeff(()) or self.ctx.zero()
 
     def __mul__(self, o):
-        if len(self.terms) * len(o.terms) > MAX_EXPANDED_TERMS:
+        if len(self.vals) * len(o.vals) > MAX_EXPANDED_TERMS:
             raise ParseError(f"expression expands to more than "
                              f"{MAX_EXPANDED_TERMS} terms")
-        out = {}
-        for wa, ca in self.terms.items():
-            for wb, cb in o.terms.items():
+        ctx, out = self.ctx, {}
+        for wa, ca in self.vals.items():
+            for wb, cb in o.vals.items():
                 if len(wa) + len(wb) > MAX_WORD_LENGTH:
                     raise ParseError(f"a word has more than "
                                      f"{MAX_WORD_LENGTH} letters")
-                w, c = wa + wb, ca * cb
-                out[w] = out[w] + c if w in out else c
-        return _Words(self.ctx, out)
+                w, c = wa + wb, ctx.mul(ca, cb)
+                out[w] = ctx.add(out[w], c) if w in out else c
+        return _Words.from_payloads(
+            ctx, {w: c for w, c in out.items() if not ctx.is_zero(c)})
 
     def __truediv__(self, o):
         c = o.constant()
         if c is None:
             raise ParseError("can only divide by a coefficient")
-        return self * _Words(self.ctx, {(): c.inv()})
+        return self * _Words.monomial(c.inv(), ())
 
     def __pow__(self, e):
         c = self.constant()
         if c is not None:
-            return _Words(self.ctx, {(): c ** e})
+            return _Words.monomial(c ** e, ())
         if e < 0:
             raise ParseError("generators take only non-negative powers")
-        out = _Words(self.ctx, {(): self.ctx.one()})
+        out = _Words.monomial(self.ctx.one(), ())
         for _ in range(e):
             out = out * self
         return out
@@ -184,13 +169,12 @@ class _WordParser(_CoeffParser):
 
     def atom(self):
         v = super().atom()
-        return v if isinstance(v, _Words) else _Words(self.ctx, {(): v})
+        return v if isinstance(v, _Words) else _Words.monomial(v, ())
 
     def ident_value(self, name):
         if name not in self.names:
             return super().ident_value(name)
-        letter = (self.names.index(name),)
-        return _Words(self.ctx, {letter: self.ctx.one()})
+        return _Words.monomial(self.ctx.one(), (self.names.index(name),))
 
 
 def parse_f(text, ctx):
@@ -203,8 +187,7 @@ def parse_f(text, ctx):
 def parse_ncpoly(text, p):
     """(coefficient, word) terms of an expression in p's generators, e.g.
     'y*x^2 - 2*t'."""
-    terms = _WordParser(text, p.ctx, p.names).parse().terms
-    return [(c, w) for w, c in terms.items()]
+    return _WordParser(text, p.ctx, p.names).parse().as_formal()
 
 
 def build_spec(family, ctx, params, f_text=None):
@@ -452,8 +435,7 @@ def cmd_build(args, report):
 
 def cmd_normalize(args, report):
     p, _ = _get_presentation(args, report)
-    terms = parse_ncpoly(args.poly, p)
-    nf = normal_form(p, terms)
+    nf = normal_form(p, parse_ncpoly(args.poly, p))
     report.add("normalize", "pass", nf.pretty(p))
 
 
@@ -568,7 +550,7 @@ def make_parser():
                     "identities, central elements, and PI criteria.")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, family=True):
+    def common(sp):
         sp.add_argument("--field", default="Q",
                         help="Q | cyclo:N | ratfunc:a,b | gf:p:c0,c1,..")
         sp.add_argument("--params", default="",
@@ -576,8 +558,7 @@ def make_parser():
         sp.add_argument("--q", default=None, help="shorthand for q=expr")
         sp.add_argument("--f", default=None,
                         help="polynomial in t (Bqf family)")
-        if family:
-            sp.add_argument("--family", default=None)
+        sp.add_argument("--family", default=None)
         sp.add_argument("--file", default=None,
                         help="presentation JSON instead of --family")
 

@@ -56,18 +56,15 @@ computed.
   a canonical copy or negation), and its inverse is a rational inverse.
   Any other product scales each operand to integers over its common
   denominator, convolves and reduces over the integers, and divides by
-  the denominator once at the end.  Any other inverse solves
-  M v = den e_0 over the integers, M being the matrix of multiplication
-  by the scaled operand, by fraction-free (Bareiss) elimination, and
-  divides by the determinant once.
-- Galois fields: an inverse is the power a^(p^k - 2), computed by the
-  same ``_gf_powmod`` that decides irreducibility.
+  the denominator once at the end.  Any other inverse is
+  ``_Cyclotomics._inv_dense``, fraction-free elimination over the
+  integers.
 - Every kind: operands whose context is the same object skip the
   field-descriptor comparison.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import gcd, lcm
 from operator import add, attrgetter, mul, neg, pos, sub
 
@@ -341,16 +338,12 @@ class FieldCtx:
     """One exact coefficient field and the arithmetic of its payloads.
 
     Construct through the factory staticmethods; each returns the
-    subclass for its kind, which owns the payload format of its values:
-    ``_Rationals`` a rational number, ``_Cyclotomics`` a tuple of
-    rational coordinates modulo Phi_N, ``_RatFuncs`` a (numerator,
-    denominator) pair of integer polynomial dicts, and ``_GaloisField``
-    a tuple of ints mod p, coordinates modulo the modulus.  Instances are
-    immutable and safe to share, and two contexts are equal when they
-    describe the same field.
+    subclass for its kind, which owns the payload format of its values
+    (see the module docstring).  Instances are immutable and safe to
+    share, and two contexts are equal when they describe the same field.
 
     Each subclass validates its descriptor in ``__init__``, embeds a
-    rational (``from_fraction``) and supplies the payload operations
+    rational as a payload (``embed``) and supplies the payload operations
     ``is_zero``, ``add``, ``neg``, ``sub``, ``mul``, ``inv``, ``eq``,
     ``to_str``, ``as_fraction`` and ``is_constant``, which take and return
     bare payloads.  The defaults here serve the kinds that need nothing
@@ -394,14 +387,17 @@ class FieldCtx:
 
     # -- element constructors -------------------------------------------------
 
+    def from_fraction(self, q):
+        """The value of q, an int or any Rational (its payload: embed)."""
+        return Coeff(self, self.embed(q))
+
+    from_int = from_fraction
+
     def zero(self):
         return self.from_fraction(0)
 
     def one(self):
         return self.from_fraction(1)
-
-    def from_int(self, n):
-        return self.from_fraction(n)
 
     def param(self, name):
         raise CtxMismatch("parameters only exist in rational-function fields")
@@ -452,6 +448,10 @@ class FieldCtx:
     def is_constant(self, a):
         return True
 
+    def specializer(self, assignment, target):
+        """The payload map of ``Coeff.specialize`` (rational functions only)."""
+        raise CtxMismatch("specialize applies to rational-function values")
+
     def pivot_multiple(self, row, lead, p):
         """How exact elimination (``linalg.SpanTracker``) scales a row.
 
@@ -475,9 +475,8 @@ class _Rationals(FieldCtx):
     def __repr__(self):
         return "Q"
 
-    def from_fraction(self, q):
-        """The value of q, an int or any Rational."""
-        return Coeff(self, q if type(q) is int else _canon(Fraction(q)))
+    def embed(self, q):
+        return q if type(q) is int else _canon(Fraction(q))
 
     def is_zero(self, a):
         return not a
@@ -555,9 +554,9 @@ class _Cyclotomics(FieldCtx):
     def __repr__(self):
         return f"Q(z{self.level})"
 
-    def from_fraction(self, q):
+    def embed(self, q):
         q = q if type(q) is int else _canon(Fraction(q))
-        return Coeff(self, (q,) + (0,) * (self._dim - 1))
+        return (q,) + (0,) * (self._dim - 1)
 
     def generator(self):
         if self._dim == 1:
@@ -712,12 +711,11 @@ class _RatFuncs(FieldCtx):
     def __repr__(self):
         return "Q(" + ",".join(self.params) + ")"
 
-    def from_fraction(self, q):
+    def embed(self, q):
         if type(q) is not int:
             q = Fraction(q)
         n = len(self.params)
-        return Coeff(self, (_mp_const(q.numerator, n),
-                            _mp_const(q.denominator, n)))
+        return _mp_const(q.numerator, n), _mp_const(q.denominator, n)
 
     def param(self, name):
         if name not in self.params:
@@ -759,6 +757,45 @@ class _RatFuncs(FieldCtx):
         if b == d:
             return a == c
         return _mp_mul(a, d) == _mp_mul(c, b)
+
+    def specializer(self, assignment, target):
+        """The payload map substituting assignment[name], a Coeff of
+        target, for each parameter.  Each parameter's powers are built
+        once, by repeated multiplication, each monomial is evaluated once,
+        and a denominator equal to 1 is not inverted."""
+        values = [assignment.get(name) for name in self.params]
+        if None in values:
+            raise UnassignedParameter(self.params[values.index(None)])
+        if any(a.ctx is not target and a.ctx != target for a in values):
+            raise CtxMismatch(f"an assigned value is not in {target!r}")
+        add, mul, embed = target.add, target.mul, target.embed
+        one, zero = embed(1), embed(0)
+        powers, monomials = [[one, a.val] for a in values], {}
+
+        def evaluate(poly):
+            total = zero
+            for exps, c in poly.items():
+                term = monomials.get(exps)
+                if term is None:
+                    for pw, e in zip(powers, exps):
+                        while len(pw) <= e:
+                            pw.append(mul(pw[-1], pw[1]))
+                    factors = [pw[e] for pw, e in zip(powers, exps) if e]
+                    term = reduce(mul, factors) if factors else one
+                    monomials[exps] = term
+                if c != 1:
+                    term = target.neg(term) if c == -1 else mul(embed(c), term)
+                total = term if total is zero else add(total, term)
+            return total
+
+        def specialize(x):
+            if x[1] == self._one_den:
+                return evaluate(x[0])
+            den = evaluate(x[1])
+            if target.is_zero(den):
+                raise DenominatorVanishes(self.to_str(x))
+            return mul(evaluate(x[0]), target.inv(den))
+        return specialize
 
     def to_str(self, x):
         num, den = x
@@ -806,14 +843,14 @@ class _GaloisField(FieldCtx):
     def __repr__(self):
         return f"GF({self.char}^{self._dim})"
 
-    def from_fraction(self, q):
+    def embed(self, q):
         if type(q) is not int:
             q = Fraction(q)
         p = self.char
         if q.denominator % p == 0:
             raise DivisionByZero("denominator divisible by the characteristic")
         val = q.numerator * pow(q.denominator, p - 2, p) % p
-        return Coeff(self, (val,) + (0,) * (self._dim - 1))
+        return (val,) + (0,) * (self._dim - 1)
 
     def generator(self):
         if self._dim == 1:
@@ -917,13 +954,10 @@ class Coeff:
     """One exact field element: a context and a payload.
 
     ``ctx`` is the ``FieldCtx`` of the value, and its class owns the
-    payload format of ``val``: a rational number (``_Rationals``), a
-    coordinate tuple (``_Cyclotomics``, ``_GaloisField``) or a
-    (numerator, denominator) pair (``_RatFuncs``).  Each method coerces
-    its operand and makes one call on ``ctx``; every result is a ``Coeff``
-    in the same context.  ``Coeff(ctx, val)`` accepts any Rationals where
-    the payload holds rational numbers, and ``as_fraction`` always
-    answers with a Fraction or None.
+    payload format of ``val``.  Each method coerces its operand and
+    makes one call on ``ctx``; every result is a ``Coeff`` in the same
+    context.  ``Coeff(ctx, val)`` accepts any Rationals where the payload
+    holds rational numbers, and ``as_fraction`` answers a Fraction or None.
     """
 
     __slots__ = ("ctx", "val")
@@ -939,9 +973,7 @@ class Coeff:
             if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise CtxMismatch(f"{self.ctx!r} vs {other.ctx!r}")
             return other
-        if isinstance(other, int):
-            return self.ctx.from_int(other)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return self.ctx.from_fraction(other)
         return None
 
@@ -1009,24 +1041,21 @@ class Coeff:
             return NotImplemented
         if e < 0:
             return self.inv() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if not e:
+            return self.ctx.one()
+        # from the base down the bits of e past the top one
+        mul, val = self.ctx.mul, self.val
+        for bit in bin(e)[3:]:
+            val = mul(val, val)
+            if bit == "1":
+                val = mul(val, self.val)
+        return Coeff(self.ctx, val)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         return self.ctx.eq(self.val, other.val)
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     # no __hash__: rational-function equality is by cross-multiplication, so
     # equal values can have different representations
@@ -1053,33 +1082,11 @@ class Coeff:
         return self.ctx.as_fraction(self.val)
 
     def specialize(self, assignment, target_ctx):
-        """Evaluate a rational-function value by substituting parameters.
-
+        """Evaluate a rational-function value by substituting parameters:
         assignment maps every parameter name to a Coeff in target_ctx.
-        Raises DenominatorVanishes when the point is outside the domain.
-        """
-        if self.ctx.kind != RATFUNC:
-            raise CtxMismatch("specialize applies to rational-function values")
-        for name in self.ctx.params:
-            if name not in assignment:
-                raise UnassignedParameter(name)
-        num, den = self.val
-        num_v = _mp_eval(num, self.ctx.params, assignment, target_ctx)
-        den_v = _mp_eval(den, self.ctx.params, assignment, target_ctx)
-        if den_v.is_zero():
-            raise DenominatorVanishes(coeff_to_str(self))
-        return num_v / den_v
-
-
-def _mp_eval(poly, names, assignment, ctx):
-    total = ctx.zero()
-    for exps, c in poly.items():
-        term = ctx.from_int(c)
-        for name, e in zip(names, exps):
-            if e:
-                term = term * (assignment[name] ** e)
-        total = total + term
-    return total
+        Raises DenominatorVanishes when the point is outside the domain."""
+        at = self.ctx.specializer(assignment, target_ctx)
+        return Coeff(target_ctx, at(self.val))
 
 
 

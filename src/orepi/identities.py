@@ -16,6 +16,7 @@ engine against it for every index up to a bound.
 from math import comb
 
 from .errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes, ZeroInput
+from .fields import Coeff
 from .rewrite import (
     NCPoly,
     multiply,
@@ -210,7 +211,8 @@ def _mono(p, coeff, *names):
 
 def _twisted(p, e, f, s):
     """The formal e*f - s*f*e of two elements e, f."""
-    return product_terms(p, e, f) + product_terms(p, f, e, -s)
+    return [(Coeff(p.ctx, c), w) for w, c in
+            product_terms(p, e, f) + product_terms(p, f, e, -s)]
 
 
 def _oracle_commute(b, a, raised, s, c, tail=()):
@@ -279,7 +281,7 @@ def _oracle_bh_commute(p, n):
     # closed form
     spn = power(p, s, n)
     for yi in ("y1", "y2"):
-        lhs = [(c, p.word(yi) + w) for w, c in spn.terms.items()]
+        lhs = [(c, p.word(yi) + w) for c, w in spn.as_formal()]
         out.append((f"{yi}*s^{n}", lhs,
                     _bh_binomial(p, n, "x1", "x2", post=(yi,))))
     for xj in ("x1", "x2"):
@@ -289,7 +291,7 @@ def _oracle_bh_commute(p, n):
         out.append((f"v^{n}*{xj}", lhs, rhs))
     tpn = power(p, t, n)
     for xj in ("x1", "x2"):
-        lhs = [(c, w + p.word(xj)) for w, c in tpn.terms.items()]
+        lhs = [(c, w + p.word(xj)) for c, w in tpn.as_formal()]
         out.append((f"t^{n}*{xj}", lhs,
                     _bh_binomial(p, n, "y1", "y2", pre=(xj,))))
     return out
@@ -349,7 +351,7 @@ def _oracle_weyl(raised):
             lhs = [(p.one, p.word(*xs, *ys))]
             rhs = _mono(p, qi ** k, *ys, *xs)
             sk = q_number(k, qi)
-            for w, c in _weyl_z_closed(p, i - 1).terms.items():
+            for c, w in _weyl_z_closed(p, i - 1).as_formal():
                 rhs = rhs + NCPoly.monomial(sk * c, w + p.word(*[g] * (k - 1)))
             label = "*".join(f"{h}^{k}" if h == g else h for h in (x, y))
             out.append((label, lhs, rhs))

@@ -6,28 +6,24 @@ the alternating sum s_k over all permutations; the identity search
 solves, exactly, for all multilinear identities of a given degree on a
 finite-dimensional matrix algebra.
 
-The search evaluates every permuted product of every basis tuple, and
-each of those is the product of one word of length d over the basis
-indices.  So it multiplies each of the dim^d words once, as its prefix
-times its last letter, into a dict that lives for one call, and lists
-the nonzero cells of each word of length d once.  The rows (one per
-tuple and nonzero matrix cell) are gathered from those lists; they
-stream through a SpanTracker, which keeps the independent ones and
-stops as soon as they span every column (the kernel is then {0}).
-Otherwise the kernel is read from that tracker's rows.  The reduced row
-echelon form of a row space is unique, so the kernel basis those few
-rows give is the one the full system gives.
+Matrices of Coeffs are the public edge: generators, MatAlgebra.basis,
+standard_poly_eval and IdentitySpace.evaluate take or give them, and
+each entry is checked against the field as it comes in.  Every product
+inside is mat_mul on matrices of bare payloads, the field's own add and
+mul, as are the rows the span tracker takes.
 """
 
 from collections import deque
 from itertools import permutations, product
 
 from .errors import (
+    CtxMismatch,
     DegreeTooLarge,
     DegreeTooSmall,
     NotPrimitiveRoot,
     SizeMismatch,
 )
+from .fields import Coeff
 from .linalg import SpanTracker
 
 
@@ -36,24 +32,33 @@ def mat_identity(n, ctx):
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    """a b, accumulating only over the nonzero entries of a."""
+def _payloads(m, ctx):
+    """The payloads of a Coeff matrix over ctx (CtxMismatch if not)."""
+    if any(x.ctx is not ctx and x.ctx != ctx for row in m for x in row):
+        raise CtxMismatch(f"matrix entry outside {ctx!r}")
+    return tuple(tuple(x.val for x in row) for row in m)
+
+
+def _coeffs(m, ctx):
+    return tuple(tuple(Coeff(ctx, x) for x in row) for row in m)
+
+
+def mat_mul(ctx, a, b):
+    """a b for matrices of payloads of ctx, accumulating only over the
+    nonzero entries of a."""
     n = len(a)
     if len(b) != n:
         raise SizeMismatch("matrix sizes differ")
-    zero = a[0][0].ctx.zero()
+    add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
+    zero = ctx.embed(0)
     out = []
     for row in a:
         acc = [zero] * n
         for x, b_row in zip(row, b):
-            if not x.is_zero():
-                acc = [s + x * y for s, y in zip(acc, b_row)]
+            if not is_zero(x):
+                acc = [add(s, mul(x, y)) for s, y in zip(acc, b_row)]
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_scale(a, c):
@@ -64,10 +69,6 @@ def mat_is_zero(a):
     return all(x.is_zero() for row in a for x in row)
 
 
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 class MatAlgebra:
     """A matrix algebra given by named generator matrices.
 
@@ -76,31 +77,27 @@ class MatAlgebra:
     the generators.
     """
 
-    def __init__(self, n, ctx, gens, relations=None):
+    def __init__(self, n, ctx, gens):
         self.n = n
         self.ctx = ctx
         self.gens = dict(gens)
         for name, m in self.gens.items():
             if len(m) != n or any(len(r) != n for r in m):
                 raise SizeMismatch(f"generator {name} is not {n}x{n}")
-        if relations:
-            for label, lhs, rhs in relations:
-                if not mat_eq(lhs, rhs):
-                    raise NotPrimitiveRoot(f"relation {label} fails")
         self.basis = self._close_basis()
 
     def _close_basis(self):
-        tracker = SpanTracker(lambda k: k, self.ctx)
-        basis = []
-        queue = deque([mat_identity(self.n, self.ctx)])
+        ctx = self.ctx
+        gens = [_payloads(g, ctx) for g in self.gens.values()]
+        tracker, basis = SpanTracker(lambda k: k, ctx), []
+        queue = deque([_payloads(mat_identity(self.n, ctx), ctx)])
         while queue:
             m = queue.popleft()
-            if mat_is_zero(m) or not tracker.insert(
-                    dict(enumerate(x.val for r in m for x in r))):
+            if not tracker.insert(dict(enumerate(x for r in m for x in r))):
                 continue
-            basis.append(m)
-            for g in self.gens.values():
-                queue.append(mat_mul(m, g))
+            basis.append(_coeffs(m, ctx))
+            for g in gens:
+                queue.append(mat_mul(ctx, m, g))
         return basis
 
     @property
@@ -123,8 +120,12 @@ def quantum_plane_rep(ctx, n, q):
               for i in range(n))
     Y = tuple(tuple(q ** i if i == j else z for j in range(n))
               for i in range(n))
-    rel = [("YX = q XY", mat_mul(Y, X), mat_scale(mat_mul(X, Y), q))]
-    return MatAlgebra(n, ctx, {"x": X, "y": Y}, relations=rel)
+    Xp, Yp = _payloads(X, ctx), _payloads(Y, ctx)
+    yx, xy = mat_mul(ctx, Yp, Xp), mat_mul(ctx, Xp, Yp)
+    if not all(ctx.eq(a, ctx.mul(b, q.val))
+               for ra, rb in zip(yx, xy) for a, b in zip(ra, rb)):
+        raise NotPrimitiveRoot("relation YX = q XY fails")
+    return MatAlgebra(n, ctx, {"x": X, "y": Y})
 
 
 def _parity(perm):
@@ -138,17 +139,20 @@ def _parity(perm):
 
 def _perm_sum(coeffs, perms, mats, ctx):
     """sum_s c_s A_{s(1)} ... A_{s(d)} over the permutations s, skipping
-    zero coefficients."""
-    n = len(mats[0])
-    acc = mat_scale(mat_identity(n, ctx), ctx.zero())
+    zero coefficients, computed on payloads."""
+    coeffs = _payloads([coeffs], ctx)[0]
+    mats = [_payloads(m, ctx) for m in mats]
+    n, add, mul = len(mats[0]), ctx.add, ctx.mul
+    acc = ((ctx.embed(0),) * n,) * n
     for c, perm in zip(coeffs, perms):
-        if c.is_zero():
+        if ctx.is_zero(c):
             continue
         prod = mats[perm[0]]
         for idx in perm[1:]:
-            prod = mat_mul(prod, mats[idx])
-        acc = mat_add(acc, mat_scale(prod, c))
-    return acc
+            prod = mat_mul(ctx, prod, mats[idx])
+        acc = tuple(tuple(add(s, mul(x, c)) for s, x in zip(ra, rp))
+                    for ra, rp in zip(acc, prod))
+    return _coeffs(acc, ctx)
 
 
 def standard_poly_eval(mats):
@@ -209,9 +213,11 @@ def multilinear_identity_search(alg, d):
     once each, prefix times last letter, into a dict that lives for
     this call, and the nonzero cells of each length-d word are listed
     once.  Nonzero rows, tuple by tuple and cell by cell in row-major
-    order, stream through a SpanTracker, which stops
-    early once they span all d! columns; otherwise the kernel basis is
-    SpanTracker.kernel of its rows, which depends on the row space alone.
+    order, stream through a SpanTracker, which stops early once they
+    span all d! columns (the kernel is then {0}); otherwise the kernel
+    basis is SpanTracker.kernel of its rows, which depends on the row
+    space alone (its reduced row echelon form is unique), so those few
+    rows give the kernel basis of the full system.
     """
     if d < 1:
         raise DegreeTooSmall("degree must be at least 1")
@@ -220,14 +226,15 @@ def multilinear_identity_search(alg, d):
     perms = list(permutations(range(d)))
     ncols = len(perms)
     letters = range(alg.dim)
-    words = {(i,): m for i, m in enumerate(alg.basis)}
+    ctx, basis = alg.ctx, [_payloads(m, alg.ctx) for m in alg.basis]
+    words = {(i,): m for i, m in enumerate(basis)}
     for length in range(2, d + 1):
         for w in product(letters, repeat=length):
-            words[w] = mat_mul(words[w[:-1]], alg.basis[w[-1]])
+            words[w] = mat_mul(ctx, words[w[:-1]], basis[w[-1]])
     # the nonzero cells of each length-d word, found once: (cell, payload)
     # pairs, cells numbered row-major
-    nonzero = {w: [(i, x.val) for i, x in enumerate(x for r in m for x in r)
-                   if not x.is_zero()]
+    nonzero = {w: [(i, x) for i, x in enumerate(x for r in m for x in r)
+                   if not ctx.is_zero(x)]
                for w, m in words.items() if len(w) == d}
     tracker = SpanTracker(lambda k: k, alg.ctx)
     for t in product(letters, repeat=d):

@@ -1,26 +1,18 @@
 """PBW normal forms and diamond-lemma confluence checking.
 
-normal_form straightens a word one letter at a time from the right: each
-generator is inserted into an irreducible word, where the only possible
-redex is at the front, and the products that rewrite are memoized.  The
-strategy is fixed, so outputs are deterministic, and the strictly
-decreasing term order guarantees termination.  On a confluent
-presentation every strategy gives the same normal form; on a
-non-confluent one the result is one irreducible representative.
-The straightener computes on bare payloads of the presentation's field
+The straightener (its section below) has one fixed strategy, so outputs
+are deterministic, and the strictly decreasing term order guarantees
+termination.  On a confluent presentation every strategy gives the same
+normal form; on a non-confluent one the result is one irreducible
+representative.  Everything inside computes on bare payloads of the presentation's field
 with the field's own add, mul and is_zero, bound once per presentation
-(Presentation.field_ops); its rule table, input, product memo and
-result all hold payloads.  normal_form unwraps each Coeff once on the
-way in and wraps the NCPoly result once on the way out; 1 is the
-payload p.one.val, which is never multiplied by and comes back out as
-the object p.one, so product_terms skips products by it in turn.
-left_multiply(p, g, terms) stays on payload dicts, the row format of
-linalg.SpanTracker: terms is a normal form, so every redex of g times
-one of its words starts at g, and the terms go to the straightener as
-they are, with no coefficient multiplied and no word scanned for a
-redex (multiply accepts any operands).
-product_terms writes out the formal terms of c*a*b; multiply and
-q_commutator straighten them.
+(Presentation.field_ops): the rule table, the input, the product memo,
+the NCPoly results (ctx and a dict word -> payload, the straightener's
+dict held as it is) and product_terms, which writes out the (word,
+payload) terms of c*a*b for multiply and q_commutator to straighten.
+normal_form checks and unwraps a (Coeff, word) list as it enters.  1 is
+the payload p.one.val, which is never multiplied by.  left_multiply
+takes and returns payload dicts, the row format of linalg.SpanTracker.
 overlap_check enumerates every word with two distinct one-step
 reductions (proper overlaps and containments) and reports the residual
 of each critical pair; by the diamond lemma all residuals vanish
@@ -34,86 +26,105 @@ from .errors import CtxMismatch
 from .fields import Coeff
 
 
-class NCPoly:
-    """Finitely supported map from irreducible words to coefficients."""
+def _field(ctx, other):
+    """The one field of two operands, None standing for a zero with none."""
+    if ctx is None or other is None or ctx is other:
+        return ctx or other
+    if ctx != other:
+        raise CtxMismatch(f"{ctx!r} vs {other!r}")
+    return ctx
 
-    __slots__ = ("terms",)
+
+class NCPoly:
+    """Finitely supported map from words to nonzero coefficients: its field
+    ctx and vals, a dict word -> payload.  The public edge speaks Coeff
+    (NCPoly(terms), monomial, scale, coeff, iteration, as_formal, the fresh
+    dict terms, pretty) and checks the field once per call.  NCPoly() and
+    NCPoly.zero() have no field (ctx None): they take the operand's."""
+
+    __slots__ = ("ctx", "vals")
 
     def __init__(self, terms=None):
-        self.terms = dict(terms or {})
+        self.ctx, self.vals = None, {}
+        for w, c in dict(terms or {}).items():
+            self.ctx = _field(self.ctx, c.ctx)
+            if not c.is_zero():
+                self.vals[w] = c.val
+
+    @classmethod
+    def from_payloads(cls, ctx, vals):
+        """The polynomial of ctx holding vals, nonzero payloads, as it is."""
+        poly = cls.__new__(cls)
+        poly.ctx, poly.vals = ctx, vals
+        return poly
 
     @classmethod
     def zero(cls):
-        return cls({})
+        return cls()
 
     @classmethod
     def monomial(cls, coeff, word):
-        if coeff.is_zero():
-            return cls({})
-        return cls({tuple(word): coeff})
+        return cls.from_payloads(coeff.ctx, {} if coeff.is_zero()
+                                 else {tuple(word): coeff.val})
+
+    @property
+    def terms(self):
+        return {w: Coeff(self.ctx, c) for w, c in self.vals.items()}
 
     def is_zero(self):
-        return not self.terms
+        return not self.vals
 
     def __iter__(self):
         return iter(sorted(self.terms.items()))
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.vals)
 
     def coeff(self, word):
-        return self.terms.get(tuple(word))
+        c = self.vals.get(tuple(word))
+        return None if c is None else Coeff(self.ctx, c)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            if w in out:
-                s = out[w] + c
-                if s.is_zero():
-                    del out[w]
-                else:
-                    out[w] = s
-            else:
+        ctx = _field(self.ctx, other.ctx)
+        out = dict(self.vals)
+        for w, c in other.vals.items():
+            s = out.get(w)
+            if s is None:
                 out[w] = c
-        return NCPoly(out)
+            elif ctx.is_zero(s := ctx.add(s, c)):
+                del out[w]
+            else:
+                out[w] = s
+        return type(self).from_payloads(ctx, out)
 
     def __neg__(self):
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return type(self).from_payloads(self.ctx, {
+            w: self.ctx.neg(c) for w, c in self.vals.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, coeff):
-        if coeff.is_zero():
-            return NCPoly({})
-        return NCPoly({w: c * coeff for w, c in self.terms.items()})
+        ctx, k = _field(self.ctx, coeff.ctx), coeff.val
+        return NCPoly.from_payloads(ctx, {} if ctx.is_zero(k) else {
+            w: ctx.mul(c, k) for w, c in self.vals.items()})
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[w] == c for w, c in self.terms.items())
+        ctx = _field(self.ctx, other.ctx)
+        a, b = self.vals, other.vals
+        return a.keys() == b.keys() and all(ctx.eq(b[w], c) for w, c in a.items())
 
     def as_formal(self):
-        return [(c, w) for w, c in self.terms.items()]
+        return [(Coeff(self.ctx, c), w) for w, c in self.vals.items()]
 
     def pretty(self, p):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=p.order_key):
-            bits.append(f"({self.terms[w]!r})*{p.word_str(w)}")
-        return " + ".join(bits)
+        return " + ".join(f"({self.ctx.to_str(self.vals[w])})*{p.word_str(w)}"
+                          for w in sorted(self.vals, key=p.order_key)) or "0"
 
     def __repr__(self):
-        return f"NCPoly({len(self.terms)} terms)"
-
-
-def _formal_terms(input_poly):
-    if isinstance(input_poly, NCPoly):
-        return input_poly.as_formal()
-    return list(input_poly)
+        return f"NCPoly({len(self.vals)} terms)"
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +199,11 @@ def _straighten(p, levels, memo):
     """Generator returning the normal form of a sum of prefix * poly.
 
     levels[n] maps each prefix of length n to its poly, a dict from
-    irreducible words to coefficients.  Every coefficient here is a bare
-    payload of p.ctx, added and multiplied by the field's own operations
-    (p.field_ops), and 1 is the payload p.one.val itself, which is never
-    multiplied by.  Prefixes give up their last letter longest first, so
-    like terms merge before the next letter goes in.  A product g*u
-    missing from the memo is requested by yielding (g*u, the rest of u
-    after the redex, the rule's rhs levels); the driver (_run) sends back
-    its normal form.
+    irreducible words to payloads.  Prefixes give up their last letter
+    longest first, so like terms merge before the next letter goes in.
+    A product g*u missing from the memo is requested by yielding (g*u,
+    the rest of u after the redex, the rule's rhs levels); the driver
+    (_run) sends back its normal form.
     """
     one, by_first = p.one.val, p.by_first
     add, mul, is_zero = p.field_ops
@@ -281,15 +289,10 @@ def _split(p, word):
 
 
 def _levels(p, terms):
-    """Straightener input for the formal sum of (coefficient, word) terms:
-    each Coeff is checked against p's field and unwrapped to its payload."""
-    ctx = p.ctx
+    """Straightener input for the sum of (word, payload) terms."""
     add, _, is_zero = p.field_ops
     levels = [{}]
-    for c, w in terms:
-        if c.ctx is not ctx and c.ctx != ctx:
-            raise CtxMismatch("coefficient from a different field")
-        c = c.val
+    for w, c in terms:
         if is_zero(c):
             continue
         prefix, suffix = _split(p, tuple(w))
@@ -306,44 +309,45 @@ def _levels(p, terms):
     return levels
 
 
-def _result(p, terms):
-    """The NCPoly of a straightener result, a dict of payloads wrapped in
-    place and held, not copied: each payload becomes a Coeff, and the
-    payload p.one.val the object p.one, which product_terms never
-    multiplies by."""
-    one, ctx = p.one, p.ctx
-    one_val = one.val
-    for w, c in terms.items():
-        terms[w] = one if c is one_val else Coeff(ctx, c)
-    poly = NCPoly.__new__(NCPoly)
-    poly.terms = terms
-    return poly
+def _normal(p, terms):
+    """The NCPoly normal form of (word, payload) terms: the straightener's dict."""
+    return NCPoly.from_payloads(p.ctx, _run(p, _levels(p, terms), _memo(p)))
 
 
 def normal_form(p, input_poly):
-    """Rewrite a formal polynomial (or NCPoly) to its normal form."""
-    levels = _levels(p, _formal_terms(input_poly))
-    return _result(p, _run(p, levels, _memo(p)))
+    """Rewrite a formal polynomial, a list of (Coeff, word) terms, or an
+    NCPoly to its normal form.  A formal list is checked against p's
+    field and unwrapped term by term as it enters, an NCPoly once."""
+    ctx = p.ctx
+    if isinstance(input_poly, NCPoly):
+        _field(ctx, input_poly.ctx)
+        return _normal(p, input_poly.vals.items())
+    return _normal(p, [(w, c.val) for c, w in input_poly
+                       if c.ctx is ctx or _field(ctx, c.ctx)])
 
 
 def product_terms(p, a, b, c=None):
-    """The formal (coefficient, word) terms of c*a*b, for polynomials a, b
-    and a coefficient c (None for 1).  No product with the object p.one
-    is formed."""
-    one = p.one
+    """The (word, payload) terms of c*a*b, the straightener's input, for
+    polynomials a, b over p and a Coeff c (None for 1).  No product with
+    the payload p.one.val is formed."""
+    one, mul = p.one.val, p.field_ops[1]
+    _field(_field(p.ctx, a.ctx), b.ctx)
+    if c is not None:
+        _field(p.ctx, c.ctx)
+        c = c.val
     formal = []
-    for wa, ca in a.terms.items():
+    for wa, ca in a.vals.items():
         if c is not None and c is not one:
-            ca = c if ca is one else c * ca
-        for wb, cb in b.terms.items():
-            formal.append((cb if ca is one else ca if cb is one else ca * cb,
-                           wa + wb))
+            ca = c if ca is one else mul(c, ca)
+        for wb, cb in b.vals.items():
+            formal.append((wa + wb, cb if ca is one else ca if cb is one
+                           else mul(ca, cb)))
     return formal
 
 
 def multiply(p, a, b):
     """Normal form of the concatenation product of two polynomials."""
-    return normal_form(p, product_terms(p, a, b))
+    return _normal(p, product_terms(p, a, b))
 
 
 def left_multiply(p, g, terms):
@@ -375,7 +379,7 @@ def multiply_assoc(p, a, b):
 
 def q_commutator(p, a, b, lam):
     """normal_form(a*b - lam * b*a); lam = 1 gives the plain commutator."""
-    return normal_form(p, product_terms(p, a, b) + product_terms(p, b, a, -lam))
+    return _normal(p, product_terms(p, a, b) + product_terms(p, b, a, -lam))
 
 
 def gen_poly(p, name):
@@ -468,10 +472,9 @@ def _make_pair(p, word, kind, ia, ra, ib, rb, pos_b):
 
 
 def specialize_poly(poly, assignment, target_ctx):
-    """Apply a parameter specialization to every coefficient."""
-    out = {}
-    for w, c in poly.terms.items():
-        v = c.specialize(assignment, target_ctx)
-        if not v.is_zero():
-            out[w] = v
-    return NCPoly(out)
+    """Specialize every coefficient through one payload map, the field's specializer."""
+    if not poly.vals:
+        return NCPoly()
+    at, is_zero = poly.ctx.specializer(assignment, target_ctx), target_ctx.is_zero
+    out = {w: v for w, c in poly.vals.items() if not is_zero(v := at(c))}
+    return NCPoly.from_payloads(target_ctx, out)

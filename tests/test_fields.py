@@ -14,6 +14,7 @@ from orepi.errors import (
     ZeroInput,
 )
 from orepi.fields import Coeff, cyclotomic_polynomial
+from orepi.rewrite import NCPoly, specialize_poly
 
 from conftest import random_coeff
 
@@ -321,3 +322,131 @@ def test_multiplicative_order_matches_brute_force(ctx, elements):
     e = ctx.unit_group_exponent()
     for c in elements:
         assert c.multiplicative_order() == _brute_order(c, e), repr(c)
+
+
+# one field of each kind: Q, a cyclotomic field, Q(params), a prime field
+# and a proper extension of one
+KINDS = {
+    "Q": FieldCtx.rational(),
+    "Q(z12)": FieldCtx.cyclotomic(12),
+    "Q(p,q)": FieldCtx.rational_functions(("p", "q")),
+    "GF(13)": FieldCtx.galois_prime(13),
+    "GF(7^2)": FieldCtx.galois(7, (3, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("ctx", list(KINDS.values()), ids=list(KINDS))
+def test_power_squares_from_the_base(ctx, rng, monkeypatch):
+    # left to right from the base itself: one squaring per bit after the
+    # top one and one product per further 1 bit, none for e = 0 or 1
+    x = random_coeff(ctx, rng)
+    while x.is_zero():
+        x = random_coeff(ctx, rng)
+    repeated = [ctx.one()]
+    for _ in range(17):
+        repeated.append(repeated[-1] * x)
+    calls, real = [0], type(ctx).mul
+
+    def mul(self, a, b):
+        calls[0] += 1
+        return real(self, a, b)
+    monkeypatch.setattr(type(ctx), "mul", mul)
+    for e in range(18):
+        calls[0] = 0
+        y = x ** e
+        want = e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0
+        assert calls[0] == want, e
+        assert type(y) is Coeff and y == repeated[e], e
+
+
+def _specialize_reference(c, assignment, target):
+    """Coeff.specialize evaluated monomial by monomial on Coeffs: one
+    Coeff power per parameter, then one Coeff division."""
+    def evaluate(poly):
+        total = target.zero()
+        for exps, k in poly.items():
+            term = target.from_int(k)
+            for name, e in zip(c.ctx.params, exps):
+                if e:
+                    term = term * (assignment[name] ** e)
+            total = total + term
+        return total
+    num, den = c.val
+    num_v, den_v = evaluate(num), evaluate(den)
+    if den_v.is_zero():
+        raise DenominatorVanishes(coeff_to_str(c))
+    return num_v / den_v
+
+
+def _random_ratfunc(R, rng):
+    """A random polynomial in p, q over another one of one to three terms,
+    so the denominator is often not a monomial."""
+    p, q = R.param("p"), R.param("q")
+
+    def poly(terms):
+        out = R.zero()
+        for _ in range(terms):
+            out = out + rng.randint(-3, 3) * p ** rng.randint(0, 3) * \
+                q ** rng.randint(0, 3)
+        return out
+    den = poly(rng.randint(1, 3))
+    while den.is_zero():
+        den = poly(rng.randint(1, 3))
+    return poly(rng.randint(0, 3)) / den
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(z12)", "GF(7^2)"])
+def test_specialize_matches_per_monomial_evaluation(name, rat_pq, rng):
+    # Coeff.specialize and specialize_poly share one payload map; both
+    # agree with the evaluation on Coeffs, value for value, and raise
+    # DenominatorVanishes with the same message
+    target = KINDS[name]
+    shapes = set()
+    for _ in range(30):
+        assign = {"p": random_coeff(target, rng),
+                  "q": random_coeff(target, rng)}
+        values = [_random_ratfunc(rat_pq, rng) for _ in range(6)]
+        shapes.update(len(c.val[1]) for c in values)
+        want = []
+        for c in values:
+            try:
+                want.append(_specialize_reference(c, assign, target))
+            except DenominatorVanishes as e:
+                want.append(str(e))
+        for c, w in zip(values, want):
+            if isinstance(w, str):
+                with pytest.raises(DenominatorVanishes) as exc:
+                    c.specialize(assign, target)
+                assert str(exc.value) == w
+            else:
+                got = c.specialize(assign, target)
+                assert type(got) is Coeff and got.ctx is target and got == w
+        poly = NCPoly({(i,): c for i, c in enumerate(values)})
+        if any(isinstance(w, str) for w in want):
+            with pytest.raises(DenominatorVanishes):
+                specialize_poly(poly, assign, target)
+            continue
+        got = specialize_poly(poly, assign, target)
+        assert got.ctx is target
+        assert got == NCPoly({(i,): w for i, w in enumerate(want)
+                              if not values[i].is_zero()})
+    assert max(shapes) > 1  # denominators that are not monomials
+
+
+def test_specialize_errors(rat_pq, cyclo3, QQ):
+    p, q = rat_pq.param("p"), rat_pq.param("q")
+    c = (p + 1) / (p * q - 2)
+    poly = NCPoly({(0,): c, (1,): q})
+    z3 = cyclo3.generator()
+    for run in (lambda at: c.specialize(at, cyclo3),
+                lambda at: specialize_poly(poly, at, cyclo3)):
+        with pytest.raises(UnassignedParameter):
+            run({"p": z3})
+        at = {"p": cyclo3.from_int(2), "q": cyclo3.one()}
+        with pytest.raises(DenominatorVanishes) as exc:
+            run(at)
+        with pytest.raises(DenominatorVanishes) as ref:
+            _specialize_reference(c, at, cyclo3)
+        assert str(exc.value) == str(ref.value) == coeff_to_str(c)
+        with pytest.raises(CtxMismatch):
+            run({"p": QQ.from_int(2), "q": z3})

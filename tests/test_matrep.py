@@ -15,6 +15,7 @@ from orepi.errors import (
     NotPrimitiveRoot,
     SizeMismatch,
 )
+from orepi.fields import Coeff
 from orepi.matrep import mat_identity, mat_is_zero, mat_scale
 
 
@@ -222,6 +223,8 @@ def test_identity_search_matches_per_tuple_reference(build, d):
     FieldCtx.rational_functions(("q",)),
 ], ids=["Q", "Q(z12)", "GF(13)", "Q(q)"])
 def test_mat_mul_matches_dense_product(ctx, rng):
+    # mat_mul multiplies payload matrices; the dense reference multiplies
+    # Coeff matrices, and the product is compared entry by entry as values
     from conftest import random_coeff
     from orepi.matrep import mat_mul
 
@@ -229,10 +232,16 @@ def test_mat_mul_matches_dense_product(ctx, rng):
         return tuple(tuple(random_coeff(ctx, rng) if rng.random() < 0.5
                            else ctx.zero() for _ in range(n))
                      for _ in range(n))
+
+    def payloads(m):
+        return tuple(tuple(x.val for x in row) for row in m)
     for n in (1, 2, 3, 4):
         for _ in range(6):
             a, b = sparse_matrix(n), sparse_matrix(n)
-            assert mat_mul(a, b) == _mat_mul_dense(a, b)
+            prod = mat_mul(ctx, payloads(a), payloads(b))
+            assert not any(isinstance(x, Coeff) for row in prod for x in row)
+            assert tuple(tuple(Coeff(ctx, x) for x in row) for row in prod) \
+                == _mat_mul_dense(a, b)
 
 
 @pytest.mark.parametrize("d", [0, -1])

@@ -1,6 +1,7 @@
 """Normal forms, products, commutators, and confluence analysis."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from orepi import (
     spec_uqb2,
     spec_weyl,
 )
-from orepi.errors import DownUpNotNoetherian, ZeroParameter
+from orepi.errors import CtxMismatch, DownUpNotNoetherian, ZeroParameter
 from orepi.fields import Coeff
 from orepi.identities import biquad3_consistent_instance, pq_number
 from orepi.presentations import FamilySpec, biquad3_conditions
@@ -554,8 +555,8 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(p, rng):
                       for r in p.rules])
     fa = random_formal(p, rng, terms=4, max_len=5)
     assert normal_form(q, fa) == heap_normal_form(p, fa)
-    # a product by the shared 1 gives back p.one itself
-    assert normal_form(p, [(p.one, (g,))]).terms[(g,)] is p.one
+    # a product by the shared 1 gives back its payload p.one.val itself
+    assert normal_form(p, [(p.one, (g,))]).vals[(g,)] is p.one.val
 
 
 @pytest.mark.parametrize("p", LEFT_ZOO)
@@ -662,3 +663,111 @@ def test_confluence_verdict_computed_once(monkeypatch, QQ):
     for _ in range(3):
         assert not is_central(p, gen_poly(p, "x"))[0]
     assert len(calls) == 1
+
+
+# -- the Coeff edge of payload polynomials --------------------------------------
+
+
+def test_mixed_fields_raise_at_the_edge(H, rat_pq, QQ):
+    a = normal_form(H, [(rat_pq.param("p"), H.word("y", "x"))])
+    other = NCPoly.monomial(QQ.from_int(2), H.word("y"))
+    for run in (lambda: NCPoly({H.word("x"): rat_pq.one(),
+                                H.word("y"): QQ.one()}),
+                lambda: a + other, lambda: other - a, lambda: a == other,
+                lambda: a.scale(QQ.one()),
+                lambda: normal_form(H, other),
+                lambda: normal_form(H, [(rat_pq.one(), H.word("x")),
+                                        (QQ.one(), H.word("y"))]),
+                lambda: multiply(H, a, other), lambda: multiply(H, other, a),
+                lambda: q_commutator(H, a, other, rat_pq.one()),
+                lambda: q_commutator(H, a, a, QQ.one())):
+        with pytest.raises(CtxMismatch):
+            run()
+    # a zero with no field meets any field, and an equal field that is a
+    # distinct object is the same field
+    zero = NCPoly.zero()
+    assert zero.ctx is None and zero == NCPoly.monomial(QQ.zero(), ())
+    assert a + zero == a == zero + a and (a - a).ctx is rat_pq
+    twin = FieldCtx.rational_functions(("p", "q"))
+    assert twin is not rat_pq
+    assert normal_form(H, [(twin.param("p"), H.word("y", "x"))]) == a
+
+
+def _pretty_reference(poly, p):
+    """pretty as it reads from the Coeffs: each coefficient's repr, in
+    term order."""
+    terms = poly.terms
+    if not terms:
+        return "0"
+    return " + ".join(f"({terms[w]!r})*{p.word_str(w)}"
+                      for w in sorted(terms, key=p.order_key))
+
+
+@pytest.mark.parametrize("name", list(LEFT_FIELDS))
+def test_coeff_edge_round_trips(name, rng):
+    ctx = LEFT_FIELDS[name]
+    for p in confluent_zoo(ctx)[:4]:
+        for _ in range(6):
+            poly = normal_form(p, random_formal(p, rng, terms=4, max_len=4))
+            assert not any(isinstance(c, Coeff) for c in poly.vals.values())
+            terms = poly.terms
+            assert all(type(c) is Coeff and c.ctx is ctx
+                       for c in terms.values())
+            assert NCPoly(terms) == poly
+            assert NCPoly({w: c for c, w in poly.as_formal()}) == poly
+            assert normal_form(p, poly.as_formal()) == poly
+            assert normal_form(p, poly) == poly
+            assert list(poly) == sorted(terms.items())
+            assert all(poly.coeff(w) == c for w, c in terms.items())
+            assert poly.pretty(p) == _pretty_reference(poly, p)
+
+
+def test_payload_paths_build_and_multiply_no_coeff(monkeypatch, H, rat_pq):
+    # normal forms, products, commutators, specialization and the identity
+    # search stay on payloads: no Coeff is built or multiplied per term or
+    # per monomial, only the one -lam of a commutator and the kernel
+    # vectors the search returns
+    from orepi.matrep import MatAlgebra, multilinear_identity_search
+    a = normal_form(H, [(rat_pq.param("p"), H.word("y", "y", "y", "x", "x")),
+                        (rat_pq.param("q"), H.word("y", "x", "t"))])
+    b = normal_form(H, [(rat_pq.one(), H.word("y", "y", "x", "x", "x"))])
+    lam = rat_pq.param("q") + 1
+    c3 = FieldCtx.cyclotomic(3)
+    assign = {"p": -c3.one(), "q": c3.generator()}
+    QQ = FieldCtx.rational()
+    z, o = QQ.zero(), QQ.one()
+    m2 = MatAlgebra(2, QQ, {"e11": ((o, z), (z, z)), "e12": ((z, o), (z, z)),
+                            "e21": ((z, z), (o, z)), "e22": ((z, z), (z, o))})
+    built, products, label = Counter(), Counter(), [None]
+    real_init, real_mul = Coeff.__init__, Coeff.__mul__
+
+    def init(self, ctx, val):
+        if label[0]:
+            built[label[0]] += 1
+        real_init(self, ctx, val)
+
+    def mul(self, other):
+        if label[0]:
+            products[label[0]] += 1
+        return real_mul(self, other)
+    monkeypatch.setattr(Coeff, "__init__", init)
+    monkeypatch.setattr(Coeff, "__mul__", mul)
+    monkeypatch.setattr(Coeff, "__rmul__", mul)
+
+    def run(name, f, *args):
+        label[0] = name
+        try:
+            return f(*args)
+        finally:
+            label[0] = None
+    ab = run("multiply", multiply, H, a, b)
+    nf = run("normal_form", normal_form, H, ab)
+    qc = run("q_commutator", q_commutator, H, a, b, lam)
+    sp = run("specialize_poly", specialize_poly, ab, assign, c3)
+    space = run("search", multilinear_identity_search, m2, 4)
+    assert len(ab) >= 8 and nf == ab and len(qc) >= 8 and len(sp) >= 8
+    assert sum(len(c.val[0]) for c in ab.terms.values()) > 2 * len(ab)
+    assert space.dim > 0
+    entries = sum(not c.is_zero() for v in space.basis for c in v)
+    assert dict(built) == {"q_commutator": 1, "search": entries + 2}
+    assert not products
