@@ -497,6 +497,16 @@ def downup_center_generators(spec, roots=None):
     omega-monomial search is truncated at OMEGA_EXPONENT_BOUND (any
     generator returned is still genuinely central).  Jordan cases return
     a single omega power or the fixed polynomials of degree <= 2.
+
+    With u^m, d^m central the caps on u and d are m + e - 1, e the least
+    degree in x = ud, y = du of a central omega-monomial.  A normal word
+    u^i (du)^j d^k of weight w = i - k >= 0 is u^w u^s (du)^t d^s, and
+    u^s (du)^t d^s spans k[x, y] in degree s + t.  For s >= m - w it has
+    the central factor u^m, so these words make the ideal of
+    u^(m-w) d^(m-w), whose leading form is m - w linear forms prime to
+    the omegas (x is no eigenvector of g u = u g').  So weight w needs
+    only s + t <= (m - w - 1) + (e - 1): at most m + e - 2 letters u and
+    as many d.  Weights w < 0 mirror this with d^m.
     """
     ctx = spec.ctx
     al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
@@ -517,14 +527,12 @@ def downup_center_generators(spec, roots=None):
         ml = lam.multiplicative_order()
         mm = mu.multiplicative_order()
         els = []
-        caps = None
+        m = None
         if ml is not None and mm is not None:
             m = lcm(ml, mm)
             els += _powers(p, ("u", "d"), m)
-            caps = {"u": m, "d": m}
-            bound = m
-        else:
-            bound = OMEGA_EXPONENT_BOUND
+        bound = OMEGA_EXPONENT_BOUND if m is None else m
+        degrees = []
         for i in range(bound + 1):
             for j in range(bound + 1):
                 if i == j == 0:
@@ -532,8 +540,11 @@ def downup_center_generators(spec, roots=None):
                 if ((mu ** i) * (lam ** j)).is_one():
                     cp = _mp_mul(cp_pow(w1, i, one), cp_pow(w2, j, one))
                     els.append((f"w1^{i}*w2^{j}", downup_from_xy(p, cp)))
+                    degrees.append(i + j)
         if not els:
             raise TrivialCenter("no power of the roots multiplies to 1")
+        caps = None if m is None else \
+            dict.fromkeys(("u", "d"), m + min(degrees) - 1)
         return CentralSet(els, condition=f"roots {lam!r}, {mu!r}", caps=caps)
 
     if lam != mu:  # exactly one root equals 1; normalize lam = 1
@@ -559,7 +570,7 @@ def downup_center_generators(spec, roots=None):
             w2 = {(1, 0): -one, (0, 1): one}
             els.append((f"omega2^{m}", downup_from_xy(p, cp_pow(w2, m, one))))
             els += _powers(p, ("u", "d"), m)
-            caps = {"u": m, "d": m}
+            caps = {"u": m, "d": m}  # m + e - 1 with omega1 of degree e = 1
         return CentralSet(els, condition=f"lambda=1, gamma=0, mu order {m}",
                           caps=caps)
 

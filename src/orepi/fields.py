@@ -65,6 +65,7 @@ computed.
 
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import product
 from math import gcd, lcm
 from operator import add, attrgetter, mul, neg, pos, sub
 
@@ -568,8 +569,6 @@ class _Cyclotomics(FieldCtx):
         return self.level if self.level % 2 == 0 else 2 * self.level
 
     def root_of_unity(self, n):
-        if n in (1, 2):
-            return super().root_of_unity(n)
         big = self.unit_group_exponent()
         if big % n != 0:
             raise ZeroInput(f"no primitive {n}-th root in {self!r}")
@@ -858,31 +857,28 @@ class _GaloisField(FieldCtx):
         return Coeff(self, (0, 1) + (0,) * (self._dim - 2))
 
     def units(self):
-        """Every nonzero element, in a fixed order."""
-        p, dim = self.char, self._dim
-        for code in range(1, p ** dim):
-            vec = []
-            c = code
-            for _ in range(dim):
-                vec.append(c % p)
-                c //= p
-            yield Coeff(self, tuple(vec))
+        """Every nonzero element, the first coordinate varying fastest."""
+        for vec in product(range(self.char), repeat=self._dim):
+            if any(vec):
+                yield Coeff(self, vec[::-1])
 
     def unit_group_exponent(self):
         return self._unit_order
 
+    def _primitive_root(self):
+        """The first unit of order q - 1: its (q-1)/p-th power is not 1
+        for any prime p of q - 1."""
+        order, one = self._unit_order, self.one()
+        primes = _factorize(order)
+        return next(g for g in self.units()
+                    if all(g ** (order // p) != one for p in primes))
+
     def root_of_unity(self, n):
-        # checked before the shortcut: -1 = 1 in characteristic 2
+        """g^((q-1)/n) for the primitive root g, when n divides q - 1."""
+        # -1 = 1 in characteristic 2, where q - 1 is odd: no 2-th root
         if self._unit_order % n != 0:
             raise ZeroInput(f"no {n}-th root in {self!r}")
-        if n in (1, 2):
-            return super().root_of_unity(n)
-        if self.char ** self._dim > 100000:
-            raise ZeroInput("field too large for exhaustive root search")
-        for c in self.units():
-            if c.multiplicative_order() == n:
-                return c
-        raise ZeroInput(f"no {n}-th root in {self!r}")
+        return self._primitive_root() ** (self._unit_order // n)
 
     def sqrt(self, c):
         """A square root of the Coeff c, or None when c is no square.
@@ -892,7 +888,7 @@ class _GaloisField(FieldCtx):
         exactly when c^((q-1)/2) = 1 (Euler's criterion); with q - 1 =
         2^s t, t odd, the guess c^((t+1)/2) is off by a factor whose
         order divides 2^(s-1), cleared one bit at a time by powers of
-        z^t for the first unit z that is no square.
+        z^t for the primitive root z, which is no square.
         """
         order = self._unit_order
         if c.is_zero() or self.char == 2:
@@ -903,7 +899,7 @@ class _GaloisField(FieldCtx):
         s, t = 0, order
         while t % 2 == 0:
             s, t = s + 1, t // 2
-        z = next(u for u in self.units() if u ** half != one)
+        z = self._primitive_root()
         # invariant: root^2 = c * err, and err^(2^(s-1)) = 1 = gen^(2^s)
         gen, root, err = z ** t, c ** ((t + 1) // 2), c ** t
         while err != one:

@@ -13,6 +13,7 @@ closed-form coefficients, and check_paper_identity pits the rewrite
 engine against it for every index up to a bound.
 """
 
+from collections import namedtuple
 from math import comb
 
 from .errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes, ZeroInput
@@ -193,16 +194,15 @@ def bqf_delta(p, word):
 # normal words with closed-form coefficients; where a textbook display
 # uses a non-normal monomial, the exact straightening scalar (a pure
 # parameter power) is folded in, or the display is solved for its
-# non-normal monomial.  The one exception is Bqf.wku, whose displayed
-# sum has no closed normal form; its right side is normalized once by
-# the engine, making that check a two-route engine consistency test.
-# The twisted-power displays b a^k = s^k a^k b + c_k t a^(k-1) and their
-# mirrors b^k a = s^k a b^k + c_k t b^(k-1) are rows of ORACLES, each with
-# its own closed forms s, c_k, built by _oracle_commute.  Outside the
-# table: UqB2.iv (three terms), M2.power_table (labels print m), and the
-# polynomial-tail displays, where a display and its mirror (x^k y and
-# x y^k, delta(u^k) and delta(v^k)) share one builder.  A normality
-# relation e f = s f e is checked as the formal e f - s f e (_twisted).
+# non-normal monomial.  The power-commutation displays
+# b a^k = s^k a^k b + (tail) and their mirrors are rows of ORACLES, each
+# with its own closed forms (_oracle_commute): H, M2, UqB2, Weyl.xky/xyk,
+# Cyc3 and Bqf.wuk/wvk.  Outside the table: Bh.commute, whose left sides
+# are powers of two-term quadratics; the delta(g^k) closed forms, checked
+# against the derivation recursion; Bqf.wku, whose displayed sum has no
+# closed normal form, so its right side is normalized once by the engine
+# (a two-route consistency test); and the relation checks, where
+# e f = s f e is checked as the formal e f - s f e (_twisted).
 
 
 def _mono(p, coeff, *names):
@@ -215,27 +215,47 @@ def _twisted(p, e, f, s):
             product_terms(p, e, f) + product_terms(p, f, e, -s)]
 
 
-def _oracle_commute(b, a, raised, s, c, tail=()):
-    """b a^k = s^k a^k b + c_k t a^(k-1) when the raised letter is a; the
-    mirror b^k a = s^k a b^k + c_k t b^(k-1) when it is b.  s(p) and
-    c(p, k, s) are the row's closed forms, c taking the value of s(p);
-    s = None means s = 1.  The tail word t a^(k-1) lists ``tail`` and
-    the k - 1 raised letters in precedence order."""
+def _tail(p, k, raised, terms):
+    """The monomials c_j t_j r^(k - d_j) of the terms (c_j, t_j, d_j), each
+    word listing the letters t_j and the raised letters r in precedence
+    order."""
+    for c, t, d in terms:
+        word = sorted([*t, *[raised] * (k - d)], key=p.precedence.index)
+        yield _mono(p, c, *word)
+
+
+def _oracle_commute(*rows):
+    """The lemma whose checks are the rows (b, a, raised, s[, tail]).
+
+    A row is b a^k = s^k a^k b + sum_j c_j t_j a^(k - d_j) when the
+    raised letter is a, and its mirror b^k a = s^k a b^k + sum_j c_j t_j
+    b^(k - d_j) when it is b.  s(p) is the row's scalar, None meaning 1;
+    rows that share s evaluate it once.  tail(p, k, s), given the value
+    of s, lists the terms (c_j, t_j, d_j) (_tail).
+    """
     def build(p, k):
-        bs = [b] * (k if raised == b else 1)
-        as_ = [a] * (k if raised == a else 1)
-        lhs = [(p.one, p.word(*bs, *as_))]
-        rest = sorted([*tail, *[raised] * (k - 1)], key=p.precedence.index)
-        sv = p.one if s is None else s(p)
-        sk = p.one if s is None else sv ** k
-        rhs = _mono(p, sk, *as_, *bs) + _mono(p, c(p, k, sv), *rest)
-        label = "*".join(f"{h}^{k}" if h == raised else h for h in (b, a))
-        return [(label, lhs, rhs)]
+        svals = {None: p.one}
+        out = []
+        for b, a, raised, s, *tail in rows:
+            if s not in svals:
+                svals[s] = s(p)
+            bs = [b] * (k if raised == b else 1)
+            as_ = [a] * (k if raised == a else 1)
+            rhs = _mono(p, p.one if s is None else svals[s] ** k, *as_, *bs)
+            if tail:
+                rhs = sum(_tail(p, k, raised, tail[0](p, k, svals[s])), rhs)
+            label = f"{b}^{k}*{a}" if raised == b else f"{b}*{a}^{k}"
+            out.append((label, [(p.one, p.word(*bs, *as_))], rhs))
+        return out
     return build
 
 
 def _q(p):
     return p.params["q"]
+
+
+def _qi(p):
+    return p.params["q"].inv()
 
 
 def _q2(p):
@@ -244,6 +264,22 @@ def _q2(p):
 
 def _q2i(p):
     return _q2(p).inv()
+
+
+def _alpha(p):
+    return p.params["alpha"]
+
+
+def _beta(p):
+    return p.params["beta"]
+
+
+def _gamma(p):
+    return p.params["gamma"]
+
+
+def _beta_alpha(p):
+    return p.params["beta"] * p.params["alpha"].inv()
 
 
 def _oracle_h_theta(p, n):
@@ -297,66 +333,23 @@ def _oracle_bh_commute(p, n):
     return out
 
 
-def _oracle_m2_power_table(p, m):
-    a, b = p.params["alpha"], p.params["beta"]
-    ai = a.inv()
-    # (label, lhs word, straightening scalar, rhs word)
-    rows = [
-        ("X12^m*X11", ["X12"] * m + ["X11"], a ** m, ["X11"] + ["X12"] * m),
-        ("X22*X12^m", ["X22"] + ["X12"] * m, b ** m, ["X12"] * m + ["X22"]),
-        ("X21*X12^m", ["X21"] + ["X12"] * m, (b * ai) ** m, ["X12"] * m + ["X21"]),
-        ("X21^m*X11", ["X21"] * m + ["X11"], b ** m, ["X11"] + ["X21"] * m),
-        ("X22*X21^m", ["X22"] + ["X21"] * m, a ** m, ["X21"] * m + ["X22"]),
-        ("X21^m*X12", ["X21"] * m + ["X12"], (b * ai) ** m, ["X12"] + ["X21"] * m),
-        ("X12*X11^m", ["X12"] + ["X11"] * m, a ** m, ["X11"] * m + ["X12"]),
-        ("X21*X11^m", ["X21"] + ["X11"] * m, b ** m, ["X11"] * m + ["X21"]),
-        ("X22^m*X12", ["X22"] * m + ["X12"], b ** m, ["X12"] + ["X22"] * m),
-        ("X22^m*X21", ["X22"] * m + ["X21"], a ** m, ["X21"] + ["X22"] * m),
-    ]
-    return [(label, [(p.one, p.word(*lw))], _mono(p, scal, *rw))
-            for label, lw, scal, rw in rows]
-
-
-def _oracle_uqb2_iv(p, k):
-    """e2^k e1 = q^-2k e1 e2^k - q^-2 B_k e3 e2^(k-1) - C_k z e2^(k-2)."""
-    q = p.params["q"]
-    q2i = (q * q).inv()
-    lhs = [(p.one, p.word(*(["e2"] * k + ["e1"])))]
-    rhs = _mono(p, q2i ** k, *(["e1"] + ["e2"] * k)) + \
-        _mono(p, -(q2i * b_coeff(k, q)), *(["e3"] + ["e2"] * (k - 1))) + \
-        _mono(p, -c_coeff(k, q), *(["z"] + ["e2"] * (k - 2)))
-    return [(f"e2^{k}*e1", lhs, rhs)]
-
-
-def _weyl_z_closed(p, i):
-    """z_i as its closed form 1 + sum_{j<=i} (q_j - 1) y_j x_j."""
-    qs = p.params["q_list"]
-    out = NCPoly.monomial(p.one, ())
-    for j in range(1, i + 1):
-        out = out + _mono(p, qs[j - 1] - p.one, f"y{j}", f"x{j}")
-    return out
-
-
 def _oracle_weyl(raised):
-    """x_i^k y_i = q_i^k y_i x_i^k + [k]_{q_i} z_{i-1} x_i^(k-1) when the
-    raised letter is "x"; x_i y_i^k, the same with y_i raised, when "y"."""
-    def build(p, k):
-        qs = p.params["q_list"]
-        out = []
-        for i in range(1, p.params["n"] + 1):
-            qi = qs[i - 1]
-            x, y, g = f"x{i}", f"y{i}", f"{raised}{i}"
-            xs = [x] * (k if raised == "x" else 1)
-            ys = [y] * (k if raised == "y" else 1)
-            lhs = [(p.one, p.word(*xs, *ys))]
-            rhs = _mono(p, qi ** k, *ys, *xs)
-            sk = q_number(k, qi)
-            for c, w in _weyl_z_closed(p, i - 1).as_formal():
-                rhs = rhs + NCPoly.monomial(sk * c, w + p.word(*[g] * (k - 1)))
-            label = "*".join(f"{h}^{k}" if h == g else h for h in (x, y))
-            out.append((label, lhs, rhs))
-        return out
-    return build
+    """Weyl.xky (raised "x") or Weyl.xyk (raised "y"), one row for each
+    i = 1, ..., n: x_i^k y_i = q_i^k y_i x_i^k + [k]_{q_i} z_{i-1} x_i^(k-1),
+    or x_i y_i^k the same with y_i raised, where z_{i-1} is its closed
+    form 1 + sum_{j<i} (q_j - 1) y_j x_j."""
+    def row(i):
+        def tail(p, k, qi):
+            ck = q_number(k, qi)
+            qs = p.params["q_list"]
+            z = [(ck, (), 1)]
+            for j in range(1, i):
+                z.append((ck * (qs[j - 1] - p.one), (f"y{j}", f"x{j}"), 1))
+            return z
+        return (f"x{i}", f"y{i}", f"{raised}{i}",
+                lambda p: p.params["q_list"][i - 1], tail)
+    return lambda p, k: _oracle_commute(
+        *[row(i) for i in range(1, p.params["n"] + 1)])(p, k)
 
 
 def _oracle_weyl_zi(p, n_unused):
@@ -390,23 +383,23 @@ def _oracle_cyc3_e(p, n_unused):
              NCPoly.zero())]
 
 
-def _bqf_delta_closed(p, g, k):
-    """delta(g^k) for the generator g = "u" or "v", summed over the terms
-    c_j t^j of f: delta(u^k) = sum_j [k]_{q^(j+1)} c_j v^j u^(k-1), and
-    delta(v^k) = sum_j [k]_{q^-(j+1)} c_j q^(j(k-1)) v^(k-1) u^j, using
-    u^j v^(k-1) = q^(j(k-1)) v^(k-1) u^j."""
+def _bqf_delta_terms(p, g, k):
+    """delta(g^k) for the generator g = "u" or "v" as tail terms of the
+    raised letter g, summed over the terms c_j t^j of f: delta(u^k) =
+    sum_j [k]_{q^(j+1)} c_j v^j u^(k-1), and delta(v^k) = sum_j
+    [k]_{q^-(j+1)} c_j q^(j(k-1)) v^(k-1) u^j, using u^j v^(k-1) =
+    q^(j(k-1)) v^(k-1) u^j.  It is the tail of the rows w g^k =
+    sigma(g)^k g^k w + delta(g^k), sigma(u) = q u, sigma(v) = q^-1 v."""
     q = p.params["q"]
-    out = NCPoly.zero()
+    out = []
     for j, cj in enumerate(p.params["f"]):
         if cj.is_zero():
             continue
         if g == "u":
-            out = out + _mono(p, q_number(k, q ** (j + 1)) * cj,
-                              *(["v"] * j + ["u"] * (k - 1)))
+            out.append((q_number(k, q ** (j + 1)) * cj, ("v",) * j, 1))
         else:
-            out = out + _mono(p, q_number(k, (q ** (j + 1)).inv()) * cj *
-                              q ** (j * (k - 1)),
-                              *(["v"] * (k - 1) + ["u"] * j))
+            out.append((q_number(k, (q ** (j + 1)).inv()) * cj *
+                        q ** (j * (k - 1)), ("u",) * j, 1))
     return out
 
 
@@ -414,19 +407,8 @@ def _oracle_bqf_delta(g):
     """delta(g^k) by the skew-derivation recursion against its closed form."""
     def build(p, k):
         lhs = bqf_delta(p, p.word(*[g] * k)).as_formal()
-        return [(f"delta({g}^{k})", lhs, _bqf_delta_closed(p, g, k))]
-    return build
-
-
-def _oracle_bqf_w(g):
-    """w g^k = sigma(g)^k g^k w + delta(g^k), sigma(u) = q u, sigma(v) = q^-1 v."""
-    def build(p, k):
-        q = p.params["q"]
-        sigma = q if g == "u" else q.inv()
-        lhs = [(p.one, p.word("w", *[g] * k))]
-        rhs = _mono(p, sigma ** k, *([g] * k + ["w"])) + \
-            _bqf_delta_closed(p, g, k)
-        return [(f"w*{g}^{k}", lhs, rhs)]
+        rhs = sum(_tail(p, k, g, _bqf_delta_terms(p, g, k)), NCPoly.zero())
+        return [(f"delta({g}^{k})", lhs, rhs)]
     return build
 
 
@@ -444,65 +426,74 @@ def _oracle_bqf_wku(p, k):
     return [(f"w^{k}*u", lhs, rhs)]
 
 
-class _Oracle:
-    __slots__ = ("family", "min_n", "relation_only", "build")
-
-    def __init__(self, family, min_n, build, relation_only=False):
-        self.family = family
-        self.min_n = min_n
-        self.build = build
-        self.relation_only = relation_only
+_Oracle = namedtuple("_Oracle", "family min_n build relation_only",
+                     defaults=(False,))
 
 
 ORACLES = {
     "Bh.commute": _Oracle("Bh", 1, _oracle_bh_commute),
-    "H.yxn": _Oracle("Hpq", 1, _oracle_commute("y", "x", "x", _q,
-        lambda p, k, q: pq_number(k, p.params["p"], q) * p.params["p"] ** (k - 1),
-        ("t",))),
-    "H.ynx": _Oracle("Hpq", 1, _oracle_commute("y", "x", "y", _q,
-        lambda p, k, q: pq_number(k, p.params["p"], q), ("t",))),
+    "H.yxn": _Oracle("Hpq", 1, _oracle_commute(("y", "x", "x", _q,
+        lambda p, k, q: [(pq_number(k, p.params["p"], q)
+                          * p.params["p"] ** (k - 1), ("t",), 1)]))),
+    "H.ynx": _Oracle("Hpq", 1, _oracle_commute(("y", "x", "y", _q,
+        lambda p, k, q: [(pq_number(k, p.params["p"], q), ("t",), 1)]))),
     "H.theta_rel": _Oracle("Hpq", 1, _oracle_h_theta, relation_only=True),
-    "M2.k1": _Oracle("M2", 1, _oracle_commute("X22", "X11", "X22", None,
-        lambda p, k, _: p.params["alpha"].inv()
-        * ((p.params["alpha"] * p.params["beta"]) ** k - 1), ("X12", "X21"))),
-    "M2.k2": _Oracle("M2", 1, _oracle_commute("X22", "X11", "X11", None,
-        lambda p, k, _: p.params["beta"]
-        * (1 - (p.params["alpha"] * p.params["beta"]) ** (-k))
-        * (p.params["alpha"] * p.params["beta"]) ** (k - 1), ("X12", "X21"))),
-    "M2.power_table": _Oracle("M2", 1, _oracle_m2_power_table),
-    "UqB2.i": _Oracle("UqB2", 1, _oracle_commute("e2", "e3", "e3", _q2,
-        lambda p, k, q2: q_number(k, q2), ("z",))),
-    "UqB2.ii": _Oracle("UqB2", 1, _oracle_commute("e2", "e3", "e2", _q2,
-        lambda p, k, q2: q_number(k, q2), ("z",))),
-    "UqB2.iii": _Oracle("UqB2", 1, _oracle_commute("e2", "e1", "e1", _q2i,
-        lambda p, k, q2i: -(q2i * q_number(k, q2i * q2i)), ("e3",))),
-    "UqB2.iv": _Oracle("UqB2", 2, _oracle_uqb2_iv),
+    "M2.k1": _Oracle("M2", 1, _oracle_commute(("X22", "X11", "X22", None,
+        lambda p, k, _: [(_alpha(p).inv() * ((_alpha(p) * _beta(p)) ** k - 1),
+                          ("X12", "X21"), 1)]))),
+    "M2.k2": _Oracle("M2", 1, _oracle_commute(("X22", "X11", "X11", None,
+        lambda p, k, _: [(_beta(p) * (1 - (_alpha(p) * _beta(p)) ** (-k))
+                          * (_alpha(p) * _beta(p)) ** (k - 1),
+                          ("X12", "X21"), 1)]))),
+    "M2.power_table": _Oracle("M2", 1, _oracle_commute(
+        ("X12", "X11", "X12", _alpha),
+        ("X22", "X12", "X12", _beta),
+        ("X21", "X12", "X12", _beta_alpha),
+        ("X21", "X11", "X21", _beta),
+        ("X22", "X21", "X21", _alpha),
+        ("X21", "X12", "X21", _beta_alpha),
+        ("X12", "X11", "X11", _alpha),
+        ("X21", "X11", "X11", _beta),
+        ("X22", "X12", "X22", _beta),
+        ("X22", "X21", "X22", _alpha))),
+    "UqB2.i": _Oracle("UqB2", 1, _oracle_commute(("e2", "e3", "e3", _q2,
+        lambda p, k, q2: [(q_number(k, q2), ("z",), 1)]))),
+    "UqB2.ii": _Oracle("UqB2", 1, _oracle_commute(("e2", "e3", "e2", _q2,
+        lambda p, k, q2: [(q_number(k, q2), ("z",), 1)]))),
+    "UqB2.iii": _Oracle("UqB2", 1, _oracle_commute(("e2", "e1", "e1", _q2i,
+        lambda p, k, q2i: [(-(q2i * q_number(k, q2i * q2i)), ("e3",), 1)]))),
+    # e2^k e1 = q^-2k e1 e2^k - q^-2 B_k e3 e2^(k-1) - C_k z e2^(k-2)
+    "UqB2.iv": _Oracle("UqB2", 2, _oracle_commute(("e2", "e1", "e2", _q2i,
+        lambda p, k, q2i: [(-(q2i * b_coeff(k, _q(p))), ("e3",), 1),
+                           (-c_coeff(k, _q(p)), ("z",), 2)]))),
     "Weyl.xky": _Oracle("WeylMalt", 1, _oracle_weyl("x")),
     "Weyl.xyk": _Oracle("WeylMalt", 1, _oracle_weyl("y")),
     "Weyl.zi_normal": _Oracle("WeylMalt", 1, _oracle_weyl_zi, relation_only=True),
     # i: x^a y = q^{2a} y x^a + c_a alpha x^{a-1}
-    "Cyc3.i": _Oracle("ThreeCyclic", 1, _oracle_commute("y", "x", "x", _q2i,
-        lambda p, a, q2i: -(q2i ** a) * c_a(a, _q(p)) * p.params["alpha"])),
+    "Cyc3.i": _Oracle("ThreeCyclic", 1, _oracle_commute(("y", "x", "x", _q2i,
+        lambda p, a, q2i: [(-(q2i ** a) * c_a(a, _q(p)) * _alpha(p), (), 1)]))),
     # ii: y^a x = q^{-2a} x y^a - q^{-2} d_a alpha y^{a-1}
-    "Cyc3.ii": _Oracle("ThreeCyclic", 1, _oracle_commute("y", "x", "y", _q2i,
-        lambda p, a, q2i: -(q2i * d_a(a, _q(p)) * p.params["alpha"]))),
+    "Cyc3.ii": _Oracle("ThreeCyclic", 1, _oracle_commute(("y", "x", "y", _q2i,
+        lambda p, a, q2i: [(-(q2i * d_a(a, _q(p)) * _alpha(p)), (), 1)]))),
     # iii: x^a z = q^{-2a} z x^a + d_a beta x^{a-1}
-    "Cyc3.iii": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "x", "x", _q2,
-        lambda p, a, q2: -(q2 ** a) * d_a(a, _q(p)) * p.params["beta"])),
+    "Cyc3.iii": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "x", "x", _q2,
+        lambda p, a, q2: [(-(q2 ** a) * d_a(a, _q(p)) * _beta(p), (), 1)]))),
     # iv: z^a x = q^{2a} x z^a - q^2 c_a beta z^{a-1}
-    "Cyc3.iv": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "x", "z", _q2,
-        lambda p, a, q2: -(q2 * c_a(a, _q(p)) * p.params["beta"]))),
+    "Cyc3.iv": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "x", "z", _q2,
+        lambda p, a, q2: [(-(q2 * c_a(a, _q(p)) * _beta(p)), (), 1)]))),
     # v: y^a z = q^{2a} z y^a + c_a gamma y^{a-1}
-    "Cyc3.v": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "y", "y", _q2i,
-        lambda p, a, q2i: -(q2i ** a) * c_a(a, _q(p)) * p.params["gamma"])),
+    "Cyc3.v": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "y", "y", _q2i,
+        lambda p, a, q2i: [(-(q2i ** a) * c_a(a, _q(p)) * _gamma(p), (), 1)]))),
     # vi: z^a y = q^{-2a} y z^a - q^{-2} d_a gamma z^{a-1}
-    "Cyc3.vi": _Oracle("ThreeCyclic", 1, _oracle_commute("z", "y", "z", _q2i,
-        lambda p, a, q2i: -(q2i * d_a(a, _q(p)) * p.params["gamma"]))),
+    "Cyc3.vi": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "y", "z", _q2i,
+        lambda p, a, q2i: [(-(q2i * d_a(a, _q(p)) * _gamma(p)), (), 1)]))),
     "Cyc3.e_rel": _Oracle("ThreeCyclic", 1, _oracle_cyc3_e, relation_only=True),
     "Bqf.delta_uk": _Oracle("Bqf", 1, _oracle_bqf_delta("u")),
     "Bqf.delta_vk": _Oracle("Bqf", 1, _oracle_bqf_delta("v")),
-    "Bqf.wuk": _Oracle("Bqf", 1, _oracle_bqf_w("u")),
-    "Bqf.wvk": _Oracle("Bqf", 1, _oracle_bqf_w("v")),
+    "Bqf.wuk": _Oracle("Bqf", 1, _oracle_commute(("w", "u", "u", _q,
+        lambda p, k, _: _bqf_delta_terms(p, "u", k)))),
+    "Bqf.wvk": _Oracle("Bqf", 1, _oracle_commute(("w", "v", "v", _qi,
+        lambda p, k, _: _bqf_delta_terms(p, "v", k)))),
     "Bqf.wku": _Oracle("Bqf", 1, _oracle_bqf_wku),
 }
 

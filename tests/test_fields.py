@@ -172,6 +172,20 @@ def test_ratfunc_roots_of_unity_only_constants(rat_q):
     assert ((q + 1) / (q + 1)).multiplicative_order() == 1
 
 
+def test_galois_roots_of_unity_have_their_order():
+    # every divisor n of q - 1 has a primitive n-th root, also in
+    # GF(101^3), a field of more than a million elements
+    for ctx in (FieldCtx.galois_prime(2), FieldCtx.galois_prime(13),
+                FieldCtx.galois(2, (1, 1, 0, 1)), FieldCtx.galois(7, (3, 1, 1)),
+                FieldCtx.galois(101, (1, 1, 0, 1))):
+        order = ctx.unit_group_exponent()
+        for n in (d for d in range(1, min(order, 200) + 1) if order % d == 0):
+            assert ctx.root_of_unity(n).multiplicative_order() == n, (ctx, n)
+        assert ctx.root_of_unity(order).multiplicative_order() == order
+        with pytest.raises(ZeroInput):
+            ctx.root_of_unity(order + 1)
+
+
 def test_galois_every_nonzero_is_root_of_unity(rng):
     ctx = FieldCtx.galois(5, (2, 0, 1))  # x^2 + 2 irreducible over GF(5)
     for _ in range(30):

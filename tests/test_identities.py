@@ -25,6 +25,7 @@ from orepi import (
 from orepi.cli import parse_ncpoly
 from orepi.errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes
 from orepi.identities import (
+    ORACLES,
     b_coeff,
     bqf_delta,
     c_a,
@@ -239,39 +240,71 @@ def test_identity_corpus_smoke(lemma, family):
     assert rep.all_pass, [c for c in rep.checks if not c.ok]
 
 
-# the displays b a^k = s^k a^k b + c_k t a^(k-1) and their mirrors, one
-# table row each, whose labels print their one-word left sides
+# the power-commutation displays b a^k = s^k a^k b + (tail) and their
+# mirrors, rows of one table, whose labels print their one-word left sides
 TWISTED_POWER_ROWS = [
     ("H.yxn", "Hpq"), ("H.ynx", "Hpq"), ("M2.k1", "M2"), ("M2.k2", "M2"),
     ("UqB2.i", "UqB2"), ("UqB2.ii", "UqB2"), ("UqB2.iii", "UqB2"),
     ("Cyc3.i", "ThreeCyclic"), ("Cyc3.ii", "ThreeCyclic"),
     ("Cyc3.iii", "ThreeCyclic"), ("Cyc3.iv", "ThreeCyclic"),
     ("Cyc3.v", "ThreeCyclic"), ("Cyc3.vi", "ThreeCyclic"),
+    ("M2.power_table", "M2"), ("UqB2.iv", "UqB2"),
+    ("Weyl.xky", "WeylMalt"), ("Weyl.xyk", "WeylMalt"),
+    ("Bqf.wuk", "Bqf"), ("Bqf.wvk", "Bqf"),
 ]
 
 
-def _gf49_presentation_for(family):
+def _weyl3(ctx, q1, q2, q3, lam):
+    """A three-generator Weyl algebra whose commutation scalars are lam,
+    lam q1 and lam^-1 above the diagonal."""
+    one = ctx.one()
+    return spec_weyl(ctx, (q1, q2, q3),
+                     ((one, lam, lam * q1), (lam.inv(), one, lam.inv()),
+                      ((lam * q1).inv(), lam, one)))
+
+
+def _label_presentations(family, field):
+    """The presentations of family over field: the two- and the
+    three-generator Weyl algebras, one of every other family."""
+    if field == "Q(params)":
+        if family != "WeylMalt":
+            return [_presentation_for(family)]
+        ctx = FieldCtx.rational_functions(("q1", "q2", "q3", "l"))
+        q1, q2, q3, lam = (ctx.param(n) for n in ("q1", "q2", "q3", "l"))
+        return [_presentation_for(family),
+                build_family(_weyl3(ctx, q1, q2, q3, lam))]
     ctx = FieldCtx.galois(7, [3, 1, 1])
     a = ctx.generator()
-    return build_family({
-        "Hpq": lambda: spec_hpq(ctx, a, a + 1),
-        "M2": lambda: spec_m2(ctx, a, a + 2),
-        "UqB2": lambda: spec_uqb2(ctx, a),
-        "ThreeCyclic": lambda: spec_three_cyclic(ctx, a, ctx.one(), a, a + 3),
-    }[family]())
+    one = ctx.one()
+    specs = {
+        "Hpq": [spec_hpq(ctx, a, a + 1)],
+        "M2": [spec_m2(ctx, a, a + 2)],
+        "UqB2": [spec_uqb2(ctx, a)],
+        "ThreeCyclic": [spec_three_cyclic(ctx, a, one, a, a + 3)],
+        "WeylMalt": [spec_weyl(ctx, (a, a + 1),
+                               ((one, a + 2), ((a + 2).inv(), one))),
+                     _weyl3(ctx, a, a + 1, a + 3, a + 2)],
+        "Bqf": [spec_bqf(ctx, a, (one, a, one))],
+    }
+    return [build_family(spec) for spec in specs[family]]
 
 
 @pytest.mark.parametrize("field", ["Q(params)", "GF(49)"])
 @pytest.mark.parametrize("lemma,family", TWISTED_POWER_ROWS)
 def test_twisted_power_labels_parse_to_their_left_sides(lemma, family, field):
-    if field == "GF(49)":
-        p = _gf49_presentation_for(family)
-    else:
-        p = _presentation_for(family)
-    for n in range(1, 7):
-        (label, lhs, _), = oracle_rhs(lemma, p, n)
-        assert len(lhs) == 1 and lhs[0][0].is_one()
-        assert parse_ncpoly(label, p) == lhs, (label, lhs)
+    for p in _label_presentations(family, field):
+        # every row of the lemma: ten for M2.power_table, one for each i
+        # for Weyl.x*, one for the rest
+        if lemma == "M2.power_table":
+            n_rows = 10
+        else:
+            n_rows = p.params["n"] if family == "WeylMalt" else 1
+        for n in range(ORACLES[lemma].min_n, 7):
+            checks = oracle_rhs(lemma, p, n)
+            assert len(checks) == n_rows
+            for label, lhs, _ in checks:
+                assert len(lhs) == 1 and lhs[0][0].is_one()
+                assert parse_ncpoly(label, p) == lhs, (label, lhs)
 
 
 def test_cyc3_e_relation(rat_q):

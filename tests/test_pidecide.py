@@ -260,6 +260,11 @@ def test_pi_witness_central_sets_verify(cyclo3):
             assert is_central(p, el)[0]
 
 
+def _downup_with_roots(ctx, lam, mu):
+    """A(lam + mu, -lam mu, 0): t^2 - alpha t - beta has the roots lam, mu."""
+    return spec_downup(ctx, lam + mu, -(lam * mu), ctx.zero())
+
+
 def test_pi_caps_are_a_spanning_witness(QQ):
     # the caps of a PI verdict are those of its central set, and the
     # central set with those caps spans the algebra as a module
@@ -277,3 +282,27 @@ def test_pi_caps_are_a_spanning_witness(QQ):
         assert v.verdict == "PI", spec
         assert v.caps is not None and v.caps == v.witness.caps, spec
         assert spanning_check(build_family(spec), v.witness, v.caps).ok, spec
+    # down-up algebras with distinct roots of unity, lcm of orders m: the
+    # caps are m + e - 1, e the least degree in x = ud, y = du of a
+    # central omega-monomial: 2 for the first three (w1 w2 for the first
+    # two, the square of the omega of the root -1 for the third), and 1
+    # (omega1) when lambda = 1, gamma = 0; they span at the default
+    # degree and beyond
+    c12 = FieldCtx.cyclotomic(12)
+    z3, z4 = c3.generator(), c4.generator()
+    cases = [
+        (_downup_with_roots(c3, z3, z3 * z3), 4),                   # A(-1,-1,0)
+        (_downup_with_roots(c4, z4, -z4), 5),                       # A(0,-1,0)
+        (_downup_with_roots(c12, c12.root_of_unity(4), -c12.one()), 5),
+        (_downup_with_roots(QQ, one, m1), 2),                       # A(0,1,0)
+        (_downup_with_roots(c3, c3.one(), z3), 3),
+    ]
+    for spec, cap in cases:
+        v = pi_decide(spec)
+        assert v.verdict == "PI", spec.scalars
+        assert v.caps == v.witness.caps == {"u": cap, "d": cap}
+        p = build_family(spec)
+        default = 2 * cap + 2
+        for degree in (default, default + 4):
+            assert spanning_check(p, v.witness, v.caps, degree).ok, \
+                (spec.scalars, degree)
