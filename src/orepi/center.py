@@ -388,7 +388,12 @@ def _quadratic_roots(ctx, alpha, beta, roots):
                             "pass roots=(lambda, mu)")
     two = ctx.from_int(2)
     if two.is_zero():
-        raise RootsRequired("cannot halve in characteristic 2; pass roots")
+        # no halving in GF(2^k), which has at most 64 elements: test each
+        # unit (beta != 0, so both roots are units)
+        for r in ctx.units():
+            if (r * r - alpha * r - beta).is_zero():
+                return r, alpha - r
+        raise RootsRequired(f"t^2 - alpha t - beta has no root in {ctx!r}")
     return (alpha + s) / two, (alpha - s) / two
 
 

@@ -37,6 +37,7 @@ from .presentations import (
     Presentation,
     RewriteRule,
     build_family,
+    require_parameters,
     validate_orientation,
 )
 from .rewrite import NCPoly, normal_form, overlap_check
@@ -200,7 +201,10 @@ def build_spec(family, ctx, params, f_text=None):
                 raise ParseError("n must be a positive integer")
             n = int(n)
         else:
-            n = max(int(k[1:]) for k in params if k.startswith("q"))
+            n = max((int(k[1:]) for k in params if k.startswith("q")),
+                    default=1)
+        require_parameters(family, [f"q{i + 1}" for i in range(n)
+                                    if f"q{i + 1}" not in params])
         qs = [params[f"q{i + 1}"] for i in range(n)]
         one = ctx.one()
         lam = [[one for _ in range(n)] for _ in range(n)]
@@ -216,6 +220,8 @@ def build_spec(family, ctx, params, f_text=None):
         from .presentations import spec_biquad3
         z = ctx.zero()
         g = lambda k: params.get(k, z)
+        require_parameters(family, [k for k in ("q1", "q2", "q3")
+                                    if k not in params])
         return spec_biquad3(
             ctx, (params["q1"], params["q2"], params["q3"]),
             ((g("a"), g("b"), g("c")), (g("al"), g("be"), g("ga")),
@@ -224,7 +230,7 @@ def build_spec(family, ctx, params, f_text=None):
     if family == "Bqf":
         f = parse_f(f_text, ctx) if f_text else ()
         from .presentations import spec_bqf
-        return spec_bqf(ctx, params["q"], f)
+        return spec_bqf(ctx, params.get("q"), f)
     return FamilySpec(family, ctx, scalars=params)
 
 

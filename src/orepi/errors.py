@@ -104,5 +104,6 @@ class DegreeTooSmall(OrepiError):
 
 
 class ParametersRequired(OrepiError):
-    """The command needs family parameter values, which a presentation
-    file does not carry."""
+    """A family parameter value is missing: the family's builder needs
+    it and the spec (or --params) lacks it, or a command that needs
+    values got a presentation file, which carries none."""

@@ -12,6 +12,7 @@ from .errors import (
     DownUpNotNoetherian,
     NonAntisymmetricLambda,
     OrientationFailure,
+    ParametersRequired,
     ZeroParameter,
 )
 from .rewrite import overlap_check, rule_table
@@ -48,8 +49,8 @@ class Presentation:
     """Immutable presentation over one coefficient field."""
 
     __slots__ = ("ctx", "names", "weights", "precedence", "rules",
-                 "family", "params", "one", "by_first", "field_ops", "_rank",
-                 "_index", "_confluent")
+                 "family", "params", "one", "by_first", "inert", "field_ops",
+                 "_rank", "_index", "_confluent")
 
     def __init__(self, ctx, names, weights, precedence, rules,
                  family=None, params=None):
@@ -71,6 +72,11 @@ class Presentation:
         self._rank = tuple(rank_of_name[n] for n in self.names)
         self.one = ctx.one()
         self.by_first = rule_table(self.rules, self.one)
+        # inert: in no left side past its first letter, nor a one-letter one
+        later = set()
+        for rule in self.rules:
+            later.update(rule.lhs[1:] or rule.lhs)
+        self.inert = frozenset(range(len(self.names))).difference(later)
         # the straightener's payload operations, bound once
         self.field_ops = (ctx.add, ctx.mul, ctx.is_zero)
         self._confluent = None
@@ -224,8 +230,36 @@ def _require_units(ctx, named):
             raise ZeroParameter(f"parameter {name} must be nonzero")
 
 
+# what each builder reads: scalars by name, structured data by FamilySpec field
+_PARAMETERS = {
+    "Bh": ("h",),
+    "Hpq": ("p", "q"),
+    "M2": ("alpha", "beta"),
+    "UqB2": ("q",),
+    "WeylMalt": ("q_list", "lam"),
+    "WeylAJ": ("q_list", "lam"),
+    "BiQuad3": ("q_list", "tails", "consts"),
+    "ThreeCyclic": ("q", "alpha", "beta", "gamma"),
+    "DownUp": ("alpha", "beta", "gamma"),
+    "Bqf": ("q", "f_coeffs"),
+    "QuantumPlane": ("q",),
+}
+
+
+def require_parameters(family, missing):
+    """Raise ParametersRequired naming the missing parameters, if any."""
+    if missing:
+        raise ParametersRequired(f"{family} needs a value for "
+                                 + ", ".join(missing))
+
+
 def build_family(spec):
-    """Oriented presentation for the given family instance."""
+    """Oriented presentation for the given family instance.  A parameter
+    the family needs and spec lacks is a ParametersRequired."""
+    scalars = spec.scalars
+    require_parameters(spec.family, [
+        k for k in _PARAMETERS[spec.family]
+        if scalars.get(k) is None and getattr(spec, k, None) is None])
     builder = _BUILDERS[spec.family]
     pres = builder(spec)
     for _, ok, bad in validate_orientation(pres):

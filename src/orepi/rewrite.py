@@ -17,6 +17,12 @@ overlap_check enumerates every word with two distinct one-step
 reductions (proper overlaps and containments) and reports the residual
 of each critical pair; by the diamond lemma all residuals vanish
 exactly when the presentation is confluent, whatever the strategy.
+
+A trailing run of inert letters (Presentation.inert: letters in no left
+side past that side's first letter, and no one-letter left side) takes
+part in no rewrite, so a product is straightened once for its core, the
+word without that run, and the run is appended to every word of the
+core's normal form: the same rewrite steps, in the same order.
 """
 
 from contextlib import contextmanager
@@ -137,6 +143,12 @@ class NCPoly:
 # memoized as normal forms; a memo lives for one call, or for a whole
 # product_memo() scope.  Missing products are computed on an explicit stack
 # of generators, so long words never deepen the Python stack.
+#
+# No left side holds an inert letter past its first position or is one, so
+# no redex reaches into a trailing run s of inert letters: every rewrite
+# step of g*core*s is a step of g*core with s appended.  A product whose
+# rest ends in s is memoized as its core's normal form and as that dict
+# with s appended to every word; a later miss with that core copies it.
 
 _SCOPE = ContextVar("orepi_product_memo", default=None)
 
@@ -256,14 +268,14 @@ def _run(p, levels, memo):
     Missing products are computed, and memoized, on an explicit stack."""
     if len(levels) == 1:
         return levels[0].get((), {})
-    one = p.one.val
-    stack = [(None, _straighten(p, levels, memo))]
+    one, inert = p.one.val, p.inert
+    stack = [(None, (), _straighten(p, levels, memo))]
     value = None
     while True:
         try:
-            word, rest, rhs = stack[-1][1].send(value)
+            word, rest, rhs = stack[-1][2].send(value)
         except StopIteration as done:
-            word = stack.pop()[0]
+            word, run, _ = stack.pop()
             if not stack:
                 return done.value
             value = memo[word] = done.value
@@ -273,9 +285,23 @@ def _run(p, levels, memo):
             for w, c in value.items():
                 if c is not one and c == one:
                     value[w] = one
+            if run:
+                value = memo[word + run] = {w + run: c for w, c in value.items()}
         else:
+            run = ()
+            if rest and rest[-1] in inert:
+                n = len(rest) - 1
+                while n and rest[n - 1] in inert:
+                    n -= 1
+                run, rest = rest[n:], rest[:n]
+                word = word[:len(word) - len(run)]
+                core = memo.get(word)
+                if core is not None:
+                    value = memo[word + run] = {w + run: c
+                                                for w, c in core.items()}
+                    continue
             levels = [{rw: {rest: rc} for rw, rc in bucket} for bucket in rhs]
-            stack.append((word, _straighten(p, levels, memo)))
+            stack.append((word, run, _straighten(p, levels, memo)))
             value = None
 
 

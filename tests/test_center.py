@@ -274,6 +274,63 @@ def test_downup_cyclo3_roots_are_cube_roots(cyclo3):
     assert len(auto.elements) == len(hand.elements)
 
 
+def _outcome(call):
+    """A call's result, or the type of the OrepiError it raised."""
+    try:
+        return call()
+    except (PreconditionViolation, RootsRequired, TrivialCenter) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("modulus", [(0, 1), (1, 1, 1), (1, 1, 0, 1)],
+                         ids=["GF(2)", "GF(4)", "GF(8)"])
+def test_downup_roots_in_characteristic_two(modulus):
+    # t^2 - alpha t - beta cannot be solved by halving in GF(2^k); its
+    # roots are found among the units, and an irreducible one has none
+    ctx = FieldCtx.galois(2, modulus)
+    k = len(modulus) - 1
+    g = ctx.generator() if k > 1 else ctx.one()
+    elements = [sum((g ** i for i, bit in enumerate(bits) if bit), ctx.zero())
+                for bits in product((0, 1), repeat=k)]
+    split = 0
+    for alpha in elements:
+        for beta in elements:
+            if beta.is_zero():
+                continue
+            by_hand = [r for r in elements
+                       if (r * r - alpha * r - beta).is_zero()]
+            spec = spec_downup(ctx, alpha, beta, ctx.zero())
+            if not by_hand:
+                with pytest.raises(RootsRequired, match="no root"):
+                    gwa_auto_order(ctx, alpha, beta, ctx.zero())
+                with pytest.raises(RootsRequired, match="no root"):
+                    downup_center_generators(spec)
+                continue
+            split += 1
+            hand = (by_hand[0], alpha - by_hand[0])
+            auto = _outcome(lambda: gwa_auto_order(ctx, alpha, beta, ctx.zero()))
+            want = _outcome(lambda: gwa_auto_order(ctx, alpha, beta, ctx.zero(),
+                                                   roots=hand))
+            if isinstance(want, type):
+                assert auto is want
+            else:
+                lam, mu = auto.roots
+                assert lam + mu == alpha and -(lam * mu) == beta
+                assert _same_roots(auto.roots, hand)
+                assert (auto.finite, auto.order, auto.case) == \
+                    (want.finite, want.order, want.case)
+            auto = _outcome(lambda: downup_center_generators(spec))
+            want = _outcome(lambda: downup_center_generators(spec, roots=hand))
+            if isinstance(want, type):
+                assert auto is want
+            else:
+                assert auto.caps == want.caps
+                assert len(auto.elements) == len(want.elements)
+    # a split quadratic is fixed by its two nonzero roots, equal or not
+    q = 2 ** k
+    assert split == q * (q - 1) // 2
+
+
 def test_exact_sqrt(QQ, cyclo12):
     assert exact_sqrt(QQ.from_int(4)) == QQ.from_int(2)
     assert exact_sqrt(QQ.from_int(5)) is None

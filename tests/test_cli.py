@@ -361,6 +361,33 @@ def test_family_commands_reject_presentation_files(tmp_path, argv):
     assert doc["checks"][0]["detail"].startswith("ParametersRequired: ")
 
 
+@pytest.mark.parametrize("argv,missing", [
+    (["normalize", "--family", "Bh", "--poly", "x1"], "h"),
+    (["identity-check", "--family", "Hpq", "--lemma", "H.yxn",
+      "--n-max", "3"], "p, q"),
+    (["normalize", "--family", "M2", "--poly", "X11"], "alpha, beta"),
+    (["normalize", "--family", "UqB2", "--poly", "z"], "q"),
+    (["pi-decide", "--family", "WeylMalt", "--params", "l12=2"], "q1"),
+    (["normalize", "--family", "WeylAJ", "--params", "n=3,q2=2",
+      "--poly", "x1"], "q1, q3"),
+    (["confluence", "--family", "BiQuad3", "--params", "q1=2,la=1"],
+     "q2, q3"),
+    (["normalize", "--family", "ThreeCyclic", "--params", "q=2,beta=3",
+      "--poly", "x"], "alpha, gamma"),
+    (["pi-decide", "--family", "DownUp", "--params", "alpha=2"],
+     "beta, gamma"),
+    (["identity-check", "--family", "Bqf", "--lemma", "Bqf.wku",
+      "--n-max", "3", "--f", "t+t^5"], "q"),
+    (["normalize", "--family", "QuantumPlane", "--poly", "x"], "q"),
+])
+def test_missing_family_parameters_are_named(argv, missing):
+    code, doc = run(argv)
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    assert doc["checks"][0]["detail"] == \
+        f"ParametersRequired: {argv[2]} needs a value for {missing}"
+
+
 @pytest.mark.parametrize("field,qs", [("cyclo:3", "q1=z3,q2=z3"),
                                       ("Q", "q1=p,q2=q")])
 def test_weyl_n_parameter_outside_q(field, qs):

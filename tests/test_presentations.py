@@ -3,6 +3,7 @@
 import pytest
 
 from orepi import (
+    FamilySpec,
     FieldCtx,
     Presentation,
     RewriteRule,
@@ -23,6 +24,7 @@ from orepi.cli import presentation_from_json, presentation_to_json
 from orepi.errors import (
     DownUpNotNoetherian,
     NonAntisymmetricLambda,
+    ParametersRequired,
     ZeroParameter,
 )
 from orepi.presentations import biquad3_conditions
@@ -166,3 +168,14 @@ def test_biquad3_condition_violation_example(QQ):
     assert conds["C4"] == QQ.from_int(-5)
     assert any(not v.is_zero() for v in conds.values())
 
+
+def test_build_family_names_missing_parameters(QQ):
+    # scalars by name, structured data by its FamilySpec field
+    with pytest.raises(ParametersRequired, match="Hpq needs a value for q$"):
+        build_family(FamilySpec("Hpq", QQ, scalars={"p": QQ.from_int(2)}))
+    with pytest.raises(ParametersRequired,
+                       match="WeylMalt needs a value for q_list, lam$"):
+        build_family(FamilySpec("WeylMalt", QQ))
+    with pytest.raises(ParametersRequired,
+                       match="Bqf needs a value for q, f_coeffs$"):
+        build_family(FamilySpec("Bqf", QQ))

@@ -32,7 +32,13 @@ from orepi.errors import CtxMismatch, DownUpNotNoetherian, ZeroParameter
 from orepi.fields import Coeff
 from orepi.identities import biquad3_consistent_instance, pq_number
 from orepi.presentations import FamilySpec, biquad3_conditions
-from orepi.rewrite import gen_poly, left_multiply, specialize_poly, word_poly
+from orepi.rewrite import (
+    gen_poly,
+    left_multiply,
+    product_memo,
+    specialize_poly,
+    word_poly,
+)
 
 from conftest import random_coeff
 
@@ -606,6 +612,103 @@ def test_long_word_needs_no_deep_recursion(QQ):
     n = 1200
     nf = normal_form(p, [(QQ.one(), p.word("y", *["x"] * n))])
     assert nf == NCPoly({p.word(*["x"] * n, "y"): QQ.from_int(2 ** n)})
+
+
+# -- trailing runs of inert letters ---------------------------------------------
+
+INERT = {"Bh": {"y2"}, "Hpq": {"y"}, "M2": {"X22"}, "UqB2": {"e2"},
+         "WeylMalt": {"x2"}, "WeylAJ": {"x2"}, "BiQuad3": {"x3"},
+         "ThreeCyclic": {"z"}, "DownUp": set(), "Bqf": {"w"},
+         "QuantumPlane": {"y"}}
+
+
+def test_inert_generators_of_every_family(QQ):
+    # the last-adjoined generator of every family but DownUp is in no left
+    # side past its first letter
+    for p in confluent_zoo(QQ):
+        assert {p.names[g] for g in p.inert} == INERT[p.family], p.family
+        assert all(not p.inert & set(rule.lhs[1:]) for rule in p.rules)
+
+
+def _run_cores(p, rng):
+    """Words that trailing runs of an inert letter are appended to."""
+    if p.family == "Bqf":
+        return [p.word(*["w"] * rng.randint(1, 3), *["v"] * rng.randint(1, 4))
+                for _ in range(3)]
+    return [tuple(rng.randrange(len(p.names)) for _ in range(rng.randint(1, 4)))
+            for _ in range(3)]
+
+
+@pytest.mark.parametrize("p", [case for case in LEFT_ZOO
+                               if case.values[0].inert])
+def test_trailing_inert_runs_straighten_as_their_core(p, rng):
+    # the normal form of core * run is the core's with the run appended:
+    # the same words in the same order, with the same payloads, also when
+    # the product memo of one scope already holds the core's products
+    letter = max(p.inert)
+    for core in _run_cores(p, rng):
+        c = random_coeff(p.ctx, rng)
+        if c.is_zero():
+            c = p.one
+        want = normal_form(p, [(c, core)]).vals
+        with product_memo():
+            for k in range(1, 7):
+                run = (letter,) * k
+                nf = normal_form(p, [(c, core + run)])
+                assert list(nf.vals.items()) == \
+                    [(w + run, v) for w, v in want.items()]
+                if k in (1, 6):
+                    assert nf == heap_normal_form(p, [(c, core + run)])
+
+
+def test_a_last_letter_that_is_not_inert(QQ, rng):
+    # Hpq with t adjoined last and still lowest in the term order: t
+    # follows the first letter of two left sides, so a run of t rewrites
+    two, three = QQ.from_int(2), QQ.from_int(3)
+    x, y, t = 0, 1, 2
+    p = Presentation(QQ, ("x", "y", "t"), (1, 1, 1), ("t", "x", "y"), [
+        RewriteRule((x, t), [(two, (t, x))]),
+        RewriteRule((y, t), [(two.inv(), (t, y))]),
+        RewriteRule((y, x), [(three, (x, y)), (QQ.one(), (t,))]),
+    ])
+    assert p.is_confluent()
+    assert p.inert == {y}
+    for _ in range(6):
+        word = tuple(rng.randrange(3) for _ in range(rng.randint(1, 4))) \
+            + (t,) * rng.randint(2, 5)
+        fa = [(random_coeff(QQ, rng), word)] + random_formal(p, rng)
+        assert normal_form(p, fa) == heap_normal_form(p, fa)
+    with product_memo():
+        for k in range(1, 6):
+            fa = [(QQ.one(), (y, x) + (t,) * k)]
+            assert normal_form(p, fa) == heap_normal_form(p, fa)
+    # a one-letter left side is not inert either
+    one_letter = Presentation(QQ, ("x", "y", "t"), (1, 1, 1), ("x", "y", "t"),
+                              [RewriteRule((y, x), [(two, (x, y))]),
+                               RewriteRule((t,), [(three, ())])])
+    assert one_letter.inert == {y}
+
+
+def test_straightener_runs_per_wku_check(monkeypatch, QQ):
+    # f = t + t^5: each product w*u*w^i is straightened once, at i = 0;
+    # with p.inert emptied every product is keyed by its whole word
+    from orepi import check_paper_identity
+    from orepi import rewrite
+    p = build_family(spec_bqf(QQ, QQ.from_int(3),
+                              (QQ.zero(), QQ.one()) + (QQ.zero(),) * 3
+                              + (QQ.one(),)))
+    real = rewrite._straighten
+    runs = Counter()
+
+    def counting(*args):
+        runs[bool(p.inert)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "_straighten", counting)
+    assert check_paper_identity("Bqf.wku", p, 4).all_pass
+    monkeypatch.setattr(p, "inert", frozenset())
+    assert check_paper_identity("Bqf.wku", p, 4).all_pass
+    assert runs[True] < 2 * runs[False] / 3
 
 
 def _reachable(root):
