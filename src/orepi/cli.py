@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import lcm
 
 from .center import CentralSet, central_candidates, is_central, spanning_check
-from .errors import OrepiError, ParametersRequired, ParseError, ZeroInput
+from .errors import OrepiError, ParametersRequired, ParseError
 from .fields import (
     FieldCtx,
     _CoeffParser,
@@ -33,29 +33,27 @@ from .matrep import multilinear_identity_search, quantum_plane_rep
 from .pidecide import QPlaneWitness, pi_decide, verify_witness
 from .presentations import (
     FAMILIES,
+    _PARAMETERS,
     FamilySpec,
     Presentation,
     RewriteRule,
     build_family,
     require_parameters,
+    spec_biquad3,
+    spec_bqf,
+    spec_weyl,
     validate_orientation,
 )
 from .rewrite import NCPoly, normal_form, overlap_check
 
-FAMILY_PARAMS = {
-    "Bh": ("h",),
-    "Hpq": ("p", "q"),
-    "M2": ("alpha", "beta"),
-    "UqB2": ("q",),
-    "WeylMalt": ("n", "q1..qn", "l12.."),
-    "WeylAJ": ("n", "q1..qn", "l12.."),
-    "BiQuad3": ("q1", "q2", "q3", "a", "b", "c", "al", "be", "ga",
-                "la", "mu", "nu", "b1", "b2", "b3"),
-    "ThreeCyclic": ("q", "alpha", "beta", "gamma"),
-    "DownUp": ("alpha", "beta", "gamma"),
-    "Bqf": ("q", "f (via --f)"),
-    "QuantumPlane": ("q",),
-}
+_WEYL_PARAMS = ("n", "q1..qn", "l12..")
+# the builders' parameter table, under the command-line names where the
+# builders read structured data
+FAMILY_PARAMS = dict(
+    _PARAMETERS, WeylMalt=_WEYL_PARAMS, WeylAJ=_WEYL_PARAMS,
+    BiQuad3=("q1", "q2", "q3", "a", "b", "c", "al", "be", "ga",
+             "la", "mu", "nu", "b1", "b2", "b3"),
+    Bqf=("q", "f (via --f)"))
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +190,35 @@ def parse_ncpoly(text, p):
 
 
 def build_spec(family, ctx, params, f_text=None):
+    """The FamilySpec of a family from its named parameter values.  A name
+    the family needs and params lacks is a ParametersRequired; after that,
+    a name the family does not read is a ParseError."""
     if family not in FAMILIES:
         raise ParseError(f"unknown family {family!r}; see `orepi families`")
-    if family in ("WeylMalt", "WeylAJ"):
+    weyl = family in ("WeylMalt", "WeylAJ")
+    if weyl:
         if "n" in params:
-            n = params.pop("n").as_fraction()
+            n = params["n"].as_fraction()
             if n is None or n.denominator != 1 or n < 1:
                 raise ParseError("n must be a positive integer")
             n = int(n)
         else:
-            n = max((int(k[1:]) for k in params if k.startswith("q")),
-                    default=1)
-        require_parameters(family, [f"q{i + 1}" for i in range(n)
-                                    if f"q{i + 1}" not in params])
-        qs = [params[f"q{i + 1}"] for i in range(n)]
+            n = max((int(k[1:]) for k in params
+                     if k[:1] == "q" and k[1:].isdecimal()), default=1)
+        required = [f"q{i + 1}" for i in range(n)]
+        names = ["n", *required, *(f"l{i + 1}{j + 1}" for i in range(n)
+                                   for j in range(i + 1, n))]
+    else:
+        names = ("q",) if family == "Bqf" else FAMILY_PARAMS[family]
+        required = names[:3] if family == "BiQuad3" else names
+    f = parse_f(f_text, ctx) if family == "Bqf" and f_text else ()
+    require_parameters(family, [k for k in required if k not in params])
+    unknown = [k for k in params if k not in names]
+    if unknown:
+        raise ParseError(f"{family} reads no parameter {', '.join(unknown)}; "
+                         f"its parameters: {', '.join(names)}")
+    if weyl:
+        qs = [params[k] for k in required]
         one = ctx.one()
         lam = [[one for _ in range(n)] for _ in range(n)]
         for i in range(n):
@@ -214,23 +227,12 @@ def build_spec(family, ctx, params, f_text=None):
                 lam[i][j] = lij
                 lam[j][i] = lij.inv()
         variant = "maltsiniotis" if family == "WeylMalt" else "aj"
-        from .presentations import spec_weyl
         return spec_weyl(ctx, qs, lam, variant=variant)
     if family == "BiQuad3":
-        from .presentations import spec_biquad3
-        z = ctx.zero()
-        g = lambda k: params.get(k, z)
-        require_parameters(family, [k for k in ("q1", "q2", "q3")
-                                    if k not in params])
-        return spec_biquad3(
-            ctx, (params["q1"], params["q2"], params["q3"]),
-            ((g("a"), g("b"), g("c")), (g("al"), g("be"), g("ga")),
-             (g("la"), g("mu"), g("nu"))),
-            (g("b1"), g("b2"), g("b3")))
+        v = [params.get(k, ctx.zero()) for k in names]
+        return spec_biquad3(ctx, v[:3], (v[3:6], v[6:9], v[9:12]), v[12:])
     if family == "Bqf":
-        f = parse_f(f_text, ctx) if f_text else ()
-        from .presentations import spec_bqf
-        return spec_bqf(ctx, params.get("q"), f)
+        return spec_bqf(ctx, params["q"], f)
     return FamilySpec(family, ctx, scalars=params)
 
 
@@ -357,10 +359,13 @@ def _witness_json(w):
 # ---------------------------------------------------------------------------
 
 
-def _free_identifiers(*texts):
-    # "t" stays reserved for the f-polynomial variable
+def _inferred_field(*texts):
+    """The field --field Q stands for, from the identifiers of texts:
+    Q(names) for bare names, the cyclotomic field of the lcm of the levels
+    of the roots of unity zN if some N > 2, and Q otherwise.  "t" stays
+    reserved for the f-polynomial variable."""
     names, levels = [], []
-    for text in texts:
+    for text in filter(None, texts):
         for tok in _tokenize(text):
             name = tok.text
             if tok.kind != "ident" or name == "t":
@@ -369,44 +374,31 @@ def _free_identifiers(*texts):
                 levels.append(int(name[1:]))
             elif name not in names:
                 names.append(name)
-    return names, levels
+    roots = any(n > 2 for n in levels)
+    if names and roots:
+        raise ParseError("mixing parameters and roots of unity needs "
+                         "an explicit --field")
+    if names:
+        return FieldCtx.rational_functions(names)
+    if roots:
+        return FieldCtx.cyclotomic(lcm(*levels))
+    return FieldCtx.rational()
 
 
 def _get_presentation(args, report):
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             return presentation_from_json(json.load(fh)), None
-    ctx = parse_field(args.field)
-    try:
-        params = parse_params(args.params, ctx)
-        if getattr(args, "q", None):
-            params["q"] = parse_coeff(args.q, ctx)
-    except (ParseError, ZeroInput):
-        if args.field != "Q":
-            raise
-        # convenience over the default field: bare identifiers mean "work
-        # symbolically" (rational-function field), zN means a cyclotomic
-        # field containing it
-        values = [pair.split("=", 1)[1] for pair in args.params.split(",")
-                  if "=" in pair]
-        if getattr(args, "q", None):
-            values.append(args.q)
-        if getattr(args, "f", None):
-            values.append(args.f)
-        names, levels = _free_identifiers(*values)
-        if names and any(n > 2 for n in levels):
-            raise ParseError("mixing parameters and roots of unity needs "
-                             "an explicit --field") from None
-        if names:
-            ctx = FieldCtx.rational_functions(names)
-        elif levels:
-            ctx = FieldCtx.cyclotomic(lcm(*levels))
-        else:
-            raise
-        params = parse_params(args.params, ctx)
-        if getattr(args, "q", None):
-            params["q"] = parse_coeff(args.q, ctx)
-    spec = build_spec(args.family, ctx, params, f_text=getattr(args, "f", None))
+    if args.field == "Q":
+        ctx = _inferred_field(*[pair.split("=", 1)[1]
+                                for pair in args.params.split(",")
+                                if "=" in pair], args.q, args.f)
+    else:
+        ctx = parse_field(args.field)
+    params = parse_params(args.params, ctx)
+    if args.q:
+        params["q"] = parse_coeff(args.q, ctx)
+    spec = build_spec(args.family, ctx, params, f_text=args.f)
     return build_family(spec), spec
 
 

@@ -17,14 +17,13 @@ from collections import namedtuple
 from math import comb
 
 from .errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes, ZeroInput
-from .fields import Coeff
 from .rewrite import (
     NCPoly,
     multiply,
     normal_form,
     power,
     product_memo,
-    product_terms,
+    q_commutator,
     word_poly,
 )
 
@@ -188,9 +187,9 @@ def bqf_delta(p, word):
 # ---------------------------------------------------------------------------
 # the oracle corpus
 # ---------------------------------------------------------------------------
-# Every entry returns a list of (label, lhs formal polynomial, rhs NCPoly)
-# for the given index n; check_paper_identity asserts
-# normal_form(lhs) == rhs exactly.  Right-hand sides are assembled in
+# Every entry returns a list of (label, lhs, rhs NCPoly) for the given
+# index n, lhs a formal polynomial or an NCPoly; check_paper_identity
+# asserts normal_form(lhs) == rhs exactly.  Right-hand sides are assembled in
 # normal words with closed-form coefficients; where a textbook display
 # uses a non-normal monomial, the exact straightening scalar (a pure
 # parameter power) is folded in, or the display is solved for its
@@ -202,17 +201,12 @@ def bqf_delta(p, word):
 # against the derivation recursion; Bqf.wku, whose displayed sum has no
 # closed normal form, so its right side is normalized once by the engine
 # (a two-route consistency test); and the relation checks, where
-# e f = s f e is checked as the formal e f - s f e (_twisted).
+# e f = s f e is checked as q_commutator(e, f, s), the normal form of
+# e f - s f e, against 0.
 
 
 def _mono(p, coeff, *names):
     return NCPoly.monomial(coeff, p.word(*names))
-
-
-def _twisted(p, e, f, s):
-    """The formal e*f - s*f*e of two elements e, f."""
-    return [(Coeff(p.ctx, c), w) for w, c in
-            product_terms(p, e, f) + product_terms(p, f, e, -s)]
 
 
 def _tail(p, k, raised, terms):
@@ -286,7 +280,7 @@ def _oracle_h_theta(p, n):
     qq = p.params["q"]
     th = theta_element(p)
     return [(f"theta*{gname} - ({scal!r})*{gname}*theta",
-             _twisted(p, th, word_poly(p, gname), scal), NCPoly.zero())
+             q_commutator(p, th, word_poly(p, gname), scal), NCPoly.zero())
             for gname, scal in (("x", qq), ("y", qq.inv()), ("t", p.one))]
 
 
@@ -367,20 +361,20 @@ def _oracle_weyl_zi(p, n_unused):
                 else:
                     scal = qs[j - 1]
                 out.append((f"z{i}*{kind}{j} - ({scal!r})*{kind}{j}*z{i}",
-                            _twisted(p, zs[i], word_poly(p, f"{kind}{j}"),
-                                     scal),
+                            q_commutator(p, zs[i], word_poly(p, f"{kind}{j}"),
+                                         scal),
                             NCPoly.zero()))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            out.append((f"[z{i},z{j}]", _twisted(p, zs[i], zs[j], p.one),
+            out.append((f"[z{i},z{j}]", q_commutator(p, zs[i], zs[j], p.one),
                         NCPoly.zero()))
     return out
 
 
 def _oracle_cyc3_e(p, n_unused):
     scal = (p.params["q"] * p.params["q"]).inv()
-    return [("e*z - q^-2*z*e", _twisted(p, cyc3_e(p), word_poly(p, "z"), scal),
-             NCPoly.zero())]
+    e_rel = q_commutator(p, cyc3_e(p), word_poly(p, "z"), scal)
+    return [("e*z - q^-2*z*e", e_rel, NCPoly.zero())]
 
 
 def _bqf_delta_terms(p, g, k):
@@ -501,7 +495,7 @@ LEMMA_IDS = tuple(sorted(ORACLES))
 
 
 def oracle_rhs(lemma_id, p, n):
-    """(label, lhs formal polynomial, rhs NCPoly) checks for one index."""
+    """(label, lhs, rhs NCPoly) checks for one index."""
     try:
         info = ORACLES[lemma_id]
     except KeyError:

@@ -295,15 +295,12 @@ _DECIDERS = {
 
 
 def verify_witness(spec, w):
-    """Engine-check a NotPI witness's defining relations."""
+    """Engine-check a NotPI witness's defining relations e f = s f e."""
     p = build_family(spec)
     if w.kind == "subalgebra":
-        r = q_commutator(p, w.y_elem, w.x_elem, w.param)
-        return r.is_zero()
-    if w.kind == "quotient":
-        ok = True
-        for gname, scal in w.normality:
-            r = q_commutator(p, w.factored, word_poly(p, gname), scal)
-            ok = ok and r.is_zero()
-        return ok
-    raise FamilyMismatch(f"unknown witness kind {w.kind!r}")
+        relations = [(w.y_elem, w.x_elem, w.param)]
+    elif w.kind == "quotient":
+        relations = [(w.factored, word_poly(p, g), s) for g, s in w.normality]
+    else:
+        raise FamilyMismatch(f"unknown witness kind {w.kind!r}")
+    return all(q_commutator(p, e, f, s).is_zero() for e, f, s in relations)

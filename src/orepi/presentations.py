@@ -24,7 +24,7 @@ FAMILIES = (
 
 
 class RewriteRule:
-    """Oriented rule: word lhs (length >= 2) -> formal polynomial rhs."""
+    """Oriented rule: nonempty word lhs -> formal polynomial rhs."""
 
     __slots__ = ("lhs", "rhs")
 
@@ -49,8 +49,8 @@ class Presentation:
     """Immutable presentation over one coefficient field."""
 
     __slots__ = ("ctx", "names", "weights", "precedence", "rules",
-                 "family", "params", "one", "by_first", "inert", "field_ops",
-                 "_rank", "_index", "_confluent")
+                 "family", "params", "one", "by_first", "inert", "min_lhs",
+                 "field_ops", "_rank", "_index", "_confluent")
 
     def __init__(self, ctx, names, weights, precedence, rules,
                  family=None, params=None):
@@ -77,6 +77,9 @@ class Presentation:
         for rule in self.rules:
             later.update(rule.lhs[1:] or rule.lhs)
         self.inert = frozenset(range(len(self.names))).difference(later)
+        # the shortest left side: no redex starts in a word's last
+        # min_lhs - 1 letters
+        self.min_lhs = min((len(rule.lhs) for rule in self.rules), default=1)
         # the straightener's payload operations, bound once
         self.field_ops = (ctx.add, ctx.mul, ctx.is_zero)
         self._confluent = None

@@ -23,6 +23,12 @@ side past that side's first letter, and no one-letter left side) takes
 part in no rewrite, so a product is straightened once for its core, the
 word without that run, and the run is appended to every word of the
 core's normal form: the same rewrite steps, in the same order.
+
+A left side may have one letter: a rule g -> rhs rewrites every
+occurrence of g, the last letter of a word too.  The input's words are
+cut after their rightmost redex start, which no left side lets begin in
+the last Presentation.min_lhs - 1 letters, so words are scanned from
+their last letter only when some left side has one.
 """
 
 from contextlib import contextmanager
@@ -306,8 +312,9 @@ def _run(p, levels, memo):
 
 
 def _split(p, word):
-    """(prefix, irreducible suffix) of word, cut after its rightmost redex start."""
-    for i in range(len(word) - 2, -1, -1):
+    """(prefix, irreducible suffix) of word, cut after its rightmost redex
+    start, which leaves at least p.min_lhs letters from it to the end."""
+    for i in range(len(word) - p.min_lhs, -1, -1):
         for k, tail, _ in p.by_first.get(word[i], ()):
             if word[i + 1:i + 1 + k] == tail:
                 return word[:i + 1], word[i + 1:]

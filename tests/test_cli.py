@@ -454,3 +454,102 @@ def test_examples_match_recorded_reports(tmp_path, monkeypatch):
         del doc["elapsed_ms"]
         assert (code, json.loads(json.dumps(doc))) == \
             (rec["exit"], rec["report"]), rec["report"]["command"]
+
+
+# inputs whose report differs from the one recorded in field_inference.json
+# before the field was inferred ahead of the one parse, with the new exit
+# code, first detail and field: a --f naming a parameter or a root of unity
+# that no --params/--q value names now sets the field too, and z0 no longer
+# reaches a cyclotomic field of level 0
+INFERENCE_CHANGED = {
+    ("build", "--family", "QuantumPlane", "--q", "z0"):
+        (1, "ZeroInput: no primitive 0-th root in Q", None),
+    ("build", "--family", "Bqf", "--q", "2", "--f", "a*t"):
+        (0, "3 generators, 3 rules", {"kind": "ratfunc", "params": ["a"]}),
+    ("build", "--family", "Bqf", "--q", "2", "--f", "z3*t"):
+        (0, "3 generators, 3 rules", {"kind": "cyclotomic", "n": 3}),
+}
+
+
+def _inference_records():
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "field_inference.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("rec", _inference_records(),
+                         ids=lambda rec: " ".join(rec["report"]["command"]))
+def test_field_inference_matches_recorded_reports(rec):
+    # names, zN with N <= 2 and N > 2, both mixed, syntax errors, inputs
+    # with no identifier and an explicit --field, each parsed once
+    argv = rec["report"]["command"]
+    code, doc = run(argv)
+    del doc["elapsed_ms"]
+    changed = INFERENCE_CHANGED.get(tuple(argv))
+    if changed is None:
+        assert (code, doc) == (rec["exit"], rec["report"])
+    else:
+        check = doc["checks"][0]
+        assert (code, check["detail"],
+                check.get("witness", {}).get("field")) == changed
+        assert (code, doc) != (rec["exit"], rec["report"])
+
+
+@pytest.mark.parametrize("argv,unknown,known", [
+    (["build", "--family", "Bh", "--params", "h=2,hh=3"], "hh", "h"),
+    (["build", "--family", "Hpq", "--params", "p=2,q=3,t=1"], "t", "p, q"),
+    (["build", "--family", "M2", "--params", "alpha=2,beta=3,gamma=7"],
+     "gamma", "alpha, beta"),
+    (["build", "--family", "UqB2", "--q", "2", "--params", "p=3"], "p", "q"),
+    (["build", "--family", "WeylMalt", "--params", "q1=2,l12=3"], "l12",
+     "n, q1"),
+    (["build", "--family", "WeylMalt", "--params", "n=2,q1=2,q2=3,q3=5"],
+     "q3", "n, q1, q2, l12"),
+    (["build", "--family", "WeylAJ", "--params", "qx=3,q1=2"], "qx",
+     "n, q1"),
+    (["build", "--family", "WeylAJ", "--params", "q1=2,q2=3,l21=2"], "l21",
+     "n, q1, q2, l12"),
+    (["confluence", "--family", "BiQuad3", "--params",
+      "q1=2,q2=3,q3=5,gama=1"], "gama",
+     "q1, q2, q3, a, b, c, al, be, ga, la, mu, nu, b1, b2, b3"),
+    (["build", "--family", "ThreeCyclic", "--params",
+      "q=2,alpha=1,beta=1,gamma=1,delta=1,eps=2"], "delta, eps",
+     "q, alpha, beta, gamma"),
+    (["build", "--family", "DownUp", "--params",
+      "alpha=2,beta=-1,gamma=0", "--q", "3"], "q", "alpha, beta, gamma"),
+    (["build", "--family", "Bqf", "--q", "2", "--params", "f=1"], "f", "q"),
+    (["build", "--family", "QuantumPlane", "--q", "2", "--params", "p=2"],
+     "p", "q"),
+])
+def test_names_a_family_does_not_read_are_parse_errors(argv, unknown, known):
+    code, doc = run(argv)
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    assert doc["checks"][0]["detail"] == (
+        f"ParseError: {argv[2]} reads no parameter {unknown}; "
+        f"its parameters: {known}")
+
+
+def test_weyl_q_names_without_an_index_are_not_read():
+    # qx is no q_i, so it sets no n: q1 is missing, not int("x")
+    code, doc = run(["build", "--family", "WeylMalt", "--params", "qx=3"])
+    assert code == 1
+    assert doc["checks"][0]["detail"] == \
+        "ParametersRequired: WeylMalt needs a value for q1"
+
+
+def test_normalize_file_with_a_one_letter_left_side(tmp_path):
+    # t -> 3 applies to every t, the last letter of the word too
+    doc = {"field": {"kind": "rational"}, "generators": ["x", "y", "t"],
+           "weights": [1, 1, 1], "precedence": ["x", "y", "t"],
+           "rules": [{"lhs": ["y", "x"],
+                      "rhs": [{"coeff": "2", "word": ["x", "y"]}]},
+                     {"lhs": ["t"], "rhs": [{"coeff": "3", "word": []}]}]}
+    path = tmp_path / "one_letter.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for poly, nf in (("t", "(3)*1"), ("y*x*t*t", "(18)*x*y"),
+                     ("t*y*t*x + t", "(3)*1 + (18)*x*y")):
+        code, out = run(["normalize", "--file", str(path), "--poly", poly])
+        assert code == 0
+        assert out["checks"][0]["detail"] == nf

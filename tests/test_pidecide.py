@@ -306,3 +306,41 @@ def test_pi_caps_are_a_spanning_witness(QQ):
         for degree in (default, default + 4):
             assert spanning_check(p, v.witness, v.caps, degree).ok, \
                 (spec.scalars, degree)
+
+
+def _not_pi_specs(QQ, cyclo3):
+    one, two, z3 = QQ.one(), QQ.from_int(2), cyclo3.generator()
+    c1, c2 = cyclo3.one(), cyclo3.from_int(2)
+    return [
+        spec_bh(QQ, two),
+        spec_hpq(cyclo3, c2, z3),
+        spec_hpq(cyclo3, z3, c2),
+        spec_m2(cyclo3, z3, c2),
+        spec_uqb2(QQ, two),
+        spec_weyl(QQ, (one, -one), ((one, two), (two.inv(), one))),
+        spec_weyl(QQ, (two, -one), ((one, one), (one, one)), variant="aj"),
+        spec_three_cyclic(QQ, two, one, QQ.from_int(3), one),
+        spec_bqf(QQ, two, (QQ.zero(), one)),
+        spec_quantum_plane(cyclo3, c1 + c1 + z3),
+    ]
+
+
+def test_witness_with_one_scalar_changed_fails(QQ, cyclo3):
+    # every NotPI witness verifies, and each of its relations e f = s f e
+    # fails once its scalar s is moved to s + 1
+    kinds = set()
+    for spec in _not_pi_specs(QQ, cyclo3):
+        w = pi_decide(spec).witness
+        kinds.add(w.kind)
+        assert verify_witness(spec, w), spec
+        fields = {k: getattr(w, k) for k in QPlaneWitness.__slots__}
+        if w.kind == "subalgebra":
+            changed = [dict(fields, param=w.param + 1)]
+        else:
+            changed = [dict(fields, normality=[
+                (g, s + 1 if i == j else s)
+                for j, (g, s) in enumerate(w.normality)])
+                for i in range(len(w.normality))]
+        for f in changed:
+            assert not verify_witness(spec, QPlaneWitness(**f)), (spec, f)
+    assert kinds == {"subalgebra", "quotient"}

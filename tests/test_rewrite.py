@@ -689,6 +689,32 @@ def test_a_last_letter_that_is_not_inert(QQ, rng):
     assert one_letter.inert == {y}
 
 
+def test_a_one_letter_left_side_rewrites_the_last_letter(QQ, rng):
+    # t -> 3 rewrites every t, at the end of a word too: _split scans from
+    # the last letter when some left side has one, from the one before it
+    # when the shortest has two (every family but DownUp, whose have three)
+    two, three = QQ.from_int(2), QQ.from_int(3)
+    x, y, t = 0, 1, 2
+    p = Presentation(QQ, ("x", "y", "t"), (1, 1, 1), ("x", "y", "t"),
+                     [RewriteRule((y, x), [(two, (x, y))]),
+                      RewriteRule((t,), [(three, ())])])
+    assert p.min_lhs == 1 and p.is_confluent()
+    assert {q.family: q.min_lhs for q in confluent_zoo(QQ)} == \
+        dict.fromkeys(INERT, 2) | {"DownUp": 3}
+    assert normal_form(p, [(QQ.one(), (t,))]) == NCPoly.monomial(three, ())
+    assert normal_form(p, [(QQ.one(), (y, x, t, t))]) == \
+        NCPoly.monomial(QQ.from_int(18), (x, y))
+    for _ in range(8):
+        word = tuple(rng.randrange(3) for _ in range(rng.randint(0, 4))) \
+            + (t,) * rng.randint(1, 4)
+        fa = [(random_coeff(QQ, rng), word)] + random_formal(p, rng)
+        assert normal_form(p, fa) == heap_normal_form(p, fa)
+    with product_memo():
+        for k in range(1, 5):
+            fa = [(QQ.one(), (y, t, x) + (t,) * k)]
+            assert normal_form(p, fa) == heap_normal_form(p, fa)
+
+
 def test_straightener_runs_per_wku_check(monkeypatch, QQ):
     # f = t + t^5: each product w*u*w^i is straightened once, at i = 0;
     # with p.inert emptied every product is keyed by its whole word
