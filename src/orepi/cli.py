@@ -192,7 +192,8 @@ def parse_ncpoly(text, p):
 def build_spec(family, ctx, params, f_text=None):
     """The FamilySpec of a family from its named parameter values.  A name
     the family needs and params lacks is a ParametersRequired; after that,
-    a name the family does not read is a ParseError."""
+    a name the family does not read, or an f_text for a family other than
+    Bqf, is a ParseError."""
     if family not in FAMILIES:
         raise ParseError(f"unknown family {family!r}; see `orepi families`")
     weyl = family in ("WeylMalt", "WeylAJ")
@@ -217,6 +218,9 @@ def build_spec(family, ctx, params, f_text=None):
     if unknown:
         raise ParseError(f"{family} reads no parameter {', '.join(unknown)}; "
                          f"its parameters: {', '.join(names)}")
+    if f_text and family != "Bqf":
+        raise ParseError(f"{family} reads no --f; only Bqf takes a "
+                         "polynomial f")
     if weyl:
         qs = [params[k] for k in required]
         one = ctx.one()

@@ -37,14 +37,36 @@ fraction whose denominator is 1 or a single monomial has exactly one
 normalized form, so a result of that shape is canonical however it was
 computed.
 
-- Rational functions: when both denominators are the constant 1 (the
-  dict ``_RatFuncs._one_den``), a product or sum is already normalized
-  (its content gcd is 1 and its monomial minimum is 0), so
-  ``_ratfunc_normalize`` is skipped.  When both denominators are the same
-  monomial m, ``a/m + c/m`` is ``normalize(a + c, m)``, with no
-  cross-multiplication.  Equal denominators make equality a comparison
-  of numerators.  ``_mp_mul`` with a one-term operand shifts and scales
-  the other, since a monomial product has no like terms to merge.
+- Rational functions: a sum or product of two fractions whose
+  denominators are both single monomials (1 included) takes one path.
+  A product multiplies the numerators, adds the denominators'
+  exponents and multiplies their coefficients.  A sum lifts each
+  numerator to the lcm of the two coefficients times the elementwise
+  maximum of the two exponents (the denominator itself when both are
+  equal) and adds, with no cross-multiplication.  Either result is
+  normalized once by ``_over_monomial``: the content gcd is taken with
+  the one denominator coefficient and the exponent minimum with its one
+  key, and a denominator 1 is the shared dict ``_RatFuncs._one_den``,
+  for which nothing is stripped.  Every other sum or product
+  cross-multiplies and runs ``_ratfunc_normalize``.  Equal denominators
+  make equality a comparison of numerators.
+- Rational-function numerators multiply in ``_zp_mul``: two one-term
+  operands give their one term directly, and a one-term operand shifts
+  and scales the other.  Operands with at least ``_KRONECKER_MIN`` = 64
+  term products are packed into one int each and multiplied once
+  (``_kronecker_mul``, Kronecker substitution), unless the packed
+  product would have more slots than half the term products; the rest
+  is the schoolbook loop of ``_mp_mul``.  The threshold was measured
+  with Python 3.11 on a 2-vCPU x86-64 machine, on univariate operands
+  of 3 to 32 terms, dense and with every other exponent: packing lost
+  below about 36 term products, saved 7-25 % at 48 and 25-42 % at 64.
+  A packed product lists its terms in ascending exponent order, and the
+  schoolbook loop in the order they arise.  Key order is no part of a
+  payload's value: ``_mp_to_str`` sorts the terms, equality compares
+  dicts, ``_ratfunc_normalize`` reads the maximum and minimum keys, and
+  a sum's payload does not depend on the order of its terms.
+  ``_mp_mul`` itself never packs, since ``center`` multiplies
+  polynomials with ``Coeff`` coefficients through it.
 - Rationals: sums, products and inverses turn an integral result into
   an ``int`` (``_canon``).  An inverse is a ``Fraction`` built from the
   operand's denominator and numerator, never ``1 / v``, which is a float
@@ -63,10 +85,12 @@ computed.
   field-descriptor comparison.
 """
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import product
-from math import gcd, lcm
+from itertools import accumulate, product
+from math import gcd, lcm, prod
 from operator import add, attrgetter, mul, neg, pos, sub
 
 from .errors import (
@@ -259,6 +283,109 @@ def _mp_const(c, nvars):
     return {(0,) * nvars: c} if c else {}
 
 
+def _mp_lifted(p, key, top, s):
+    """p * s * x^(top - key) for an int s and exponents top >= key."""
+    if key != top:
+        shift = tuple(map(sub, top, key))
+        return {tuple(map(add, k, shift)): v * s for k, v in p.items()}
+    if s == 1:
+        return p
+    return {k: v * s for k, v in p.items()}
+
+
+# Integer products of at least this many term products, whose packed form
+# has at most half as many slots, are packed (``_kronecker_mul``); the
+# module docstring gives the timings the threshold was chosen from.
+_KRONECKER_MIN = 64
+_SLOT_TYPECODES = {array(c).itemsize: c for c in "QLIHB"}
+
+
+def _kronecker_mul(a, b):
+    """a * b for integer polynomials by Kronecker substitution, or None
+    when the packed product would have more than len(a) * len(b) / 2 slots.
+
+    In each variable, the exponents of a and of b lie above their minimum
+    by multiples of one step, the gcd of all those offsets.  Counted in
+    steps, the product's exponents in variable i take spans[i] slots, and
+    variable i gets the product of the earlier spans as its slot stride:
+    each monomial of the product has its own slot, and one int product
+    computes every coefficient (Harvey, "Faster polynomial multiplication
+    via multipoint Kronecker substitution", J. Symb. Comp. 44, 2009).  No
+    product coefficient exceeds max|a| * max|b| * min(len a, len b) in
+    magnitude, so a slot one bit wider holds it as a signed digit: adding
+    half a slot to every slot makes each digit nonnegative with no carry,
+    and the digits are read back off the bytes, as an array when a slot
+    is 1, 2, 4 or 8 bytes wide.  The terms come back in ascending slot
+    order.
+    """
+    cols_a, cols_b = list(zip(*a)), list(zip(*b))
+    lo_a, lo_b = list(map(min, cols_a)), list(map(min, cols_b))
+    steps, spans = [], []
+    for ea, eb, la, lb in zip(cols_a, cols_b, lo_a, lo_b):
+        step = gcd(*[e - la for e in ea], *[e - lb for e in eb]) or 1
+        steps.append(step)
+        spans.append((max(ea) - la + max(eb) - lb) // step + 1)
+    size = prod(spans)
+    if 2 * size > len(a) * len(b):
+        return None
+    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+             * min(len(a), len(b)))
+    width = ((2 * bound).bit_length() + 7) // 8   # bytes per slot
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()     # an array item size
+    bits = 8 * width
+    shifts = list(accumulate(spans[:-1], mul, initial=bits))
+
+    def packed(p, cols, lows):
+        at = [0] * len(p)
+        for col, low, step, shift in zip(cols, lows, steps, shifts):
+            at = [i + (e - low) // step * shift for i, e in zip(at, col)]
+        return sum([v << i for v, i in zip(p.values(), at)])
+
+    half = 1 << (bits - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+    raw = (packed(a, cols_a, lo_a) * packed(b, cols_b, lo_b)
+           + offset).to_bytes(size * width, "little")
+    code = _SLOT_TYPECODES.get(width)
+    if code:
+        digits = array(code, raw)
+        if sys.byteorder == "big":
+            digits.byteswap()
+    else:
+        digits = [int.from_bytes(raw[i:i + width], "little")
+                  for i in range(0, len(raw), width)]
+    lows = list(map(add, lo_a, lo_b))
+    if len(lows) == 1:
+        (low,), (step,) = lows, steps
+        return {(low + step * j,): d - half
+                for j, d in enumerate(digits) if d != half}
+    out = {}
+    for j, d in enumerate(digits):
+        if d != half:
+            exps = []
+            for span, low, step in zip(spans, lows, steps):
+                j, r = divmod(j, span)
+                exps.append(low + step * r)
+            out[tuple(exps)] = d - half
+    return out
+
+
+def _zp_mul(a, b):
+    """a * b for integer-coefficient polynomials, the products of
+    ``_RatFuncs``: one key for two one-term operands, a packed product
+    for large ones, else ``_mp_mul``.  ``_mp_mul`` itself stays the
+    schoolbook loop, since ``center`` calls it with ``Coeff`` values."""
+    if len(a) == 1 == len(b):
+        (ka, va), = a.items()
+        (kb, vb), = b.items()
+        return {tuple(map(add, ka, kb)): va * vb}
+    if len(a) > 1 < len(b) and len(a) * len(b) >= _KRONECKER_MIN:
+        out = _kronecker_mul(a, b)
+        if out is not None:
+            return out
+    return _mp_mul(a, b)
+
+
 def _ratfunc_normalize(num, den):
     """Strip shared integer and monomial content; normalize denominator sign."""
     if not den:
@@ -273,6 +400,29 @@ def _ratfunc_normalize(num, den):
     if den[max(den)] < 0:
         num, den = _mp_neg(num), _mp_neg(den)
     return num, den
+
+
+def _over_monomial(num, den, one):
+    """``_ratfunc_normalize(num, den)`` for a one-term den, with one the
+    field's denominator 1: the content gcd is taken with den's one
+    coefficient, the monomial minimum with den's one key, and a
+    denominator 1 comes back as one itself."""
+    if den is one or not num or den == one:
+        return num, one
+    (key, c), = den.items()
+    g = gcd(c, *num.values()) if c != 1 else 1
+    if c < 0:
+        g = -g
+    mins = tuple(map(min, key, *num))
+    if any(mins):
+        key = tuple(map(sub, key, mins))
+        num = {tuple(map(sub, k, mins)): v // g for k, v in num.items()}
+    elif g == 1:
+        return num, den
+    else:
+        num = {k: v // g for k, v in num.items()}
+    c //= g
+    return num, (one if c == 1 and not any(key) else {key: c})
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +720,7 @@ class _Cyclotomics(FieldCtx):
 
     def root_of_unity(self, n):
         big = self.unit_group_exponent()
-        if big % n != 0:
+        if n < 1 or big % n != 0:
             raise ZeroInput(f"no primitive {n}-th root in {self!r}")
         zeta = self.generator()
         if self.level % 2 == 1:
@@ -696,7 +846,10 @@ class _Cyclotomics(FieldCtx):
 class _RatFuncs(FieldCtx):
     """Q(params).  Payload: (numerator, denominator), two sparse integer
     polynomials in the parameters, normalized by ``_ratfunc_normalize``
-    but not reduced by a gcd, so one value can have several payloads."""
+    but not reduced by a gcd, so one value can have several payloads.
+    A denominator 1 is, where this class builds it, the one dict
+    ``_one_den``, which the monomial-denominator path tests by identity
+    first."""
 
     __slots__ = ("params", "_one_den")
     kind = RATFUNC
@@ -714,6 +867,8 @@ class _RatFuncs(FieldCtx):
         if type(q) is not int:
             q = Fraction(q)
         n = len(self.params)
+        if q.denominator == 1:
+            return _mp_const(q.numerator, n), self._one_den
         return _mp_const(q.numerator, n), _mp_const(q.denominator, n)
 
     def param(self, name):
@@ -722,31 +877,38 @@ class _RatFuncs(FieldCtx):
         i = self.params.index(name)
         n = len(self.params)
         key = tuple(1 if j == i else 0 for j in range(n))
-        return Coeff(self, ({key: 1}, _mp_const(1, n)))
+        return Coeff(self, ({key: 1}, self._one_den))
 
     def is_zero(self, a):
         return not a[0]
 
     def add(self, x, y):
         (a, b), (c, d) = x, y
-        one = self._one_den
-        if b == d:
-            if b == one:
-                return _mp_add(a, c), one
-            if len(b) == 1:
-                return _ratfunc_normalize(_mp_add(a, c), b)
-        return _ratfunc_normalize(_mp_add(_mp_mul(a, d), _mp_mul(c, b)),
-                                  _mp_mul(b, d))
+        if len(b) == 1 == len(d):
+            # over the lcm of the monomials, b itself when d is b: no
+            # cross-multiplication
+            if b != d:
+                (kb, vb), = b.items()
+                (kd, vd), = d.items()
+                top, m = tuple(map(max, kb, kd)), lcm(vb, vd)
+                a, c = (_mp_lifted(a, kb, top, m // vb),
+                        _mp_lifted(c, kd, top, m // vd))
+                b = {top: m}
+            return _over_monomial(_mp_add(a, c), b, self._one_den)
+        return _ratfunc_normalize(_mp_add(_zp_mul(a, d), _zp_mul(c, b)),
+                                  _zp_mul(b, d))
 
     def neg(self, x):
         return _mp_neg(x[0]), x[1]
 
     def mul(self, x, y):
         (a, b), (c, d) = x, y
-        one = self._one_den
-        if b == one and d == one:
-            return _mp_mul(a, c), one
-        return _ratfunc_normalize(_mp_mul(a, c), _mp_mul(b, d))
+        if len(b) == 1 == len(d):
+            one = self._one_den
+            # the shared denominator 1 is the unit of the monomial product
+            den = d if b is one else b if d is one else _zp_mul(b, d)
+            return _over_monomial(_zp_mul(a, c), den, one)
+        return _ratfunc_normalize(_zp_mul(a, c), _zp_mul(b, d))
 
     def inv(self, x):
         return _ratfunc_normalize(x[1], x[0])
@@ -755,7 +917,7 @@ class _RatFuncs(FieldCtx):
         (a, b), (c, d) = x, y
         if b == d:
             return a == c
-        return _mp_mul(a, d) == _mp_mul(c, b)
+        return _zp_mul(a, d) == _zp_mul(c, b)
 
     def specializer(self, assignment, target):
         """The payload map substituting assignment[name], a Coeff of
@@ -876,7 +1038,7 @@ class _GaloisField(FieldCtx):
     def root_of_unity(self, n):
         """g^((q-1)/n) for the primitive root g, when n divides q - 1."""
         # -1 = 1 in characteristic 2, where q - 1 is odd: no 2-th root
-        if self._unit_order % n != 0:
+        if n < 1 or self._unit_order % n != 0:
             raise ZeroInput(f"no {n}-th root in {self!r}")
         return self._primitive_root() ** (self._unit_order // n)
 

@@ -282,6 +282,35 @@ def _outcome(call):
         return type(e)
 
 
+@pytest.mark.parametrize("make_ctx", [
+    lambda: FieldCtx.galois(2, (1, 1, 0, 1)),
+    lambda: FieldCtx.cyclotomic(3),
+    lambda: FieldCtx.rational_functions(("q",)),
+], ids=["GF(8)", "Q(z3)", "Q(q)"])
+def test_cp_pow_products_past_the_packing_threshold(make_ctx):
+    # center's commutative polynomials hold Coeff values, so their
+    # products stay the schoolbook loop past the size from which integer
+    # numerators of rational functions are packed
+    from orepi import fields
+    from orepi.center import cp_pow
+    ctx = make_ctx()
+    one = ctx.one()
+    c = ctx.param("q") if ctx.kind == "ratfunc" else ctx.generator()
+    lin = {(1, 0): one, (0, 1): c, (0, 0): one}
+    a, b = cp_pow(lin, 7, one), cp_pow(lin, 3, c)
+    assert len(a) * len(b) >= fields._KRONECKER_MIN
+    got = fields._mp_mul(a, b)
+    want = {}
+    for (i, j), u in a.items():
+        for (k, m), v in b.items():
+            key = (i + k, j + m)
+            want[key] = want.get(key, ctx.zero()) + u * v
+    want = {key: v for key, v in want.items() if not v.is_zero()}
+    power = cp_pow(lin, 10, c)
+    assert got.keys() == want.keys() == power.keys()
+    assert all(got[key] == want[key] == power[key] for key in want)
+
+
 @pytest.mark.parametrize("modulus", [(0, 1), (1, 1, 1), (1, 1, 0, 1)],
                          ids=["GF(2)", "GF(4)", "GF(8)"])
 def test_downup_roots_in_characteristic_two(modulus):

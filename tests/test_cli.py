@@ -531,6 +531,33 @@ def test_names_a_family_does_not_read_are_parse_errors(argv, unknown, known):
         f"its parameters: {known}")
 
 
+@pytest.mark.parametrize("field,name", [("cyclo:3", "Q(z3)"),
+                                        ("gf:7", "GF(7^1)"),
+                                        ("gf:2:1,1,1", "GF(2^2)")])
+def test_z0_is_zero_input_over_every_field(field, name):
+    code, doc = run(["build", "--family", "QuantumPlane", "--field", field,
+                     "--q", "z0"])
+    assert code == 1
+    assert doc["checks"][0]["detail"].startswith("ZeroInput: no ")
+    assert doc["checks"][0]["detail"].endswith(f" 0-th root in {name}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "Hpq", "--params", "p=2,q=3", "--f", "a*t"],
+    ["build", "--family", "QuantumPlane", "--q", "2", "--f", "t"],
+    ["pi-decide", "--family", "DownUp", "--field", "cyclo:3", "--params",
+     "alpha=-1,beta=-1,gamma=0", "--f", "t^2"],
+    ["normalize", "--family", "WeylMalt", "--params", "n=1,q1=2", "--f",
+     "t", "--poly", "x1"],
+])
+def test_f_on_a_family_without_f_is_a_parse_error(argv):
+    code, doc = run(argv)
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    assert doc["checks"][0]["detail"] == (
+        f"ParseError: {argv[2]} reads no --f; only Bqf takes a polynomial f")
+
+
 def test_weyl_q_names_without_an_index_are_not_read():
     # qx is no q_i, so it sets no n: q1 is missing, not int("x")
     code, doc = run(["build", "--family", "WeylMalt", "--params", "qx=3"])

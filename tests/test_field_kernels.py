@@ -22,8 +22,10 @@ from math import gcd
 import pytest
 
 from orepi import FieldCtx
+from orepi import fields
 from orepi.errors import DivisionByZero
-from orepi.fields import Coeff, cyclotomic_polynomial
+from orepi.fields import (Coeff, coeff_to_str, cyclotomic_polynomial,
+                          parse_coeff)
 
 N_RATFUNC_PAIRS = 150
 N_CYCLO_PAIRS = 120
@@ -370,6 +372,186 @@ def test_no_payload_holds_a_float():
     assert QQ.from_fraction(0.5).as_fraction() == Fraction(1, 2)
     assert type(QQ.from_int(2).as_fraction()) is Fraction
     assert type(c7.from_int(2).as_fraction()) is Fraction
+
+
+# ---------------------------------------------------------------------------
+# packed integer products and monomial denominators
+# ---------------------------------------------------------------------------
+
+
+def dense_mp(rng, nvars, terms, span, mag):
+    """terms distinct monomials with exponents in [0, span] and nonzero
+    coefficients of magnitude at most mag."""
+    assert terms <= (span + 1) ** nvars
+    out = {}
+    while len(out) < terms:
+        key = tuple(rng.randint(0, span) for _ in range(nvars))
+        out[key] = rng.choice((-1, 1)) * rng.randint(1, mag)
+    return out
+
+
+def kronecker_calls(monkeypatch):
+    calls = []
+    real = fields._kronecker_mul
+
+    def counting(a, b):
+        out = real(a, b)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(fields, "_kronecker_mul", counting)
+    return calls
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_packed_products_match_schoolbook(nvars):
+    rng = random.Random(20 + nvars)
+    span, lo, hi = {1: (40, 8, 30), 2: (6, 14, 40), 3: (2, 16, 27)}[nvars]
+    packed = 0
+    for k in range(60):
+        a = dense_mp(rng, nvars, rng.randint(lo, hi), span, 10 ** (k % 12))
+        b = dense_mp(rng, nvars, rng.randint(lo, hi), span, rng.randint(1, 9))
+        # shifted exponents: the packing starts at the lowest exponent
+        a = {tuple(e + k % 3 for e in key): v for key, v in a.items()}
+        got = fields._kronecker_mul(a, b)
+        if got is not None:
+            packed += 1
+            assert got == ref_mp_mul(a, b)
+        assert fields._zp_mul(a, b) == fields._zp_mul(b, a) == ref_mp_mul(a, b)
+    assert packed >= 20
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_packed_coefficients_at_the_slot_bound(sign):
+    # all-equal coefficients: the middle product coefficient is exactly
+    # max|a| * max|b| * min(len a, len b), the bound the slot width is
+    # taken from, for m at and next to every third power of two below
+    # 2^190, so slots from 1 byte to 48 bytes wide
+    for n in (8, 9, 16):
+        ones = {(e,): 1 for e in range(n)}
+        for bits in range(0, 190, 3):
+            for m in (2 ** bits - 1, 2 ** bits, 2 ** bits + 1):
+                if m == 0:
+                    continue
+                a = {k: sign * m for k in ones}
+                b = {k: (-1) ** k[0] * m for k in ones}
+                for x, y in ((a, ones), (a, a), (a, b)):
+                    got = fields._kronecker_mul(x, y)
+                    assert got is not None and got == ref_mp_mul(x, y)
+                want = ref_mp_mul(a, a)
+                assert abs(want[(n - 1,)]) == m * m * n
+
+
+def test_packed_products_of_large_integers():
+    rng = random.Random(31)
+    for digits in (19, 20, 40, 200):
+        for nvars in (1, 2):
+            span = 3 if nvars == 2 else 14
+            a = dense_mp(rng, nvars, 12, span, 10 ** digits)
+            b = dense_mp(rng, nvars, 12, span, 10 ** digits)
+            got = fields._kronecker_mul(a, b)
+            assert got is not None and got == ref_mp_mul(a, b)
+
+
+@pytest.mark.parametrize("shape,packed", [((8, 8), True), ((4, 16), True),
+                                          ((7, 9), False), ((9, 7), False),
+                                          ((1, 64), False)])
+def test_packing_threshold(monkeypatch, shape, packed):
+    # 64 term products are packed, 63 and one-term operands are not
+    assert fields._KRONECKER_MIN == 64
+    calls = kronecker_calls(monkeypatch)
+    na, nb = shape
+    a = {(e,): (-1) ** e * (e + 1) for e in range(na)}
+    b = {(e,): 3 - e for e in range(nb + 1) if e != 3}
+    assert fields._zp_mul(a, b) == ref_mp_mul(a, b)
+    assert calls == ([True] if packed else [])
+
+
+def test_sparse_operands_stay_schoolbook(monkeypatch):
+    # a packed product with more slots than half the term products is
+    # not built: the schoolbook loop is used.  Exponents that step by a
+    # common gcd are packed at that step, however far apart.
+    calls = kronecker_calls(monkeypatch)
+    cubes = {(e ** 3,): e + 1 for e in range(8)}
+    steps = {(10 ** 6 * e + 5,): e + 1 for e in range(8)}
+    for a in (cubes, steps):
+        assert fields._zp_mul(a, a) == ref_mp_mul(a, a)
+    assert calls == [False, True]
+
+
+def monomial_den_operands(rng, nvars):
+    """Numerators with negative coefficients over denominators c * m for
+    monomials m and ints c, 1 and negative c included, as built outside
+    ``_ratfunc_normalize`` too."""
+    num = dense_mp(rng, nvars, rng.randint(1, 12), 12, 9)
+    key = tuple(rng.choice((0, 0, 1, 3)) for _ in range(nvars))
+    return num, {key: rng.choice((1, 1, -1, 2, -3, 6, 12))}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_monomial_denominators_match_general_formula(nvars):
+    rng = random.Random(40 + nvars)
+    ctx = FieldCtx.rational_functions(tuple(f"p{i}" for i in range(nvars)))
+    for k in range(200):
+        x = monomial_den_operands(rng, nvars)
+        y = monomial_den_operands(rng, nvars)
+        if k % 4 == 0:
+            y = (y[0], dict(x[1]))            # equal denominators
+        if k % 6 == 0:
+            # packed products
+            y = (dense_mp(rng, nvars, 20, (0, 30, 6, 3)[nvars], 9), y[1])
+        if k % 5 == 0:
+            y = ref_ratfunc_neg(x)              # a sum that cancels
+        if k % 7 == 0:
+            scale = rng.choice((2, -3))         # the same value, scaled
+            y = ({key: -v * scale for key, v in x[0].items()},
+                 {key: v * scale for key, v in x[1].items()})
+        for got, want in ((ctx.add(x, y), ref_ratfunc_add(x, y)),
+                          (ctx.mul(x, y), ref_ratfunc_mul(x, y)),
+                          (ctx.sub(x, y),
+                           ref_ratfunc_add(x, ref_ratfunc_neg(y)))):
+            assert got == want, (x, y)
+            assert len(got[1]) == 1 and got[1][max(got[1])] > 0
+            c = Coeff(ctx, got)
+            back = parse_coeff(coeff_to_str(c), ctx)
+            assert back.val == got and coeff_to_str(back) == coeff_to_str(c)
+
+
+def test_key_order_is_not_part_of_a_value():
+    # the packed product lists its terms in ascending order; every
+    # consumer of a payload gives the same answer for any key order
+    rng = random.Random(50)
+    q = FieldCtx.rational_functions(("q",))
+    c7 = FieldCtx.cyclotomic(7)
+    z7 = c7.generator()
+    qq = FieldCtx.rational_functions(("s", "t"))
+    s_, t_ = qq.param("s"), qq.param("t")
+    general = ({(0,): 1, (2,): 3}, {(1,): 2, (0,): -1})
+
+    def reversed_payload(v):
+        return tuple(dict(reversed(list(p.items()))) for p in v)
+
+    for _ in range(40):
+        x = ({(e,): c for e, c in zip(range(0, 60, 2), range(-15, 15)) if c},
+             {(rng.randint(0, 3),): rng.choice((1, 2))})
+        y = (dense_mp(rng, 1, 25, 30, 50), {(0,): 1})
+        for v in (q.mul(x, y), q.add(x, y), q.mul(x, general)):
+            r = reversed_payload(v)
+            assert list(r[0]) != list(v[0]) or len(v[0]) < 2
+            assert q.eq(v, r) and r == v
+            assert q.to_str(r) == q.to_str(v)
+            for w in (x, y, general):
+                assert q.add(r, w) == q.add(v, w)
+                assert q.mul(r, w) == q.mul(v, w)
+            assert q.inv(r) == q.inv(v)
+            at = q.specializer({"q": z7 + 2}, c7)
+            assert at(r) == at(v)
+    # into Q(s, t), at a value with a general denominator, the terms are
+    # summed by the general formula in key order
+    at = q.specializer({"q": s_ / (t_ + 1)}, qq)
+    for _ in range(10):
+        v = (dense_mp(rng, 1, 6, 8, 9), {(rng.randint(0, 3),): 1})
+        assert at(reversed_payload(v)) == at(v)
 
 
 # ---------------------------------------------------------------------------

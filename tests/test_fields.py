@@ -152,6 +152,18 @@ def test_root_of_unity_order_zero_input(QQ):
         QQ.zero().multiplicative_order()
 
 
+@pytest.mark.parametrize("ctx", [
+    FieldCtx.rational(), FieldCtx.cyclotomic(3), FieldCtx.cyclotomic(12),
+    FieldCtx.galois_prime(7), FieldCtx.galois(2, (1, 1, 0, 1)),
+    FieldCtx.rational_functions(("q",)),
+], ids=repr)
+@pytest.mark.parametrize("n", [0, -1, -3, -12])
+def test_root_of_unity_needs_a_positive_order(ctx, n):
+    # no field has a primitive n-th root for n < 1
+    with pytest.raises(ZeroInput):
+        ctx.root_of_unity(n)
+
+
 def test_order_divisor_property(rng):
     ctx = FieldCtx.cyclotomic(12)
     for _ in range(40):
