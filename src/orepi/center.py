@@ -85,8 +85,9 @@ def central_candidates(spec):
     handler = _CANDIDATES.get(spec.family)
     if handler is None:
         raise HypothesisNotMet(f"no candidate table for family {spec.family}")
+    p = build_family(spec)
     with product_memo():
-        return handler(spec)
+        return handler(spec, p)
 
 
 def _ord_or_fail(value, what):
@@ -110,8 +111,7 @@ def bqf_routes(n, f):
     return not bad, n >= 2 and all(j % n == 0 for j in supp), bad
 
 
-def _cand_bh(spec):
-    p = build_family(spec)
+def _cand_bh(spec, p):
     ell = _ord_or_fail(spec.scalars["h"], "h")
     u, s, v, t = bh_uvst(p)
     els = [
@@ -125,8 +125,7 @@ def _cand_bh(spec):
                       caps=caps)
 
 
-def _cand_hpq(spec):
-    p = build_family(spec)
+def _cand_hpq(spec, p):
     n = _ord_or_fail(spec.scalars["p"], "p")
     m = _ord_or_fail(spec.scalars["q"], "q")
     els = _powers(p, ("x", "y"), m * n) + _powers(p, ("t",), n)
@@ -134,8 +133,7 @@ def _cand_hpq(spec):
                       caps={"x": m * n, "y": m * n, "t": n})
 
 
-def _cand_m2(spec):
-    p = build_family(spec)
+def _cand_m2(spec, p):
     la = _ord_or_fail(spec.scalars["alpha"], "alpha")
     lb = _ord_or_fail(spec.scalars["beta"], "beta")
     ell = lcm(la, lb)
@@ -145,8 +143,7 @@ def _cand_m2(spec):
                       caps=dict.fromkeys(names, ell))
 
 
-def _cand_uqb2(spec):
-    p = build_family(spec)
+def _cand_uqb2(spec, p):
     ell = _ord_or_fail(spec.scalars["q"], "q")
     if ell < 5:
         raise HypothesisNotMet(
@@ -157,8 +154,7 @@ def _cand_uqb2(spec):
                       caps={"z": 1, "e1": ell, "e2": ell, "e3": ell})
 
 
-def _cand_weyl(spec):
-    p = build_family(spec)
+def _cand_weyl(spec, p):
     n = spec.n
     orders = [_ord_or_fail(qi, f"q{i + 1}") for i, qi in enumerate(spec.q_list)]
     for i in range(n):
@@ -171,8 +167,7 @@ def _cand_weyl(spec):
                       caps=dict.fromkeys(names, ell))
 
 
-def _cand_three_cyclic(spec):
-    p = build_family(spec)
+def _cand_three_cyclic(spec, p):
     q2 = spec.scalars["q"] ** 2
     if q2.is_one():
         raise HypothesisNotMet("q^2 = 1 is excluded")
@@ -183,7 +178,7 @@ def _cand_three_cyclic(spec):
                       caps=dict.fromkeys(names, ell))
 
 
-def _cand_bqf(spec):
+def _cand_bqf(spec, p):
     """Bqf central candidates.
 
     Route 1 (n not dividing j+1 for all j in supp f): u^n, v^n.
@@ -192,7 +187,6 @@ def _cand_bqf(spec):
     p | n alternative can never trigger because unit orders in GF(p^k)
     divide p^k - 1 and are coprime to p.
     """
-    p = build_family(spec)
     n = _ord_or_fail(spec.scalars["q"], "q")
     route1, route2, bad = bqf_routes(n, spec.f_coeffs)
     if not route1 and not route2:
@@ -216,29 +210,10 @@ def _cand_bqf(spec):
     return CentralSet(els, condition=cond, caps=caps)
 
 
-def _cand_quantum_plane(spec):
-    p = build_family(spec)
+def _cand_quantum_plane(spec, p):
     n = _ord_or_fail(spec.scalars["q"], "q")
     return CentralSet(_powers(p, ("x", "y"), n), condition=f"ord(q)={n}",
                       caps={"x": n, "y": n})
-
-
-def _cand_downup(spec):
-    return downup_center_generators(spec)
-
-
-_CANDIDATES = {
-    "Bh": _cand_bh,
-    "Hpq": _cand_hpq,
-    "M2": _cand_m2,
-    "UqB2": _cand_uqb2,
-    "WeylMalt": _cand_weyl,
-    "WeylAJ": _cand_weyl,
-    "ThreeCyclic": _cand_three_cyclic,
-    "DownUp": _cand_downup,
-    "Bqf": _cand_bqf,
-    "QuantumPlane": _cand_quantum_plane,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +343,8 @@ def _quadratic_roots(ctx, alpha, beta, roots):
     if roots is not None:
         lam, mu = roots
         if not ((lam + mu) == alpha and (-(lam * mu)) == beta):
-            raise ValueError("supplied roots do not satisfy "
-                             "t^2 - alpha t - beta")
+            raise PreconditionViolation("supplied roots do not satisfy "
+                                        "t^2 - alpha t - beta")
         return lam, mu
     disc = alpha * alpha + 4 * beta
     s = exact_sqrt(disc)
@@ -513,11 +488,13 @@ def downup_center_generators(spec, roots=None):
     only s + t <= (m - w - 1) + (e - 1): at most m + e - 2 letters u and
     as many d.  Weights w < 0 mirror this with d^m.
     """
+    return _downup_center(spec, build_family(spec), roots)
+
+
+def _downup_center(spec, p, roots=None):
+    """downup_center_generators in p, spec's built presentation."""
     ctx = spec.ctx
     al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
-    if be.is_zero():
-        raise BetaZero("beta must be nonzero")
-    p = build_family(spec)
     lam, mu = _quadratic_roots(ctx, al, be, roots)
     one = ctx.one()
 
@@ -606,6 +583,20 @@ def downup_center_generators(spec, roots=None):
     if not els:
         raise TrivialCenter("no fixed polynomial of degree <= 2")
     return CentralSet(els, condition="repeated root 1, gamma != 0")
+
+
+_CANDIDATES = {
+    "Bh": _cand_bh,
+    "Hpq": _cand_hpq,
+    "M2": _cand_m2,
+    "UqB2": _cand_uqb2,
+    "WeylMalt": _cand_weyl,
+    "WeylAJ": _cand_weyl,
+    "ThreeCyclic": _cand_three_cyclic,
+    "DownUp": _downup_center,
+    "Bqf": _cand_bqf,
+    "QuantumPlane": _cand_quantum_plane,
+}
 
 
 # ---------------------------------------------------------------------------

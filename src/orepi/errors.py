@@ -29,11 +29,18 @@ class ParseError(OrepiError):
     """Malformed coefficient or polynomial expression."""
 
 
-class ZeroParameter(OrepiError):
+class PreconditionViolation(OrepiError):
+    """A validity condition on an operation's input fails: a family
+    parameter its builder refuses (the two subclasses below), a
+    decider's family condition, down-up roots that are not roots of
+    t^2 - alpha t - beta, or a spanning check's caps."""
+
+
+class ZeroParameter(PreconditionViolation):
     """A family parameter that must be a unit is zero."""
 
 
-class DownUpNotNoetherian(OrepiError):
+class DownUpNotNoetherian(PreconditionViolation):
     """Down-up algebras need beta != 0 to be Noetherian (equivalently, a domain)."""
 
 
@@ -75,12 +82,6 @@ class BetaZero(OrepiError):
 
 class TrivialCenter(OrepiError):
     """The center is just the scalars; no generators to return."""
-
-
-class PreconditionViolation(OrepiError):
-    """A validity condition on an operation's input fails: a family-specific
-    condition of a decider, or a spanning check without a cap for some
-    generator or with a cap for a name that is no generator."""
 
 
 class QFactorialVanishes(OrepiError):

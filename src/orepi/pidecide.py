@@ -9,11 +9,13 @@ with the witness parameter not a root of unity.  Unknown is reserved for
 the genuinely open B_q(f) gap.
 """
 
-from .center import bqf_routes, central_candidates, gwa_auto_order
+from .center import (bqf_routes, central_candidates, gwa_auto_order,
+                     irreducible_words)
 from .errors import FamilyMismatch, PreconditionViolation
 from .identities import bh_uvst, cyc3_e, theta_element, weyl_z
+from .linalg import SpanTracker
 from .presentations import build_family
-from .rewrite import NCPoly, q_commutator, word_poly
+from .rewrite import NCPoly, multiply, q_commutator, word_poly
 
 PI, NOT_PI, UNKNOWN = "PI", "NotPI", "Unknown"
 
@@ -71,10 +73,11 @@ class PiVerdict:
 
 
 def pi_decide(spec):
+    """The verdict on spec, decided in its one built presentation."""
     handler = _DECIDERS.get(spec.family)
     if handler is None:
         raise FamilyMismatch(f"no PI decider for family {spec.family}")
-    return handler(spec)
+    return handler(spec, build_family(spec))
 
 
 def _pi(spec, reason, **details):
@@ -94,14 +97,11 @@ def _subalgebra_witness(p, yname_or_poly, xname_or_poly, param, label):
                          y_elem=as_poly(yname_or_poly))
 
 
-def _decide_bh(spec):
+def _decide_bh(spec, p):
     h = spec.scalars["h"]
-    if h.is_zero():
-        raise PreconditionViolation("h must be nonzero")
     ell = h.multiplicative_order()
     if ell is not None:
         return _pi(spec, f"h is a root of unity of order {ell}")
-    p = build_family(spec)
     u = bh_uvst(p)[0]
     w = QPlaneWitness("subalgebra", -(h * h), "y1 * u = (-h^2) u * y1",
                       x_elem=u,
@@ -111,7 +111,7 @@ def _decide_bh(spec):
                      "-h^2", witness=w)
 
 
-def _decide_hpq(spec):
+def _decide_hpq(spec, p):
     pp, qq = spec.scalars["p"], spec.scalars["q"]
     if (pp * qq).is_one():
         raise PreconditionViolation("pq = 1 is excluded")
@@ -119,7 +119,6 @@ def _decide_hpq(spec):
     m = qq.multiplicative_order()
     if n is not None and m is not None:
         return _pi(spec, f"p, q roots of unity (orders {n}, {m})")
-    p = build_family(spec)
     one = p.ctx.one()
     if m is None:
         w = QPlaneWitness(
@@ -138,12 +137,11 @@ def _decide_hpq(spec):
     return PiVerdict(NOT_PI, "p is not a root of unity", witness=w)
 
 
-def _decide_m2(spec):
+def _decide_m2(spec, p):
     a, b = spec.scalars["alpha"], spec.scalars["beta"]
     na, nb = a.multiplicative_order(), b.multiplicative_order()
     if na is not None and nb is not None:
         return _pi(spec, f"alpha, beta roots of unity (orders {na}, {nb})")
-    p = build_family(spec)
     if na is None:
         w = _subalgebra_witness(p, "X12", "X11", a,
                                 "X12 * X11 = alpha X11 * X12")
@@ -152,11 +150,10 @@ def _decide_m2(spec):
     return PiVerdict(NOT_PI, "beta is not a root of unity", witness=w)
 
 
-def _decide_uqb2(spec):
+def _decide_uqb2(spec, p):
     q = spec.scalars["q"]
     ell = q.multiplicative_order()
     if ell is None:
-        p = build_family(spec)
         w = _subalgebra_witness(p, "e1", "e3", (q * q).inv(),
                                 "e1 * e3 = q^-2 e3 * e1")
         return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
@@ -168,7 +165,7 @@ def _decide_uqb2(spec):
                      details={"gap": "below-centro2-threshold"})
 
 
-def _decide_weyl(spec):
+def _decide_weyl(spec, p):
     n = spec.n
     qs, lam = spec.q_list, spec.lam
     orders = {}
@@ -180,7 +177,6 @@ def _decide_weyl(spec):
                 lam[i][j].multiplicative_order()
     if all(v is not None for v in orders.values()):
         return _pi(spec, "all q_i and lambda_ij are roots of unity")
-    p = build_family(spec)
     for i in range(n):
         for j in range(i + 1, n):
             if orders[f"lambda_{i + 1}{j + 1}"] is None:
@@ -201,7 +197,7 @@ def _decide_weyl(spec):
     raise AssertionError("unreachable")
 
 
-def _decide_three_cyclic(spec):
+def _decide_three_cyclic(spec, p):
     q = spec.scalars["q"]
     q2 = q * q
     if q2.is_one():
@@ -209,7 +205,6 @@ def _decide_three_cyclic(spec):
     ell = q2.multiplicative_order()
     if ell is not None:
         return _pi(spec, f"q^2 is a root of unity of order {ell}")
-    p = build_family(spec)
     e = cyc3_e(p)
     w = QPlaneWitness("subalgebra", q2.inv(), "e z = q^-2 z e with "
                       "e = xz - q^2 beta/(q^2-1)",
@@ -218,10 +213,8 @@ def _decide_three_cyclic(spec):
     return PiVerdict(NOT_PI, "q^2 is not a root of unity", witness=w)
 
 
-def _decide_downup(spec):
+def _decide_downup(spec, p):
     al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
-    if be.is_zero():
-        raise PreconditionViolation("beta = 0: not Noetherian")
     order = gwa_auto_order(spec.ctx, al, be, ga)
     lam, mu = order.roots
     ol, om = lam.multiplicative_order(), mu.multiplicative_order()
@@ -244,7 +237,7 @@ def _decide_downup(spec):
     return PiVerdict(NOT_PI, f"condition (5) fails: {why}", details=details)
 
 
-def _decide_bqf(spec):
+def _decide_bqf(spec, p):
     if spec.ctx.kind == "galois":
         raise PreconditionViolation(
             "the PI decider assumes characteristic zero; over GF(p) only "
@@ -252,7 +245,6 @@ def _decide_bqf(spec):
     q = spec.scalars["q"]
     n = q.multiplicative_order()
     if n is None:
-        p = build_family(spec)
         w = _subalgebra_witness(p, "u", "v", q, "u v = q v u")
         return PiVerdict(NOT_PI, "q is not a root of unity; the quantum "
                          "plane on u, v is not PI", witness=w)
@@ -271,12 +263,12 @@ def _decide_bqf(spec):
                      "argument applies", details={"gap_exponents": bad})
 
 
-def _decide_quantum_plane(spec):
+def _decide_quantum_plane(spec, p):
     q = spec.scalars["q"]
     n = q.multiplicative_order()
     if n is not None:
         return _pi(spec, f"q root of unity of order {n}")
-    w = _subalgebra_witness(build_family(spec), "y", "x", q, "y x = q x y")
+    w = _subalgebra_witness(p, "y", "x", q, "y x = q x y")
     return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
 
 
@@ -295,12 +287,25 @@ _DECIDERS = {
 
 
 def verify_witness(spec, w):
-    """Engine-check a NotPI witness's defining relations e f = s f e."""
+    """Engine-check a NotPI witness's defining relations e f = s f e, and
+    a quotient witness's parameter: r = y x - param x y lies in theta A,
+    theta the normal factored element, when it is in the span of the
+    rows theta * m, m each irreducible word up to deg r - deg theta.
+    Sound; complete where deg(theta a) = deg theta + deg a, as in Hpq,
+    whose associated graded ring is a domain."""
     p = build_family(spec)
     if w.kind == "subalgebra":
-        relations = [(w.y_elem, w.x_elem, w.param)]
-    elif w.kind == "quotient":
-        relations = [(w.factored, word_poly(p, g), s) for g, s in w.normality]
-    else:
+        return q_commutator(p, w.y_elem, w.x_elem, w.param).is_zero()
+    if w.kind != "quotient":
         raise FamilyMismatch(f"unknown witness kind {w.kind!r}")
-    return all(q_commutator(p, e, f, s).is_zero() for e, f, s in relations)
+    th = w.factored
+    if not all(q_commutator(p, th, word_poly(p, g), s).is_zero()
+               for g, s in w.normality):
+        return False
+    x, y = (word_poly(p, g) for g in w.plane_gens)
+    r = q_commutator(p, y, x, w.param).vals
+    span = SpanTracker(p.order_key, p.ctx)
+    for m in irreducible_words(p, max(map(len, r), default=0)
+                               - max(map(len, th.vals))):
+        span.insert(multiply(p, th, NCPoly.monomial(p.one, m)).vals)
+    return span.contains(r)

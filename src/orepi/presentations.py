@@ -144,10 +144,12 @@ class FamilySpec:
     Scalar parameters live in ``scalars``; structured data (a lambda
     matrix, a coefficient list for f, the 3x3 tail matrix) in dedicated
     fields.  Use the ``spec_*`` helpers rather than building directly.
+    A spec is fixed once built: build_family stores its presentation on
+    it (``_built``) and returns that one object for every later call.
     """
 
     __slots__ = ("family", "ctx", "scalars", "lam", "q_list", "f_coeffs",
-                 "tails", "consts", "n")
+                 "tails", "consts", "n", "_built")
 
     def __init__(self, family, ctx, scalars=None, lam=None, q_list=None,
                  f_coeffs=None, tails=None, consts=None, n=None):
@@ -162,6 +164,7 @@ class FamilySpec:
         self.tails = tails
         self.consts = consts
         self.n = n
+        self._built = None
 
     def __repr__(self):
         return f"<FamilySpec {self.family} over {self.ctx!r}>"
@@ -257,18 +260,22 @@ def require_parameters(family, missing):
 
 
 def build_family(spec):
-    """Oriented presentation for the given family instance.  A parameter
-    the family needs and spec lacks is a ParametersRequired."""
-    scalars = spec.scalars
-    require_parameters(spec.family, [
-        k for k in _PARAMETERS[spec.family]
-        if scalars.get(k) is None and getattr(spec, k, None) is None])
-    builder = _BUILDERS[spec.family]
-    pres = builder(spec)
-    for _, ok, bad in validate_orientation(pres):
-        if not ok:
-            raise OrientationFailure(f"rhs term {bad} not below lhs")
-    return pres
+    """Oriented presentation for the given family instance, built on the
+    first call and returned by every later one.  A parameter the family
+    needs and spec lacks is a ParametersRequired; the family's builder,
+    which returns names, weights, precedence and rules, is the one check
+    of the values (a PreconditionViolation for a refused one)."""
+    if spec._built is None:
+        require_parameters(spec.family, [
+            k for k in _PARAMETERS[spec.family]
+            if spec.scalars.get(k) is None and getattr(spec, k, None) is None])
+        pres = Presentation(spec.ctx, *_BUILDERS[spec.family](spec),
+                            family=spec.family, params=_echo(spec))
+        for _, ok, bad in validate_orientation(pres):
+            if not ok:
+                raise OrientationFailure(f"rhs term {bad} not below lhs")
+        spec._built = pres
+    return spec._built
 
 
 def _echo(spec):
@@ -303,8 +310,7 @@ def _build_bh(spec):
         RewriteRule((y2, x1), [(h, (x2, y1))]),
         RewriteRule((y2, x2), [(-h, (x2, y1)), (-h, (x1, y2)), (h, (x2, y2))]),
     ]
-    return Presentation(ctx, names, (1, 1, 1, 1), names, rules,
-                        family="Bh", params=_echo(spec))
+    return names, (1, 1, 1, 1), names, rules
 
 
 def _build_hpq(spec):
@@ -319,8 +325,7 @@ def _build_hpq(spec):
         RewriteRule((y, t), [(p.inv(), (t, y))]),
         RewriteRule((y, x), [(q, (x, y)), (one, (t,))]),
     ]
-    return Presentation(ctx, names, (1, 1, 1), names, rules,
-                        family="Hpq", params=_echo(spec))
+    return names, (1, 1, 1), names, rules
 
 
 def _build_m2(spec):
@@ -338,8 +343,7 @@ def _build_m2(spec):
         RewriteRule((X22, X12), [(b, (X12, X22))]),
         RewriteRule((X22, X21), [(a, (X21, X22))]),
     ]
-    return Presentation(ctx, names, (1, 1, 1, 1), names, rules,
-                        family="M2", params=_echo(spec))
+    return names, (1, 1, 1, 1), names, rules
 
 
 def _build_uqb2(spec):
@@ -358,8 +362,7 @@ def _build_uqb2(spec):
         RewriteRule((e2, e3), [(q * q, (e3, e2)), (one, (z,))]),
         RewriteRule((e2, e1), [(q2i, (e1, e2)), (-q2i, (e3,))]),
     ]
-    return Presentation(ctx, names, (1, 1, 1, 1), names, rules,
-                        family="UqB2", params=_echo(spec))
+    return names, (1, 1, 1, 1), names, rules
 
 
 def _check_lambda(lam, n):
@@ -416,8 +419,7 @@ def _build_weyl(spec):
             rules.append(RewriteRule((Y[j], X[i]), [(cyx, (X[i], Y[j]))]))
             rules.append(RewriteRule((Y[j], Y[i]), [(cyy, (Y[i], Y[j]))]))
             rules.append(RewriteRule((X[j], Y[i]), [(cxy, (Y[i], X[j]))]))
-    return Presentation(ctx, names, (1,) * (2 * n), precedence, rules,
-                        family=spec.family, params=_echo(spec))
+    return names, (1,) * (2 * n), precedence, rules
 
 
 def _build_biquad3(spec):
@@ -436,8 +438,7 @@ def _build_biquad3(spec):
         RewriteRule((x3, x1), [(q2, (x1, x3))] + tail(al, be, ga, b2)),
         RewriteRule((x3, x2), [(q3, (x2, x3))] + tail(la, mu, nu, b3)),
     ]
-    return Presentation(ctx, names, (1, 1, 1), names, rules,
-                        family="BiQuad3", params=_echo(spec))
+    return names, (1, 1, 1), names, rules
 
 
 def _build_three_cyclic(spec):
@@ -454,12 +455,10 @@ def _build_three_cyclic(spec):
         RewriteRule((z, x), [(q2, (x, z)), (-(q2 * be), ())]),
         RewriteRule((z, y), [(q2i, (y, z)), (-(q2i * ga), ())]),
     ]
-    return Presentation(ctx, names, (1, 1, 1), names, rules,
-                        family="ThreeCyclic", params=_echo(spec))
+    return names, (1, 1, 1), names, rules
 
 
 def _build_downup(spec):
-    ctx = spec.ctx
     al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
     if be.is_zero():
         raise DownUpNotNoetherian("beta = 0: not Noetherian, no PBW word basis")
@@ -469,8 +468,7 @@ def _build_downup(spec):
         RewriteRule((d, u, u), [(al, (u, d, u)), (be, (u, u, d)), (ga, (u,))]),
         RewriteRule((d, d, u), [(al, (d, u, d)), (be, (u, d, d)), (ga, (d,))]),
     ]
-    return Presentation(ctx, names, (1, 1), names, rules,
-                        family="DownUp", params=_echo(spec))
+    return names, (1, 1), names, rules
 
 
 def _build_bqf(spec):
@@ -490,8 +488,7 @@ def _build_bqf(spec):
         RewriteRule((w, u), [(q, (u, w))] + f_of(v)),
         RewriteRule((w, v), [(qi, (v, w))] + f_of(u)),
     ]
-    return Presentation(ctx, names, (1, 1, wt), names, rules,
-                        family="Bqf", params=_echo(spec))
+    return names, (1, 1, wt), names, rules
 
 
 def _build_quantum_plane(spec):
@@ -500,8 +497,7 @@ def _build_quantum_plane(spec):
     _require_units(ctx, {"q": q})
     names = ("x", "y")
     rules = [RewriteRule((1, 0), [(q, (0, 1))])]
-    return Presentation(ctx, names, (1, 1), names, rules,
-                        family="QuantumPlane", params=_echo(spec))
+    return names, (1, 1), names, rules
 
 
 _BUILDERS = {

@@ -171,6 +171,19 @@ def test_gwa_order_errors(QQ):
         gwa_auto_order(QQ, i(1), i(1), i(0))  # discriminant 5
 
 
+def test_wrong_roots_are_a_precondition_violation(QQ):
+    # t^2 - t - 2 = (t - 2)(t + 1): the pair (3, -2) sums to alpha, but
+    # minus its product is not beta
+    i = QQ.from_int
+    spec = spec_downup(QQ, i(1), i(2), i(0))
+    assert downup_center_generators(spec, roots=(i(2), i(-1)))
+    for call in (lambda r: gwa_auto_order(QQ, i(1), i(2), i(0), roots=r),
+                 lambda r: downup_center_generators(spec, roots=r)):
+        with pytest.raises(PreconditionViolation,
+                           match=r"t\^2 - alpha t - beta"):
+            call((i(3), i(-2)))
+
+
 @pytest.mark.parametrize("p,abg,order,case", [
     (7, (2, -1, 0), 7, "RepeatedRoot1"),
     (7, (2, -1, 1), 7, "RepeatedRoot1"),

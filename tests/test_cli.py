@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,24 @@ from orepi.cli import (
     run_command,
     validate_report,
 )
-from orepi import FieldCtx, build_family, normal_form, spec_hpq
-from orepi.errors import ParseError
+from orepi import (
+    FamilySpec,
+    FieldCtx,
+    build_family,
+    central_candidates,
+    downup_center_generators,
+    is_central,
+    normal_form,
+    pi_decide,
+    presentations,
+    spec_hpq,
+)
+from orepi.errors import (
+    DownUpNotNoetherian,
+    ParseError,
+    PreconditionViolation,
+    ZeroParameter,
+)
 
 from test_rewrite import ZOO, random_formal
 
@@ -442,14 +459,17 @@ def test_spanning_cap_for_no_generator_is_typed():
     assert doc["checks"][0]["detail"].endswith("degree <= 8")
 
 
+def _recorded_reports():
+    path = os.path.join(os.path.dirname(__file__), "data", "cli_reports.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def test_examples_match_recorded_reports(tmp_path, monkeypatch):
     # the CI command-line examples and the twisted-power identity checks,
     # in CI order: build --out m2.json runs before normalize --file m2.json
-    path = os.path.join(os.path.dirname(__file__), "data", "cli_reports.json")
-    with open(path, encoding="utf-8") as fh:
-        recorded = json.load(fh)
     monkeypatch.chdir(tmp_path)
-    for rec in recorded:
+    for rec in _recorded_reports():
         code, doc = run(rec["report"]["command"])
         del doc["elapsed_ms"]
         assert (code, json.loads(json.dumps(doc))) == \
@@ -580,3 +600,68 @@ def test_normalize_file_with_a_one_letter_left_side(tmp_path):
         code, out = run(["normalize", "--file", str(path), "--poly", poly])
         assert code == 0
         assert out["checks"][0]["detail"] == nf
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Calls of the family builders and of overlap_check, counted."""
+    counts = Counter()
+    for family, builder in list(presentations._BUILDERS.items()):
+        def build(spec, builder=builder):
+            counts["builds"] += 1
+            return builder(spec)
+        monkeypatch.setitem(presentations._BUILDERS, family, build)
+    overlap_check = presentations.overlap_check
+
+    def overlap(p):
+        counts["overlap_checks"] += 1
+        return overlap_check(p)
+    monkeypatch.setattr(presentations, "overlap_check", overlap)
+    return counts
+
+
+def test_one_build_per_command(build_counts):
+    # each recorded pi-decide (with its witness-verify), central-check,
+    # spanning and identity-check command runs one family builder, or none
+    # when its input fails to parse, and at most one overlap_check
+    commands = [rec["report"]["command"] for rec in _recorded_reports()
+                if rec["report"]["command"][0] in
+                ("pi-decide", "central-check", "spanning", "identity-check")]
+    assert len(commands) >= 20
+    for argv in commands:
+        build_counts.clear()
+        code, _ = run(argv)
+        assert build_counts["builds"] == 1 or \
+            (code == 1 and not build_counts["builds"]), argv
+        assert build_counts["overlap_checks"] <= 1, argv
+
+
+def test_candidates_then_build_builds_once(build_counts):
+    c3 = FieldCtx.cyclotomic(3)
+    spec = spec_hpq(c3, c3.from_int(-1), c3.generator())
+    cs = central_candidates(spec)
+    p = build_family(spec)
+    assert all(is_central(p, el)[0] for _, el in cs)
+    assert build_counts == {"builds": 1, "overlap_checks": 1}
+
+
+@pytest.mark.parametrize("family,params,error", [
+    ("DownUp", "alpha=1,beta=0,gamma=1", DownUpNotNoetherian),
+    ("Bh", "h=0", ZeroParameter),
+])
+def test_a_refused_parameter_is_one_error_everywhere(family, params, error):
+    # the family builder is the one check, whichever entry point builds
+    assert issubclass(error, PreconditionViolation)
+    for cmd in ("pi-decide", "central-check"):
+        code, doc = run([cmd, "--family", family, "--params", params])
+        assert code == 1
+        assert doc["checks"][0]["detail"].startswith(f"{error.__name__}: ")
+    QQ = FieldCtx.rational()
+    values = {k: QQ.from_int(int(v))
+              for k, v in (pair.split("=") for pair in params.split(","))}
+    entries = [pi_decide, central_candidates]
+    if family == "DownUp":
+        entries.append(downup_center_generators)
+    for entry in entries:
+        with pytest.raises(error):
+            entry(FamilySpec(family, QQ, scalars=values))

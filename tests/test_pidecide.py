@@ -326,18 +326,18 @@ def _not_pi_specs(QQ, cyclo3):
 
 
 def test_witness_with_one_scalar_changed_fails(QQ, cyclo3):
-    # every NotPI witness verifies, and each of its relations e f = s f e
-    # fails once its scalar s is moved to s + 1
+    # every NotPI witness verifies, and fails once its parameter, or the
+    # scalar s of one of its relations e f = s f e, is moved by 1 (a
+    # quotient's parameter is checked as y x - param x y in theta A)
     kinds = set()
     for spec in _not_pi_specs(QQ, cyclo3):
         w = pi_decide(spec).witness
         kinds.add(w.kind)
         assert verify_witness(spec, w), spec
         fields = {k: getattr(w, k) for k in QPlaneWitness.__slots__}
-        if w.kind == "subalgebra":
-            changed = [dict(fields, param=w.param + 1)]
-        else:
-            changed = [dict(fields, normality=[
+        changed = [dict(fields, param=w.param + 1)]
+        if w.kind == "quotient":
+            changed += [dict(fields, normality=[
                 (g, s + 1 if i == j else s)
                 for j, (g, s) in enumerate(w.normality)])
                 for i in range(len(w.normality))]

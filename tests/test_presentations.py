@@ -107,8 +107,12 @@ def test_validate_orientation_degree_raising_rule_fails(QQ):
 
 
 def test_build_family_deterministic(rat_pq):
-    s = spec_hpq(rat_pq, rat_pq.param("p"), rat_pq.param("q"))
-    assert build_family(s) == build_family(s)
+    # two equal specs build equal presentations; one spec builds once
+    s, t = (spec_hpq(rat_pq, rat_pq.param("p"), rat_pq.param("q"))
+            for _ in range(2))
+    assert build_family(s) is not build_family(t)
+    assert build_family(s) == build_family(t)
+    assert build_family(s) is build_family(s)
 
 
 def quad_descent_lhss(p):
