@@ -31,9 +31,10 @@ class ParseError(OrepiError):
 
 class PreconditionViolation(OrepiError):
     """A validity condition on an operation's input fails: a family
-    parameter its builder refuses (the two subclasses below), a
-    decider's family condition, down-up roots that are not roots of
-    t^2 - alpha t - beta, or a spanning check's caps."""
+    parameter its builder refuses (the two subclasses below), beta = 0
+    given to gwa_auto_order (BetaZero), a decider's family condition,
+    down-up roots that are not roots of t^2 - alpha t - beta, or a
+    spanning check's caps."""
 
 
 class ZeroParameter(PreconditionViolation):
@@ -76,7 +77,7 @@ class RootsRequired(OrepiError):
     """Quadratic roots are not extractable in this field; pass them explicitly."""
 
 
-class BetaZero(OrepiError):
+class BetaZero(PreconditionViolation):
     """beta = 0 forbidden (generalized Weyl form needs it invertible)."""
 
 

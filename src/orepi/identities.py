@@ -5,23 +5,27 @@ q-factorials, Gaussian binomials, and the auxiliary sequences (B_k, C_k,
 c_a, d_a, S_k) that appear in the straightening identities of the
 supported families.  Everything is computed from sums and recurrences,
 never from the fraction closed forms, so root-of-unity and q = 1
-evaluations are always defined.
+evaluations are always defined.  Each sequence is a running primitive
+that yields its items for k = 0, 1, 2, ... from its recurrence, written
+once; the k-indexed functions read its k-th item.
 
 The second half turns each displayed straightening identity into an
-executable check: an oracle builds the identity's two sides with
-closed-form coefficients, and check_paper_identity pits the rewrite
-engine against it for every index up to a bound.
+executable check: an oracle is a stream over the index n that carries
+its closed forms from n to n+1, and check_paper_identity walks it,
+pitting the rewrite engine against each index up to a bound.
 """
 
 from collections import namedtuple
+from functools import reduce
+from itertools import accumulate, count, islice, pairwise, repeat
 from math import comb
+from operator import add, mul
 
 from .errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes, ZeroInput
 from .rewrite import (
     NCPoly,
     multiply,
     normal_form,
-    power,
     product_memo,
     q_commutator,
     word_poly,
@@ -32,36 +36,59 @@ from .rewrite import (
 # ---------------------------------------------------------------------------
 
 
+def _powers(x):
+    """x^k: x^0 = 1, x^(k+1) = x^k x."""
+    return accumulate(repeat(x), mul, initial=x.ctx.one())
+
+
+def _geom(x):
+    """[k]_x = 1 + x + ... + x^(k-1): [0] = 0, [k+1] = [k] + x^k."""
+    return accumulate(_powers(x), add, initial=x.ctx.zero())
+
+
+def _pq_numbers(p, q):
+    """[n]_{p,q}: [0] = 0, [n+1] = q^n + p^-1 [n]."""
+    if p.is_zero():
+        raise ZeroInput("p must be nonzero")
+    pi = p.inv()
+    return accumulate(_powers(q), lambda pqn, qn: qn + pi * pqn,
+                      initial=q.ctx.zero())
+
+
+def _bc(q):
+    """(B_k, C_k): B_0 = C_0 = 0, B_{k+1} = q^2 B_k + q^(-2k) and
+    C_{k+1} = q^(-2) B_k + C_k, so B_1 = 1 and C_1 = 0."""
+    q2, zero = q * q, q.ctx.zero()
+    q2i = q2.inv()
+    return accumulate(_powers(q2i), lambda bc, q2ik: (q2 * bc[0] + q2ik,
+                                                      q2i * bc[0] + bc[1]),
+                      initial=(zero, zero))
+
+
+def _from1(seq):
+    return islice(seq, 1, None)
+
+
+def _nth(seq, k):
+    return next(islice(seq, max(k, 0), None))
+
+
 def q_number(k, q):
     """[k]_q = 1 + q + ... + q^(k-1); the empty sum for k = 0."""
-    acc = q.ctx.zero()
-    pw = q.ctx.one()
-    for _ in range(k):
-        acc = acc + pw
-        pw = pw * q
-    return acc
+    return _nth(_geom(q), k)
 
 
 def pq_number(n, p, q):
     """[n]_{p,q} = sum_{i<n} q^i p^-(n-1-i); defined even at q = p^-1.
 
     This is the factored form of (q^n - p^-n)/(q - p^-1): it gives
-    [1] = 1 and satisfies [n+1] = q^n + p^-1 [n].
+    [1] = 1 and is the n-th item of the recurrence _pq_numbers.
     """
-    if p.is_zero():
-        raise ZeroInput("p must be nonzero")
-    pi = p.inv()
-    acc = q.ctx.zero()
-    for i in range(n):
-        acc = acc + (q ** i) * (pi ** (n - 1 - i))
-    return acc
+    return _nth(_pq_numbers(p, q), n)
 
 
 def q_factorial(k, q):
-    acc = q.ctx.one()
-    for j in range(1, k + 1):
-        acc = acc * q_number(j, q)
-    return acc
+    return reduce(mul, islice(_geom(q), 1, max(k, 0) + 1), q.ctx.one())
 
 
 def gauss_binomial(k, i, q):
@@ -74,22 +101,13 @@ def gauss_binomial(k, i, q):
 
 
 def b_coeff(k, q):
-    """B_k: B_1 = 1, B_{k+1} = q^2 B_k + q^(-2k)."""
-    b = q.ctx.one()
-    q2 = q * q
-    q2i = q2.inv()
-    for j in range(1, k):
-        b = q2 * b + q2i ** j
-    return b
+    """B_k, the k-th item of _bc: B_1 = 1."""
+    return _nth(_bc(q), k)[0]
 
 
 def c_coeff(k, q):
-    """C_k: C_1 = 0, C_{k+1} = q^(-2) B_k + C_k."""
-    c = q.ctx.zero()
-    q2i = (q * q).inv()
-    for j in range(1, k):
-        c = c + q2i * b_coeff(j, q)
-    return c
+    """C_k, the k-th item of _bc: C_1 = 0."""
+    return _nth(_bc(q), k)[1]
 
 
 def c_a(a, q):
@@ -155,54 +173,62 @@ def bqf_f(p, name):
                    if not cj.is_zero()})
 
 
-def bqf_delta(p, word):
-    """The skew derivation of the B_q(f) Ore form, by its defining recursion.
-
-    delta(u) = f(v), delta(v) = f(u), delta(ab) = sigma(a) delta(b) +
-    delta(a) b with sigma(u) = qu, sigma(v) = q^-1 v.  Only words in u, v
-    are allowed; products are reduced inside the quantum plane, so this
-    is independent of the w-rules that Lemma-style checks exercise.
-    """
+def _bqf_delta_step(p):
+    """The defining recursion of the skew derivation of the B_q(f) Ore
+    form, as step(g, rest, delta(rest)) = delta(g rest) = sigma(g)
+    delta(rest) + delta(g) rest, with delta(u) = f(v), delta(v) = f(u),
+    sigma(u) = qu and sigma(v) = q^-1 v.  Products are reduced inside the
+    quantum plane, so this is independent of the w-rules that Lemma-style
+    checks exercise."""
     if p.family != "Bqf":
         raise FamilyMismatch("delta is the B_q(f) skew derivation")
     q = p.params["q"]
-    v, u = p.gen("v"), p.gen("u")
-    sigma_scalar = {u: q, v: q.inv()}
-    delta_gen = {u: bqf_f(p, "v"), v: bqf_f(p, "u")}
+    u, v = p.gen("u"), p.gen("v")
+    sigma = {u: NCPoly.monomial(q, (u,)), v: NCPoly.monomial(q.inv(), (v,))}
+    delta = {u: bqf_f(p, "v"), v: bqf_f(p, "u")}
 
+    def step(g, rest, tail):
+        return (multiply(p, sigma[g], tail)
+                + multiply(p, delta[g], NCPoly.monomial(p.one, rest)))
+    return step
+
+
+def bqf_delta(p, word):
+    """The skew derivation of the B_q(f) Ore form on a word in u, v, by
+    its defining recursion (_bqf_delta_step) from the last letter on."""
+    step = _bqf_delta_step(p)
     word = tuple(word)
-    if any(g not in (u, v) for g in word):
+    if any(g not in (p.gen("u"), p.gen("v")) for g in word):
         raise FamilyMismatch("delta applies to words in u, v only")
-    if not word:
-        return NCPoly.zero()
-    g, rest = word[0], word[1:]
-    if not rest:
-        return delta_gen[g]
-    tail = bqf_delta(p, rest)
-    part1 = multiply(p, NCPoly.monomial(sigma_scalar[g], (g,)), tail)
-    part2 = multiply(p, delta_gen[g], NCPoly.monomial(p.one, rest))
-    return part1 + part2
+    out = NCPoly.zero()
+    for i in reversed(range(len(word))):
+        out = step(word[i], word[i + 1:], out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the oracle corpus
 # ---------------------------------------------------------------------------
-# Every entry returns a list of (label, lhs, rhs NCPoly) for the given
-# index n, lhs a formal polynomial or an NCPoly; check_paper_identity
-# asserts normal_form(lhs) == rhs exactly.  Right-hand sides are assembled in
-# normal words with closed-form coefficients; where a textbook display
-# uses a non-normal monomial, the exact straightening scalar (a pure
-# parameter power) is folded in, or the display is solved for its
-# non-normal monomial.  The power-commutation displays
-# b a^k = s^k a^k b + (tail) and their mirrors are rows of ORACLES, each
-# with its own closed forms (_oracle_commute): H, M2, UqB2, Weyl.xky/xyk,
-# Cyc3 and Bqf.wuk/wvk.  Outside the table: Bh.commute, whose left sides
-# are powers of two-term quadratics; the delta(g^k) closed forms, checked
-# against the derivation recursion; Bqf.wku, whose displayed sum has no
-# closed normal form, so its right side is normalized once by the engine
-# (a two-route consistency test); and the relation checks, where
-# e f = s f e is checked as q_commutator(e, f, s), the normal form of
-# e f - s f e, against 0.
+# Every entry's stream(p) yields, for the index n = 1, 2, ..., the list of
+# checks (label, lhs, rhs NCPoly) at n, lhs a formal polynomial or an
+# NCPoly; a relation check yields its one list once.  A stream carries its
+# closed forms from n to n+1 on the running primitives above, and its
+# engine-side sequences (delta(g^n), Bh's s^n and t^n) one product at a
+# time, so index n+1 costs a constant number of field operations more
+# than index n.  check_paper_identity asserts normal_form(lhs) == rhs
+# exactly.  Right-hand sides are assembled in normal words with
+# closed-form coefficients; where a textbook display uses a non-normal
+# monomial, the exact straightening scalar (a pure parameter power) is
+# folded in, or the display is solved for its non-normal monomial.  The
+# power-commutation displays b a^k = s^k a^k b + (tail) and their mirrors
+# are rows of ORACLES, each with its own closed forms (_oracle_commute):
+# H, M2, UqB2, Weyl.xky/xyk, Cyc3 and Bqf.wuk/wvk.  Outside the table:
+# Bh.commute, whose left sides are powers of two-term quadratics; the
+# delta(g^k) closed forms, checked against the derivation recursion;
+# Bqf.wku, whose displayed sum has no closed normal form, so its right
+# side is normalized once by the engine (a two-route consistency test);
+# and the relation checks, where e f = s f e is checked as
+# q_commutator(e, f, s), the normal form of e f - s f e, against 0.
 
 
 def _mono(p, coeff, *names):
@@ -224,24 +250,29 @@ def _oracle_commute(*rows):
     A row is b a^k = s^k a^k b + sum_j c_j t_j a^(k - d_j) when the
     raised letter is a, and its mirror b^k a = s^k a b^k + sum_j c_j t_j
     b^(k - d_j) when it is b.  s(p) is the row's scalar, None meaning 1;
-    rows that share s evaluate it once.  tail(p, k, s), given the value
-    of s, lists the terms (c_j, t_j, d_j) (_tail).
+    rows that share s evaluate it, and its powers, once.  tail(p, s),
+    given the value of s, iterates the lists of terms (c_j, t_j, d_j) for
+    k = 1, 2, ... (_tail).
     """
-    def build(p, k):
-        svals = {None: p.one}
-        out = []
-        for b, a, raised, s, *tail in rows:
-            if s not in svals:
-                svals[s] = s(p)
-            bs = [b] * (k if raised == b else 1)
-            as_ = [a] * (k if raised == a else 1)
-            rhs = _mono(p, p.one if s is None else svals[s] ** k, *as_, *bs)
-            if tail:
-                rhs = sum(_tail(p, k, raised, tail[0](p, k, svals[s])), rhs)
-            label = f"{b}^{k}*{a}" if raised == b else f"{b}*{a}^{k}"
-            out.append((label, [(p.one, p.word(*bs, *as_))], rhs))
-        return out
-    return build
+    def stream(p):
+        svals = {s: s(p) if s else p.one for s in {row[3] for row in rows}}
+        spows = {s: _from1(_powers(v)) if s else repeat(v)
+                 for s, v in svals.items()}
+        tails = [tail[0](p, svals[s]) if tail else None
+                 for _, _, _, s, *tail in rows]
+        for k in count(1):
+            sk = {s: next(pw) for s, pw in spows.items()}
+            out = []
+            for (b, a, raised, s, *_), tail in zip(rows, tails):
+                bs = [b] * (k if raised == b else 1)
+                as_ = [a] * (k if raised == a else 1)
+                rhs = _mono(p, sk[s], *as_, *bs)
+                if tail is not None:
+                    rhs = sum(_tail(p, k, raised, next(tail)), rhs)
+                label = f"{b}^{k}*{a}" if raised == b else f"{b}*{a}^{k}"
+                out.append((label, [(p.one, p.word(*bs, *as_))], rhs))
+            yield out
+    return stream
 
 
 def _q(p):
@@ -276,55 +307,57 @@ def _beta_alpha(p):
     return p.params["beta"] * p.params["alpha"].inv()
 
 
-def _oracle_h_theta(p, n):
+def _oracle_h_theta(p):
     qq = p.params["q"]
     th = theta_element(p)
-    return [(f"theta*{gname} - ({scal!r})*{gname}*theta",
-             q_commutator(p, th, word_poly(p, gname), scal), NCPoly.zero())
-            for gname, scal in (("x", qq), ("y", qq.inv()), ("t", p.one))]
+    yield [(f"theta*{gname} - ({scal!r})*{gname}*theta",
+            q_commutator(p, th, word_poly(p, gname), scal), NCPoly.zero())
+           for gname, scal in (("x", qq), ("y", qq.inv()), ("t", p.one))]
 
 
-def _bh_binomial(p, n, a, b, pre=(), post=()):
-    """h^(2n) sum_k C(n, k) pre a^(2k) b^(2(n-k)) post: s^n y_i with a, b =
-    x1, x2 and x_j t^n with a, b = y1, y2 (the squares commute exactly)."""
-    h = p.params["h"]
+def _bh_binomial(p, n, h2n, a, b, pre=(), post=()):
+    """h^(2n) sum_k C(n, k) pre a^(2k) b^(2(n-k)) post, given h2n = h^(2n):
+    s^n y_i with a, b = x1, x2 and x_j t^n with a, b = y1, y2 (the squares
+    commute exactly)."""
     rhs = NCPoly.zero()
     for k in range(n + 1):
-        rhs = rhs + _mono(p, (h ** (2 * n)) * comb(n, k),
+        rhs = rhs + _mono(p, h2n * comb(n, k),
                           *pre, *[a] * (2 * k), *[b] * (2 * (n - k)), *post)
     return rhs
 
 
-def _oracle_bh_commute(p, n):
+def _oracle_bh_commute(p):
     h = p.params["h"]
     one = p.one
-    sign = one if (n * (n - 1) // 2) % 2 == 0 else -one
-    mh2 = -(h * h)
     _, s, _, t = bh_uvst(p)
-    out = []
-    for yi in ("y1", "y2"):
-        lhs = [(one, p.word(yi, *["x1", "x2"] * n))]
-        rhs = _mono(p, (mh2 ** n) * sign, *(["x1"] * n + ["x2"] * n + [yi]))
-        out.append((f"{yi}*u^{n}", lhs, rhs))
-    # s^n and t^n: the left side multiplies the engine power of the
-    # two-term quadratic; the right side is the independent binomial
-    # closed form
-    spn = power(p, s, n)
-    for yi in ("y1", "y2"):
-        lhs = [(c, p.word(yi) + w) for c, w in spn.as_formal()]
-        out.append((f"{yi}*s^{n}", lhs,
-                    _bh_binomial(p, n, "x1", "x2", post=(yi,))))
-    for xj in ("x1", "x2"):
-        # x_j v = (-h^-2) v x_j, so v^n x_j = (-h^2)^n x_j v^n
-        lhs = [(one, p.word(*(["y1", "y2"] * n + [xj])))]
-        rhs = _mono(p, (mh2 ** n) * sign, *([xj] + ["y1"] * n + ["y2"] * n))
-        out.append((f"v^{n}*{xj}", lhs, rhs))
-    tpn = power(p, t, n)
-    for xj in ("x1", "x2"):
-        lhs = [(c, w + p.word(xj)) for c, w in tpn.as_formal()]
-        out.append((f"t^{n}*{xj}", lhs,
-                    _bh_binomial(p, n, "y1", "y2", pre=(xj,))))
-    return out
+    spn = tpn = NCPoly.monomial(one, ())
+    for n, mh2n, h2n in zip(count(1), _from1(_powers(-(h * h))),
+                            _from1(_powers(h * h))):
+        scal = mh2n if (n * (n - 1) // 2) % 2 == 0 else mh2n * -one
+        out = []
+        for yi in ("y1", "y2"):
+            lhs = [(one, p.word(yi, *["x1", "x2"] * n))]
+            rhs = _mono(p, scal, *(["x1"] * n + ["x2"] * n + [yi]))
+            out.append((f"{yi}*u^{n}", lhs, rhs))
+        # s^n and t^n: the left side multiplies the engine power of the
+        # two-term quadratic, one product per index; the right side is the
+        # independent binomial closed form
+        spn = multiply(p, spn, s)
+        for yi in ("y1", "y2"):
+            lhs = [(c, p.word(yi) + w) for c, w in spn.as_formal()]
+            out.append((f"{yi}*s^{n}", lhs,
+                        _bh_binomial(p, n, h2n, "x1", "x2", post=(yi,))))
+        for xj in ("x1", "x2"):
+            # x_j v = (-h^-2) v x_j, so v^n x_j = (-h^2)^n x_j v^n
+            lhs = [(one, p.word(*(["y1", "y2"] * n + [xj])))]
+            rhs = _mono(p, scal, *([xj] + ["y1"] * n + ["y2"] * n))
+            out.append((f"v^{n}*{xj}", lhs, rhs))
+        tpn = multiply(p, tpn, t)
+        for xj in ("x1", "x2"):
+            lhs = [(c, w + p.word(xj)) for c, w in tpn.as_formal()]
+            out.append((f"t^{n}*{xj}", lhs,
+                        _bh_binomial(p, n, h2n, "y1", "y2", pre=(xj,))))
+        yield out
 
 
 def _oracle_weyl(raised):
@@ -333,20 +366,18 @@ def _oracle_weyl(raised):
     or x_i y_i^k the same with y_i raised, where z_{i-1} is its closed
     form 1 + sum_{j<i} (q_j - 1) y_j x_j."""
     def row(i):
-        def tail(p, k, qi):
-            ck = q_number(k, qi)
+        def tail(p, qi):
             qs = p.params["q_list"]
-            z = [(ck, (), 1)]
-            for j in range(1, i):
-                z.append((ck * (qs[j - 1] - p.one), (f"y{j}", f"x{j}"), 1))
-            return z
+            z = [((f"y{j}", f"x{j}"), qs[j - 1] - p.one) for j in range(1, i)]
+            for ck in _from1(_geom(qi)):
+                yield [(ck, (), 1)] + [(ck * zj, t, 1) for t, zj in z]
         return (f"x{i}", f"y{i}", f"{raised}{i}",
                 lambda p: p.params["q_list"][i - 1], tail)
-    return lambda p, k: _oracle_commute(
-        *[row(i) for i in range(1, p.params["n"] + 1)])(p, k)
+    return lambda p: _oracle_commute(
+        *[row(i) for i in range(1, p.params["n"] + 1)])(p)
 
 
-def _oracle_weyl_zi(p, n_unused):
+def _oracle_weyl_zi(p):
     qs = p.params["q_list"]
     n = p.params["n"]
     out = []
@@ -368,77 +399,81 @@ def _oracle_weyl_zi(p, n_unused):
         for j in range(i + 1, n + 1):
             out.append((f"[z{i},z{j}]", q_commutator(p, zs[i], zs[j], p.one),
                         NCPoly.zero()))
-    return out
+    yield out
 
 
-def _oracle_cyc3_e(p, n_unused):
+def _oracle_cyc3_e(p):
     scal = (p.params["q"] * p.params["q"]).inv()
     e_rel = q_commutator(p, cyc3_e(p), word_poly(p, "z"), scal)
-    return [("e*z - q^-2*z*e", e_rel, NCPoly.zero())]
+    yield [("e*z - q^-2*z*e", e_rel, NCPoly.zero())]
 
 
-def _bqf_delta_terms(p, g, k):
-    """delta(g^k) for the generator g = "u" or "v" as tail terms of the
-    raised letter g, summed over the terms c_j t^j of f: delta(u^k) =
-    sum_j [k]_{q^(j+1)} c_j v^j u^(k-1), and delta(v^k) = sum_j
-    [k]_{q^-(j+1)} c_j q^(j(k-1)) v^(k-1) u^j, using u^j v^(k-1) =
+def _bqf_delta_terms(p, g):
+    """delta(g^k) for k = 1, 2, ... and the generator g = "u" or "v", as
+    tail terms of the raised letter g, summed over the terms c_j t^j of f:
+    delta(u^k) = sum_j [k]_{q^(j+1)} c_j v^j u^(k-1), and delta(v^k) =
+    sum_j [k]_{q^-(j+1)} c_j q^(j(k-1)) v^(k-1) u^j, using u^j v^(k-1) =
     q^(j(k-1)) v^(k-1) u^j.  It is the tail of the rows w g^k =
     sigma(g)^k g^k w + delta(g^k), sigma(u) = q u, sigma(v) = q^-1 v."""
     q = p.params["q"]
-    out = []
+    seqs = []  # ([k]_x, its cofactor, t^j) for each term c_j t^j of f
     for j, cj in enumerate(p.params["f"]):
         if cj.is_zero():
             continue
         if g == "u":
-            out.append((q_number(k, q ** (j + 1)) * cj, ("v",) * j, 1))
+            seqs.append((_from1(_geom(q ** (j + 1))), repeat(cj), ("v",) * j))
         else:
-            out.append((q_number(k, (q ** (j + 1)).inv()) * cj *
-                        q ** (j * (k - 1)), ("u",) * j, 1))
-    return out
+            seqs.append((_from1(_geom((q ** (j + 1)).inv())),
+                         map(mul, repeat(cj), _powers(q ** j)), ("u",) * j))
+    while True:
+        yield [(next(gk) * next(ck), t, 1) for gk, ck, t in seqs]
 
 
 def _oracle_bqf_delta(g):
     """delta(g^k) by the skew-derivation recursion against its closed form."""
-    def build(p, k):
-        lhs = bqf_delta(p, p.word(*[g] * k)).as_formal()
-        rhs = sum(_tail(p, k, g, _bqf_delta_terms(p, g, k)), NCPoly.zero())
-        return [(f"delta({g}^{k})", lhs, rhs)]
-    return build
+    def stream(p):
+        step, gen = _bqf_delta_step(p), p.gen(g)
+        lhs = NCPoly.zero()
+        for k, terms in enumerate(_bqf_delta_terms(p, g), 1):
+            lhs = step(gen, (gen,) * (k - 1), lhs)
+            rhs = sum(_tail(p, k, g, terms), NCPoly.zero())
+            yield [(f"delta({g}^{k})", lhs.as_formal(), rhs)]
+    return stream
 
 
-def _oracle_bqf_wku(p, k):
-    q = p.params["q"]
-    lhs = [(p.one, p.word(*(["w"] * k + ["u"])))]
-    formal_rhs = [(q ** k, p.word(*(["u"] + ["w"] * k)))]
-    for i in range(k):
-        pre = ["w"] * (k - 1 - i)
-        for j, cj in enumerate(p.params["f"]):
-            if not cj.is_zero():
-                formal_rhs.append((cj * q ** i,
-                                   p.word(*pre, *["v"] * j, *["w"] * i)))
-    rhs = normal_form(p, formal_rhs)
-    return [(f"w^{k}*u", lhs, rhs)]
+def _oracle_bqf_wku(p):
+    f = [(j, cj) for j, cj in enumerate(p.params["f"]) if not cj.is_zero()]
+    cq = []  # the (i, j, c_j q^i) for i < k and the terms c_j t^j of f
+    for k, (qi, qk) in enumerate(pairwise(_powers(p.params["q"])), 1):
+        cq += [(k - 1, j, cj * qi) for j, cj in f]
+        formal_rhs = [(qk, p.word("u", *["w"] * k))] + [
+            (c, p.word(*["w"] * (k - 1 - i), *["v"] * j, *["w"] * i))
+            for i, j, c in cq]
+        yield [(f"w^{k}*u", [(p.one, p.word(*["w"] * k, "u"))],
+                normal_form(p, formal_rhs))]
 
 
-_Oracle = namedtuple("_Oracle", "family min_n build relation_only",
+_Oracle = namedtuple("_Oracle", "family min_n stream relation_only",
                      defaults=(False,))
 
 
 ORACLES = {
     "Bh.commute": _Oracle("Bh", 1, _oracle_bh_commute),
     "H.yxn": _Oracle("Hpq", 1, _oracle_commute(("y", "x", "x", _q,
-        lambda p, k, q: [(pq_number(k, p.params["p"], q)
-                          * p.params["p"] ** (k - 1), ("t",), 1)]))),
+        lambda p, q: ([(c * pk, ("t",), 1)] for c, pk in zip(
+            _from1(_pq_numbers(p.params["p"], q)), _powers(p.params["p"])))))),
     "H.ynx": _Oracle("Hpq", 1, _oracle_commute(("y", "x", "y", _q,
-        lambda p, k, q: [(pq_number(k, p.params["p"], q), ("t",), 1)]))),
+        lambda p, q: ([(c, ("t",), 1)]
+                      for c in _from1(_pq_numbers(p.params["p"], q)))))),
     "H.theta_rel": _Oracle("Hpq", 1, _oracle_h_theta, relation_only=True),
     "M2.k1": _Oracle("M2", 1, _oracle_commute(("X22", "X11", "X22", None,
-        lambda p, k, _: [(_alpha(p).inv() * ((_alpha(p) * _beta(p)) ** k - 1),
-                          ("X12", "X21"), 1)]))),
+        lambda p, _: ([(_alpha(p).inv() * (abk - 1), ("X12", "X21"), 1)]
+                      for abk in _from1(_powers(_alpha(p) * _beta(p))))))),
     "M2.k2": _Oracle("M2", 1, _oracle_commute(("X22", "X11", "X11", None,
-        lambda p, k, _: [(_beta(p) * (1 - (_alpha(p) * _beta(p)) ** (-k))
-                          * (_alpha(p) * _beta(p)) ** (k - 1),
-                          ("X12", "X21"), 1)]))),
+        lambda p, _: ([(_beta(p) * (1 - abik) * abk1, ("X12", "X21"), 1)]
+                      for abik, abk1 in zip(
+                          _from1(_powers((_alpha(p) * _beta(p)).inv())),
+                          _powers(_alpha(p) * _beta(p))))))),
     "M2.power_table": _Oracle("M2", 1, _oracle_commute(
         ("X12", "X11", "X12", _alpha),
         ("X22", "X12", "X12", _beta),
@@ -451,61 +486,73 @@ ORACLES = {
         ("X22", "X12", "X22", _beta),
         ("X22", "X21", "X22", _alpha))),
     "UqB2.i": _Oracle("UqB2", 1, _oracle_commute(("e2", "e3", "e3", _q2,
-        lambda p, k, q2: [(q_number(k, q2), ("z",), 1)]))),
+        lambda p, q2: ([(c, ("z",), 1)] for c in _from1(_geom(q2)))))),
     "UqB2.ii": _Oracle("UqB2", 1, _oracle_commute(("e2", "e3", "e2", _q2,
-        lambda p, k, q2: [(q_number(k, q2), ("z",), 1)]))),
+        lambda p, q2: ([(c, ("z",), 1)] for c in _from1(_geom(q2)))))),
     "UqB2.iii": _Oracle("UqB2", 1, _oracle_commute(("e2", "e1", "e1", _q2i,
-        lambda p, k, q2i: [(-(q2i * q_number(k, q2i * q2i)), ("e3",), 1)]))),
+        lambda p, q2i: ([(-(q2i * c), ("e3",), 1)]
+                        for c in _from1(_geom(q2i * q2i)))))),
     # e2^k e1 = q^-2k e1 e2^k - q^-2 B_k e3 e2^(k-1) - C_k z e2^(k-2)
     "UqB2.iv": _Oracle("UqB2", 2, _oracle_commute(("e2", "e1", "e2", _q2i,
-        lambda p, k, q2i: [(-(q2i * b_coeff(k, _q(p))), ("e3",), 1),
-                           (-c_coeff(k, _q(p)), ("z",), 2)]))),
+        lambda p, q2i: ([(-(q2i * b), ("e3",), 1), (-c, ("z",), 2)]
+                        for b, c in _from1(_bc(_q(p))))))),
     "Weyl.xky": _Oracle("WeylMalt", 1, _oracle_weyl("x")),
     "Weyl.xyk": _Oracle("WeylMalt", 1, _oracle_weyl("y")),
     "Weyl.zi_normal": _Oracle("WeylMalt", 1, _oracle_weyl_zi, relation_only=True),
     # i: x^a y = q^{2a} y x^a + c_a alpha x^{a-1}
     "Cyc3.i": _Oracle("ThreeCyclic", 1, _oracle_commute(("y", "x", "x", _q2i,
-        lambda p, a, q2i: [(-(q2i ** a) * c_a(a, _q(p)) * _alpha(p), (), 1)]))),
+        lambda p, q2i: ([(-q2ia * ca * _alpha(p), (), 1)] for q2ia, ca in zip(
+            _from1(_powers(q2i)), _from1(_geom(_q2(p)))))))),
     # ii: y^a x = q^{-2a} x y^a - q^{-2} d_a alpha y^{a-1}
     "Cyc3.ii": _Oracle("ThreeCyclic", 1, _oracle_commute(("y", "x", "y", _q2i,
-        lambda p, a, q2i: [(-(q2i * d_a(a, _q(p)) * _alpha(p)), (), 1)]))),
+        lambda p, q2i: ([(-(q2i * da * _alpha(p)), (), 1)]
+                        for da in _from1(_geom(q2i)))))),
     # iii: x^a z = q^{-2a} z x^a + d_a beta x^{a-1}
     "Cyc3.iii": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "x", "x", _q2,
-        lambda p, a, q2: [(-(q2 ** a) * d_a(a, _q(p)) * _beta(p), (), 1)]))),
+        lambda p, q2: ([(-q2a * da * _beta(p), (), 1)] for q2a, da in zip(
+            _from1(_powers(q2)), _from1(_geom(_q2i(p)))))))),
     # iv: z^a x = q^{2a} x z^a - q^2 c_a beta z^{a-1}
     "Cyc3.iv": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "x", "z", _q2,
-        lambda p, a, q2: [(-(q2 * c_a(a, _q(p)) * _beta(p)), (), 1)]))),
+        lambda p, q2: ([(-(q2 * ca * _beta(p)), (), 1)]
+                       for ca in _from1(_geom(q2)))))),
     # v: y^a z = q^{2a} z y^a + c_a gamma y^{a-1}
     "Cyc3.v": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "y", "y", _q2i,
-        lambda p, a, q2i: [(-(q2i ** a) * c_a(a, _q(p)) * _gamma(p), (), 1)]))),
+        lambda p, q2i: ([(-q2ia * ca * _gamma(p), (), 1)] for q2ia, ca in zip(
+            _from1(_powers(q2i)), _from1(_geom(_q2(p)))))))),
     # vi: z^a y = q^{-2a} y z^a - q^{-2} d_a gamma z^{a-1}
     "Cyc3.vi": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "y", "z", _q2i,
-        lambda p, a, q2i: [(-(q2i * d_a(a, _q(p)) * _gamma(p)), (), 1)]))),
+        lambda p, q2i: ([(-(q2i * da * _gamma(p)), (), 1)]
+                        for da in _from1(_geom(q2i)))))),
     "Cyc3.e_rel": _Oracle("ThreeCyclic", 1, _oracle_cyc3_e, relation_only=True),
     "Bqf.delta_uk": _Oracle("Bqf", 1, _oracle_bqf_delta("u")),
     "Bqf.delta_vk": _Oracle("Bqf", 1, _oracle_bqf_delta("v")),
     "Bqf.wuk": _Oracle("Bqf", 1, _oracle_commute(("w", "u", "u", _q,
-        lambda p, k, _: _bqf_delta_terms(p, "u", k)))),
+        lambda p, _: _bqf_delta_terms(p, "u")))),
     "Bqf.wvk": _Oracle("Bqf", 1, _oracle_commute(("w", "v", "v", _qi,
-        lambda p, k, _: _bqf_delta_terms(p, "v", k)))),
+        lambda p, _: _bqf_delta_terms(p, "v")))),
     "Bqf.wku": _Oracle("Bqf", 1, _oracle_bqf_wku),
 }
 
 LEMMA_IDS = tuple(sorted(ORACLES))
 
 
-def oracle_rhs(lemma_id, p, n):
-    """(label, lhs, rhs NCPoly) checks for one index."""
-    try:
-        info = ORACLES[lemma_id]
-    except KeyError:
-        raise FamilyMismatch(f"unknown lemma id {lemma_id!r}") from None
+def _lemma(lemma_id, p):
+    info = ORACLES.get(lemma_id)
+    if info is None:
+        raise FamilyMismatch(f"unknown lemma id {lemma_id!r}")
     if p.family != info.family:
         raise FamilyMismatch(f"{lemma_id} lives in family {info.family}, "
                              f"got {p.family}")
+    return info
+
+
+def oracle_rhs(lemma_id, p, n):
+    """(label, lhs, rhs NCPoly) checks for one index: the lemma's stream
+    read up to n."""
+    info = _lemma(lemma_id, p)
     if n < info.min_n:
         raise LemmaRangeError(f"{lemma_id} needs n >= {info.min_n}")
-    return info.build(p, n)
+    return _nth(info.stream(p), 0 if info.relation_only else n - 1)
 
 
 class IdentityCheck:
@@ -545,20 +592,23 @@ def nf_eval(p, formal):
 
 
 def check_paper_identity(lemma_id, p, n_max):
-    """Run the lemma's oracle for every index up to n_max against the engine."""
-    info = ORACLES.get(lemma_id)
-    if info is None:
-        raise FamilyMismatch(f"unknown lemma id {lemma_id!r}")
+    """Walk the lemma's stream for every index up to n_max against the
+    engine; a residual normal_form(lhs) - rhs is formed only for a check
+    that fails."""
+    info = _lemma(lemma_id, p)
     if n_max < info.min_n:
         raise LemmaRangeError(f"{lemma_id} needs n_max >= {info.min_n}")
-    indices = [1] if info.relation_only else range(info.min_n, n_max + 1)
+    last = 1 if info.relation_only else n_max
     checks = []
     with product_memo():
-        for n in indices:
-            for label, lhs, rhs in oracle_rhs(lemma_id, p, n):
-                residual = normal_form(p, lhs) - rhs
-                checks.append(IdentityCheck(lemma_id, n, label,
-                                            residual.is_zero(), residual))
+        for n, batch in zip(range(1, last + 1), info.stream(p)):
+            if n < info.min_n:
+                continue
+            for label, lhs, rhs in batch:
+                nf = normal_form(p, lhs)
+                ok = nf == rhs
+                residual = NCPoly.from_payloads(p.ctx, {}) if ok else nf - rhs
+                checks.append(IdentityCheck(lemma_id, n, label, ok, residual))
     return IdentityReport(lemma_id, checks)
 
 

@@ -114,7 +114,17 @@ class NCPoly:
             w: self.ctx.neg(c) for w, c in self.vals.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        ctx = _field(self.ctx, other.ctx)
+        out = dict(self.vals)
+        for w, c in other.vals.items():
+            s = out.get(w)
+            if s is None:
+                out[w] = ctx.neg(c)
+            elif ctx.is_zero(s := ctx.sub(s, c)):
+                del out[w]
+            else:
+                out[w] = s
+        return type(self).from_payloads(ctx, out)
 
     def scale(self, coeff):
         ctx, k = _field(self.ctx, coeff.ctx), coeff.val

@@ -171,6 +171,15 @@ def test_gwa_order_errors(QQ):
         gwa_auto_order(QQ, i(1), i(1), i(0))  # discriminant 5
 
 
+def test_beta_zero_is_a_precondition_violation(QQ):
+    # every spec entry point reports beta = 0 as DownUpNotNoetherian, a
+    # PreconditionViolation; gwa_auto_order, which takes field values,
+    # raises BetaZero, caught by the same class
+    i = QQ.from_int
+    with pytest.raises(PreconditionViolation):
+        gwa_auto_order(QQ, i(1), i(0), i(0))
+
+
 def test_wrong_roots_are_a_precondition_violation(QQ):
     # t^2 - t - 2 = (t - 2)(t + 1): the pair (3, -2) sums to alpha, but
     # minus its product is not beta

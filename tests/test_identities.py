@@ -1,5 +1,8 @@
 """q-calculus and the straightening-identity oracle corpus."""
 
+from collections import Counter
+from itertools import islice
+
 import pytest
 
 from orepi import (
@@ -8,6 +11,7 @@ from orepi import (
     build_family,
     check_paper_identity,
     gauss_binomial,
+    identities,
     multiply,
     normal_form,
     oracle_rhs,
@@ -24,6 +28,7 @@ from orepi import (
 )
 from orepi.cli import parse_ncpoly
 from orepi.errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes
+from orepi.fields import Coeff
 from orepi.identities import (
     ORACLES,
     b_coeff,
@@ -367,3 +372,122 @@ def test_identity_corpus_at_specialized_parameters(field):
             assert rep.all_pass, (spec, [c for c in rep.checks if not c.ok])
             n_checks += len(rep.checks)
     assert n_checks == 359
+
+
+# ---------------------------------------------------------------------------
+# oracle cost and the running primitives
+# ---------------------------------------------------------------------------
+
+
+def _cost_instance(QQ, lemma):
+    i = QQ.from_int
+    zero, one = QQ.zero(), QQ.one()
+    return build_family({
+        "H.yxn": spec_hpq(QQ, i(2), i(3)),
+        "UqB2.iv": spec_uqb2(QQ, i(3)),
+        "Cyc3.i": spec_three_cyclic(QQ, i(3), i(2), i(5), i(7)),
+        "Bqf.delta_vk": spec_bqf(QQ, i(3), (zero, one, zero, zero, zero, one)),
+    }[lemma])
+
+
+@pytest.mark.parametrize("lemma", ["H.yxn", "UqB2.iv", "Cyc3.i",
+                                   "Bqf.delta_vk"])
+def test_oracle_cost_is_linear_in_the_index(lemma, monkeypatch, QQ):
+    # Coeff multiplications, each ** counted by its squarings and
+    # products, and engine products, made by the oracle alone (its
+    # stream, no normal form of a left side) for the indices up to n_max
+    counts = Counter()
+    mul, pow_ = Coeff.__mul__, Coeff.__pow__
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    def counted_pow(a, e):
+        if isinstance(e, int) and e:
+            counts["mul"] += abs(e).bit_length() + bin(e).count("1") - 2
+        return pow_(a, e)
+
+    def counted_multiply(*args):
+        counts["multiply"] += 1
+        return multiply(*args)
+
+    monkeypatch.setattr(Coeff, "__mul__", counted_mul)
+    monkeypatch.setattr(Coeff, "__rmul__", counted_mul)
+    monkeypatch.setattr(Coeff, "__pow__", counted_pow)
+    monkeypatch.setattr(identities, "multiply", counted_multiply)
+    p = _cost_instance(QQ, lemma)
+    cost = {}
+    for n_max in (8, 16):
+        counts.clear()
+        for _ in islice(ORACLES[lemma].stream(p), n_max):
+            pass
+        cost[n_max] = dict(counts)
+    assert cost[8]["mul"] > 0
+    assert cost[16]["mul"] <= 2.2 * cost[8]["mul"], cost
+    if lemma == "Bqf.delta_vk":
+        assert 0 < cost[8]["multiply"] <= 2 * 8
+        assert cost[16]["multiply"] <= 2 * 16, cost
+    else:
+        assert "multiply" not in cost[16]
+
+
+def _wrong_from_3(seq):
+    """seq with one added to every item (to each part of a pair) from the
+    index k = 3 on."""
+    for k, item in enumerate(seq):
+        if k >= 3:
+            item = tuple(x + 1 for x in item) if isinstance(item, tuple) \
+                else item + 1
+        yield item
+
+
+@pytest.mark.parametrize("primitive,some_readers", [
+    ("_powers", {"H.yxn", "M2.k1", "M2.power_table", "Cyc3.i", "Bh.commute",
+                 "Bqf.delta_vk", "Bqf.wku"}),
+    ("_geom", {"UqB2.i", "UqB2.iii", "Weyl.xky", "Cyc3.iv", "Bqf.delta_uk",
+               "Bqf.wvk"}),
+    ("_pq_numbers", {"H.yxn", "H.ynx"}),
+    ("_bc", {"UqB2.iv"}),
+])
+def test_a_wrong_running_primitive_fails_every_lemma_that_reads_it(
+        primitive, some_readers, monkeypatch, QQ):
+    # a check fails exactly where the wrong primitive changed its right
+    # side: every index before the first changed value still passes, and
+    # every lemma that reads the primitive fails at some index <= n_max
+    n_max = 6
+    cases = []
+    for spec in _specialized_instances(QQ, QQ.from_int(3), QQ.from_int(2)):
+        p = build_family(spec)
+        for lemma, family in CORPUS:
+            if family != p.family:
+                continue
+            info = ORACLES[lemma]
+            indices = [1] if info.relation_only \
+                else range(info.min_n, n_max + 1)
+            cases.append((lemma, p, {
+                (n, label): rhs for n in indices
+                for label, _, rhs in oracle_rhs(lemma, p, n)}))
+    right, readers, reading = getattr(identities, primitive), set(), []
+
+    def wrong(*args):
+        readers.add(reading[-1])
+        return _wrong_from_3(right(*args))
+
+    monkeypatch.setattr(identities, primitive, wrong)
+    for lemma, p, right_rhs in cases:
+        reading.append(lemma)
+        rep = check_paper_identity(lemma, p, n_max)
+        assert len(rep.checks) == len(right_rhs)
+        for c in rep.checks:
+            (_, lhs, rhs), = [chk for chk in oracle_rhs(lemma, p, c.n)
+                              if chk[0] == c.label]
+            assert c.ok == (rhs == right_rhs[c.n, c.label]), (lemma, c)
+            if c.ok:
+                assert c.residual.ctx is p.ctx and c.residual.is_zero()
+            else:
+                assert c.n >= 3
+                assert c.residual == normal_form(p, lhs) - rhs
+        if lemma in readers:
+            assert not rep.all_pass, (lemma, p.family)
+    assert some_readers <= readers

@@ -594,6 +594,26 @@ def test_q_commutator_matches_two_products(p, data):
         multiply(p, a, b) - multiply(p, b, a).scale(lam)
 
 
+@pytest.mark.parametrize("p", LEFT_ZOO)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_difference_is_the_sum_with_the_negation(p, data):
+    # a - b in one pass over b; half the time b shares words with a, and
+    # a - a, a - 0 and 0 - b are taken too, so terms cancel and the
+    # field of a zero operand comes from the other
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    a = normal_form(p, random_formal(p, rng, terms=4, max_len=4))
+    b = normal_form(p, random_formal(p, rng, terms=4, max_len=4))
+    if data.draw(st.booleans(), label="shared words"):
+        b = b + a.scale(random_coeff(p.ctx, rng))
+    zero = NCPoly.zero()
+    for x, y in ((a, b), (b, a), (a, a), (a, zero), (zero, b), (zero, zero)):
+        d = x - y
+        assert type(d) is NCPoly and d == x + (-y)
+        assert d.ctx is (x + (-y)).ctx
+        assert not any(p.ctx.is_zero(c) for c in d.vals.values())
+
+
 def test_left_multiply_scans_no_word(monkeypatch, QQ):
     # every redex of g*u starts at g, so no word is searched for one
     from orepi import rewrite
