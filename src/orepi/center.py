@@ -9,6 +9,7 @@ k[x,y], whose eigenvalues are the roots of t^2 - alpha t - beta.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import isqrt, lcm
 
 from .errors import (
@@ -606,22 +607,23 @@ _CANDIDATES = {
 
 def irreducible_words(p, max_len):
     """All rule-irreducible words of length <= max_len, shortest first."""
-    # a frontier word is irreducible, so a redex of w + (g,) ends at g
+    # a frontier word is irreducible, so a redex of w + (g,) ends at g, and
+    # the letters that may follow w depend only on its last `reach` letters
     ending_at = [[] for _ in p.names]
     for r in p.rules:
         ending_at[r.lhs[-1]].append(r.lhs)
-    out = [()]
-    frontier = [()]
+    reach = max((len(r.lhs) for r in p.rules), default=1) - 1
+
+    @cache
+    def follow(tail):
+        return [g for g, lhss in enumerate(ending_at)
+                if not any((tail + (g,))[-len(l):] == l
+                           for l in lhss if len(l) <= len(tail) + 1)]
+    out, frontier = [()], [()]
     for _ in range(max_len):
-        new = []
-        for w in frontier:
-            for g, lhss in enumerate(ending_at):
-                cand = w + (g,)
-                if any(cand[-len(l):] == l for l in lhss if len(l) <= len(cand)):
-                    continue
-                new.append(cand)
-        out.extend(new)
-        frontier = new
+        frontier = [w + (g,) for w in frontier
+                    for g in follow(w[max(len(w) - reach, 0):])]
+        out.extend(frontier)
     return out
 
 
@@ -660,6 +662,13 @@ def spanning_check(p, centrals, caps, degree=None):
     it: the row of a central product c at a residual word g*m is g times
     its row at m, since c*g*m = g*c*m, so each row costs one left
     multiplication by a generator.
+
+    The residual unit rows span exactly the residual columns, so the rows
+    go into the tracker with those columns dropped, and the rank is the
+    number of residuals plus the rank of that quotient.  When the quotient
+    rank equals the number of columns the rows touch, the missing words
+    are the non-residual words they do not touch; otherwise each
+    non-residual word is swept for membership.
     """
     missing = [name for name in p.names if name not in caps]
     if missing:
@@ -735,14 +744,15 @@ def _spanning_check(p, centrals, caps, degree):
                                    f"generator {witness[0]})")
     cap_by_index = [caps[name] for name in p.names]
     words = irreducible_words(p, degree)
-    residuals = [w for w in words
-                 if all(w.count(g) < cap_by_index[g] for g in range(len(p.names)))]
-    one = p.ctx.one().val
-    tracker = SpanTracker(p.order_key, p.ctx)
-    by_length = [[] for _ in range(degree + 1)]
-    for m in residuals:
-        tracker.insert({m: one})
-        by_length[len(m)].append(m)
+    # the residuals are closed under suffixes: w is one when w[1:] is one
+    # and w holds fewer than its cap of its first letter
+    residuals = {(): None} if min(cap_by_index, default=1) > 0 else {}
+    by_length = [list(residuals)] + [[] for _ in range(degree)]
+    for w in words:
+        if w and w[1:] in residuals and w.count(w[0]) < cap_by_index[w[0]]:
+            residuals[w] = None
+            by_length[len(w)].append(w)
+    tracker, touched = SpanTracker(p.order_key, p.ctx), set()
     for cpoly in central_products(p, centrals, degree):
         # cpoly is central, so its row at g*m is g times its row at m: the
         # residuals are closed under suffixes, and each length needs only
@@ -753,10 +763,14 @@ def _spanning_check(p, centrals, caps, degree):
                 rows = {m: left_multiply(p, m[0], rows[m[1:]])
                         for m in by_length[n]}
             for m in by_length[n]:
-                if rows[m]:
-                    tracker.insert(rows[m])
-    # every residual went in as a unit row
-    spanned = set(residuals)
-    missing = [w for w in words
-               if w not in spanned and not tracker.contains({w: one})]
-    return SpanningReport(not missing, missing, degree, dict(caps), tracker.rank)
+                row = {w: c for w, c in rows[m].items() if w not in residuals}
+                if row:
+                    touched.update(row)
+                    tracker.insert(row)
+    if tracker.rank == len(touched):
+        missing = [w for w in words if w not in residuals and w not in touched]
+    else:
+        missing = [w for w in words if w not in residuals
+                   and not tracker.contains({w: p.one.val})]
+    return SpanningReport(not missing, missing, degree, dict(caps),
+                          len(residuals) + tracker.rank)

@@ -17,7 +17,7 @@ pitting the rewrite engine against each index up to a bound.
 
 from collections import namedtuple
 from functools import reduce
-from itertools import accumulate, count, islice, pairwise, repeat
+from itertools import accumulate, chain, count, islice, pairwise, repeat
 from math import comb
 from operator import add, mul
 
@@ -231,17 +231,26 @@ def bqf_delta(p, word):
 # q_commutator(e, f, s), the normal form of e f - s f e, against 0.
 
 
-def _mono(p, coeff, *names):
-    return NCPoly.monomial(coeff, p.word(*names))
+def _rhs(p, monos):
+    """The sum of the monomials (c, names), built in one payload dict:
+    like words merge and zero sums drop, as in NCPoly.__add__."""
+    ctx, out = p.ctx, {}
+    for c, names in monos:
+        w = p.word(*names)
+        s = ctx.add(out[w], c.val) if w in out else c.val
+        if ctx.is_zero(s):
+            out.pop(w, None)
+        else:
+            out[w] = s
+    return NCPoly.from_payloads(ctx, out)
 
 
 def _tail(p, k, raised, terms):
-    """The monomials c_j t_j r^(k - d_j) of the terms (c_j, t_j, d_j), each
-    word listing the letters t_j and the raised letters r in precedence
-    order."""
+    """The monomials (c_j, t_j r^(k - d_j)) of the terms (c_j, t_j, d_j),
+    each word listing the letters t_j and the raised letters r in
+    precedence order."""
     for c, t, d in terms:
-        word = sorted([*t, *[raised] * (k - d)], key=p.precedence.index)
-        yield _mono(p, c, *word)
+        yield c, sorted([*t, *[raised] * (k - d)], key=p.precedence.index)
 
 
 def _oracle_commute(*rows):
@@ -266,9 +275,8 @@ def _oracle_commute(*rows):
             for (b, a, raised, s, *_), tail in zip(rows, tails):
                 bs = [b] * (k if raised == b else 1)
                 as_ = [a] * (k if raised == a else 1)
-                rhs = _mono(p, sk[s], *as_, *bs)
-                if tail is not None:
-                    rhs = sum(_tail(p, k, raised, next(tail)), rhs)
+                rhs = _rhs(p, chain([(sk[s], as_ + bs)], () if tail is None
+                                    else _tail(p, k, raised, next(tail))))
                 label = f"{b}^{k}*{a}" if raised == b else f"{b}*{a}^{k}"
                 out.append((label, [(p.one, p.word(*bs, *as_))], rhs))
             yield out
@@ -319,11 +327,9 @@ def _bh_binomial(p, n, h2n, a, b, pre=(), post=()):
     """h^(2n) sum_k C(n, k) pre a^(2k) b^(2(n-k)) post, given h2n = h^(2n):
     s^n y_i with a, b = x1, x2 and x_j t^n with a, b = y1, y2 (the squares
     commute exactly)."""
-    rhs = NCPoly.zero()
-    for k in range(n + 1):
-        rhs = rhs + _mono(p, h2n * comb(n, k),
-                          *pre, *[a] * (2 * k), *[b] * (2 * (n - k)), *post)
-    return rhs
+    return _rhs(p, ((h2n * comb(n, k),
+                     (*pre, *[a] * (2 * k), *[b] * (2 * (n - k)), *post))
+                    for k in range(n + 1)))
 
 
 def _oracle_bh_commute(p):
@@ -337,7 +343,7 @@ def _oracle_bh_commute(p):
         out = []
         for yi in ("y1", "y2"):
             lhs = [(one, p.word(yi, *["x1", "x2"] * n))]
-            rhs = _mono(p, scal, *(["x1"] * n + ["x2"] * n + [yi]))
+            rhs = _rhs(p, [(scal, ["x1"] * n + ["x2"] * n + [yi])])
             out.append((f"{yi}*u^{n}", lhs, rhs))
         # s^n and t^n: the left side multiplies the engine power of the
         # two-term quadratic, one product per index; the right side is the
@@ -350,7 +356,7 @@ def _oracle_bh_commute(p):
         for xj in ("x1", "x2"):
             # x_j v = (-h^-2) v x_j, so v^n x_j = (-h^2)^n x_j v^n
             lhs = [(one, p.word(*(["y1", "y2"] * n + [xj])))]
-            rhs = _mono(p, scal, *([xj] + ["y1"] * n + ["y2"] * n))
+            rhs = _rhs(p, [(scal, [xj] + ["y1"] * n + ["y2"] * n)])
             out.append((f"v^{n}*{xj}", lhs, rhs))
         tpn = multiply(p, tpn, t)
         for xj in ("x1", "x2"):
@@ -436,7 +442,7 @@ def _oracle_bqf_delta(g):
         lhs = NCPoly.zero()
         for k, terms in enumerate(_bqf_delta_terms(p, g), 1):
             lhs = step(gen, (gen,) * (k - 1), lhs)
-            rhs = sum(_tail(p, k, g, terms), NCPoly.zero())
+            rhs = _rhs(p, _tail(p, k, g, terms))
             yield [(f"delta({g}^{k})", lhs.as_formal(), rhs)]
     return stream
 

@@ -14,7 +14,7 @@ mul, as are the rows the span tracker takes.
 """
 
 from collections import deque
-from itertools import permutations, product
+from itertools import chain, permutations
 
 from .errors import (
     CtxMismatch,
@@ -209,40 +209,45 @@ def multilinear_identity_search(alg, d):
     vanishing everywhere, so the system has one row per basis tuple t
     and matrix cell, with the entries (t[s(1)] ... t[s(d)])[cell] over
     the permutations s.  Each such product is the product of one word
-    of length d over the basis indices; the dim^d words are multiplied
-    once each, prefix times last letter, into a dict that lives for
-    this call, and the nonzero cells of each length-d word are listed
-    once.  Nonzero rows, tuple by tuple and cell by cell in row-major
-    order, stream through a SpanTracker, which stops early once they
-    span all d! columns (the kernel is then {0}); otherwise the kernel
-    basis is SpanTracker.kernel of its rows, which depends on the row
-    space alone (its reduced row echelon form is unique), so those few
-    rows give the kernel basis of the full system.
+    of length d over the basis indices, multiplied once, prefix times
+    last letter, from nonzero prefixes only.  A nonzero word w is the
+    product of t = w o s^-1 under each s, so its nonzero cells (row-major)
+    fill the entries of s in the rows (t, cell), built one first letter
+    of t at a time and streamed in (tuple, cell) order through a
+    SpanTracker, which stops early once they span all d! columns (the
+    kernel is then {0}); otherwise the kernel basis is SpanTracker.kernel
+    of its rows, which depends on the row space alone (its reduced row
+    echelon form is unique), so those few rows give the full kernel.
     """
     if d < 1:
         raise DegreeTooSmall("degree must be at least 1")
     if d > 5:
         raise DegreeTooLarge("degree capped at 5 (factorial growth)")
     perms = list(permutations(range(d)))
-    ncols = len(perms)
-    letters = range(alg.dim)
     ctx, basis = alg.ctx, [_payloads(m, alg.ctx) for m in alg.basis]
     words = {(i,): m for i, m in enumerate(basis)}
-    for length in range(2, d + 1):
-        for w in product(letters, repeat=length):
-            words[w] = mat_mul(ctx, words[w[:-1]], basis[w[-1]])
-    # the nonzero cells of each length-d word, found once: (cell, payload)
-    # pairs, cells numbered row-major
-    nonzero = {w: [(i, x) for i, x in enumerate(x for r in m for x in r)
-                   if not ctx.is_zero(x)]
-               for w, m in words.items() if len(w) == d}
+    for _ in range(d - 1):
+        words = {w + (i,): m for w, a in words.items()
+                 for i, b in enumerate(basis)
+                 if not all(map(ctx.is_zero,
+                                chain(*(m := mat_mul(ctx, a, b)))))}
+    # at[i][a]: the nonzero words with a at position i, and their cells
+    at = [[[] for _ in basis] for _ in range(d)]
+    for w, m in words.items():
+        nz = [(i, x) for i, x in enumerate(chain(*m)) if not ctx.is_zero(x)]
+        for i, a in enumerate(w):
+            at[i][a].append((w, nz))
+    inverses = [[perm.index(j) for j in range(d)] for perm in perms]
     tracker = SpanTracker(lambda k: k, alg.ctx)
-    for t in product(letters, repeat=d):
+    for first in range(len(basis)):
+        # the rows of the tuples t = w o perm^-1 whose first letter is first
         rows = {}
-        for k, perm in enumerate(perms):
-            for cell, x in nonzero[tuple(map(t.__getitem__, perm))]:
-                rows.setdefault(cell, {})[k] = x
-        for cell in sorted(rows):
-            if tracker.insert(rows[cell]) and tracker.rank == ncols:
+        for k, inverse in enumerate(inverses):
+            for w, nz in at[inverse[0]][first]:
+                t = tuple(map(w.__getitem__, inverse))
+                for cell, x in nz:
+                    rows.setdefault((t, cell), {})[k] = x
+        for key in sorted(rows):
+            if tracker.insert(rows[key]) and tracker.rank == len(perms):
                 return IdentitySpace(d, perms, [], alg.ctx)
-    return IdentitySpace(d, perms, tracker.kernel(ncols), alg.ctx)
+    return IdentitySpace(d, perms, tracker.kernel(len(perms)), alg.ctx)

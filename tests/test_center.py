@@ -11,6 +11,8 @@ from orepi import (
     CentralSet,
     FieldCtx,
     NCPoly,
+    Presentation,
+    RewriteRule,
     build_family,
     central_candidates,
     coeff_to_str,
@@ -592,6 +594,33 @@ def test_irreducible_words_brute_force(p):
     assert irreducible_words(p, 6) == _brute_force_words(p, 6)
 
 
+def _wide_lhs_presentations(QQ):
+    """Left sides of other lengths than the zoo's 2 and 3 letters: t -> 3
+    beside y x -> 2 x y, and the self-overlapping y x y x -> 2 x x y y
+    beside t y -> 3 y t."""
+    two, three = QQ.from_int(2), QQ.from_int(3)
+    x, y, t = 0, 1, 2
+    names = ("x", "y", "t")
+    return [Presentation(QQ, names, (1, 1, 1), names, [
+                RewriteRule((y, x), [(two, (x, y))]),
+                RewriteRule((t,), [(three, ())])]),
+            Presentation(QQ, names, (1, 1, 1), names, [
+                RewriteRule((y, x, y, x), [(two, (x, x, y, y))]),
+                RewriteRule((t, y), [(three, (y, t))])])]
+
+
+def test_irreducible_words_with_one_and_four_letter_left_sides(QQ):
+    # the letters that may follow a word depend on its last (longest
+    # left side - 1) letters: a table keyed on fewer lets y x y x through
+    one_letter, four_letters = _wide_lhs_presentations(QQ)
+    assert max(len(r.lhs) for r in four_letters.rules) == 4
+    assert min(len(r.lhs) for r in one_letter.rules) == 1
+    for p in (one_letter, four_letters):
+        assert irreducible_words(p, 7) == _brute_force_words(p, 7)
+    words = irreducible_words(four_letters, 7)
+    assert (1, 0, 1) in words and (1, 0, 1, 0) not in words
+
+
 def test_spanning_h_at_roots(cyclo3):
     spec = spec_hpq(cyclo3, cyclo3.from_int(-1), cyclo3.generator())
     p = build_family(spec)
@@ -823,6 +852,12 @@ def test_spanning_rows_build_and_unwrap_no_coeff(monkeypatch, cyclo3):
     r = spanning_check(p, central_candidates(spec), caps, 9)
     assert (r.ok, r.rank, r.missing) == (True, 715, [])
     assert calls["left_multiply"] == 600
-    assert calls["insert"] > 600 and calls["contains"] > 0
+    # the residual columns are dropped, not eliminated, and every dropped
+    # row is independent here, so the rank proves the span full: one
+    # insert per rank beyond the residuals, and no membership sweep
+    residuals = [w for w in _brute_force_words(p, 9)
+                 if all(w.count(g) < 3 for g in range(4))]
+    assert calls["insert"] == r.rank - len(residuals) == 634
+    assert calls["contains"] == 0
     assert built == []
     assert read and all(c is p.one for c in read)

@@ -374,6 +374,48 @@ def test_identity_corpus_at_specialized_parameters(field):
     assert n_checks == 359
 
 
+def _instances_over(field):
+    """One presentation of each corpus family over Q(params), and the
+    specialized instances over Q, Q(z12) and GF(7^2)."""
+    if field == "Q(params)":
+        return [_presentation_for(family)
+                for family in dict.fromkeys(f for _, f in CORPUS)]
+    if field == "Q":
+        ctx = FieldCtx.rational()
+        q, r = ctx.from_int(3), ctx.from_int(2)
+    elif field == "Q(z12)":
+        ctx = FieldCtx.cyclotomic(12)
+        q, r = ctx.root_of_unity(6), ctx.root_of_unity(4)
+    else:
+        ctx = FieldCtx.galois(7, [3, 1, 1])
+        q, r = ctx.generator(), ctx.generator() + 1
+    return [build_family(spec) for spec in _specialized_instances(ctx, q, r)]
+
+
+@pytest.mark.parametrize("field", ["Q(params)", "Q", "Q(z12)", "GF(49)"])
+def test_right_sides_equal_their_monomials_added_one_by_one(field,
+                                                            monkeypatch):
+    # each right side is built in one payload dict; adding its monomials
+    # one NCPoly at a time gives the same polynomial, term order included
+    cases = [(lemma, p) for p in _instances_over(field)
+             for lemma, family in CORPUS
+             if family == p.family and not ORACLES[lemma].relation_only]
+
+    def right_sides():
+        return {(i, n, label): rhs for i, (lemma, p) in enumerate(cases)
+                for n in range(ORACLES[lemma].min_n, 9)
+                for label, _, rhs in oracle_rhs(lemma, p, n)}
+    built = right_sides()
+    monkeypatch.setattr(identities, "_rhs", lambda p, monos: sum(
+        (NCPoly.monomial(c, p.word(*names)) for c, names in monos),
+        NCPoly.zero()))
+    added = right_sides()
+    assert built.keys() == added.keys() and len(built) > 8 * len(cases)
+    for key, rhs in built.items():
+        assert rhs == added[key], (cases[key[0]][0], key)
+        assert list(rhs.vals) == list(added[key].vals)
+
+
 # ---------------------------------------------------------------------------
 # oracle cost and the running primitives
 # ---------------------------------------------------------------------------

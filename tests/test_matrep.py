@@ -147,14 +147,12 @@ def _mat_mul_dense(a, b):
                        for j in range(n)) for i in range(n))
 
 
-def _search_reference(alg, d):
-    """The per-tuple search: every permuted product of every basis tuple
-    multiplied out, all rows eliminated at once."""
+def _reference_rows(alg, d):
+    """The rows of the per-tuple search, basis tuple by basis tuple and
+    cell by cell in row-major order: every permuted product of the tuple
+    multiplied out, one Coeff per permutation (itertools order)."""
     from itertools import permutations, product
-
-    from orepi.linalg import dense_kernel
     perms = list(permutations(range(d)))
-    rows = []
     for t in product(alg.basis, repeat=d):
         prods = []
         for perm in perms:
@@ -164,8 +162,15 @@ def _search_reference(alg, d):
             prods.append(prod)
         for r in range(alg.n):
             for c in range(alg.n):
-                rows.append([m[r][c] for m in prods])
-    return dense_kernel(rows, len(perms), alg.ctx)
+                yield [m[r][c] for m in prods]
+
+
+def _search_reference(alg, d):
+    """The per-tuple search: all rows eliminated at once."""
+    from math import factorial
+
+    from orepi.linalg import dense_kernel
+    return dense_kernel(list(_reference_rows(alg, d)), factorial(d), alg.ctx)
 
 
 def _conjugated_m2(ctx, a):
@@ -216,6 +221,47 @@ def test_identity_search_matches_per_tuple_reference(build, d):
     ref = _search_reference(alg, d)
     assert space.dim == len(ref)
     assert space.basis == ref
+
+
+@pytest.mark.parametrize("build,d", _search_cases())
+def test_search_feeds_the_tracker_the_reference_rows(build, d, monkeypatch):
+    # the rows fanned out from the nonzero words reach the tracker as the
+    # per-tuple search's nonzero rows, in its (tuple, cell) order, up to
+    # the early exit at rank d!; no product extends a zero prefix
+    from math import factorial
+
+    from orepi import matrep
+    from orepi.linalg import SpanTracker
+    alg = build()
+    ctx = alg.ctx
+    want = [row for row in ({k: c.val for k, c in enumerate(r)
+                             if not c.is_zero()}
+                            for r in _reference_rows(alg, d)) if row]
+    full = SpanTracker(lambda k: k, ctx)
+    for n, row in enumerate(want, 1):
+        if full.insert(row) and full.rank == factorial(d):
+            del want[n:]
+            break
+    fed, prefixes = [], []
+    real_insert, real_mul = SpanTracker.insert, matrep.mat_mul
+
+    def insert(self, row):
+        fed.append(dict(row))
+        return real_insert(self, row)
+
+    def mat_mul(ctx, a, b):
+        prefixes.append(a)
+        return real_mul(ctx, a, b)
+    monkeypatch.setattr(SpanTracker, "insert", insert)
+    monkeypatch.setattr(matrep, "mat_mul", mat_mul)
+    multilinear_identity_search(alg, d)
+    assert len(fed) == len(want)
+    for got, row in zip(fed, want):
+        assert got.keys() == row.keys()
+        assert all(ctx.eq(got[k], v) for k, v in row.items())
+    assert len(prefixes) > 0 or d == 1
+    assert not any(all(map(ctx.is_zero, (x for r in a for x in r)))
+                   for a in prefixes)
 
 
 @pytest.mark.parametrize("ctx", [
