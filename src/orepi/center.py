@@ -88,7 +88,7 @@ def central_candidates(spec):
         raise HypothesisNotMet(f"no candidate table for family {spec.family}")
     p = build_family(spec)
     with product_memo():
-        return handler(spec, p)
+        return handler(p)
 
 
 def _ord_or_fail(value, what):
@@ -112,8 +112,8 @@ def bqf_routes(n, f):
     return not bad, n >= 2 and all(j % n == 0 for j in supp), bad
 
 
-def _cand_bh(spec, p):
-    ell = _ord_or_fail(spec.scalars["h"], "h")
+def _cand_bh(p):
+    ell = _ord_or_fail(p.params["h"], "h")
     u, s, v, t = bh_uvst(p)
     els = [
         (f"u^{2 * ell}", power(p, u, 2 * ell)),
@@ -126,17 +126,17 @@ def _cand_bh(spec, p):
                       caps=caps)
 
 
-def _cand_hpq(spec, p):
-    n = _ord_or_fail(spec.scalars["p"], "p")
-    m = _ord_or_fail(spec.scalars["q"], "q")
+def _cand_hpq(p):
+    n = _ord_or_fail(p.params["p"], "p")
+    m = _ord_or_fail(p.params["q"], "q")
     els = _powers(p, ("x", "y"), m * n) + _powers(p, ("t",), n)
     return CentralSet(els, condition=f"ord(p)={n}, ord(q)={m}",
                       caps={"x": m * n, "y": m * n, "t": n})
 
 
-def _cand_m2(spec, p):
-    la = _ord_or_fail(spec.scalars["alpha"], "alpha")
-    lb = _ord_or_fail(spec.scalars["beta"], "beta")
+def _cand_m2(p):
+    la = _ord_or_fail(p.params["alpha"], "alpha")
+    lb = _ord_or_fail(p.params["beta"], "beta")
     ell = lcm(la, lb)
     names = ("X11", "X12", "X21", "X22")
     return CentralSet(_powers(p, names, ell),
@@ -144,8 +144,8 @@ def _cand_m2(spec, p):
                       caps=dict.fromkeys(names, ell))
 
 
-def _cand_uqb2(spec, p):
-    ell = _ord_or_fail(spec.scalars["q"], "q")
+def _cand_uqb2(p):
+    ell = _ord_or_fail(p.params["q"], "q")
     if ell < 5:
         raise HypothesisNotMet(
             f"central powers need a primitive root of order >= 5, got {ell}")
@@ -155,12 +155,13 @@ def _cand_uqb2(spec, p):
                       caps={"z": 1, "e1": ell, "e2": ell, "e3": ell})
 
 
-def _cand_weyl(spec, p):
-    n = spec.n
-    orders = [_ord_or_fail(qi, f"q{i + 1}") for i, qi in enumerate(spec.q_list)]
+def _cand_weyl(p):
+    qs, lam = p.params["q_list"], p.params["lam"]
+    n = len(qs)
+    orders = [_ord_or_fail(qi, f"q{i + 1}") for i, qi in enumerate(qs)]
     for i in range(n):
         for j in range(i + 1, n):
-            orders.append(_ord_or_fail(spec.lam[i][j], f"lambda_{i + 1}{j + 1}"))
+            orders.append(_ord_or_fail(lam[i][j], f"lambda_{i + 1}{j + 1}"))
     ell = lcm(*orders)
     names = [g for i in range(1, n + 1) for g in (f"x{i}", f"y{i}")]
     return CentralSet(_powers(p, names, ell),
@@ -168,8 +169,8 @@ def _cand_weyl(spec, p):
                       caps=dict.fromkeys(names, ell))
 
 
-def _cand_three_cyclic(spec, p):
-    q2 = spec.scalars["q"] ** 2
+def _cand_three_cyclic(p):
+    q2 = p.params["q"] ** 2
     if q2.is_one():
         raise HypothesisNotMet("q^2 = 1 is excluded")
     ell = _ord_or_fail(q2, "q^2")
@@ -179,7 +180,7 @@ def _cand_three_cyclic(spec, p):
                       caps=dict.fromkeys(names, ell))
 
 
-def _cand_bqf(spec, p):
+def _cand_bqf(p):
     """Bqf central candidates.
 
     Route 1 (n not dividing j+1 for all j in supp f): u^n, v^n.
@@ -188,8 +189,8 @@ def _cand_bqf(spec, p):
     p | n alternative can never trigger because unit orders in GF(p^k)
     divide p^k - 1 and are coprime to p.
     """
-    n = _ord_or_fail(spec.scalars["q"], "q")
-    route1, route2, bad = bqf_routes(n, spec.f_coeffs)
+    n = _ord_or_fail(p.params["q"], "q")
+    route1, route2, bad = bqf_routes(n, p.params["f_coeffs"])
     if not route1 and not route2:
         msg = f"n={n} divides j+1 for j in {bad}; no centrality route applies"
         if p.ctx.kind == "galois":
@@ -211,8 +212,8 @@ def _cand_bqf(spec, p):
     return CentralSet(els, condition=cond, caps=caps)
 
 
-def _cand_quantum_plane(spec, p):
-    n = _ord_or_fail(spec.scalars["q"], "q")
+def _cand_quantum_plane(p):
+    n = _ord_or_fail(p.params["q"], "q")
     return CentralSet(_powers(p, ("x", "y"), n), condition=f"ord(q)={n}",
                       caps={"x": n, "y": n})
 
@@ -489,13 +490,13 @@ def downup_center_generators(spec, roots=None):
     only s + t <= (m - w - 1) + (e - 1): at most m + e - 2 letters u and
     as many d.  Weights w < 0 mirror this with d^m.
     """
-    return _downup_center(spec, build_family(spec), roots)
+    return _downup_center(build_family(spec), roots)
 
 
-def _downup_center(spec, p, roots=None):
-    """downup_center_generators in p, spec's built presentation."""
-    ctx = spec.ctx
-    al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
+def _downup_center(p, roots=None):
+    """downup_center_generators in p, a spec's built presentation."""
+    ctx = p.ctx
+    al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
     lam, mu = _quadratic_roots(ctx, al, be, roots)
     one = ctx.one()
 

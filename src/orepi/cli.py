@@ -33,7 +33,7 @@ from .matrep import multilinear_identity_search, quantum_plane_rep
 from .pidecide import QPlaneWitness, pi_decide, verify_witness
 from .presentations import (
     FAMILIES,
-    _PARAMETERS,
+    _FAMILIES,
     FamilySpec,
     Presentation,
     RewriteRule,
@@ -50,7 +50,8 @@ _WEYL_PARAMS = ("n", "q1..qn", "l12..")
 # the builders' parameter table, under the command-line names where the
 # builders read structured data
 FAMILY_PARAMS = dict(
-    _PARAMETERS, WeylMalt=_WEYL_PARAMS, WeylAJ=_WEYL_PARAMS,
+    {family: rec.parameters for family, rec in _FAMILIES.items()},
+    WeylMalt=_WEYL_PARAMS, WeylAJ=_WEYL_PARAMS,
     BiQuad3=("q1", "q2", "q3", "a", "b", "c", "al", "be", "ga",
              "la", "mu", "nu", "b1", "b2", "b3"),
     Bqf=("q", "f (via --f)"))
@@ -237,7 +238,7 @@ def build_spec(family, ctx, params, f_text=None):
         return spec_biquad3(ctx, v[:3], (v[3:6], v[6:9], v[9:12]), v[12:])
     if family == "Bqf":
         return spec_bqf(ctx, params["q"], f)
-    return FamilySpec(family, ctx, scalars=params)
+    return FamilySpec(family, ctx, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ class ParseError(OrepiError):
 
 class PreconditionViolation(OrepiError):
     """A validity condition on an operation's input fails: a family
-    parameter its builder refuses (the two subclasses below), beta = 0
-    given to gwa_auto_order (BetaZero), a decider's family condition,
-    down-up roots that are not roots of t^2 - alpha t - beta, or a
-    spanning check's caps."""
+    parameter its builder refuses (the two subclasses below) or does not
+    read, a malformed Presentation (repeated names, a weight below 1, an
+    incomplete precedence), beta = 0 given to gwa_auto_order (BetaZero),
+    a decider's family condition, down-up roots that are not roots of
+    t^2 - alpha t - beta, or a spanning check's caps."""
 
 
 class ZeroParameter(PreconditionViolation):
@@ -107,5 +108,5 @@ class DegreeTooSmall(OrepiError):
 
 class ParametersRequired(OrepiError):
     """A family parameter value is missing: the family's builder needs
-    it and the spec (or --params) lacks it, or a command that needs
-    values got a presentation file, which carries none."""
+    it and the spec (or --params) lacks it, or code that reads values
+    got a presentation read from a file, which carries none."""

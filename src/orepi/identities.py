@@ -21,7 +21,8 @@ from itertools import accumulate, chain, count, islice, pairwise, repeat
 from math import comb
 from operator import add, mul
 
-from .errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes, ZeroInput
+from .errors import (FamilyMismatch, LemmaRangeError, ParametersRequired,
+                     QFactorialVanishes, ZeroInput)
 from .rewrite import (
     NCPoly,
     multiply,
@@ -125,13 +126,22 @@ def d_a(a, q):
 # ---------------------------------------------------------------------------
 
 
+def _values(p, family, mismatch):
+    """p's parameter values: a FamilyMismatch (message mismatch) unless p
+    is of family, a ParametersRequired if it has none (read from a file)."""
+    if p.family != family:
+        raise FamilyMismatch(mismatch)
+    if not p.params:
+        raise ParametersRequired(f"{family} needs its parameter values; "
+                                 "a presentation file has none")
+    return p.params
+
+
 def theta_element(p):
     """theta = (1-pq) yx - t, as a normal-form element of the Heisenberg family."""
-    if p.family != "Hpq":
-        raise FamilyMismatch("theta lives in Hpq")
-    pp, qq = p.params["p"], p.params["q"]
+    v = _values(p, "Hpq", "theta lives in Hpq")
     one = p.ctx.one()
-    return normal_form(p, [(one - pp * qq, p.word("y", "x")),
+    return normal_form(p, [(one - v["p"] * v["q"], p.word("y", "x")),
                            (-one, p.word("t"))])
 
 
@@ -148,9 +158,8 @@ def weyl_z(p, i):
 
 def cyc3_e(p):
     """e = xz - q^2 beta / (q^2 - 1) in the 3-cyclic family (needs q^2 != 1)."""
-    if p.family != "ThreeCyclic":
-        raise FamilyMismatch("e lives in the 3-cyclic family")
-    q, be = p.params["q"], p.params["beta"]
+    v = _values(p, "ThreeCyclic", "e lives in the 3-cyclic family")
+    q, be = v["q"], v["beta"]
     q2 = q * q
     shift = q2 * be / (q2 - 1)
     return normal_form(p, [(p.ctx.one(), p.word("x", "z")), (-shift, ())])
@@ -168,8 +177,9 @@ def bh_uvst(p):
 
 def bqf_f(p, name):
     """f evaluated at the generator name of a B_q(f) presentation."""
+    f = _values(p, "Bqf", "f lives in the B_q(f) family")["f_coeffs"]
     g = p.gen(name)
-    return NCPoly({(g,) * j: cj for j, cj in enumerate(p.params["f"])
+    return NCPoly({(g,) * j: cj for j, cj in enumerate(f)
                    if not cj.is_zero()})
 
 
@@ -180,9 +190,7 @@ def _bqf_delta_step(p):
     sigma(u) = qu and sigma(v) = q^-1 v.  Products are reduced inside the
     quantum plane, so this is independent of the w-rules that Lemma-style
     checks exercise."""
-    if p.family != "Bqf":
-        raise FamilyMismatch("delta is the B_q(f) skew derivation")
-    q = p.params["q"]
+    q = _values(p, "Bqf", "delta is the B_q(f) skew derivation")["q"]
     u, v = p.gen("u"), p.gen("v")
     sigma = {u: NCPoly.monomial(q, (u,)), v: NCPoly.monomial(q.inv(), (v,))}
     delta = {u: bqf_f(p, "v"), v: bqf_f(p, "u")}
@@ -380,12 +388,12 @@ def _oracle_weyl(raised):
         return (f"x{i}", f"y{i}", f"{raised}{i}",
                 lambda p: p.params["q_list"][i - 1], tail)
     return lambda p: _oracle_commute(
-        *[row(i) for i in range(1, p.params["n"] + 1)])(p)
+        *[row(i) for i in range(1, len(p.params["q_list"]) + 1)])(p)
 
 
 def _oracle_weyl_zi(p):
     qs = p.params["q_list"]
-    n = p.params["n"]
+    n = len(qs)
     out = []
     zs = {i: weyl_z(p, i) for i in range(1, n + 1)}
     for i in range(1, n + 1):
@@ -423,7 +431,7 @@ def _bqf_delta_terms(p, g):
     sigma(g)^k g^k w + delta(g^k), sigma(u) = q u, sigma(v) = q^-1 v."""
     q = p.params["q"]
     seqs = []  # ([k]_x, its cofactor, t^j) for each term c_j t^j of f
-    for j, cj in enumerate(p.params["f"]):
+    for j, cj in enumerate(p.params["f_coeffs"]):
         if cj.is_zero():
             continue
         if g == "u":
@@ -448,7 +456,8 @@ def _oracle_bqf_delta(g):
 
 
 def _oracle_bqf_wku(p):
-    f = [(j, cj) for j, cj in enumerate(p.params["f"]) if not cj.is_zero()]
+    f = [(j, cj) for j, cj in enumerate(p.params["f_coeffs"])
+         if not cj.is_zero()]
     cq = []  # the (i, j, c_j q^i) for i < k and the terms c_j t^j of f
     for k, (qi, qk) in enumerate(pairwise(_powers(p.params["q"])), 1):
         cq += [(k - 1, j, cj * qi) for j, cj in f]
@@ -546,9 +555,8 @@ def _lemma(lemma_id, p):
     info = ORACLES.get(lemma_id)
     if info is None:
         raise FamilyMismatch(f"unknown lemma id {lemma_id!r}")
-    if p.family != info.family:
-        raise FamilyMismatch(f"{lemma_id} lives in family {info.family}, "
-                             f"got {p.family}")
+    _values(p, info.family,
+            f"{lemma_id} lives in family {info.family}, got {p.family}")
     return info
 
 
@@ -661,8 +669,8 @@ def biquad3_violating_instance(ctx, rng, root_order=12):
     """Perturb a consistent instance so at least one condition fails."""
     from .presentations import biquad3_conditions, spec_biquad3
     spec = biquad3_consistent_instance(ctx, rng, root_order=root_order)
-    (a, b, c), (al, be, ga), (la, mu, nu) = spec.tails
-    b1, b2, b3 = spec.consts
+    (a, b, c), (al, be, ga), (la, mu, nu) = spec.params["tails"]
+    b1, b2, b3 = spec.params["consts"]
     one = ctx.one()
     choice = rng.randrange(4)
     if choice == 0:
@@ -673,7 +681,7 @@ def biquad3_violating_instance(ctx, rng, root_order=12):
         c = c + one            # breaks (1 - q2 q3) c = 0
     else:
         b3 = b3 + one          # breaks the x1-coefficient condition
-    out = spec_biquad3(ctx, spec.q_list,
+    out = spec_biquad3(ctx, spec.params["q_list"],
                        ((a, b, c), (al, be, ga), (la, mu, nu)), (b1, b2, b3))
     assert any(not v.is_zero() for _, v in biquad3_conditions(out))
     return out

@@ -98,7 +98,7 @@ def _subalgebra_witness(p, yname_or_poly, xname_or_poly, param, label):
 
 
 def _decide_bh(spec, p):
-    h = spec.scalars["h"]
+    h = p.params["h"]
     ell = h.multiplicative_order()
     if ell is not None:
         return _pi(spec, f"h is a root of unity of order {ell}")
@@ -112,7 +112,7 @@ def _decide_bh(spec, p):
 
 
 def _decide_hpq(spec, p):
-    pp, qq = spec.scalars["p"], spec.scalars["q"]
+    pp, qq = p.params["p"], p.params["q"]
     if (pp * qq).is_one():
         raise PreconditionViolation("pq = 1 is excluded")
     n = pp.multiplicative_order()
@@ -138,7 +138,7 @@ def _decide_hpq(spec, p):
 
 
 def _decide_m2(spec, p):
-    a, b = spec.scalars["alpha"], spec.scalars["beta"]
+    a, b = p.params["alpha"], p.params["beta"]
     na, nb = a.multiplicative_order(), b.multiplicative_order()
     if na is not None and nb is not None:
         return _pi(spec, f"alpha, beta roots of unity (orders {na}, {nb})")
@@ -151,7 +151,7 @@ def _decide_m2(spec, p):
 
 
 def _decide_uqb2(spec, p):
-    q = spec.scalars["q"]
+    q = p.params["q"]
     ell = q.multiplicative_order()
     if ell is None:
         w = _subalgebra_witness(p, "e1", "e3", (q * q).inv(),
@@ -166,8 +166,8 @@ def _decide_uqb2(spec, p):
 
 
 def _decide_weyl(spec, p):
-    n = spec.n
-    qs, lam = spec.q_list, spec.lam
+    qs, lam = p.params["q_list"], p.params["lam"]
+    n = len(qs)
     orders = {}
     for i, qi in enumerate(qs):
         orders[f"q{i + 1}"] = qi.multiplicative_order()
@@ -198,7 +198,7 @@ def _decide_weyl(spec, p):
 
 
 def _decide_three_cyclic(spec, p):
-    q = spec.scalars["q"]
+    q = p.params["q"]
     q2 = q * q
     if q2.is_one():
         raise PreconditionViolation("q^2 = 1 is excluded")
@@ -214,8 +214,8 @@ def _decide_three_cyclic(spec, p):
 
 
 def _decide_downup(spec, p):
-    al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
-    order = gwa_auto_order(spec.ctx, al, be, ga)
+    al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
+    order = gwa_auto_order(p.ctx, al, be, ga)
     lam, mu = order.roots
     ol, om = lam.multiplicative_order(), mu.multiplicative_order()
     cond5 = (lam != mu and ol is not None and om is not None
@@ -238,17 +238,17 @@ def _decide_downup(spec, p):
 
 
 def _decide_bqf(spec, p):
-    if spec.ctx.kind == "galois":
+    if p.ctx.kind == "galois":
         raise PreconditionViolation(
             "the PI decider assumes characteristic zero; over GF(p) only "
             "the centrality route (u^n, v^n) applies")
-    q = spec.scalars["q"]
+    q = p.params["q"]
     n = q.multiplicative_order()
     if n is None:
         w = _subalgebra_witness(p, "u", "v", q, "u v = q v u")
         return PiVerdict(NOT_PI, "q is not a root of unity; the quantum "
                          "plane on u, v is not PI", witness=w)
-    route_nj1, route_nj, bad = bqf_routes(n, spec.f_coeffs)
+    route_nj1, route_nj, bad = bqf_routes(n, p.params["f_coeffs"])
     if route_nj:
         return _pi(spec, f"ord(q) = {n} divides every exponent in "
                    "supp(f): module-finite over f(u), f(v), w^n and "
@@ -264,7 +264,7 @@ def _decide_bqf(spec, p):
 
 
 def _decide_quantum_plane(spec, p):
-    q = spec.scalars["q"]
+    q = p.params["q"]
     n = q.multiplicative_order()
     if n is not None:
         return _pi(spec, f"q root of unity of order {n}")

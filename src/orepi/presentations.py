@@ -8,19 +8,18 @@ algebra family; all of them produce orientations that the validator
 accepts for every legal parameter choice.
 """
 
+from collections import namedtuple
+
 from .errors import (
     DownUpNotNoetherian,
+    FamilyMismatch,
     NonAntisymmetricLambda,
     OrientationFailure,
     ParametersRequired,
+    PreconditionViolation,
     ZeroParameter,
 )
 from .rewrite import overlap_check, rule_table
-
-FAMILIES = (
-    "Bh", "Hpq", "M2", "UqB2", "WeylMalt", "WeylAJ",
-    "BiQuad3", "ThreeCyclic", "DownUp", "Bqf", "QuantumPlane",
-)
 
 
 class RewriteRule:
@@ -46,7 +45,8 @@ class RewriteRule:
 
 
 class Presentation:
-    """Immutable presentation over one coefficient field."""
+    """Immutable presentation over one coefficient field; ``params`` is
+    its FamilySpec's dict itself ({} for a file or custom presentation)."""
 
     __slots__ = ("ctx", "names", "weights", "precedence", "rules",
                  "family", "params", "one", "by_first", "inert", "min_lhs",
@@ -57,16 +57,17 @@ class Presentation:
         self.ctx = ctx
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
-            raise ValueError("generator names must be unique")
+            raise PreconditionViolation("generator names must be unique")
         self.weights = tuple(weights)
         if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive")
+            raise PreconditionViolation("weights must be positive")
         self.precedence = tuple(precedence)
         if sorted(self.precedence) != sorted(self.names):
-            raise ValueError("precedence must list every generator once")
+            raise PreconditionViolation(
+                "precedence must list every generator once")
         self.rules = tuple(rules)
         self.family = family
-        self.params = dict(params or {})
+        self.params = {} if params is None else params
         self._index = {n: i for i, n in enumerate(self.names)}
         rank_of_name = {n: r for r, n in enumerate(self.precedence)}
         self._rank = tuple(rank_of_name[n] for n in self.names)
@@ -139,43 +140,45 @@ def validate_orientation(p):
 
 
 class FamilySpec:
-    """Tagged parameter record selecting one algebra family.
-
-    Scalar parameters live in ``scalars``; structured data (a lambda
-    matrix, a coefficient list for f, the 3x3 tail matrix) in dedicated
-    fields.  Use the ``spec_*`` helpers rather than building directly.
-    A spec is fixed once built: build_family stores its presentation on
-    it (``_built``) and returns that one object for every later call.
+    """Tagged parameter record selecting one algebra family:
+    ``FamilySpec(family, ctx, **params)``, one dict keyed by the names
+    the family's builder reads (any other is a PreconditionViolation),
+    which its presentation holds too; ``spec.<name>`` reads params[name].
+    Use the ``spec_*`` helpers rather than building directly.  A spec is
+    fixed once built: build_family stores its presentation on it
+    (``_built``) and returns that one object for every later call.
     """
 
-    __slots__ = ("family", "ctx", "scalars", "lam", "q_list", "f_coeffs",
-                 "tails", "consts", "n", "_built")
+    __slots__ = ("family", "ctx", "params", "_built")
 
-    def __init__(self, family, ctx, scalars=None, lam=None, q_list=None,
-                 f_coeffs=None, tails=None, consts=None, n=None):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
+    def __init__(self, family, ctx, **params):
+        if family not in _FAMILIES:
+            raise FamilyMismatch(f"unknown family {family!r}")
+        unknown = [k for k in params if k not in _FAMILIES[family].parameters]
+        if unknown:
+            raise PreconditionViolation(
+                f"{family} reads no parameter {', '.join(unknown)}")
         self.family = family
         self.ctx = ctx
-        self.scalars = dict(scalars or {})
-        self.lam = lam
-        self.q_list = q_list
-        self.f_coeffs = f_coeffs
-        self.tails = tails
-        self.consts = consts
-        self.n = n
+        self.params = params
         self._built = None
+
+    def __getattr__(self, name):
+        try:
+            return object.__getattribute__(self, "params")[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
     def __repr__(self):
         return f"<FamilySpec {self.family} over {self.ctx!r}>"
 
 
 def spec_bh(ctx, h):
-    return FamilySpec("Bh", ctx, scalars={"h": h})
+    return FamilySpec("Bh", ctx, h=h)
 
 
 def spec_hpq(ctx, p, q):
-    return FamilySpec("Hpq", ctx, scalars={"p": p, "q": q})
+    return FamilySpec("Hpq", ctx, p=p, q=q)
 
 
 def spec_hq(ctx, q):
@@ -184,17 +187,17 @@ def spec_hq(ctx, q):
 
 
 def spec_m2(ctx, alpha, beta):
-    return FamilySpec("M2", ctx, scalars={"alpha": alpha, "beta": beta})
+    return FamilySpec("M2", ctx, alpha=alpha, beta=beta)
 
 
 def spec_uqb2(ctx, q):
-    return FamilySpec("UqB2", ctx, scalars={"q": q})
+    return FamilySpec("UqB2", ctx, q=q)
 
 
 def spec_weyl(ctx, q_list, lam, variant="maltsiniotis"):
     family = "WeylMalt" if variant == "maltsiniotis" else "WeylAJ"
     return FamilySpec(family, ctx, q_list=tuple(q_list),
-                      lam=tuple(tuple(row) for row in lam), n=len(q_list))
+                      lam=tuple(tuple(row) for row in lam))
 
 
 def spec_biquad3(ctx, q_triple, tails, consts):
@@ -206,23 +209,21 @@ def spec_biquad3(ctx, q_triple, tails, consts):
 
 
 def spec_three_cyclic(ctx, q, alpha, beta, gamma):
-    return FamilySpec("ThreeCyclic", ctx,
-                      scalars={"q": q, "alpha": alpha, "beta": beta, "gamma": gamma})
+    return FamilySpec("ThreeCyclic", ctx, q=q, alpha=alpha, beta=beta,
+                      gamma=gamma)
 
 
 def spec_downup(ctx, alpha, beta, gamma):
-    return FamilySpec("DownUp", ctx,
-                      scalars={"alpha": alpha, "beta": beta, "gamma": gamma})
+    return FamilySpec("DownUp", ctx, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def spec_bqf(ctx, q, f_coeffs):
     """f_coeffs: ascending coefficients of f in k[t] (may be empty for f = 0)."""
-    return FamilySpec("Bqf", ctx, scalars={"q": q},
-                      f_coeffs=tuple(f_coeffs))
+    return FamilySpec("Bqf", ctx, q=q, f_coeffs=tuple(f_coeffs))
 
 
 def spec_quantum_plane(ctx, q):
-    return FamilySpec("QuantumPlane", ctx, scalars={"q": q})
+    return FamilySpec("QuantumPlane", ctx, q=q)
 
 
 # ---------------------------------------------------------------------------
@@ -230,26 +231,10 @@ def spec_quantum_plane(ctx, q):
 # ---------------------------------------------------------------------------
 
 
-def _require_units(ctx, named):
+def _require_units(named):
     for name, value in named.items():
         if value.is_zero():
             raise ZeroParameter(f"parameter {name} must be nonzero")
-
-
-# what each builder reads: scalars by name, structured data by FamilySpec field
-_PARAMETERS = {
-    "Bh": ("h",),
-    "Hpq": ("p", "q"),
-    "M2": ("alpha", "beta"),
-    "UqB2": ("q",),
-    "WeylMalt": ("q_list", "lam"),
-    "WeylAJ": ("q_list", "lam"),
-    "BiQuad3": ("q_list", "tails", "consts"),
-    "ThreeCyclic": ("q", "alpha", "beta", "gamma"),
-    "DownUp": ("alpha", "beta", "gamma"),
-    "Bqf": ("q", "f_coeffs"),
-    "QuantumPlane": ("q",),
-}
 
 
 def require_parameters(family, missing):
@@ -261,16 +246,17 @@ def require_parameters(family, missing):
 
 def build_family(spec):
     """Oriented presentation for the given family instance, built on the
-    first call and returned by every later one.  A parameter the family
-    needs and spec lacks is a ParametersRequired; the family's builder,
-    which returns names, weights, precedence and rules, is the one check
-    of the values (a PreconditionViolation for a refused one)."""
+    first call and returned by every later one; its params are spec's
+    dict itself.  A parameter the family needs and spec lacks is a
+    ParametersRequired; the family's builder, which returns names,
+    weights, precedence and rules, is the one check of the values (a
+    PreconditionViolation for a refused one)."""
     if spec._built is None:
+        parameters, build = _FAMILIES[spec.family]
         require_parameters(spec.family, [
-            k for k in _PARAMETERS[spec.family]
-            if spec.scalars.get(k) is None and getattr(spec, k, None) is None])
-        pres = Presentation(spec.ctx, *_BUILDERS[spec.family](spec),
-                            family=spec.family, params=_echo(spec))
+            k for k in parameters if spec.params.get(k) is None])
+        pres = Presentation(spec.ctx, *build(spec), family=spec.family,
+                            params=spec.params)
         for _, ok, bad in validate_orientation(pres):
             if not ok:
                 raise OrientationFailure(f"rhs term {bad} not below lhs")
@@ -278,27 +264,10 @@ def build_family(spec):
     return spec._built
 
 
-def _echo(spec):
-    out = dict(spec.scalars)
-    if spec.q_list is not None:
-        out["q_list"] = spec.q_list
-    if spec.lam is not None:
-        out["lam"] = spec.lam
-    if spec.f_coeffs is not None:
-        out["f"] = spec.f_coeffs
-    if spec.tails is not None:
-        out["tails"] = spec.tails
-    if spec.consts is not None:
-        out["consts"] = spec.consts
-    if spec.n is not None:
-        out["n"] = spec.n
-    return out
-
-
 def _build_bh(spec):
     ctx = spec.ctx
-    h = spec.scalars["h"]
-    _require_units(ctx, {"h": h})
+    h = spec.params["h"]
+    _require_units({"h": h})
     names = ("x1", "x2", "y1", "y2")
     one = ctx.one()
     x1, x2, y1, y2 = 0, 1, 2, 3
@@ -315,8 +284,8 @@ def _build_bh(spec):
 
 def _build_hpq(spec):
     ctx = spec.ctx
-    p, q = spec.scalars["p"], spec.scalars["q"]
-    _require_units(ctx, {"p": p, "q": q})
+    p, q = spec.params["p"], spec.params["q"]
+    _require_units({"p": p, "q": q})
     names = ("t", "x", "y")
     t, x, y = 0, 1, 2
     one = ctx.one()
@@ -330,8 +299,8 @@ def _build_hpq(spec):
 
 def _build_m2(spec):
     ctx = spec.ctx
-    a, b = spec.scalars["alpha"], spec.scalars["beta"]
-    _require_units(ctx, {"alpha": a, "beta": b})
+    a, b = spec.params["alpha"], spec.params["beta"]
+    _require_units({"alpha": a, "beta": b})
     names = ("X11", "X12", "X21", "X22")
     X11, X12, X21, X22 = 0, 1, 2, 3
     rules = [
@@ -348,8 +317,8 @@ def _build_m2(spec):
 
 def _build_uqb2(spec):
     ctx = spec.ctx
-    q = spec.scalars["q"]
-    _require_units(ctx, {"q": q})
+    q = spec.params["q"]
+    _require_units({"q": q})
     names = ("z", "e3", "e1", "e2")
     z, e3, e1, e2 = 0, 1, 2, 3
     one = ctx.one()
@@ -379,10 +348,9 @@ def _check_lambda(lam, n):
 
 def _build_weyl(spec):
     ctx = spec.ctx
-    n = spec.n
-    qs = spec.q_list
-    lam = spec.lam
-    _require_units(ctx, {f"q{i+1}": qi for i, qi in enumerate(qs)})
+    qs, lam = spec.params["q_list"], spec.params["lam"]
+    n = len(qs)
+    _require_units({f"q{i+1}": qi for i, qi in enumerate(qs)})
     _check_lambda(lam, n)
     alternative = spec.family == "WeylAJ"
     names = tuple(f"{s}{i+1}" for i in range(n) for s in ("x", "y"))
@@ -423,11 +391,10 @@ def _build_weyl(spec):
 
 
 def _build_biquad3(spec):
-    ctx = spec.ctx
-    q1, q2, q3 = spec.q_list
-    _require_units(ctx, {"q1": q1, "q2": q2, "q3": q3})
-    (a, b, c), (al, be, ga), (la, mu, nu) = spec.tails
-    b1, b2, b3 = spec.consts
+    q1, q2, q3 = spec.params["q_list"]
+    _require_units({"q1": q1, "q2": q2, "q3": q3})
+    (a, b, c), (al, be, ga), (la, mu, nu) = spec.params["tails"]
+    b1, b2, b3 = spec.params["consts"]
     names = ("x1", "x2", "x3")
     x1, x2, x3 = 0, 1, 2
     def tail(u, v, w, const):
@@ -442,10 +409,8 @@ def _build_biquad3(spec):
 
 
 def _build_three_cyclic(spec):
-    ctx = spec.ctx
-    q = spec.scalars["q"]
-    _require_units(ctx, {"q": q})
-    al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
+    q, al, be, ga = (spec.params[k] for k in ("q", "alpha", "beta", "gamma"))
+    _require_units({"q": q})
     names = ("x", "y", "z")
     x, y, z = 0, 1, 2
     q2 = q * q
@@ -459,7 +424,7 @@ def _build_three_cyclic(spec):
 
 
 def _build_downup(spec):
-    al, be, ga = (spec.scalars[k] for k in ("alpha", "beta", "gamma"))
+    al, be, ga = (spec.params[k] for k in ("alpha", "beta", "gamma"))
     if be.is_zero():
         raise DownUpNotNoetherian("beta = 0: not Noetherian, no PBW word basis")
     names = ("u", "d")
@@ -472,10 +437,9 @@ def _build_downup(spec):
 
 
 def _build_bqf(spec):
-    ctx = spec.ctx
-    q = spec.scalars["q"]
-    _require_units(ctx, {"q": q})
-    f = spec.f_coeffs
+    q = spec.params["q"]
+    _require_units({"q": q})
+    f = spec.params["f_coeffs"]
     deg = len(f) - 1 if f else 0
     names = ("v", "u", "w")
     v, u, w = 0, 1, 2
@@ -492,27 +456,30 @@ def _build_bqf(spec):
 
 
 def _build_quantum_plane(spec):
-    ctx = spec.ctx
-    q = spec.scalars["q"]
-    _require_units(ctx, {"q": q})
+    q = spec.params["q"]
+    _require_units({"q": q})
     names = ("x", "y")
     rules = [RewriteRule((1, 0), [(q, (0, 1))])]
     return names, (1, 1), names, rules
 
 
-_BUILDERS = {
-    "Bh": _build_bh,
-    "Hpq": _build_hpq,
-    "M2": _build_m2,
-    "UqB2": _build_uqb2,
-    "WeylMalt": _build_weyl,
-    "WeylAJ": _build_weyl,
-    "BiQuad3": _build_biquad3,
-    "ThreeCyclic": _build_three_cyclic,
-    "DownUp": _build_downup,
-    "Bqf": _build_bqf,
-    "QuantumPlane": _build_quantum_plane,
+# each family's record: the parameters its builder reads, and the builder
+_Family = namedtuple("_Family", "parameters build")
+_FAMILIES = {
+    "Bh": _Family(("h",), _build_bh),
+    "Hpq": _Family(("p", "q"), _build_hpq),
+    "M2": _Family(("alpha", "beta"), _build_m2),
+    "UqB2": _Family(("q",), _build_uqb2),
+    "WeylMalt": _Family(("q_list", "lam"), _build_weyl),
+    "WeylAJ": _Family(("q_list", "lam"), _build_weyl),
+    "BiQuad3": _Family(("q_list", "tails", "consts"), _build_biquad3),
+    "ThreeCyclic": _Family(("q", "alpha", "beta", "gamma"),
+                           _build_three_cyclic),
+    "DownUp": _Family(("alpha", "beta", "gamma"), _build_downup),
+    "Bqf": _Family(("q", "f_coeffs"), _build_bqf),
+    "QuantumPlane": _Family(("q",), _build_quantum_plane),
 }
+FAMILIES = tuple(_FAMILIES)
 
 
 def biquad3_conditions(spec):
@@ -523,9 +490,9 @@ def biquad3_conditions(spec):
     reductions of x3*x2*x1 (cross-checked against the rewrite engine's
     critical-pair residual in the tests).
     """
-    q1, q2, q3 = spec.q_list
-    (a, b, c), (al, be, ga), (la, mu, nu) = spec.tails
-    b1, b2, b3 = spec.consts
+    q1, q2, q3 = spec.params["q_list"]
+    (a, b, c), (al, be, ga), (la, mu, nu) = spec.params["tails"]
+    b1, b2, b3 = spec.params["consts"]
     one = spec.ctx.one()
     conds = [
         ("C1", (one - q3) * al - (one - q2) * mu),

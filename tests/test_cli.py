@@ -602,15 +602,36 @@ def test_normalize_file_with_a_one_letter_left_side(tmp_path):
         assert out["checks"][0]["detail"] == nf
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"generators": ["x", "y", "x"], "weights": [1, 1, 1],
+      "precedence": ["x", "y", "x"]}, "generator names must be unique"),
+    ({"weights": [1, 0]}, "weights must be positive"),
+    ({"precedence": ["x"]}, "precedence must list every generator once"),
+])
+def test_a_malformed_presentation_file_is_a_precondition_violation(
+        tmp_path, change, message):
+    doc = {"field": {"kind": "rational"}, "generators": ["x", "y"],
+           "weights": [1, 1], "precedence": ["x", "y"],
+           "rules": [{"lhs": ["y", "x"],
+                      "rhs": [{"coeff": "2", "word": ["x", "y"]}]}]}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(dict(doc, **change)), encoding="utf-8")
+    code, out = run(["normalize", "--file", str(path), "--poly", "y*x"])
+    assert code == 1
+    assert [c["detail"] for c in out["checks"]] == \
+        [f"PreconditionViolation: {message}"]
+
+
 @pytest.fixture
 def build_counts(monkeypatch):
     """Calls of the family builders and of overlap_check, counted."""
     counts = Counter()
-    for family, builder in list(presentations._BUILDERS.items()):
-        def build(spec, builder=builder):
+    for family, rec in list(presentations._FAMILIES.items()):
+        def build(spec, builder=rec.build):
             counts["builds"] += 1
             return builder(spec)
-        monkeypatch.setitem(presentations._BUILDERS, family, build)
+        monkeypatch.setitem(presentations._FAMILIES, family,
+                            rec._replace(build=build))
     overlap_check = presentations.overlap_check
 
     def overlap(p):
@@ -664,4 +685,4 @@ def test_a_refused_parameter_is_one_error_everywhere(family, params, error):
         entries.append(downup_center_generators)
     for entry in entries:
         with pytest.raises(error):
-            entry(FamilySpec(family, QQ, scalars=values))
+            entry(FamilySpec(family, QQ, **values))

@@ -26,13 +26,21 @@ from orepi import (
     spec_uqb2,
     spec_weyl,
 )
-from orepi.cli import parse_ncpoly
-from orepi.errors import FamilyMismatch, LemmaRangeError, QFactorialVanishes
+from orepi.cli import (parse_ncpoly, presentation_from_json,
+                       presentation_to_json)
+from orepi.errors import (
+    FamilyMismatch,
+    LemmaRangeError,
+    ParametersRequired,
+    QFactorialVanishes,
+)
 from orepi.fields import Coeff
 from orepi.identities import (
     ORACLES,
     b_coeff,
+    bh_uvst,
     bqf_delta,
+    bqf_f,
     c_a,
     c_coeff,
     cyc3_e,
@@ -303,7 +311,7 @@ def test_twisted_power_labels_parse_to_their_left_sides(lemma, family, field):
         if lemma == "M2.power_table":
             n_rows = 10
         else:
-            n_rows = p.params["n"] if family == "WeylMalt" else 1
+            n_rows = len(p.params["q_list"]) if family == "WeylMalt" else 1
         for n in range(ORACLES[lemma].min_n, 7):
             checks = oracle_rhs(lemma, p, n)
             assert len(checks) == n_rows
@@ -533,3 +541,49 @@ def test_a_wrong_running_primitive_fails_every_lemma_that_reads_it(
         if lemma in readers:
             assert not rep.all_pass, (lemma, p.family)
     assert some_readers <= readers
+
+
+def test_a_presentation_without_values_is_parameters_required(rat_pq):
+    # a presentation read back from `build --out` JSON keeps its family
+    # tag and rules but carries no parameter values
+    a, b = rat_pq.param("p"), rat_pq.param("q")
+    one = rat_pq.one()
+    specs = {
+        "Hpq": spec_hpq(rat_pq, a, b),
+        "M2": spec_m2(rat_pq, a, b),
+        "ThreeCyclic": spec_three_cyclic(rat_pq, b, a, one, a + 1),
+        "Bqf": spec_bqf(rat_pq, b, (one, a)),
+        "WeylMalt": spec_weyl(rat_pq, (a, b), ((one, a), (a.inv(), one))),
+        "Bh": spec_bh(rat_pq, a),
+    }
+    built = {fam: build_family(spec) for fam, spec in specs.items()}
+    files = {fam: presentation_from_json(presentation_to_json(p))
+             for fam, p in built.items()}
+    for fam, p in files.items():
+        assert p == built[fam] and p.family == fam and p.params == {}
+    missing = "needs its parameter values; a presentation file has none$"
+    for fam, lemma in (("Hpq", "H.yxn"), ("M2", "M2.k1"),
+                       ("ThreeCyclic", "Cyc3.e_rel"), ("Bqf", "Bqf.wuk"),
+                       ("WeylMalt", "Weyl.xky"), ("Bh", "Bh.commute")):
+        with pytest.raises(ParametersRequired, match=f"^{fam} {missing}"):
+            oracle_rhs(lemma, files[fam], 3)
+        with pytest.raises(ParametersRequired, match=f"^{fam} {missing}"):
+            check_paper_identity(lemma, files[fam], 3)
+        assert check_paper_identity(lemma, built[fam], 3).all_pass
+    hpq, cyc, bqf, m2 = (files[f] for f in ("Hpq", "ThreeCyclic", "Bqf",
+                                            "M2"))
+    for element, p in ((theta_element, hpq), (cyc3_e, cyc),
+                       (lambda p: bqf_f(p, "u"), bqf),
+                       (lambda p: bqf_delta(p, p.word("u", "v")), bqf)):
+        with pytest.raises(ParametersRequired, match=missing):
+            element(p)
+    # a wrong family is a FamilyMismatch first
+    for wrong in (lambda: theta_element(m2), lambda: cyc3_e(hpq),
+                  lambda: bqf_f(m2, "X11"), lambda: bqf_delta(hpq, ()),
+                  lambda: oracle_rhs("H.yxn", m2, 3),
+                  lambda: check_paper_identity("M2.k1", hpq, 3)):
+        with pytest.raises(FamilyMismatch):
+            wrong()
+    # z_i and Bh's invariant quadratics read no value
+    assert weyl_z(files["WeylMalt"], 2) == weyl_z(built["WeylMalt"], 2)
+    assert bh_uvst(files["Bh"]) == bh_uvst(built["Bh"])

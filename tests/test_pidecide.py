@@ -299,13 +299,13 @@ def test_pi_caps_are_a_spanning_witness(QQ):
     ]
     for spec, cap in cases:
         v = pi_decide(spec)
-        assert v.verdict == "PI", spec.scalars
+        assert v.verdict == "PI", spec.params
         assert v.caps == v.witness.caps == {"u": cap, "d": cap}
         p = build_family(spec)
         default = 2 * cap + 2
         for degree in (default, default + 4):
             assert spanning_check(p, v.witness, v.caps, degree).ok, \
-                (spec.scalars, degree)
+                (spec.params, degree)
 
 
 def _not_pi_specs(QQ, cyclo3):

@@ -1,5 +1,7 @@
 """Family constructors, orientations, and the presentation data model."""
 
+import gc
+
 import pytest
 
 from orepi import (
@@ -8,6 +10,9 @@ from orepi import (
     Presentation,
     RewriteRule,
     build_family,
+    central_candidates,
+    normal_form,
+    pi_decide,
     spec_bh,
     spec_biquad3,
     spec_bqf,
@@ -19,15 +24,20 @@ from orepi import (
     spec_uqb2,
     spec_weyl,
     validate_orientation,
+    verify_witness,
 )
 from orepi.cli import presentation_from_json, presentation_to_json
 from orepi.errors import (
     DownUpNotNoetherian,
+    FamilyMismatch,
     NonAntisymmetricLambda,
     ParametersRequired,
+    PreconditionViolation,
     ZeroParameter,
 )
 from orepi.presentations import biquad3_conditions
+
+from test_rewrite import LEFT_FIELDS, confluent_zoo_specs, family_zoo_specs
 
 
 def lam2(ctx, l12):
@@ -174,12 +184,74 @@ def test_biquad3_condition_violation_example(QQ):
 
 
 def test_build_family_names_missing_parameters(QQ):
-    # scalars by name, structured data by its FamilySpec field
+    # every parameter by the name its builder reads
     with pytest.raises(ParametersRequired, match="Hpq needs a value for q$"):
-        build_family(FamilySpec("Hpq", QQ, scalars={"p": QQ.from_int(2)}))
+        build_family(FamilySpec("Hpq", QQ, p=QQ.from_int(2)))
     with pytest.raises(ParametersRequired,
                        match="WeylMalt needs a value for q_list, lam$"):
         build_family(FamilySpec("WeylMalt", QQ))
     with pytest.raises(ParametersRequired,
                        match="Bqf needs a value for q, f_coeffs$"):
         build_family(FamilySpec("Bqf", QQ))
+
+
+def test_weyl_spec_takes_its_size_from_q_list(QQ):
+    # no separate n: two values of q make two pairs x_i, y_i
+    q1, q2 = QQ.from_int(2), QQ.from_int(3)
+    spec = FamilySpec("WeylMalt", QQ, q_list=(q1, q2), lam=lam2(QQ, QQ.one()))
+    p = build_family(spec)
+    assert p.names == ("x1", "y1", "x2", "y2")
+    v = pi_decide(spec)
+    assert v.verdict == "NotPI"
+    assert v.reason == "q1 is not a root of unity"
+    assert v.witness.label == "z1 x1 = q1^-1 x1 z1"
+    assert v.witness.param == q1.inv()
+    assert verify_witness(spec, v.witness)
+    # spec.<name> reads the one dict; a name it lacks is no attribute
+    assert spec.q_list is spec.params["q_list"] is p.params["q_list"]
+    with pytest.raises(AttributeError):
+        spec.n
+
+
+def test_a_name_the_builder_does_not_read_is_refused(QQ):
+    two = QQ.from_int(2)
+    lam = lam2(QQ, QQ.one())
+    for n in (1, 2, 3):
+        with pytest.raises(PreconditionViolation,
+                           match="^WeylMalt reads no parameter n$"):
+            FamilySpec("WeylMalt", QQ, q_list=(two, two), lam=lam, n=n)
+    with pytest.raises(PreconditionViolation,
+                       match="^Hpq reads no parameter zz$"):
+        FamilySpec("Hpq", QQ, p=two, q=two, zz=two)
+    # the presentation's old name for f_coeffs, and a value of another
+    # family
+    with pytest.raises(PreconditionViolation,
+                       match="^Bqf reads no parameter f, h$"):
+        FamilySpec("Bqf", QQ, q=two, f=(two,), h=two)
+    with pytest.raises(FamilyMismatch, match="^unknown family 'Weyl'$"):
+        FamilySpec("Weyl", QQ)
+
+
+def test_a_presentation_holds_its_spec_dict():
+    # one dict of values, not a copy, for every zoo instance
+    specs = family_zoo_specs() + [spec for ctx in LEFT_FIELDS.values()
+                                  for spec in confluent_zoo_specs(ctx)]
+    for spec in specs:
+        assert build_family(spec).params is spec.params, spec
+
+
+def test_a_spec_and_its_presentation_form_no_reference_cycle():
+    # the presentation holds the spec's dict, not the spec, so dropping
+    # the spec frees both without the cyclic collector
+    c3 = FieldCtx.cyclotomic(3)
+    gc.collect()
+    gc.disable()
+    try:
+        spec = spec_hpq(c3, -c3.one(), c3.generator())
+        p = build_family(spec)
+        assert not normal_form(p, [(p.one, p.word("y", "x", "t"))]).is_zero()
+        assert len(central_candidates(spec)) == 3
+        del spec, p
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -116,27 +116,29 @@ def test_downup_nested_commutator_identity(QQ):
 IDEMPOTENCE_CASES = 60
 
 
-def family_zoo():
+def family_zoo_specs():
     QQ = FieldCtx.rational()
     rpq = FieldCtx.rational_functions(("p", "q"))
     c12 = FieldCtx.cyclotomic(12)
     rq = FieldCtx.rational_functions(("q",))
     lam = ((rpq.one(), rpq.param("p")), (rpq.param("p").inv(), rpq.one()))
     return [
-        build_family(spec_hpq(rpq, rpq.param("p"), rpq.param("q"))),
-        build_family(spec_bh(rq, rq.param("q"))),
-        build_family(spec_m2(rpq, rpq.param("p"), rpq.param("q"))),
-        build_family(spec_uqb2(rq, rq.param("q"))),
-        build_family(spec_weyl(rpq, (rpq.param("q"), rpq.param("q")), lam)),
-        build_family(spec_three_cyclic(rq, rq.param("q"), rq.one(),
-                                       rq.from_int(2), rq.from_int(3))),
-        build_family(spec_downup(QQ, QQ.from_int(2), QQ.from_int(-1),
-                                 QQ.one())),
-        build_family(spec_bqf(rq, rq.param("q"),
-                              (rq.zero(), rq.one(), rq.one()))),
-        build_family(spec_quantum_plane(rq, rq.param("q"))),
-        build_family(biquad3_consistent_instance(c12, __import__("random").Random(7))),
+        spec_hpq(rpq, rpq.param("p"), rpq.param("q")),
+        spec_bh(rq, rq.param("q")),
+        spec_m2(rpq, rpq.param("p"), rpq.param("q")),
+        spec_uqb2(rq, rq.param("q")),
+        spec_weyl(rpq, (rpq.param("q"), rpq.param("q")), lam),
+        spec_three_cyclic(rq, rq.param("q"), rq.one(), rq.from_int(2),
+                          rq.from_int(3)),
+        spec_downup(QQ, QQ.from_int(2), QQ.from_int(-1), QQ.one()),
+        spec_bqf(rq, rq.param("q"), (rq.zero(), rq.one(), rq.one())),
+        spec_quantum_plane(rq, rq.param("q")),
+        biquad3_consistent_instance(c12, random.Random(7)),
     ]
+
+
+def family_zoo():
+    return [build_family(spec) for spec in family_zoo_specs()]
 
 
 @pytest.mark.parametrize("p", family_zoo(),
@@ -337,16 +339,11 @@ def _generic_spec(family):
 def _specialize_spec(spec, assign, target):
     """spec with every coefficient specialized at the point assign."""
     def at(x):
-        if x is None:
-            return None
         if isinstance(x, tuple):
             return tuple(map(at, x))
         return x.specialize(assign, target)
     return FamilySpec(spec.family, target,
-                      {k: at(v) for k, v in spec.scalars.items()},
-                      lam=at(spec.lam), q_list=at(spec.q_list),
-                      f_coeffs=at(spec.f_coeffs), tails=at(spec.tails),
-                      consts=at(spec.consts), n=spec.n)
+                      **{k: at(v) for k, v in spec.params.items()})
 
 
 def _nonzero_value(ctx):
@@ -449,7 +446,7 @@ def wrapped(p, terms):
     return NCPoly({w: Coeff(p.ctx, v) for w, v in terms.items()})
 
 
-def confluent_zoo(ctx):
+def confluent_zoo_specs(ctx):
     """One instance of each of the 11 families, with small integer
     parameters that every test field accepts."""
     i = ctx.from_int
@@ -460,7 +457,7 @@ def confluent_zoo(ctx):
     biquad = spec_biquad3(ctx, (m1, m1, m1),
                           ((i(2), i(3), i(1)), (i(5), i(1), i(3)),
                            (i(4), i(5), i(2))), (i(1), i(2), i(3)))
-    specs = [
+    return [
         spec_bh(ctx, i(2)),
         spec_hpq(ctx, i(2), i(3)),
         spec_m2(ctx, i(2), i(3)),
@@ -473,7 +470,10 @@ def confluent_zoo(ctx):
         spec_bqf(ctx, i(2), (i(0), i(1), i(1))),
         spec_quantum_plane(ctx, i(3)),
     ]
-    return [build_family(s) for s in specs]
+
+
+def confluent_zoo(ctx):
+    return [build_family(spec) for spec in confluent_zoo_specs(ctx)]
 
 
 ZOO_FIELDS = {
