@@ -6,6 +6,8 @@ from .center import (
     AffineAuto,
     CentralSet,
     OrderResult,
+    PiVerdict,
+    QPlaneWitness,
     central_candidates,
     downup_center_generators,
     fixed_polynomials,
@@ -29,7 +31,7 @@ from .matrep import (
     quantum_plane_rep,
     standard_poly_eval,
 )
-from .pidecide import PiVerdict, QPlaneWitness, pi_decide, verify_witness
+from .pidecide import pi_decide, verify_witness
 from .presentations import (
     FAMILIES,
     FamilySpec,

@@ -1,13 +1,22 @@
-"""Centrality testing, central-element candidates, and the generalized
-Weyl automorphism analysis for down-up algebras.
+"""Centrality testing, and each family's PI criterion: its central-element
+candidates and its decider, side by side in one table; plus the
+generalized Weyl automorphism analysis for down-up algebras.
 
 The candidate constructors return the named elements whose centrality
 the root-of-unity hypotheses promise; they do not verify them (tests and
-callers do, through is_central).  The down-up analysis works through the
+callers do, through is_central).  Each decider evaluates the same
+root-of-unity criterion.  PI verdicts carry the central-element
+candidates that drive module-finiteness (when the route is
+module-finite); NotPI verdicts carry a quantum-plane witness: a pair of
+elements y, x with y x = param * x y in the algebra (subalgebra kind) or
+a normal element whose quotient is a quantum plane (quotient kind), with
+the witness parameter not a root of unity.  Unknown is reserved for the
+genuinely open B_q(f) gap.  The down-up analysis works through the
 polynomial automorphism phi(x) = y, phi(y) = alpha y + beta x + gamma of
 k[x,y], whose eigenvalues are the roots of t^2 - alpha t - beta.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -22,7 +31,7 @@ from .errors import (
     TrivialCenter,
 )
 from .fields import _factorize, _mp_add, _mp_mul
-from .identities import bh_uvst, bqf_f
+from .identities import bh_uvst, bqf_f, cyc3_e, theta_element, weyl_z
 from .linalg import SpanTracker, dense_kernel
 from .presentations import build_family
 from .rewrite import (
@@ -80,15 +89,89 @@ class CentralSet:
         return f"<CentralSet {{{', '.join(self.names())}}}>"
 
 
+PI, NOT_PI, UNKNOWN = "PI", "NotPI", "Unknown"
+
+DOWNUP_EQUIVALENT_CONDITIONS = (
+    "1: automorphism of finite order (roots-of-unity case)",
+    "2: finitely generated module over a central subalgebra",
+    "3: satisfies a polynomial identity",
+    "4: fully bounded Noetherian",
+    "5: roots of t^2 - alpha t - beta are distinct roots of unity"
+    " (and != 1 when gamma != 0)",
+)
+
+
+class QPlaneWitness:
+    """Quantum-plane evidence for a NotPI verdict.
+
+    subalgebra kind: y_elem * x_elem = param * x_elem * y_elem inside the
+    algebra.  quotient kind: ``factored`` is a normal element (normality
+    holds with the listed per-generator scalars) and the quotient is the
+    quantum plane on ``plane_gens`` with the given parameter.
+    """
+
+    __slots__ = ("kind", "x_elem", "y_elem", "param", "label",
+                 "factored", "factored_name", "normality", "plane_gens")
+
+    def __init__(self, kind, param, label, x_elem=None, y_elem=None,
+                 factored=None, factored_name=None, normality=None,
+                 plane_gens=None):
+        self.kind = kind
+        self.param = param
+        self.label = label
+        self.x_elem = x_elem
+        self.y_elem = y_elem
+        self.factored = factored
+        self.factored_name = factored_name
+        self.normality = normality
+        self.plane_gens = plane_gens
+
+    def __repr__(self):
+        return f"<QPlaneWitness {self.kind}: {self.label}>"
+
+
+class PiVerdict:
+    __slots__ = ("verdict", "reason", "witness", "caps", "details")
+
+    def __init__(self, verdict, reason, witness=None, caps=None, details=None):
+        self.verdict = verdict
+        self.reason = reason
+        self.witness = witness
+        self.caps = caps
+        self.details = dict(details or {})
+
+    def __repr__(self):
+        return f"<PiVerdict {self.verdict}: {self.reason}>"
+
+
+# a family's PI criterion: candidates(p) -> CentralSet, and
+# decide(spec, p) -> PiVerdict, p the spec's built presentation
+_Criterion = namedtuple("_Criterion", "candidates decide")
+
+
 def central_candidates(spec):
     """The named central elements each root-of-unity proposition yields.
     Their products share one product memo."""
-    handler = _CANDIDATES.get(spec.family)
-    if handler is None:
+    criterion = _CRITERIA.get(spec.family)
+    if criterion is None:
         raise HypothesisNotMet(f"no candidate table for family {spec.family}")
     p = build_family(spec)
     with product_memo():
-        return handler(p)
+        return criterion.candidates(p)
+
+
+def _pi(spec, reason, **details):
+    """A PI verdict witnessed by the family's central candidates, with the
+    caps of their module-finiteness witness (None when there is none)."""
+    cs = central_candidates(spec)
+    return PiVerdict(PI, reason, witness=cs, caps=cs.caps, details=details)
+
+
+def _subalgebra_witness(p, y, x, param, label):
+    """The witness y x = param x y, y and x each an element or the name of
+    a generator."""
+    y, x = (v if isinstance(v, NCPoly) else word_poly(p, v) for v in (y, x))
+    return QPlaneWitness("subalgebra", param, label, x_elem=x, y_elem=y)
 
 
 def _ord_or_fail(value, what):
@@ -126,12 +209,50 @@ def _cand_bh(p):
                       caps=caps)
 
 
+def _decide_bh(spec, p):
+    h = p.params["h"]
+    ell = h.multiplicative_order()
+    if ell is not None:
+        return _pi(spec, f"h is a root of unity of order {ell}")
+    w = _subalgebra_witness(p, "y1", bh_uvst(p)[0], -(h * h),
+                            "y1 * u = (-h^2) u * y1")
+    return PiVerdict(NOT_PI, "h is not a root of unity; the subalgebra on "
+                     "y1 and u = x1 x2 is a quantum plane with parameter "
+                     "-h^2", witness=w)
+
+
 def _cand_hpq(p):
     n = _ord_or_fail(p.params["p"], "p")
     m = _ord_or_fail(p.params["q"], "q")
     els = _powers(p, ("x", "y"), m * n) + _powers(p, ("t",), n)
     return CentralSet(els, condition=f"ord(p)={n}, ord(q)={m}",
                       caps={"x": m * n, "y": m * n, "t": n})
+
+
+def _decide_hpq(spec, p):
+    pp, qq = p.params["p"], p.params["q"]
+    if (pp * qq).is_one():
+        raise PreconditionViolation("pq = 1 is excluded")
+    n = pp.multiplicative_order()
+    m = qq.multiplicative_order()
+    if n is not None and m is not None:
+        return _pi(spec, f"p, q roots of unity (orders {n}, {m})")
+    one = p.ctx.one()
+    if m is None:
+        w = QPlaneWitness(
+            "quotient", qq, "H/tH is the quantum plane with parameter q",
+            factored=word_poly(p, "t"), factored_name="t",
+            normality=[("x", pp.inv()), ("y", pp), ("t", one)],
+            plane_gens=("x", "y"))
+        return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
+    th = theta_element(p)
+    w = QPlaneWitness(
+        "quotient", pp.inv(),
+        "H/theta H is the quantum plane with parameter p^-1",
+        factored=th, factored_name="theta = (1-pq) yx - t",
+        normality=[("x", qq), ("y", qq.inv()), ("t", one)],
+        plane_gens=("x", "y"))
+    return PiVerdict(NOT_PI, "p is not a root of unity", witness=w)
 
 
 def _cand_m2(p):
@@ -142,6 +263,19 @@ def _cand_m2(p):
     return CentralSet(_powers(p, names, ell),
                       condition=f"alpha, beta are {ell}-th roots of unity",
                       caps=dict.fromkeys(names, ell))
+
+
+def _decide_m2(spec, p):
+    a, b = p.params["alpha"], p.params["beta"]
+    na, nb = a.multiplicative_order(), b.multiplicative_order()
+    if na is not None and nb is not None:
+        return _pi(spec, f"alpha, beta roots of unity (orders {na}, {nb})")
+    if na is None:
+        w = _subalgebra_witness(p, "X12", "X11", a,
+                                "X12 * X11 = alpha X11 * X12")
+        return PiVerdict(NOT_PI, "alpha is not a root of unity", witness=w)
+    w = _subalgebra_witness(p, "X21", "X11", b, "X21 * X11 = beta X11 * X21")
+    return PiVerdict(NOT_PI, "beta is not a root of unity", witness=w)
 
 
 def _cand_uqb2(p):
@@ -155,18 +289,70 @@ def _cand_uqb2(p):
                       caps={"z": 1, "e1": ell, "e2": ell, "e3": ell})
 
 
-def _cand_weyl(p):
+def _decide_uqb2(spec, p):
+    q = p.params["q"]
+    ell = q.multiplicative_order()
+    if ell is None:
+        w = _subalgebra_witness(p, "e1", "e3", (q * q).inv(),
+                                "e1 * e3 = q^-2 e3 * e1")
+        return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
+    if ell >= 5:
+        return _pi(spec, f"q root of unity of order {ell} >= 5")
+    return PiVerdict(PI, f"q root of unity of order {ell} < 5: the "
+                     "central-powers proposition does not apply, no "
+                     "module-finiteness witness is attached",
+                     details={"gap": "below-centro2-threshold"})
+
+
+def _weyl_orders(p):
+    """Label -> multiplicative order (None off the roots of unity): each
+    q_i, then each lambda_ij with i < j."""
     qs, lam = p.params["q_list"], p.params["lam"]
     n = len(qs)
-    orders = [_ord_or_fail(qi, f"q{i + 1}") for i, qi in enumerate(qs)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            orders.append(_ord_or_fail(lam[i][j], f"lambda_{i + 1}{j + 1}"))
-    ell = lcm(*orders)
+    orders = {f"q{i + 1}": qi.multiplicative_order()
+              for i, qi in enumerate(qs)}
+    orders.update((f"lambda_{i + 1}{j + 1}", lam[i][j].multiplicative_order())
+                  for i in range(n) for j in range(i + 1, n))
+    return orders
+
+
+def _cand_weyl(p):
+    orders = _weyl_orders(p)
+    for label, m in orders.items():
+        if m is None:
+            raise HypothesisNotMet(f"{label} is not a root of unity")
+    ell = lcm(*orders.values())
+    n = len(p.params["q_list"])
     names = [g for i in range(1, n + 1) for g in (f"x{i}", f"y{i}")]
     return CentralSet(_powers(p, names, ell),
                       condition=f"all q_i, lambda_ij roots of unity; lcm {ell}",
                       caps=dict.fromkeys(names, ell))
+
+
+def _decide_weyl(spec, p):
+    qs, lam = p.params["q_list"], p.params["lam"]
+    n = len(qs)
+    orders = _weyl_orders(p)
+    if None not in orders.values():
+        return _pi(spec, "all q_i and lambda_ij are roots of unity")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if orders[f"lambda_{i + 1}{j + 1}"] is None:
+                w = _subalgebra_witness(
+                    p, f"y{i + 1}", f"y{j + 1}", lam[i][j],
+                    f"y{i + 1} y{j + 1} = lambda_{i + 1}{j + 1} "
+                    f"y{j + 1} y{i + 1}")
+                return PiVerdict(NOT_PI,
+                                 f"lambda_{i + 1}{j + 1} is not a root of "
+                                 "unity", witness=w)
+    for i in range(n):
+        if orders[f"q{i + 1}"] is None:
+            w = _subalgebra_witness(
+                p, weyl_z(p, i + 1), f"x{i + 1}", qs[i].inv(),
+                f"z{i + 1} x{i + 1} = q{i + 1}^-1 x{i + 1} z{i + 1}")
+            return PiVerdict(NOT_PI, f"q{i + 1} is not a root of unity",
+                             witness=w)
+    raise AssertionError("unreachable")
 
 
 def _cand_three_cyclic(p):
@@ -178,6 +364,19 @@ def _cand_three_cyclic(p):
     return CentralSet(_powers(p, names, ell),
                       condition=f"q^2 primitive root of order {ell}",
                       caps=dict.fromkeys(names, ell))
+
+
+def _decide_three_cyclic(spec, p):
+    q = p.params["q"]
+    q2 = q * q
+    if q2.is_one():
+        raise PreconditionViolation("q^2 = 1 is excluded")
+    ell = q2.multiplicative_order()
+    if ell is not None:
+        return _pi(spec, f"q^2 is a root of unity of order {ell}")
+    w = _subalgebra_witness(p, cyc3_e(p), "z", q2.inv(), "e z = q^-2 z e "
+                            "with e = xz - q^2 beta/(q^2-1)")
+    return PiVerdict(NOT_PI, "q^2 is not a root of unity", witness=w)
 
 
 def _cand_bqf(p):
@@ -212,10 +411,45 @@ def _cand_bqf(p):
     return CentralSet(els, condition=cond, caps=caps)
 
 
+def _decide_bqf(spec, p):
+    if p.ctx.kind == "galois":
+        raise PreconditionViolation(
+            "the PI decider assumes characteristic zero; over GF(p) only "
+            "the centrality route (u^n, v^n) applies")
+    q = p.params["q"]
+    n = q.multiplicative_order()
+    if n is None:
+        w = _subalgebra_witness(p, "u", "v", q, "u v = q v u")
+        return PiVerdict(NOT_PI, "q is not a root of unity; the quantum "
+                         "plane on u, v is not PI", witness=w)
+    route_nj1, route_nj, bad = bqf_routes(n, p.params["f_coeffs"])
+    if route_nj:
+        return _pi(spec, f"ord(q) = {n} divides every exponent in "
+                   "supp(f): module-finite over f(u), f(v), w^n and "
+                   "u^n, v^n")
+    if route_nj1:
+        return _pi(spec, f"ord(q) = {n} divides no j+1 for j in "
+                   "supp(f): PI by the dimension-counting route "
+                   "(u^n, v^n central; no finite spanning witness)",
+                   route="gk-dimension-route")
+    return PiVerdict(UNKNOWN, f"ord(q) = {n} divides j+1 for j in {bad}: "
+                     "outside both sufficient routes and no necessity "
+                     "argument applies", details={"gap_exponents": bad})
+
+
 def _cand_quantum_plane(p):
     n = _ord_or_fail(p.params["q"], "q")
     return CentralSet(_powers(p, ("x", "y"), n), condition=f"ord(q)={n}",
                       caps={"x": n, "y": n})
+
+
+def _decide_quantum_plane(spec, p):
+    q = p.params["q"]
+    n = q.multiplicative_order()
+    if n is not None:
+        return _pi(spec, f"q root of unity of order {n}")
+    w = _subalgebra_witness(p, "y", "x", q, "y x = q x y")
+    return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +476,7 @@ class AffineAuto:
         self.linear = tuple(tuple(row) for row in linear)
         (a, b), (c, d) = self.linear
         if (a * d - b * c).is_zero():
-            raise ValueError("linear part must be invertible")
+            raise PreconditionViolation("linear part must be invertible")
         self.translation = tuple(translation)
 
     def image(self, gen):
@@ -299,13 +533,14 @@ def downup_phi(ctx, alpha, beta, gamma):
 
 
 class OrderResult:
-    __slots__ = ("finite", "order", "case", "roots")
+    __slots__ = ("finite", "order", "case", "roots", "orders")
 
-    def __init__(self, finite, order, case, roots):
+    def __init__(self, finite, order, case, roots, orders):
         self.finite = finite
-        self.order = order  # int when finite
-        self.case = case    # tag for the infinite cases, None when finite
-        self.roots = roots  # (lambda, mu)
+        self.order = order    # int when finite
+        self.case = case      # tag for the infinite cases, None when finite
+        self.roots = roots    # (lambda, mu)
+        self.orders = orders  # (ord lambda, ord mu), None if no root of unity
 
     def __repr__(self):
         if self.finite:
@@ -374,6 +609,16 @@ def _quadratic_roots(ctx, alpha, beta, roots):
     return (alpha + s) / two, (alpha - s) / two
 
 
+def _downup_roots(ctx, alpha, beta, roots):
+    """(lambda, mu, ord lambda, ord mu) for the roots of t^2 - alpha t -
+    beta, with lambda = 1 whenever one root is 1; an order is None when
+    its root is no root of unity."""
+    lam, mu = _quadratic_roots(ctx, alpha, beta, roots)
+    if mu.is_one():
+        lam, mu = mu, lam
+    return lam, mu, lam.multiplicative_order(), mu.multiplicative_order()
+
+
 def gwa_auto_order(ctx, alpha, beta, gamma, roots=None):
     """Order analysis of the down-up automorphism phi.
 
@@ -385,35 +630,17 @@ def gwa_auto_order(ctx, alpha, beta, gamma, roots=None):
     """
     if beta.is_zero():
         raise BetaZero("beta must be nonzero")
-    lam, mu = _quadratic_roots(ctx, alpha, beta, roots)
-    one = ctx.one()
-    result = None
+    lam, mu, ol, om = _downup_roots(ctx, alpha, beta, roots)
     if lam == mu:
-        if lam == one:
-            result = OrderResult(False, None, "RepeatedRoot1", (lam, mu))
-        else:
-            result = OrderResult(False, None, "RepeatedRootJordanBlock", (lam, mu))
+        case = "RepeatedRoot1" if lam.is_one() else "RepeatedRootJordanBlock"
+    elif lam.is_one() and not gamma.is_zero():
+        case = "Lambda1GammaNonzero"
+    elif ol is None or om is None:
+        case = "DistinctRootsNotUnity"
     else:
-        if mu == one:  # normalize: the unit root, if any, is lam
-            lam, mu = mu, lam
-        if lam == one:
-            if not gamma.is_zero():
-                result = OrderResult(False, None, "Lambda1GammaNonzero", (lam, mu))
-            else:
-                m = mu.multiplicative_order()
-                if m is None:
-                    result = OrderResult(False, None, "DistinctRootsNotUnity",
-                                         (lam, mu))
-                else:
-                    result = OrderResult(True, m, None, (lam, mu))
-        else:
-            ml = lam.multiplicative_order()
-            mm = mu.multiplicative_order()
-            if ml is None or mm is None:
-                result = OrderResult(False, None, "DistinctRootsNotUnity",
-                                     (lam, mu))
-            else:
-                result = OrderResult(True, lcm(ml, mm), None, (lam, mu))
+        case = None
+    result = OrderResult(case is None, None if case else lcm(ol, om), case,
+                         (lam, mu), (ol, om))
     if ctx.char and not result.finite:
         # the affine maps of a finite field's plane form a finite group,
         # so phi has finite order here too, one this table does not compute
@@ -497,10 +724,10 @@ def _downup_center(p, roots=None):
     """downup_center_generators in p, a spec's built presentation."""
     ctx = p.ctx
     al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
-    lam, mu = _quadratic_roots(ctx, al, be, roots)
+    lam, mu, ml, mm = _downup_roots(ctx, al, be, roots)
     one = ctx.one()
 
-    if lam != mu and not lam.is_one() and not mu.is_one():
+    if lam != mu and not lam.is_one():  # then mu is not 1 either
         # omega_1 pairs with mu, omega_2 with lam
         w1 = {(1, 0): be * (mu - one), (0, 1): mu * (mu - one)}
         if not ga.is_zero():
@@ -508,13 +735,8 @@ def _downup_center(p, roots=None):
         w2 = {(1, 0): be * (lam - one), (0, 1): lam * (lam - one)}
         if not ga.is_zero():
             w2[(0, 0)] = ga * lam
-        ml = lam.multiplicative_order()
-        mm = mu.multiplicative_order()
-        els = []
-        m = None
-        if ml is not None and mm is not None:
-            m = lcm(ml, mm)
-            els += _powers(p, ("u", "d"), m)
+        m = None if ml is None or mm is None else lcm(ml, mm)
+        els = [] if m is None else _powers(p, ("u", "d"), m)
         bound = OMEGA_EXPONENT_BOUND if m is None else m
         degrees = []
         for i in range(bound + 1):
@@ -531,10 +753,8 @@ def _downup_center(p, roots=None):
             dict.fromkeys(("u", "d"), m + min(degrees) - 1)
         return CentralSet(els, condition=f"roots {lam!r}, {mu!r}", caps=caps)
 
-    if lam != mu:  # exactly one root equals 1; normalize lam = 1
-        if mu.is_one():
-            lam, mu = mu, lam
-        m = mu.multiplicative_order()
+    if lam != mu:  # exactly one root equals 1, and it is lam
+        m = mm
         if not ga.is_zero():
             if m is None:
                 raise TrivialCenter("lambda = 1, gamma != 0, mu not a root "
@@ -560,7 +780,7 @@ def _downup_center(p, roots=None):
 
     # repeated root
     if not lam.is_one():
-        m = lam.multiplicative_order()
+        m = ml
         if m is None:
             raise TrivialCenter("repeated non-unit root that is not a root "
                                 "of unity")
@@ -587,17 +807,42 @@ def _downup_center(p, roots=None):
     return CentralSet(els, condition="repeated root 1, gamma != 0")
 
 
-_CANDIDATES = {
-    "Bh": _cand_bh,
-    "Hpq": _cand_hpq,
-    "M2": _cand_m2,
-    "UqB2": _cand_uqb2,
-    "WeylMalt": _cand_weyl,
-    "WeylAJ": _cand_weyl,
-    "ThreeCyclic": _cand_three_cyclic,
-    "DownUp": _downup_center,
-    "Bqf": _cand_bqf,
-    "QuantumPlane": _cand_quantum_plane,
+def _decide_downup(spec, p):
+    al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
+    order = gwa_auto_order(p.ctx, al, be, ga)
+    lam, mu = order.roots
+    ol, om = order.orders
+    cond5 = (lam != mu and ol is not None and om is not None
+             and (ga.is_zero() or (not lam.is_one() and not mu.is_one())))
+    if cond5 != order.finite:
+        raise AssertionError("condition (5) disagrees with the "
+                             "automorphism-order route")
+    details = {
+        "equivalent_conditions": DOWNUP_EQUIVALENT_CONDITIONS,
+        "roots": (lam, mu),
+        "automorphism_order": order,
+    }
+    if cond5:
+        # the candidates' caps u^m, d^m carry m = lcm(ord lam, ord mu),
+        # the automorphism order
+        return _pi(spec, "condition (5): roots are distinct roots of "
+                   f"unity (orders {ol}, {om})", **details)
+    why = order.case or "DistinctRootsNotUnity"
+    return PiVerdict(NOT_PI, f"condition (5) fails: {why}", details=details)
+
+
+# BiQuad3 has no PI criterion: central_candidates and pi_decide refuse it
+_CRITERIA = {
+    "Bh": _Criterion(_cand_bh, _decide_bh),
+    "Hpq": _Criterion(_cand_hpq, _decide_hpq),
+    "M2": _Criterion(_cand_m2, _decide_m2),
+    "UqB2": _Criterion(_cand_uqb2, _decide_uqb2),
+    "WeylMalt": _Criterion(_cand_weyl, _decide_weyl),
+    "WeylAJ": _Criterion(_cand_weyl, _decide_weyl),
+    "ThreeCyclic": _Criterion(_cand_three_cyclic, _decide_three_cyclic),
+    "DownUp": _Criterion(_downup_center, _decide_downup),
+    "Bqf": _Criterion(_cand_bqf, _decide_bqf),
+    "QuantumPlane": _Criterion(_cand_quantum_plane, _decide_quantum_plane),
 }
 
 

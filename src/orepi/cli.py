@@ -19,7 +19,8 @@ import time
 from functools import lru_cache
 from math import lcm
 
-from .center import CentralSet, central_candidates, is_central, spanning_check
+from .center import (CentralSet, QPlaneWitness, central_candidates, is_central,
+                     spanning_check)
 from .errors import OrepiError, ParametersRequired, ParseError
 from .fields import (
     FieldCtx,
@@ -30,7 +31,7 @@ from .fields import (
 )
 from .identities import LEMMA_IDS, check_paper_identity
 from .matrep import multilinear_identity_search, quantum_plane_rep
-from .pidecide import QPlaneWitness, pi_decide, verify_witness
+from .pidecide import pi_decide, verify_witness
 from .presentations import (
     FAMILIES,
     _FAMILIES,

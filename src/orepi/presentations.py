@@ -346,10 +346,19 @@ def _check_lambda(lam, n):
                     f"lambda_{i+1}{j+1} * lambda_{j+1}{i+1} != 1")
 
 
+def _require_square(name, rows, n):
+    """Refuse a matrix that is not n x n, naming the shape it has."""
+    lengths = [len(row) for row in rows]
+    if lengths != [n] * n:
+        raise PreconditionViolation(
+            f"{name} must be {n}x{n}, got rows of lengths {lengths}")
+
+
 def _build_weyl(spec):
     ctx = spec.ctx
     qs, lam = spec.params["q_list"], spec.params["lam"]
     n = len(qs)
+    _require_square(f"lam (for {n} q_i)", lam, n)
     _require_units({f"q{i+1}": qi for i, qi in enumerate(qs)})
     _check_lambda(lam, n)
     alternative = spec.family == "WeylAJ"
@@ -391,10 +400,16 @@ def _build_weyl(spec):
 
 
 def _build_biquad3(spec):
-    q1, q2, q3 = spec.params["q_list"]
+    qs, tails, consts = (spec.params[k] for k in ("q_list", "tails", "consts"))
+    if len(qs) != 3 or len(consts) != 3:
+        raise PreconditionViolation(
+            f"BiQuad3 needs 3 q values and 3 consts, got {len(qs)} and "
+            f"{len(consts)}")
+    _require_square("tails", tails, 3)
+    q1, q2, q3 = qs
     _require_units({"q1": q1, "q2": q2, "q3": q3})
-    (a, b, c), (al, be, ga), (la, mu, nu) = spec.params["tails"]
-    b1, b2, b3 = spec.params["consts"]
+    (a, b, c), (al, be, ga), (la, mu, nu) = tails
+    b1, b2, b3 = consts
     names = ("x1", "x2", "x3")
     x1, x2, x3 = 0, 1, 2
     def tail(u, v, w, const):

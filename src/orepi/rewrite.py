@@ -436,18 +436,11 @@ def word_poly(p, *names):
 class CriticalPair:
     """One ambiguously reducible word and the outcome of both reductions."""
 
-    __slots__ = ("word", "kind", "rule_a", "rule_b", "pos_b",
-                 "reduct_a", "reduct_b", "nf_a", "nf_b", "residual")
+    __slots__ = ("word", "kind", "nf_a", "nf_b", "residual")
 
-    def __init__(self, word, kind, rule_a, rule_b, pos_b,
-                 reduct_a, reduct_b, nf_a, nf_b, residual):
+    def __init__(self, word, kind, nf_a, nf_b, residual):
         self.word = word
         self.kind = kind  # "overlap" or "containment"
-        self.rule_a = rule_a
-        self.rule_b = rule_b
-        self.pos_b = pos_b
-        self.reduct_a = reduct_a
-        self.reduct_b = reduct_b
         self.nf_a = nf_a
         self.nf_b = nf_b
         self.residual = residual
@@ -492,26 +485,22 @@ def overlap_check(p):
             # proper overlap: a suffix of la equals a prefix of lb
             for k in range(1, min(len(la), len(lb))):
                 if la[-k:] == lb[:k]:
-                    word = la + lb[k:]
-                    pos_b = len(la) - k
-                    pairs.append(_make_pair(p, word, "overlap",
-                                            ia, ra, ib, rb, pos_b))
+                    pairs.append(_make_pair(p, la + lb[k:], "overlap",
+                                            ra, rb, len(la) - k))
             # containment: lb occurs strictly inside la
             if ia != ib and len(lb) < len(la):
                 for t in range(len(la) - len(lb) + 1):
                     if la[t:t + len(lb)] == lb:
                         pairs.append(_make_pair(p, la, "containment",
-                                                ia, ra, ib, rb, t))
+                                                ra, rb, t))
     return ConfluenceReport(pairs)
 
 
-def _make_pair(p, word, kind, ia, ra, ib, rb, pos_b):
-    reduct_a = _apply_at(word, ra, 0)
-    reduct_b = _apply_at(word, rb, pos_b)
-    nf_a = normal_form(p, reduct_a)
-    nf_b = normal_form(p, reduct_b)
-    return CriticalPair(word, kind, ia, ib, pos_b, reduct_a, reduct_b,
-                        nf_a, nf_b, nf_a - nf_b)
+def _make_pair(p, word, kind, ra, rb, pos_b):
+    """The critical pair of word reduced by ra at 0 and by rb at pos_b."""
+    nf_a = normal_form(p, _apply_at(word, ra, 0))
+    nf_b = normal_form(p, _apply_at(word, rb, pos_b))
+    return CriticalPair(word, kind, nf_a, nf_b, nf_a - nf_b)
 
 
 def specialize_poly(poly, assignment, target_ctx):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -173,6 +174,13 @@ def test_gwa_order_errors(QQ):
         gwa_auto_order(QQ, i(1), i(1), i(0))  # discriminant 5
 
 
+def test_affine_auto_needs_an_invertible_linear_part(QQ):
+    zero, one, two = QQ.zero(), QQ.one(), QQ.from_int(2)
+    with pytest.raises(PreconditionViolation,
+                       match="^linear part must be invertible$"):
+        AffineAuto(QQ, ((one, two), (two, QQ.from_int(4))), (zero, zero))
+
+
 def test_beta_zero_is_a_precondition_violation(QQ):
     # every spec entry point reports beta = 0 as DownUpNotNoetherian, a
     # PreconditionViolation; gwa_auto_order, which takes field values,
@@ -256,6 +264,20 @@ def _same_roots(a, b):
     return (a[0] == b[0] and a[1] == b[1]) or (a[0] == b[1] and a[1] == b[0])
 
 
+def _check_root_analysis(result, gamma):
+    """The one root analysis behind a gwa_auto_order result: the orders of
+    its roots, condition (5) as its finiteness, and the automorphism order
+    as the lcm of the two orders."""
+    lam, mu = result.roots
+    assert result.orders == tuple(r.multiplicative_order()
+                                  for r in result.roots)
+    cond5 = (lam != mu and None not in result.orders
+             and (gamma.is_zero() or not (lam.is_one() or mu.is_one())))
+    assert result.finite == cond5
+    if result.finite:
+        assert result.order == lcm(*result.orders)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_roots_of_unity_found_without_hand_roots(n):
     # the roots lambda, mu of t^2 - alpha t - beta are found in Q(zeta_N)
@@ -277,6 +299,8 @@ def test_roots_of_unity_found_without_hand_roots(n):
             assert (got.finite, got.order, got.case) == \
                 (want.finite, want.order, want.case)
             assert _same_roots(got.roots, want.roots)
+            _check_root_analysis(got, gamma)
+            _check_root_analysis(want, gamma)
     # a root that is no root of unity and a discriminant with no rational
     # square root still need hand roots
     with pytest.raises(RootsRequired):
@@ -372,6 +396,8 @@ def test_downup_roots_in_characteristic_two(modulus):
                 assert _same_roots(auto.roots, hand)
                 assert (auto.finite, auto.order, auto.case) == \
                     (want.finite, want.order, want.case)
+                _check_root_analysis(auto, ctx.zero())
+                _check_root_analysis(want, ctx.zero())
             auto = _outcome(lambda: downup_center_generators(spec))
             want = _outcome(lambda: downup_center_generators(spec, roots=hand))
             if isinstance(want, type):

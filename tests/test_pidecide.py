@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 
 from orepi import (
+    FAMILIES,
     FieldCtx,
     NCPoly,
     QPlaneWitness,
     build_family,
+    central_candidates,
     is_central,
     pi_decide,
     spanning_check,
@@ -24,8 +26,14 @@ from orepi import (
     spec_weyl,
     verify_witness,
 )
-from orepi.errors import PreconditionViolation
+from orepi.errors import (
+    FamilyMismatch,
+    HypothesisNotMet,
+    PreconditionViolation,
+)
 from orepi.rewrite import gen_poly
+
+from test_rewrite import confluent_zoo_specs, family_zoo_specs
 
 
 def test_bh_verdicts(QQ):
@@ -344,3 +352,21 @@ def test_witness_with_one_scalar_changed_fails(QQ, cyclo3):
         for f in changed:
             assert not verify_witness(spec, QPlaneWitness(**f)), (spec, f)
     assert kinds == {"subalgebra", "quotient"}
+
+
+def test_every_family_but_biquad3_gets_a_verdict():
+    # one PI criterion per family: a verdict on each family's zoo instance
+    # (WeylAJ's from the confluent zoo), and BiQuad3, which has none, is
+    # refused by both entry points
+    specs = {}
+    for spec in family_zoo_specs() + confluent_zoo_specs(FieldCtx.rational()):
+        specs.setdefault(spec.family, spec)
+    assert set(specs) == set(FAMILIES)
+    for family, spec in specs.items():
+        if family == "BiQuad3":
+            with pytest.raises(FamilyMismatch, match="^no PI decider"):
+                pi_decide(spec)
+            with pytest.raises(HypothesisNotMet, match="^no candidate table"):
+                central_candidates(spec)
+        else:
+            assert pi_decide(spec).verdict in ("PI", "NotPI", "Unknown")

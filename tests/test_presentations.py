@@ -232,6 +232,29 @@ def test_a_name_the_builder_does_not_read_is_refused(QQ):
         FamilySpec("Weyl", QQ)
 
 
+def test_malformed_weyl_and_biquad3_values_are_typed(QQ):
+    # a lam of the wrong size, and BiQuad3 values that are not three q's,
+    # a 3x3 tails matrix and three consts, are refused by shape
+    two, z = QQ.from_int(2), QQ.zero()
+    lam = lam2(QQ, QQ.one())
+    for qs in ((two, two, two), (two,)):
+        with pytest.raises(PreconditionViolation,
+                           match=rf"^lam \(for {len(qs)} q_i\) must be "
+                                 rf"{len(qs)}x{len(qs)}, got rows of "
+                                 r"lengths \[2, 2\]$"):
+            build_family(FamilySpec("WeylMalt", QQ, q_list=qs, lam=lam))
+    tails = ((z, z, z),) * 3
+    with pytest.raises(PreconditionViolation,
+                       match="^BiQuad3 needs 3 q values and 3 consts, got 2 "
+                             "and 3$"):
+        build_family(spec_biquad3(QQ, (two, two), tails, (z, z, z)))
+    with pytest.raises(PreconditionViolation,
+                       match=r"^tails must be 3x3, got rows of lengths "
+                             r"\[3, 2, 3\]$"):
+        build_family(spec_biquad3(QQ, (two, two, two),
+                                  ((z, z, z), (z, z), (z, z, z)), (z, z, z)))
+
+
 def test_a_presentation_holds_its_spec_dict():
     # one dict of values, not a copy, for every zoo instance
     specs = family_zoo_specs() + [spec for ctx in LEFT_FIELDS.values()
