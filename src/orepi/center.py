@@ -131,21 +131,25 @@ class QPlaneWitness:
 
 
 class PiVerdict:
-    __slots__ = ("verdict", "reason", "witness", "caps", "details")
+    """A verdict, its reason and its witness: the family's CentralSet for
+    PI (its caps those of the module-finiteness witness), a
+    QPlaneWitness for NotPI."""
 
-    def __init__(self, verdict, reason, witness=None, caps=None, details=None):
+    __slots__ = ("verdict", "reason", "witness", "details")
+
+    def __init__(self, verdict, reason, witness=None, details=None):
         self.verdict = verdict
         self.reason = reason
         self.witness = witness
-        self.caps = caps
         self.details = dict(details or {})
 
     def __repr__(self):
         return f"<PiVerdict {self.verdict}: {self.reason}>"
 
 
-# a family's PI criterion: candidates(p) -> CentralSet, and
-# decide(spec, p) -> PiVerdict, p the spec's built presentation
+# a family's PI criterion: candidates(p) -> CentralSet, and decide(p) ->
+# PiVerdict, p a spec's built presentation; a PI verdict's witness is the
+# candidates in p
 _Criterion = namedtuple("_Criterion", "candidates decide")
 
 
@@ -158,13 +162,6 @@ def central_candidates(spec):
     p = build_family(spec)
     with product_memo():
         return criterion.candidates(p)
-
-
-def _pi(spec, reason, **details):
-    """A PI verdict witnessed by the family's central candidates, with the
-    caps of their module-finiteness witness (None when there is none)."""
-    cs = central_candidates(spec)
-    return PiVerdict(PI, reason, witness=cs, caps=cs.caps, details=details)
 
 
 def _subalgebra_witness(p, y, x, param, label):
@@ -209,11 +206,12 @@ def _cand_bh(p):
                       caps=caps)
 
 
-def _decide_bh(spec, p):
+def _decide_bh(p):
     h = p.params["h"]
     ell = h.multiplicative_order()
     if ell is not None:
-        return _pi(spec, f"h is a root of unity of order {ell}")
+        return PiVerdict(PI, f"h is a root of unity of order {ell}",
+                         witness=_cand_bh(p))
     w = _subalgebra_witness(p, "y1", bh_uvst(p)[0], -(h * h),
                             "y1 * u = (-h^2) u * y1")
     return PiVerdict(NOT_PI, "h is not a root of unity; the subalgebra on "
@@ -229,14 +227,15 @@ def _cand_hpq(p):
                       caps={"x": m * n, "y": m * n, "t": n})
 
 
-def _decide_hpq(spec, p):
+def _decide_hpq(p):
     pp, qq = p.params["p"], p.params["q"]
     if (pp * qq).is_one():
         raise PreconditionViolation("pq = 1 is excluded")
     n = pp.multiplicative_order()
     m = qq.multiplicative_order()
     if n is not None and m is not None:
-        return _pi(spec, f"p, q roots of unity (orders {n}, {m})")
+        return PiVerdict(PI, f"p, q roots of unity (orders {n}, {m})",
+                         witness=_cand_hpq(p))
     one = p.ctx.one()
     if m is None:
         w = QPlaneWitness(
@@ -265,11 +264,12 @@ def _cand_m2(p):
                       caps=dict.fromkeys(names, ell))
 
 
-def _decide_m2(spec, p):
+def _decide_m2(p):
     a, b = p.params["alpha"], p.params["beta"]
     na, nb = a.multiplicative_order(), b.multiplicative_order()
     if na is not None and nb is not None:
-        return _pi(spec, f"alpha, beta roots of unity (orders {na}, {nb})")
+        return PiVerdict(PI, f"alpha, beta roots of unity (orders {na}, "
+                         f"{nb})", witness=_cand_m2(p))
     if na is None:
         w = _subalgebra_witness(p, "X12", "X11", a,
                                 "X12 * X11 = alpha X11 * X12")
@@ -289,7 +289,7 @@ def _cand_uqb2(p):
                       caps={"z": 1, "e1": ell, "e2": ell, "e3": ell})
 
 
-def _decide_uqb2(spec, p):
+def _decide_uqb2(p):
     q = p.params["q"]
     ell = q.multiplicative_order()
     if ell is None:
@@ -297,7 +297,8 @@ def _decide_uqb2(spec, p):
                                 "e1 * e3 = q^-2 e3 * e1")
         return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
     if ell >= 5:
-        return _pi(spec, f"q root of unity of order {ell} >= 5")
+        return PiVerdict(PI, f"q root of unity of order {ell} >= 5",
+                         witness=_cand_uqb2(p))
     return PiVerdict(PI, f"q root of unity of order {ell} < 5: the "
                      "central-powers proposition does not apply, no "
                      "module-finiteness witness is attached",
@@ -329,12 +330,13 @@ def _cand_weyl(p):
                       caps=dict.fromkeys(names, ell))
 
 
-def _decide_weyl(spec, p):
+def _decide_weyl(p):
     qs, lam = p.params["q_list"], p.params["lam"]
     n = len(qs)
     orders = _weyl_orders(p)
     if None not in orders.values():
-        return _pi(spec, "all q_i and lambda_ij are roots of unity")
+        return PiVerdict(PI, "all q_i and lambda_ij are roots of unity",
+                         witness=_cand_weyl(p))
     for i in range(n):
         for j in range(i + 1, n):
             if orders[f"lambda_{i + 1}{j + 1}"] is None:
@@ -358,7 +360,7 @@ def _decide_weyl(spec, p):
 def _cand_three_cyclic(p):
     q2 = p.params["q"] ** 2
     if q2.is_one():
-        raise HypothesisNotMet("q^2 = 1 is excluded")
+        raise PreconditionViolation("q^2 = 1 is excluded")
     ell = _ord_or_fail(q2, "q^2")
     names = ("x", "y", "z")
     return CentralSet(_powers(p, names, ell),
@@ -366,14 +368,12 @@ def _cand_three_cyclic(p):
                       caps=dict.fromkeys(names, ell))
 
 
-def _decide_three_cyclic(spec, p):
-    q = p.params["q"]
-    q2 = q * q
-    if q2.is_one():
-        raise PreconditionViolation("q^2 = 1 is excluded")
+def _decide_three_cyclic(p):
+    q2 = p.params["q"] ** 2
     ell = q2.multiplicative_order()
     if ell is not None:
-        return _pi(spec, f"q^2 is a root of unity of order {ell}")
+        return PiVerdict(PI, f"q^2 is a root of unity of order {ell}",
+                         witness=_cand_three_cyclic(p))
     w = _subalgebra_witness(p, cyc3_e(p), "z", q2.inv(), "e z = q^-2 z e "
                             "with e = xz - q^2 beta/(q^2-1)")
     return PiVerdict(NOT_PI, "q^2 is not a root of unity", witness=w)
@@ -411,7 +411,7 @@ def _cand_bqf(p):
     return CentralSet(els, condition=cond, caps=caps)
 
 
-def _decide_bqf(spec, p):
+def _decide_bqf(p):
     if p.ctx.kind == "galois":
         raise PreconditionViolation(
             "the PI decider assumes characteristic zero; over GF(p) only "
@@ -424,14 +424,15 @@ def _decide_bqf(spec, p):
                          "plane on u, v is not PI", witness=w)
     route_nj1, route_nj, bad = bqf_routes(n, p.params["f_coeffs"])
     if route_nj:
-        return _pi(spec, f"ord(q) = {n} divides every exponent in "
-                   "supp(f): module-finite over f(u), f(v), w^n and "
-                   "u^n, v^n")
+        return PiVerdict(PI, f"ord(q) = {n} divides every exponent in "
+                         "supp(f): module-finite over f(u), f(v), w^n and "
+                         "u^n, v^n", witness=_cand_bqf(p))
     if route_nj1:
-        return _pi(spec, f"ord(q) = {n} divides no j+1 for j in "
-                   "supp(f): PI by the dimension-counting route "
-                   "(u^n, v^n central; no finite spanning witness)",
-                   route="gk-dimension-route")
+        return PiVerdict(PI, f"ord(q) = {n} divides no j+1 for j in "
+                         "supp(f): PI by the dimension-counting route "
+                         "(u^n, v^n central; no finite spanning witness)",
+                         witness=_cand_bqf(p),
+                         details={"route": "gk-dimension-route"})
     return PiVerdict(UNKNOWN, f"ord(q) = {n} divides j+1 for j in {bad}: "
                      "outside both sufficient routes and no necessity "
                      "argument applies", details={"gap_exponents": bad})
@@ -443,11 +444,12 @@ def _cand_quantum_plane(p):
                       caps={"x": n, "y": n})
 
 
-def _decide_quantum_plane(spec, p):
+def _decide_quantum_plane(p):
     q = p.params["q"]
     n = q.multiplicative_order()
     if n is not None:
-        return _pi(spec, f"q root of unity of order {n}")
+        return PiVerdict(PI, f"q root of unity of order {n}",
+                         witness=_cand_quantum_plane(p))
     w = _subalgebra_witness(p, "y", "x", q, "y x = q x y")
     return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
 
@@ -721,7 +723,9 @@ def downup_center_generators(spec, roots=None):
 
 
 def _downup_center(p, roots=None):
-    """downup_center_generators in p, a spec's built presentation."""
+    """downup_center_generators in p, a spec's built presentation.
+    Supplied roots are only checked against t^2 - alpha t - beta: the PI
+    decider hands on the roots its automorphism analysis found."""
     ctx = p.ctx
     al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
     lam, mu, ml, mm = _downup_roots(ctx, al, be, roots)
@@ -807,7 +811,7 @@ def _downup_center(p, roots=None):
     return CentralSet(els, condition="repeated root 1, gamma != 0")
 
 
-def _decide_downup(spec, p):
+def _decide_downup(p):
     al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
     order = gwa_auto_order(p.ctx, al, be, ga)
     lam, mu = order.roots
@@ -825,8 +829,10 @@ def _decide_downup(spec, p):
     if cond5:
         # the candidates' caps u^m, d^m carry m = lcm(ord lam, ord mu),
         # the automorphism order
-        return _pi(spec, "condition (5): roots are distinct roots of "
-                   f"unity (orders {ol}, {om})", **details)
+        return PiVerdict(PI, "condition (5): roots are distinct roots of "
+                         f"unity (orders {ol}, {om})",
+                         witness=_downup_center(p, order.roots),
+                         details=details)
     why = order.case or "DistinctRootsNotUnity"
     return PiVerdict(NOT_PI, f"condition (5) fails: {why}", details=details)
 

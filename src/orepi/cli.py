@@ -391,7 +391,7 @@ def _inferred_field(*texts):
     return FieldCtx.rational()
 
 
-def _get_presentation(args, report):
+def _get_presentation(args):
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             return presentation_from_json(json.load(fh)), None
@@ -408,10 +408,10 @@ def _get_presentation(args, report):
     return build_family(spec), spec
 
 
-def _get_family(args, report):
+def _get_family(args):
     """(presentation, spec) of a --family algebra; a --file presentation
     has no parameter values, which these commands need."""
-    p, spec = _get_presentation(args, report)
+    p, spec = _get_presentation(args)
     if spec is None:
         raise ParametersRequired(f"{args.cmd} needs --family and its "
                                  "parameters; a presentation file has none")
@@ -425,7 +425,7 @@ def cmd_families(args, report):
 
 
 def cmd_build(args, report):
-    p, _ = _get_presentation(args, report)
+    p, _ = _get_presentation(args)
     doc = presentation_to_json(p)
     orient = validate_orientation(p)
     ok = all(o for _, o, _ in orient)
@@ -438,13 +438,13 @@ def cmd_build(args, report):
 
 
 def cmd_normalize(args, report):
-    p, _ = _get_presentation(args, report)
+    p, _ = _get_presentation(args)
     nf = normal_form(p, parse_ncpoly(args.poly, p))
     report.add("normalize", "pass", nf.pretty(p))
 
 
 def cmd_identity_check(args, report):
-    p, _ = _get_family(args, report)
+    p, _ = _get_family(args)
     if args.lemma not in LEMMA_IDS:
         report.add("lemma", "error",
                    f"unknown lemma {args.lemma!r}; known: {', '.join(LEMMA_IDS)}")
@@ -459,7 +459,7 @@ def cmd_identity_check(args, report):
 
 
 def cmd_central_check(args, report):
-    p, spec = _get_family(args, report)
+    p, spec = _get_family(args)
     try:
         cs = central_candidates(spec)
     except OrepiError as e:
@@ -475,7 +475,7 @@ def cmd_central_check(args, report):
 
 
 def cmd_pi_decide(args, report):
-    _, spec = _get_family(args, report)
+    _, spec = _get_family(args)
     v = pi_decide(spec)
     report.add("pi-decide", "pass", f"{v.verdict}: {v.reason}",
                witness=_witness_json(v.witness))
@@ -485,7 +485,7 @@ def cmd_pi_decide(args, report):
 
 
 def cmd_confluence(args, report):
-    p, _ = _get_presentation(args, report)
+    p, _ = _get_presentation(args)
     rep = overlap_check(p)
     for cp in rep.pairs:
         name = f"{cp.kind}:{p.word_str(cp.word)}"
@@ -499,7 +499,7 @@ def cmd_confluence(args, report):
 
 
 def cmd_spanning(args, report):
-    p, spec = _get_family(args, report)
+    p, spec = _get_family(args)
     caps = parse_caps(args.caps)
     cs = central_candidates(spec)
     result = spanning_check(p, cs, caps, degree=args.degree)

@@ -81,6 +81,12 @@ computed.
   the denominator once at the end.  Any other inverse is
   ``_Cyclotomics._inv_dense``, fraction-free elimination over the
   integers.
+- Power bases: Q(zeta_N) and GF(p^k) are both k[x]/(f) with f monic,
+  and their products share one integer product, ``_mul_mod``: the
+  convolution, with each power x^k past deg f read from f's table of
+  reductions (``_reduction_table``).  A Galois product then reduces
+  each coordinate modulo p; its inverse, a power, and Rabin's
+  irreducibility test square and multiply through the same product.
 - Every kind: operands whose context is the same object skip the
   field-descriptor comparison.
 """
@@ -111,6 +117,47 @@ def _trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
+
+
+def _times_x(vec, phi):
+    """vec * x modulo the monic phi, both in the power basis (vec a list)."""
+    top = vec[-1]
+    vec = [0] + vec[:-1]
+    if top:
+        vec = [a - top * c for a, c in zip(vec, phi)]
+    return vec
+
+
+def _reduction_table(f):
+    """x^k modulo the monic integer polynomial f, for d <= k <= 2d - 2,
+    d = deg f: one integer vector of length d for each k."""
+    row = [-c for c in f[:-1]]
+    table = [row]
+    for _ in range(len(f) - 3):
+        row = _times_x(row, f)
+        table.append(row)
+    return table
+
+
+def _mul_mod(xs, ys, table):
+    """The integer vector of xs * ys modulo the monic f of table =
+    _reduction_table(f), for integer vectors xs, ys of length deg f: the
+    convolution, with each power x^k, k >= deg f, read from the table."""
+    d = len(xs)
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                if y:
+                    conv[i + j] += x * y
+    out = conv[:d]
+    for k in range(d, 2 * d - 1):
+        c = conv[k]
+        if c:
+            for i, r in enumerate(table[k - d]):
+                if r:
+                    out[i] += c * r
+    return out
 
 
 def cyclotomic_polynomial(n):
@@ -145,17 +192,6 @@ def cyclotomic_polynomial(n):
 # ---------------------------------------------------------------------------
 
 
-def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
 def _gf_mod(a, mod, p):
     a = list(a)
     inv_lead = pow(mod[-1], p - 2, p)
@@ -171,13 +207,14 @@ def _gf_mod(a, mod, p):
     return a
 
 
-def _gf_powmod(a, e, mod, p):
-    result = [1]
-    base = _gf_mod(a, mod, p)
+def _gf_powmod(a, e, table, p):
+    """a^e modulo the monic f of table = _reduction_table(f) over GF(p),
+    for a vector a of deg f ints."""
+    result = [1] + [0] * (len(a) - 1)
     while e:
         if e & 1:
-            result = _gf_mod(_gf_mul(result, base, p), mod, p)
-        base = _gf_mod(_gf_mul(base, base, p), mod, p)
+            result = [c % p for c in _mul_mod(result, a, table)]
+        a = [c % p for c in _mul_mod(a, a, table)]
         e >>= 1
     return result
 
@@ -200,17 +237,14 @@ def _gf_irreducible(mod, p):
     d = len(mod) - 1
     if d <= 1:
         return d == 1
-    x = [0, 1]
-    xm = _gf_mod(x, mod, p)
-    if _gf_powmod(x, p ** d, mod, p) != xm:
+    table = _reduction_table(mod)
+    x = [0, 1] + [0] * (d - 2)
+    if _gf_powmod(x, p ** d, table, p) != x:
         return False
     for r in _factorize(d):
-        t = _gf_powmod(x, p ** (d // r), mod, p)
-        n = max(len(t), len(xm))
-        diff = [((t[i] if i < len(t) else 0) - (xm[i] if i < len(xm) else 0)) % p
-                for i in range(n)]
-        g = _gf_gcd(list(mod), _trim(diff), p)
-        if len(g) > 1:
+        diff = _gf_powmod(x, p ** (d // r), table, p)
+        diff[1] = (diff[1] - 1) % p
+        if len(_gf_gcd(list(mod), _trim(diff), p)) > 1:
             return False
     return True
 
@@ -226,17 +260,6 @@ def _factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +481,6 @@ def _cyclo_unscaled(ints, den):
     return tuple(Fraction(c, den) if c % den else c // den for c in ints)
 
 
-def _times_x(vec, phi):
-    """vec * x modulo the monic phi, both in the power basis (vec a list)."""
-    top = vec[-1]
-    vec = [0] + vec[:-1]
-    if top:
-        vec = [a - top * c for a, c in zip(vec, phi)]
-    return vec
-
-
 def _cyclo_map(op, *vecs):
     """op applied coordinatewise, with every integral result as an int."""
     out = tuple(map(op, *vecs))
@@ -496,10 +510,10 @@ class FieldCtx:
     Each subclass validates its descriptor in ``__init__``, embeds a
     rational as a payload (``embed``) and supplies the payload operations
     ``is_zero``, ``add``, ``neg``, ``sub``, ``mul``, ``inv``, ``eq``,
-    ``to_str``, ``as_fraction`` and ``is_constant``, which take and return
-    bare payloads.  The defaults here serve the kinds that need nothing
-    special: ``sub`` adds the negation, ``eq`` compares payloads with
-    ``==``, every value is constant, and only +-1 are roots of unity.
+    ``to_str`` and ``as_fraction``, which take and return bare payloads.
+    The defaults here serve the kinds that need nothing special: ``sub``
+    adds the negation, ``eq`` compares payloads with ``==``, and only +-1
+    are roots of unity.
     """
 
     __slots__ = ()
@@ -596,9 +610,6 @@ class FieldCtx:
     def eq(self, a, b):
         return a == b
 
-    def is_constant(self, a):
-        return True
-
     def specializer(self, assignment, target):
         """The payload map of ``Coeff.specialize`` (rational functions only)."""
         raise CtxMismatch("specialize applies to rational-function values")
@@ -693,14 +704,8 @@ class _Cyclotomics(FieldCtx):
             raise ValueError("cyclotomic level must be >= 1")
         self.level = level
         self._phi = phi = cyclotomic_polynomial(level)
-        self._dim = d = len(phi) - 1
-        # x^k mod Phi_N for d <= k <= 2d - 2, integer vectors
-        row = [-c for c in phi[:-1]]
-        table = [row]
-        for _ in range(d - 2):
-            row = _times_x(row, phi)
-            table.append(row)
-        self._reduce_table = table
+        self._dim = len(phi) - 1
+        self._reduce_table = _reduction_table(phi)
 
     def __repr__(self):
         return f"Q(z{self.level})"
@@ -745,25 +750,9 @@ class _Cyclotomics(FieldCtx):
                 return self._scalar_mul(b[0], a)
         else:
             return self._scalar_mul(a[0], b)
-        d = self._dim
         xs, dx = _cyclo_scaled(a)
         ys, dy = _cyclo_scaled(b)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(xs):
-            if x:
-                for j, y in enumerate(ys):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        table = self._reduce_table
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                red = table[k - d]
-                for i, r in enumerate(red):
-                    if r:
-                        out[i] += c * r
-        return _cyclo_unscaled(out, dx * dy)
+        return _cyclo_unscaled(_mul_mod(xs, ys, self._reduce_table), dx * dy)
 
     def _scalar_mul(self, s, vec):
         """The payload of the rational s times vec, coordinatewise."""
@@ -965,17 +954,13 @@ class _RatFuncs(FieldCtx):
             return ns
         return f"({ns})/({_mp_to_str(den, self.params)})"
 
-    def is_constant(self, x):
-        """Equal to a rational constant?"""
-        num, den = x
-        one = self._one_den
-        return (not num or num.keys() == one.keys()) and den.keys() == one.keys()
-
     def as_fraction(self, x):
-        if not self.is_constant(x):
-            return None
+        """The Fraction x equals when it is a rational constant, else None."""
         num, den = x
-        (key,) = den
+        keys = self._one_den.keys()
+        if (num and num.keys() != keys) or den.keys() != keys:
+            return None
+        (key,) = keys
         return Fraction(num.get(key, 0), den[key])
 
 
@@ -983,11 +968,11 @@ class _GaloisField(FieldCtx):
     """GF(p^k).  Payload: a tuple of k ints in [0, p), the coordinates in
     the power basis modulo the monic irreducible modulus."""
 
-    __slots__ = ("char", "modulus", "_dim", "_unit_order")
+    __slots__ = ("char", "modulus", "_dim", "_unit_order", "_reduce_table")
     kind = GALOIS
 
     def __init__(self, char, modulus):
-        if not (2 <= char <= 101) or not _is_prime(char):
+        if not (2 <= char <= 101) or _factorize(char) != {char: 1}:
             raise ValueError("Galois characteristic must be a prime <= 101")
         mod = _trim([c % char for c in modulus])
         if len(mod) - 1 < 1 or len(mod) - 1 > 6:
@@ -1000,6 +985,7 @@ class _GaloisField(FieldCtx):
         self.modulus = tuple(mod)
         self._dim = len(mod) - 1
         self._unit_order = char ** self._dim - 1
+        self._reduce_table = _reduction_table(mod)
 
     def __repr__(self):
         return f"GF({self.char}^{self._dim})"
@@ -1086,14 +1072,12 @@ class _GaloisField(FieldCtx):
 
     def mul(self, a, b):
         p = self.char
-        prod = _gf_mod(_gf_mul(a, b, p), self.modulus, p)
-        return tuple(prod + [0] * (self._dim - len(prod)))
+        return tuple([c % p for c in _mul_mod(a, b, self._reduce_table)])
 
     def inv(self, a):
         """a^(p^k - 2), the inverse of a nonzero a."""
-        p = self.char
-        out = _gf_powmod(a, self._unit_order - 1, self.modulus, p)
-        return tuple(out + [0] * (self._dim - len(out)))
+        return tuple(_gf_powmod(a, self._unit_order - 1, self._reduce_table,
+                                self.char))
 
     def to_str(self, a):
         return _power_basis_str(a, "a")
@@ -1229,10 +1213,6 @@ class Coeff:
         if self.is_zero():
             raise ZeroInput("zero has no multiplicative order")
         return self.ctx.multiplicative_order(self)
-
-    def is_constant(self):
-        """For rational-function values: equal to a rational constant?"""
-        return self.ctx.is_constant(self.val)
 
     def as_fraction(self):
         """The Fraction this value equals, or None if it is not a rational

@@ -636,10 +636,13 @@ def biquad3_consistent_instance(ctx, rng, root_order=12):
 
     The conditions are triangular in the tails once the forced-zero
     entries are set (lambda = 0 when q1 q2 != 1, beta = 0 when q1 != q3,
-    c = 0 when q2 q3 != 1), so b1, b2, b3 can be solved for.
+    c = 0 when q2 q3 != 1): C1, C2, C3 are linear in mu, nu, gamma, one
+    unknown each, and then C7, C8, C9 in b3, b2, b1.  Each unknown is
+    read off its condition (``presentations.biquad3_conditions``): the
+    value at 0 over the difference of the values at 0 and 1.
     Requires a context containing primitive root_order-th roots of unity.
     """
-    from .presentations import spec_biquad3
+    from .presentations import biquad3_conditions, spec_biquad3
     zeta = ctx.root_of_unity(root_order)
     while True:
         e1, e2, e3 = (rng.randrange(1, root_order) for _ in range(3))
@@ -647,22 +650,23 @@ def biquad3_consistent_instance(ctx, rng, root_order=12):
         ok = not any(v.is_one() for v in (q1, q2, q3, q1 * q2, q2 * q3))
         if ok and q1 != q3:
             break
-    one = ctx.one()
-    a = ctx.from_int(rng.randrange(-3, 4))
-    b = ctx.from_int(rng.randrange(-3, 4))
-    al = ctx.from_int(rng.randrange(-3, 4))
-    mu = (one - q3) * al / (one - q2)
-    nu = (one - q3) * a / (one - q1)
-    ga = (one - q2) * b / (one - q1)
-    la = ctx.zero()
-    be = ctx.zero()
-    c = ctx.zero()
-    b3 = -(((one - q3) * al - mu) * a + (b + q1 * ga) * la - nu * al) / (q1 * q2 - one)
-    b2 = -((a - nu) * be + q1 * ga * mu - q3 * al * b) / (q1 - q3)
-    b1 = -(a * ga + (q1 - one) * nu * ga + b * nu - (mu + q3 * al) * c) / (one - q2 * q3)
-    return spec_biquad3(ctx, (q1, q2, q3),
-                        ((a, b, c), (al, be, ga), (la, mu, nu)),
-                        (b1, b2, b3))
+    zero, one = ctx.zero(), ctx.one()
+    a, b, al = (ctx.from_int(rng.randrange(-3, 4)) for _ in range(3))
+    tails = [[a, b, zero], [al, zero, zero], [zero, zero, zero]]
+    consts = [zero, zero, zero]
+    for unknowns in ((("C1", tails[2], 1), ("C2", tails[2], 2),
+                      ("C3", tails[1], 2)),
+                     (("C7", consts, 2), ("C8", consts, 1),
+                      ("C9", consts, 0))):
+        at = []
+        for v in (zero, one):
+            for _, row, i in unknowns:
+                row[i] = v
+            spec = spec_biquad3(ctx, (q1, q2, q3), tails, consts)
+            at.append(dict(biquad3_conditions(spec)))
+        for name, row, i in unknowns:
+            row[i] = at[0][name] / (at[0][name] - at[1][name])
+    return spec_biquad3(ctx, (q1, q2, q3), tails, consts)
 
 
 def biquad3_violating_instance(ctx, rng, root_order=12):

@@ -2,23 +2,27 @@
 
 Each family's criterion, its central candidates beside its decider, is a
 record of ``center._CRITERIA``; this module is the entry point that
-builds a spec's presentation and hands it to the decider, and the check
-that a NotPI verdict's quantum-plane witness holds in the algebra.
+builds a spec's presentation and hands it to the decider, which builds
+a PI verdict's central set in that presentation, and the check that a
+NotPI verdict's quantum-plane witness holds in the algebra.
 """
 
 from .center import _CRITERIA, irreducible_words
 from .errors import FamilyMismatch
 from .linalg import SpanTracker
 from .presentations import build_family
-from .rewrite import NCPoly, multiply, q_commutator, word_poly
+from .rewrite import NCPoly, multiply, product_memo, q_commutator, word_poly
 
 
 def pi_decide(spec):
-    """The verdict on spec, decided in its one built presentation."""
+    """The verdict on spec, decided in its one built presentation; the
+    products of the decision share one product memo."""
     criterion = _CRITERIA.get(spec.family)
     if criterion is None:
         raise FamilyMismatch(f"no PI decider for family {spec.family}")
-    return criterion.decide(spec, build_family(spec))
+    p = build_family(spec)
+    with product_memo():
+        return criterion.decide(p)
 
 
 def verify_witness(spec, w):

@@ -425,10 +425,6 @@ def q_commutator(p, a, b, lam):
     return _normal(p, product_terms(p, a, b) + product_terms(p, b, a, -lam))
 
 
-def gen_poly(p, name):
-    return NCPoly.monomial(p.one, (p.gen(name),))
-
-
 def word_poly(p, *names):
     return NCPoly.monomial(p.one, p.word(*names))
 

@@ -51,7 +51,7 @@ from orepi.errors import (
     TrivialCenter,
 )
 from orepi.linalg import SpanTracker
-from orepi.rewrite import gen_poly
+from orepi.rewrite import word_poly
 
 from conftest import random_coeff
 from test_rewrite import confluent_zoo
@@ -59,13 +59,13 @@ from test_rewrite import confluent_zoo
 
 def test_z_central_in_uqb2_symbolic(rat_q):
     U = build_family(spec_uqb2(rat_q, rat_q.param("q")))
-    ok, witness = is_central(U, gen_poly(U, "z"))
+    ok, witness = is_central(U, word_poly(U, "z"))
     assert ok and witness is None
 
 
 def test_t_not_central_in_symbolic_h(rat_pq):
     H = build_family(spec_hpq(rat_pq, rat_pq.param("p"), rat_pq.param("q")))
-    ok, witness = is_central(H, gen_poly(H, "t"))
+    ok, witness = is_central(H, word_poly(H, "t"))
     assert not ok
     assert witness[0] == "x"
     assert not witness[1].is_zero()
@@ -85,7 +85,7 @@ def test_non_confluent_presentation_rejected(QQ):
                         ((z, z, z), (z, z, z), (QQ.one(), z, z)), (z, z, z))
     p = build_family(spec)
     with pytest.raises(NonConfluentPresentation):
-        is_central(p, gen_poly(p, "x1"))
+        is_central(p, word_poly(p, "x1"))
 
 
 def test_uqb2_candidates_need_order_five(cyclo3):
@@ -704,7 +704,7 @@ def test_spanning_fails_without_centrals(rat_q):
 
 def test_spanning_rejects_non_central_candidates(rat_pq):
     H = build_family(spec_hpq(rat_pq, rat_pq.param("p"), rat_pq.param("q")))
-    fake = CentralSet([("t", gen_poly(H, "t"))])
+    fake = CentralSet([("t", word_poly(H, "t"))])
     with pytest.raises(HypothesisNotMet):
         spanning_check(H, fake, {"x": 2, "y": 2, "t": 2}, degree=4)
 

@@ -13,7 +13,7 @@ from orepi.errors import (
     UnassignedParameter,
     ZeroInput,
 )
-from orepi.fields import Coeff, cyclotomic_polynomial
+from orepi.fields import Coeff, _gf_irreducible, cyclotomic_polynomial
 from orepi.rewrite import NCPoly, specialize_poly
 
 from conftest import random_coeff
@@ -235,6 +235,77 @@ def test_galois_degree_bounds():
     with pytest.raises(ValueError):
         FieldCtx.galois(3, (1,) * 8)  # degree 7 > 6
     FieldCtx.galois(2, (1, 1, 0, 0, 0, 0, 1))  # x^6+x+1, irreducible
+
+
+def _irreducible_count(p, d):
+    """(1/d) sum over e | d of mu(e) p^(d/e): the number of monic
+    irreducible polynomials of degree d over GF(p)."""
+    def mobius(n):
+        out, k = 1, 2
+        while k <= n:
+            if n % k == 0:
+                n //= k
+                if n % k == 0:
+                    return 0
+                out = -out
+            k += 1
+        return out
+    return sum(mobius(e) * p ** (d // e)
+               for e in range(1, d + 1) if d % e == 0) // d
+
+
+@pytest.mark.parametrize("p,d_max", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_rabin_test_counts_the_irreducible_polynomials(p, d_max):
+    # a count that a root search alone misses: (x^2 + x + 1)^2 over GF(2)
+    # has no root, and Rabin's gcd step rejects it
+    from itertools import product
+    assert not _gf_irreducible([1, 0, 1, 0, 1], 2)
+    for d in range(1, d_max + 1):
+        got = sum(_gf_irreducible(list(tail) + [1], p)
+                  for tail in product(range(p), repeat=d))
+        assert got == _irreducible_count(p, d), d
+
+
+def _schoolbook_mul(a, b, mod, p):
+    """a * b modulo the monic mod over GF(p): the full product, then long
+    division, one leading term at a time."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    d = len(mod) - 1
+    for k in range(len(out) - 1, d - 1, -1):
+        c = out[k]
+        for j, m in enumerate(mod):
+            out[k - d + j] = (out[k - d + j] - c * m) % p
+    return tuple(out[:d])
+
+
+def _schoolbook_pow(a, e, mod, p):
+    out = (1,) + (0,) * (len(a) - 1)
+    while e:
+        if e & 1:
+            out = _schoolbook_mul(out, a, mod, p)
+        a = _schoolbook_mul(a, a, mod, p)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (2, (0, 1)), (2, (1, 1, 1)), (2, (1, 1, 0, 1)), (2, (1, 1, 0, 0, 1)),
+    (2, (1, 1, 0, 0, 0, 0, 1)), (3, (1, 0, 1)), (3, (2, 1, 0, 0, 1)),
+    (5, (2, 0, 1)), (7, (3, 1, 1)), (13, (0, 1)), (101, (1, 1, 0, 1))],
+    ids=["GF(2)", "GF(4)", "GF(8)", "GF(16)", "GF(64)", "GF(9)", "GF(81)",
+         "GF(25)", "GF(49)", "GF(13)", "GF(101^3)"])
+def test_galois_products_match_long_division(p, modulus, rng):
+    ctx = FieldCtx.galois(p, modulus)
+    mod, d = ctx.modulus, len(ctx.modulus) - 1
+    order = p ** d
+    for _ in range(40):
+        a, b = (tuple(rng.randrange(p) for _ in range(d)) for _ in range(2))
+        assert ctx.mul(a, b) == _schoolbook_mul(a, b, mod, p)
+        if any(a):
+            assert ctx.inv(a) == _schoolbook_pow(a, order - 2, mod, p)
 
 
 def test_specialize_examples(rat_pq, cyclo3):

@@ -31,7 +31,7 @@ from orepi.errors import (
     HypothesisNotMet,
     PreconditionViolation,
 )
-from orepi.rewrite import gen_poly
+from orepi.rewrite import word_poly
 
 from test_rewrite import confluent_zoo_specs, family_zoo_specs
 
@@ -234,7 +234,7 @@ def test_witness_examples_from_proofs(rat_q, cyclo3):
     from orepi.identities import cyc3_e
     p = build_family(s)
     w = QPlaneWitness("subalgebra", ctx.param("q") ** -2, "e z = q^-2 z e",
-                      x_elem=gen_poly(p, "z"), y_elem=cyc3_e(p))
+                      x_elem=word_poly(p, "z"), y_elem=cyc3_e(p))
     assert verify_witness(s, w)
     # Bh: (y1, u) with parameter -h^2
     rh = FieldCtx.rational_functions(("h",))
@@ -244,14 +244,14 @@ def test_witness_examples_from_proofs(rat_q, cyclo3):
     u = normal_form(pb, [(rh.one(), pb.word("x1", "x2"))])
     wb = QPlaneWitness("subalgebra", -(rh.param("h") ** 2),
                        "y1 u = (-h^2) u y1",
-                       x_elem=u, y_elem=gen_poly(pb, "y1"))
+                       x_elem=u, y_elem=word_poly(pb, "y1"))
     assert verify_witness(sb, wb)
     # M2: (X11, X21) with parameter beta
     sm = spec_m2(rat_q, rat_q.param("q").inv(), rat_q.param("q"))
     pm = build_family(sm)
     wm = QPlaneWitness("subalgebra", rat_q.param("q"),
                        "X21 X11 = beta X11 X21",
-                       x_elem=gen_poly(pm, "X11"), y_elem=gen_poly(pm, "X21"))
+                       x_elem=word_poly(pm, "X11"), y_elem=word_poly(pm, "X21"))
     assert verify_witness(sm, wm)
 
 
@@ -288,8 +288,9 @@ def test_pi_caps_are_a_spanning_witness(QQ):
                  spec_bqf(QQ, m1, (one,))):
         v = pi_decide(spec)
         assert v.verdict == "PI", spec
-        assert v.caps is not None and v.caps == v.witness.caps, spec
-        assert spanning_check(build_family(spec), v.witness, v.caps).ok, spec
+        assert v.witness.caps is not None, spec
+        assert spanning_check(build_family(spec), v.witness,
+                              v.witness.caps).ok, spec
     # down-up algebras with distinct roots of unity, lcm of orders m: the
     # caps are m + e - 1, e the least degree in x = ud, y = du of a
     # central omega-monomial: 2 for the first three (w1 w2 for the first
@@ -308,11 +309,11 @@ def test_pi_caps_are_a_spanning_witness(QQ):
     for spec, cap in cases:
         v = pi_decide(spec)
         assert v.verdict == "PI", spec.params
-        assert v.caps == v.witness.caps == {"u": cap, "d": cap}
+        assert v.witness.caps == {"u": cap, "d": cap}
         p = build_family(spec)
         default = 2 * cap + 2
         for degree in (default, default + 4):
-            assert spanning_check(p, v.witness, v.caps, degree).ok, \
+            assert spanning_check(p, v.witness, v.witness.caps, degree).ok, \
                 (spec.params, degree)
 
 
@@ -370,3 +371,41 @@ def test_every_family_but_biquad3_gets_a_verdict():
                 central_candidates(spec)
         else:
             assert pi_decide(spec).verdict in ("PI", "NotPI", "Unknown")
+
+
+@pytest.mark.parametrize("make_ctx", [FieldCtx.rational,
+                                      lambda: FieldCtx.cyclotomic(4)],
+                         ids=["Q", "Q(z4)"])
+def test_three_cyclic_q_squared_one_is_one_error_class(make_ctx):
+    # q^2 = 1 is refused with the same typed error by both entry points
+    ctx = make_ctx()
+    one = ctx.one()
+    for q in (one, -one):
+        spec = spec_three_cyclic(ctx, q, one, ctx.from_int(2),
+                                 ctx.from_int(3))
+        for entry in (central_candidates, pi_decide):
+            with pytest.raises(PreconditionViolation,
+                               match=r"^q\^2 = 1 is excluded$"):
+                entry(spec)
+
+
+def test_downup_pi_verdict_solves_the_quadratic_once(monkeypatch):
+    # the decider hands the roots it found to the centre generators, and
+    # builds its central set in its own presentation, not through the
+    # spec entry point central_candidates
+    from orepi import center
+    searches, entries = [], []
+    solve = center._quadratic_roots
+
+    def spy_roots(ctx, alpha, beta, roots):
+        if roots is None:
+            searches.append(alpha)
+        return solve(ctx, alpha, beta, roots)
+    monkeypatch.setattr(center, "_quadratic_roots", spy_roots)
+    monkeypatch.setattr(center, "central_candidates",
+                        lambda spec: entries.append(spec))
+    c3 = FieldCtx.cyclotomic(3)
+    m1 = -c3.one()
+    v = pi_decide(spec_downup(c3, m1, m1, c3.one()))
+    assert v.verdict == "PI" and v.witness.caps == {"u": 4, "d": 4}
+    assert len(searches) == 1 and entries == []

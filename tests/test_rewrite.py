@@ -33,7 +33,6 @@ from orepi.fields import Coeff
 from orepi.identities import biquad3_consistent_instance, pq_number
 from orepi.presentations import FamilySpec, biquad3_conditions
 from orepi.rewrite import (
-    gen_poly,
     left_multiply,
     product_memo,
     specialize_poly,
@@ -85,7 +84,7 @@ def test_normal_form_uqb2_e2e1(rat_q):
 
 def test_multiply_quantum_plane(rat_q):
     QP = build_family(spec_quantum_plane(rat_q, rat_q.param("q")))
-    x, y = gen_poly(QP, "x"), gen_poly(QP, "y")
+    x, y = word_poly(QP, "x"), word_poly(QP, "y")
     assert multiply(QP, x, y) == NCPoly({QP.word("x", "y"): rat_q.one()})
     assert multiply(QP, y, x) == NCPoly({QP.word("x", "y"): rat_q.param("q")})
     # bilinearity: (x + y) x = x^2 + q x y
@@ -95,7 +94,7 @@ def test_multiply_quantum_plane(rat_q):
 
 
 def test_commutator_examples(H, rat_pq):
-    x, y = gen_poly(H, "x"), gen_poly(H, "y")
+    x, y = word_poly(H, "x"), word_poly(H, "y")
     assert q_commutator(H, y, x, rat_pq.param("q")) == \
         NCPoly({H.word("t"): rat_pq.one()})
     assert q_commutator(H, x, x, rat_pq.one()).is_zero()
@@ -107,7 +106,7 @@ def test_downup_nested_commutator_identity(QQ):
     lam, mu = QQ.from_int(1), QQ.from_int(-1)
     al, be = lam + mu, -(lam * mu)
     p = build_family(spec_downup(QQ, al, be, QQ.one()))
-    d, u = gen_poly(p, "d"), gen_poly(p, "u")
+    d, u = word_poly(p, "d"), word_poly(p, "u")
     inner = q_commutator(p, d, u, lam)
     assert q_commutator(p, d, inner, mu) == d
     assert q_commutator(p, inner, u, mu) == u
@@ -575,7 +574,7 @@ def test_left_multiply_matches_multiply(p, data):
     terms = payloads(nf)
     before = dict(terms)
     assert wrapped(p, left_multiply(p, g, terms)) == \
-        multiply(p, gen_poly(p, p.names[g]), nf)
+        multiply(p, word_poly(p, p.names[g]), nf)
     assert terms == before
 
 
@@ -620,7 +619,7 @@ def test_left_multiply_scans_no_word(monkeypatch, QQ):
     p = build_family(spec_hpq(QQ, QQ.from_int(2), QQ.from_int(3)))
     rows = [normal_form(p, [(QQ.from_int(5), p.word(*w))])
             for w in (("y", "x", "t"), ("y", "x"), ())] + [NCPoly.zero()]
-    want = [[multiply(p, gen_poly(p, name), row) for name in p.names]
+    want = [[multiply(p, word_poly(p, name), row) for name in p.names]
             for row in rows]
     monkeypatch.setattr(rewrite, "_split", None)
     assert [[wrapped(p, left_multiply(p, g, payloads(row)))
@@ -780,14 +779,14 @@ def test_no_product_memo_outlives_a_verdict(rat_q, monkeypatch):
     H.is_confluent()
     before = len(_reachable(H))
     assert check_paper_identity("H.yxn", H, 4).all_pass
-    assert not is_central(H, gen_poly(H, "x"))[0]
+    assert not is_central(H, word_poly(H, "x"))[0]
     normal_form(H, [(rat_q.one(), H.word("y", "y", "x"))])
     # power and central_candidates each share one memo among their products
     scopes = []
     real = rewrite.multiply
     monkeypatch.setattr(rewrite, "multiply",
                         lambda *a: scopes.append(_SCOPE.get()) or real(*a))
-    power(H, gen_poly(H, "x") + gen_poly(H, "y"), 3)
+    power(H, word_poly(H, "x") + word_poly(H, "y"), 3)
     z3 = FieldCtx.cyclotomic(3)
     assert central_candidates(spec_bh(z3, z3.generator())).elements
     assert len(scopes) > 3 and scopes[0] is not None
@@ -810,7 +809,7 @@ def test_confluence_verdict_computed_once(monkeypatch, QQ):
                         lambda p: calls.append(p) or real(p))
     p = build_family(spec_quantum_plane(QQ, QQ.from_int(3)))
     for _ in range(3):
-        assert not is_central(p, gen_poly(p, "x"))[0]
+        assert not is_central(p, word_poly(p, "x"))[0]
     assert len(calls) == 1
 
 
