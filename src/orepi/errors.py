@@ -29,6 +29,14 @@ class ParseError(OrepiError):
     """Malformed coefficient or polynomial expression."""
 
 
+class InvalidField(OrepiError, ValueError):
+    """A field descriptor names no field: a cyclotomic level below 1,
+    repeated parameter names, a Galois characteristic that is not a
+    prime <= 101, or a modulus of degree outside 1 .. 6 or reducible
+    over GF(p).  Also a ValueError, as these were before they were
+    typed."""
+
+
 class PreconditionViolation(OrepiError):
     """A validity condition on an operation's input fails: a family
     parameter its builder refuses (the two subclasses below) or does not

@@ -103,6 +103,7 @@ from .errors import (
     CtxMismatch,
     DenominatorVanishes,
     DivisionByZero,
+    InvalidField,
     ParseError,
     UnassignedParameter,
     ZeroInput,
@@ -701,7 +702,7 @@ class _Cyclotomics(FieldCtx):
 
     def __init__(self, level):
         if level < 1:
-            raise ValueError("cyclotomic level must be >= 1")
+            raise InvalidField("cyclotomic level must be >= 1")
         self.level = level
         self._phi = phi = cyclotomic_polynomial(level)
         self._dim = len(phi) - 1
@@ -845,7 +846,7 @@ class _RatFuncs(FieldCtx):
 
     def __init__(self, params):
         if len(set(params)) != len(params):
-            raise ValueError("duplicate parameter names")
+            raise InvalidField("duplicate parameter names")
         self.params = params
         self._one_den = _mp_const(1, len(params))
 
@@ -973,14 +974,14 @@ class _GaloisField(FieldCtx):
 
     def __init__(self, char, modulus):
         if not (2 <= char <= 101) or _factorize(char) != {char: 1}:
-            raise ValueError("Galois characteristic must be a prime <= 101")
+            raise InvalidField("Galois characteristic must be a prime <= 101")
         mod = _trim([c % char for c in modulus])
         if len(mod) - 1 < 1 or len(mod) - 1 > 6:
-            raise ValueError("modulus degree must be between 1 and 6")
+            raise InvalidField("modulus degree must be between 1 and 6")
         inv_lead = pow(mod[-1], char - 2, char)
         mod = [c * inv_lead % char for c in mod]
         if not _gf_irreducible(mod, char):
-            raise ValueError("modulus is reducible over GF(p)")
+            raise InvalidField("modulus is reducible over GF(p)")
         self.char = char
         self.modulus = tuple(mod)
         self._dim = len(mod) - 1

@@ -3,8 +3,19 @@
 The cyclic-shift/diagonal model realizes the quantum plane relation
 y x = q x y at a primitive root of unity; standard_poly_eval computes
 the alternating sum s_k over all permutations; the identity search
-solves, exactly, for all multilinear identities of a given degree on a
-finite-dimensional matrix algebra.
+solves, exactly, for all multilinear identities of a given degree
+d <= 6 on a finite-dimensional matrix algebra.  The search has two
+paths, chosen by the field's characteristic:
+
+- characteristic 0 or above d (Q, Q(zeta_N), Q(params), GF(p^k) with
+  p > d): the group algebra kS_d is semisimple, the rows span a left
+  ideal of it, generated by one tuple per multiset of basis elements,
+  and the ideal splits into one small problem per partition of d
+  (Young's seminormal form, Clausen's fast Fourier transform), in
+  orepi.symmetric, which the first such search imports;
+- characteristic p <= d, where Maschke's theorem fails (GF(2) from
+  d = 2, GF(3) from d = 3, GF(5) from d = 5): every (tuple, cell) row
+  streams through one span tracker.
 
 Matrices of Coeffs are the public edge: generators, MatAlgebra.basis,
 standard_poly_eval and IdentitySpace.evaluate take or give them, and
@@ -45,18 +56,21 @@ def _coeffs(m, ctx):
 
 def mat_mul(ctx, a, b):
     """a b for matrices of payloads of ctx, accumulating only over the
-    nonzero entries of a."""
+    nonzero entries of a and of b."""
     n = len(a)
     if len(b) != n:
         raise SizeMismatch("matrix sizes differ")
     add, mul, is_zero = ctx.add, ctx.mul, ctx.is_zero
     zero = ctx.embed(0)
+    b_rows = [[(j, y) for j, y in enumerate(row) if not is_zero(y)]
+              for row in b]
     out = []
     for row in a:
         acc = [zero] * n
-        for x, b_row in zip(row, b):
-            if not is_zero(x):
-                acc = [add(s, mul(x, y)) for s, y in zip(acc, b_row)]
+        for x, b_row in zip(row, b_rows):
+            if b_row and not is_zero(x):
+                for j, y in b_row:
+                    acc[j] = add(acc[j], mul(x, y))
         out.append(tuple(acc))
     return tuple(out)
 
@@ -210,21 +224,39 @@ def multilinear_identity_search(alg, d):
     and matrix cell, with the entries (t[s(1)] ... t[s(d)])[cell] over
     the permutations s.  Each such product is the product of one word
     of length d over the basis indices, multiplied once, prefix times
-    last letter, from nonzero prefixes only.  A nonzero word w is the
-    product of t = w o s^-1 under each s, so its nonzero cells (row-major)
-    fill the entries of s in the rows (t, cell), built one first letter
-    of t at a time and streamed in (tuple, cell) order through a
-    SpanTracker, which stops early once they span all d! columns (the
-    kernel is then {0}); otherwise the kernel basis is SpanTracker.kernel
-    of its rows, which depends on the row space alone (its reduced row
-    echelon form is unique), so those few rows give the full kernel.
+    last letter, from nonzero prefixes only.  The kernel basis is
+    SpanTracker.kernel of the rows, which depends on the row space alone
+    (its reduced row echelon form is unique), so any rows spanning it
+    give the same basis.
+
+    Over a field of characteristic 0 or above d, the row space is a left
+    ideal of kS_d, a sum of one small problem per partition of d
+    (symmetric.module_kernel).  Below that, kS_d is not semisimple
+    (Maschke's theorem fails), and every row is streamed in (tuple,
+    cell) order (_tuple_kernel).
     """
     if d < 1:
         raise DegreeTooSmall("degree must be at least 1")
-    if d > 5:
-        raise DegreeTooLarge("degree capped at 5 (factorial growth)")
+    if d > 6:
+        raise DegreeTooLarge("degree capped at 6 (factorial growth)")
     perms = list(permutations(range(d)))
     ctx, basis = alg.ctx, [_payloads(m, alg.ctx) for m in alg.basis]
+    if ctx.char is not None and ctx.char <= d:
+        kernel = _tuple_kernel(ctx, basis, d, perms)
+    else:
+        # compiled on the first such search, not on every import of orepi
+        from .symmetric import module_kernel
+        kernel = module_kernel(ctx, basis, d, perms)
+    return IdentitySpace(d, perms, kernel, ctx)
+
+
+def _tuple_kernel(ctx, basis, d, perms):
+    """The kernel from every row.  A nonzero word w is the product of
+    t = w o s^-1 under each s, so its nonzero cells (row-major) fill the
+    entries of s in the rows (t, cell), built one first letter of t at a
+    time and streamed in (tuple, cell) order through a SpanTracker,
+    which stops early once they span all d! columns (the kernel is then
+    {0})."""
     words = {(i,): m for i, m in enumerate(basis)}
     for _ in range(d - 1):
         words = {w + (i,): m for w, a in words.items()
@@ -238,7 +270,7 @@ def multilinear_identity_search(alg, d):
         for i, a in enumerate(w):
             at[i][a].append((w, nz))
     inverses = [[perm.index(j) for j in range(d)] for perm in perms]
-    tracker = SpanTracker(lambda k: k, alg.ctx)
+    tracker = SpanTracker(lambda k: k, ctx)
     for first in range(len(basis)):
         # the rows of the tuples t = w o perm^-1 whose first letter is first
         rows = {}
@@ -249,5 +281,5 @@ def multilinear_identity_search(alg, d):
                     rows.setdefault((t, cell), {})[k] = x
         for key in sorted(rows):
             if tracker.insert(rows[key]) and tracker.rank == len(perms):
-                return IdentitySpace(d, perms, [], alg.ctx)
-    return IdentitySpace(d, perms, tracker.kernel(len(perms)), alg.ctx)
+                return []
+    return tracker.kernel(len(perms))

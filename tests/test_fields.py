@@ -9,6 +9,8 @@ from orepi.errors import (
     CtxMismatch,
     DenominatorVanishes,
     DivisionByZero,
+    InvalidField,
+    OrepiError,
     ParseError,
     UnassignedParameter,
     ZeroInput,
@@ -235,6 +237,33 @@ def test_galois_degree_bounds():
     with pytest.raises(ValueError):
         FieldCtx.galois(3, (1,) * 8)  # degree 7 > 6
     FieldCtx.galois(2, (1, 1, 0, 0, 0, 0, 1))  # x^6+x+1, irreducible
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FieldCtx.cyclotomic(0),
+    lambda: FieldCtx.rational_functions(("q", "q")),
+    lambda: FieldCtx.galois_prime(4),
+    lambda: FieldCtx.galois_prime(103),
+    lambda: FieldCtx.galois(3, (1,) * 8),
+    lambda: FieldCtx.galois(3, (-1, 0, 1)),
+], ids=["cyclo:0", "params q,q", "gf:4", "gf:103", "degree 7", "reducible"])
+def test_field_descriptors_are_typed(build):
+    # an invalid descriptor is an OrepiError, and still a ValueError
+    with pytest.raises(InvalidField) as exc:
+        build()
+    assert isinstance(exc.value, OrepiError)
+    assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("field", ["gf:4", "gf:103"])
+def test_cli_reports_the_typed_field_error(field):
+    from orepi.cli import run_command
+    code, doc = run_command(["identity-search", "--algebra", "m2",
+                             "--field", field, "--degree", "3"])
+    assert code == 1
+    [check] = doc["checks"]
+    assert check["detail"] == \
+        "InvalidField: Galois characteristic must be a prime <= 101"
 
 
 def _irreducible_count(p, d):

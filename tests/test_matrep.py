@@ -134,7 +134,7 @@ def test_identity_space_annihilates_random_tuples(QQ, m2, rng):
 
 def test_degree_guard(m2):
     with pytest.raises(DegreeTooLarge):
-        multilinear_identity_search(m2, 6)
+        multilinear_identity_search(m2, 7)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,7 @@ def _search_cases():
     from fractions import Fraction
     QQ = FieldCtx.rational()
     gf49 = FieldCtx.galois(7, (3, 1, 1))  # x^2 + x + 3 over GF(7)
+    gf3 = FieldCtx.galois_prime(3)
     z3 = FieldCtx.cyclotomic(3)
     algebras = [
         ("M2[a=3/7]@Q",
@@ -207,7 +208,10 @@ def _search_cases():
          lambda: _conjugated_b2(gf49, gf49.generator()), 4),
         ("qplane1@Q", lambda: quantum_plane_rep(QQ, 1, QQ.one()), 4),
         ("qplane2@Q", lambda: quantum_plane_rep(QQ, 2, QQ.from_int(-1)), 4),
-        ("qplane3@Q(z3)", lambda: quantum_plane_rep(z3, 3, z3.generator()), 2),
+        ("qplane3@Q(z3)", lambda: quantum_plane_rep(z3, 3, z3.generator()), 3),
+        # characteristic 3: the rows stream one by one from d = 3 on
+        ("M2[a=2]@GF(3)", lambda: _conjugated_m2(gf3, gf3.from_int(2)), 4),
+        ("B2[a=2]@GF(3)", lambda: _conjugated_b2(gf3, gf3.from_int(2)), 4),
     ]
     return [pytest.param(build, d, id=f"{name}-d{d}")
             for name, build, d_max in algebras
@@ -225,12 +229,17 @@ def test_identity_search_matches_per_tuple_reference(build, d):
 
 @pytest.mark.parametrize("build,d", _search_cases())
 def test_search_feeds_the_tracker_the_reference_rows(build, d, monkeypatch):
-    # the rows fanned out from the nonzero words reach the tracker as the
-    # per-tuple search's nonzero rows, in its (tuple, cell) order, up to
-    # the early exit at rank d!; no product extends a zero prefix
+    # in characteristic at most d, the rows fanned out from the nonzero
+    # words reach the tracker as the per-tuple search's nonzero rows, in
+    # its (tuple, cell) order, up to the early exit at rank d!; above
+    # (or in characteristic 0), sum_l d_l r_l over the partitions l of d
+    # (r_l = d_l less the dimension of l's null space left) is the rank
+    # of those rows, in either tuple order (a walk stops once every
+    # r_l = d_l, which is then rank d!); no product extends a zero prefix
+    from itertools import combinations_with_replacement
     from math import factorial
 
-    from orepi import matrep
+    from orepi import matrep, symmetric
     from orepi.linalg import SpanTracker
     alg = build()
     ctx = alg.ctx
@@ -252,16 +261,56 @@ def test_search_feeds_the_tracker_the_reference_rows(build, d, monkeypatch):
     def mat_mul(ctx, a, b):
         prefixes.append(a)
         return real_mul(ctx, a, b)
-    monkeypatch.setattr(SpanTracker, "insert", insert)
     monkeypatch.setattr(matrep, "mat_mul", mat_mul)
-    multilinear_identity_search(alg, d)
-    assert len(fed) == len(want)
-    for got, row in zip(fed, want):
-        assert got.keys() == row.keys()
-        assert all(ctx.eq(got[k], v) for k, v in row.items())
+    monkeypatch.setattr(symmetric, "mat_mul", mat_mul)
+    if (ctx.char or d + 1) <= d:
+        monkeypatch.setattr(SpanTracker, "insert", insert)
+        multilinear_identity_search(alg, d)
+        assert len(fed) == len(want)
+        for got, row in zip(fed, want):
+            assert got.keys() == row.keys()
+            assert all(ctx.eq(got[k], v) for k, v in row.items())
+    else:
+        basis = [matrep._payloads(m, ctx) for m in alg.basis]
+        tuples = list(combinations_with_replacement(range(len(basis)), d))
+        for order in (tuples, tuples[::-1]):
+            comps = symmetric._components(ctx, d)
+            for _ in symmetric._walk(ctx, basis, d, order, comps):
+                pass
+            assert sum(n * (n - len(nulls)) for _, n, nulls in comps) \
+                == full.rank
+        multilinear_identity_search(alg, d)
     assert len(prefixes) > 0 or d == 1
     assert not any(all(map(ctx.is_zero, (x for r in a for x in r)))
                    for a in prefixes)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_seminormal_form_is_a_representation(d):
+    # each rho_l(s_i) is an involution, s_i s_(i+1) s_i = s_(i+1) s_i
+    # s_(i+1), distant generators commute, and sum_l d_l^2 = d!
+    from math import factorial
+
+    from orepi.symmetric import _partitions, _seminormal, _times
+    QQ = FieldCtx.rational()
+    dims = []
+    for shape in _partitions(d):
+        n, gens, _ = _seminormal(shape, QQ)
+        dims.append(n)
+        one = [[int(i == j) for j in range(n)] for i in range(n)]
+
+        def word(*idx):
+            m = one
+            for i in reversed(idx):
+                m = _times(QQ, gens[i], m)
+            return m
+        for i in range(d - 1):
+            assert word(i, i) == one
+            if i + 2 < d:
+                assert word(i, i + 1, i) == word(i + 1, i, i + 1)
+            for j in range(i + 2, d - 1):
+                assert word(i, j) == word(j, i)
+    assert sum(n * n for n in dims) == factorial(d)
 
 
 @pytest.mark.parametrize("ctx", [
