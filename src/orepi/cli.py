@@ -63,19 +63,29 @@ FAMILY_PARAMS = dict(
 # ---------------------------------------------------------------------------
 
 
+def _spec_int(spec, part, what):
+    try:
+        return int(part)
+    except ValueError:
+        raise ParseError(f"field spec {spec!r}: the {what} {part!r} is "
+                         "not an integer") from None
+
+
 def parse_field(text):
     if text in ("Q", "q", "rational"):
         return FieldCtx.rational()
     if text.startswith("cyclo:"):
-        return FieldCtx.cyclotomic(int(text.split(":", 1)[1]))
+        return FieldCtx.cyclotomic(
+            _spec_int(text, text.split(":", 1)[1], "cyclotomic level"))
     if text.startswith("ratfunc:"):
         names = [s for s in text.split(":", 1)[1].split(",") if s]
         return FieldCtx.rational_functions(names)
     if text.startswith("gf:"):
         parts = text.split(":")
-        p = int(parts[1])
+        p = _spec_int(text, parts[1], "characteristic")
         if len(parts) > 2 and parts[2]:
-            modulus = [int(c) for c in parts[2].split(",")]
+            modulus = [_spec_int(text, c, "modulus coefficient")
+                       for c in parts[2].split(",")]
         else:
             modulus = [0, 1]
         return FieldCtx.galois(p, modulus)
@@ -257,15 +267,32 @@ def field_to_json(ctx):
     return {"kind": "galois", "p": ctx.char, "modulus": list(ctx.modulus)}
 
 
+def _json_get(doc, key, kind, where, each=None):
+    """doc[key] of type kind (a list of each, if given); a presentation
+    file of any other shape is a ParseError naming where."""
+    if type(doc) is not dict:
+        raise ParseError(f"{where} must be dict")
+    val = doc.get(key)
+    if type(val) is not kind or each and any(type(x) is not each
+                                             for x in val):
+        want = kind.__name__ + (f" of {each.__name__}" if each else "")
+        raise ParseError(f"{where}: {key!r} must be {want}")
+    return val
+
+
 def field_from_json(doc):
-    kind = doc["kind"]
+    kind = _json_get(doc, "kind", str, "field")
     if kind == "rational":
         return FieldCtx.rational()
     if kind == "cyclotomic":
-        return FieldCtx.cyclotomic(doc["n"])
+        return FieldCtx.cyclotomic(_json_get(doc, "n", int, "field"))
     if kind == "ratfunc":
-        return FieldCtx.rational_functions(doc["params"])
-    return FieldCtx.galois(doc["p"], doc["modulus"])
+        return FieldCtx.rational_functions(
+            _json_get(doc, "params", list, "field", str))
+    if kind == "galois":
+        return FieldCtx.galois(_json_get(doc, "p", int, "field"),
+                               _json_get(doc, "modulus", list, "field", int))
+    raise ParseError(f"field: unknown kind {kind!r}")
 
 
 def presentation_to_json(p):
@@ -289,16 +316,27 @@ def presentation_to_json(p):
 
 
 def presentation_from_json(doc):
-    ctx = field_from_json(doc["field"])
-    names = list(doc["generators"])
+    """The Presentation a presentation file's JSON document holds."""
+    top = "presentation"
+    ctx = field_from_json(_json_get(doc, "field", dict, top))
+    names = _json_get(doc, "generators", list, top, str)
     index = {n: i for i, n in enumerate(names)}
+
+    def word(doc, key, where):
+        letters = _json_get(doc, key, list, where, str)
+        for n in letters:
+            if n not in index:
+                raise ParseError(f"{where}: unknown generator {n!r}")
+        return tuple(index[n] for n in letters)
     rules = []
-    for r in doc["rules"]:
-        lhs = tuple(index[n] for n in r["lhs"])
-        rhs = [(parse_coeff(t["coeff"], ctx),
-                tuple(index[n] for n in t["word"])) for t in r["rhs"]]
-        rules.append(RewriteRule(lhs, rhs))
-    return Presentation(ctx, names, doc["weights"], doc["precedence"], rules,
+    for i, r in enumerate(_json_get(doc, "rules", list, top), 1):
+        where, term = f"rule {i}", f"rule {i}, a right-side term"
+        rhs = [(parse_coeff(_json_get(t, "coeff", str, term), ctx),
+                word(t, "word", term))
+               for t in _json_get(r, "rhs", list, where)]
+        rules.append(RewriteRule(word(r, "lhs", where), rhs))
+    return Presentation(ctx, names, _json_get(doc, "weights", list, top, int),
+                        _json_get(doc, "precedence", list, top, str), rules,
                         family=doc.get("family"))
 
 
@@ -394,7 +432,11 @@ def _inferred_field(*texts):
 def _get_presentation(args):
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return presentation_from_json(json.load(fh)), None
+            try:
+                doc = json.load(fh)
+            except ValueError as e:  # not JSON, or not UTF-8
+                raise ParseError(f"{args.file} holds no JSON: {e}") from None
+        return presentation_from_json(doc), None
     if args.field == "Q":
         ctx = _inferred_field(*[pair.split("=", 1)[1]
                                 for pair in args.params.split(",")
@@ -634,9 +676,7 @@ def run_command(argv):
     report = Report(argv)
     try:
         _HANDLERS[args.cmd](args, report)
-    except OrepiError as e:
-        report.add("error", "error", f"{type(e).__name__}: {e}")
-    except (KeyError, ValueError, OSError) as e:
+    except (OrepiError, OSError) as e:
         report.add("error", "error", f"{type(e).__name__}: {e}")
     return report.finish()
 

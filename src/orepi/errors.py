@@ -41,10 +41,11 @@ class PreconditionViolation(OrepiError):
     """A validity condition on an operation's input fails: a family
     parameter its builder refuses (the two subclasses below) or does not
     read, a Weyl or BiQuad3 value of the wrong shape, a malformed
-    Presentation (repeated names, a weight below 1, an incomplete
-    precedence), beta = 0 given to gwa_auto_order (BetaZero), a singular
-    AffineAuto, a decider's family condition, down-up roots that are not
-    roots of t^2 - alpha t - beta, or a spanning check's caps."""
+    Presentation (repeated names, weights not one per generator and >= 1,
+    an incomplete precedence, an empty left side), beta = 0 given to
+    gwa_auto_order (BetaZero), a singular AffineAuto, a decider's family
+    condition, down-up roots that are not roots of t^2 - alpha t - beta,
+    or a spanning check's caps."""
 
 
 class ZeroParameter(PreconditionViolation):

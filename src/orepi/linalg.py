@@ -3,12 +3,13 @@
 One elimination routine, a sparse row-echelon span tracker.  It serves
 membership tests (the spanning checks and basis closure in the matrix
 laboratory) and, once its rows are back-reduced to the reduced row
-echelon form, kernels (fixed subspaces, multilinear identity search).
+echelon form, kernels and echelon bases (fixed subspaces, and every row
+reduction of the multilinear identity search).
 A tracker is bound to one field.  Its one row format is the payload
 dict, column -> bare payload of that field, the format of the
 straightener's normal forms; it checks no field, so callers holding
 Coeffs unwrap them (and dense_kernel checks their field) at their edge.
-Only kernel vectors come back as Coeffs.
+Only kernel and echelon vectors come back as Coeffs.
 How a row is scaled during elimination is the field's choice
 (``FieldCtx.pivot_multiple``): over Q rows are primitive integer vectors
 and a step cross-multiplies (fraction-free, as in Bareiss's integer
@@ -45,7 +46,7 @@ class SpanTracker:
         self.col_key = lru_cache(maxsize=None)(col_key)
         self.ctx = ctx
         self._ops = (ctx.add, ctx.sub, ctx.mul, ctx.neg, ctx.is_zero)
-        self._one = ctx.one().val
+        self._one = ctx.embed(1)
         self._minus_one = ctx.neg(self._one)
         self.rows = {}  # leading column -> row dict of payloads
 
@@ -112,17 +113,10 @@ class SpanTracker:
     def rank(self):
         return len(self.rows)
 
-    def kernel(self, ncols):
-        """Kernel basis of the inserted rows over columns 0 .. ncols-1,
-        as lists of Coeffs.
-
-        The stored rows are copied, divided by their leading coefficients
-        where those are not 1 (the rows over Q), and back-reduced, last
-        pivot first, into the reduced row echelon form, unique for the
-        row space (col_key must order the columns as integers).  Each
-        free column f, ascending, gives one vector: 1 at f and, at each
-        pivot column, minus that reduced row's entry at f.
-        """
+    def _reduced(self):
+        """{pivot: row} of the reduced row echelon form, unique for the
+        row space: the stored rows divided by their leading coefficients
+        where not 1 (the rows over Q) and back-reduced, last pivot first."""
         ctx = self.ctx
         eq, mul = ctx.eq, ctx.mul
         reduced = {}
@@ -138,17 +132,42 @@ class SpanTracker:
             for col in [c for c in row if c != lead and c in reduced]:
                 self._subtract(row, row[col], reduced[col])
             reduced[lead] = row
-        zero, one, neg = ctx.zero(), ctx.one(), ctx.neg
+        return reduced
+
+    def null_space(self, ncols):
+        """Kernel basis of the inserted rows over columns 0 .. ncols-1, as
+        payload dicts (col_key must order the columns as integers).  Each
+        free column f, ascending, gives one vector: 1 at f and, at each
+        pivot column, minus that reduced row's entry at f."""
+        reduced, neg = self._reduced(), self.ctx.neg
         basis = []
         for free in range(ncols):
             if free not in reduced:
-                vec = [zero] * ncols
-                vec[free] = one
+                vec = {free: self._one}
                 for lead, row in reduced.items():
                     if free in row:
-                        vec[lead] = Coeff(ctx, neg(row[free]))
+                        vec[lead] = neg(row[free])
                 basis.append(vec)
         return basis
+
+    def kernel(self, ncols):
+        """null_space(ncols) as lists of Coeffs."""
+        return [_coeffs(v, ncols, self.ctx) for v in self.null_space(ncols)]
+
+    def echelon(self, ncols):
+        """The reduced rows, ascending by pivot, as lists of ncols Coeffs.
+        With col_key = -k each is 1 at its last nonzero column and 0 at
+        the others', so they are their span's basis in kernel's form."""
+        reduced = self._reduced()
+        return [_coeffs(reduced[lead], ncols, self.ctx)
+                for lead in sorted(reduced)]
+
+
+def _coeffs(vec, ncols, ctx):
+    out = [ctx.zero()] * ncols
+    for col, val in vec.items():
+        out[col] = Coeff(ctx, val)
+    return out
 
 
 def dense_kernel(rows, ncols, ctx):

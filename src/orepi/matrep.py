@@ -15,7 +15,9 @@ paths, chosen by the field's characteristic:
   orepi.symmetric, which the first such search imports;
 - characteristic p <= d, where Maschke's theorem fails (GF(2) from
   d = 2, GF(3) from d = 3, GF(5) from d = 5): every (tuple, cell) row
-  streams through one span tracker.
+  streams through one span tracker; the first path ends in the same
+  stream, stopped at the rank it found, when the identities outnumber
+  the rows.
 
 Matrices of Coeffs are the public edge: generators, MatAlgebra.basis,
 standard_poly_eval and IdentitySpace.evaluate take or give them, and
@@ -198,15 +200,19 @@ class IdentitySpace:
         return len(self.basis)
 
     def contains_standard(self):
-        """Is the alternating (standard polynomial) vector in the space?"""
-        if not self.basis:
-            return False
-        tracker = SpanTracker(lambda k: k, self.ctx)
+        """Is the alternating (standard polynomial) vector v in the space?
+        Each basis vector b_f is 1 at its last nonzero column f and 0 at
+        the others', so v is in it exactly when v = sum_f v[f] b_f."""
+        ctx, one = self.ctx, self.ctx.embed(1)
+        rest = [ctx.embed(_parity(p)) for p in self.perms]
         for vec in self.basis:
-            tracker.insert({i: c.val for i, c in enumerate(vec)})
-        sgn = {i: self.ctx.from_int(_parity(p)).val
-               for i, p in enumerate(self.perms)}
-        return tracker.contains(sgn)
+            entries = [(i, c.val) for i, c in enumerate(vec)
+                       if not ctx.is_zero(c.val)]
+            # rest[f] is still v[f], 1 or -1: subtract or add b_f
+            step = ctx.sub if rest[entries[-1][0]] == one else ctx.add
+            for i, x in entries:
+                rest[i] = step(rest[i], x)
+        return all(map(ctx.is_zero, rest))
 
     def evaluate(self, vec, mats):
         """Evaluate sum_s c_s A_{s(1)} ... A_{s(d)} for one coefficient vector."""
@@ -224,16 +230,9 @@ def multilinear_identity_search(alg, d):
     and matrix cell, with the entries (t[s(1)] ... t[s(d)])[cell] over
     the permutations s.  Each such product is the product of one word
     of length d over the basis indices, multiplied once, prefix times
-    last letter, from nonzero prefixes only.  The kernel basis is
-    SpanTracker.kernel of the rows, which depends on the row space alone
-    (its reduced row echelon form is unique), so any rows spanning it
-    give the same basis.
-
-    Over a field of characteristic 0 or above d, the row space is a left
-    ideal of kS_d, a sum of one small problem per partition of d
-    (symmetric.module_kernel).  Below that, kS_d is not semisimple
-    (Maschke's theorem fails), and every row is streamed in (tuple,
-    cell) order (_tuple_kernel).
+    last letter, from nonzero prefixes only.  The basis returned is
+    the kernel's reduced row echelon basis with the columns taken last
+    first, unique, so both paths of the module docstring give it.
     """
     if d < 1:
         raise DegreeTooSmall("degree must be at least 1")
@@ -242,7 +241,7 @@ def multilinear_identity_search(alg, d):
     perms = list(permutations(range(d)))
     ctx, basis = alg.ctx, [_payloads(m, alg.ctx) for m in alg.basis]
     if ctx.char is not None and ctx.char <= d:
-        kernel = _tuple_kernel(ctx, basis, d, perms)
+        kernel = _tuple_kernel(ctx, basis, d, perms, len(perms))
     else:
         # compiled on the first such search, not on every import of orepi
         from .symmetric import module_kernel
@@ -250,13 +249,12 @@ def multilinear_identity_search(alg, d):
     return IdentitySpace(d, perms, kernel, ctx)
 
 
-def _tuple_kernel(ctx, basis, d, perms):
-    """The kernel from every row.  A nonzero word w is the product of
+def _tuple_kernel(ctx, basis, d, perms, rank):
+    """The kernel from the rows, streamed until they span rank dimensions
+    (d! when the rank is not known).  A nonzero word w is the product of
     t = w o s^-1 under each s, so its nonzero cells (row-major) fill the
     entries of s in the rows (t, cell), built one first letter of t at a
-    time and streamed in (tuple, cell) order through a SpanTracker,
-    which stops early once they span all d! columns (the kernel is then
-    {0})."""
+    time and streamed in (tuple, cell) order through a SpanTracker."""
     words = {(i,): m for i, m in enumerate(basis)}
     for _ in range(d - 1):
         words = {w + (i,): m for w, a in words.items()
@@ -280,6 +278,6 @@ def _tuple_kernel(ctx, basis, d, perms):
                 for cell, x in nz:
                     rows.setdefault((t, cell), {})[k] = x
         for key in sorted(rows):
-            if tracker.insert(rows[key]) and tracker.rank == len(perms):
-                return []
+            if tracker.insert(rows[key]) and tracker.rank == rank:
+                return tracker.kernel(len(perms))
     return tracker.kernel(len(perms))

@@ -59,6 +59,8 @@ class Presentation:
         if len(set(self.names)) != len(self.names):
             raise PreconditionViolation("generator names must be unique")
         self.weights = tuple(weights)
+        if len(self.weights) != len(self.names):
+            raise PreconditionViolation("one weight per generator")
         if any(w < 1 for w in self.weights):
             raise PreconditionViolation("weights must be positive")
         self.precedence = tuple(precedence)
@@ -66,6 +68,8 @@ class Presentation:
             raise PreconditionViolation(
                 "precedence must list every generator once")
         self.rules = tuple(rules)
+        if not all(rule.lhs for rule in self.rules):
+            raise PreconditionViolation("a left side must be nonempty")
         self.family = family
         self.params = {} if params is None else params
         self._index = {n: i for i, n in enumerate(self.names)}

@@ -14,6 +14,11 @@ the rows have rank sum_l d_l r_l.  For n with W_l n = 0 the vector
 s -> (rho_l(s) n)_j is an identity, since sum_s r_t[s] (rho_l(s) n)_j =
 (rho_l(a_t) n)_j = 0, and these vectors span all sum_l d_l (d_l - r_l)
 dimensions of identities.
+
+Each W_l is a SpanTracker's span, the module's one elimination.  If the
+identities are no more than the R = sum_l d_l r_l rows, the vectors above
+go into a SpanTracker ordering the columns last first, whose reduced rows
+are the basis; else matrep._tuple_kernel streams rows until rank R.
 """
 
 from fractions import Fraction
@@ -23,11 +28,10 @@ from itertools import (
     chain,
     combinations_with_replacement,
     groupby,
-    permutations,
 )
 
 from .linalg import SpanTracker
-from .matrep import mat_mul
+from .matrep import _tuple_kernel, mat_mul
 
 
 def _partitions(d, most=None):
@@ -159,33 +163,6 @@ def _class_words(ctx, basis, t):
     return words
 
 
-def _orthogonal(ctx, vecs, row):
-    """The vectors v of vecs' span with row . v = 0, vecs dicts column
-    -> payload and row indexable by each column: vecs itself if every
-    row . v is 0, else vecs less the first v_i with row . v_i != 0, each
-    other v_j less (row . v_j / row . v_i) v_i."""
-    add, mul, is_zero, zero = ctx.add, ctx.mul, ctx.is_zero, ctx.embed(0)
-    dots = []
-    for v in vecs:
-        x = zero
-        for c, y in v.items():
-            x = add(x, mul(row[c], y))
-        dots.append(x)
-    hit = next((i for i, x in enumerate(dots) if not is_zero(x)), None)
-    if hit is None:
-        return vecs
-    pivot, scale, out = vecs[hit], ctx.inv(dots[hit]), []
-    for i, (v, x) in enumerate(zip(vecs, dots)):
-        if i != hit:
-            if not is_zero(x):
-                f, v = mul(x, scale), dict(v)
-                for c, y in pivot.items():
-                    v[c] = ctx.sub(v.get(c, zero), mul(f, y))
-                v = {c: y for c, y in v.items() if not is_zero(y)}
-            out.append(v)
-    return out
-
-
 def _multiple(ctx, f, g):
     """Is g a scalar multiple of f (two nonzero dicts)?"""
     if f.keys() != g.keys():
@@ -195,25 +172,25 @@ def _multiple(ctx, f, g):
     return all(ctx.eq(g[c], ctx.mul(r, x)) for c, x in f.items())
 
 
-def _walk(ctx, basis, d, tuples, comps):
-    """Cut each component's null space [l, d_l, nulls], of the rows so
-    far, by the rows of rho_l(a_t) for the tuples t in order, until it
-    is 0 (r_l = d_l - len(nulls)).  Yields, for each t that raised
-    sum_l d_l r_l, t's words and that sum after it.
+def _walk(ctx, basis, d, perms, tuples):
+    """(l, d_l, tracker) for the partitions l of d: each tracker, on d_l
+    columns, takes the rows of rho_l(a_t) for the tuples t in order
+    until its rank r_l is d_l.  The walk stops once every r_l = d_l.
 
     a_t = e b_t: e is the sum of the permutations h with t o h = t, and
     b_t = sum_w w[cell] s_w over the distinct words w = t o s_w, s_w
     taking each letter from its first unused position in t.  rho_l(e)
     is 0 unless l dominates the multiplicities of t's letters, and a
     cell whose b_t is a multiple of another's adds no row."""
-    perms, sym, one = list(permutations(range(d))), {}, ctx.embed(1)
-    rank = sum(n * (n - len(nulls)) for _, n, nulls in comps)
+    sym, one = {}, ctx.embed(1)
+    comps = [(shape, _seminormal(shape, ctx)[0],
+              SpanTracker(lambda k: k, ctx)) for shape in _partitions(d)]
     for t in tuples:
-        if not any(c[2] for c in comps):
-            return
+        if all(tracker.rank == n for _, n, tracker in comps):
+            break
         blocks = tuple(len(list(g)) for _, g in groupby(t))
         mu = sorted(blocks, reverse=True)
-        active = [c for c in comps if c[2] and all(
+        active = [c for c in comps if c[2].rank < c[1] and all(
             a >= b for a, b in zip(accumulate(c[0]), accumulate(mu)))]
         if not active:
             continue
@@ -221,8 +198,8 @@ def _walk(ctx, basis, d, tuples, comps):
             fixing = {h: one for h in perms
                       if all(t[i] == t[j] for i, j in enumerate(h))}
             sym[blocks] = _fourier(ctx, fixing, d, list(_partitions(d)))
-        words, cells = _class_words(ctx, basis, t), {}
-        for w, nz in words.items():
+        cells = {}
+        for w, nz in _class_words(ctx, basis, t).items():
             s = tuple(t.index(a) + w[:i].count(a) for i, a in enumerate(w))
             for cell, x in nz:
                 cells.setdefault(cell, {})[s] = x
@@ -232,71 +209,31 @@ def _walk(ctx, basis, d, tuples, comps):
                 fs.append(f)
         for f in fs:
             rhos = _fourier(ctx, f, d, [c[0] for c in active])
-            for comp in active:
-                rho = rhos[comp[0]]
+            for shape, n, tracker in active:
+                rho = rhos[shape]
                 if blocks in sym:
-                    rho = mat_mul(ctx, sym[blocks][comp[0]], rho)
+                    rho = mat_mul(ctx, sym[blocks][shape], rho)
                 for row in rho:
-                    if comp[2]:
-                        comp[2] = _orthogonal(ctx, comp[2], row)
-        new = sum(n * (n - len(nulls)) for _, n, nulls in comps)
-        if new > rank:
-            rank = new
-            yield words, rank
-
-
-def _components(ctx, d):
-    """[l, d_l, the unit vectors of k^(d_l)] for the partitions l of d."""
-    one, comps = ctx.embed(1), []
-    for shape in _partitions(d):
-        n = _seminormal(shape, ctx)[0]
-        comps.append([shape, n, [{j: one} for j in range(n)]])
+                    if tracker.rank < n:
+                        tracker.insert(dict(enumerate(row)))
     return comps
 
 
 def module_kernel(ctx, basis, d, perms):
-    """The kernel from the S_d-modules, the tuples taken most distinct
-    letters first, last letters first, for the early exit: the kernel
-    is {0} once every r_l = d_l.  Otherwise rows spanning the row space
-    R go into one SpanTracker, whose kernel is the basis, from the
-    smaller of R and the identity space K.  If K is no larger, the rows
-    are the vectors orthogonal to s -> (rho_l(s) n)_j, n in each null
-    space.  Else the tuples are walked again in the order of the
-    per-tuple rows, which fills in least, and each tuple that raised the
-    rank gives its rows, in (tuple, cell) order, until the rank is the
-    sum recorded after it."""
-    full, rank = len(perms), 0
+    """The kernel from the S_d-modules, as above, the tuples taken most
+    distinct letters first, last letters first, so that the trackers
+    fill soonest (when every one is full, the kernel is {0})."""
     tuples = list(combinations_with_replacement(range(len(basis)), d))
-    comps = _components(ctx, d)
-    for _, rank in _walk(ctx, basis, d, sorted(
-            tuples[::-1], key=lambda t: -len(set(t))), comps):
-        if rank == full:
-            return []
-    tracker = SpanTracker(lambda k: k, ctx)
-    if full - rank <= rank:
-        one = ctx.embed(1)
-        rows = [{k: one} for k in range(full)]
-        for shape, _, nulls in comps:
-            for row in _null_rows(ctx, d, shape, nulls, perms):
-                rows = _orthogonal(ctx, rows, row)
-        for row in rows:
-            tracker.insert(row)
-        return tracker.kernel(full)
-    inverses = [[perm.index(j) for j in range(d)] for perm in perms]
-    for words, target in _walk(ctx, basis, d, tuples, _components(ctx, d)):
-        rows = {}
-        for w, cells in words.items():
-            for k, inverse in enumerate(inverses):
-                t = tuple(map(w.__getitem__, inverse))
-                for cell, x in cells:
-                    rows.setdefault((t, cell), {})[k] = x
-        for key in sorted(rows):
-            if tracker.rank == target:
-                break
-            tracker.insert(rows[key])
-        if target == rank:
-            break
-    return tracker.kernel(full)
+    comps = _walk(ctx, basis, d, perms, sorted(tuples[::-1],
+                                               key=lambda t: -len(set(t))))
+    rank = sum(n * tracker.rank for _, n, tracker in comps)
+    if len(perms) - rank > rank:
+        return _tuple_kernel(ctx, basis, d, perms, rank)
+    span = SpanTracker(lambda k: -k, ctx)
+    for shape, n, tracker in comps:
+        for row in _null_rows(ctx, d, shape, tracker.null_space(n), perms):
+            span.insert(dict(enumerate(row)))
+    return span.echelon(len(perms))
 
 
 def _null_rows(ctx, d, shape, nulls, perms):

@@ -26,6 +26,7 @@ from orepi import (
     build_family,
     central_candidates,
     downup_center_generators,
+    errors,
     is_central,
     normal_form,
     pi_decide,
@@ -34,6 +35,7 @@ from orepi import (
 )
 from orepi.errors import (
     DownUpNotNoetherian,
+    OrepiError,
     ParseError,
     PreconditionViolation,
     ZeroParameter,
@@ -620,6 +622,63 @@ def test_a_malformed_presentation_file_is_a_precondition_violation(
     assert code == 1
     assert [c["detail"] for c in out["checks"]] == \
         [f"PreconditionViolation: {message}"]
+
+
+_GOOD_FILE = {"field": {"kind": "rational"}, "generators": ["x", "y"],
+              "weights": [1, 1], "precedence": ["x", "y"],
+              "rules": [{"lhs": ["y", "x"],
+                         "rhs": [{"coeff": "2", "word": ["x", "y"]}]}]}
+
+
+@pytest.mark.parametrize("doc,error", [
+    ([1], "ParseError: presentation must be dict"),
+    ({}, "ParseError: presentation: 'field' must be dict"),
+    (dict(_GOOD_FILE, field={"kind": "cyclotomic", "n": "x"}),
+     "ParseError: field: 'n' must be int"),
+    (dict(_GOOD_FILE, field={"kind": "galois", "n": 7}),
+     "ParseError: field: 'p' must be int"),
+    (dict(_GOOD_FILE, field={"kind": "finite", "p": 7}),
+     "ParseError: field: unknown kind 'finite'"),
+    (dict(_GOOD_FILE, field={"kind": "cyclotomic", "n": 0}),
+     "InvalidField: cyclotomic level must be >= 1"),
+    (dict(_GOOD_FILE, generators=["x", 2]),
+     "ParseError: presentation: 'generators' must be list of str"),
+    (dict(_GOOD_FILE, rules=[{"lhs": ["y", "z"], "rhs": []}]),
+     "ParseError: rule 1: unknown generator 'z'"),
+    (dict(_GOOD_FILE, rules=[{"lhs": ["y", "x"], "rhs": [["2", ["x"]]]}]),
+     "ParseError: rule 1, a right-side term must be dict"),
+    (dict(_GOOD_FILE, rules=[{"lhs": [], "rhs": []}]),
+     "PreconditionViolation: a left side must be nonempty"),
+    (dict(_GOOD_FILE, weights=[1]),
+     "PreconditionViolation: one weight per generator"),
+    ("{", "ParseError: f.json holds no JSON: Expecting property name "
+          "enclosed in double quotes: line 1 column 2 (char 1)"),
+])
+def test_a_malformed_presentation_file_is_typed(tmp_path, monkeypatch, doc,
+                                               error):
+    # a file of the wrong shape is an OrepiError report, not a traceback
+    monkeypatch.chdir(tmp_path)
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    (tmp_path / "f.json").write_text(text, encoding="utf-8")
+    code, out = run(["normalize", "--file", "f.json", "--poly", "y*x"])
+    assert code == 1
+    assert [c["detail"] for c in out["checks"]] == [error]
+    assert issubclass(getattr(errors, error.split(":")[0]), OrepiError)
+
+
+@pytest.mark.parametrize("field,part", [
+    ("cyclo:abc", "cyclotomic level 'abc'"), ("cyclo:", "cyclotomic level ''"),
+    ("gf:x", "characteristic 'x'"), ("gf:", "characteristic ''"),
+    ("gf:7:a,b", "modulus coefficient 'a'"),
+])
+def test_a_malformed_field_spec_is_a_parse_error(field, part):
+    code, doc = run(["build", "--family", "QuantumPlane", "--field", field,
+                     "--q", "1"])
+    assert code == 1
+    assert [c["detail"] for c in doc["checks"]] == \
+        [f"ParseError: field spec {field!r}: the {part} is not an integer"]
+    with pytest.raises(ParseError):
+        parse_field(field)
 
 
 @pytest.fixture

@@ -229,14 +229,16 @@ def test_identity_search_matches_per_tuple_reference(build, d):
 
 @pytest.mark.parametrize("build,d", _search_cases())
 def test_search_feeds_the_tracker_the_reference_rows(build, d, monkeypatch):
-    # in characteristic at most d, the rows fanned out from the nonzero
-    # words reach the tracker as the per-tuple search's nonzero rows, in
-    # its (tuple, cell) order, up to the early exit at rank d!; above
-    # (or in characteristic 0), sum_l d_l r_l over the partitions l of d
-    # (r_l = d_l less the dimension of l's null space left) is the rank
-    # of those rows, in either tuple order (a walk stops once every
-    # r_l = d_l, which is then rank d!); no product extends a zero prefix
-    from itertools import combinations_with_replacement
+    # sum_l d_l r_l over the partitions l of d (r_l the rank of l's
+    # tracker) is the rank R of the per-tuple search's rows, in either
+    # tuple order (a walk stops once every r_l = d_l, which is then rank
+    # d!).  The rows fanned out from the nonzero words reach the per-tuple
+    # tracker as the per-tuple search's nonzero rows, in its (tuple, cell)
+    # order: in characteristic at most d up to the early exit at rank d!,
+    # above it (or in characteristic 0) only when the identity space is
+    # larger than R, up to the row that reaches rank R.  No product
+    # extends a zero prefix
+    from itertools import combinations_with_replacement, permutations
     from math import factorial
 
     from orepi import matrep, symmetric
@@ -246,43 +248,73 @@ def test_search_feeds_the_tracker_the_reference_rows(build, d, monkeypatch):
     want = [row for row in ({k: c.val for k, c in enumerate(r)
                              if not c.is_zero()}
                             for r in _reference_rows(alg, d)) if row]
-    full = SpanTracker(lambda k: k, ctx)
+    full, reached = SpanTracker(lambda k: k, ctx), {}
     for n, row in enumerate(want, 1):
-        if full.insert(row) and full.rank == factorial(d):
-            del want[n:]
-            break
+        if full.insert(row):
+            reached[full.rank] = n
+    rank = full.rank
+    if (ctx.char or d + 1) <= d:
+        want = want[:reached.get(factorial(d), len(want))]
+    elif factorial(d) - rank > rank:
+        want = want[:reached[rank]]
+    else:
+        want = []
+        basis = [matrep._payloads(m, ctx) for m in alg.basis]
+        tuples = list(combinations_with_replacement(range(len(basis)), d))
+        for order in (tuples, tuples[::-1]):
+            comps = symmetric._walk(ctx, basis, d,
+                                    list(permutations(range(d))), order)
+            assert sum(n * tracker.rank for _, n, tracker in comps) == rank
     fed, prefixes = [], []
-    real_insert, real_mul = SpanTracker.insert, matrep.mat_mul
+    real_mul = matrep.mat_mul
 
-    def insert(self, row):
-        fed.append(dict(row))
-        return real_insert(self, row)
+    class Tracker(SpanTracker):
+        def insert(self, row):
+            fed.append(dict(row))
+            return super().insert(row)
 
     def mat_mul(ctx, a, b):
         prefixes.append(a)
         return real_mul(ctx, a, b)
     monkeypatch.setattr(matrep, "mat_mul", mat_mul)
     monkeypatch.setattr(symmetric, "mat_mul", mat_mul)
-    if (ctx.char or d + 1) <= d:
-        monkeypatch.setattr(SpanTracker, "insert", insert)
-        multilinear_identity_search(alg, d)
-        assert len(fed) == len(want)
-        for got, row in zip(fed, want):
-            assert got.keys() == row.keys()
-            assert all(ctx.eq(got[k], v) for k, v in row.items())
-    else:
-        basis = [matrep._payloads(m, ctx) for m in alg.basis]
-        tuples = list(combinations_with_replacement(range(len(basis)), d))
-        for order in (tuples, tuples[::-1]):
-            comps = symmetric._components(ctx, d)
-            for _ in symmetric._walk(ctx, basis, d, order, comps):
-                pass
-            assert sum(n * (n - len(nulls)) for _, n, nulls in comps) \
-                == full.rank
-        multilinear_identity_search(alg, d)
+    monkeypatch.setattr(matrep, "SpanTracker", Tracker)
+    multilinear_identity_search(alg, d)
+    assert len(fed) == len(want)
+    for got, row in zip(fed, want):
+        assert got.keys() == row.keys()
+        assert all(ctx.eq(got[k], v) for k, v in row.items())
     assert len(prefixes) > 0 or d == 1
     assert not any(all(map(ctx.is_zero, (x for r in a for x in r)))
                    for a in prefixes)
+
+
+def _contains_reference(space, vec):
+    """Is vec (one payload per permutation) in the span of the space's
+    basis?  Decided by a SpanTracker holding the whole basis."""
+    from orepi.linalg import SpanTracker
+    tracker = SpanTracker(lambda k: k, space.ctx)
+    for v in space.basis:
+        tracker.insert({i: c.val for i, c in enumerate(v)})
+    return tracker.contains(dict(enumerate(vec)))
+
+
+@pytest.mark.parametrize("build,d", _search_cases())
+def test_contains_standard_matches_a_tracker(build, d):
+    # on the whole basis, and on the spaces its subsets without one
+    # vector span: s_d is 1 or -1 at every vector's last nonzero column,
+    # so it drops out of each
+    from orepi.matrep import IdentitySpace, _parity
+    space = multilinear_identity_search(build(), d)
+    ctx = space.ctx
+    sgn = [ctx.embed(_parity(p)) for p in space.perms]
+    cuts = [space.basis[:k] + space.basis[k + 1:] for k in range(space.dim)]
+    answers = []
+    for basis in [space.basis] + cuts[:40]:
+        part = IdentitySpace(d, space.perms, basis, ctx)
+        answers.append(_contains_reference(part, sgn))
+        assert part.contains_standard() == answers[-1]
+    assert not all(answers)
 
 
 @pytest.mark.parametrize("d", range(2, 7))

@@ -917,5 +917,5 @@ def test_payload_paths_build_and_multiply_no_coeff(monkeypatch, H, rat_pq):
     assert sum(len(c.val[0]) for c in ab.terms.values()) > 2 * len(ab)
     assert space.dim > 0
     entries = sum(not c.is_zero() for v in space.basis for c in v)
-    assert dict(built) == {"q_commutator": 1, "search": entries + 2}
+    assert dict(built) == {"q_commutator": 1, "search": entries + 1}
     assert not products
