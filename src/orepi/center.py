@@ -1,22 +1,26 @@
-"""Centrality testing, and each family's PI criterion: its central-element
-candidates and its decider, side by side in one table; plus the
-generalized Weyl automorphism analysis for down-up algebras.
+"""Centrality testing, and each family's PI criterion: one decider per
+family; plus the generalized Weyl automorphism analysis for down-up
+algebras.
 
-The candidate constructors return the named elements whose centrality
-the root-of-unity hypotheses promise; they do not verify them (tests and
-callers do, through is_central).  Each decider evaluates the same
-root-of-unity criterion.  PI verdicts carry the central-element
-candidates that drive module-finiteness (when the route is
-module-finite); NotPI verdicts carry a quantum-plane witness: a pair of
-elements y, x with y x = param * x y in the algebra (subalgebra kind) or
-a normal element whose quotient is a quantum plane (quotient kind), with
-the witness parameter not a root of unity.  Unknown is reserved for the
-genuinely open B_q(f) gap.  The down-up analysis works through the
-polynomial automorphism phi(x) = y, phi(y) = alpha y + beta x + gamma of
-k[x,y], whose eigenvalues are the roots of t^2 - alpha t - beta.
+A decider reads each of the family's parameters once and evaluates its
+root-of-unity criterion.  PI verdicts carry the named central elements
+that the criterion's propositions promise, built from the orders the
+decider read, with the caps of their module-finiteness witness when the
+route is module-finite; the decider does not verify them (tests and
+callers do, through is_central).  NotPI verdicts carry a quantum-plane
+witness: a pair of elements y, x with y x = param * x y in the algebra
+(subalgebra kind) or a normal element whose quotient is a quantum plane
+(quotient kind), with the witness parameter not a root of unity.
+Unknown is reserved for the genuinely open B_q(f) gap.
+
+central_candidates is the central set of the PI verdict.  Only DownUp
+and Bqf keep a candidate builder of their own, because their central
+sets reach beyond their PI verdicts; their deciders hand it the values
+they read.  The down-up analysis works through the polynomial
+automorphism phi(x) = y, phi(y) = alpha y + beta x + gamma of k[x,y],
+whose eigenvalues are the roots of t^2 - alpha t - beta.
 """
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import isqrt, lcm
@@ -147,21 +151,24 @@ class PiVerdict:
         return f"<PiVerdict {self.verdict}: {self.reason}>"
 
 
-# a family's PI criterion: candidates(p) -> CentralSet, and decide(p) ->
-# PiVerdict, p a spec's built presentation; a PI verdict's witness is the
-# candidates in p
-_Criterion = namedtuple("_Criterion", "candidates decide")
-
-
 def central_candidates(spec):
-    """The named central elements each root-of-unity proposition yields.
-    Their products share one product memo."""
-    criterion = _CRITERIA.get(spec.family)
-    if criterion is None:
+    """The named central elements each root-of-unity proposition yields:
+    the central set of the family's PI verdict, or, for DownUp and Bqf,
+    of the family's candidate builder.  A verdict without a central set is
+    a HypothesisNotMet with the verdict's reason, and a decider's own
+    errors pass through.  Their products share one product memo."""
+    decide = _CRITERIA.get(spec.family)
+    if decide is None:
         raise HypothesisNotMet(f"no candidate table for family {spec.family}")
     p = build_family(spec)
     with product_memo():
-        return criterion.candidates(p)
+        build = _CANDIDATES.get(spec.family)
+        if build is not None:
+            return build(p)
+        verdict = decide(p)
+    if isinstance(verdict.witness, CentralSet):
+        return verdict.witness
+    raise HypothesisNotMet(verdict.reason)
 
 
 def _subalgebra_witness(p, y, x, param, label):
@@ -169,13 +176,6 @@ def _subalgebra_witness(p, y, x, param, label):
     a generator."""
     y, x = (v if isinstance(v, NCPoly) else word_poly(p, v) for v in (y, x))
     return QPlaneWitness("subalgebra", param, label, x_elem=x, y_elem=y)
-
-
-def _ord_or_fail(value, what):
-    m = value.multiplicative_order()
-    if m is None:
-        raise HypothesisNotMet(f"{what} is not a root of unity")
-    return m
 
 
 def _powers(p, names, ell):
@@ -192,39 +192,27 @@ def bqf_routes(n, f):
     return not bad, n >= 2 and all(j % n == 0 for j in supp), bad
 
 
-def _cand_bh(p):
-    ell = _ord_or_fail(p.params["h"], "h")
-    u, s, v, t = bh_uvst(p)
-    els = [
-        (f"u^{2 * ell}", power(p, u, 2 * ell)),
-        (f"s^{ell}", power(p, s, ell)),
-        (f"v^{2 * ell}", power(p, v, 2 * ell)),
-        (f"t^{ell}", power(p, t, ell)),
-    ]
-    caps = {"x1": 4 * ell, "x2": 2 * ell, "y1": 4 * ell, "y2": 2 * ell}
-    return CentralSet(els, condition=f"h root of unity of order {ell}",
-                      caps=caps)
-
-
 def _decide_bh(p):
     h = p.params["h"]
     ell = h.multiplicative_order()
     if ell is not None:
+        u, s, v, t = bh_uvst(p)
+        els = [
+            (f"u^{2 * ell}", power(p, u, 2 * ell)),
+            (f"s^{ell}", power(p, s, ell)),
+            (f"v^{2 * ell}", power(p, v, 2 * ell)),
+            (f"t^{ell}", power(p, t, ell)),
+        ]
+        caps = {"x1": 4 * ell, "x2": 2 * ell, "y1": 4 * ell, "y2": 2 * ell}
+        cs = CentralSet(els, condition=f"h root of unity of order {ell}",
+                        caps=caps)
         return PiVerdict(PI, f"h is a root of unity of order {ell}",
-                         witness=_cand_bh(p))
+                         witness=cs)
     w = _subalgebra_witness(p, "y1", bh_uvst(p)[0], -(h * h),
                             "y1 * u = (-h^2) u * y1")
     return PiVerdict(NOT_PI, "h is not a root of unity; the subalgebra on "
                      "y1 and u = x1 x2 is a quantum plane with parameter "
                      "-h^2", witness=w)
-
-
-def _cand_hpq(p):
-    n = _ord_or_fail(p.params["p"], "p")
-    m = _ord_or_fail(p.params["q"], "q")
-    els = _powers(p, ("x", "y"), m * n) + _powers(p, ("t",), n)
-    return CentralSet(els, condition=f"ord(p)={n}, ord(q)={m}",
-                      caps={"x": m * n, "y": m * n, "t": n})
 
 
 def _decide_hpq(p):
@@ -234,8 +222,11 @@ def _decide_hpq(p):
     n = pp.multiplicative_order()
     m = qq.multiplicative_order()
     if n is not None and m is not None:
+        els = _powers(p, ("x", "y"), m * n) + _powers(p, ("t",), n)
+        cs = CentralSet(els, condition=f"ord(p)={n}, ord(q)={m}",
+                        caps={"x": m * n, "y": m * n, "t": n})
         return PiVerdict(PI, f"p, q roots of unity (orders {n}, {m})",
-                         witness=_cand_hpq(p))
+                         witness=cs)
     one = p.ctx.one()
     if m is None:
         w = QPlaneWitness(
@@ -254,39 +245,23 @@ def _decide_hpq(p):
     return PiVerdict(NOT_PI, "p is not a root of unity", witness=w)
 
 
-def _cand_m2(p):
-    la = _ord_or_fail(p.params["alpha"], "alpha")
-    lb = _ord_or_fail(p.params["beta"], "beta")
-    ell = lcm(la, lb)
-    names = ("X11", "X12", "X21", "X22")
-    return CentralSet(_powers(p, names, ell),
-                      condition=f"alpha, beta are {ell}-th roots of unity",
-                      caps=dict.fromkeys(names, ell))
-
-
 def _decide_m2(p):
     a, b = p.params["alpha"], p.params["beta"]
     na, nb = a.multiplicative_order(), b.multiplicative_order()
     if na is not None and nb is not None:
+        ell = lcm(na, nb)
+        names = ("X11", "X12", "X21", "X22")
+        cs = CentralSet(_powers(p, names, ell),
+                        condition=f"alpha, beta are {ell}-th roots of unity",
+                        caps=dict.fromkeys(names, ell))
         return PiVerdict(PI, f"alpha, beta roots of unity (orders {na}, "
-                         f"{nb})", witness=_cand_m2(p))
+                         f"{nb})", witness=cs)
     if na is None:
         w = _subalgebra_witness(p, "X12", "X11", a,
                                 "X12 * X11 = alpha X11 * X12")
         return PiVerdict(NOT_PI, "alpha is not a root of unity", witness=w)
     w = _subalgebra_witness(p, "X21", "X11", b, "X21 * X11 = beta X11 * X21")
     return PiVerdict(NOT_PI, "beta is not a root of unity", witness=w)
-
-
-def _cand_uqb2(p):
-    ell = _ord_or_fail(p.params["q"], "q")
-    if ell < 5:
-        raise HypothesisNotMet(
-            f"central powers need a primitive root of order >= 5, got {ell}")
-    els = [("z", word_poly(p, "z"))]
-    els += _powers(p, ("e1", "e2", "e3"), ell)
-    return CentralSet(els, condition=f"q primitive root of order {ell} >= 5",
-                      caps={"z": 1, "e1": ell, "e2": ell, "e3": ell})
 
 
 def _decide_uqb2(p):
@@ -297,46 +272,35 @@ def _decide_uqb2(p):
                                 "e1 * e3 = q^-2 e3 * e1")
         return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
     if ell >= 5:
+        els = [("z", word_poly(p, "z"))]
+        els += _powers(p, ("e1", "e2", "e3"), ell)
+        cs = CentralSet(els, condition=f"q primitive root of order {ell} >= 5",
+                        caps={"z": 1, "e1": ell, "e2": ell, "e3": ell})
         return PiVerdict(PI, f"q root of unity of order {ell} >= 5",
-                         witness=_cand_uqb2(p))
+                         witness=cs)
     return PiVerdict(PI, f"q root of unity of order {ell} < 5: the "
                      "central-powers proposition does not apply, no "
                      "module-finiteness witness is attached",
                      details={"gap": "below-centro2-threshold"})
 
 
-def _weyl_orders(p):
-    """Label -> multiplicative order (None off the roots of unity): each
-    q_i, then each lambda_ij with i < j."""
+def _decide_weyl(p):
     qs, lam = p.params["q_list"], p.params["lam"]
     n = len(qs)
+    # label -> multiplicative order (None off the roots of unity): each
+    # q_i, then each lambda_ij with i < j
     orders = {f"q{i + 1}": qi.multiplicative_order()
               for i, qi in enumerate(qs)}
     orders.update((f"lambda_{i + 1}{j + 1}", lam[i][j].multiplicative_order())
                   for i in range(n) for j in range(i + 1, n))
-    return orders
-
-
-def _cand_weyl(p):
-    orders = _weyl_orders(p)
-    for label, m in orders.items():
-        if m is None:
-            raise HypothesisNotMet(f"{label} is not a root of unity")
-    ell = lcm(*orders.values())
-    n = len(p.params["q_list"])
-    names = [g for i in range(1, n + 1) for g in (f"x{i}", f"y{i}")]
-    return CentralSet(_powers(p, names, ell),
-                      condition=f"all q_i, lambda_ij roots of unity; lcm {ell}",
-                      caps=dict.fromkeys(names, ell))
-
-
-def _decide_weyl(p):
-    qs, lam = p.params["q_list"], p.params["lam"]
-    n = len(qs)
-    orders = _weyl_orders(p)
     if None not in orders.values():
+        ell = lcm(*orders.values())
+        names = [g for i in range(1, n + 1) for g in (f"x{i}", f"y{i}")]
+        cs = CentralSet(_powers(p, names, ell), condition="all q_i, "
+                        f"lambda_ij roots of unity; lcm {ell}",
+                        caps=dict.fromkeys(names, ell))
         return PiVerdict(PI, "all q_i and lambda_ij are roots of unity",
-                         witness=_cand_weyl(p))
+                         witness=cs)
     for i in range(n):
         for j in range(i + 1, n):
             if orders[f"lambda_{i + 1}{j + 1}"] is None:
@@ -357,30 +321,26 @@ def _decide_weyl(p):
     raise AssertionError("unreachable")
 
 
-def _cand_three_cyclic(p):
-    q2 = p.params["q"] ** 2
-    if q2.is_one():
-        raise PreconditionViolation("q^2 = 1 is excluded")
-    ell = _ord_or_fail(q2, "q^2")
-    names = ("x", "y", "z")
-    return CentralSet(_powers(p, names, ell),
-                      condition=f"q^2 primitive root of order {ell}",
-                      caps=dict.fromkeys(names, ell))
-
-
 def _decide_three_cyclic(p):
     q2 = p.params["q"] ** 2
     ell = q2.multiplicative_order()
+    if ell == 1:
+        raise PreconditionViolation("q^2 = 1 is excluded")
     if ell is not None:
+        names = ("x", "y", "z")
+        cs = CentralSet(_powers(p, names, ell),
+                        condition=f"q^2 primitive root of order {ell}",
+                        caps=dict.fromkeys(names, ell))
         return PiVerdict(PI, f"q^2 is a root of unity of order {ell}",
-                         witness=_cand_three_cyclic(p))
+                         witness=cs)
     w = _subalgebra_witness(p, cyc3_e(p), "z", q2.inv(), "e z = q^-2 z e "
                             "with e = xz - q^2 beta/(q^2-1)")
     return PiVerdict(NOT_PI, "q^2 is not a root of unity", witness=w)
 
 
-def _cand_bqf(p):
-    """Bqf central candidates.
+def _bqf_candidates(p, n=None, routes=None):
+    """Bqf central candidates at n = ord(q), routes = bqf_routes(n, f),
+    both read here unless the PI decider hands them on.
 
     Route 1 (n not dividing j+1 for all j in supp f): u^n, v^n.
     Route 2 (n dividing j for all j in supp f): f(u), f(v), w^n.
@@ -388,8 +348,12 @@ def _cand_bqf(p):
     p | n alternative can never trigger because unit orders in GF(p^k)
     divide p^k - 1 and are coprime to p.
     """
-    n = _ord_or_fail(p.params["q"], "q")
-    route1, route2, bad = bqf_routes(n, p.params["f_coeffs"])
+    if n is None:
+        n = p.params["q"].multiplicative_order()
+        if n is None:
+            raise HypothesisNotMet("q is not a root of unity")
+        routes = bqf_routes(n, p.params["f_coeffs"])
+    route1, route2, bad = routes
     if not route1 and not route2:
         msg = f"n={n} divides j+1 for j in {bad}; no centrality route applies"
         if p.ctx.kind == "galois":
@@ -422,34 +386,30 @@ def _decide_bqf(p):
         w = _subalgebra_witness(p, "u", "v", q, "u v = q v u")
         return PiVerdict(NOT_PI, "q is not a root of unity; the quantum "
                          "plane on u, v is not PI", witness=w)
-    route_nj1, route_nj, bad = bqf_routes(n, p.params["f_coeffs"])
+    routes = bqf_routes(n, p.params["f_coeffs"])
+    route_nj1, route_nj, bad = routes
     if route_nj:
         return PiVerdict(PI, f"ord(q) = {n} divides every exponent in "
                          "supp(f): module-finite over f(u), f(v), w^n and "
-                         "u^n, v^n", witness=_cand_bqf(p))
+                         "u^n, v^n", witness=_bqf_candidates(p, n, routes))
     if route_nj1:
         return PiVerdict(PI, f"ord(q) = {n} divides no j+1 for j in "
                          "supp(f): PI by the dimension-counting route "
                          "(u^n, v^n central; no finite spanning witness)",
-                         witness=_cand_bqf(p),
+                         witness=_bqf_candidates(p, n, routes),
                          details={"route": "gk-dimension-route"})
     return PiVerdict(UNKNOWN, f"ord(q) = {n} divides j+1 for j in {bad}: "
                      "outside both sufficient routes and no necessity "
                      "argument applies", details={"gap_exponents": bad})
 
 
-def _cand_quantum_plane(p):
-    n = _ord_or_fail(p.params["q"], "q")
-    return CentralSet(_powers(p, ("x", "y"), n), condition=f"ord(q)={n}",
-                      caps={"x": n, "y": n})
-
-
 def _decide_quantum_plane(p):
     q = p.params["q"]
     n = q.multiplicative_order()
     if n is not None:
-        return PiVerdict(PI, f"q root of unity of order {n}",
-                         witness=_cand_quantum_plane(p))
+        cs = CentralSet(_powers(p, ("x", "y"), n), condition=f"ord(q)={n}",
+                        caps={"x": n, "y": n})
+        return PiVerdict(PI, f"q root of unity of order {n}", witness=cs)
     w = _subalgebra_witness(p, "y", "x", q, "y x = q x y")
     return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
 
@@ -722,13 +682,17 @@ def downup_center_generators(spec, roots=None):
     return _downup_center(build_family(spec), roots)
 
 
-def _downup_center(p, roots=None):
+def _downup_center(p, roots=None, orders=None):
     """downup_center_generators in p, a spec's built presentation.
-    Supplied roots are only checked against t^2 - alpha t - beta: the PI
-    decider hands on the roots its automorphism analysis found."""
+    Supplied roots alone are only checked against t^2 - alpha t - beta;
+    the PI decider hands on the roots its automorphism analysis found
+    with their orders, which are taken as they are."""
     ctx = p.ctx
     al, be, ga = (p.params[k] for k in ("alpha", "beta", "gamma"))
-    lam, mu, ml, mm = _downup_roots(ctx, al, be, roots)
+    if orders is None:
+        lam, mu, ml, mm = _downup_roots(ctx, al, be, roots)
+    else:
+        (lam, mu), (ml, mm) = roots, orders
     one = ctx.one()
 
     if lam != mu and not lam.is_one():  # then mu is not 1 either
@@ -831,25 +795,31 @@ def _decide_downup(p):
         # the automorphism order
         return PiVerdict(PI, "condition (5): roots are distinct roots of "
                          f"unity (orders {ol}, {om})",
-                         witness=_downup_center(p, order.roots),
+                         witness=_downup_center(p, order.roots,
+                                                order.orders),
                          details=details)
     why = order.case or "DistinctRootsNotUnity"
     return PiVerdict(NOT_PI, f"condition (5) fails: {why}", details=details)
 
 
-# BiQuad3 has no PI criterion: central_candidates and pi_decide refuse it
+# each family's PI criterion, its decider: decide(p) -> PiVerdict, p a
+# spec's built presentation; BiQuad3 has none, so central_candidates and
+# pi_decide refuse it
 _CRITERIA = {
-    "Bh": _Criterion(_cand_bh, _decide_bh),
-    "Hpq": _Criterion(_cand_hpq, _decide_hpq),
-    "M2": _Criterion(_cand_m2, _decide_m2),
-    "UqB2": _Criterion(_cand_uqb2, _decide_uqb2),
-    "WeylMalt": _Criterion(_cand_weyl, _decide_weyl),
-    "WeylAJ": _Criterion(_cand_weyl, _decide_weyl),
-    "ThreeCyclic": _Criterion(_cand_three_cyclic, _decide_three_cyclic),
-    "DownUp": _Criterion(_downup_center, _decide_downup),
-    "Bqf": _Criterion(_cand_bqf, _decide_bqf),
-    "QuantumPlane": _Criterion(_cand_quantum_plane, _decide_quantum_plane),
+    "Bh": _decide_bh,
+    "Hpq": _decide_hpq,
+    "M2": _decide_m2,
+    "UqB2": _decide_uqb2,
+    "WeylMalt": _decide_weyl,
+    "WeylAJ": _decide_weyl,
+    "ThreeCyclic": _decide_three_cyclic,
+    "DownUp": _decide_downup,
+    "Bqf": _decide_bqf,
+    "QuantumPlane": _decide_quantum_plane,
 }
+# the candidate builders of the families whose central sets reach beyond
+# their PI verdicts: NotPI down-up algebras, and Bqf's route 1 over GF(p)
+_CANDIDATES = {"DownUp": _downup_center, "Bqf": _bqf_candidates}
 
 
 # ---------------------------------------------------------------------------

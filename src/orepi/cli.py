@@ -27,6 +27,7 @@ from .fields import (
     _CoeffParser,
     _tokenize,
     coeff_to_str,
+    int_literal,
     parse_coeff,
 )
 from .identities import LEMMA_IDS, check_paper_identity
@@ -116,7 +117,7 @@ def parse_caps(text):
                              f"bound, got {pair!r}")
         if name in caps:
             raise ParseError(f"cap for {name!r} given twice")
-        caps[name] = int(val)
+        caps[name] = int_literal(val, "cap")
     return caps
 
 
@@ -216,8 +217,9 @@ def build_spec(family, ctx, params, f_text=None):
                 raise ParseError("n must be a positive integer")
             n = int(n)
         else:
-            n = max((int(k[1:]) for k in params
-                     if k[:1] == "q" and k[1:].isdecimal()), default=1)
+            n = max((int_literal(k[1:], "parameter index")
+                     for k in params if k[:1] == "q" and k[1:].isdecimal()),
+                    default=1)
         required = [f"q{i + 1}" for i in range(n)]
         names = ["n", *required, *(f"l{i + 1}{j + 1}" for i in range(n)
                                    for j in range(i + 1, n))]
@@ -415,7 +417,8 @@ def _inferred_field(*texts):
             if tok.kind != "ident" or name == "t":
                 continue
             if name[0] == "z" and name[1:].isdigit():
-                levels.append(int(name[1:]))
+                levels.append(int_literal(name[1:],
+                                          "root-of-unity level"))
             elif name not in names:
                 names.append(name)
     roots = any(n > 2 for n in levels)

@@ -30,11 +30,12 @@ class ParseError(OrepiError):
 
 
 class InvalidField(OrepiError, ValueError):
-    """A field descriptor names no field: a cyclotomic level below 1,
-    repeated parameter names, a Galois characteristic that is not a
-    prime <= 101, or a modulus of degree outside 1 .. 6 or reducible
-    over GF(p).  Also a ValueError, as these were before they were
-    typed."""
+    """A field descriptor names no field: a cyclotomic level outside
+    1 .. fields.MAX_CYCLOTOMIC_LEVEL (the table that reduces modulo
+    Phi_N grows as phi(N)^2), repeated parameter names, a Galois
+    characteristic that is not a prime <= 101, or a modulus of degree
+    outside 1 .. 6 or reducible over GF(p).  Also a ValueError, as these
+    were before they were typed."""
 
 
 class PreconditionViolation(OrepiError):

@@ -692,6 +692,10 @@ class _Rationals(FieldCtx):
         return Fraction(a)
 
 
+# the largest N of a field Q(zeta_N)
+MAX_CYCLOTOMIC_LEVEL = 1000
+
+
 class _Cyclotomics(FieldCtx):
     """Q(zeta_N).  Payload: a tuple of phi(N) rational numbers, each an
     int or a Fraction with denominator > 1, the coordinates in the power
@@ -703,6 +707,11 @@ class _Cyclotomics(FieldCtx):
     def __init__(self, level):
         if level < 1:
             raise InvalidField("cyclotomic level must be >= 1")
+        # checked before Phi_N is built: the reduction table holds phi(N)^2
+        # entries, about 8 MB at N = 1009
+        if level > MAX_CYCLOTOMIC_LEVEL:
+            raise InvalidField("cyclotomic level must be <= "
+                               f"{MAX_CYCLOTOMIC_LEVEL}")
         self.level = level
         self._phi = phi = cyclotomic_polynomial(level)
         self._dim = len(phi) - 1
@@ -1271,6 +1280,19 @@ def _tokenize(s):
     return toks
 
 
+def int_literal(text, what):
+    """int(text) for a run of digits, or a ParseError where int refuses
+    it: digits that are not ASCII, or more digits than the interpreter's
+    limit on integer strings (sys.get_int_max_str_digits())."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = text if len(text) <= 20 else \
+            f"{text[:20]}... ({len(text)} digits)"
+        raise ParseError(f"the {what} {shown} is not a readable "
+                         "integer") from None
+
+
 class _CoeffParser:
     def __init__(self, text, ctx):
         self.toks = _tokenize(text)
@@ -1326,7 +1348,7 @@ class _CoeffParser:
             if self.peek().kind == "-":
                 self.eat()
                 sign = -1
-            e = int(self.eat("int").text)
+            e = int_literal(self.eat("int").text, "exponent")
             v = v ** (sign * e)
         return v
 
@@ -1334,7 +1356,7 @@ class _CoeffParser:
         t = self.peek()
         if t.kind == "int":
             self.eat()
-            return self.ctx.from_int(int(t.text))
+            return self.ctx.from_int(int_literal(t.text, "integer"))
         if t.kind == "(":
             self.eat()
             v = self.expr()
@@ -1347,7 +1369,7 @@ class _CoeffParser:
 
     def ident_value(self, name):
         if name.startswith("z") and name[1:].isdigit():
-            n = int(name[1:])
+            n = int_literal(name[1:], "root-of-unity level")
             return self.ctx.root_of_unity(n)
         if name == "a" and self.ctx.kind == GALOIS:
             return self.ctx.generator()

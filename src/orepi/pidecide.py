@@ -1,10 +1,10 @@
 """The PI decision and the engine check of its NotPI witnesses.
 
-Each family's criterion, its central candidates beside its decider, is a
-record of ``center._CRITERIA``; this module is the entry point that
-builds a spec's presentation and hands it to the decider, which builds
-a PI verdict's central set in that presentation, and the check that a
-NotPI verdict's quantum-plane witness holds in the algebra.
+Each family's criterion is one decider, a record of ``center._CRITERIA``;
+this module is the entry point that builds a spec's presentation and
+hands it to the decider, which builds a PI verdict's central set in that
+presentation, and the check that a NotPI verdict's quantum-plane witness
+holds in the algebra.
 """
 
 from .center import _CRITERIA, irreducible_words
@@ -17,12 +17,12 @@ from .rewrite import NCPoly, multiply, product_memo, q_commutator, word_poly
 def pi_decide(spec):
     """The verdict on spec, decided in its one built presentation; the
     products of the decision share one product memo."""
-    criterion = _CRITERIA.get(spec.family)
-    if criterion is None:
+    decide = _CRITERIA.get(spec.family)
+    if decide is None:
         raise FamilyMismatch(f"no PI decider for family {spec.family}")
     p = build_family(spec)
     with product_memo():
-        return criterion.decide(p)
+        return decide(p)
 
 
 def verify_witness(spec, w):

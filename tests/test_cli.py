@@ -447,6 +447,36 @@ def test_spanning_malformed_caps_are_parse_errors(caps):
     assert doc["checks"][0]["detail"].startswith("ParseError: ")
 
 
+_ONES = "1" * 5000
+_QP = ["build", "--family", "QuantumPlane"]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (_QP + ["--q", "z99999999999999999999"], "InvalidField"),
+    (_QP + ["--field", "cyclo:100000", "--q", "1"], "InvalidField"),
+    (_QP + ["--q", _ONES], "ParseError"),
+    (_QP + ["--q", "z" + _ONES], "ParseError"),
+    (_QP + ["--field", "cyclo:3", "--q", "z" + _ONES], "ParseError"),
+    (_QP + ["--q", "2^" + _ONES], "ParseError"),
+    (["spanning", "--family", "QuantumPlane", "--q", "z3",
+      "--caps", f"x={_ONES},y=2"], "ParseError"),
+    (["build", "--family", "WeylMalt", "--params", f"q{_ONES}=2"],
+     "ParseError"),
+], ids=["level 10^20", "cyclo:100000", "integer", "zN inferred",
+        "zN in cyclo:3", "exponent", "cap", "Weyl index"])
+def test_very_large_numbers_end_in_typed_reports(argv, error):
+    # a cyclotomic level above fields.MAX_CYCLOTOMIC_LEVEL is refused
+    # before Phi_N is built, and a literal with more digits than int()
+    # reads is a ParseError, not a traceback or a MemoryError
+    t0 = time.monotonic()
+    code, doc = run(argv)
+    assert time.monotonic() - t0 < 1.0
+    assert code == 1
+    [check] = doc["checks"]
+    assert check["status"] == "error"
+    assert check["detail"].startswith(f"{error}: ")
+
+
 def test_spanning_cap_for_no_generator_is_typed():
     # the unused cap z=9 used to set the default degree to 20 and pass
     code, doc = run(["spanning", "--family", "QuantumPlane", "--q", "z3",

@@ -15,7 +15,12 @@ from orepi.errors import (
     UnassignedParameter,
     ZeroInput,
 )
-from orepi.fields import Coeff, _gf_irreducible, cyclotomic_polynomial
+from orepi.fields import (
+    MAX_CYCLOTOMIC_LEVEL,
+    Coeff,
+    _gf_irreducible,
+    cyclotomic_polynomial,
+)
 from orepi.rewrite import NCPoly, specialize_poly
 
 from conftest import random_coeff
@@ -241,18 +246,25 @@ def test_galois_degree_bounds():
 
 @pytest.mark.parametrize("build", [
     lambda: FieldCtx.cyclotomic(0),
+    lambda: FieldCtx.cyclotomic(MAX_CYCLOTOMIC_LEVEL + 1),
     lambda: FieldCtx.rational_functions(("q", "q")),
     lambda: FieldCtx.galois_prime(4),
     lambda: FieldCtx.galois_prime(103),
     lambda: FieldCtx.galois(3, (1,) * 8),
     lambda: FieldCtx.galois(3, (-1, 0, 1)),
-], ids=["cyclo:0", "params q,q", "gf:4", "gf:103", "degree 7", "reducible"])
+], ids=["cyclo:0", "cyclo:1001", "params q,q", "gf:4", "gf:103", "degree 7", "reducible"])
 def test_field_descriptors_are_typed(build):
     # an invalid descriptor is an OrepiError, and still a ValueError
     with pytest.raises(InvalidField) as exc:
         build()
     assert isinstance(exc.value, OrepiError)
     assert isinstance(exc.value, ValueError)
+
+
+def test_largest_cyclotomic_level_builds():
+    ctx = FieldCtx.cyclotomic(MAX_CYCLOTOMIC_LEVEL)
+    assert ctx.root_of_unity(MAX_CYCLOTOMIC_LEVEL) ** MAX_CYCLOTOMIC_LEVEL \
+        == ctx.one()
 
 
 @pytest.mark.parametrize("field", ["gf:4", "gf:103"])

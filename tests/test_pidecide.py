@@ -6,6 +6,7 @@ import pytest
 
 from orepi import (
     FAMILIES,
+    CentralSet,
     FieldCtx,
     NCPoly,
     QPlaneWitness,
@@ -29,6 +30,7 @@ from orepi import (
 from orepi.errors import (
     FamilyMismatch,
     HypothesisNotMet,
+    OrepiError,
     PreconditionViolation,
 )
 from orepi.rewrite import word_poly
@@ -373,6 +375,94 @@ def test_every_family_but_biquad3_gets_a_verdict():
             assert pi_decide(spec).verdict in ("PI", "NotPI", "Unknown")
 
 
+def test_hpq_pq_one_is_one_error_class():
+    # pq = 1 is refused with the same typed error by both entry points,
+    # also where p and q are roots of unity
+    QQ, c3 = FieldCtx.rational(), FieldCtx.cyclotomic(3)
+    z3 = c3.generator()
+    half = QQ.from_fraction(Fraction(1, 2))
+    for spec in (spec_hpq(QQ, QQ.from_int(2), half), spec_hpq(c3, z3, z3 * z3)):
+        for entry in (central_candidates, pi_decide):
+            with pytest.raises(PreconditionViolation,
+                               match=r"^pq = 1 is excluded$"):
+                entry(spec)
+
+
+def _pi_instances_over_q_z12():
+    """(spec, parameters whose orders the decider reads): one PI instance
+    of each family with a criterion, at roots of unity of Q(z12)."""
+    c = FieldCtx.cyclotomic(12)
+    one, m1, z3, z4, z6 = (c.one(), -c.one(), c.root_of_unity(3),
+                           c.root_of_unity(4), c.root_of_unity(6))
+    lam = ((one, m1), (m1, one))
+    return [
+        (spec_bh(c, z3), 1),
+        (spec_hpq(c, m1, z3), 2),
+        (spec_m2(c, z3, z4), 2),
+        (spec_uqb2(c, z6), 1),
+        (spec_weyl(c, (m1, z4), lam), 3),
+        (spec_weyl(c, (m1, z4), lam, variant="aj"), 3),
+        (spec_three_cyclic(c, z3, one, c.from_int(2), c.from_int(3)), 1),
+        (spec_downup(c, m1, m1, c.zero()), 2),
+        (spec_bqf(c, z3, (c.zero(), one)), 1),
+        (spec_quantum_plane(c, z3), 1),
+    ]
+
+
+@pytest.mark.parametrize("spec,reads", _pi_instances_over_q_z12(),
+                         ids=lambda v: getattr(v, "family", str(v)))
+def test_pi_verdict_takes_each_parameter_order_once(monkeypatch, spec, reads):
+    # the decider builds its central set from the orders it read, so a PI
+    # verdict computes each parameter's order once
+    orders = _count_orders(monkeypatch)
+    v = pi_decide(spec)
+    assert v.verdict == "PI" and v.witness is not None
+    assert len(orders) == reads
+
+
+# the families whose central set is the one of their PI verdict
+_VERDICT_SET_FAMILIES = {"Bh", "Hpq", "M2", "UqB2", "WeylMalt", "WeylAJ",
+                         "ThreeCyclic", "QuantumPlane"}
+
+
+def _outcome(entry, spec):
+    """The entry point's result on spec, or the OrepiError it raised."""
+    try:
+        return entry(spec)
+    except OrepiError as e:
+        return e
+
+
+def _agreement_specs():
+    from test_center import _root_cases
+    specs = family_zoo_specs() + [case.values[0] for case in _root_cases()]
+    for ctx in (FieldCtx.rational(), FieldCtx.cyclotomic(12),
+                FieldCtx.galois(7, (3, 1, 1))):
+        specs += confluent_zoo_specs(ctx)
+    return [spec for spec in specs if spec.family in _VERDICT_SET_FAMILIES]
+
+
+def test_central_candidates_is_the_pi_verdicts_central_set():
+    # on the eight families whose criterion is their decider alone:
+    # the PI verdict's central set, the verdict's reason as a
+    # HypothesisNotMet when it has none, or the decider's own error
+    specs = _agreement_specs()
+    assert {spec.family for spec in specs} == _VERDICT_SET_FAMILIES
+    for spec in specs:
+        v = _outcome(pi_decide, spec)
+        got = _outcome(central_candidates, spec)
+        if isinstance(v, OrepiError):
+            assert (type(got), str(got)) == (type(v), str(v)), spec
+        elif isinstance(v.witness, CentralSet):
+            assert isinstance(got, CentralSet), spec
+            assert (got.names(), got.condition, got.caps) == \
+                (v.witness.names(), v.witness.condition, v.witness.caps)
+            assert [el for _, el in got] == [el for _, el in v.witness]
+        else:
+            assert isinstance(got, HypothesisNotMet), spec
+            assert got.reason == v.reason
+
+
 @pytest.mark.parametrize("make_ctx", [FieldCtx.rational,
                                       lambda: FieldCtx.cyclotomic(4)],
                          ids=["Q", "Q(z4)"])
@@ -389,23 +479,53 @@ def test_three_cyclic_q_squared_one_is_one_error_class(make_ctx):
                 entry(spec)
 
 
+def _count_orders(monkeypatch):
+    """A list that grows by one at each FieldCtx.multiplicative_order
+    call."""
+    calls = []
+    order = FieldCtx.multiplicative_order
+
+    def spy(ctx, c):
+        calls.append(c)
+        return order(ctx, c)
+    monkeypatch.setattr(FieldCtx, "multiplicative_order", spy)
+    return calls
+
+
 def test_downup_pi_verdict_solves_the_quadratic_once(monkeypatch):
-    # the decider hands the roots it found to the centre generators, and
-    # builds its central set in its own presentation, not through the
-    # spec entry point central_candidates
+    # the decider hands the roots it found, and their orders, to the
+    # centre generators, and builds its central set in its own
+    # presentation, not through the spec entry point central_candidates
     from orepi import center
-    searches, entries = [], []
-    solve = center._quadratic_roots
+    searches, entries, solves = [], [], []
+    solve, roots_of = center._quadratic_roots, center._downup_roots
 
     def spy_roots(ctx, alpha, beta, roots):
         if roots is None:
             searches.append(alpha)
         return solve(ctx, alpha, beta, roots)
+
+    def spy_downup_roots(*args):
+        solves.append(args)
+        return roots_of(*args)
     monkeypatch.setattr(center, "_quadratic_roots", spy_roots)
+    monkeypatch.setattr(center, "_downup_roots", spy_downup_roots)
     monkeypatch.setattr(center, "central_candidates",
                         lambda spec: entries.append(spec))
+    orders = _count_orders(monkeypatch)
     c3 = FieldCtx.cyclotomic(3)
     m1 = -c3.one()
     v = pi_decide(spec_downup(c3, m1, m1, c3.one()))
     assert v.verdict == "PI" and v.witness.caps == {"u": 4, "d": 4}
     assert len(searches) == 1 and entries == []
+    # each PI verdict: roots z3, z3^2 with gamma = 0 and 1, roots 1, -1
+    # with gamma = 0, and roots z4, -z4
+    QQ, c4 = FieldCtx.rational(), FieldCtx.cyclotomic(4)
+    for spec in (spec_downup(c3, m1, m1, c3.zero()),
+                 spec_downup(c3, m1, m1, c3.one()),
+                 spec_downup(QQ, QQ.zero(), QQ.one(), QQ.zero()),
+                 spec_downup(c4, c4.zero(), -c4.one(), c4.one())):
+        del solves[:], orders[:]
+        v = pi_decide(spec)
+        assert v.verdict == "PI" and v.witness is not None
+        assert (len(solves), len(orders)) == (1, 2), spec
