@@ -949,7 +949,13 @@ def central_products(p, centrals, degree):
             new_expo = tuple(padded)
             if new_expo in seen:
                 continue
-            new_poly = multiply(p, poly, elements[k])
+            # the shorter factor goes on the left, the side whose letters
+            # the straightener pushes; either order is the same product,
+            # as the spanning check verifies every central first
+            if cent_min[k] <= base:
+                new_poly = multiply(p, elements[k], poly)
+            else:
+                new_poly = multiply(p, poly, elements[k])
             if new_poly.is_zero() or _min_deg(new_poly) > degree:
                 continue
             seen.add(new_expo)

@@ -29,6 +29,11 @@ class ParseError(OrepiError):
     """Malformed coefficient or polynomial expression."""
 
 
+class NumberTooLarge(OrepiError):
+    """A number with more decimal digits than the interpreter writes out
+    (sys.get_int_max_str_digits()), met while a value is printed."""
+
+
 class InvalidField(OrepiError, ValueError):
     """A field descriptor names no field: a cyclotomic level outside
     1 .. fields.MAX_CYCLOTOMIC_LEVEL (the table that reduces modulo

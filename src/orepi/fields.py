@@ -104,6 +104,7 @@ from .errors import (
     DenominatorVanishes,
     DivisionByZero,
     InvalidField,
+    NumberTooLarge,
     ParseError,
     UnassignedParameter,
     ZeroInput,
@@ -686,7 +687,7 @@ class _Rationals(FieldCtx):
         return a // g
 
     def to_str(self, a):
-        return str(a)
+        return _decimal(a)
 
     def as_fraction(self, a):
         return Fraction(a)
@@ -1382,6 +1383,19 @@ def parse_coeff(text, ctx):
     return _CoeffParser(text, ctx).parse()
 
 
+def _decimal(x):
+    """str(x) of an int or Fraction, or a NumberTooLarge where the
+    interpreter refuses to write it out; every payload number is printed
+    through here."""
+    try:
+        return str(x)
+    except ValueError:
+        raise NumberTooLarge(
+            "a number with more than the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} decimal digits cannot be "
+            "printed") from None
+
+
 def _power_basis_str(coords, name):
     """sum_e coords[e] name^e, lowest power first, e.g. '1-z3+2*z3^2'."""
     parts = []
@@ -1389,9 +1403,9 @@ def _power_basis_str(coords, name):
         if not c:
             continue
         if e == 0:
-            body = str(abs(c))
+            body = _decimal(abs(c))
         else:
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            mag = "" if abs(c) == 1 else f"{_decimal(abs(c))}*"
             body = f"{mag}{name}" + (f"^{e}" if e > 1 else "")
         parts.append(("-" if c < 0 else "+") + body)
     if not parts:
@@ -1408,7 +1422,7 @@ def _mp_to_str(poly, names):
         c = poly[exps]
         factors = []
         if abs(c) != 1 or not any(exps):
-            factors.append(str(abs(c)))
+            factors.append(_decimal(abs(c)))
         for name, e in zip(names, exps):
             if e == 1:
                 factors.append(name)

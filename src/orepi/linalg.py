@@ -4,7 +4,9 @@ One elimination routine, a sparse row-echelon span tracker.  It serves
 membership tests (the spanning checks and basis closure in the matrix
 laboratory) and, once its rows are back-reduced to the reduced row
 echelon form, kernels and echelon bases (fixed subspaces, and every row
-reduction of the multilinear identity search).
+reduction of the multilinear identity search).  A one-entry row at a
+column that is no pivot, the spanning checks' usual row, is stored as 1
+there without a reduction.
 A tracker is bound to one field.  Its one row format is the payload
 dict, column -> bare payload of that field, the format of the
 straightener's normal forms; it checks no field, so callers holding
@@ -89,7 +91,16 @@ class SpanTracker:
         return row
 
     def insert(self, row):
-        """Add a payload row; returns True if it enlarged the span."""
+        """Add a payload row; returns True if it enlarged the span.  A row
+        with one entry, at a column that is no pivot, is stored as 1 there
+        without a reduction."""
+        if len(row) == 1:
+            [(lead, val)] = row.items()
+            if lead not in self.rows:
+                if self._ops[4](val):
+                    return False
+                self.rows[lead] = {lead: self._one}
+                return True
         residual = self._reduce(row)
         if not residual:
             return False

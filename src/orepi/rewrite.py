@@ -12,7 +12,8 @@ dict held as it is) and product_terms, which writes out the (word,
 payload) terms of c*a*b for multiply and q_commutator to straighten.
 normal_form checks and unwraps a (Coeff, word) list as it enters.  1 is
 the payload p.one.val, which is never multiplied by.  left_multiply
-takes and returns payload dicts, the row format of linalg.SpanTracker.
+takes and returns payload dicts, the row format of linalg.SpanTracker,
+and costs a memo lookup per term once its products are memoized.
 overlap_check enumerates every word with two distinct one-step
 reductions (proper overlaps and containments) and reports the residual
 of each critical pair; by the diamond lemma all residuals vanish
@@ -23,6 +24,12 @@ side past that side's first letter, and no one-letter left side) takes
 part in no rewrite, so a product is straightened once for its core, the
 word without that run, and the run is appended to every word of the
 core's normal form: the same rewrite steps, in the same order.
+
+A product g*u missing from the memo whose rule has a one-term right
+side c*a*b, with no rule starting at a, is c*a times the normal form of
+b*rest (rest: u past the redex); when that is irreducible or memoized,
+a is prepended to it with no straightener frame, which gives the
+straightener's own dict, and the product is memoized as any other.
 
 A left side may have one letter: a rule g -> rhs rewrites every
 occurrence of g, the last letter of a word too.  The input's words are
@@ -173,12 +180,14 @@ def rule_table(rules, one):
     """The straightener's rules-by-first-letter table, built once for
     each presentation.
 
-    Maps a generator to ((len(lhs) - 1, lhs[1:], rhs), ...) in rule order.
-    rhs[n] holds the (word, payload) pairs of the right side whose words
-    have length n, with like words merged; a payload is the bare value
-    of a coefficient in the field of one (a coefficient of another field
-    raises CtxMismatch).  A coefficient equal to 1 becomes the payload
-    one.val itself, which the straightener never multiplies by.
+    Maps a generator to ((len(lhs) - 1, lhs[1:], rhs, one_term), ...) in
+    rule order.  rhs[n] holds the (word, payload) pairs of the right side
+    whose words have length n, with like words merged; a payload is the
+    bare value of a coefficient in the field of one (a coefficient of
+    another field raises CtxMismatch).  A coefficient equal to 1 becomes
+    the payload one.val itself, which the straightener never multiplies
+    by.  one_term is (c, a, b) when the right side is the one term c*a*b
+    and no rule starts with a, else None.
     """
     table = {}
     for rule in rules:
@@ -191,7 +200,18 @@ def rule_table(rules, one):
                 rhs[len(w)].append((w, one.val if c == one else c.val))
         table.setdefault(rule.lhs[0], []).append(
             (len(rule.lhs) - 1, rule.lhs[1:], tuple(map(tuple, rhs))))
-    return {g: tuple(entries) for g, entries in table.items()}
+    return {g: tuple((k, tail, rhs, _one_term(rhs, table))
+                     for k, tail, rhs in entries)
+            for g, entries in table.items()}
+
+
+def _one_term(rhs, table):
+    """(c, a, b) for a right side c*a*b whose a starts no rule, else None."""
+    if len(rhs) == 3 and not rhs[0] and not rhs[1] and len(rhs[2]) == 1:
+        (a, b), c = rhs[2][0]
+        if a not in table:
+            return c, a, b
+    return None
 
 
 @contextmanager
@@ -230,8 +250,8 @@ def _straighten(p, levels, memo):
     irreducible words to payloads.  Prefixes give up their last letter
     longest first, so like terms merge before the next letter goes in.
     A product g*u missing from the memo is requested by yielding (g*u,
-    the rest of u after the redex, the rule's rhs levels); the driver
-    (_run) sends back its normal form.
+    the rest of u after the redex, the rule's rhs levels and one_term);
+    the driver (_run) sends back its normal form.
     """
     one, by_first = p.one.val, p.by_first
     add, mul, is_zero = p.field_ops
@@ -248,14 +268,15 @@ def _straighten(p, levels, memo):
                 out = shorter[key] = {}
             for u, c in poly.items():
                 gu = (g,) + u
-                for k, tail, rhs in rules:
+                for k, tail, rhs, one_term in rules:
                     if u[:k] == tail:
                         prod = memo.get(gu)
                         if prod is None:
-                            prod = yield gu, u[k:], rhs
-                        # the accumulation is inlined here, below and in
-                        # _levels: it runs once per term, and a helper
-                        # call would cost about as much as the field's add
+                            prod = yield gu, u[k:], rhs, one_term
+                        # the accumulation is inlined here, below, in
+                        # left_multiply and in _levels: it runs once per
+                        # term, and a helper call would cost about as much
+                        # as the field's add
                         for w, pc in prod.items():
                             if c is not one:
                                 pc = c if pc is one else mul(c, pc)
@@ -279,53 +300,84 @@ def _straighten(p, levels, memo):
     return levels[0].get((), {})
 
 
-def _run(p, levels, memo):
-    """Normal form (a dict of payloads) of the straightener input levels.
-    Missing products are computed, and memoized, on an explicit stack."""
-    if len(levels) == 1:
-        return levels[0].get((), {})
-    one, inert = p.one.val, p.inert
-    stack = [(None, (), _straighten(p, levels, memo))]
+def _ask(*request):
+    """A frame that asks its driver for one product and returns it."""
+    return (yield request)
+
+
+def _run(p, frame, memo):
+    """What the generator frame (a _straighten or an _ask) returns.  The
+    products it asks for are computed, and memoized, on an explicit stack.
+
+    A product g*u rewritten by a one-term rule c*a*b whose a starts no
+    rule needs no frame of its own when b*rest is irreducible or
+    memoized: it is c*a times that normal form, and a*w is irreducible
+    for every irreducible w.
+    """
+    one, inert, by_first, mul = p.one.val, p.inert, p.by_first, p.field_ops[1]
+    stack = [(None, (), frame)]
     value = None
     while True:
         try:
-            word, rest, rhs = stack[-1][2].send(value)
+            word, rest, rhs, one_term = stack[-1][2].send(value)
         except StopIteration as done:
             word, run, _ = stack.pop()
             if not stack:
                 return done.value
-            value = memo[word] = done.value
-            # a product is reused at every hit: store its coefficients
-            # equal to 1 as the payload one, which is never multiplied by
-            # (equal payloads are equal values, and much cheaper to test)
-            for w, c in value.items():
-                if c is not one and c == one:
-                    value[w] = one
-            if run:
-                value = memo[word + run] = {w + run: c for w, c in value.items()}
-        else:
-            run = ()
-            if rest and rest[-1] in inert:
-                n = len(rest) - 1
-                while n and rest[n - 1] in inert:
-                    n -= 1
-                run, rest = rest[n:], rest[:n]
-                word = word[:len(word) - len(run)]
-                core = memo.get(word)
-                if core is not None:
-                    value = memo[word + run] = {w + run: c
-                                                for w, c in core.items()}
-                    continue
-            levels = [{rw: {rest: rc} for rw, rc in bucket} for bucket in rhs]
-            stack.append((word, run, _straighten(p, levels, memo)))
-            value = None
+            value = _store(memo, word, run, done.value, one)
+            continue
+        run = ()
+        if rest and rest[-1] in inert:
+            n = len(rest) - 1
+            while n and rest[n - 1] in inert:
+                n -= 1
+            run, rest = rest[n:], rest[:n]
+            word = word[:len(word) - len(run)]
+            core = memo.get(word)
+            if core is not None:
+                value = memo[word + run] = {w + run: c
+                                            for w, c in core.items()}
+                continue
+        if one_term is not None:
+            c, a, b = one_term
+            brest = (b,) + rest
+            prod = memo.get(brest)
+            if prod is None:
+                for k, tail, _, _ in by_first.get(b, ()):
+                    if rest[:k] == tail:
+                        break
+                else:
+                    prod = {brest: one}
+            if prod is not None:
+                value = _store(memo, word, run, {
+                    (a,) + w: pc if c is one else c if pc is one
+                    else mul(c, pc) for w, pc in prod.items()}, one)
+                continue
+        levels = [{rw: {rest: rc} for rw, rc in bucket} for bucket in rhs]
+        stack.append((word, run, _straighten(p, levels, memo)))
+        value = None
+
+
+def _store(memo, word, run, value, one):
+    """Memoize value, the normal form of word, and return that of word +
+    run, the same dict when run is empty."""
+    memo[word] = value
+    # a product is reused at every hit: store its coefficients equal to 1
+    # as the payload one, which is never multiplied by (equal payloads are
+    # equal values, and much cheaper to test)
+    for w, c in value.items():
+        if c is not one and c == one:
+            value[w] = one
+    if run:
+        value = memo[word + run] = {w + run: c for w, c in value.items()}
+    return value
 
 
 def _split(p, word):
     """(prefix, irreducible suffix) of word, cut after its rightmost redex
     start, which leaves at least p.min_lhs letters from it to the end."""
     for i in range(len(word) - p.min_lhs, -1, -1):
-        for k, tail, _ in p.by_first.get(word[i], ()):
+        for k, tail, _, _ in p.by_first.get(word[i], ()):
             if word[i + 1:i + 1 + k] == tail:
                 return word[:i + 1], word[i + 1:]
     return (), word
@@ -354,7 +406,12 @@ def _levels(p, terms):
 
 def _normal(p, terms):
     """The NCPoly normal form of (word, payload) terms: the straightener's dict."""
-    return NCPoly.from_payloads(p.ctx, _run(p, _levels(p, terms), _memo(p)))
+    levels = _levels(p, terms)
+    vals = levels[0].get((), {})
+    if len(levels) > 1:
+        memo = _memo(p)
+        vals = _run(p, _straighten(p, levels, memo), memo)
+    return NCPoly.from_payloads(p.ctx, vals)
 
 
 def normal_form(p, input_poly):
@@ -398,11 +455,45 @@ def left_multiply(p, g, terms):
     payload dicts (irreducible word -> nonzero payload of p.ctx, the
     format the straightener returns); terms is left as it is.
 
-    Every word of terms is irreducible, so every redex of g*u starts at
-    g: the terms go to the straightener as they are, with no coefficient
-    multiplied and no word scanned for a redex.
+    Every word u of terms is irreducible, so every redex of g*u starts at
+    g, and no word is scanned past the rule's left side: g*u is copied
+    when no rule starts there, and read from the product memo when one
+    does.  Only a product missing from the memo is straightened, by
+    _run, which memoizes it.
     """
-    return _run(p, [{}, {(g,): terms}], _memo(p))
+    rules = p.by_first.get(g)
+    if not rules:
+        return {(g,) + u: c for u, c in terms.items()}
+    one, memo = p.one.val, _memo(p)
+    add, mul, is_zero = p.field_ops
+    out = {}
+    for u, c in terms.items():
+        gu = (g,) + u
+        for k, tail, rhs, one_term in rules:
+            if u[:k] == tail:
+                prod = memo.get(gu)
+                if prod is None:
+                    prod = _run(p, _ask(gu, u[k:], rhs, one_term), memo)
+                for w, pc in prod.items():
+                    if c is not one:
+                        pc = c if pc is one else mul(c, pc)
+                    s = out.get(w)
+                    if s is None:
+                        out[w] = pc
+                    elif is_zero(s := add(s, pc)):
+                        del out[w]
+                    else:
+                        out[w] = s
+                break
+        else:
+            s = out.get(gu)
+            if s is None:
+                out[gu] = c
+            elif is_zero(s := add(s, c)):
+                del out[gu]
+            else:
+                out[gu] = s
+    return out
 
 
 def power(p, a, k):

@@ -22,6 +22,7 @@ from orepi import (
     gwa_auto_order,
     is_central,
     multiply,
+    normal_form,
     pi_decide,
     spanning_check,
     spec_bh,
@@ -783,6 +784,61 @@ def test_spanning_with_constant_terms_in_centrals(QQ, cyclo3):
                                           ("y^3", y3), ("1", unit)]), caps, 8)
     assert plain.ok and shifted.ok
     assert shifted.rank == plain.rank
+
+
+def _criterion_4_checks():
+    """The spanning checks of acceptance criterion 4 and one of a DownUp
+    algebra that is no finite module: (spec, centrals, caps, degree)."""
+    c3, QQ = FieldCtx.cyclotomic(3), FieldCtx.rational()
+    z = c3.generator()
+    sd = spec_downup(QQ, QQ.from_int(2), QQ.from_int(-1), QQ.one())
+    return [
+        (spec_hpq(c3, c3.from_int(-1), z), None, {"x": 6, "y": 6, "t": 2}, 8),
+        (spec_bh(QQ, QQ.from_int(-1)), None,
+         {"x1": 8, "x2": 4, "y1": 8, "y2": 4}, 6),
+        (spec_m2(c3, z, z), None,
+         dict.fromkeys(("X11", "X12", "X21", "X22"), 3), 8),
+        (sd, downup_center_generators(sd), {"u": 3, "d": 3}, 6),
+    ]
+
+
+@pytest.mark.parametrize("k", range(4), ids=["Hpq", "Bh", "M2", "DownUp"])
+def test_spanning_ignores_the_order_and_scale_of_centrals(k, rng):
+    spec, cs, caps, degree = _criterion_4_checks()[k]
+    cs = cs or central_candidates(spec)
+    p = build_family(spec)
+    want = spanning_check(p, cs, caps, degree)
+    assert want.ok == (spec.family != "DownUp")
+    for _ in range(2):
+        elements = list(cs)
+        rng.shuffle(elements)
+        scaled = []
+        for name, el in elements:
+            c = random_coeff(p.ctx, rng)
+            scaled.append((name, el.scale(p.one if c.is_zero() else c)))
+        r = spanning_check(p, CentralSet(scaled, cs.condition), caps, degree)
+        assert (r.ok, r.rank, r.missing) == (want.ok, want.rank, want.missing)
+
+
+def test_spanning_with_a_central_not_in_normal_form(cyclo3):
+    # y^3 x^3 = x^3 y^3 at q = z3, written out in the order the rule
+    # y x -> q x y rewrites: the products of the centrals put it on either
+    # side of a multiply, and each is the normal form of the product
+    p = build_family(spec_quantum_plane(cyclo3, cyclo3.generator()))
+    one = cyclo3.one()
+    x3, y3, yyyxxx = (NCPoly.monomial(one, p.word(*w)) for w in
+                      ("xxx", "yyy", "yyyxxx"))
+    caps = {"x": 3, "y": 3}
+    written = CentralSet([("x^3", x3), ("y^3", y3), ("y^3x^3", yyyxxx)])
+    normal = CentralSet([("x^3", x3), ("y^3", y3),
+                         ("y^3x^3", multiply(p, x3, y3))])
+    assert normal_form(p, yyyxxx) != yyyxxx
+    products = central_products(p, written, 12)
+    assert products == central_products(p, normal, 12)
+    assert all(normal_form(p, c) == c for c in products)
+    r = _same_report(p, written, caps, 12)
+    assert r.ok
+    assert r.rank == spanning_check(p, normal, caps, 12).rank
 
 
 def test_spanning_rows_split_no_word_and_multiply_by_no_one(monkeypatch,

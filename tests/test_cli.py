@@ -462,12 +462,20 @@ _QP = ["build", "--family", "QuantumPlane"]
       "--caps", f"x={_ONES},y=2"], "ParseError"),
     (["build", "--family", "WeylMalt", "--params", f"q{_ONES}=2"],
      "ParseError"),
+    (_QP + ["--q", "2^20000"], "NumberTooLarge"),
+    (["pi-decide", "--family", "QuantumPlane", "--q", "2^20000"],
+     "NumberTooLarge"),
+    (["normalize", "--family", "QuantumPlane", "--q", "2",
+      "--poly", "10^5000*x"], "NumberTooLarge"),
 ], ids=["level 10^20", "cyclo:100000", "integer", "zN inferred",
-        "zN in cyclo:3", "exponent", "cap", "Weyl index"])
+        "zN in cyclo:3", "exponent", "cap", "Weyl index", "printed rule",
+        "printed witness", "printed normal form"])
 def test_very_large_numbers_end_in_typed_reports(argv, error):
     # a cyclotomic level above fields.MAX_CYCLOTOMIC_LEVEL is refused
-    # before Phi_N is built, and a literal with more digits than int()
-    # reads is a ParseError, not a traceback or a MemoryError
+    # before Phi_N is built, a literal with more digits than int() reads
+    # is a ParseError, and a value with more digits than str() writes,
+    # from a short literal, is a NumberTooLarge as the report is written:
+    # not a traceback or a MemoryError
     t0 = time.monotonic()
     code, doc = run(argv)
     assert time.monotonic() - t0 < 1.0

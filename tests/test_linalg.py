@@ -152,6 +152,29 @@ def test_random_rank_deficient_systems(make_ctx, rng):
         rows = random_system(ctx, rng, ncols, rank, nrows)
         basis = check(rows, ncols, ctx)
         assert len(basis) >= ncols - rank
+        # one-entry rows, which insert stores without a reduction at a
+        # column that is no pivot: a zero payload, a column that is no
+        # pivot yet and one that is
+        tracker = SpanTracker(lambda k: k, ctx)
+        for r in rows:
+            tracker.insert(payloads(r))
+        scalar = ctx.from_int(rng.choice((-1, 1, 2)))
+        singles = [(rng.randrange(ncols), ctx.zero())]
+        singles += [(rng.choice(cols), scalar) for cols in (
+            [k for k in range(ncols) if k not in tracker.rows],
+            sorted(tracker.rows)) if cols]
+        for col, c in singles:
+            new = not c.is_zero() and col not in tracker.rows
+            grew = tracker.insert({col: c.val})
+            assert grew or not new
+            if new:
+                assert tracker.rows[col] == {col: ctx.one().val}
+            if c.is_zero():
+                assert not grew
+        dense = [[c if k == col else ctx.zero() for k in range(ncols)]
+                 for col, c in singles]
+        assert_same_basis(tracker.kernel(ncols),
+                          gauss_jordan_kernel(rows + dense, ncols, ctx))
 
 
 @pytest.mark.parametrize("make_ctx", FIELDS)

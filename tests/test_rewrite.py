@@ -508,6 +508,16 @@ def test_straightener_matches_heap_strategy(p, rng):
         concat = [(ca * cb, wa + wb) for wa, ca in a.terms.items()
                   for wb, cb in b.terms.items()]
         assert multiply(p, a, b) == heap_normal_form(p, concat)
+    # g*x^k for each rule g*x -> ...: along a one-term rule c*x*g each
+    # product is c*x times the one before it, missing from a fresh memo,
+    # and memoized before it in one scope
+    chains = [[(random_coeff(p.ctx, rng), rule.lhs[:1] + rule.lhs[1:] * k)]
+              for rule in p.rules for k in (1, 2, 3, 5)]
+    for fa in chains:
+        assert normal_form(p, fa) == heap_normal_form(p, fa)
+    with product_memo():
+        for fa in chains:
+            assert normal_form(p, fa) == heap_normal_form(p, fa)
 
 
 def test_multiply_accepts_non_normal_operands(rng, QQ):
@@ -568,13 +578,20 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(p, rng):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_left_multiply_matches_multiply(p, data):
+    # with a fresh memo each product is missing; in one scope, after half
+    # the terms, some are memoized, and then all of them
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     g = data.draw(st.integers(0, len(p.names) - 1), label="generator")
     nf = normal_form(p, random_formal(p, rng, terms=4, max_len=5))
     terms = payloads(nf)
     before = dict(terms)
-    assert wrapped(p, left_multiply(p, g, terms)) == \
-        multiply(p, word_poly(p, p.names[g]), nf)
+    want = heap_normal_form(p, [(c, (g,) + w) for w, c in nf.terms.items()])
+    assert multiply(p, word_poly(p, p.names[g]), nf) == want
+    assert wrapped(p, left_multiply(p, g, terms)) == want
+    with product_memo():
+        left_multiply(p, g, dict(list(terms.items())[::2]))
+        for _ in range(2):
+            assert wrapped(p, left_multiply(p, g, terms)) == want
     assert terms == before
 
 
