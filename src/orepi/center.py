@@ -22,7 +22,7 @@ whose eigenvalues are the roots of t^2 - alpha t - beta.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import isqrt, lcm
 
 from .errors import (
@@ -661,13 +661,27 @@ OMEGA_EXPONENT_BOUND = 12
 
 
 def downup_center_generators(spec, roots=None):
-    """Center generators of a Noetherian down-up algebra, by case analysis.
+    """Center generators of a Noetherian down-up algebra A(alpha, beta,
+    gamma), the generalized Weyl algebra over k[x, y], x = ud, y = du,
+    with phi(x) = y, phi(y) = alpha y + beta x + gamma.
 
-    Generic case (distinct roots, both not 1): generators u^m, d^m and the
-    fixed omega-monomials; when the roots are not both roots of unity the
-    omega-monomial search is truncated at OMEGA_EXPONENT_BOUND (any
-    generator returned is still genuinely central).  Jordan cases return
-    a single omega power or the fixed polynomials of degree <= 2.
+    Each distinct root nu of t^2 - alpha t - beta, nu' the other root
+    (nu itself when the root is repeated), gives the eigenvector
+    omega_nu = y - nu' x (+ gamma / (nu - 1) when gamma != 0) of phi
+    with eigenvalue nu, so d omega = nu omega d and omega u = nu u omega;
+    nu omega_nu = beta x + nu y + ..., as beta = -nu nu'.  When
+    gamma != 0 the root 1 gives no eigenvector.  An omega-monomial is
+    central exactly when the eigenvalues of its factors multiply to 1,
+    and the ones listed are the minimal such exponent vectors, the
+    generators of that monoid: no other lies below one in every
+    coordinate.  Each omega's exponent is at most lcm(ord lambda, ord mu)
+    when both roots are roots of unity and OMEGA_EXPONENT_BOUND otherwise
+    (every element listed is still central).  With two eigenvectors the
+    names are w1^i*w2^j, w1 the omega of mu and w2 that of lambda; with
+    one they are omega^i.  When phi has finite order m (condition (5))
+    u^m and d^m come first.  lambda = mu = 1 with gamma != 0 has no
+    eigenvector: its center is the casimir, phi's fixed polynomials of
+    degree <= 2.
 
     With u^m, d^m central the caps on u and d are m + e - 1, e the least
     degree in x = ud, y = du of a central omega-monomial.  A normal word
@@ -682,6 +696,33 @@ def downup_center_generators(spec, roots=None):
     return _downup_center(build_family(spec), roots)
 
 
+def _central_exponents(ctx, nus, bound):
+    """The minimal nonzero exponent vectors e, each entry at most bound,
+    with prod nu^e = 1, in lexicographic order, for one or two roots nu.
+
+    Row i of the walk holds the vectors (i, j), or (i,) alone for one
+    root; the least j with nu_1^i nu_2^j = 1 gives a minimal vector
+    exactly when it is below the last one found, so each row stops there.
+    The walk multiplies payloads."""
+    mul, eq, one = ctx.mul, ctx.eq, ctx.one().val
+    first, last = nus[0].val, nus[-1].val
+    found, least = [], bound + 1 if len(nus) == 2 else 1
+    row = one
+    for i in range(bound + 1):
+        val = row
+        for j in range(least):
+            if (i or j) and eq(val, one):
+                found.append((i, j)[:len(nus)])
+                least = j
+                break
+            if j + 1 < least:
+                val = mul(val, last)
+        if not least:
+            break
+        row = mul(row, first)
+    return found
+
+
 def _downup_center(p, roots=None, orders=None):
     """downup_center_generators in p, a spec's built presentation.
     Supplied roots alone are only checked against t^2 - alpha t - beta;
@@ -693,86 +734,41 @@ def _downup_center(p, roots=None, orders=None):
         lam, mu, ml, mm = _downup_roots(ctx, al, be, roots)
     else:
         (lam, mu), (ml, mm) = roots, orders
-    one = ctx.one()
-
-    if lam != mu and not lam.is_one():  # then mu is not 1 either
-        # omega_1 pairs with mu, omega_2 with lam
-        w1 = {(1, 0): be * (mu - one), (0, 1): mu * (mu - one)}
-        if not ga.is_zero():
-            w1[(0, 0)] = ga * mu
-        w2 = {(1, 0): be * (lam - one), (0, 1): lam * (lam - one)}
-        if not ga.is_zero():
-            w2[(0, 0)] = ga * lam
-        m = None if ml is None or mm is None else lcm(ml, mm)
-        els = [] if m is None else _powers(p, ("u", "d"), m)
-        bound = OMEGA_EXPONENT_BOUND if m is None else m
-        degrees = []
-        for i in range(bound + 1):
-            for j in range(bound + 1):
-                if i == j == 0:
-                    continue
-                if ((mu ** i) * (lam ** j)).is_one():
-                    cp = _mp_mul(cp_pow(w1, i, one), cp_pow(w2, j, one))
-                    els.append((f"w1^{i}*w2^{j}", downup_from_xy(p, cp)))
-                    degrees.append(i + j)
+    # the root lambda is 1 exactly when its order ml is 1
+    if lam == mu and ml == 1 and not ga.is_zero():
+        phi = downup_phi(ctx, al, be, ga)
+        els = [("casimir", downup_from_xy(p, cp))
+               for cp in fixed_polynomials(phi, 2) if set(cp) - {(0, 0)}]
         if not els:
-            raise TrivialCenter("no power of the roots multiplies to 1")
-        caps = None if m is None else \
-            dict.fromkeys(("u", "d"), m + min(degrees) - 1)
-        return CentralSet(els, condition=f"roots {lam!r}, {mu!r}", caps=caps)
-
-    if lam != mu:  # exactly one root equals 1, and it is lam
-        m = mm
+            raise TrivialCenter("no fixed polynomial of degree <= 2")
+        return CentralSet(els, condition="repeated root 1, gamma != 0")
+    # (nu, the other root) for each eigenvector omega_nu, mu's first;
+    # lambda is the root 1 when there is one, which gives none when
+    # gamma != 0
+    pairs = [(mu, lam)] if lam == mu or (ml == 1 and not ga.is_zero()) \
+        else [(mu, lam), (lam, mu)]
+    omegas, one = [], ctx.one()
+    for nu, other in pairs:
+        w = {(1, 0): -other, (0, 1): one}
         if not ga.is_zero():
-            if m is None:
-                raise TrivialCenter("lambda = 1, gamma != 0, mu not a root "
-                                    "of unity")
-            # omega = 2(-x + y + gamma/(alpha - 2)); the constant makes
-            # phi(omega) = mu omega (alpha - 2 = mu - 1 != 0 here)
-            w = {(1, 0): ctx.from_int(-2), (0, 1): ctx.from_int(2),
-                 (0, 0): (ga + ga) / (al - 2)}
-            wp = downup_from_xy(p, cp_pow(w, m, one))
-            return CentralSet([(f"omega^{m}", wp)],
-                              condition=f"lambda=1, gamma!=0, ord(mu)={m}")
-        # gamma = 0: omega_1 = beta x + y is fixed
-        w1 = {(1, 0): be, (0, 1): one}
-        els = [("omega1", downup_from_xy(p, w1))]
-        caps = None
-        if m is not None:
-            w2 = {(1, 0): -one, (0, 1): one}
-            els.append((f"omega2^{m}", downup_from_xy(p, cp_pow(w2, m, one))))
-            els += _powers(p, ("u", "d"), m)
-            caps = {"u": m, "d": m}  # m + e - 1 with omega1 of degree e = 1
-        return CentralSet(els, condition=f"lambda=1, gamma=0, mu order {m}",
-                          caps=caps)
-
-    # repeated root
-    if not lam.is_one():
-        m = ml
-        if m is None:
-            raise TrivialCenter("repeated non-unit root that is not a root "
-                                "of unity")
-        # omega = (2 beta + alpha) x + (alpha - 2) y + 2 gamma
-        w = {(1, 0): be + be + al, (0, 1): al - 2}
-        c0 = ga + ga
-        if not c0.is_zero():
-            w[(0, 0)] = c0
-        return CentralSet([(f"omega^{m}", downup_from_xy(p, cp_pow(w, m, one)))],
-                          condition=f"repeated root of order {m}")
-    # lam = mu = 1 (alpha = 2, beta = -1)
-    if ga.is_zero():
-        w = {(1, 0): -one, (0, 1): one}
-        return CentralSet([("du-ud", downup_from_xy(p, w))],
-                          condition="repeated root 1, gamma = 0")
-    phi = downup_phi(ctx, al, be, ga)
-    els = []
-    for cp in fixed_polynomials(phi, 2):
-        if set(cp) == {(0, 0)} or not cp:
-            continue
-        els.append(("casimir", downup_from_xy(p, cp)))
+            w[(0, 0)] = ga / (nu - 1)
+        omegas.append(w)
+    finite = ml is not None and mm is not None
+    bound = lcm(ml, mm) if finite else OMEGA_EXPONENT_BOUND
+    exponents = _central_exponents(ctx, [nu for nu, _ in pairs], bound)
+    # phi has finite order m, the bound, exactly under condition (5): two
+    # eigenvectors, both of roots of unity
+    m = bound if finite and len(pairs) == 2 else None
+    els = [] if m is None else _powers(p, ("u", "d"), m)
+    for e in exponents:
+        name = f"w1^{e[0]}*w2^{e[1]}" if len(e) == 2 else f"omega^{e[0]}"
+        cp = reduce(_mp_mul, [w for w, i in zip(omegas, e) for _ in range(i)])
+        els.append((name, downup_from_xy(p, cp)))
     if not els:
-        raise TrivialCenter("no fixed polynomial of degree <= 2")
-    return CentralSet(els, condition="repeated root 1, gamma != 0")
+        raise TrivialCenter("no product of powers of the roots is 1")
+    caps = None if m is None else \
+        dict.fromkeys(("u", "d"), m + min(map(sum, exponents)) - 1)
+    return CentralSet(els, condition=f"roots {lam!r}, {mu!r}", caps=caps)
 
 
 def _decide_downup(p):
@@ -891,6 +887,12 @@ def spanning_check(p, centrals, caps, degree=None):
     rank equals the number of columns the rows touch, the missing words
     are the non-residual words they do not touch; otherwise each
     non-residual word is swept for membership.
+
+    A central that is not homogeneous (gamma != 0 in a down-up algebra)
+    gives rows that reach words past the degree, and the rank counts
+    those columns too: on A(-1, -1, 1) over Q(z3) at degree 6 it is 151,
+    though 50 words have length at most 6.  So the rank moves with the
+    central set, while ok and missing do not.
     """
     missing = [name for name in p.names if name not in caps]
     if missing:

@@ -102,8 +102,10 @@ def parse_params(text, ctx):
             continue
         if "=" not in pair:
             raise ParseError(f"expected name=expr, got {pair!r}")
-        name, expr = pair.split("=", 1)
-        out[name.strip()] = parse_coeff(expr.strip(), ctx)
+        name, expr = (part.strip() for part in pair.split("=", 1))
+        if name in out:
+            raise ParseError(f"parameter {name!r} given twice")
+        out[name] = parse_coeff(expr, ctx)
     return out
 
 
@@ -448,6 +450,8 @@ def _get_presentation(args):
         ctx = parse_field(args.field)
     params = parse_params(args.params, ctx)
     if args.q:
+        if "q" in params:
+            raise ParseError("parameter 'q' given twice")
         params["q"] = parse_coeff(args.q, ctx)
     spec = build_spec(args.family, ctx, params, f_text=args.f)
     return build_family(spec), spec
@@ -505,11 +509,7 @@ def cmd_identity_check(args, report):
 
 def cmd_central_check(args, report):
     p, spec = _get_family(args)
-    try:
-        cs = central_candidates(spec)
-    except OrepiError as e:
-        report.add("central-candidates", "error", str(e))
-        return
+    cs = central_candidates(spec)
     for name, el in cs:
         ok, witness = is_central(p, el)
         if ok:
@@ -558,12 +558,7 @@ def cmd_spanning(args, report):
 
 def cmd_matrep(args, report):
     ctx = parse_field(args.field)
-    q = parse_coeff(args.q, ctx)
-    try:
-        alg = quantum_plane_rep(ctx, args.order, q)
-    except OrepiError as e:
-        report.add("matrep", "error", str(e))
-        return
+    alg = quantum_plane_rep(ctx, args.order, parse_coeff(args.q, ctx))
     report.add("matrep", "pass",
                f"shift/diagonal model at order {args.order}; relation "
                f"y x = q x y verified; algebra dimension {alg.dim}")

@@ -3,7 +3,8 @@
 import random
 from collections import Counter
 from itertools import product
-from math import lcm
+from math import lcm, prod
+from operator import add, le
 
 import pytest
 
@@ -18,6 +19,7 @@ from orepi import (
     central_candidates,
     coeff_to_str,
     downup_center_generators,
+    fields,
     fixed_polynomials,
     gwa_auto_order,
     is_central,
@@ -36,7 +38,11 @@ from orepi import (
     spec_weyl,
 )
 from orepi.center import (
+    OMEGA_EXPONENT_BOUND,
+    _downup_roots,
     central_products,
+    cp_pow,
+    downup_from_xy,
     downup_phi,
     exact_sqrt,
     irreducible_words,
@@ -55,7 +61,12 @@ from orepi.linalg import SpanTracker
 from orepi.rewrite import word_poly
 
 from conftest import random_coeff
-from test_rewrite import confluent_zoo
+from test_rewrite import (
+    LEFT_FIELDS,
+    confluent_zoo,
+    confluent_zoo_specs,
+    family_zoo_specs,
+)
 
 
 def test_z_central_in_uqb2_symbolic(rat_q):
@@ -279,20 +290,24 @@ def _check_root_analysis(result, gamma):
         assert result.order == lcm(*result.orders)
 
 
-@pytest.mark.parametrize("n", range(3, 13))
-def test_roots_of_unity_found_without_hand_roots(n):
-    # the roots lambda, mu of t^2 - alpha t - beta are found in Q(zeta_N)
-    # when both are roots of unity, even where the discriminant has no
-    # rational square root; the verdict matches the hand-supplied roots
-    import random
+def _unit_root_pairs(n):
+    """Q(zeta_N) and six pairs (lambda, mu) of its roots of unity."""
     ctx = FieldCtx.cyclotomic(n)
     e = ctx.unit_group_exponent()
     w = ctx.root_of_unity(e)
     rng = random.Random(n)
     pairs = [(1, e - 1)] + [(rng.randrange(e), rng.randrange(e))
                             for _ in range(5)]
-    for i, j in pairs:
-        lam, mu = w ** i, w ** j
+    return ctx, [(w ** i, w ** j) for i, j in pairs]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_roots_of_unity_found_without_hand_roots(n):
+    # the roots lambda, mu of t^2 - alpha t - beta are found in Q(zeta_N)
+    # when both are roots of unity, even where the discriminant has no
+    # rational square root; the verdict matches the hand-supplied roots
+    ctx, pairs = _unit_root_pairs(n)
+    for lam, mu in pairs:
         alpha, beta = lam + mu, -(lam * mu)
         for gamma in (ctx.zero(), ctx.one()):
             got = gwa_auto_order(ctx, alpha, beta, gamma)
@@ -528,24 +543,25 @@ def test_downup_generators_three_listed_cases(QQ, cyclo3):
     p = build_family(spec)
     assert cs.names() == ["omega^3"]
     assert all(is_central(p, el)[0] for _, el in cs)
-    # lambda = mu = 1, gamma = 0 -> contains du - ud
+    # lambda = mu = 1, gamma = 0 -> omega = du - ud
     spec2 = spec_downup(QQ, i(2), i(-1), i(0))
     cs2 = downup_center_generators(spec2)
     p2 = build_family(spec2)
-    assert cs2.names() == ["du-ud"]
+    assert cs2.names() == ["omega^1"]
     du_ud = cs2.elements[0][1]
     assert du_ud == NCPoly({p2.word("d", "u"): QQ.one(),
                             p2.word("u", "d"): -QQ.one()})
     assert is_central(p2, du_ud)[0]
-    # alpha + beta = 1, gamma = 0, mu = -1 -> {omega1, omega2^2, u^2, d^2}
+    # alpha + beta = 1, gamma = 0, mu = -1 -> {w2 = omega_lambda,
+    # w1^2 = omega_mu^2, u^2, d^2}
     spec3 = spec_downup(QQ, i(0), i(1), i(0))
     cs3 = downup_center_generators(spec3)
     p3 = build_family(spec3)
-    assert set(cs3.names()) == {"omega1", "omega2^2", "u^2", "d^2"}
+    assert set(cs3.names()) == {"w1^0*w2^1", "w1^2*w2^0", "u^2", "d^2"}
     assert all(is_central(p3, el)[0] for _, el in cs3)
-    # omega1 = beta ud + du
-    w1 = dict(cs3.elements)["omega1"]
-    assert w1 == NCPoly({p3.word("u", "d"): QQ.one(),
+    # omega_lambda = beta ud + du
+    w2 = dict(cs3.elements)["w1^0*w2^1"]
+    assert w2 == NCPoly({p3.word("u", "d"): QQ.one(),
                          p3.word("d", "u"): QQ.one()})
 
 
@@ -554,6 +570,149 @@ def test_downup_trivial_center(QQ):
     with pytest.raises(TrivialCenter):
         downup_center_generators(spec_downup(QQ, QQ.from_int(3),
                                              QQ.from_int(-2), QQ.one()))
+
+
+def _downup_instances():
+    """(spec, roots handed to the call, or None) for every DownUp instance
+    of the family zoos and of the root sweeps above, over Q, Q(zeta_N),
+    GF(p^k) in characteristic 2 and others, and Q(q), where the roots q,
+    1/q give a central w1 w2 and the roots q, q^2 none.  The sweep of
+    Q(zeta_N) takes the levels whose roots of unity have order at most 8:
+    a central set at order 22 takes a minute to build and check."""
+    out = []
+    for n in (3, 4, 6, 8):
+        ctx, pairs = _unit_root_pairs(n)
+        out += [(spec_downup(ctx, lam + mu, -(lam * mu), g), None)
+                for lam, mu in pairs for g in (ctx.zero(), ctx.one())]
+    specs = family_zoo_specs() + [c.values[0] for c in _root_cases()]
+    specs += [s for ctx in LEFT_FIELDS.values()
+              for s in confluent_zoo_specs(ctx)]
+    out += [(s, None) for s in specs if s.family == "DownUp"]
+    for modulus in ((0, 1), (1, 1, 1), (1, 1, 0, 1)):
+        ctx = FieldCtx.galois(2, modulus)
+        units = list(ctx.units())
+        out += [(spec_downup(ctx, lam + mu, -(lam * mu), ctx.zero()), None)
+                for k, lam in enumerate(units) for mu in units[k:]]
+    rq = FieldCtx.rational_functions(("q",))
+    q = rq.param("q")
+    out += [(spec_downup(rq, lam + mu, -(lam * mu), g), (lam, mu))
+            for lam, mu in ((q, q.inv()), (q, q * q))
+            for g in (rq.zero(), rq.one())]
+    # trivial centers over Q: lambda = 1 with gamma != 0 and mu = 2, and
+    # the repeated root 2
+    QQ = FieldCtx.rational()
+    out += [(spec_downup(QQ, *map(QQ.from_int, abg)), None)
+            for abg in ((3, -2, 1), (4, -4, 0))]
+    return out
+
+
+def _exponents(name):
+    """The exponent vector of an omega-monomial's name."""
+    return tuple(int(part.split("^")[1]) for part in name.split("*"))
+
+
+def _scalar_multiple(a, b):
+    """Is a = c b for a nonzero scalar c?"""
+    w = next(iter(b.vals))
+    c = a.coeff(w)
+    return c is not None and a == b.scale(c / b.coeff(w))
+
+
+def _decompositions(listed, bound):
+    """Each sum of listed vectors with entries at most bound, mapped to
+    one tuple of listed vectors that adds up to it."""
+    zero = (0,) * len(listed[0])
+    out, stack = {zero: ()}, [zero]
+    while stack:
+        e = stack.pop()
+        for f in listed:
+            g = tuple(map(add, e, f))
+            if max(g) <= bound and g not in out:
+                out[g] = out[e] + (f,)
+                stack.append(g)
+    return out
+
+
+def test_downup_central_sets_are_minimal_and_generate_the_full_search():
+    # the omega-monomials listed are central and minimal, and they generate
+    # every central omega-monomial of the whole exponent box: each is a
+    # scalar multiple of a product of listed ones; the test builds phi's
+    # eigenvectors in a scaling of its own
+    kinds = Counter()
+    for spec, roots in _downup_instances():
+        ctx, one = spec.ctx, spec.ctx.one()
+        al, be, ga = (spec.params[k] for k in ("alpha", "beta", "gamma"))
+        lam, mu, ml, mm = _downup_roots(ctx, al, be, roots)
+        p = build_family(spec)
+        if lam == mu == one and not ga.is_zero():
+            cs = downup_center_generators(spec, roots=roots)
+            assert set(cs.names()) == {"casimir"} and cs.caps is None
+            assert all(is_central(p, el)[0] for _, el in cs)
+            kinds["casimir"] += 1
+            continue
+        nus = [mu] if lam == mu or (lam == one and not ga.is_zero()) \
+            else [mu, lam]
+        bound = OMEGA_EXPONENT_BOUND if None in (ml, mm) else lcm(ml, mm)
+        full = [e for e in product(range(bound + 1), repeat=len(nus))
+                if any(e) and prod((nu ** k for nu, k in zip(nus, e)),
+                                   start=one) == one]
+        cond5 = lam != mu and None not in (ml, mm) and \
+            (ga.is_zero() or lam != one)
+        if not (full or cond5):
+            with pytest.raises(TrivialCenter):
+                downup_center_generators(spec, roots=roots)
+            kinds["trivial"] += 1
+            continue
+        cs = downup_center_generators(spec, roots=roots)
+        powers = []
+        if cond5:
+            m = lcm(ml, mm)
+            powers = [(f"u^{m}", p.word("u") * m), (f"d^{m}", p.word("d") * m)]
+            assert cs.caps == dict.fromkeys("ud", m + min(map(sum, full)) - 1)
+        else:
+            assert cs.caps is None
+        assert [(n, tuple(el.vals)) for n, el in cs][:len(powers)] == \
+            [(n, (w,)) for n, w in powers]
+        listed = {_exponents(n): el for n, el in cs.elements[len(powers):]}
+        assert listed and set(listed) <= set(full)
+        assert not any(f != e and all(map(le, f, e))
+                       for e in listed for f in listed), cs.names()
+        prefix = "w1^" if len(nus) == 2 else "omega^"
+        assert all(n.startswith(prefix) for n in cs.names()[len(powers):])
+        assert all(is_central(p, el)[0] for _, el in cs), spec.params
+
+        phi = downup_phi(ctx, al, be, ga)
+        omegas = []
+        for nu in nus:
+            w = {(1, 0): be, (0, 1): one} if nu == one else \
+                {(1, 0): be * (nu - 1), (0, 1): nu * (nu - 1), (0, 0): ga * nu}
+            w = {k: c for k, c in w.items() if not c.is_zero()}
+            assert phi.apply_poly(w) == {k: nu * c for k, c in w.items()}
+            omegas.append(w)
+
+        def monomial(e):
+            cp = {(0, 0): one}
+            for w, k in zip(omegas, e):
+                cp = fields._mp_mul(cp, cp_pow(w, k, one))
+            return downup_from_xy(p, cp)
+        assert all(_scalar_multiple(el, monomial(e))
+                   for e, el in listed.items())
+        # x = ud and y = du commute, so the omega-monomial of a sum of
+        # listed vectors is a scalar multiple of the product of their
+        # listed elements; checked outright up to degree 4
+        x, y = (word_poly(p, *w) for w in ("ud", "du"))
+        assert multiply(p, x, y) == multiply(p, y, x)
+        sums = _decompositions(list(listed), bound)
+        for e in full:
+            if sum(e) > 4:
+                assert e in sums
+                continue
+            product_of_listed = NCPoly.monomial(one, ())
+            for f in sums[e]:
+                product_of_listed = multiply(p, product_of_listed, listed[f])
+            assert _scalar_multiple(product_of_listed, monomial(e)), e
+        kinds[len(nus)] += 1
+    assert all(kinds[k] for k in ("trivial", "casimir", 1, 2)), kinds
 
 
 # -- spanning ----------------------------------------------------------------

@@ -187,6 +187,12 @@ def test_matrep_and_identity_search():
     code, doc = run(["matrep", "--order", "3", "--field", "cyclo:3",
                      "--q", "z3"])
     assert code == 0
+    # its errors are typed like every other command's
+    code, doc = run(["matrep", "--order", "3", "--q", "2"])
+    assert code == 1
+    assert doc["checks"] == [{
+        "name": "error", "status": "error",
+        "detail": "NotPrimitiveRoot: q is not a primitive 3-th root of unity"}]
     code, doc = run(["identity-search", "--algebra", "m2", "--degree", "3"])
     assert code == 0
     assert "dimension 0" in doc["checks"][0]["detail"]
@@ -589,6 +595,23 @@ def test_names_a_family_does_not_read_are_parse_errors(argv, unknown, known):
     assert doc["checks"][0]["detail"] == (
         f"ParseError: {argv[2]} reads no parameter {unknown}; "
         f"its parameters: {known}")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["build", "--family", "QuantumPlane", "--params", "q=2,q=3"], "q"),
+    (["build", "--family", "QuantumPlane", "--params", "q=2", "--q", "3"],
+     "q"),
+    (["pi-decide", "--family", "DownUp", "--params",
+      "alpha=0,beta=1, beta =1,gamma=0"], "beta"),
+])
+def test_a_parameter_given_twice_is_a_parse_error(argv, name):
+    # like a cap given twice, a repeated parameter is refused, not
+    # overwritten by its second value
+    code, doc = run(argv)
+    assert code == 1
+    assert [c["status"] for c in doc["checks"]] == ["error"]
+    assert doc["checks"][0]["detail"] == \
+        f"ParseError: parameter {name!r} given twice"
 
 
 @pytest.mark.parametrize("field,name", [("cyclo:3", "Q(z3)"),
