@@ -554,7 +554,8 @@ LEMMA_IDS = tuple(sorted(ORACLES))
 def _lemma(lemma_id, p):
     info = ORACLES.get(lemma_id)
     if info is None:
-        raise FamilyMismatch(f"unknown lemma id {lemma_id!r}")
+        raise FamilyMismatch(f"unknown lemma id {lemma_id!r}; known: "
+                             + ", ".join(LEMMA_IDS))
     _values(p, info.family,
             f"{lemma_id} lives in family {info.family}, got {p.family}")
     return info

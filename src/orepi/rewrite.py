@@ -11,9 +11,10 @@ the NCPoly results (ctx and a dict word -> payload, the straightener's
 dict held as it is) and product_terms, which writes out the (word,
 payload) terms of c*a*b for multiply and q_commutator to straighten.
 normal_form checks and unwraps a (Coeff, word) list as it enters.  1 is
-the payload p.one.val, which is never multiplied by.  left_multiply
-takes and returns payload dicts, the row format of linalg.SpanTracker,
-and costs a memo lookup per term once its products are memoized.
+the payload p.one.val, which is never multiplied by; an input
+coefficient equal to 1 enters as it.  left_multiply takes and returns
+payload dicts, the row format of linalg.SpanTracker, and costs a memo
+lookup per term once its products are memoized.
 overlap_check enumerates every word with two distinct one-step
 reductions (proper overlaps and containments) and reports the residual
 of each critical pair; by the diamond lemma all residuals vanish
@@ -25,11 +26,14 @@ part in no rewrite, so a product is straightened once for its core, the
 word without that run, and the run is appended to every word of the
 core's normal form: the same rewrite steps, in the same order.
 
-A product g*u missing from the memo whose rule has a one-term right
-side c*a*b, with no rule starting at a, is c*a times the normal form of
-b*rest (rest: u past the redex); when that is irreducible or memoized,
-a is prepended to it with no straightener frame, which gives the
-straightener's own dict, and the product is memoized as any other.
+A product g*u missing from the memo (rest: u past the left side) needs
+no straightener frame when the rule's plan, compiled once per
+presentation, applies.  When every right-side word rw is irreducible and
+rest starts with none of the plan's prefixes, the rest prefixes that
+would start a redex inside some rw, g*u is the sum of c*rw*rest.  A
+one-term right side c*a*b, with no rule starting at a, is also c*a times
+the memoized normal form of b*rest.  Either way the product is the
+straightener's own dict, and is memoized as any other.
 
 A left side may have one letter: a rule g -> rhs rewrites every
 occurrence of g, the last letter of a word too.  The input's words are
@@ -180,14 +184,14 @@ def rule_table(rules, one):
     """The straightener's rules-by-first-letter table, built once for
     each presentation.
 
-    Maps a generator to ((len(lhs) - 1, lhs[1:], rhs, one_term), ...) in
+    Maps a generator to ((len(lhs) - 1, lhs[1:], rhs, plan), ...) in
     rule order.  rhs[n] holds the (word, payload) pairs of the right side
     whose words have length n, with like words merged; a payload is the
     bare value of a coefficient in the field of one (a coefficient of
     another field raises CtxMismatch).  A coefficient equal to 1 becomes
     the payload one.val itself, which the straightener never multiplies
-    by.  one_term is (c, a, b) when the right side is the one term c*a*b
-    and no rule starts with a, else None.
+    by.  plan is the rule's missing product without a frame (_plan), or
+    None.
     """
     table = {}
     for rule in rules:
@@ -200,18 +204,51 @@ def rule_table(rules, one):
                 rhs[len(w)].append((w, one.val if c == one else c.val))
         table.setdefault(rule.lhs[0], []).append(
             (len(rule.lhs) - 1, rule.lhs[1:], tuple(map(tuple, rhs))))
-    return {g: tuple((k, tail, rhs, _one_term(rhs, table))
+    return {g: tuple((k, tail, rhs, _plan(rhs, table))
                      for k, tail, rhs in entries)
             for g, entries in table.items()}
 
 
-def _one_term(rhs, table):
-    """(c, a, b) for a right side c*a*b whose a starts no rule, else None."""
-    if len(rhs) == 3 and not rhs[0] and not rhs[1] and len(rhs[2]) == 1:
-        (a, b), c = rhs[2][0]
-        if a not in table:
-            return c, a, b
-    return None
+def _plan(rhs, table):
+    """(terms, lengths, heads, prepend) for a rule's right side rhs, or
+    None.
+
+    terms are its (rw, payload) pairs in the key order the straightener
+    gives the words rw*rest when none of them rewrites.  heads holds the
+    rest prefixes that complete a left side begun inside some rw, and
+    lengths their lengths, ascending; the empty prefix stands for a left
+    side inside rw.  When rest starts with none of them, every rw*rest is
+    irreducible, and g*u is {rw + rest: payload}.  prepend is (c, a, b)
+    for a right side c*a*b whose a starts no rule, else None: then g*u is
+    c*a times the normal form of b*rest, read from the memo, since a*w is
+    irreducible for every irreducible w.  A rule with neither is None.
+    """
+    terms = [term for bucket in rhs for term in bucket]
+    if len(terms) > 1:
+        # the straightener merges the words by prefix, longest first
+        levels = [{rw: [rw] for rw, _ in bucket} for bucket in rhs]
+        for n in range(len(levels) - 1, 0, -1):
+            for prefix, words in levels[n].items():
+                levels[n - 1].setdefault(prefix[:-1], []).extend(words)
+        payload = dict(terms)
+        terms = [(rw, payload[rw]) for rw in levels[0][()]]
+    heads = set()
+    for rw, _ in terms:
+        for i, a in enumerate(rw, 1):
+            # a left side a*tail at a, with j letters of rw after a
+            j = len(rw) - i
+            for k, tail, _ in table.get(a, ()):
+                if tail[:j] == rw[i:i + k]:
+                    heads.add(tail[j:])
+    prepend = None
+    if len(terms) == 1:
+        [(rw, c)] = terms
+        if len(rw) == 2 and rw[0] not in table:
+            prepend = c, rw[0], rw[1]
+    if () in heads and prepend is None:
+        return None
+    return (tuple(terms), tuple(sorted(set(map(len, heads)))),
+            frozenset(heads), prepend)
 
 
 @contextmanager
@@ -250,8 +287,8 @@ def _straighten(p, levels, memo):
     irreducible words to payloads.  Prefixes give up their last letter
     longest first, so like terms merge before the next letter goes in.
     A product g*u missing from the memo is requested by yielding (g*u,
-    the rest of u after the redex, the rule's rhs levels and one_term);
-    the driver (_run) sends back its normal form.
+    the rest of u after the redex, the rule's rhs levels and plan); the
+    driver (_run) sends back its normal form.
     """
     one, by_first = p.one.val, p.by_first
     add, mul, is_zero = p.field_ops
@@ -268,11 +305,11 @@ def _straighten(p, levels, memo):
                 out = shorter[key] = {}
             for u, c in poly.items():
                 gu = (g,) + u
-                for k, tail, rhs, one_term in rules:
+                for k, tail, rhs, plan in rules:
                     if u[:k] == tail:
                         prod = memo.get(gu)
                         if prod is None:
-                            prod = yield gu, u[k:], rhs, one_term
+                            prod = yield gu, u[k:], rhs, plan
                         # the accumulation is inlined here, below, in
                         # left_multiply and in _levels: it runs once per
                         # term, and a helper call would cost about as much
@@ -309,17 +346,16 @@ def _run(p, frame, memo):
     """What the generator frame (a _straighten or an _ask) returns.  The
     products it asks for are computed, and memoized, on an explicit stack.
 
-    A product g*u rewritten by a one-term rule c*a*b whose a starts no
-    rule needs no frame of its own when b*rest is irreducible or
-    memoized: it is c*a times that normal form, and a*w is irreducible
-    for every irreducible w.
+    A product whose rule's plan applies needs no frame of its own: it is
+    the planned terms followed by rest, or a prepended to the memoized
+    normal form of b*rest (see _plan).
     """
-    one, inert, by_first, mul = p.one.val, p.inert, p.by_first, p.field_ops[1]
+    one, inert, mul = p.one.val, p.inert, p.field_ops[1]
     stack = [(None, (), frame)]
     value = None
     while True:
         try:
-            word, rest, rhs, one_term = stack[-1][2].send(value)
+            word, rest, rhs, plan = stack[-1][2].send(value)
         except StopIteration as done:
             word, run, _ = stack.pop()
             if not stack:
@@ -338,21 +374,23 @@ def _run(p, frame, memo):
                 value = memo[word + run] = {w + run: c
                                             for w, c in core.items()}
                 continue
-        if one_term is not None:
-            c, a, b = one_term
-            brest = (b,) + rest
-            prod = memo.get(brest)
-            if prod is None:
-                for k, tail, _, _ in by_first.get(b, ()):
-                    if rest[:k] == tail:
-                        break
-                else:
-                    prod = {brest: one}
-            if prod is not None:
-                value = _store(memo, word, run, {
-                    (a,) + w: pc if c is one else c if pc is one
-                    else mul(c, pc) for w, pc in prod.items()}, one)
+        if plan is not None:
+            terms, lengths, heads, prepend = plan
+            for n in lengths:
+                if rest[:n] in heads:
+                    break
+            else:
+                value = _store(memo, word, run,
+                               {rw + rest: c for rw, c in terms}, one)
                 continue
+            if prepend is not None:
+                c, a, b = prepend
+                prod = memo.get((b,) + rest)
+                if prod is not None:
+                    value = _store(memo, word, run, {
+                        (a,) + w: pc if c is one else c if pc is one
+                        else mul(c, pc) for w, pc in prod.items()}, one)
+                    continue
         levels = [{rw: {rest: rc} for rw, rc in bucket} for bucket in rhs]
         stack.append((word, run, _straighten(p, levels, memo)))
         value = None
@@ -385,11 +423,13 @@ def _split(p, word):
 
 def _levels(p, terms):
     """Straightener input for the sum of (word, payload) terms."""
-    add, _, is_zero = p.field_ops
+    one, (add, _, is_zero) = p.one.val, p.field_ops
     levels = [{}]
     for w, c in terms:
         if is_zero(c):
             continue
+        if c is not one and c == one:
+            c = one
         prefix, suffix = _split(p, tuple(w))
         while len(levels) <= len(prefix):
             levels.append({})
@@ -469,11 +509,11 @@ def left_multiply(p, g, terms):
     out = {}
     for u, c in terms.items():
         gu = (g,) + u
-        for k, tail, rhs, one_term in rules:
+        for k, tail, rhs, plan in rules:
             if u[:k] == tail:
                 prod = memo.get(gu)
                 if prod is None:
-                    prod = _run(p, _ask(gu, u[k:], rhs, one_term), memo)
+                    prod = _run(p, _ask(gu, u[k:], rhs, plan), memo)
                 for w, pc in prod.items():
                     if c is not one:
                         pc = c if pc is one else mul(c, pc)

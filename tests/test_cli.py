@@ -65,6 +65,18 @@ def test_identity_check_hpq():
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_unknown_lemma_is_a_family_mismatch():
+    # reported as every other command-line error is, naming the known ids
+    from orepi import LEMMA_IDS
+    code, doc = run(["identity-check", "--family", "Hpq", "--params",
+                     "p=2,q=3", "--lemma", "H.nope"])
+    assert code == 1
+    [check] = doc["checks"]
+    assert (check["name"], check["status"]) == ("error", "error")
+    assert check["detail"] == ("FamilyMismatch: unknown lemma id 'H.nope'; "
+                               "known: " + ", ".join(LEMMA_IDS))
+
+
 def test_pi_decide_bqf_unknown():
     code, doc = run(["pi-decide", "--family", "Bqf", "--field", "cyclo:3",
                      "--f", "t^8", "--q", "z3"])

@@ -542,10 +542,11 @@ def test_multiply_accepts_non_normal_operands(rng, QQ):
 
 
 @pytest.mark.parametrize("p", LEFT_ZOO)
-def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(p, rng):
+def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(
+        p, rng, monkeypatch):
     # a coefficient equal to 1 whose payload is not p.one.val (over Q every
-    # payload 1 is the one int): it is multiplied like any other, exactly,
-    # in the input, in the rows left_multiply takes and in a rule
+    # payload 1 is the one int): it is exact in the input, where it enters
+    # as p.one.val, in the rows left_multiply takes and in a rule
     ctx = p.ctx
     a = random_coeff(ctx, rng)
     while a.is_zero():
@@ -572,6 +573,23 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(p, rng):
     assert normal_form(q, fa) == heap_normal_form(p, fa)
     # a product by the shared 1 gives back its payload p.one.val itself
     assert normal_form(p, [(p.one, (g,))]).vals[(g,)] is p.one.val
+    # input coefficients equal to 1 cause no multiplication: a sum of
+    # words with coefficient unit takes the products of the same sum with
+    # coefficient p.one, and none of them has unit.val as a factor
+    add, mul, is_zero = p.field_ops
+    factors = []
+
+    def counting(x, y):
+        factors.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(p, "field_ops", (add, counting, is_zero))
+    words = [w for _, w in random_formal(p, rng, terms=4, max_len=5)]
+    nf = normal_form(p, [(unit, w) for w in words])
+    assert not any(x is unit.val or y is unit.val for x, y in factors)
+    with_unit, factors[:] = len(factors), []
+    assert normal_form(p, [(p.one, w) for w in words]) == nf
+    assert len(factors) == with_unit
 
 
 @pytest.mark.parametrize("p", LEFT_ZOO)
@@ -771,6 +789,129 @@ def test_straightener_runs_per_wku_check(monkeypatch, QQ):
     monkeypatch.setattr(p, "inert", frozenset())
     assert check_paper_identity("Bqf.wku", p, 4).all_pass
     assert runs[True] < 2 * runs[False] / 3
+
+
+# -- missing products without a straightener frame ---------------------------
+
+
+def _without_plans(p):
+    """p's rule table with every plan taken out: each missing product
+    opens a straightener frame."""
+    return {g: tuple((k, tail, rhs, None) for k, tail, rhs, _ in rules)
+            for g, rules in p.by_first.items()}
+
+
+def _planned_and_framed(monkeypatch, p, run):
+    """run() with p's plans and without them, in a fresh product memo."""
+    with product_memo():
+        planned = run()
+    with monkeypatch.context() as m:
+        m.setattr(p, "by_first", _without_plans(p))
+        with product_memo():
+            framed = run()
+    return planned, framed
+
+
+@pytest.mark.parametrize("p", LEFT_ZOO)
+def test_planned_products_equal_framed_products(p, rng, monkeypatch):
+    # every family has a plan, and a planned product is the frame's dict:
+    # the same words in the same order, with equal payloads, in normal
+    # forms, products and rows, the later calls reading the memo the
+    # earlier ones filled
+    assert any(plan for rules in p.by_first.values()
+               for _, _, _, plan in rules)
+    inputs = [random_formal(p, rng, terms=4, max_len=6) for _ in range(6)]
+    pairs = [(normal_form(p, rng.choice(inputs)),
+              normal_form(p, rng.choice(inputs))) for _ in range(3)]
+
+    def run():
+        out = [normal_form(p, fa).vals for fa in inputs]
+        out += [multiply(p, a, b).vals for a, b in pairs]
+        out += [left_multiply(p, g, a.vals)
+                for a, _ in pairs for g in range(len(p.names))]
+        return [list(vals.items()) for vals in out]
+
+    planned, framed = _planned_and_framed(monkeypatch, p, run)
+    assert planned == framed
+
+
+def test_downup_plans_hold_two_letter_prefixes(QQ, rng, monkeypatch):
+    # d*u*u -> al*u*d*u + be*u*u*d + ga*u: a redex begun at the d of
+    # u*d*u needs one more u, at the d of u*u*d two more letters
+    p = build_family(spec_downup(QQ, QQ.from_int(2), QQ.from_int(-1),
+                                 QQ.from_int(1)))
+    u, d = p.word("u", "d")
+    terms, lengths, heads, prepend = p.by_first[d][0][3]
+    assert [w for w, _ in terms] == [(u,), (u, d, u), (u, u, d)]
+    assert lengths == (1, 2) and heads == {(u,), (u, u), (d, u)}
+    assert prepend is None
+    # words past a cubic left side that do and do not start a redex
+    words = [(d, u, u) + rest for rest in
+             ((), (d,), (u,), (d, d), (d, u), (u, d), (u, u), (d, u, d))]
+    words += [(d, d, u) + rest for rest in ((), (u,), (d, u), (u, u))]
+    words += [tuple(rng.randrange(2) for _ in range(rng.randint(3, 7)))
+              for _ in range(20)]
+
+    def run():
+        return [list(normal_form(p, [(QQ.from_int(3), w)]).vals.items())
+                for w in words]
+
+    planned, framed = _planned_and_framed(monkeypatch, p, run)
+    assert planned == framed
+    for nf, word in zip(planned, words):
+        assert NCPoly({w: Coeff(QQ, c) for w, c in nf}) == \
+            heap_normal_form(p, [(QQ.from_int(3), word)])
+
+
+def test_a_right_side_holding_a_one_letter_left_side_gets_no_plan(
+        rng, monkeypatch):
+    # from a presentation file: t -> 3 rewrites the t of y*x -> 2*x*y + t,
+    # so that rule never gets a plan; t*u itself is planned as 3*u
+    from orepi.cli import presentation_from_json
+    p = presentation_from_json({
+        "field": {"kind": "rational"}, "generators": ["x", "y", "t"],
+        "weights": [1, 1, 1], "precedence": ["x", "y", "t"],
+        "rules": [{"lhs": ["y", "x"],
+                   "rhs": [{"coeff": "2", "word": ["x", "y"]},
+                           {"coeff": "1", "word": ["t"]}]},
+                  {"lhs": ["t"], "rhs": [{"coeff": "3", "word": []}]}]})
+    x, y, t = p.word("x", "y", "t")
+    assert p.min_lhs == 1 and p.is_confluent()
+    assert p.by_first[y][0][3] is None
+    assert p.by_first[t][0][3] == \
+        ((((), p.ctx.from_int(3).val),), (), frozenset(), None)
+    inputs = [random_formal(p, rng, terms=3, max_len=6) for _ in range(12)]
+    inputs += [[(p.one, (y, x) + (t,) * k)] for k in range(4)]
+
+    def run():
+        return [list(normal_form(p, fa).vals.items()) for fa in inputs]
+
+    planned, framed = _planned_and_framed(monkeypatch, p, run)
+    assert planned == framed
+    for fa in inputs:
+        assert normal_form(p, fa) == heap_normal_form(p, fa)
+
+
+def test_frames_opened_by_missing_products(monkeypatch, QQ):
+    # Hpq y*x -> q*x*y + t: both words are irreducible with nothing after
+    # them, so only the top-level frame opens; Bh y1*x1*x1 leaves x1 past
+    # y1*x1, which x1*y1*x1 rewrites again, so its product opens a frame
+    from orepi import rewrite
+    real = rewrite._straighten
+    frames = []
+
+    def counting(*args):
+        frames.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "_straighten", counting)
+    hpq = build_family(spec_hpq(QQ, QQ.from_int(2), QQ.from_int(3)))
+    normal_form(hpq, [(QQ.one(), hpq.word("y", "x"))])
+    assert len(frames) == 1
+    frames.clear()
+    bh = build_family(spec_bh(QQ, QQ.from_int(2)))
+    normal_form(bh, [(QQ.one(), bh.word("y1", "x1", "x1"))])
+    assert len(frames) == 2
 
 
 def _reachable(root):
