@@ -49,6 +49,9 @@ from .presentations import (
 from .rewrite import NCPoly, normal_form, overlap_check
 
 _WEYL_PARAMS = ("n", "q1..qn", "l12..")
+# the Weyl families read n(n+1)/2 parameter names; a larger n is refused
+# before they are listed
+MAX_WEYL_N = 100
 # the builders' parameter table, under the command-line names where the
 # builders read structured data
 FAMILY_PARAMS = dict(
@@ -222,6 +225,9 @@ def build_spec(family, ctx, params, f_text=None):
             n = max((int_literal(k[1:], "parameter index")
                      for k in params if k[:1] == "q" and k[1:].isdecimal()),
                     default=1)
+        if n > MAX_WEYL_N:
+            raise ParseError(f"{family} takes at most {MAX_WEYL_N} generator "
+                             "pairs (n)")
         required = [f"q{i + 1}" for i in range(n)]
         names = ["n", *required, *(f"l{i + 1}{j + 1}" for i in range(n)
                                    for j in range(i + 1, n))]

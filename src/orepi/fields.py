@@ -97,7 +97,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, product
 from math import gcd, lcm, prod
-from operator import add, attrgetter, mul, neg, pos, sub
+from operator import add, attrgetter, is_, mul, neg, pos, sub
 
 from .errors import (
     CtxMismatch,
@@ -508,6 +508,8 @@ class FieldCtx:
     subclass for its kind, which owns the payload format of its values
     (see the module docstring).  Instances are immutable and safe to
     share, and two contexts are equal when they describe the same field.
+    The one mutable slot, ``_RatFuncs._last``, keeps the last
+    specialization map compiled (``specializer``); it changes no value.
 
     Each subclass validates its descriptor in ``__init__``, embeds a
     rational as a payload (``embed``) and supplies the payload operations
@@ -849,9 +851,10 @@ class _RatFuncs(FieldCtx):
     but not reduced by a gcd, so one value can have several payloads.
     A denominator 1 is, where this class builds it, the one dict
     ``_one_den``, which the monomial-denominator path tests by identity
-    first."""
+    first.  ``_last`` is the last specialization map compiled, as one
+    (target, payloads, map) tuple."""
 
-    __slots__ = ("params", "_one_den")
+    __slots__ = ("params", "_one_den", "_last")
     kind = RATFUNC
 
     def __init__(self, params):
@@ -859,6 +862,7 @@ class _RatFuncs(FieldCtx):
             raise InvalidField("duplicate parameter names")
         self.params = params
         self._one_den = _mp_const(1, len(params))
+        self._last = (None, (), None)
 
     def __repr__(self):
         return "Q(" + ",".join(self.params) + ")"
@@ -921,49 +925,34 @@ class _RatFuncs(FieldCtx):
 
     def specializer(self, assignment, target):
         """The payload map substituting assignment[name], a Coeff of
-        target, for each parameter.  Each parameter's powers are built
-        once, by repeated multiplication, each monomial is evaluated once,
-        and a denominator equal to 1 is not inverted."""
+        target, for each parameter (``_specialization_map``).
+
+        The field keeps the last map it compiled and returns it again
+        for the same target object and the same assigned payload objects,
+        so a run of ``Coeff.specialize`` calls at one assignment compiles
+        one map.  The assignment is checked on every call, before a map
+        is reused."""
         values = [assignment.get(name) for name in self.params]
-        if None in values:
-            raise UnassignedParameter(self.params[values.index(None)])
-        if any(a.ctx is not target and a.ctx != target for a in values):
+        # by identity: ``None in values`` would call Coeff.__eq__
+        for name, a in zip(self.params, values):
+            if a is None:
+                raise UnassignedParameter(name)
+        if not all(isinstance(a, Coeff)
+                   and (a.ctx is target or a.ctx == target) for a in values):
             raise CtxMismatch(f"an assigned value is not in {target!r}")
-        add, mul, embed = target.add, target.mul, target.embed
-        one, zero = embed(1), embed(0)
-        powers, monomials = [[one, a.val] for a in values], {}
-
-        def evaluate(poly):
-            total = zero
-            for exps, c in poly.items():
-                term = monomials.get(exps)
-                if term is None:
-                    for pw, e in zip(powers, exps):
-                        while len(pw) <= e:
-                            pw.append(mul(pw[-1], pw[1]))
-                    factors = [pw[e] for pw, e in zip(powers, exps) if e]
-                    term = reduce(mul, factors) if factors else one
-                    monomials[exps] = term
-                if c != 1:
-                    term = target.neg(term) if c == -1 else mul(embed(c), term)
-                total = term if total is zero else add(total, term)
-            return total
-
-        def specialize(x):
-            if x[1] == self._one_den:
-                return evaluate(x[0])
-            den = evaluate(x[1])
-            if target.is_zero(den):
-                raise DenominatorVanishes(self.to_str(x))
-            return mul(evaluate(x[0]), target.inv(den))
-        return specialize
+        payloads = tuple(a.val for a in values)
+        last_target, last_payloads, at = self._last
+        # by identity: equal payloads can differ in form (Fraction or int
+        # coordinates), and the map returns the payloads it was built with
+        if last_target is not target or not all(map(is_, payloads,
+                                                    last_payloads)):
+            at = _specialization_map(self.params, self._one_den, payloads,
+                                     target)
+            self._last = (target, payloads, at)
+        return at
 
     def to_str(self, x):
-        num, den = x
-        ns = _mp_to_str(num, self.params)
-        if den == self._one_den:
-            return ns
-        return f"({ns})/({_mp_to_str(den, self.params)})"
+        return _ratfunc_str(x, self.params, self._one_den)
 
     def as_fraction(self, x):
         """The Fraction x equals when it is a rational constant, else None."""
@@ -973,6 +962,64 @@ class _RatFuncs(FieldCtx):
             return None
         (key,) = keys
         return Fraction(num.get(key, 0), den[key])
+
+
+def _ratfunc_str(x, params, one_den):
+    """A rational-function payload as text (``_RatFuncs.to_str``)."""
+    num, den = x
+    ns = _mp_to_str(num, params)
+    if den == one_den:
+        return ns
+    return f"({ns})/({_mp_to_str(den, params)})"
+
+
+def _specialization_map(params, one_den, values, target):
+    """The payload map of Q(params) into target that substitutes the
+    payload values[i] for params[i].  Each parameter's powers are built
+    once, by repeated multiplication, each monomial is evaluated once,
+    and a denominator equal to 1 is not inverted.  Every memo writes one
+    value per key, so a map shared by threads stays exact; the map
+    refers to no field context but target."""
+    add, mul, embed = target.add, target.mul, target.embed
+    one, zero = embed(1), embed(0)
+    # powers[i][e] is values[i]^e, filled in upward from the largest
+    # exponent already known
+    powers, monomials = [{0: one, 1: a} for a in values], {}
+
+    def power(pw, e):
+        v = pw.get(e)
+        if v is None:
+            k = e - 1
+            while k not in pw:
+                k -= 1
+            v = pw[k]
+            while k < e:
+                k += 1
+                v = mul(v, pw[1])
+                pw[k] = v
+        return v
+
+    def evaluate(poly):
+        total = zero
+        for exps, c in poly.items():
+            term = monomials.get(exps)
+            if term is None:
+                factors = [power(pw, e) for pw, e in zip(powers, exps) if e]
+                term = reduce(mul, factors) if factors else one
+                monomials[exps] = term
+            if c != 1:
+                term = target.neg(term) if c == -1 else mul(embed(c), term)
+            total = term if total is zero else add(total, term)
+        return total
+
+    def specialize(x):
+        if x[1] == one_den:
+            return evaluate(x[0])
+        den = evaluate(x[1])
+        if target.is_zero(den):
+            raise DenominatorVanishes(_ratfunc_str(x, params, one_den))
+        return mul(evaluate(x[0]), target.inv(den))
+    return specialize
 
 
 class _GaloisField(FieldCtx):

@@ -9,8 +9,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orepi.cli import (
+    FAMILY_PARAMS,
+    MAX_WEYL_N,
     make_parser,
     parse_f,
     parse_field,
@@ -33,6 +36,7 @@ from orepi import (
     presentations,
     spec_hpq,
 )
+from orepi.identities import LEMMA_IDS
 from orepi.errors import (
     DownUpNotNoetherian,
     OrepiError,
@@ -446,6 +450,17 @@ def test_weyl_n_parameter_must_be_positive_integer(n):
     assert doc["checks"][0]["detail"].startswith("ParseError: ")
 
 
+@pytest.mark.parametrize("params", ["n=10^30,q1=2", "n=101,q1=2",
+                                    "q1000000=2"])
+def test_weyl_n_above_the_ceiling_is_a_parse_error(params):
+    # n(n+1)/2 parameter names are listed for n generator pairs: a larger
+    # n than MAX_WEYL_N is refused before that
+    code, doc = run(["build", "--family", "WeylAJ", "--params", params])
+    assert code == 1
+    assert doc["checks"][0]["detail"] == \
+        f"ParseError: WeylAJ takes at most {MAX_WEYL_N} generator pairs (n)"
+
+
 def test_spanning_missing_cap_is_typed():
     code, doc = run(["spanning", "--family", "QuantumPlane", "--q", "z3",
                      "--caps", "x=3"])
@@ -818,3 +833,96 @@ def test_a_refused_parameter_is_one_error_everywhere(family, params, error):
     for entry in entries:
         with pytest.raises(error):
             entry(FamilySpec(family, QQ, **values))
+
+
+# ---------------------------------------------------------------------------
+# every command line ends in a report: a fuzz test over all subcommands
+# ---------------------------------------------------------------------------
+
+# each field string with values it reads; the hostile values are 0, z0,
+# large integers, unknown names and malformed text
+_FUZZ_FIELDS = {
+    "Q": ["2", "-1", "3", "1/2"],
+    "cyclo:3": ["z3", "-1", "z3^2", "2"],
+    "cyclo:4": ["z4", "-1", "z4+1"],
+    "cyclo:6": ["z6", "-z6", "z6^2", "3"],
+    "gf:7": ["2", "-1", "3"],
+    "gf:7:3,1,1": ["2", "-1", "5"],
+    "ratfunc:q": ["q", "q^2", "2", "q+1"],
+    "ratfunc:p,q": ["p", "q", "p*q", "-1"],
+}
+_FUZZ_HOSTILE = ["0", "z0", "10^30", "-(10^40)", "2^-1",
+                 "123456789012345678901234567890", "nope", "z5", "1/0", ""]
+_FUZZ_BAD_FIELDS = ["cyclo:0", "cyclo:1001", "cyclo:x", "gf:4", "gf:7:0,1",
+                    "gf:7:a", "gf:103", "ratfunc:q,q", "nope", ""]
+_FUZZ_COMMANDS = ["families", "build", "normalize", "identity-check",
+                  "central-check", "pi-decide", "confluence", "spanning",
+                  "matrep", "identity-search"]
+_FUZZ_WORDS = ["x*y", "y*x", "x^2*y", "x1*y1", "e1*e2", "u*d", "X12*X21",
+               "2*x", "x+", "t*x"]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """One command line: a subcommand and its options, values mostly ones
+    the drawn field reads, each one hostile with probability 1/4."""
+    def pick(choices):
+        return draw(st.sampled_from(choices))
+
+    field = pick(sorted(_FUZZ_FIELDS) + _FUZZ_BAD_FIELDS)
+    good = _FUZZ_FIELDS.get(field, ["2"])
+
+    def value():
+        return pick(_FUZZ_HOSTILE if draw(st.integers(0, 3)) == 0 else good)
+
+    cmd = pick(_FUZZ_COMMANDS)
+    argv = [cmd]
+    if cmd in ("matrep", "identity-search"):
+        argv += ["--field", field] if draw(st.booleans()) else []
+        argv += ["--order", pick(["1", "2", "3", "0", "-2", "10^3"])]
+        argv += ["--q", value()] if draw(st.booleans()) else []
+        if cmd == "identity-search":
+            argv += ["--algebra", pick(["m2", "qplane"]),
+                     "--degree", pick(["1", "2", "3", "4", "0", "99"])]
+    elif cmd != "families":
+        family = pick(sorted(FAMILY_PARAMS) + ["nope"])
+        names = FAMILY_PARAMS.get(family, ())
+        if family.startswith("Weyl"):
+            names = ["n", "q1", "q2", "l12"]
+        pairs = [f"{n}={value()}" for n in names
+                 if "(" not in n and draw(st.integers(0, 7))]
+        if draw(st.integers(0, 5)) == 0:
+            pairs.append(f"{pick(['q', 'q9', 'nope', 'n'])}={value()}")
+        argv += ["--family", family, "--params", ",".join(pairs)]
+        argv += ["--field", field] if draw(st.booleans()) else []
+        argv += ["--file", "no-such-dir/p.json"] \
+            if draw(st.integers(0, 9)) == 0 else []
+        argv += ["--f", pick(["t", "t^2+1", "2*t", "t^-1"])] \
+            if family == "Bqf" and draw(st.booleans()) else []
+        if cmd == "normalize":
+            argv += ["--poly", pick(_FUZZ_WORDS)]
+        if cmd == "identity-check":
+            argv += ["--lemma", pick(list(LEMMA_IDS) + ["H.nope"]),
+                     "--n-max", pick(["0", "1", "2", "-1"])]
+        if cmd == "spanning":
+            argv += ["--caps", pick(["x=2,y=2", "x=3,y=3", "u=2,d=2", "x=1",
+                                     "x=a", ""]),
+                     "--degree", pick(["-1", "0", "1", "2", "3", "x"])]
+    if draw(st.integers(0, 9)) == 0:  # a required option left out
+        argv = argv[:draw(st.integers(1, max(1, len(argv) - 1)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_fuzz_argv())
+def test_every_command_line_ends_in_a_report(argv):
+    # a JSON report exiting 0 or 1, or argparse's usage exit 2
+    # (test_usage_error_exit_two); never an escaped exception
+    try:
+        code, doc = run(argv)
+    except SystemExit as e:
+        assert e.code == 2, argv
+        return
+    assert code == (0 if all(c["status"] == "pass" for c in doc["checks"])
+                    else 1)
+    json.dumps(doc)

@@ -1,6 +1,7 @@
 """Exact field arithmetic: axioms, root orders, specialization, parsing."""
 
 from fractions import Fraction
+from types import FunctionType, MethodType
 
 import pytest
 
@@ -569,6 +570,136 @@ def test_specialize_matches_per_monomial_evaluation(name, rat_pq, rng):
         assert got == NCPoly({(i,): w for i, w in enumerate(want)
                               if not values[i].is_zero()})
     assert max(shapes) > 1  # denominators that are not monomials
+
+
+def _outcome(at, x):
+    """A map's payload as written, or the message it raises."""
+    try:
+        return repr(at(x))
+    except DenominatorVanishes as e:
+        return f"DenominatorVanishes: {e}"
+
+
+def _denominator_shape(x):
+    num, den = x
+    if len(den) != 1:
+        return "general"
+    (k, _), = den.items()
+    if any(e < d for exps in num for e, d in zip(exps, k)):
+        return "shifted below 0"
+    return "monomial"
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(z3)", "Q(z12)", "GF(7^2)"])
+def test_a_reused_map_equals_a_fresh_one(name, rat_pq, rng):
+    # the map kept for one assignment, its memos filled, writes the same
+    # payloads as a map compiled for each value: over monomials, with
+    # numerator exponents below the denominator's, and over general
+    # denominators
+    target = FieldCtx.cyclotomic(3) if name == "Q(z3)" else KINDS[name]
+    p, q = rat_pq.param("p"), rat_pq.param("q")
+    shapes = set()
+    for _ in range(12):
+        assign = {"p": random_coeff(target, rng),
+                  "q": random_coeff(target, rng)}
+        values = [_random_ratfunc(rat_pq, rng) for _ in range(4)]
+        values += [_random_ratfunc(rat_pq, rng) / (
+            rng.choice((1, -1, 2, -3, 7)) * p ** rng.randint(0, 3)
+            * q ** rng.randint(0, 3)) for _ in range(4)]
+        at = rat_pq.specializer(assign, target)
+        for x in [c.val for c in values] * 2:
+            shapes.add(_denominator_shape(x))
+            fresh = FieldCtx.rational_functions(("p", "q")).specializer(
+                assign, target)
+            assert _outcome(at, x) == _outcome(fresh, x)
+        assert rat_pq.specializer(dict(assign), target) is at
+    assert shapes == {"general", "shifted below 0", "monomial"}
+
+
+def test_a_reused_map_still_checks_the_assignment(rat_pq, cyclo3):
+    z3 = cyclo3.generator()
+    assign = {"p": cyclo3.from_int(2), "q": z3}
+    at = rat_pq.specializer(assign, cyclo3)
+    # equal payloads in Q(z6), which has the dimension of Q(z3)
+    c6 = FieldCtx.cyclotomic(6)
+    other = {name: Coeff(c6, v.val) for name, v in assign.items()}
+    with pytest.raises(CtxMismatch):
+        rat_pq.specializer(other, cyclo3)
+    with pytest.raises(CtxMismatch):
+        rat_pq.param("q").specialize(other, cyclo3)
+    with pytest.raises(UnassignedParameter):
+        rat_pq.specializer({"q": z3}, cyclo3)
+    assert rat_pq.specializer(assign, cyclo3) is at
+    # another target object, even an equal one, gets its own map
+    assert rat_pq.specializer(assign, FieldCtx.cyclotomic(3)) is not at
+
+
+def test_a_map_is_reused_only_for_the_same_payload_objects(rat_pq, cyclo3):
+    # equal payloads of another form (Fraction coordinates, as random
+    # cyclotomic values are built) get their own map, so each call writes
+    # its own assignment's payloads, as a fresh map does
+    p = rat_pq.param("p")
+    one = cyclo3.one()
+    as_fractions = {"p": Coeff(cyclo3, (Fraction(2), Fraction(1))), "q": one}
+    as_ints = {"p": Coeff(cyclo3, (2, 1)), "q": one}
+    assert as_fractions["p"].val == as_ints["p"].val
+    for assign in (as_fractions, as_ints, as_fractions):
+        fresh = FieldCtx.rational_functions(("p", "q")).specializer(
+            assign, cyclo3)
+        assert repr(p.specialize(assign, cyclo3).val) == repr(fresh(p.val))
+
+
+@pytest.mark.parametrize("value", [2, Fraction(1, 2), "2", 2.0])
+def test_an_assigned_value_that_is_not_a_coeff_is_a_ctx_mismatch(value, QQ):
+    q = FieldCtx.rational_functions(("q",)).param("q")
+    with pytest.raises(CtxMismatch, match="an assigned value is not in Q"):
+        q.specialize({"q": value}, QQ)
+    with pytest.raises(CtxMismatch):
+        specialize_poly(NCPoly({(0,): q}), {"q": value}, QQ)
+
+
+def test_a_zero_under_a_monomial_denominator_vanishes(rat_pq, cyclo3, QQ):
+    # the message names the value, as the general formula's does
+    p, q = rat_pq.param("p"), rat_pq.param("q")
+    gf7 = FieldCtx.galois_prime(7)
+    for c, at, target in [
+            ((q + 1) / p, {"p": 0, "q": 2}, QQ),
+            ((p * q + 2) / (3 * p ** 2 * q), {"p": 5, "q": 0}, cyclo3),
+            (q / 7, {"p": 1, "q": 3}, gf7),
+            ((p + q) / (14 * p), {"p": 1, "q": 1}, gf7)]:
+        at = {k: target.from_int(v) for k, v in at.items()}
+        with pytest.raises(DenominatorVanishes) as exc:
+            c.specialize(at, target)
+        with pytest.raises(DenominatorVanishes) as ref:
+            _specialize_reference(c, at, target)
+        assert str(exc.value) == str(ref.value) == coeff_to_str(c)
+    # a zero value outside the denominator is read
+    assert ((q + 1) / p).specialize({"p": QQ.from_int(2), "q": QQ.zero()},
+                                    QQ) == Fraction(1, 2)
+
+
+def test_a_specialization_map_holds_no_reference_to_its_field(rat_pq,
+                                                              cyclo3):
+    at = rat_pq.specializer({"p": cyclo3.one(), "q": cyclo3.generator()},
+                            cyclo3)
+    at(({(0, 0): 1, (2, 1): 3}, {(1, 1): 2}))
+    at(({(0, 0): 1}, {(1, 0): 1, (0, 1): 1}))
+    seen, todo = set(), [at]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert obj is not rat_pq
+        if isinstance(obj, FunctionType):
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+        elif isinstance(obj, MethodType):
+            todo.append(obj.__self__)
+        elif isinstance(obj, dict):
+            todo += [*obj, *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+    assert len(seen) > 10
 
 
 def test_specialize_errors(rat_pq, cyclo3, QQ):
