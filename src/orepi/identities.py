@@ -7,22 +7,24 @@ supported families.  Everything is computed from sums and recurrences,
 never from the fraction closed forms, so root-of-unity and q = 1
 evaluations are always defined.  Each sequence is a running primitive
 that yields its items for k = 0, 1, 2, ... from its recurrence, written
-once; the k-indexed functions read its k-th item.
+once, on bare payloads of a field ctx with ctx's own operations; the
+k-indexed functions take and return Coeff values and read the primitive's
+k-th item.
 
 The second half turns each displayed straightening identity into an
 executable check: an oracle is a stream over the index n that carries
-its closed forms from n to n+1, and check_paper_identity walks it,
-pitting the rewrite engine against each index up to a bound.
+its closed forms from n to n+1 on payloads, and check_paper_identity
+walks it, pitting the rewrite engine against each index up to a bound.
 """
 
 from collections import namedtuple
 from functools import reduce
 from itertools import accumulate, chain, count, islice, pairwise, repeat
 from math import comb
-from operator import add, mul
 
-from .errors import (FamilyMismatch, LemmaRangeError, ParametersRequired,
-                     QFactorialVanishes, ZeroInput)
+from .errors import (DivisionByZero, FamilyMismatch, LemmaRangeError,
+                     ParametersRequired, QFactorialVanishes, ZeroInput)
+from .fields import Coeff
 from .rewrite import (
     NCPoly,
     multiply,
@@ -37,32 +39,41 @@ from .rewrite import (
 # ---------------------------------------------------------------------------
 
 
-def _powers(x):
+def _inv(ctx, x):
+    """The payload 1/x, a DivisionByZero when x is zero."""
+    if ctx.is_zero(x):
+        raise DivisionByZero("inverse of zero")
+    return ctx.inv(x)
+
+
+def _powers(ctx, x):
     """x^k: x^0 = 1, x^(k+1) = x^k x."""
-    return accumulate(repeat(x), mul, initial=x.ctx.one())
+    return accumulate(repeat(x), ctx.mul, initial=ctx.embed(1))
 
 
-def _geom(x):
+def _geom(ctx, x):
     """[k]_x = 1 + x + ... + x^(k-1): [0] = 0, [k+1] = [k] + x^k."""
-    return accumulate(_powers(x), add, initial=x.ctx.zero())
+    return accumulate(_powers(ctx, x), ctx.add, initial=ctx.embed(0))
 
 
-def _pq_numbers(p, q):
+def _pq_numbers(ctx, p, q):
     """[n]_{p,q}: [0] = 0, [n+1] = q^n + p^-1 [n]."""
-    if p.is_zero():
+    if ctx.is_zero(p):
         raise ZeroInput("p must be nonzero")
-    pi = p.inv()
-    return accumulate(_powers(q), lambda pqn, qn: qn + pi * pqn,
-                      initial=q.ctx.zero())
+    pi, add, mul = ctx.inv(p), ctx.add, ctx.mul
+    return accumulate(_powers(ctx, q), lambda pqn, qn: add(qn, mul(pi, pqn)),
+                      initial=ctx.embed(0))
 
 
-def _bc(q):
+def _bc(ctx, q):
     """(B_k, C_k): B_0 = C_0 = 0, B_{k+1} = q^2 B_k + q^(-2k) and
     C_{k+1} = q^(-2) B_k + C_k, so B_1 = 1 and C_1 = 0."""
-    q2, zero = q * q, q.ctx.zero()
-    q2i = q2.inv()
-    return accumulate(_powers(q2i), lambda bc, q2ik: (q2 * bc[0] + q2ik,
-                                                      q2i * bc[0] + bc[1]),
+    add, mul = ctx.add, ctx.mul
+    q2, zero = mul(q, q), ctx.embed(0)
+    q2i = _inv(ctx, q2)
+    return accumulate(_powers(ctx, q2i),
+                      lambda bc, q2ik: (add(mul(q2, bc[0]), q2ik),
+                                        add(mul(q2i, bc[0]), bc[1])),
                       initial=(zero, zero))
 
 
@@ -76,7 +87,7 @@ def _nth(seq, k):
 
 def q_number(k, q):
     """[k]_q = 1 + q + ... + q^(k-1); the empty sum for k = 0."""
-    return _nth(_geom(q), k)
+    return Coeff(q.ctx, _nth(_geom(q.ctx, q.val), k))
 
 
 def pq_number(n, p, q):
@@ -85,11 +96,14 @@ def pq_number(n, p, q):
     This is the factored form of (q^n - p^-n)/(q - p^-1): it gives
     [1] = 1 and is the n-th item of the recurrence _pq_numbers.
     """
-    return _nth(_pq_numbers(p, q), n)
+    ctx = q.ctx
+    return Coeff(ctx, _nth(_pq_numbers(ctx, q._coerce(p).val, q.val), n))
 
 
 def q_factorial(k, q):
-    return reduce(mul, islice(_geom(q), 1, max(k, 0) + 1), q.ctx.one())
+    ctx = q.ctx
+    return Coeff(ctx, reduce(ctx.mul, islice(_geom(ctx, q.val), 1,
+                                             max(k, 0) + 1), ctx.embed(1)))
 
 
 def gauss_binomial(k, i, q):
@@ -103,12 +117,12 @@ def gauss_binomial(k, i, q):
 
 def b_coeff(k, q):
     """B_k, the k-th item of _bc: B_1 = 1."""
-    return _nth(_bc(q), k)[0]
+    return Coeff(q.ctx, _nth(_bc(q.ctx, q.val), k)[0])
 
 
 def c_coeff(k, q):
     """C_k, the k-th item of _bc: C_1 = 0."""
-    return _nth(_bc(q), k)[1]
+    return Coeff(q.ctx, _nth(_bc(q.ctx, q.val), k)[1])
 
 
 def c_a(a, q):
@@ -218,47 +232,78 @@ def bqf_delta(p, word):
 # the oracle corpus
 # ---------------------------------------------------------------------------
 # Every entry's stream(p) yields, for the index n = 1, 2, ..., the list of
-# checks (label, lhs, rhs NCPoly) at n, lhs a formal polynomial or an
-# NCPoly; a relation check yields its one list once.  A stream carries its
-# closed forms from n to n+1 on the running primitives above, and its
-# engine-side sequences (delta(g^n), Bh's s^n and t^n) one product at a
-# time, so index n+1 costs a constant number of field operations more
-# than index n.  check_paper_identity asserts normal_form(lhs) == rhs
+# checks (label, lhs, rhs) at n, lhs and rhs NCPolys; a relation check
+# yields its one list once.  A stream computes on bare payloads of p's
+# field: it carries its closed forms from n to n+1 on the running
+# primitives above, and its engine-side sequences (delta(g^n), Bh's s^n
+# and t^n) one product at a time, so index n+1 costs a constant number of
+# field operations more than index n.  Its words are built from letter
+# tuples made once per stream, each run of a raised letter longer by one
+# letter per index.  check_paper_identity asserts normal_form(lhs) == rhs
 # exactly.  Right-hand sides are assembled in normal words with
-# closed-form coefficients; where a textbook display uses a non-normal
-# monomial, the exact straightening scalar (a pure parameter power) is
-# folded in, or the display is solved for its non-normal monomial.  The
-# power-commutation displays b a^k = s^k a^k b + (tail) and their mirrors
-# are rows of ORACLES, each with its own closed forms (_oracle_commute):
-# H, M2, UqB2, Weyl.xky/xyk, Cyc3 and Bqf.wuk/wvk.  Outside the table:
-# Bh.commute, whose left sides are powers of two-term quadratics; the
-# delta(g^k) closed forms, checked against the derivation recursion;
-# Bqf.wku, whose displayed sum has no closed normal form, so its right
-# side is normalized once by the engine (a two-route consistency test);
-# and the relation checks, where e f = s f e is checked as
-# q_commutator(e, f, s), the normal form of e f - s f e, against 0.
+# closed-form coefficients, each in one payload dict (_rhs); where a
+# textbook display uses a non-normal monomial, the exact straightening
+# scalar (a pure parameter power) is folded in, or the display is solved
+# for its non-normal monomial.  The power-commutation displays b a^k =
+# s^k a^k b + (tail) and their mirrors are rows of ORACLES, each with its
+# own closed forms (_oracle_commute): H, M2, UqB2, Weyl.xky/xyk, Cyc3 and
+# Bqf.wuk/wvk.  Outside the table: Bh.commute, whose left sides are
+# powers of two-term quadratics; the delta(g^k) closed forms, checked
+# against the derivation recursion; Bqf.wku, whose displayed sum has no
+# closed normal form, so its right side is normalized once by the engine
+# (a two-route consistency test); and the relation checks, where e f =
+# s f e is checked as q_commutator(e, f, s), the normal form of e f - s f
+# e, against 0.
 
 
-def _rhs(p, monos):
-    """The sum of the monomials (c, names), built in one payload dict:
+def _val(p, name):
+    """The payload of p's parameter name."""
+    return p.params[name].val
+
+
+def _rhs(p, terms):
+    """The sum of the (word, payload) terms, built in one payload dict:
     like words merge and zero sums drop, as in NCPoly.__add__."""
-    ctx, out = p.ctx, {}
-    for c, names in monos:
-        w = p.word(*names)
-        s = ctx.add(out[w], c.val) if w in out else c.val
-        if ctx.is_zero(s):
+    add, _, is_zero = p.field_ops
+    out = {}
+    for w, c in terms:
+        s = add(out[w], c) if w in out else c
+        if is_zero(s):
             out.pop(w, None)
         else:
             out[w] = s
-    return NCPoly.from_payloads(ctx, out)
+    return NCPoly.from_payloads(p.ctx, out)
 
 
-def _tail(p, k, raised, terms):
-    """The monomials (c_j, t_j r^(k - d_j)) of the terms (c_j, t_j, d_j),
-    each word listing the letters t_j and the raised letters r in
-    precedence order."""
-    for c, t, d in terms:
-        yield c, sorted([*t, *[raised] * (k - d)], key=p.precedence.index)
+def _monomial(p, word):
+    return NCPoly.from_payloads(p.ctx, {word: p.one.val})
+
+
+def _tail_words(p, raised, terms):
+    """For the tail terms (t_j, d_j) of the raised letter r: (before_j,
+    d_j, after_j), the letters of t_j up to r and those past it in
+    precedence order, so that before_j + r^(k - d_j) + after_j lists the
+    letters of t_j r^(k - d_j) in precedence order."""
+    rank = p.precedence.index
+    r = rank(raised)
+    out = []
+    for t, d in terms:
+        t = sorted(t, key=rank)
+        out.append((p.word(*(g for g in t if rank(g) <= r)), d,
+                    p.word(*(g for g in t if rank(g) > r))))
+    return out
+
+
+def _tail_terms(words, run, coeffs):
+    """The (word, payload) tail terms at the index k = len(run), run the
+    raised letter k times: before_j r^(k - d_j) after_j with its c_j."""
+    return ((before + run[d:] + after, c)
+            for (before, d, after), c in zip(words, coeffs))
+
+
+def _each(t, coeffs):
+    """The tail of one term c_k t r^(k-1), c_k the items of coeffs."""
+    return [(t, 1)], zip(coeffs)
 
 
 def _oracle_commute(*rows):
@@ -266,61 +311,136 @@ def _oracle_commute(*rows):
 
     A row is b a^k = s^k a^k b + sum_j c_j t_j a^(k - d_j) when the
     raised letter is a, and its mirror b^k a = s^k a b^k + sum_j c_j t_j
-    b^(k - d_j) when it is b.  s(p) is the row's scalar, None meaning 1;
-    rows that share s evaluate it, and its powers, once.  tail(p, s),
-    given the value of s, iterates the lists of terms (c_j, t_j, d_j) for
-    k = 1, 2, ... (_tail).
+    b^(k - d_j) when it is b.  s(p) is the payload of the row's scalar,
+    None meaning 1; rows that share s evaluate it, and its powers, once.
+    tail(p, s), given the payload of s, is (terms, coeffs): the terms
+    (t_j, d_j) and an iterator over k = 1, 2, ... of the tuples of their
+    payloads c_j.
     """
     def stream(p):
-        svals = {s: s(p) if s else p.one for s in {row[3] for row in rows}}
-        spows = {s: _from1(_powers(v)) if s else repeat(v)
+        one = p.one.val
+        svals = {s: s(p) if s else one for s in {row[3] for row in rows}}
+        spows = {s: _from1(_powers(p.ctx, v)) if s else repeat(v)
                  for s, v in svals.items()}
-        tails = [tail[0](p, svals[s]) if tail else None
-                 for _, _, _, s, *tail in rows]
+        prepared = []
+        for b, a, raised, s, *tail in rows:
+            terms, coeffs = tail[0](p, svals[s]) if tail else ((), repeat(()))
+            prepared.append((b, a, raised == b, p.gen(b), p.gen(a),
+                             p.gen(raised), s,
+                             _tail_words(p, raised, terms), coeffs))
+        runs = [()] * len(prepared)
         for k in count(1):
             sk = {s: next(pw) for s, pw in spows.items()}
             out = []
-            for (b, a, raised, s, *_), tail in zip(rows, tails):
-                bs = [b] * (k if raised == b else 1)
-                as_ = [a] * (k if raised == a else 1)
-                rhs = _rhs(p, chain([(sk[s], as_ + bs)], () if tail is None
-                                    else _tail(p, k, raised, next(tail))))
-                label = f"{b}^{k}*{a}" if raised == b else f"{b}*{a}^{k}"
-                out.append((label, [(p.one, p.word(*bs, *as_))], rhs))
+            for i, (b, a, mirror, bg, ag, rg, s, words, coeffs) in \
+                    enumerate(prepared):
+                run = runs[i] = runs[i] + (rg,)
+                if mirror:
+                    label, lhs, lead = f"{b}^{k}*{a}", run + (ag,), (ag,) + run
+                else:
+                    label, lhs, lead = f"{b}*{a}^{k}", (bg,) + run, run + (bg,)
+                rhs = _rhs(p, chain([(lead, sk[s])],
+                                    _tail_terms(words, run, next(coeffs))))
+                out.append((label, _monomial(p, lhs), rhs))
             yield out
     return stream
 
 
 def _q(p):
-    return p.params["q"]
+    return _val(p, "q")
 
 
 def _qi(p):
-    return p.params["q"].inv()
+    return _inv(p.ctx, _q(p))
 
 
 def _q2(p):
-    return p.params["q"] * p.params["q"]
+    return p.ctx.mul(_q(p), _q(p))
 
 
 def _q2i(p):
-    return _q2(p).inv()
+    return _inv(p.ctx, _q2(p))
 
 
 def _alpha(p):
-    return p.params["alpha"]
+    return _val(p, "alpha")
 
 
 def _beta(p):
-    return p.params["beta"]
-
-
-def _gamma(p):
-    return p.params["gamma"]
+    return _val(p, "beta")
 
 
 def _beta_alpha(p):
-    return p.params["beta"] * p.params["alpha"].inv()
+    return p.ctx.mul(_beta(p), _inv(p.ctx, _alpha(p)))
+
+
+def _h_yxn_tail(p, q):
+    """[k]_{p,q} p^(k-1) t x^(k-1)."""
+    ctx, pv = p.ctx, _val(p, "p")
+    return _each(("t",), map(ctx.mul, _from1(_pq_numbers(ctx, pv, q)),
+                             _powers(ctx, pv)))
+
+
+def _h_ynx_tail(p, q):
+    """[k]_{p,q} t y^(k-1)."""
+    return _each(("t",), _from1(_pq_numbers(p.ctx, _val(p, "p"), q)))
+
+
+def _m2_k1_tail(p, _):
+    """alpha^-1 ((alpha beta)^k - 1) X12 X21 X22^(k-1)."""
+    ctx = p.ctx
+    mul, sub, one = ctx.mul, ctx.sub, ctx.embed(1)
+    ai = _inv(ctx, _alpha(p))
+    return _each(("X12", "X21"), (
+        mul(ai, sub(abk, one))
+        for abk in _from1(_powers(ctx, mul(_alpha(p), _beta(p))))))
+
+
+def _m2_k2_tail(p, _):
+    """beta (1 - (alpha beta)^-k) (alpha beta)^(k-1) X12 X21 X11^(k-1)."""
+    ctx = p.ctx
+    mul, sub, one = ctx.mul, ctx.sub, ctx.embed(1)
+    beta = _beta(p)
+    abi = _inv(ctx, mul(_alpha(p), beta))
+    return _each(("X12", "X21"), (
+        mul(mul(beta, sub(one, abik)), abk1) for abik, abk1 in zip(
+            _from1(_powers(ctx, abi)), _powers(ctx, mul(_alpha(p), beta)))))
+
+
+def _uqb2_z_tail(p, q2):
+    """[k]_{q^2} z r^(k-1): UqB2.i and UqB2.ii."""
+    return _each(("z",), _from1(_geom(p.ctx, q2)))
+
+
+def _uqb2_iii_tail(p, q2i):
+    """-q^-2 [k]_{q^-4} e3 e1^(k-1)."""
+    ctx = p.ctx
+    mul, neg = ctx.mul, ctx.neg
+    return _each(("e3",), (neg(mul(q2i, c))
+                           for c in _from1(_geom(ctx, mul(q2i, q2i)))))
+
+
+def _uqb2_iv_tail(p, q2i):
+    """-q^-2 B_k e3 e2^(k-1) - C_k z e2^(k-2)."""
+    ctx = p.ctx
+    mul, neg = ctx.mul, ctx.neg
+    return [(("e3",), 1), (("z",), 2)], (
+        (neg(mul(q2i, b)), neg(c)) for b, c in _from1(_bc(ctx, _q(p))))
+
+
+def _cyc3_tail(name, geom_base=None):
+    """A Cyc3 tail c_a r^(a-1), for v the value of the parameter name and
+    s the row's scalar: c_a = -s^a [a]_g v with g = geom_base(p), or
+    -(s [a]_s v) when geom_base is None."""
+    def tail(p, s):
+        ctx, v = p.ctx, _val(p, name)
+        mul, neg = ctx.mul, ctx.neg
+        if geom_base is None:
+            return _each((), (neg(mul(mul(s, c), v))
+                              for c in _from1(_geom(ctx, s))))
+        return _each((), (mul(mul(neg(sa), c), v) for sa, c in zip(
+            _from1(_powers(ctx, s)), _from1(_geom(ctx, geom_base(p))))))
+    return tail
 
 
 def _oracle_h_theta(p):
@@ -334,43 +454,50 @@ def _oracle_h_theta(p):
 def _bh_binomial(p, n, h2n, a, b, pre=(), post=()):
     """h^(2n) sum_k C(n, k) pre a^(2k) b^(2(n-k)) post, given h2n = h^(2n):
     s^n y_i with a, b = x1, x2 and x_j t^n with a, b = y1, y2 (the squares
-    commute exactly)."""
-    return _rhs(p, ((h2n * comb(n, k),
-                     (*pre, *[a] * (2 * k), *[b] * (2 * (n - k)), *post))
+    commute exactly).  a, b are letters, pre and post words."""
+    ctx = p.ctx
+    return _rhs(p, ((pre + (a,) * (2 * k) + (b,) * (2 * (n - k)) + post,
+                     ctx.mul(h2n, ctx.embed(comb(n, k))))
                     for k in range(n + 1)))
 
 
 def _oracle_bh_commute(p):
-    h = p.params["h"]
-    one = p.one
+    ctx = p.ctx
+    mul = ctx.mul
+    h = _val(p, "h")
+    mone = ctx.neg(p.one.val)
     _, s, _, t = bh_uvst(p)
-    spn = tpn = NCPoly.monomial(one, ())
-    for n, mh2n, h2n in zip(count(1), _from1(_powers(-(h * h))),
-                            _from1(_powers(h * h))):
-        scal = mh2n if (n * (n - 1) // 2) % 2 == 0 else mh2n * -one
+    x1, x2, y1, y2 = p.word("x1", "x2", "y1", "y2")
+    spn = tpn = NCPoly.monomial(p.one, ())
+    un = vn = x1n = x2n = y1n = y2n = ()
+    for n, mh2n, h2n in zip(count(1), _from1(_powers(ctx, ctx.neg(mul(h, h)))),
+                            _from1(_powers(ctx, mul(h, h)))):
+        scal = mh2n if (n * (n - 1) // 2) % 2 == 0 else mul(mh2n, mone)
+        un, vn = un + (x1, x2), vn + (y1, y2)
+        x1n, x2n, y1n, y2n = x1n + (x1,), x2n + (x2,), y1n + (y1,), y2n + (y2,)
         out = []
-        for yi in ("y1", "y2"):
-            lhs = [(one, p.word(yi, *["x1", "x2"] * n))]
-            rhs = _rhs(p, [(scal, ["x1"] * n + ["x2"] * n + [yi])])
-            out.append((f"{yi}*u^{n}", lhs, rhs))
+        for yi, name in ((y1, "y1"), (y2, "y2")):
+            out.append((f"{name}*u^{n}", _monomial(p, (yi,) + un),
+                        _rhs(p, [(x1n + x2n + (yi,), scal)])))
         # s^n and t^n: the left side multiplies the engine power of the
         # two-term quadratic, one product per index; the right side is the
         # independent binomial closed form
         spn = multiply(p, spn, s)
-        for yi in ("y1", "y2"):
-            lhs = [(c, p.word(yi) + w) for c, w in spn.as_formal()]
-            out.append((f"{yi}*s^{n}", lhs,
-                        _bh_binomial(p, n, h2n, "x1", "x2", post=(yi,))))
-        for xj in ("x1", "x2"):
+        for yi, name in ((y1, "y1"), (y2, "y2")):
+            lhs = NCPoly.from_payloads(ctx, {(yi,) + w: c
+                                             for w, c in spn.vals.items()})
+            out.append((f"{name}*s^{n}", lhs,
+                        _bh_binomial(p, n, h2n, x1, x2, post=(yi,))))
+        for xj, name in ((x1, "x1"), (x2, "x2")):
             # x_j v = (-h^-2) v x_j, so v^n x_j = (-h^2)^n x_j v^n
-            lhs = [(one, p.word(*(["y1", "y2"] * n + [xj])))]
-            rhs = _rhs(p, [(scal, [xj] + ["y1"] * n + ["y2"] * n)])
-            out.append((f"v^{n}*{xj}", lhs, rhs))
+            out.append((f"v^{n}*{name}", _monomial(p, vn + (xj,)),
+                        _rhs(p, [((xj,) + y1n + y2n, scal)])))
         tpn = multiply(p, tpn, t)
-        for xj in ("x1", "x2"):
-            lhs = [(c, w + p.word(xj)) for c, w in tpn.as_formal()]
-            out.append((f"t^{n}*{xj}", lhs,
-                        _bh_binomial(p, n, h2n, "y1", "y2", pre=(xj,))))
+        for xj, name in ((x1, "x1"), (x2, "x2")):
+            lhs = NCPoly.from_payloads(ctx, {w + (xj,): c
+                                             for w, c in tpn.vals.items()})
+            out.append((f"t^{n}*{name}", lhs,
+                        _bh_binomial(p, n, h2n, y1, y2, pre=(xj,))))
         yield out
 
 
@@ -381,12 +508,15 @@ def _oracle_weyl(raised):
     form 1 + sum_{j<i} (q_j - 1) y_j x_j."""
     def row(i):
         def tail(p, qi):
+            ctx = p.ctx
+            mul = ctx.mul
             qs = p.params["q_list"]
-            z = [((f"y{j}", f"x{j}"), qs[j - 1] - p.one) for j in range(1, i)]
-            for ck in _from1(_geom(qi)):
-                yield [(ck, (), 1)] + [(ck * zj, t, 1) for t, zj in z]
+            z = [ctx.sub(qs[j - 1].val, p.one.val) for j in range(1, i)]
+            return ([((), 1)] + [((f"y{j}", f"x{j}"), 1) for j in range(1, i)],
+                    ((ck, *[mul(ck, zj) for zj in z])
+                     for ck in _from1(_geom(ctx, qi))))
         return (f"x{i}", f"y{i}", f"{raised}{i}",
-                lambda p: p.params["q_list"][i - 1], tail)
+                lambda p: p.params["q_list"][i - 1].val, tail)
     return lambda p: _oracle_commute(
         *[row(i) for i in range(1, len(p.params["q_list"]) + 1)])(p)
 
@@ -424,48 +554,58 @@ def _oracle_cyc3_e(p):
 
 def _bqf_delta_terms(p, g):
     """delta(g^k) for k = 1, 2, ... and the generator g = "u" or "v", as
-    tail terms of the raised letter g, summed over the terms c_j t^j of f:
-    delta(u^k) = sum_j [k]_{q^(j+1)} c_j v^j u^(k-1), and delta(v^k) =
-    sum_j [k]_{q^-(j+1)} c_j q^(j(k-1)) v^(k-1) u^j, using u^j v^(k-1) =
-    q^(j(k-1)) v^(k-1) u^j.  It is the tail of the rows w g^k =
-    sigma(g)^k g^k w + delta(g^k), sigma(u) = q u, sigma(v) = q^-1 v."""
-    q = p.params["q"]
-    seqs = []  # ([k]_x, its cofactor, t^j) for each term c_j t^j of f
+    the tail (terms, coeffs) of the raised letter g, one term for each
+    term c_j t^j of f: delta(u^k) = sum_j [k]_{q^(j+1)} c_j v^j u^(k-1),
+    and delta(v^k) = sum_j [k]_{q^-(j+1)} c_j q^(j(k-1)) v^(k-1) u^j,
+    using u^j v^(k-1) = q^(j(k-1)) v^(k-1) u^j.  It is the tail of the
+    rows w g^k = sigma(g)^k g^k w + delta(g^k), sigma(u) = q u, sigma(v) =
+    q^-1 v."""
+    ctx, q = p.ctx, p.params["q"]
+    mul = ctx.mul
+    terms, seqs = [], []  # ([k]_x, its cofactor) for each term c_j t^j of f
     for j, cj in enumerate(p.params["f_coeffs"]):
         if cj.is_zero():
             continue
         if g == "u":
-            seqs.append((_from1(_geom(q ** (j + 1))), repeat(cj), ("v",) * j))
+            terms.append((("v",) * j, 1))
+            seqs.append((_from1(_geom(ctx, (q ** (j + 1)).val)),
+                         repeat(cj.val)))
         else:
-            seqs.append((_from1(_geom((q ** (j + 1)).inv())),
-                         map(mul, repeat(cj), _powers(q ** j)), ("u",) * j))
-    while True:
-        yield [(next(gk) * next(ck), t, 1) for gk, ck, t in seqs]
+            terms.append((("u",) * j, 1))
+            seqs.append((_from1(_geom(ctx, (q ** (j + 1)).inv().val)),
+                         map(mul, repeat(cj.val), _powers(ctx, (q ** j).val))))
+    return terms, zip(*[map(mul, gk, ck) for gk, ck in seqs])
 
 
 def _oracle_bqf_delta(g):
     """delta(g^k) by the skew-derivation recursion against its closed form."""
     def stream(p):
         step, gen = _bqf_delta_step(p), p.gen(g)
-        lhs = NCPoly.zero()
-        for k, terms in enumerate(_bqf_delta_terms(p, g), 1):
-            lhs = step(gen, (gen,) * (k - 1), lhs)
-            rhs = _rhs(p, _tail(p, k, g, terms))
-            yield [(f"delta({g}^{k})", lhs.as_formal(), rhs)]
+        terms, coeffs = _bqf_delta_terms(p, g)
+        words = _tail_words(p, g, terms)
+        lhs, run = NCPoly.zero(), ()
+        for k, cs in enumerate(coeffs, 1):
+            lhs = step(gen, run, lhs)
+            run += (gen,)
+            yield [(f"delta({g}^{k})", lhs,
+                    _rhs(p, _tail_terms(words, run, cs)))]
     return stream
 
 
 def _oracle_bqf_wku(p):
-    f = [(j, cj) for j, cj in enumerate(p.params["f_coeffs"])
+    ctx = p.ctx
+    mul = ctx.mul
+    f = [(j, cj.val) for j, cj in enumerate(p.params["f_coeffs"])
          if not cj.is_zero()]
+    u, v, w = p.word("u", "v", "w")
     cq = []  # the (i, j, c_j q^i) for i < k and the terms c_j t^j of f
-    for k, (qi, qk) in enumerate(pairwise(_powers(p.params["q"])), 1):
-        cq += [(k - 1, j, cj * qi) for j, cj in f]
-        formal_rhs = [(qk, p.word("u", *["w"] * k))] + [
-            (c, p.word(*["w"] * (k - 1 - i), *["v"] * j, *["w"] * i))
-            for i, j, c in cq]
-        yield [(f"w^{k}*u", [(p.one, p.word(*["w"] * k, "u"))],
-                normal_form(p, formal_rhs))]
+    wk = ()
+    for k, (qi, qk) in enumerate(pairwise(_powers(ctx, _q(p))), 1):
+        cq += [(k - 1, j, mul(cj, qi)) for j, cj in f]
+        wk += (w,)
+        display = _rhs(p, chain([((u,) + wk, qk)], (
+            ((w,) * (k - 1 - i) + (v,) * j + (w,) * i, c) for i, j, c in cq)))
+        yield [(f"w^{k}*u", _monomial(p, wk + (u,)), normal_form(p, display))]
 
 
 _Oracle = namedtuple("_Oracle", "family min_n stream relation_only",
@@ -475,20 +615,14 @@ _Oracle = namedtuple("_Oracle", "family min_n stream relation_only",
 ORACLES = {
     "Bh.commute": _Oracle("Bh", 1, _oracle_bh_commute),
     "H.yxn": _Oracle("Hpq", 1, _oracle_commute(("y", "x", "x", _q,
-        lambda p, q: ([(c * pk, ("t",), 1)] for c, pk in zip(
-            _from1(_pq_numbers(p.params["p"], q)), _powers(p.params["p"])))))),
+                                                _h_yxn_tail))),
     "H.ynx": _Oracle("Hpq", 1, _oracle_commute(("y", "x", "y", _q,
-        lambda p, q: ([(c, ("t",), 1)]
-                      for c in _from1(_pq_numbers(p.params["p"], q)))))),
+                                                _h_ynx_tail))),
     "H.theta_rel": _Oracle("Hpq", 1, _oracle_h_theta, relation_only=True),
     "M2.k1": _Oracle("M2", 1, _oracle_commute(("X22", "X11", "X22", None,
-        lambda p, _: ([(_alpha(p).inv() * (abk - 1), ("X12", "X21"), 1)]
-                      for abk in _from1(_powers(_alpha(p) * _beta(p))))))),
+                                               _m2_k1_tail))),
     "M2.k2": _Oracle("M2", 1, _oracle_commute(("X22", "X11", "X11", None,
-        lambda p, _: ([(_beta(p) * (1 - abik) * abk1, ("X12", "X21"), 1)]
-                      for abik, abk1 in zip(
-                          _from1(_powers((_alpha(p) * _beta(p)).inv())),
-                          _powers(_alpha(p) * _beta(p))))))),
+                                               _m2_k2_tail))),
     "M2.power_table": _Oracle("M2", 1, _oracle_commute(
         ("X12", "X11", "X12", _alpha),
         ("X22", "X12", "X12", _beta),
@@ -501,43 +635,35 @@ ORACLES = {
         ("X22", "X12", "X22", _beta),
         ("X22", "X21", "X22", _alpha))),
     "UqB2.i": _Oracle("UqB2", 1, _oracle_commute(("e2", "e3", "e3", _q2,
-        lambda p, q2: ([(c, ("z",), 1)] for c in _from1(_geom(q2)))))),
+                                                  _uqb2_z_tail))),
     "UqB2.ii": _Oracle("UqB2", 1, _oracle_commute(("e2", "e3", "e2", _q2,
-        lambda p, q2: ([(c, ("z",), 1)] for c in _from1(_geom(q2)))))),
+                                                   _uqb2_z_tail))),
     "UqB2.iii": _Oracle("UqB2", 1, _oracle_commute(("e2", "e1", "e1", _q2i,
-        lambda p, q2i: ([(-(q2i * c), ("e3",), 1)]
-                        for c in _from1(_geom(q2i * q2i)))))),
+                                                    _uqb2_iii_tail))),
     # e2^k e1 = q^-2k e1 e2^k - q^-2 B_k e3 e2^(k-1) - C_k z e2^(k-2)
     "UqB2.iv": _Oracle("UqB2", 2, _oracle_commute(("e2", "e1", "e2", _q2i,
-        lambda p, q2i: ([(-(q2i * b), ("e3",), 1), (-c, ("z",), 2)]
-                        for b, c in _from1(_bc(_q(p))))))),
+                                                   _uqb2_iv_tail))),
     "Weyl.xky": _Oracle("WeylMalt", 1, _oracle_weyl("x")),
     "Weyl.xyk": _Oracle("WeylMalt", 1, _oracle_weyl("y")),
     "Weyl.zi_normal": _Oracle("WeylMalt", 1, _oracle_weyl_zi, relation_only=True),
     # i: x^a y = q^{2a} y x^a + c_a alpha x^{a-1}
     "Cyc3.i": _Oracle("ThreeCyclic", 1, _oracle_commute(("y", "x", "x", _q2i,
-        lambda p, q2i: ([(-q2ia * ca * _alpha(p), (), 1)] for q2ia, ca in zip(
-            _from1(_powers(q2i)), _from1(_geom(_q2(p)))))))),
+        _cyc3_tail("alpha", _q2)))),
     # ii: y^a x = q^{-2a} x y^a - q^{-2} d_a alpha y^{a-1}
     "Cyc3.ii": _Oracle("ThreeCyclic", 1, _oracle_commute(("y", "x", "y", _q2i,
-        lambda p, q2i: ([(-(q2i * da * _alpha(p)), (), 1)]
-                        for da in _from1(_geom(q2i)))))),
+        _cyc3_tail("alpha")))),
     # iii: x^a z = q^{-2a} z x^a + d_a beta x^{a-1}
     "Cyc3.iii": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "x", "x", _q2,
-        lambda p, q2: ([(-q2a * da * _beta(p), (), 1)] for q2a, da in zip(
-            _from1(_powers(q2)), _from1(_geom(_q2i(p)))))))),
+        _cyc3_tail("beta", _q2i)))),
     # iv: z^a x = q^{2a} x z^a - q^2 c_a beta z^{a-1}
     "Cyc3.iv": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "x", "z", _q2,
-        lambda p, q2: ([(-(q2 * ca * _beta(p)), (), 1)]
-                       for ca in _from1(_geom(q2)))))),
+        _cyc3_tail("beta")))),
     # v: y^a z = q^{2a} z y^a + c_a gamma y^{a-1}
     "Cyc3.v": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "y", "y", _q2i,
-        lambda p, q2i: ([(-q2ia * ca * _gamma(p), (), 1)] for q2ia, ca in zip(
-            _from1(_powers(q2i)), _from1(_geom(_q2(p)))))))),
+        _cyc3_tail("gamma", _q2)))),
     # vi: z^a y = q^{-2a} y z^a - q^{-2} d_a gamma z^{a-1}
     "Cyc3.vi": _Oracle("ThreeCyclic", 1, _oracle_commute(("z", "y", "z", _q2i,
-        lambda p, q2i: ([(-(q2i * da * _gamma(p)), (), 1)]
-                        for da in _from1(_geom(q2i)))))),
+        _cyc3_tail("gamma")))),
     "Cyc3.e_rel": _Oracle("ThreeCyclic", 1, _oracle_cyc3_e, relation_only=True),
     "Bqf.delta_uk": _Oracle("Bqf", 1, _oracle_bqf_delta("u")),
     "Bqf.delta_vk": _Oracle("Bqf", 1, _oracle_bqf_delta("v")),
@@ -562,8 +688,8 @@ def _lemma(lemma_id, p):
 
 
 def oracle_rhs(lemma_id, p, n):
-    """(label, lhs, rhs NCPoly) checks for one index: the lemma's stream
-    read up to n."""
+    """(label, lhs, rhs) checks for one index, lhs and rhs NCPolys: the
+    lemma's stream read up to n."""
     info = _lemma(lemma_id, p)
     if n < info.min_n:
         raise LemmaRangeError(f"{lemma_id} needs n >= {info.min_n}")

@@ -147,6 +147,10 @@ class NCPoly:
             return NotImplemented
         ctx = _field(self.ctx, other.ctx)
         a, b = self.vals, other.vals
+        # equal payloads are equal values in every field; ctx.eq decides
+        # the rest (a Q(params) value has several payloads)
+        if a == b:
+            return True
         return a.keys() == b.keys() and all(ctx.eq(b[w], c) for w, c in a.items())
 
     def as_formal(self):

@@ -42,11 +42,11 @@ def random_coeff(ctx, rng, small=True):
         return ctx.from_fraction(Fraction(rng.randint(-9, 9),
                                           rng.randint(1, 9)))
     if ctx.kind == "cyclotomic":
-        from fractions import Fraction
-        dim = len(ctx._phi) - 1
-        vec = [Fraction(rng.randint(-4, 4)) for _ in range(dim)]
+        # int coordinates, the canonical payload every field operation
+        # returns (test_fields covers integral Fraction coordinates)
+        dim = len(ctx.zero().val)
         from orepi.fields import Coeff
-        return Coeff(ctx, tuple(vec))
+        return Coeff(ctx, tuple(rng.randint(-4, 4) for _ in range(dim)))
     if ctx.kind == "ratfunc":
         nparams = len(ctx.params)
         num = {}

@@ -635,9 +635,9 @@ def test_a_reused_map_still_checks_the_assignment(rat_pq, cyclo3):
 
 
 def test_a_map_is_reused_only_for_the_same_payload_objects(rat_pq, cyclo3):
-    # equal payloads of another form (Fraction coordinates, as random
-    # cyclotomic values are built) get their own map, so each call writes
-    # its own assignment's payloads, as a fresh map does
+    # equal payloads of another form (integral Fraction coordinates, which
+    # Coeff(ctx, vec) accepts) get their own map, so each call writes its
+    # own assignment's payloads, as a fresh map does
     p = rat_pq.param("p")
     one = cyclo3.one()
     as_fractions = {"p": Coeff(cyclo3, (Fraction(2), Fraction(1))), "q": one}
@@ -647,6 +647,25 @@ def test_a_map_is_reused_only_for_the_same_payload_objects(rat_pq, cyclo3):
         fresh = FieldCtx.rational_functions(("p", "q")).specializer(
             assign, cyclo3)
         assert repr(p.specialize(assign, cyclo3).val) == repr(fresh(p.val))
+
+
+@pytest.mark.parametrize("level", [3, 12])
+def test_integral_fraction_coordinates_give_canonical_payloads(level, rng):
+    # random_coeff draws int coordinates, the form every operation returns;
+    # Coeff(ctx, vec) also takes integral Fractions, which each operation
+    # canonicalizes: the value and the payload of the int-coordinate twin
+    ctx = FieldCtx.cyclotomic(level)
+    for _ in range(20):
+        a, b = random_coeff(ctx, rng), random_coeff(ctx, rng)
+        fa, fb = (Coeff(ctx, tuple(map(Fraction, c.val))) for c in (a, b))
+        assert all(type(x) is Fraction for x in fa.val + fb.val)
+        pairs = [(fa + fb, a + b), (fa + b, a + b), (fa - fb, a - b),
+                 (-fa, -a), (fa * fb, a * b), (a * fb, a * b)]
+        if not a.is_zero():
+            pairs.append((fa.inv(), a.inv()))
+        for got, want in pairs:
+            assert got == want and repr(got.val) == repr(want.val)
+            assert all(type(x) is int or x.denominator != 1 for x in got.val)
 
 
 @pytest.mark.parametrize("value", [2, Fraction(1, 2), "2", 2.0])

@@ -1,5 +1,8 @@
 """q-calculus and the straightening-identity oracle corpus."""
 
+import hashlib
+import json
+import os
 from collections import Counter
 from itertools import islice
 
@@ -316,8 +319,9 @@ def test_twisted_power_labels_parse_to_their_left_sides(lemma, family, field):
             checks = oracle_rhs(lemma, p, n)
             assert len(checks) == n_rows
             for label, lhs, _ in checks:
-                assert len(lhs) == 1 and lhs[0][0].is_one()
-                assert parse_ncpoly(label, p) == lhs, (label, lhs)
+                (word, c), = lhs.vals.items()
+                assert lhs.ctx is p.ctx and p.ctx.eq(c, p.one.val)
+                assert parse_ncpoly(label, p) == [(p.one, word)], (label, word)
 
 
 def test_cyc3_e_relation(rat_q):
@@ -382,13 +386,14 @@ def test_identity_corpus_at_specialized_parameters(field):
     assert n_checks == 359
 
 
-def _instances_over(field):
-    """One presentation of each corpus family over Q(params), and the
-    specialized instances over Q, Q(z12) and GF(7^2)."""
+def _specialized_over(field):
+    """The presentations of _specialized_instances over field: at the
+    parameters q, r of Q(q, r), at 3, 2 in Q, at z12^2, z12^3 in Q(z12)
+    and at a, a + 1 in GF(7^2) = GF(7)[a]."""
     if field == "Q(params)":
-        return [_presentation_for(family)
-                for family in dict.fromkeys(f for _, f in CORPUS)]
-    if field == "Q":
+        ctx = FieldCtx.rational_functions(("q", "r"))
+        q, r = ctx.param("q"), ctx.param("r")
+    elif field == "Q":
         ctx = FieldCtx.rational()
         q, r = ctx.from_int(3), ctx.from_int(2)
     elif field == "Q(z12)":
@@ -400,11 +405,21 @@ def _instances_over(field):
     return [build_family(spec) for spec in _specialized_instances(ctx, q, r)]
 
 
+def _instances_over(field):
+    """One presentation of each corpus family over Q(params), and the
+    specialized instances over Q, Q(z12) and GF(7^2)."""
+    if field == "Q(params)":
+        return [_presentation_for(family)
+                for family in dict.fromkeys(f for _, f in CORPUS)]
+    return _specialized_over(field)
+
+
 @pytest.mark.parametrize("field", ["Q(params)", "Q", "Q(z12)", "GF(49)"])
 def test_right_sides_equal_their_monomials_added_one_by_one(field,
                                                             monkeypatch):
-    # each right side is built in one payload dict; adding its monomials
-    # one NCPoly at a time gives the same polynomial, term order included
+    # each right side is built in one payload dict; adding its (word,
+    # payload) terms one NCPoly at a time gives the same polynomial, term
+    # order included
     cases = [(lemma, p) for p in _instances_over(field)
              for lemma, family in CORPUS
              if family == p.family and not ORACLES[lemma].relation_only]
@@ -414,14 +429,52 @@ def test_right_sides_equal_their_monomials_added_one_by_one(field,
                 for n in range(ORACLES[lemma].min_n, 9)
                 for label, _, rhs in oracle_rhs(lemma, p, n)}
     built = right_sides()
-    monkeypatch.setattr(identities, "_rhs", lambda p, monos: sum(
-        (NCPoly.monomial(c, p.word(*names)) for c, names in monos),
+    monkeypatch.setattr(identities, "_rhs", lambda p, terms: sum(
+        (NCPoly.monomial(Coeff(p.ctx, c), w) for w, c in terms),
         NCPoly.zero()))
     added = right_sides()
     assert built.keys() == added.keys() and len(built) > 8 * len(cases)
     for key, rhs in built.items():
         assert rhs == added[key], (cases[key[0]][0], key)
         assert list(rhs.vals) == list(added[key].vals)
+
+
+def _oracle_digests():
+    """A sha256 for each corpus lemma, specialized instance and index n <=
+    8 over Q(params), Q, Q(z12) and GF(7^2), of its checks: each label,
+    the left side's words and coefficients, the right side printed and
+    the right side's word order."""
+    out = {}
+    for field in ("Q(params)", "Q", "Q(z12)", "GF(49)"):
+        for i, p in enumerate(_specialized_over(field)):
+            for lemma, family in CORPUS:
+                if family != p.family:
+                    continue
+                info = ORACLES[lemma]
+                for n in ([1] if info.relation_only
+                          else range(info.min_n, 9)):
+                    checks = [
+                        (label, [(list(w), p.ctx.to_str(c.val))
+                                 for c, w in lhs.as_formal()],
+                         rhs.pretty(p), [list(w) for w in rhs.vals])
+                        for label, lhs, rhs in oracle_rhs(lemma, p, n)]
+                    out[f"{field} {i} {lemma} {n}"] = hashlib.sha256(
+                        json.dumps(checks).encode()).hexdigest()
+    return out
+
+
+def test_oracle_checks_match_their_recorded_digests():
+    # tests/data/oracle_digests.json holds _oracle_digests() as written
+    # before the oracle streams moved onto payloads: every check keeps
+    # its label, its left side and its right side, term order included
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "oracle_digests.json")
+    with open(path, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    digests = _oracle_digests()
+    assert digests.keys() == recorded.keys()
+    changed = [key for key, d in digests.items() if d != recorded[key]]
+    assert not changed, changed
 
 
 # ---------------------------------------------------------------------------
@@ -443,28 +496,27 @@ def _cost_instance(QQ, lemma):
 @pytest.mark.parametrize("lemma", ["H.yxn", "UqB2.iv", "Cyc3.i",
                                    "Bqf.delta_vk"])
 def test_oracle_cost_is_linear_in_the_index(lemma, monkeypatch, QQ):
-    # Coeff multiplications, each ** counted by its squarings and
-    # products, and engine products, made by the oracle alone (its
-    # stream, no normal form of a left side) for the indices up to n_max
-    counts = Counter()
-    mul, pow_ = Coeff.__mul__, Coeff.__pow__
+    # payload multiplications made by the oracle alone (its stream, no
+    # normal form of a left side and none inside an engine product), and
+    # engine products, for the indices up to n_max
+    counts, in_engine = Counter(), []
+    mul = type(QQ).mul
 
-    def counted_mul(a, b):
-        counts["mul"] += 1
-        return mul(a, b)
-
-    def counted_pow(a, e):
-        if isinstance(e, int) and e:
-            counts["mul"] += abs(e).bit_length() + bin(e).count("1") - 2
-        return pow_(a, e)
+    def counted_mul(ctx, a, b):
+        if not in_engine:
+            counts["mul"] += 1
+        return mul(ctx, a, b)
 
     def counted_multiply(*args):
         counts["multiply"] += 1
-        return multiply(*args)
+        in_engine.append(args)
+        try:
+            return multiply(*args)
+        finally:
+            in_engine.pop()
 
-    monkeypatch.setattr(Coeff, "__mul__", counted_mul)
-    monkeypatch.setattr(Coeff, "__rmul__", counted_mul)
-    monkeypatch.setattr(Coeff, "__pow__", counted_pow)
+    # before the presentation binds its field operations
+    monkeypatch.setattr(type(QQ), "mul", counted_mul)
     monkeypatch.setattr(identities, "multiply", counted_multiply)
     p = _cost_instance(QQ, lemma)
     cost = {}
@@ -482,13 +534,14 @@ def test_oracle_cost_is_linear_in_the_index(lemma, monkeypatch, QQ):
         assert "multiply" not in cost[16]
 
 
-def _wrong_from_3(seq):
-    """seq with one added to every item (to each part of a pair) from the
-    index k = 3 on."""
+def _wrong_from_3(ctx, seq):
+    """seq, a primitive's payloads in ctx, with one added to every item
+    (to each part of a pair) from the index k = 3 on."""
+    one = ctx.embed(1)
     for k, item in enumerate(seq):
         if k >= 3:
-            item = tuple(x + 1 for x in item) if isinstance(item, tuple) \
-                else item + 1
+            item = tuple(ctx.add(x, one) for x in item) \
+                if isinstance(item, tuple) else ctx.add(item, one)
         yield item
 
 
@@ -520,9 +573,9 @@ def test_a_wrong_running_primitive_fails_every_lemma_that_reads_it(
                 for label, _, rhs in oracle_rhs(lemma, p, n)}))
     right, readers, reading = getattr(identities, primitive), set(), []
 
-    def wrong(*args):
+    def wrong(ctx, *args):
         readers.add(reading[-1])
-        return _wrong_from_3(right(*args))
+        return _wrong_from_3(ctx, right(ctx, *args))
 
     monkeypatch.setattr(identities, primitive, wrong)
     for lemma, p, right_rhs in cases:

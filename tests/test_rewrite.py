@@ -999,6 +999,43 @@ def test_mixed_fields_raise_at_the_edge(H, rat_pq, QQ):
     assert normal_form(H, [(twin.param("p"), H.word("y", "x"))]) == a
 
 
+def test_equal_payload_dicts_are_equal_polynomials(rat_pq, monkeypatch):
+    w, v = (0, 1), (1,)
+    fields = [FieldCtx.rational(), FieldCtx.cyclotomic(12), rat_pq,
+              FieldCtx.galois(7, [3, 1, 1])]
+    polys = {}
+    for ctx in fields:
+        c = ctx.from_int(3).val
+        polys[ctx] = [NCPoly.from_payloads(ctx, {w: c, (): ctx.one().val})
+                      for _ in range(2)]
+    # equal dicts are equal at once, with no per-word comparison
+    for kind in (FieldCtx, type(rat_pq)):
+        monkeypatch.setattr(kind, "eq", lambda *args: pytest.fail())
+    for a, b in polys.values():
+        assert a.vals is not b.vals and a == b
+    monkeypatch.undo()
+    # a Q(params) value has several payloads: (p^2 - 1)/(p - 1) = p + 1,
+    # compared by the field
+    p = rat_pq.param("p")
+    quotient = (p * p - 1) / (p - 1)
+    assert quotient.val != (p + 1).val
+    a = NCPoly({w: quotient, v: p})
+    b = NCPoly({v: p, w: p + 1})
+    assert a.vals != b.vals and a == b and b == a
+    assert a != NCPoly({w: quotient}) and a != NCPoly({w: p + 1, (): p})
+    assert NCPoly({w: p}) != NCPoly({v: p})
+    # equal or empty dicts of two fields are a CtxMismatch: Q(z3) and
+    # Q(z6) share their payloads, as Q(p, q) and Q(q, p) do
+    z3, z6 = FieldCtx.cyclotomic(3), FieldCtx.cyclotomic(6)
+    qp = FieldCtx.rational_functions(("q", "p"))
+    for ctx, other, c in ((z3, z6, z3.generator().val),
+                          (rat_pq, qp, rat_pq.param("p").val)):
+        for vals in ({w: c}, {}):
+            with pytest.raises(CtxMismatch):
+                NCPoly.from_payloads(ctx, vals) == \
+                    NCPoly.from_payloads(other, dict(vals))
+
+
 def _pretty_reference(poly, p):
     """pretty as it reads from the Coeffs: each coefficient's repr, in
     term order."""
