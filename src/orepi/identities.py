@@ -22,8 +22,8 @@ from functools import reduce
 from itertools import accumulate, chain, count, islice, pairwise, repeat
 from math import comb
 
-from .errors import (DivisionByZero, FamilyMismatch, LemmaRangeError,
-                     ParametersRequired, QFactorialVanishes, ZeroInput)
+from .errors import (FamilyMismatch, LemmaRangeError, ParametersRequired,
+                     QFactorialVanishes, ZeroInput)
 from .fields import Coeff
 from .rewrite import (
     NCPoly,
@@ -40,10 +40,9 @@ from .rewrite import (
 
 
 def _inv(ctx, x):
-    """The payload 1/x, a DivisionByZero when x is zero."""
-    if ctx.is_zero(x):
-        raise DivisionByZero("inverse of zero")
-    return ctx.inv(x)
+    """The payload 1/x, with Coeff.inv's DivisionByZero when x is zero;
+    only setup constants, computed once per stream, are inverted."""
+    return Coeff(ctx, x).inv().val
 
 
 def _powers(ctx, x):
@@ -60,7 +59,7 @@ def _pq_numbers(ctx, p, q):
     """[n]_{p,q}: [0] = 0, [n+1] = q^n + p^-1 [n]."""
     if ctx.is_zero(p):
         raise ZeroInput("p must be nonzero")
-    pi, add, mul = ctx.inv(p), ctx.add, ctx.mul
+    pi, add, mul = _inv(ctx, p), ctx.add, ctx.mul
     return accumulate(_powers(ctx, q), lambda pqn, qn: add(qn, mul(pi, pqn)),
                       initial=ctx.embed(0))
 
@@ -574,7 +573,9 @@ def _bqf_delta_terms(p, g):
             terms.append((("u",) * j, 1))
             seqs.append((_from1(_geom(ctx, (q ** (j + 1)).inv().val)),
                          map(mul, repeat(cj.val), _powers(ctx, (q ** j).val))))
-    return terms, zip(*[map(mul, gk, ck) for gk, ck in seqs])
+    # f = 0 has no terms: every delta(g^k) is zero, an empty tail at each k
+    its = [map(mul, gk, ck) for gk, ck in seqs]
+    return terms, zip(*its) if its else repeat(())
 
 
 def _oracle_bqf_delta(g):

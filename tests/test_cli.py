@@ -60,6 +60,17 @@ def test_families_lists_all():
     assert len(doc["checks"]) == 11
 
 
+@pytest.mark.parametrize("f_args", [[], ["--f", "0"]], ids=["no-f", "f0"])
+@pytest.mark.parametrize("lemma", [lem for lem in LEMMA_IDS
+                                   if lem.startswith("Bqf.")])
+def test_identity_check_bqf_at_f_zero(lemma, f_args):
+    # without --f, f = 0: every Bqf lemma still reports n_max passing checks
+    code, doc = run(["identity-check", "--family", "Bqf", "--params", "q=2",
+                     "--lemma", lemma, "--n-max", "4"] + f_args)
+    assert code == 0
+    assert [c["status"] for c in doc["checks"]] == ["pass"] * 4
+
+
 def test_identity_check_hpq():
     code, doc = run(["identity-check", "--family", "Hpq",
                      "--field", "ratfunc:p,q", "--params", "p=p,q=q",

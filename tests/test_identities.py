@@ -188,6 +188,34 @@ def test_bqf_delta_base_cases(rat_q):
     assert lhs == rhs
 
 
+BQF_LEMMAS = ["Bqf.delta_uk", "Bqf.delta_vk", "Bqf.wuk", "Bqf.wvk",
+              "Bqf.wku"]
+
+
+@pytest.mark.parametrize("f", [(), (0,)], ids=["empty", "zero"])
+@pytest.mark.parametrize("lemma", BQF_LEMMAS)
+def test_bqf_lemmas_at_f_zero(lemma, f, QQ):
+    # f = 0 (no coefficient, or only zero ones): delta vanishes, so every
+    # delta(g^k) is 0 and w g^k = sigma(g)^k g^k w has no tail
+    q = QQ.from_int(2)
+    B = build_family(spec_bqf(QQ, q, tuple(QQ.from_int(c) for c in f)))
+    n_max = 5
+    rep = check_paper_identity(lemma, B, n_max)
+    assert [c.n for c in rep.checks] == list(range(1, n_max + 1))
+    assert rep.all_pass, [c for c in rep.checks if not c.ok]
+    u, v, w = B.word("u", "v", "w")
+    for k in range(1, n_max + 1):
+        [(_, lhs, rhs)] = oracle_rhs(lemma, B, k)
+        expected = {
+            "Bqf.delta_uk": NCPoly.zero(), "Bqf.delta_vk": NCPoly.zero(),
+            "Bqf.wuk": NCPoly.monomial(q ** k, (u,) * k + (w,)),
+            "Bqf.wvk": NCPoly.monomial(q.inv() ** k, (v,) * k + (w,)),
+            "Bqf.wku": NCPoly.monomial(q ** k, (u,) + (w,) * k),
+        }[lemma]
+        assert rhs == expected
+        assert normal_form(B, lhs) == expected
+
+
 def test_uqb2_iv_range_guard(rat_q):
     U = build_family(spec_uqb2(rat_q, rat_q.param("q")))
     with pytest.raises(LemmaRangeError):
