@@ -23,7 +23,7 @@ from itertools import accumulate, chain, count, islice, pairwise, repeat
 from math import comb
 
 from .errors import (FamilyMismatch, LemmaRangeError, ParametersRequired,
-                     QFactorialVanishes, ZeroInput)
+                     PreconditionViolation, QFactorialVanishes, ZeroInput)
 from .fields import Coeff
 from .rewrite import (
     NCPoly,
@@ -170,10 +170,13 @@ def weyl_z(p, i):
 
 
 def cyc3_e(p):
-    """e = xz - q^2 beta / (q^2 - 1) in the 3-cyclic family (needs q^2 != 1)."""
+    """e = xz - q^2 beta / (q^2 - 1) in the 3-cyclic family; q^2 = 1 is
+    the PreconditionViolation the PI decider reports."""
     v = _values(p, "ThreeCyclic", "e lives in the 3-cyclic family")
     q, be = v["q"], v["beta"]
     q2 = q * q
+    if q2 == p.one:
+        raise PreconditionViolation("q^2 = 1 is excluded")
     shift = q2 * be / (q2 - 1)
     return normal_form(p, [(p.ctx.one(), p.word("x", "z")), (-shift, ())])
 

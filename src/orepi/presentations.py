@@ -50,7 +50,7 @@ class Presentation:
 
     __slots__ = ("ctx", "names", "weights", "precedence", "rules",
                  "family", "params", "one", "by_first", "inert", "min_lhs",
-                 "field_ops", "_rank", "_index", "_confluent")
+                 "field_ops", "memo", "_rank", "_index", "_confluent")
 
     def __init__(self, ctx, names, weights, precedence, rules,
                  family=None, params=None):
@@ -87,6 +87,9 @@ class Presentation:
         self.min_lhs = min((len(rule.lhs) for rule in self.rules), default=1)
         # the straightener's payload operations, bound once
         self.field_ops = (ctx.add, ctx.mul, ctx.is_zero)
+        # the product memo of the rewrite calls made outside every
+        # rewrite.product_memo() scope
+        self.memo = {}
         self._confluent = None
 
     def gen(self, name):

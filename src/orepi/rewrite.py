@@ -20,6 +20,15 @@ reductions (proper overlaps and containments) and reports the residual
 of each critical pair; by the diamond lemma all residuals vanish
 exactly when the presentation is confluent, whatever the strategy.
 
+A call made outside every product_memo() scope shares its presentation's
+product memo (Presentation.memo), which lives as long as the
+presentation, so each call reads the products earlier ones stored.  A
+scope opens a private memo for the calls made inside it and drops it at
+exit, so a verdict's products are not kept.  An entry is the normal form
+of its word under the one fixed strategy, stored only once finished, so
+a warm memo gives the same dicts, payloads and key order as a cold one,
+on a confluent presentation or not.
+
 A trailing run of inert letters (Presentation.inert: letters in no left
 side past that side's first letter, and no one-letter left side) takes
 part in no rewrite, so a product is straightened once for its core, the
@@ -171,9 +180,10 @@ class NCPoly:
 # a generator g meets an irreducible word u, every redex of g*u starts at
 # position 0, so g*u is either irreducible or rewritten there by the first
 # matching rule (in rule order).  The products g*u that do rewrite are
-# memoized as normal forms; a memo lives for one call, or for a whole
-# product_memo() scope.  Missing products are computed on an explicit stack
-# of generators, so long words never deepen the Python stack.
+# memoized as normal forms: in the presentation's own memo, shared by the
+# calls made outside every scope, or in a product_memo() scope's private
+# one (see the module docstring).  Missing products are computed on an
+# explicit stack of generators, so long words never deepen the Python stack.
 #
 # No left side holds an inert letter past its first position or is one, so
 # no redex reaches into a trailing run s of inert letters: every rewrite
@@ -257,10 +267,12 @@ def _plan(rhs, table):
 
 @contextmanager
 def product_memo():
-    """Share memoized products among every rewrite call made inside.
+    """Share one private product memo among every rewrite call made
+    inside, in place of the presentations' own.
 
     The memo is dropped when the outermost scope exits; nested scopes
-    reuse it.  Nothing is stored on the presentations involved.
+    reuse it.  Nothing is stored on the presentations involved: a
+    verdict's products, however many, go with its scope.
     """
     if _SCOPE.get() is not None:
         yield
@@ -273,10 +285,11 @@ def product_memo():
 
 
 def _memo(p):
-    """The product memo of p in the current scope, or a fresh one."""
+    """The product memo of p in the current scope, or p's own outside
+    every scope."""
     scope = _SCOPE.get()
     if scope is None:
-        return {}
+        return p.memo
     # keyed by id; the entry holds p, so the id stays unique in the scope
     entry = scope.get(id(p))
     if entry is None:
@@ -402,14 +415,17 @@ def _run(p, frame, memo):
 
 def _store(memo, word, run, value, one):
     """Memoize value, the normal form of word, and return that of word +
-    run, the same dict when run is empty."""
-    memo[word] = value
+    run, the same dict when run is empty.  Each entry is inserted
+    finished, since another thread may read a presentation's memo: the
+    payloads of value equal to 1 are rewritten first, and the copy with
+    run is built before it is inserted."""
     # a product is reused at every hit: store its coefficients equal to 1
     # as the payload one, which is never multiplied by (equal payloads are
     # equal values, and much cheaper to test)
     for w, c in value.items():
         if c is not one and c == one:
             value[w] = one
+    memo[word] = value
     if run:
         value = memo[word + run] = {w + run: c for w, c in value.items()}
     return value

@@ -35,6 +35,7 @@ from orepi.errors import (
     FamilyMismatch,
     LemmaRangeError,
     ParametersRequired,
+    PreconditionViolation,
     QFactorialVanishes,
 )
 from orepi.fields import Coeff
@@ -360,6 +361,29 @@ def test_cyc3_e_relation(rat_q):
     from orepi import q_commutator
     z = NCPoly.monomial(ctx.one(), p.word("z"))
     assert q_commutator(p, e, z, ctx.param("q") ** -2).is_zero()
+
+
+@pytest.mark.parametrize("ctx, q", [
+    (FieldCtx.rational(), -1), (FieldCtx.rational(), 1),
+    (FieldCtx.galois_prime(5), 4), (FieldCtx.cyclotomic(6), "z6^3")],
+    ids=["Q-q=-1", "Q-q=1", "GF(5)-q=4", "Q(z6)-q=z6^3"])
+def test_cyc3_e_at_q_squared_one(ctx, q):
+    # e = xz - q^2 beta / (q^2 - 1) is not defined at q^2 = 1: e, the
+    # Cyc3.e_rel check and the PI verdict all refuse it with one
+    # PreconditionViolation, before anything divides by q^2 - 1
+    from orepi import pi_decide
+    q = ctx.generator() ** 3 if q == "z6^3" else ctx.from_int(q)
+    i = ctx.from_int
+    spec = spec_three_cyclic(ctx, q, i(1), i(2), i(3))
+    p = build_family(spec)
+    for refused in (lambda: cyc3_e(p),
+                    lambda: check_paper_identity("Cyc3.e_rel", p, 1),
+                    lambda: pi_decide(spec)):
+        with pytest.raises(PreconditionViolation,
+                           match=r"^q\^2 = 1 is excluded$"):
+            refused()
+    spec = spec_three_cyclic(ctx, i(2), i(1), i(2), i(3))
+    assert check_paper_identity("Cyc3.e_rel", build_family(spec), 1).all_pass
 
 
 def test_biquad3_instance_generation(cyclo12, rng):

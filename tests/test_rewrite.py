@@ -434,6 +434,14 @@ def heap_normal_form(p, formal):
             add(w[:i] + rw + w[i + len(rule.lhs):], c * rc)
 
 
+def fresh(call, *args):
+    """call(*args) in a product memo of its own, so that every product it
+    needs is missing: a presentation's own memo, which the unscoped calls
+    of earlier tests warmed, is not read."""
+    with product_memo():
+        return call(*args)
+
+
 def payloads(poly):
     """An NCPoly as the payload dict (word -> c.val) left_multiply takes."""
     return {w: c.val for w, c in poly.terms.items()}
@@ -500,21 +508,21 @@ def test_straightener_matches_heap_strategy(p, rng):
     assert overlap_check(p).confluent
     for _ in range(8):
         fa = random_formal(p, rng, terms=3, max_len=5)
-        assert normal_form(p, fa) == heap_normal_form(p, fa)
+        assert fresh(normal_form, p, fa) == heap_normal_form(p, fa)
         a = NCPoly({tuple(w): c for c, w in random_formal(p, rng, terms=2)
                     if not c.is_zero()})
         b = NCPoly({tuple(w): c for c, w in random_formal(p, rng, terms=2)
                     if not c.is_zero()})
         concat = [(ca * cb, wa + wb) for wa, ca in a.terms.items()
                   for wb, cb in b.terms.items()]
-        assert multiply(p, a, b) == heap_normal_form(p, concat)
+        assert fresh(multiply, p, a, b) == heap_normal_form(p, concat)
     # g*x^k for each rule g*x -> ...: along a one-term rule c*x*g each
     # product is c*x times the one before it, missing from a fresh memo,
     # and memoized before it in one scope
     chains = [[(random_coeff(p.ctx, rng), rule.lhs[:1] + rule.lhs[1:] * k)]
               for rule in p.rules for k in (1, 2, 3, 5)]
     for fa in chains:
-        assert normal_form(p, fa) == heap_normal_form(p, fa)
+        assert fresh(normal_form, p, fa) == heap_normal_form(p, fa)
     with product_memo():
         for fa in chains:
             assert normal_form(p, fa) == heap_normal_form(p, fa)
@@ -537,7 +545,7 @@ def test_multiply_accepts_non_normal_operands(rng, QQ):
                         if not c.is_zero()})
             concat = [(ca * cb, wa + wb) for wa, ca in a.terms.items()
                       for wb, cb in b.terms.items()]
-            assert multiply(p, a, b) == normal_form(p, concat)
+            assert fresh(multiply, p, a, b) == fresh(normal_form, p, concat)
 
 
 
@@ -558,11 +566,11 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(
     for _ in range(6):
         fa = [(unit if i % 2 else c, w) for i, (c, w)
               in enumerate(random_formal(p, rng, terms=4, max_len=5))]
-        nf = normal_form(p, fa)
+        nf = fresh(normal_form, p, fa)
         assert nf == heap_normal_form(p, fa)
         row = {w: unit.val for w in nf.terms}
         g = rng.randrange(len(p.names))
-        assert wrapped(p, left_multiply(p, g, row)) == \
+        assert wrapped(p, fresh(left_multiply, p, g, row)) == \
             heap_normal_form(p, [(unit, (g,) + w) for w in row])
     # a rule whose coefficient 1 is not the object p.one
     q = Presentation(ctx, p.names, p.weights, p.precedence,
@@ -575,7 +583,8 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(
     assert normal_form(p, [(p.one, (g,))]).vals[(g,)] is p.one.val
     # input coefficients equal to 1 cause no multiplication: a sum of
     # words with coefficient unit takes the products of the same sum with
-    # coefficient p.one, and none of them has unit.val as a factor
+    # coefficient p.one, each in a fresh memo, and none of them has
+    # unit.val as a factor
     add, mul, is_zero = p.field_ops
     factors = []
 
@@ -585,10 +594,10 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(
 
     monkeypatch.setattr(p, "field_ops", (add, counting, is_zero))
     words = [w for _, w in random_formal(p, rng, terms=4, max_len=5)]
-    nf = normal_form(p, [(unit, w) for w in words])
+    nf = fresh(normal_form, p, [(unit, w) for w in words])
     assert not any(x is unit.val or y is unit.val for x, y in factors)
     with_unit, factors[:] = len(factors), []
-    assert normal_form(p, [(p.one, w) for w in words]) == nf
+    assert fresh(normal_form, p, [(p.one, w) for w in words]) == nf
     assert len(factors) == with_unit
 
 
@@ -600,12 +609,12 @@ def test_left_multiply_matches_multiply(p, data):
     # the terms, some are memoized, and then all of them
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     g = data.draw(st.integers(0, len(p.names) - 1), label="generator")
-    nf = normal_form(p, random_formal(p, rng, terms=4, max_len=5))
+    nf = fresh(normal_form, p, random_formal(p, rng, terms=4, max_len=5))
     terms = payloads(nf)
     before = dict(terms)
     want = heap_normal_form(p, [(c, (g,) + w) for w, c in nf.terms.items()])
-    assert multiply(p, word_poly(p, p.names[g]), nf) == want
-    assert wrapped(p, left_multiply(p, g, terms)) == want
+    assert fresh(multiply, p, word_poly(p, p.names[g]), nf) == want
+    assert wrapped(p, fresh(left_multiply, p, g, terms)) == want
     with product_memo():
         left_multiply(p, g, dict(list(terms.items())[::2]))
         for _ in range(2):
@@ -624,8 +633,8 @@ def test_q_commutator_matches_two_products(p, data):
     b = normal_form(p, random_formal(p, rng, terms=3, max_len=4))
     lam = p.one if data.draw(st.booleans(), label="lam=1") \
         else random_coeff(p.ctx, rng)
-    assert q_commutator(p, a, b, lam) == \
-        multiply(p, a, b) - multiply(p, b, a).scale(lam)
+    assert fresh(q_commutator, p, a, b, lam) == \
+        fresh(multiply, p, a, b) - fresh(multiply, p, b, a).scale(lam)
 
 
 @pytest.mark.parametrize("p", LEFT_ZOO)
@@ -648,6 +657,122 @@ def test_difference_is_the_sum_with_the_negation(p, data):
         assert not any(p.ctx.is_zero(c) for c in d.vals.values())
 
 
+@pytest.mark.parametrize("p", LEFT_ZOO)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_a_warm_memo_gives_what_a_fresh_one_gives(p, data):
+    # a memo entry is the normal form of its word under the one strategy,
+    # so unscoped calls reading the products that other calls stored in
+    # the presentation's memo return what a fresh memo gives: the same
+    # words in the same order, with the same payloads
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+
+    def draw():
+        return random_formal(p, rng, terms=4, max_len=5)
+    fa = draw()
+    a, b = (fresh(normal_form, p, draw()) for _ in range(2))
+    lam = random_coeff(p.ctx, rng)
+    g = rng.randrange(len(p.names))
+    calls = [(normal_form, p, fa), (multiply, p, a, b),
+             (q_commutator, p, a, b, lam), (left_multiply, p, g, a.vals)]
+
+    def items(out):
+        return list((out if isinstance(out, dict) else out.vals).items())
+    cold = [items(fresh(*call)) for call in calls]
+    # other calls, on inputs that share words with these
+    normal_form(p, fa[:1] + draw())
+    multiply(p, b, a)
+    q_commutator(p, b, normal_form(p, draw()), lam)
+    for h in range(len(p.names)):
+        left_multiply(p, h, b.vals)
+    assert p.memo
+    for _ in range(2):
+        assert [items(call[0](*call[1:])) for call in calls] == cold
+
+
+def test_threads_share_a_presentation_memo(rng):
+    # four threads make unscoped calls on the presentations they share,
+    # two in one order, so that they miss the same products at once and
+    # both store them, and two in orders of their own, so that they read
+    # entries the others store: every result is the dict, in the same key
+    # order, that one thread gets on a freshly built presentation
+    import sys
+    import threading
+    ctx = FieldCtx.rational_functions(("q",))
+    families = ("Bh", "M2", "DownUp", "Bqf")
+    specs = [s for s in confluent_zoo_specs(ctx) if s.family in families]
+    fresh_specs = [s for s in confluent_zoo_specs(ctx) if s.family in families]
+    jobs = []
+    for spec, fresh_spec in zip(specs, fresh_specs):
+        p = build_family(spec)
+        for _ in range(6):
+            fa = random_formal(p, rng, terms=4, max_len=6)
+            a, b = (fresh(normal_form, p, random_formal(p, rng, terms=3))
+                    for _ in range(2))
+            jobs += [(p, fresh_spec, normal_form, (fa,)),
+                     (p, fresh_spec, multiply, (a, b))]
+    want = [list(call(build_family(fresh_spec), *args).vals.items())
+            for _, fresh_spec, call, args in jobs]
+    got = [[None] * len(jobs) for _ in range(4)]
+    start = threading.Barrier(4, timeout=60)
+
+    def work(t):
+        order = list(range(len(jobs)))
+        random.Random(max(t, 1)).shuffle(order)
+        start.wait()
+        for i in order:
+            p, _, call, args = jobs[i]
+            got[t][i] = list(call(p, *args).vals.items())
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(build_family(spec).memo for spec in specs)
+    assert got == [want] * 4
+
+
+class _PublishLog(dict):
+    """A product memo that records each entry as it is inserted."""
+
+    def __init__(self, one):
+        super().__init__()
+        self.one, self.published = one, {}
+
+    def __setitem__(self, word, value):
+        one = self.one
+        assert not any(c is not one and c == one for c in value.values())
+        self.published[word] = list(value.items())
+        super().__setitem__(word, value)
+
+
+@pytest.mark.parametrize("name", list(LEFT_FIELDS))
+def test_memo_entries_are_published_finished(name, rng):
+    # an entry enters a presentation's memo finished, its payloads equal
+    # to 1 already the payload one, and is never changed after: another
+    # thread may read it from the moment it is inserted
+    for p in confluent_zoo(LEFT_FIELDS[name]):
+        p.memo = log = _PublishLog(p.one.val)
+        for _ in range(4):
+            a, b = (normal_form(p, random_formal(p, rng, terms=4, max_len=5))
+                    for _ in range(2))
+            multiply(p, a, b)
+            q_commutator(p, b, a, p.one)
+            left_multiply(p, rng.randrange(len(p.names)), a.vals)
+        normal_form(p, [(p.one, rule.lhs[:1] + rule.lhs[1:] * 4 + (g,) * 3)
+                        for rule in p.rules for g in p.inert])
+        assert log and log.published.keys() == log.keys()
+        assert all(list(log[w].items()) == items
+                   for w, items in log.published.items())
+
+
 def test_left_multiply_scans_no_word(monkeypatch, QQ):
     # every redex of g*u starts at g, so no word is searched for one
     from orepi import rewrite
@@ -657,7 +782,7 @@ def test_left_multiply_scans_no_word(monkeypatch, QQ):
     want = [[multiply(p, word_poly(p, name), row) for name in p.names]
             for row in rows]
     monkeypatch.setattr(rewrite, "_split", None)
-    assert [[wrapped(p, left_multiply(p, g, payloads(row)))
+    assert [[wrapped(p, fresh(left_multiply, p, g, payloads(row)))
              for g in range(len(p.names))] for row in rows] == want
 
 
@@ -704,7 +829,7 @@ def test_trailing_inert_runs_straighten_as_their_core(p, rng):
         c = random_coeff(p.ctx, rng)
         if c.is_zero():
             c = p.one
-        want = normal_form(p, [(c, core)]).vals
+        want = fresh(normal_form, p, [(c, core)]).vals
         with product_memo():
             for k in range(1, 7):
                 run = (letter,) * k
@@ -929,34 +1054,55 @@ def _reachable(root):
     return seen
 
 
-def test_no_product_memo_outlives_a_verdict(rat_q, monkeypatch):
+def test_a_presentation_keeps_only_its_unscoped_products(rat_q, monkeypatch):
+    # an engine call made outside every product_memo() scope stores each
+    # product it straightens in its presentation's memo, as the normal
+    # form of its word; the verdicts, which run in scopes of their own,
+    # store nothing on the presentation and leave no scope open
     from orepi import check_paper_identity, central_candidates, is_central
     from orepi import rewrite
-    from orepi.rewrite import _SCOPE, power, product_memo
+    from orepi.rewrite import _SCOPE, power
     H = build_family(spec_hpq(rat_q, rat_q.param("q"), rat_q.param("q")))
+    assert H.memo == {}
+    # the confluence verdict is an unscoped overlap check, made once
     H.is_confluent()
-    before = len(_reachable(H))
-    assert check_paper_identity("H.yxn", H, 4).all_pass
-    assert not is_central(H, word_poly(H, "x"))[0]
-    normal_form(H, [(rat_q.one(), H.word("y", "y", "x"))])
-    # power and central_candidates each share one memo among their products
-    scopes = []
+    q = rat_q.param("q")
+    x, y = word_poly(H, "x"), word_poly(H, "y")
+    a = normal_form(H, [(q, H.word("y", "y", "x")),
+                        (rat_q.one(), H.word("y", "t", "x", "x"))])
+    multiply(H, a, x + y)
+    q_commutator(H, y, a, q)
+    left_multiply(H, H.gen("y"), a.vals)
+    assert len(H.memo) > 5
+    for word, vals in H.memo.items():
+        assert NCPoly.from_payloads(H.ctx, vals) == \
+            heap_normal_form(H, [(H.one, word)]), word
+    kept, reachable = list(H.memo.items()), len(_reachable(H))
+    z3 = FieldCtx.cyclotomic(3)
+    bh = spec_bh(z3, z3.generator())
+    verdicts = [lambda: check_paper_identity("H.yxn", H, 4).all_pass,
+                lambda: not is_central(H, x)[0],
+                lambda: power(H, x + y, 3).vals,
+                lambda: central_candidates(bh).elements]
+    scopes, products = [], 0
     real = rewrite.multiply
     monkeypatch.setattr(rewrite, "multiply",
                         lambda *a: scopes.append(_SCOPE.get()) or real(*a))
-    power(H, word_poly(H, "x") + word_poly(H, "y"), 3)
-    z3 = FieldCtx.cyclotomic(3)
-    assert central_candidates(spec_bh(z3, z3.generator())).elements
-    assert len(scopes) > 3 and scopes[0] is not None
-    assert all(s is scopes[0] for s in scopes[:3])
-    assert scopes[3] is not None and scopes[3] is not scopes[0]
-    assert all(s is scopes[3] for s in scopes[3:])
-    assert _SCOPE.get() is None
-    assert len(_reachable(H)) == before
+    for verdict in verdicts:
+        scopes.clear()
+        assert verdict()
+        assert _SCOPE.get() is None
+        # power's and central_candidates' products share one scope
+        assert None not in scopes and len(set(map(id, scopes))) <= 1
+        products += len(scopes)
+    assert products > 3
+    assert list(H.memo.items()) == kept
+    assert len(_reachable(H)) == reachable
+    assert build_family(bh).memo == {}
     with product_memo():
-        normal_form(H, [(rat_q.one(), H.word("y", "x", "x"))])
+        normal_form(H, [(rat_q.one(), H.word("y", "x", "x", "x"))])
         assert _SCOPE.get()[id(H)][1]
-    assert _SCOPE.get() is None
+    assert _SCOPE.get() is None and list(H.memo.items()) == kept
 
 
 def test_confluence_verdict_computed_once(monkeypatch, QQ):
