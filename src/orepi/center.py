@@ -691,9 +691,12 @@ def downup_center_generators(spec, roots=None):
     u^(m-w) d^(m-w), whose leading form is m - w linear forms prime to
     the omegas (x is no eigenvector of g u = u g').  So weight w needs
     only s + t <= (m - w - 1) + (e - 1): at most m + e - 2 letters u and
-    as many d.  Weights w < 0 mirror this with d^m.
+    as many d.  Weights w < 0 mirror this with d^m.  The products share
+    one product memo.
     """
-    return _downup_center(build_family(spec), roots)
+    p = build_family(spec)
+    with product_memo():
+        return _downup_center(p, roots)
 
 
 def _central_exponents(ctx, nus, bound):
@@ -879,7 +882,8 @@ def spanning_check(p, centrals, caps, degree=None):
     Every central is verified with is_central first, and the rows rely on
     it: the row of a central product c at a residual word g*m is g times
     its row at m, since c*g*m = g*c*m, so each row costs one left
-    multiplication by a generator.
+    multiplication by a generator.  The rows of one central product and
+    word length go through the straightener in one left_multiply batch.
 
     The residual unit rows span exactly the residual columns, so the rows
     go into the tracker with those columns dropped, and the rank is the
@@ -990,8 +994,8 @@ def _spanning_check(p, centrals, caps, degree):
         rows = {(): cpoly.vals}
         for n in range(degree - _min_deg(cpoly) + 1):
             if n:
-                rows = {m: left_multiply(p, m[0], rows[m[1:]])
-                        for m in by_length[n]}
+                rows = dict(zip(by_length[n], left_multiply(
+                    p, [(m[0], rows[m[1:]]) for m in by_length[n]])))
             for m in by_length[n]:
                 row = {w: c for w, c in rows[m].items() if w not in residuals}
                 if row:

@@ -31,20 +31,22 @@ def verify_witness(spec, w):
     theta the normal factored element, when it is in the span of the
     rows theta * m, m each irreducible word up to deg r - deg theta.
     Sound; complete where deg(theta a) = deg theta + deg a, as in Hpq,
-    whose associated graded ring is a domain."""
+    whose associated graded ring is a domain.  Its products share one
+    product memo."""
     p = build_family(spec)
-    if w.kind == "subalgebra":
-        return q_commutator(p, w.y_elem, w.x_elem, w.param).is_zero()
-    if w.kind != "quotient":
-        raise FamilyMismatch(f"unknown witness kind {w.kind!r}")
-    th = w.factored
-    if not all(q_commutator(p, th, word_poly(p, g), s).is_zero()
-               for g, s in w.normality):
-        return False
-    x, y = (word_poly(p, g) for g in w.plane_gens)
-    r = q_commutator(p, y, x, w.param).vals
-    span = SpanTracker(p.order_key, p.ctx)
-    for m in irreducible_words(p, max(map(len, r), default=0)
-                               - max(map(len, th.vals))):
-        span.insert(multiply(p, th, NCPoly.monomial(p.one, m)).vals)
-    return span.contains(r)
+    with product_memo():
+        if w.kind == "subalgebra":
+            return q_commutator(p, w.y_elem, w.x_elem, w.param).is_zero()
+        if w.kind != "quotient":
+            raise FamilyMismatch(f"unknown witness kind {w.kind!r}")
+        th = w.factored
+        if not all(q_commutator(p, th, word_poly(p, g), s).is_zero()
+                   for g, s in w.normality):
+            return False
+        x, y = (word_poly(p, g) for g in w.plane_gens)
+        r = q_commutator(p, y, x, w.param).vals
+        span = SpanTracker(p.order_key, p.ctx)
+        for m in irreducible_words(p, max(map(len, r), default=0)
+                                   - max(map(len, th.vals))):
+            span.insert(multiply(p, th, NCPoly.monomial(p.one, m)).vals)
+        return span.contains(r)

@@ -12,9 +12,13 @@ dict held as it is) and product_terms, which writes out the (word,
 payload) terms of c*a*b for multiply and q_commutator to straighten.
 normal_form checks and unwraps a (Coeff, word) list as it enters.  1 is
 the payload p.one.val, which is never multiplied by; an input
-coefficient equal to 1 enters as it.  left_multiply takes and returns
-payload dicts, the row format of linalg.SpanTracker, and costs a memo
-lookup per term once its products are memoized.
+coefficient equal to 1 enters as it.  One loop, _straighten, pushes
+every generator into a normal form: the letters of normal_form's input,
+and the generators of left_multiply's batch of (generator, row) pairs,
+whose rows are payload dicts, the row format of linalg.SpanTracker; the
+batch is straightened once, and stops with each generator pushed onto
+its own row, so a row costs a memo lookup per term once its products
+are memoized.
 overlap_check enumerates every word with two distinct one-step
 reductions (proper overlaps and containments) and reports the residual
 of each critical pair; by the diamond lemma all residuals vanish
@@ -134,17 +138,7 @@ class NCPoly:
             w: self.ctx.neg(c) for w, c in self.vals.items()})
 
     def __sub__(self, other):
-        ctx = _field(self.ctx, other.ctx)
-        out = dict(self.vals)
-        for w, c in other.vals.items():
-            s = out.get(w)
-            if s is None:
-                out[w] = ctx.neg(c)
-            elif ctx.is_zero(s := ctx.sub(s, c)):
-                del out[w]
-            else:
-                out[w] = s
-        return type(self).from_payloads(ctx, out)
+        return self + -other
 
     def scale(self, coeff):
         ctx, k = _field(self.ctx, coeff.ctx), coeff.val
@@ -184,6 +178,8 @@ class NCPoly:
 # calls made outside every scope, or in a product_memo() scope's private
 # one (see the module docstring).  Missing products are computed on an
 # explicit stack of generators, so long words never deepen the Python stack.
+# This is the one loop that pushes a generator: left_multiply's rows go
+# through it too, each behind an int tag of its own that is never pushed.
 #
 # No left side holds an inert letter past its first position or is one, so
 # no redex reaches into a trailing run s of inert letters: every rewrite
@@ -297,19 +293,22 @@ def _memo(p):
     return entry[1]
 
 
-def _straighten(p, levels, memo):
-    """Generator returning the normal form of a sum of prefix * poly.
+def _straighten(p, levels, memo, stop=0):
+    """Generator straightening a sum of prefix * poly down to its
+    prefixes of length stop, and returning levels[stop].
 
     levels[n] maps each prefix of length n to its poly, a dict from
     irreducible words to payloads.  Prefixes give up their last letter
     longest first, so like terms merge before the next letter goes in.
-    A product g*u missing from the memo is requested by yielding (g*u,
-    the rest of u after the redex, the rule's rhs levels and plan); the
-    driver (_run) sends back its normal form.
+    With stop 0 the result holds the normal form at the prefix (), if any
+    term is left; left_multiply stops at 1.  A product g*u missing from
+    the memo is requested by yielding (g*u, the rest of u after the
+    redex, the rule's rhs levels and plan); the driver (_run) sends back
+    its normal form.
     """
     one, by_first = p.one.val, p.by_first
     add, mul, is_zero = p.field_ops
-    for n in range(len(levels) - 1, 0, -1):
+    for n in range(len(levels) - 1, stop, -1):
         shorter = levels[n - 1]
         for prefix, poly in levels[n].items():
             g, key = prefix[-1], prefix[:-1]
@@ -327,10 +326,9 @@ def _straighten(p, levels, memo):
                         prod = memo.get(gu)
                         if prod is None:
                             prod = yield gu, u[k:], rhs, plan
-                        # the accumulation is inlined here, below, in
-                        # left_multiply and in _levels: it runs once per
-                        # term, and a helper call would cost about as much
-                        # as the field's add
+                        # the accumulation is inlined here, below and in
+                        # _levels: it runs once per term, and a helper call
+                        # would cost about as much as the field's add
                         for w, pc in prod.items():
                             if c is not one:
                                 pc = c if pc is one else mul(c, pc)
@@ -351,17 +349,13 @@ def _straighten(p, levels, memo):
                     else:
                         out[gu] = s
         levels[n] = None
-    return levels[0].get((), {})
-
-
-def _ask(*request):
-    """A frame that asks its driver for one product and returns it."""
-    return (yield request)
+    return levels[stop]
 
 
 def _run(p, frame, memo):
-    """What the generator frame (a _straighten or an _ask) returns.  The
-    products it asks for are computed, and memoized, on an explicit stack.
+    """What the _straighten frame returns.  The products it asks for are
+    computed, and memoized, on an explicit stack, each in a _straighten
+    frame of its own.
 
     A product whose rule's plan applies needs no frame of its own: it is
     the planned terms followed by rest, or a prepended to the memoized
@@ -377,7 +371,7 @@ def _run(p, frame, memo):
             word, run, _ = stack.pop()
             if not stack:
                 return done.value
-            value = _store(memo, word, run, done.value, one)
+            value = _store(memo, word, run, done.value.get((), {}), one)
             continue
         run = ()
         if rest and rest[-1] in inert:
@@ -470,7 +464,7 @@ def _normal(p, terms):
     vals = levels[0].get((), {})
     if len(levels) > 1:
         memo = _memo(p)
-        vals = _run(p, _straighten(p, levels, memo), memo)
+        vals = _run(p, _straighten(p, levels, memo), memo).get((), {})
     return NCPoly.from_payloads(p.ctx, vals)
 
 
@@ -510,50 +504,24 @@ def multiply(p, a, b):
     return _normal(p, product_terms(p, a, b))
 
 
-def left_multiply(p, g, terms):
-    """Normal form of the generator g times a normal form over p, both as
-    payload dicts (irreducible word -> nonzero payload of p.ctx, the
-    format the straightener returns); terms is left as it is.
+def left_multiply(p, pairs):
+    """The normal forms of g*terms, for each pair (g, terms) of a
+    generator and a normal form over p, as a list in pair order.  A
+    normal form is a payload dict (irreducible word -> nonzero payload of
+    p.ctx, the format the straightener returns); terms are left as they
+    are.
 
-    Every word u of terms is irreducible, so every redex of g*u starts at
-    g, and no word is scanned past the rule's left side: g*u is copied
-    when no rule starts there, and read from the product memo when one
-    does.  Only a product missing from the memo is straightened, by
-    _run, which memoizes it.
+    One straightening does the batch: pair i enters as the prefix (i, g)
+    of its terms, and the straightener stops once g is pushed, at the
+    prefixes (i,), so the rows never merge.  Every word u of terms is
+    irreducible, so every redex of g*u starts at g and no word is
+    searched for one: g*u is copied when no rule starts there, and read
+    from the product memo, or straightened and memoized, when one does.
     """
-    rules = p.by_first.get(g)
-    if not rules:
-        return {(g,) + u: c for u, c in terms.items()}
-    one, memo = p.one.val, _memo(p)
-    add, mul, is_zero = p.field_ops
-    out = {}
-    for u, c in terms.items():
-        gu = (g,) + u
-        for k, tail, rhs, plan in rules:
-            if u[:k] == tail:
-                prod = memo.get(gu)
-                if prod is None:
-                    prod = _run(p, _ask(gu, u[k:], rhs, plan), memo)
-                for w, pc in prod.items():
-                    if c is not one:
-                        pc = c if pc is one else mul(c, pc)
-                    s = out.get(w)
-                    if s is None:
-                        out[w] = pc
-                    elif is_zero(s := add(s, pc)):
-                        del out[w]
-                    else:
-                        out[w] = s
-                break
-        else:
-            s = out.get(gu)
-            if s is None:
-                out[gu] = c
-            elif is_zero(s := add(s, c)):
-                del out[gu]
-            else:
-                out[gu] = s
-    return out
+    memo = _memo(p)
+    levels = [{}, {}, {(i, g): terms for i, (g, terms) in enumerate(pairs)}]
+    # the prefixes (i,) are made in pair order
+    return list(_run(p, _straighten(p, levels, memo, 1), memo).values())
 
 
 def power(p, a, k):

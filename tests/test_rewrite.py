@@ -570,7 +570,7 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(
         assert nf == heap_normal_form(p, fa)
         row = {w: unit.val for w in nf.terms}
         g = rng.randrange(len(p.names))
-        assert wrapped(p, fresh(left_multiply, p, g, row)) == \
+        assert wrapped(p, fresh(left_multiply, p, [(g, row)])[0]) == \
             heap_normal_form(p, [(unit, (g,) + w) for w in row])
     # a rule whose coefficient 1 is not the object p.one
     q = Presentation(ctx, p.names, p.weights, p.precedence,
@@ -601,25 +601,57 @@ def test_straightener_exact_with_a_one_that_is_not_the_shared_payload(
     assert len(factors) == with_unit
 
 
+def merged_products(p, g, row):
+    """g*row, a payload dict, as the terms of each g*u in row order, each
+    g*u taken as it is or as its normal form, merged as they come in: a
+    word keeps its first place until its terms cancel."""
+    out = {}
+    for u, c in row.items():
+        for w, pc in normal_form(p, [(p.one, (g,) + u)]).terms.items():
+            t = pc * Coeff(p.ctx, c)
+            s = out[w] = out[w] + t if w in out else t
+            if s.is_zero():
+                del out[w]
+    return out
+
+
 @pytest.mark.parametrize("p", LEFT_ZOO)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_left_multiply_matches_multiply(p, data):
-    # with a fresh memo each product is missing; in one scope, after half
-    # the terms, some are memoized, and then all of them
+    # a batch with repeated generators and rows, a generator that starts
+    # no rule and an empty row: each result is g times its own row, and no
+    # two rows merge.  With a fresh memo each product is missing; in one
+    # scope, after half the batch, some are memoized, and then all of them
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    g = data.draw(st.integers(0, len(p.names) - 1), label="generator")
-    nf = fresh(normal_form, p, random_formal(p, rng, terms=4, max_len=5))
-    terms = payloads(nf)
-    before = dict(terms)
-    want = heap_normal_form(p, [(c, (g,) + w) for w, c in nf.terms.items()])
-    assert fresh(multiply, p, word_poly(p, p.names[g]), nf) == want
-    assert wrapped(p, fresh(left_multiply, p, g, terms)) == want
+    n = len(p.names)
+    idle = [g for g in range(n) if g not in p.by_first]
+    g, h = (data.draw(st.integers(0, n - 1), label="generator")
+            for _ in range(2))
+    rows = [payloads(fresh(normal_form, p, random_formal(p, rng, terms=4,
+                                                         max_len=5)))
+            for _ in range(3)]
+    before = [dict(row) for row in rows]
+    pairs = [(g, rows[0]), (h, rows[1]), (g, rows[1]), (idle[0], rows[2]),
+             (g, {}), (h, rows[0]), (g, rows[0])]
+    want = [fresh(multiply, p, word_poly(p, p.names[g]),
+                  NCPoly.from_payloads(p.ctx, row)) for g, row in pairs]
+    assert want == [heap_normal_form(p, [(Coeff(p.ctx, c), (g,) + u)
+                                         for u, c in row.items()])
+                    for g, row in pairs]
+    order = [list(merged_products(p, g, row)) for g, row in pairs]
+    assert fresh(left_multiply, p, []) == []
+
+    def check(out):
+        assert len(out) == len(pairs)
+        assert [wrapped(p, row) for row in out] == want
+        assert [list(row) for row in out] == order
+    check(fresh(left_multiply, p, pairs))
     with product_memo():
-        left_multiply(p, g, dict(list(terms.items())[::2]))
+        left_multiply(p, pairs[::2])
         for _ in range(2):
-            assert wrapped(p, left_multiply(p, g, terms)) == want
-    assert terms == before
+            check(left_multiply(p, pairs))
+    assert rows == before
 
 
 @pytest.mark.parametrize("p", LEFT_ZOO)
@@ -637,13 +669,27 @@ def test_q_commutator_matches_two_products(p, data):
         fresh(multiply, p, a, b) - fresh(multiply, p, b, a).scale(lam)
 
 
+def sub_merge(x, y):
+    """The payload items of x - y, merged over y's terms with the field's
+    own sub: a word of y that x lacks comes last, negated."""
+    ctx = x.ctx or y.ctx
+    out = dict(x.vals)
+    for w, c in y.vals.items():
+        s = out[w] = ctx.sub(out[w], c) if w in out else ctx.neg(c)
+        if ctx.is_zero(s):
+            del out[w]
+    return list(out.items())
+
+
 @pytest.mark.parametrize("p", LEFT_ZOO)
 @settings(max_examples=6, deadline=None)
 @given(data=st.data())
 def test_difference_is_the_sum_with_the_negation(p, data):
-    # a - b in one pass over b; half the time b shares words with a, and
-    # a - a, a - 0 and 0 - b are taken too, so terms cancel and the
-    # field of a zero operand comes from the other
+    # a - b is a + (-b): the same payloads, written the same way, in the
+    # key order of a merge that subtracts with the field's sub.  Half the
+    # time b shares words with a, and a - a, a - 0 and 0 - b are taken
+    # too, so terms cancel and the field of a zero operand comes from the
+    # other
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     a = normal_form(p, random_formal(p, rng, terms=4, max_len=4))
     b = normal_form(p, random_formal(p, rng, terms=4, max_len=4))
@@ -652,9 +698,8 @@ def test_difference_is_the_sum_with_the_negation(p, data):
     zero = NCPoly.zero()
     for x, y in ((a, b), (b, a), (a, a), (a, zero), (zero, b), (zero, zero)):
         d = x - y
-        assert type(d) is NCPoly and d == x + (-y)
-        assert d.ctx is (x + (-y)).ctx
-        assert not any(p.ctx.is_zero(c) for c in d.vals.values())
+        assert type(d) is NCPoly and d.ctx is (x.ctx or y.ctx)
+        assert repr(list(d.vals.items())) == repr(sub_merge(x, y))
 
 
 @pytest.mark.parametrize("p", LEFT_ZOO)
@@ -674,17 +719,16 @@ def test_a_warm_memo_gives_what_a_fresh_one_gives(p, data):
     lam = random_coeff(p.ctx, rng)
     g = rng.randrange(len(p.names))
     calls = [(normal_form, p, fa), (multiply, p, a, b),
-             (q_commutator, p, a, b, lam), (left_multiply, p, g, a.vals)]
+             (q_commutator, p, a, b, lam), (left_multiply, p, [(g, a.vals)])]
 
     def items(out):
-        return list((out if isinstance(out, dict) else out.vals).items())
+        return list((out[0] if isinstance(out, list) else out.vals).items())
     cold = [items(fresh(*call)) for call in calls]
     # other calls, on inputs that share words with these
     normal_form(p, fa[:1] + draw())
     multiply(p, b, a)
     q_commutator(p, b, normal_form(p, draw()), lam)
-    for h in range(len(p.names)):
-        left_multiply(p, h, b.vals)
+    left_multiply(p, [(h, b.vals) for h in range(len(p.names))])
     assert p.memo
     for _ in range(2):
         assert [items(call[0](*call[1:])) for call in calls] == cold
@@ -765,7 +809,7 @@ def test_memo_entries_are_published_finished(name, rng):
                     for _ in range(2))
             multiply(p, a, b)
             q_commutator(p, b, a, p.one)
-            left_multiply(p, rng.randrange(len(p.names)), a.vals)
+            left_multiply(p, [(rng.randrange(len(p.names)), a.vals)])
         normal_form(p, [(p.one, rule.lhs[:1] + rule.lhs[1:] * 4 + (g,) * 3)
                         for rule in p.rules for g in p.inert])
         assert log and log.published.keys() == log.keys()
@@ -782,8 +826,9 @@ def test_left_multiply_scans_no_word(monkeypatch, QQ):
     want = [[multiply(p, word_poly(p, name), row) for name in p.names]
             for row in rows]
     monkeypatch.setattr(rewrite, "_split", None)
-    assert [[wrapped(p, fresh(left_multiply, p, g, payloads(row)))
-             for g in range(len(p.names))] for row in rows] == want
+    assert [[wrapped(p, out) for out in fresh(
+        left_multiply, p, [(g, payloads(row)) for g in range(len(p.names))])]
+        for row in rows] == want
 
 
 def test_long_word_needs_no_deep_recursion(QQ):
@@ -952,8 +997,8 @@ def test_planned_products_equal_framed_products(p, rng, monkeypatch):
     def run():
         out = [normal_form(p, fa).vals for fa in inputs]
         out += [multiply(p, a, b).vals for a, b in pairs]
-        out += [left_multiply(p, g, a.vals)
-                for a, _ in pairs for g in range(len(p.names))]
+        out += left_multiply(p, [(g, a.vals) for a, _ in pairs
+                                 for g in range(len(p.names))])
         return [list(vals.items()) for vals in out]
 
     planned, framed = _planned_and_framed(monkeypatch, p, run)
@@ -1054,15 +1099,20 @@ def _reachable(root):
     return seen
 
 
-def test_a_presentation_keeps_only_its_unscoped_products(rat_q, monkeypatch):
+def test_a_presentation_keeps_only_its_unscoped_products(rat_q, QQ, cyclo3,
+                                                         monkeypatch):
     # an engine call made outside every product_memo() scope stores each
     # product it straightens in its presentation's memo, as the normal
-    # form of its word; the verdicts, which run in scopes of their own,
-    # store nothing on the presentation and leave no scope open
-    from orepi import check_paper_identity, central_candidates, is_central
+    # form of its word; every public verdict runs in a scope of its own,
+    # which its products share, so on a presentation whose confluence
+    # verdict is made it stores nothing and leaves no scope open
+    from orepi import (check_paper_identity, central_candidates,
+                       downup_center_generators, is_central, pi_decide,
+                       spanning_check, verify_witness)
     from orepi import rewrite
     from orepi.rewrite import _SCOPE, power
-    H = build_family(spec_hpq(rat_q, rat_q.param("q"), rat_q.param("q")))
+    hpq = spec_hpq(rat_q, rat_q.param("q"), rat_q.param("q"))
+    H = build_family(hpq)
     assert H.memo == {}
     # the confluence verdict is an unscoped overlap check, made once
     H.is_confluent()
@@ -1072,33 +1122,49 @@ def test_a_presentation_keeps_only_its_unscoped_products(rat_q, monkeypatch):
                         (rat_q.one(), H.word("y", "t", "x", "x"))])
     multiply(H, a, x + y)
     q_commutator(H, y, a, q)
-    left_multiply(H, H.gen("y"), a.vals)
+    left_multiply(H, [(H.gen("y"), a.vals)])
     assert len(H.memo) > 5
     for word, vals in H.memo.items():
         assert NCPoly.from_payloads(H.ctx, vals) == \
             heap_normal_form(H, [(H.one, word)]), word
-    kept, reachable = list(H.memo.items()), len(_reachable(H))
-    z3 = FieldCtx.cyclotomic(3)
-    bh = spec_bh(z3, z3.generator())
-    verdicts = [lambda: check_paper_identity("H.yxn", H, 4).all_pass,
-                lambda: not is_central(H, x)[0],
-                lambda: power(H, x + y, 3).vals,
-                lambda: central_candidates(bh).elements]
-    scopes, products = [], 0
-    real = rewrite.multiply
-    monkeypatch.setattr(rewrite, "multiply",
-                        lambda *a: scopes.append(_SCOPE.get()) or real(*a))
-    for verdict in verdicts:
+    kept = list(H.memo.items())
+    z3, m1 = cyclo3.generator(), cyclo3.from_int(-1)
+    bh = spec_bh(cyclo3, z3)
+    qplane = spec_quantum_plane(cyclo3, z3)
+    downup = spec_downup(cyclo3, m1, m1, cyclo3.zero())
+    quotient = spec_hpq(QQ, QQ.from_int(2), QQ.from_int(-1))
+    # built on specs of their own
+    centrals = central_candidates(spec_quantum_plane(cyclo3, z3))
+    witness = pi_decide(spec_hpq(QQ, QQ.from_int(2), QQ.from_int(-1))).witness
+    assert witness.kind == "quotient"
+    verdicts = [
+        (hpq, lambda: check_paper_identity("H.yxn", H, 4).all_pass),
+        (hpq, lambda: not is_central(H, x)[0]),
+        (hpq, lambda: power(H, x + y, 3).vals),
+        (bh, lambda: central_candidates(bh).elements),
+        (qplane, lambda: spanning_check(build_family(qplane), centrals,
+                                        {"x": 3, "y": 3}, 6).ok),
+        (qplane, lambda: pi_decide(qplane).verdict == "PI"),
+        (downup, lambda: downup_center_generators(downup).elements),
+        (quotient, lambda: verify_witness(quotient, witness)),
+    ]
+    scopes, calls = [], 0
+    real = rewrite._memo
+    monkeypatch.setattr(rewrite, "_memo",
+                        lambda p: scopes.append(_SCOPE.get()) or real(p))
+    for spec, verdict in verdicts:
+        p = build_family(spec)
+        p.is_confluent()
+        before, reachable = list(p.memo.items()), len(_reachable(p))
         scopes.clear()
         assert verdict()
         assert _SCOPE.get() is None
-        # power's and central_candidates' products share one scope
         assert None not in scopes and len(set(map(id, scopes))) <= 1
-        products += len(scopes)
-    assert products > 3
+        calls += len(scopes)
+        assert list(p.memo.items()) == before, spec.family
+        assert len(_reachable(p)) == reachable
+    assert calls > len(verdicts)
     assert list(H.memo.items()) == kept
-    assert len(_reachable(H)) == reachable
-    assert build_family(bh).memo == {}
     with product_memo():
         normal_form(H, [(rat_q.one(), H.word("y", "x", "x", "x"))])
         assert _SCOPE.get()[id(H)][1]
