@@ -3,7 +3,6 @@ algebras, their straightening identities, central elements, and
 polynomial-identity criteria."""
 
 from .center import (
-    AffineAuto,
     CentralSet,
     OrderResult,
     PiVerdict,

@@ -39,6 +39,7 @@ from .presentations import (
     FamilySpec,
     Presentation,
     RewriteRule,
+    _require_units,
     build_family,
     require_parameters,
     spec_biquad3,
@@ -244,6 +245,9 @@ def build_spec(family, ctx, params, f_text=None):
         raise ParseError(f"{family} reads no --f; only Bqf takes a "
                          "polynomial f")
     if weyl:
+        # a zero l_ij is refused before it is inverted below
+        _require_units({k: params[k] for k in names
+                        if k != "n" and k in params})
         qs = [params[k] for k in required]
         one = ctx.one()
         lam = [[one for _ in range(n)] for _ in range(n)]

@@ -49,9 +49,9 @@ class PreconditionViolation(OrepiError):
     read, a Weyl or BiQuad3 value of the wrong shape, a malformed
     Presentation (repeated names, weights not one per generator and >= 1,
     an incomplete precedence, an empty left side), beta = 0 given to
-    gwa_auto_order (BetaZero), a singular AffineAuto, a decider's family
-    condition, down-up roots that are not roots of t^2 - alpha t - beta,
-    or a spanning check's caps."""
+    gwa_auto_order (BetaZero), a decider's family condition, down-up
+    roots that are not roots of t^2 - alpha t - beta, or a spanning
+    check's caps."""
 
 
 class ZeroParameter(PreconditionViolation):

@@ -18,7 +18,6 @@ walks it, pitting the rewrite engine against each index up to a bound.
 """
 
 from collections import namedtuple
-from functools import reduce
 from itertools import accumulate, chain, count, islice, pairwise, repeat
 from math import comb
 
@@ -81,7 +80,10 @@ def _from1(seq):
 
 
 def _nth(seq, k):
-    return next(islice(seq, max(k, 0), None))
+    """Item k of seq; a negative k is a LemmaRangeError."""
+    if k < 0:
+        raise LemmaRangeError(f"need an index >= 0, got {k}")
+    return next(islice(seq, k, None))
 
 
 def q_number(k, q):
@@ -100,9 +102,10 @@ def pq_number(n, p, q):
 
 
 def q_factorial(k, q):
+    """[k]_q! = [1]_q [2]_q ... [k]_q; the empty product for k = 0."""
     ctx = q.ctx
-    return Coeff(ctx, reduce(ctx.mul, islice(_geom(ctx, q.val), 1,
-                                             max(k, 0) + 1), ctx.embed(1)))
+    return Coeff(ctx, _nth(accumulate(_from1(_geom(ctx, q.val)), ctx.mul,
+                                      initial=ctx.embed(1)), k))
 
 
 def gauss_binomial(k, i, q):

@@ -9,13 +9,13 @@ from operator import add, le
 import pytest
 
 from orepi import (
-    AffineAuto,
     CentralSet,
     FieldCtx,
     NCPoly,
     Presentation,
     RewriteRule,
     build_family,
+    center,
     central_candidates,
     coeff_to_str,
     downup_center_generators,
@@ -186,11 +186,32 @@ def test_gwa_order_errors(QQ):
         gwa_auto_order(QQ, i(1), i(1), i(0))  # discriminant 5
 
 
-def test_affine_auto_needs_an_invertible_linear_part(QQ):
-    zero, one, two = QQ.zero(), QQ.one(), QQ.from_int(2)
-    with pytest.raises(PreconditionViolation,
-                       match="^linear part must be invertible$"):
-        AffineAuto(QQ, ((one, two), (two, QQ.from_int(4))), (zero, zero))
+@pytest.mark.parametrize("wrong,message", [
+    (lambda m: m + 1, "case table gave a wrong finite order"),
+    (lambda m: 2 * m, "finite order is not minimal"),
+], ids=["not-an-order", "a-proper-multiple"])
+def test_gwa_order_self_check(monkeypatch, wrong, message):
+    # roots z12 and z12^-1 give phi of order 12; a case table that gave
+    # 13 (phi^13 = phi) or 24 (phi^12 = id too) is caught on the orbit
+    ctx = FieldCtx.cyclotomic(12)
+    z = ctx.generator()
+    args = (ctx, z + z.inv(), -ctx.one(), ctx.one())
+    assert gwa_auto_order(*args).order == 12
+    monkeypatch.setattr(center, "lcm", lambda *a: wrong(lcm(*a)))
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        gwa_auto_order(*args)
+
+
+def _orbit_order(phi, bound):
+    """The least k in 1..bound with phi^k = id, read off the orbit of x:
+    phi^k(x) = x and phi^(k+1)(x) = y; None when there is none."""
+    one = phi.ctx.one()
+    x, y = {(1, 0): one}, {(0, 1): one}
+    orbit = [x]
+    for _ in range(bound + 1):
+        orbit.append(phi.apply_poly(orbit[-1]))
+    return next((k for k in range(1, bound + 1)
+                 if orbit[k] == x and orbit[k + 1] == y), None)
 
 
 def test_beta_zero_is_a_precondition_violation(QQ):
@@ -226,9 +247,7 @@ def test_gwa_infinite_cases_need_characteristic_zero(p, abg, order, case):
     # characteristic-zero verdict "infinite" would be wrong: it is refused
     ctx = FieldCtx.galois_prime(p)
     a, b, g = (ctx.from_int(v) for v in abg)
-    phi = downup_phi(ctx, a, b, g)
-    assert phi.iterate(order).is_identity()
-    assert not any(phi.iterate(m).is_identity() for m in range(1, order))
+    assert _orbit_order(downup_phi(ctx, a, b, g), order) == order
     with pytest.raises(PreconditionViolation, match=case):
         gwa_auto_order(ctx, a, b, g)
     with pytest.raises(PreconditionViolation, match=case):
@@ -253,23 +272,29 @@ def test_gwa_finite_cases_over_galois_fields():
     lambda: FieldCtx.galois_prime(13),
     lambda: FieldCtx.rational_functions(("q",)),
 ], ids=["Q", "Q(z12)", "GF(13)", "Q(q)"])
-def test_affine_compose_is_substitution(make_ctx, rng):
+def test_downup_phi_is_a_ring_homomorphism(make_ctx, rng):
+    # the orbit check of gwa_auto_order rests on this: phi is determined
+    # by phi(x) and phi(y) because apply_poly keeps 1, sums and products
     ctx = make_ctx()
+    one = {(0, 0): ctx.one()}
 
-    def rand_auto():
-        while True:
-            lin = [[random_coeff(ctx, rng) for _ in range(2)]
-                   for _ in range(2)]
-            (a, b), (c, d) = lin
-            if not (a * d - b * c).is_zero():
-                return AffineAuto(ctx, lin, [random_coeff(ctx, rng)
-                                             for _ in range(2)])
-
-    for _ in range(15):
-        a, b = rand_auto(), rand_auto()
+    def rand_poly():
         f = {(i, j): random_coeff(ctx, rng)
              for i in range(3) for j in range(3 - i)}
-        assert a.compose(b).apply_poly(f) == a.apply_poly(b.apply_poly(f))
+        return {m: c for m, c in f.items() if not c.is_zero()}
+
+    for _ in range(15):
+        al, be, ga = (random_coeff(ctx, rng) for _ in range(3))
+        phi = downup_phi(ctx, al, be, ga)
+        y = {(1, 0): be, (0, 1): al, (0, 0): ga}
+        assert phi.apply_poly({(1, 0): ctx.one()}) == {(0, 1): ctx.one()}
+        assert phi.apply_poly({(0, 1): ctx.one()}) == \
+            {m: c for m, c in y.items() if not c.is_zero()}
+        f, g = rand_poly(), rand_poly()
+        fi, gi = phi.apply_poly(f), phi.apply_poly(g)
+        assert phi.apply_poly(one) == one
+        assert phi.apply_poly(fields._mp_add(f, g)) == fields._mp_add(fi, gi)
+        assert phi.apply_poly(fields._mp_mul(f, g)) == fields._mp_mul(fi, gi)
 
 
 def _same_roots(a, b):
@@ -497,8 +522,7 @@ def test_galois_sqrt_beyond_the_old_search_bound():
 
 
 def test_fixed_polynomials_swap(QQ):
-    swap = AffineAuto(QQ, ((QQ.zero(), QQ.one()), (QQ.one(), QQ.zero())),
-                      (QQ.zero(), QQ.zero()))
+    swap = downup_phi(QQ, QQ.zero(), QQ.one(), QQ.zero())  # x <-> y
     basis = fixed_polynomials(swap, 1)
     assert len(basis) == 2  # constants and x + y
     assert any(set(f) == {(1, 0), (0, 1)} and f[(1, 0)] == f[(0, 1)]

@@ -560,6 +560,24 @@ def test_examples_match_recorded_reports(tmp_path, monkeypatch):
             (rec["exit"], rec["report"]), rec["report"]["command"]
 
 
+def test_main_writes_one_json_document_per_run(tmp_path):
+    # python -m orepi.cli, as the CI command-line step runs each record: a
+    # passing and a failing record, each one JSON document and a newline
+    import orepi
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(orepi.__file__)))
+    records = _recorded_reports()
+    for rec in (records[0], next(r for r in records if r["exit"])):
+        out = subprocess.run([sys.executable, "-m", "orepi.cli",
+                              *rec["report"]["command"]], cwd=tmp_path,
+                             capture_output=True, text=True, env=env)
+        assert out.returncode == rec["exit"]
+        doc, end = json.JSONDecoder().raw_decode(out.stdout)
+        assert out.stdout[end:] == "\n"
+        del doc["elapsed_ms"]
+        assert doc == rec["report"]
+
+
 # inputs whose report differs from the one recorded in field_inference.json
 # before the field was inferred ahead of the one parse, with the new exit
 # code, first detail and field: a --f naming a parameter or a root of unity
@@ -844,6 +862,21 @@ def test_a_refused_parameter_is_one_error_everywhere(family, params, error):
     for entry in entries:
         with pytest.raises(error):
             entry(FamilySpec(family, QQ, **values))
+
+
+@pytest.mark.parametrize("family", ["WeylMalt", "WeylAJ"])
+@pytest.mark.parametrize("params,name", [
+    ("q1=2,q2=3,l12=0", "l12"),
+    ("n=3,q1=2,q2=3,q3=5,l12=2,l23=0", "l23"),
+    ("q1=0,q2=3,l12=0", "q1"),
+])
+def test_a_zero_weyl_parameter_is_named(family, params, name):
+    # a zero l_ij is refused before it is inverted, as the q_i are: first
+    # by name, q_i before l_ij
+    code, doc = run(["build", "--family", family, "--params", params])
+    assert code == 1
+    assert doc["checks"][0]["detail"] == \
+        f"ZeroParameter: parameter {name} must be nonzero"
 
 
 # ---------------------------------------------------------------------------

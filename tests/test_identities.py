@@ -111,6 +111,23 @@ def test_q_factorial_and_binomial(rat_q, cyclo3):
         gauss_binomial(2, 3, q)
 
 
+@pytest.mark.parametrize("value", [
+    lambda q: q_number(-1, q),
+    lambda q: pq_number(-1, q, q),
+    lambda q: q_factorial(-1, q),
+    lambda q: b_coeff(-1, q),
+    lambda q: c_coeff(-1, q),
+    lambda q: c_a(-1, q),
+    lambda q: d_a(-1, q),
+], ids=["q_number", "pq_number", "q_factorial", "b_coeff", "c_coeff", "c_a",
+        "d_a"])
+def test_a_negative_index_is_refused(rat_q, value):
+    # these are sums and products over 0..k-1, defined for k >= 0 only:
+    # [-1]_q would be -q^-1, not the empty sum 0
+    with pytest.raises(LemmaRangeError, match="^need an index >= 0, got -1$"):
+        value(rat_q.param("q"))
+
+
 def test_bc_coefficient_recurrences(rat_q):
     q = rat_q.param("q")
     q2, q2i = q * q, (q * q).inv()

@@ -93,6 +93,16 @@ def test_lambda_antisymmetry_checked(QQ):
         build_family(spec_weyl(QQ, (QQ.from_int(2), QQ.from_int(3)), bad))
 
 
+@pytest.mark.parametrize("lam,error,message", [
+    (((2, 1), (1, 1)), NonAntisymmetricLambda, "lambda_ii must be 1"),
+    (((1, 0), (0, 1)), ZeroParameter, "lambda entries must be nonzero"),
+], ids=["lambda11", "lambda12-zero"])
+def test_lambda_diagonal_and_zero_entries_refused(QQ, lam, error, message):
+    bad = [[QQ.from_int(v) for v in row] for row in lam]
+    with pytest.raises(error, match=f"^{message}$"):
+        build_family(spec_weyl(QQ, (QQ.from_int(2), QQ.from_int(3)), bad))
+
+
 def test_validate_orientation_quantum_plane(rat_q):
     p = build_family(spec_quantum_plane(rat_q, rat_q.param("q")))
     assert all(ok for _, ok, _ in validate_orientation(p))
