@@ -50,8 +50,9 @@ class PreconditionViolation(OrepiError):
     Presentation (repeated names, weights not one per generator and >= 1,
     an incomplete precedence, an empty left side), beta = 0 given to
     gwa_auto_order (BetaZero), a decider's family condition, down-up
-    roots that are not roots of t^2 - alpha t - beta, or a spanning
-    check's caps."""
+    roots that are not roots of t^2 - alpha t - beta, a spanning
+    check's caps, a negative exponent given to rewrite.power, or a
+    quantum-plane matrix model's order above MAX_QPLANE_ORDER."""
 
 
 class ZeroParameter(PreconditionViolation):

@@ -75,12 +75,12 @@ computed.
   only when some coordinate is not an ``int``.  An operand with no
   coordinate past the first is a rational scalar: a product with one
   scales the other operand coordinatewise (0 gives the zero tuple, +-1
-  a canonical copy or negation), and its inverse is a rational inverse.
-  Any other product scales each operand to integers over its common
-  denominator, convolves and reduces over the integers, and divides by
-  the denominator once at the end.  Any other inverse is
-  ``_Cyclotomics._inv_dense``, fraction-free elimination over the
-  integers.
+  a canonical copy or negation).  Any other product scales each operand
+  to integers over its common denominator, convolves and reduces over
+  the integers, and divides by the denominator once at the end.  An
+  inverse takes no linear algebra: with a = xs / den and a* a product
+  of Galois conjugates sigma_k(xs) (``_Cyclotomics._sigma``, multiplied
+  with ``_mul_mod``), xs a* = N(xs) is rational and a^-1 = den a* / N(xs).
 - Power bases: Q(zeta_N) and GF(p^k) are both k[x]/(f) with f monic,
   and their products share one integer product, ``_mul_mod``: the
   convolution, with each power x^k past deg f read from f's table of
@@ -777,66 +777,43 @@ class _Cyclotomics(FieldCtx):
             return _cyclo_map(neg, vec)
         return _cyclo_map(partial(mul, s), vec)
 
+    def _sigma(self, xs, k):
+        """The integer vector of sigma_k(xs), the automorphism zeta ->
+        zeta^k: exponent i goes to i k mod N, then the vector is reduced
+        modulo Phi_N (monic, degree d) by long division."""
+        n, phi, d = self.level, self._phi, self._dim
+        vec = [0] * n
+        for i, x in enumerate(xs):
+            if x:
+                vec[i * k % n] += x
+        for top in range(n - 1, d - 1, -1):
+            c = vec[top]
+            if c:
+                for j in range(d):
+                    vec[top - d + j] -= c * phi[j]
+        return vec[:d]
+
     def inv(self, a):
-        """The payload v with a * v = 1 modulo Phi_N (monic, degree d).
+        """The payload v with a * v = 1, for a = xs / den.
 
-        A payload with one nonzero coordinate, c zeta^k (a rational for
-        k = 0), is inverted exactly as c^-1 zeta^(N-k), since zeta^N = 1:
-        zeta^(N-k) is reduced modulo Phi_N one power of zeta at a time
-        past zeta^(d-1).  Any other payload goes to _inv_dense."""
-        nonzero = [k for k, x in enumerate(a) if x]
-        if len(nonzero) != 1:
-            return self._inv_dense(a)
-        c = a[nonzero[0]]
-        d = self._dim
-        m = -nonzero[0] % self.level
-        vec = [0] * d
-        vec[min(m, d - 1)] = 1
-        for _ in range(m - d + 1):
-            vec = _times_x(vec, self._phi)
-        return _cyclo_unscaled([x * c.denominator for x in vec], c.numerator)
-
-    def _inv_dense(self, a):
-        """inv by linear algebra, for any nonzero payload a.
-
-        With a = xs / den, M, the integer matrix of multiplication by xs
-        in the power basis, is solved against den * e_0 by fraction-free
-        elimination (Bareiss 1968): every division in the elimination is
-        exact, the last pivot is +-det(M), and back substitution yields
-        det(M) * v as integers, so det(M) is the one denominator the
-        result is divided by."""
+        a^-1 = den a* / N(xs), where a* is a product of Galois conjugates
+        sigma_k(xs) and xs a* = N(xs) is rational (the norm).  A payload
+        with one nonzero coordinate, c zeta^k, takes a* = sigma_-1(xs),
+        so N = c^2; any other takes the product over the units k != 1
+        mod N, its norm being the constant coordinate of xs a*."""
         xs, den = _cyclo_scaled(a)
-        phi = self._phi
-        d = self._dim
-        col = list(xs)
-        cols = [col]
-        for _ in range(d - 1):
-            col = _times_x(col, phi)
-            cols.append(col)
-        rows = [list(r) for r in zip(*cols)]
-        for i, r in enumerate(rows):
-            r.append(den if i == 0 else 0)
-        prev = 1
-        for k in range(d):
-            piv = next((i for i in range(k, d) if rows[i][k]), None)
-            if piv is None:
-                raise DivisionByZero("element not invertible modulo Phi_N")
-            rows[k], rows[piv] = rows[piv], rows[k]
-            top = rows[k]
-            p = top[k]
-            for i in range(k + 1, d):
-                r = rows[i]
-                f = r[k]
-                r[k + 1:] = [(x * p - f * y) // prev
-                             for x, y in zip(r[k + 1:], top[k + 1:])]
-            prev = p
-        det = prev
-        sol = [0] * d
-        for i in range(d - 1, -1, -1):
-            r = rows[i]
-            s = det * r[d] - sum(r[j] * sol[j] for j in range(i + 1, d))
-            sol[i] = s // r[i]
-        return _cyclo_unscaled(sol, det)
+        nonzero = [x for x in xs if x]
+        if not nonzero:
+            raise DivisionByZero("inverse of zero")
+        if len(nonzero) == 1:
+            star, norm = self._sigma(xs, -1), nonzero[0] ** 2
+        else:
+            n, table = self.level, self._reduce_table
+            star = reduce(partial(_mul_mod, table=table),
+                          [self._sigma(xs, k) for k in range(2, n)
+                           if gcd(k, n) == 1])
+            norm = _mul_mod(xs, star, table)[0]
+        return _cyclo_unscaled([den * x for x in star], norm)
 
     def to_str(self, a):
         return _power_basis_str(a, f"z{self.level}")

@@ -1,10 +1,12 @@
 """Exact linear algebra over the coefficient fields.
 
-One elimination routine, a sparse row-echelon span tracker.  It serves
-membership tests (the spanning checks and basis closure in the matrix
-laboratory) and, once its rows are back-reduced to the reduced row
-echelon form, kernels and echelon bases (fixed subspaces, and every row
-reduction of the multilinear identity search).  A one-entry row at a
+One elimination routine, a sparse row-echelon span tracker, the only
+one in orepi: field inverses take none (a cyclotomic inverse is a
+product of Galois conjugates over the norm, a Galois one a power).  It
+serves membership tests (the spanning checks and basis closure in the
+matrix laboratory) and, once its rows are back-reduced to the reduced
+row echelon form, kernels and echelon bases (fixed subspaces, and every
+row reduction of the multilinear identity search).  A one-entry row at a
 column that is no pivot, the spanning checks' usual row, is stored as 1
 there without a reduction.
 A tracker is bound to one field.  Its one row format is the payload

@@ -58,7 +58,7 @@ their last letter only when some left side has one.
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import CtxMismatch
+from .errors import CtxMismatch, PreconditionViolation
 from .fields import Coeff
 
 
@@ -527,6 +527,8 @@ def left_multiply(p, pairs):
 def power(p, a, k):
     """Normal form of a^k for k >= 0; a^0 = 1.  The k products share one
     product memo."""
+    if k < 0:
+        raise PreconditionViolation(f"negative exponent k = {k}")
     out = NCPoly.monomial(p.one, ())
     with product_memo():
         for _ in range(k):

@@ -202,6 +202,24 @@ def test_gwa_order_self_check(monkeypatch, wrong, message):
         gwa_auto_order(*args)
 
 
+@pytest.mark.parametrize("abg", [(0, 1, 0), (3, -2, 0)],
+                         ids=["finite", "infinite"])
+def test_downup_verdict_cross_checks_condition_5(monkeypatch, abg):
+    # A(0, 1, 0) has roots +-1 (phi of order 2) and A(3, -2, 0) roots 1, 2:
+    # an order route that flips "finite" disagrees with condition (5)
+    QQ = FieldCtx.rational()
+    spec = spec_downup(QQ, *(QQ.from_int(v) for v in abg))
+    real = center.gwa_auto_order
+
+    def flipped(*args, **kw):
+        r = real(*args, **kw)
+        r.finite = not r.finite
+        return r
+    monkeypatch.setattr(center, "gwa_auto_order", flipped)
+    with pytest.raises(AssertionError, match="condition \\(5\\) disagrees"):
+        pi_decide(spec)
+
+
 def _orbit_order(phi, bound):
     """The least k in 1..bound with phi^k = id, read off the orbit of x:
     phi^k(x) = x and phi^(k+1)(x) = y; None when there is none."""

@@ -18,6 +18,7 @@ from orepi.cli import (
     parse_f,
     parse_field,
     parse_ncpoly,
+    parse_params,
     presentation_from_json,
     presentation_to_json,
     run_command,
@@ -472,6 +473,16 @@ def test_weyl_n_above_the_ceiling_is_a_parse_error(params):
         f"ParseError: WeylAJ takes at most {MAX_WEYL_N} generator pairs (n)"
 
 
+def test_an_empty_parameter_pair_is_skipped():
+    code, doc = run(["build", "--family", "Hpq", "--params", "p=2,,q=3,"])
+    assert code == 0
+    del doc["elapsed_ms"]
+    _, want = run(["build", "--family", "Hpq", "--params", "p=2,q=3"])
+    del want["elapsed_ms"]
+    assert doc["checks"] == want["checks"]
+    assert parse_params("q=2,,", FieldCtx.rational()) == {"q": 2}
+
+
 def test_spanning_missing_cap_is_typed():
     code, doc = run(["spanning", "--family", "QuantumPlane", "--q", "z3",
                      "--caps", "x=3"])
@@ -550,8 +561,8 @@ def _recorded_reports():
 
 
 def test_examples_match_recorded_reports(tmp_path, monkeypatch):
-    # the CI command-line examples and the twisted-power identity checks,
-    # in CI order: build --out m2.json runs before normalize --file m2.json
+    # the command-line examples and the twisted-power identity checks, in
+    # record order: build --out m2.json runs before normalize --file m2.json
     monkeypatch.chdir(tmp_path)
     for rec in _recorded_reports():
         code, doc = run(rec["report"]["command"])
@@ -561,8 +572,8 @@ def test_examples_match_recorded_reports(tmp_path, monkeypatch):
 
 
 def test_main_writes_one_json_document_per_run(tmp_path):
-    # python -m orepi.cli, as the CI command-line step runs each record: a
-    # passing and a failing record, each one JSON document and a newline
+    # python -m orepi.cli in a subprocess: a passing and a failing
+    # record, each one JSON document and a newline
     import orepi
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(orepi.__file__)))
@@ -923,7 +934,7 @@ def _fuzz_argv(draw):
     argv = [cmd]
     if cmd in ("matrep", "identity-search"):
         argv += ["--field", field] if draw(st.booleans()) else []
-        argv += ["--order", pick(["1", "2", "3", "0", "-2", "10^3"])]
+        argv += ["--order", pick(["1", "2", "3", "0", "-2", "48", "10^3"])]
         argv += ["--q", value()] if draw(st.booleans()) else []
         if cmd == "identity-search":
             argv += ["--algebra", pick(["m2", "qplane"]),

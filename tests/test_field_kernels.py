@@ -6,8 +6,9 @@ products and inverses work over the integers.  Each must return exactly
 the value the general formula returns.  The general formulas are kept
 here as reference functions, written without any shortcut:
 cross-multiplication followed by content stripping for rational
-functions, and a ``Fraction`` convolution reduced by long division
-modulo Phi_N for cyclotomics.  sympy, when installed, gives a third
+functions, a ``Fraction`` convolution reduced by long division modulo
+Phi_N for cyclotomic products, and a fraction-free linear solve for
+cyclotomic inverses.  sympy, when installed, gives a third
 opinion on the values.
 
 Rational and cyclotomic payloads are canonical: each number is an
@@ -17,7 +18,7 @@ otherwise, whatever Rationals the operands were built from.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -107,6 +108,36 @@ def ref_cyclo_mul(x, y, n):
     return tuple(conv[:dim])
 
 
+def ref_cyclo_inv(x, n):
+    """The inverse of the nonzero payload x by fraction-free elimination
+    (Bareiss 1968).  With x = xs / den, M, the integer matrix of
+    multiplication by xs in the power basis, is solved against den * e_0:
+    every division is exact, the last pivot is +-det(M), and back
+    substitution gives det(M) times the solution in integers."""
+    den = lcm(*(Fraction(a).denominator for a in x))
+    col, cols, phi = [int(a * den) for a in x], [], cyclotomic_polynomial(n)
+    d = len(x)
+    for _ in range(d):  # column j is xs t^j modulo Phi_N
+        cols.append(col)
+        col = [a - col[-1] * c for a, c in zip([0] + col[:-1], phi)]
+    rows = [list(r) + [den if i == 0 else 0] for i, r in enumerate(zip(*cols))]
+    prev = 1
+    for k in range(d):
+        piv = next(i for i in range(k, d) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        for r in rows[k + 1:]:
+            r[k + 1:] = [(a * top[k] - r[k] * b) // prev
+                         for a, b in zip(r[k + 1:], top[k + 1:])]
+        prev = top[k]
+    sol = [0] * d
+    for i in reversed(range(d)):
+        r = rows[i]
+        sol[i] = (prev * r[d] - sum(r[j] * sol[j]
+                                    for j in range(i + 1, d))) // r[i]
+    return tuple(Fraction(c, prev) for c in sol)
+
+
 # ---------------------------------------------------------------------------
 # random operands
 # ---------------------------------------------------------------------------
@@ -169,7 +200,8 @@ def random_cyclo(rng, ctx, fractional):
 
 
 CYCLO_LEVELS = (3, 4, 5, 7, 12)
-INV_LEVELS = (3, 4, 5, 7, 9, 12)
+# 15, 20 and 24 have unit groups that are not cyclic, and phi(11) = 10
+INV_LEVELS = (3, 4, 5, 7, 9, 11, 12, 15, 20, 24)
 
 
 def is_canonical(q):
@@ -258,15 +290,19 @@ def test_cyclotomic_unit_times_inverse_is_one():
 
 
 def test_zero_has_no_cyclotomic_inverse():
-    for n in INV_LEVELS:
+    for n in (1, 2) + INV_LEVELS:
+        ctx = FieldCtx.cyclotomic(n)
         with pytest.raises(DivisionByZero):
-            FieldCtx.cyclotomic(n).zero().inv()
+            ctx.zero().inv()
+        with pytest.raises(DivisionByZero):
+            ctx.inv(ctx.zero().val)
 
 
 def test_cyclotomic_scalar_operands():
     # an operand with no coordinate past the first scales the other one
     # coordinatewise and inverts as a rational; the results are the
-    # convolution's and Bareiss's, canonical even for integral Fractions
+    # convolution's and the rational inverse's, canonical even for
+    # integral Fractions
     rng = random.Random(17)
     scalars = (0, 1, -1, 3, Fraction(-2, 3), Fraction(0, 1), Fraction(1, 1),
                Fraction(-1, 1), Fraction(6, 2))
@@ -289,18 +325,37 @@ def test_cyclotomic_scalar_operands():
 
 
 def test_cyclotomic_monomial_inverse_matches_bareiss():
-    # c zeta^k, one nonzero coordinate, is inverted as c^-1 zeta^(N-k)
-    # with no linear algebra: the payload must be the Bareiss solve's
+    # c zeta^k, one nonzero coordinate, is inverted as c^-1 sigma_-1(zeta^k):
+    # the payload must be the Bareiss solve's, canonical
     for n in range(1, 31):
         ctx = FieldCtx.cyclotomic(n)
         d = len(ctx._phi) - 1
         for k in range(d):
-            for c in (1, -1, Fraction(-2, 3), Fraction(5, 1)):
+            for c in (1, -1, 7, Fraction(-2, 3), Fraction(5, 1)):
                 a = (0,) * k + (c,) + (0,) * (d - 1 - k)
                 got = ctx.inv(a)
-                assert got == ctx._inv_dense(a)
+                assert got == ref_cyclo_inv(a, n)
                 assert_canonical(Coeff(ctx, got))
                 assert ctx.mul(a, got) == ctx.one().val
+
+
+def test_cyclotomic_dense_inverse_matches_bareiss():
+    # any other value is inverted by the norm, den a* / N(xs), a* the
+    # product of the conjugates sigma_k(xs), k != 1 a unit mod N
+    rng = random.Random(23)
+    for n in range(3, 31):
+        ctx = FieldCtx.cyclotomic(n)
+        d = len(ctx._phi) - 1
+        for k in range(8):
+            a = [0] * d
+            for i in rng.sample(range(d), rng.randint(2, d)):
+                a[i] = rng.choice((rng.randint(1, 9), rng.randint(-9, -1)))
+                if k % 2:
+                    a[i] = Fraction(a[i], rng.randint(1, 6))
+            got = ctx.inv(tuple(a))
+            assert got == ref_cyclo_inv(a, n)
+            assert_canonical(Coeff(ctx, got))
+            assert ctx.mul(tuple(a), got) == ctx.one().val
 
 
 def integral_twin(rng, ctx):

@@ -357,6 +357,14 @@ def test_witness_with_one_scalar_changed_fails(QQ, cyclo3):
     assert kinds == {"subalgebra", "quotient"}
 
 
+def test_an_unknown_witness_kind_is_a_family_mismatch(QQ):
+    spec = spec_hpq(QQ, QQ.from_int(2), QQ.from_int(-1))
+    w = pi_decide(spec).witness
+    fields = {k: getattr(w, k) for k in QPlaneWitness.__slots__}
+    with pytest.raises(FamilyMismatch, match="unknown witness kind 'nope'"):
+        verify_witness(spec, QPlaneWitness(**dict(fields, kind="nope")))
+
+
 def test_every_family_but_biquad3_gets_a_verdict():
     # one PI criterion per family: a verdict on each family's zoo instance
     # (WeylAJ's from the confluent zoo), and BiQuad3, which has none, is

@@ -28,12 +28,18 @@ from orepi import (
     spec_uqb2,
     spec_weyl,
 )
-from orepi.errors import CtxMismatch, DownUpNotNoetherian, ZeroParameter
+from orepi.errors import (
+    CtxMismatch,
+    DownUpNotNoetherian,
+    PreconditionViolation,
+    ZeroParameter,
+)
 from orepi.fields import Coeff
 from orepi.identities import biquad3_consistent_instance, pq_number
 from orepi.presentations import FamilySpec, biquad3_conditions
 from orepi.rewrite import (
     left_multiply,
+    power,
     product_memo,
     specialize_poly,
     word_poly,
@@ -91,6 +97,15 @@ def test_multiply_quantum_plane(rat_q):
     assert multiply(QP, x + y, x) == NCPoly({
         QP.word("x", "x"): rat_q.one(),
         QP.word("x", "y"): rat_q.param("q")})
+
+
+def test_power_refuses_a_negative_exponent(QQ):
+    QP = build_family(spec_quantum_plane(QQ, QQ.from_int(3)))
+    x = word_poly(QP, "x")
+    assert power(QP, x, 0) == NCPoly({(): QQ.one()})
+    assert power(QP, x, 2) == NCPoly({QP.word("x", "x"): QQ.one()})
+    with pytest.raises(PreconditionViolation, match="k = -2"):
+        power(QP, x, -2)
 
 
 def test_commutator_examples(H, rat_pq):
@@ -1110,7 +1125,7 @@ def test_a_presentation_keeps_only_its_unscoped_products(rat_q, QQ, cyclo3,
                        downup_center_generators, is_central, pi_decide,
                        spanning_check, verify_witness)
     from orepi import rewrite
-    from orepi.rewrite import _SCOPE, power
+    from orepi.rewrite import _SCOPE
     hpq = spec_hpq(rat_q, rat_q.param("q"), rat_q.param("q"))
     H = build_family(hpq)
     assert H.memo == {}
