@@ -8,9 +8,9 @@ that the criterion's propositions promise, built from the orders the
 decider read, with the caps of their module-finiteness witness when the
 route is module-finite; the decider does not verify them (tests and
 callers do, through is_central).  NotPI verdicts carry a quantum-plane
-witness: a pair of elements y, x with y x = param * x y in the algebra
-(subalgebra kind) or a normal element whose quotient is a quantum plane
-(quotient kind), with the witness parameter not a root of unity.
+witness: a pair of elements y, x with y x = param * x y in the algebra,
+param not a root of unity, whose monomials x^i y^j are independent, so
+that they span a quantum plane inside it, and PI passes to subalgebras.
 Unknown is reserved for the genuinely open B_q(f) gap.
 
 central_candidates is the central set of the PI verdict.  Only DownUp
@@ -106,32 +106,21 @@ DOWNUP_EQUIVALENT_CONDITIONS = (
 
 
 class QPlaneWitness:
-    """Quantum-plane evidence for a NotPI verdict.
+    """Quantum-plane evidence for a NotPI verdict: y_elem * x_elem =
+    param * x_elem * y_elem inside the algebra, with the monomials
+    x_elem^i y_elem^j independent, so that the pair spans a quantum plane
+    with parameter param."""
 
-    subalgebra kind: y_elem * x_elem = param * x_elem * y_elem inside the
-    algebra.  quotient kind: ``factored`` is a normal element (normality
-    holds with the listed per-generator scalars) and the quotient is the
-    quantum plane on ``plane_gens`` with the given parameter.
-    """
+    __slots__ = ("param", "label", "x_elem", "y_elem")
 
-    __slots__ = ("kind", "x_elem", "y_elem", "param", "label",
-                 "factored", "factored_name", "normality", "plane_gens")
-
-    def __init__(self, kind, param, label, x_elem=None, y_elem=None,
-                 factored=None, factored_name=None, normality=None,
-                 plane_gens=None):
-        self.kind = kind
+    def __init__(self, param, label, x_elem, y_elem):
         self.param = param
         self.label = label
         self.x_elem = x_elem
         self.y_elem = y_elem
-        self.factored = factored
-        self.factored_name = factored_name
-        self.normality = normality
-        self.plane_gens = plane_gens
 
     def __repr__(self):
-        return f"<QPlaneWitness {self.kind}: {self.label}>"
+        return f"<QPlaneWitness: {self.label}>"
 
 
 class PiVerdict:
@@ -175,7 +164,7 @@ def _subalgebra_witness(p, y, x, param, label):
     """The witness y x = param x y, y and x each an element or the name of
     a generator."""
     y, x = (v if isinstance(v, NCPoly) else word_poly(p, v) for v in (y, x))
-    return QPlaneWitness("subalgebra", param, label, x_elem=x, y_elem=y)
+    return QPlaneWitness(param, label, x, y)
 
 
 def _powers(p, names, ell):
@@ -227,21 +216,13 @@ def _decide_hpq(p):
                         caps={"x": m * n, "y": m * n, "t": n})
         return PiVerdict(PI, f"p, q roots of unity (orders {n}, {m})",
                          witness=cs)
-    one = p.ctx.one()
     if m is None:
-        w = QPlaneWitness(
-            "quotient", qq, "H/tH is the quantum plane with parameter q",
-            factored=word_poly(p, "t"), factored_name="t",
-            normality=[("x", pp.inv()), ("y", pp), ("t", one)],
-            plane_gens=("x", "y"))
+        # theta's normal form leads with x y, its coefficient (1 - pq) q
+        # nonzero, so x^i theta^j leads with x^(i+j) y^j
+        w = _subalgebra_witness(p, theta_element(p), "x", qq,
+                                "theta * x = q x * theta")
         return PiVerdict(NOT_PI, "q is not a root of unity", witness=w)
-    th = theta_element(p)
-    w = QPlaneWitness(
-        "quotient", pp.inv(),
-        "H/theta H is the quantum plane with parameter p^-1",
-        factored=th, factored_name="theta = (1-pq) yx - t",
-        normality=[("x", qq), ("y", qq.inv()), ("t", one)],
-        plane_gens=("x", "y"))
+    w = _subalgebra_witness(p, "x", "t", pp, "x * t = p t * x")
     return PiVerdict(NOT_PI, "p is not a root of unity", witness=w)
 
 

@@ -19,8 +19,7 @@ import time
 from functools import lru_cache
 from math import lcm
 
-from .center import (CentralSet, QPlaneWitness, central_candidates, is_central,
-                     spanning_check)
+from .center import CentralSet, central_candidates, is_central, spanning_check
 from .errors import OrepiError, ParametersRequired, ParseError
 from .fields import (
     FieldCtx,
@@ -41,11 +40,11 @@ from .presentations import (
     RewriteRule,
     _require_units,
     build_family,
+    require_oriented,
     require_parameters,
     spec_biquad3,
     spec_bqf,
     spec_weyl,
-    validate_orientation,
 )
 from .rewrite import NCPoly, normal_form, overlap_check
 
@@ -330,7 +329,8 @@ def presentation_to_json(p):
 
 
 def presentation_from_json(doc):
-    """The Presentation a presentation file's JSON document holds."""
+    """The Presentation a presentation file's JSON document holds; a
+    rule not oriented is an OrientationFailure, as for a family."""
     top = "presentation"
     ctx = field_from_json(_json_get(doc, "field", dict, top))
     names = _json_get(doc, "generators", list, top, str)
@@ -349,9 +349,10 @@ def presentation_from_json(doc):
                 word(t, "word", term))
                for t in _json_get(r, "rhs", list, where)]
         rules.append(RewriteRule(word(r, "lhs", where), rhs))
-    return Presentation(ctx, names, _json_get(doc, "weights", list, top, int),
-                        _json_get(doc, "precedence", list, top, str), rules,
-                        family=doc.get("family"))
+    return require_oriented(Presentation(
+        ctx, names, _json_get(doc, "weights", list, top, int),
+        _json_get(doc, "precedence", list, top, str), rules,
+        family=doc.get("family")))
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +407,8 @@ def _witness_json(w):
     if isinstance(w, CentralSet):
         return {"kind": "central-set", "elements": w.names(),
                 "condition": w.condition}
-    if isinstance(w, QPlaneWitness):
-        return {"kind": w.kind, "parameter": coeff_to_str(w.param),
-                "label": w.label}
-    return str(w)
+    return {"kind": "subalgebra", "parameter": coeff_to_str(w.param),
+            "label": w.label}
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +485,7 @@ def cmd_families(args, report):
 def cmd_build(args, report):
     p, _ = _get_presentation(args)
     doc = presentation_to_json(p)
-    orient = validate_orientation(p)
-    ok = all(o for _, o, _ in orient)
-    report.add("build", "pass" if ok else "fail",
+    report.add("build", "pass",
                f"{len(p.names)} generators, {len(p.rules)} rules",
                witness=doc)
     if args.out:

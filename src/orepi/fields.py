@@ -194,21 +194,6 @@ def cyclotomic_polynomial(n):
 # ---------------------------------------------------------------------------
 
 
-def _gf_mod(a, mod, p):
-    a = list(a)
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(a) >= len(mod):
-        c = a[-1] % p
-        if c:
-            q = c * inv_lead % p
-            shift = len(a) - len(mod)
-            for j, d in enumerate(mod):
-                a[shift + j] = (a[shift + j] - q * d) % p
-        a.pop()
-        _trim(a)
-    return a
-
-
 def _gf_powmod(a, e, table, p):
     """a^e modulo the monic f of table = _reduction_table(f) over GF(p),
     for a vector a of deg f ints."""
@@ -221,20 +206,14 @@ def _gf_powmod(a, e, table, p):
     return result
 
 
-def _gf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a = _gf_mod(a, b, p)
-        a, b = b, a
-    return a
-
-
 def _gf_irreducible(mod, p):
     """Is the monic polynomial mod irreducible over GF(p)?
 
     Rabin's test: a monic f of degree d >= 1 is irreducible exactly when
     f divides x^(p^d) - x and is coprime to x^(p^(d/r)) - x for each
-    prime r dividing d.
+    prime r dividing d.  Once f divides x^(p^d) - x, GF(p)[x]/(f) is a
+    product of fields GF(p^e), e | d, so an element of it is a unit
+    exactly when its (p^d - 1)-th power is 1: the test is powers only.
     """
     d = len(mod) - 1
     if d <= 1:
@@ -243,10 +222,11 @@ def _gf_irreducible(mod, p):
     x = [0, 1] + [0] * (d - 2)
     if _gf_powmod(x, p ** d, table, p) != x:
         return False
+    one = [1] + [0] * (d - 1)
     for r in _factorize(d):
         diff = _gf_powmod(x, p ** (d // r), table, p)
         diff[1] = (diff[1] - 1) % p
-        if len(_gf_gcd(list(mod), _trim(diff), p)) > 1:
+        if _gf_powmod(diff, p ** d - 1, table, p) != one:
             return False
     return True
 
@@ -660,6 +640,8 @@ class _Rationals(FieldCtx):
         return _canon(a * b)
 
     def inv(self, a):
+        if not a:
+            raise DivisionByZero("inverse of zero")
         return _canon(Fraction(a.denominator, a.numerator))
 
     def pivot_multiple(self, row, lead, p):
@@ -1111,6 +1093,8 @@ class _GaloisField(FieldCtx):
 
     def inv(self, a):
         """a^(p^k - 2), the inverse of a nonzero a."""
+        if not any(a):
+            raise DivisionByZero("inverse of zero")
         return tuple(_gf_powmod(a, self._unit_order - 1, self._reduce_table,
                                 self.char))
 

@@ -146,6 +146,18 @@ def validate_orientation(p):
     return report
 
 
+def require_oriented(p):
+    """p, once every rule passes validate_orientation; the first rule
+    that does not is an OrientationFailure naming its left side and the
+    offending word."""
+    for i, ok, bad in validate_orientation(p):
+        if not ok:
+            raise OrientationFailure(
+                f"rule {i + 1}: the right-side word {p.word_str(bad)} is "
+                f"not below the left side {p.word_str(p.rules[i].lhs)}")
+    return p
+
+
 class FamilySpec:
     """Tagged parameter record selecting one algebra family:
     ``FamilySpec(family, ctx, **params)``, one dict keyed by the names
@@ -264,10 +276,7 @@ def build_family(spec):
             k for k in parameters if spec.params.get(k) is None])
         pres = Presentation(spec.ctx, *build(spec), family=spec.family,
                             params=spec.params)
-        for _, ok, bad in validate_orientation(pres):
-            if not ok:
-                raise OrientationFailure(f"rhs term {bad} not below lhs")
-        spec._built = pres
+        spec._built = require_oriented(pres)
     return spec._built
 
 

@@ -779,6 +779,12 @@ _GOOD_FILE = {"field": {"kind": "rational"}, "generators": ["x", "y"],
      "PreconditionViolation: a left side must be nonempty"),
     (dict(_GOOD_FILE, weights=[1]),
      "PreconditionViolation: one weight per generator"),
+    # a rule not oriented: rewriting y*x would never end
+    (dict(_GOOD_FILE, rules=[{"lhs": ["y", "x"], "rhs": [
+        {"coeff": "1", "word": ["x", "y"]},
+        {"coeff": "1", "word": ["y", "x", "x"]}]}]),
+     "OrientationFailure: rule 1: the right-side word y*x*x is not below "
+     "the left side y*x"),
     ("{", "ParseError: f.json holds no JSON: Expecting property name "
           "enclosed in double quotes: line 1 column 2 (char 1)"),
 ])

@@ -290,8 +290,11 @@ def test_cyclotomic_unit_times_inverse_is_one():
 
 
 def test_zero_has_no_cyclotomic_inverse():
-    for n in (1, 2) + INV_LEVELS:
-        ctx = FieldCtx.cyclotomic(n)
+    # nor in any other field: the bare inv and Coeff.inv both refuse it
+    ctxs = [FieldCtx.cyclotomic(n) for n in (1, 2) + INV_LEVELS] + [
+        FieldCtx.rational(), FieldCtx.rational_functions(("q",)),
+        FieldCtx.galois_prime(7), FieldCtx.galois(2, [1, 1, 1])]
+    for ctx in ctxs:
         with pytest.raises(DivisionByZero):
             ctx.zero().inv()
         with pytest.raises(DivisionByZero):

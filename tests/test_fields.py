@@ -296,10 +296,10 @@ def _irreducible_count(p, d):
                for e in range(1, d + 1) if d % e == 0) // d
 
 
-@pytest.mark.parametrize("p,d_max", [(2, 6), (3, 4), (5, 3), (7, 3)])
+@pytest.mark.parametrize("p,d_max", [(2, 6), (3, 6), (5, 4), (7, 3)])
 def test_rabin_test_counts_the_irreducible_polynomials(p, d_max):
     # a count that a root search alone misses: (x^2 + x + 1)^2 over GF(2)
-    # has no root, and Rabin's gcd step rejects it
+    # has no root, and Rabin's unit step rejects it
     from itertools import product
     assert not _gf_irreducible([1, 0, 1, 0, 1], 2)
     for d in range(1, d_max + 1):

@@ -33,7 +33,9 @@ from orepi.errors import (
     OrepiError,
     PreconditionViolation,
 )
-from orepi.rewrite import word_poly
+from orepi.identities import theta_element
+from orepi.linalg import SpanTracker
+from orepi.rewrite import multiply, power, word_poly
 
 from test_rewrite import confluent_zoo_specs, family_zoo_specs
 
@@ -48,19 +50,20 @@ def test_bh_verdicts(QQ):
 
 
 def test_hpq_verdicts_and_witness_selection(cyclo3):
-    z3 = cyclo3.generator()
+    z3, two = cyclo3.generator(), cyclo3.from_int(2)
     assert pi_decide(spec_hpq(cyclo3, cyclo3.from_int(-1), z3)).verdict == "PI"
-    # p = 2 not a root, q = z3 a root: the theta-quotient route fires
-    s = spec_hpq(cyclo3, cyclo3.from_int(2), z3)
+    # p = 2 not a root, q = z3 a root: the subalgebra on t and x, x t = p t x
+    s = spec_hpq(cyclo3, two, z3)
     v = pi_decide(s)
     assert v.verdict == "NotPI"
-    assert v.witness.kind == "quotient"
-    assert v.witness.param == cyclo3.from_fraction(Fraction(1, 2))
+    assert (v.witness.label, v.witness.param) == ("x * t = p t * x", two)
     assert verify_witness(s, v.witness)
-    # q not a root: the t-quotient route is preferred
-    s2 = spec_hpq(cyclo3, z3, cyclo3.from_int(2))
+    # q not a root: theta and x, theta x = q x theta, is preferred
+    s2 = spec_hpq(cyclo3, z3, two)
     v2 = pi_decide(s2)
-    assert v2.witness.factored_name == "t"
+    assert (v2.witness.label, v2.witness.param) == \
+        ("theta * x = q x * theta", two)
+    assert v2.witness.y_elem == theta_element(build_family(s2))
     assert verify_witness(s2, v2.witness)
 
 
@@ -235,7 +238,7 @@ def test_witness_examples_from_proofs(rat_q, cyclo3):
                           ctx.one())
     from orepi.identities import cyc3_e
     p = build_family(s)
-    w = QPlaneWitness("subalgebra", ctx.param("q") ** -2, "e z = q^-2 z e",
+    w = QPlaneWitness(ctx.param("q") ** -2, "e z = q^-2 z e",
                       x_elem=word_poly(p, "z"), y_elem=cyc3_e(p))
     assert verify_witness(s, w)
     # Bh: (y1, u) with parameter -h^2
@@ -244,14 +247,14 @@ def test_witness_examples_from_proofs(rat_q, cyclo3):
     pb = build_family(sb)
     from orepi.rewrite import normal_form
     u = normal_form(pb, [(rh.one(), pb.word("x1", "x2"))])
-    wb = QPlaneWitness("subalgebra", -(rh.param("h") ** 2),
+    wb = QPlaneWitness(-(rh.param("h") ** 2),
                        "y1 u = (-h^2) u y1",
                        x_elem=u, y_elem=word_poly(pb, "y1"))
     assert verify_witness(sb, wb)
     # M2: (X11, X21) with parameter beta
     sm = spec_m2(rat_q, rat_q.param("q").inv(), rat_q.param("q"))
     pm = build_family(sm)
-    wm = QPlaneWitness("subalgebra", rat_q.param("q"),
+    wm = QPlaneWitness(rat_q.param("q"),
                        "X21 X11 = beta X11 X21",
                        x_elem=word_poly(pm, "X11"), y_elem=word_poly(pm, "X21"))
     assert verify_witness(sm, wm)
@@ -337,32 +340,28 @@ def _not_pi_specs(QQ, cyclo3):
 
 
 def test_witness_with_one_scalar_changed_fails(QQ, cyclo3):
-    # every NotPI witness verifies, and fails once its parameter, or the
-    # scalar s of one of its relations e f = s f e, is moved by 1 (a
-    # quotient's parameter is checked as y x - param x y in theta A)
-    kinds = set()
+    # every NotPI witness verifies, and fails once its parameter is moved
+    # by 1
     for spec in _not_pi_specs(QQ, cyclo3):
         w = pi_decide(spec).witness
-        kinds.add(w.kind)
         assert verify_witness(spec, w), spec
         fields = {k: getattr(w, k) for k in QPlaneWitness.__slots__}
-        changed = [dict(fields, param=w.param + 1)]
-        if w.kind == "quotient":
-            changed += [dict(fields, normality=[
-                (g, s + 1 if i == j else s)
-                for j, (g, s) in enumerate(w.normality)])
-                for i in range(len(w.normality))]
-        for f in changed:
-            assert not verify_witness(spec, QPlaneWitness(**f)), (spec, f)
-    assert kinds == {"subalgebra", "quotient"}
+        changed = QPlaneWitness(**dict(fields, param=w.param + 1))
+        assert not verify_witness(spec, changed), spec
 
 
-def test_an_unknown_witness_kind_is_a_family_mismatch(QQ):
-    spec = spec_hpq(QQ, QQ.from_int(2), QQ.from_int(-1))
-    w = pi_decide(spec).witness
-    fields = {k: getattr(w, k) for k in QPlaneWitness.__slots__}
-    with pytest.raises(FamilyMismatch, match="unknown witness kind 'nope'"):
-        verify_witness(spec, QPlaneWitness(**dict(fields, kind="nope")))
+def test_every_not_pi_witness_spans_a_quantum_plane(QQ, cyclo3):
+    # a witness pair generates a quantum plane, not a proper quotient of
+    # one: the normal forms of x^i y^j, i + j <= 5, are independent
+    for spec in _not_pi_specs(QQ, cyclo3):
+        w = pi_decide(spec).witness
+        p = build_family(spec)
+        span = SpanTracker(p.order_key, p.ctx)
+        for i in range(6):
+            for j in range(6 - i):
+                m = multiply(p, power(p, w.x_elem, i), power(p, w.y_elem, j))
+                assert span.insert(m.vals), (spec, w.label, i, j)
+        assert span.rank == 21
 
 
 def test_every_family_but_biquad3_gets_a_verdict():

@@ -1147,11 +1147,11 @@ def test_a_presentation_keeps_only_its_unscoped_products(rat_q, QQ, cyclo3,
     bh = spec_bh(cyclo3, z3)
     qplane = spec_quantum_plane(cyclo3, z3)
     downup = spec_downup(cyclo3, m1, m1, cyclo3.zero())
-    quotient = spec_hpq(QQ, QQ.from_int(2), QQ.from_int(-1))
+    not_pi = spec_hpq(QQ, QQ.from_int(-1), QQ.from_int(2))
     # built on specs of their own
     centrals = central_candidates(spec_quantum_plane(cyclo3, z3))
-    witness = pi_decide(spec_hpq(QQ, QQ.from_int(2), QQ.from_int(-1))).witness
-    assert witness.kind == "quotient"
+    witness = pi_decide(spec_hpq(QQ, QQ.from_int(-1), QQ.from_int(2))).witness
+    assert witness.label == "theta * x = q x * theta"
     verdicts = [
         (hpq, lambda: check_paper_identity("H.yxn", H, 4).all_pass),
         (hpq, lambda: not is_central(H, x)[0]),
@@ -1161,7 +1161,7 @@ def test_a_presentation_keeps_only_its_unscoped_products(rat_q, QQ, cyclo3,
                                         {"x": 3, "y": 3}, 6).ok),
         (qplane, lambda: pi_decide(qplane).verdict == "PI"),
         (downup, lambda: downup_center_generators(downup).elements),
-        (quotient, lambda: verify_witness(quotient, witness)),
+        (not_pi, lambda: verify_witness(not_pi, witness)),
     ]
     scopes, calls = [], 0
     real = rewrite._memo
